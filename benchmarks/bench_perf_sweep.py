@@ -654,14 +654,14 @@ def cdr_corner_lot():
 
 def _farm_wall(jobs, engine, repeats=2):
     """Best-of-N presettle farm wall for one engine (fresh cache each)."""
-    from repro.pll.lot import presettle_lot
+    from repro.pll.lot import premeasure_lot
 
     best = float("inf")
     stats = cache = None
     for __ in range(repeats):
         fresh = LockStateCache()
         t0 = time.perf_counter()
-        run_stats = presettle_lot(jobs, fresh, engine=engine)
+        run_stats = premeasure_lot(jobs, fresh, engine=engine)
         wall = time.perf_counter() - t0
         if wall < best:
             best, stats, cache = wall, run_stats, fresh

@@ -24,21 +24,6 @@ from repro.presets import (
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def no_stray_shared_memory():
-    """Fail the session if a benchmark leaks a shared-memory segment."""
-    shm_dir = pathlib.Path("/dev/shm")
-    before = (
-        {p.name for p in shm_dir.glob("psm_*")} if shm_dir.is_dir() else set()
-    )
-    yield
-    if shm_dir.is_dir():
-        stray = {p.name for p in shm_dir.glob("psm_*")} - before
-        assert not stray, (
-            f"benchmark session leaked shared-memory segments: {sorted(stray)}"
-        )
-
-
 @pytest.fixture(scope="session")
 def report():
     """Print a named report and persist it under benchmarks/results/."""

@@ -7,7 +7,7 @@
 * :mod:`repro.core.hold` — the loop-hold (break-and-freeze) mechanism.
 * :mod:`repro.core.sequencer` — the Table 2 five-stage test sequence.
 * :mod:`repro.core.executor` — pluggable serial / batched process-pool
-  tone execution for sweeps (shared-memory result transport).
+  tone execution for sweeps (pickled chunk results).
 * :mod:`repro.core.warm` — the warm-start lock-state cache serving
   settled stage-0 snapshots.
 * :mod:`repro.core.monitor` — the sweep orchestrator producing the

@@ -13,12 +13,11 @@ seed-voltage chaining) through one shared sequencer.
 ``concurrent.futures.ProcessPoolExecutor`` in **batched chunks**: each
 worker receives one pickled payload carrying its whole share of the
 sweep (instead of one pickle round-trip per tone), runs the tones
-serially in-process, and writes every counted scalar of each
-measurement into a ``multiprocessing.shared_memory`` float64 array the
-parent allocated.  Only failures travel back through the pickle channel.
-Chunks are strided over the tones sorted by ascending ``f_mod`` —
-simulation cost scales with ``1 / f_mod``, so striding deals every
-worker one tone of each cost class and the pool drains evenly.
+serially in-process, and returns its :class:`ToneOutcome` records
+pickled in one reply (about a kilobyte per tone).  Chunks are strided
+over the tones sorted by ascending ``f_mod`` — simulation cost scales
+with ``1 / f_mod``, so striding deals every worker one tone of each
+cost class and the pool drains evenly.
 
 Both executors return :class:`ToneOutcome` records **in plan order**
 with per-tone :class:`~repro.errors.MeasurementError` failures captured
@@ -41,27 +40,20 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.architecture import BISTConfig
-from repro.core.counters import FrequencyMeasurement, PhaseCount
-from repro.core.hold import HeldFrequencyResult
-from repro.core.peak_detector import PeakEvent
-from repro.core.sequencer import (
-    TestStage,
-    ToneMeasurement,
-    ToneTestSequencer,
-    ToneTiming,
+from repro.core.sequencer import ToneMeasurement, ToneTestSequencer, ToneTiming
+from repro.core.warm import (
+    CacheEntries,
+    LockStateCache,
+    ToneMeasurementCache,
+    WorkerReturn,
+    adopt_worker_return,
+    run_with_shipment,
+    warm_shipment,
 )
-from repro.core.warm import LockStateCache, ToneMeasurementCache
 from repro.errors import ConfigurationError, MeasurementError, ReproError
 from repro.pll.config import ChargePumpPLL
 from repro.stimulus.modulation import ModulatedStimulus
-
-try:  # pragma: no cover - absent only on exotic platforms
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
 
 __all__ = [
     "ToneOutcome",
@@ -74,8 +66,6 @@ __all__ = [
     "executor_for",
     "REPRO_NUM_WORKERS_ENV",
 ]
-
-TonePayload = Tuple[ChargePumpPLL, ModulatedStimulus, BISTConfig, float]
 
 #: Per-tone completion hook: ``on_outcome(plan_index, outcome)`` is
 #: invoked as tones finish.  The serial executor calls it after every
@@ -112,8 +102,8 @@ class SweepAborted(ReproError):
     executors themselves) to abandon the remaining tones at the next
     completion boundary — the sweep-job service uses it for job
     cancellation and per-job timeouts.  The executor stops dispatching,
-    tears its pool and shared-memory segment down cleanly, and lets the
-    exception propagate to the caller that installed the callback.
+    tears its pool down cleanly, and lets the exception propagate to the
+    caller that installed the callback.
     """
 
 
@@ -136,204 +126,39 @@ class ToneOutcome:
         return self.error is not None
 
 
-def _run_tone(payload: TonePayload) -> ToneOutcome:
-    """Worker: run one tone in a fresh sequencer (module-level, picklable)."""
-    pll, stimulus, config, f_mod = payload
-    sequencer = ToneTestSequencer(pll, stimulus, config)
-    try:
-        return ToneOutcome(f_mod=f_mod, measurement=sequencer.run(f_mod))
-    except MeasurementError as exc:
-        return ToneOutcome(f_mod=f_mod, error=str(exc))
-
-
-# ----------------------------------------------------------------------
-# shared-memory result transport
-# ----------------------------------------------------------------------
-# Every scalar of a ToneMeasurement is flattened into _SLOTS float64
-# values per tone (float64 round-trips ints up to 2**53 and all floats
-# exactly, so the transport preserves bit-identity).  The stage log is
-# fixed-shape: a successful Table 2 run logs exactly the six stages
-# below, in order.
-_STAGE_ORDER = (
-    TestStage.REF_SET,
-    TestStage.SET_PHASE_COUNTER,
-    TestStage.MONITOR_PEAK,
-    TestStage.PEAK_OCCURRED,
-    TestStage.MEASURE,
-    TestStage.DONE,
-)
-_SLOTS = 30
-_STATUS_EMPTY, _STATUS_OK = 0.0, 1.0
-
-
-def _slots_from_measurement(row: "np.ndarray", m: ToneMeasurement) -> None:
-    """Flatten one measurement into its shared-memory row."""
-    held = m.held
-    fm = held.measurement
-    pc = m.phase_count
-    row[1] = m.f_mod
-    row[2] = m.modulation_period
-    row[3] = held.vco_frequency_hz
-    row[4] = held.engage_time
-    row[5] = held.frequency_at_engage
-    row[6] = held.frequency_at_release
-    row[7] = fm.frequency_hz
-    row[8] = float(fm.count)
-    row[9] = fm.gate_seconds
-    row[10] = fm.resolution_hz
-    row[11] = float(pc.pulses)
-    row[12] = pc.test_clock_hz
-    row[13] = pc.t_start
-    row[14] = pc.t_stop
-    row[15] = m.f_out_nominal
-    row[16] = m.arm_time
-    row[17] = m.peak_event.time
-    row[18] = 1.0 if m.peak_event.is_maximum else 0.0
-    for i, (stage, t) in enumerate(m.stage_log[: len(_STAGE_ORDER)]):
-        row[19 + i] = t
-    if m.timing is not None:
-        row[25] = m.timing.settle_s
-        row[26] = m.timing.monitor_s
-        row[27] = m.timing.measure_s
-        row[28] = 1.0 if m.timing.warm else 0.0
-    row[0] = _STATUS_OK  # status last: row is complete when it flips
-
-
-def _measurement_from_slots(row: "np.ndarray") -> ToneMeasurement:
-    """Rebuild a measurement from its shared-memory row."""
-    held = HeldFrequencyResult(
-        vco_frequency_hz=float(row[3]),
-        measurement=FrequencyMeasurement(
-            frequency_hz=float(row[7]),
-            count=int(row[8]),
-            gate_seconds=float(row[9]),
-            mode="reciprocal",
-            resolution_hz=float(row[10]),
-        ),
-        engage_time=float(row[4]),
-        frequency_at_engage=float(row[5]),
-        frequency_at_release=float(row[6]),
-    )
-    phase = PhaseCount(
-        pulses=int(row[11]),
-        test_clock_hz=float(row[12]),
-        t_start=float(row[13]),
-        t_stop=float(row[14]),
-    )
-    peak = PeakEvent(time=float(row[17]), is_maximum=bool(row[18]))
-    stage_log = [
-        (stage, float(row[19 + i])) for i, stage in enumerate(_STAGE_ORDER)
-    ]
-    timing = ToneTiming(
-        settle_s=float(row[25]),
-        monitor_s=float(row[26]),
-        measure_s=float(row[27]),
-        warm=bool(row[28]),
-    )
-    return ToneMeasurement(
-        f_mod=float(row[1]),
-        modulation_period=float(row[2]),
-        held=held,
-        phase_count=phase,
-        f_out_nominal=float(row[15]),
-        arm_time=float(row[16]),
-        peak_event=peak,
-        stage_log=stage_log,
-        timing=timing,
-    )
-
-
 ChunkPayload = Tuple[
     ChargePumpPLL,
     ModulatedStimulus,
     BISTConfig,
     Tuple[Tuple[int, float], ...],
     str,
-    Optional[str],
-    Optional[Tuple],
+    Optional[CacheEntries],
 ]
 
-ChunkResult = Tuple[
-    List[Tuple[int, Optional[ToneOutcome], Optional[str]]],
-    Tuple,
-]
-
-
-def _close_shm(shm) -> None:
-    """Best-effort close of a shared-memory mapping; never raises.
-
-    Cleanup paths must not mask the original exception — a close that
-    fails (e.g. a stray exported buffer view) leaves the segment to the
-    interpreter's resource tracker rather than crashing the sweep.
-    """
-    try:
-        shm.close()
-    except (BufferError, OSError):  # pragma: no cover - defensive
-        pass
-
-
-def _destroy_shm(shm) -> None:
-    """Best-effort close *and unlink*; never raises.
-
-    Unlink runs even when close fails (on POSIX the segment name can be
-    removed while mappings are still open), so an error mid-sweep — a
-    worker crash, an early pool teardown — cannot leak a ``/dev/shm``
-    segment.
-    """
-    _close_shm(shm)
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-    except OSError:  # pragma: no cover - defensive
-        pass
+ChunkResult = Tuple[List[Tuple[int, ToneOutcome]], Optional[WorkerReturn]]
 
 
 def _run_tone_chunk(payload: ChunkPayload) -> ChunkResult:
     """Worker: run one chunk of tones through a shared sequencer.
 
     ``payload`` is ``(pll, stimulus, config, ((plan_index, f_mod), ...),
-    settle, shm_name, warm_entries)``.  Successful measurements are
-    written into the named shared-memory array (row = plan index) and
-    reported back as ``(index, None, None)``; failures return
-    ``(index, None, error)``.  When the shared-memory segment is
-    unavailable (``shm_name`` None, or attaching fails) the full outcome
-    is pickled back as ``(index, outcome, None)``.
+    settle, warm_entries)``.  Every tone comes back pickled as
+    ``(plan_index, outcome)`` — a measurement or a captured
+    :class:`~repro.errors.MeasurementError` alike.
 
-    ``warm_entries`` optionally carries the parent cache's exported
-    settled states (:meth:`~repro.core.warm.LockStateCache.export`); the
-    worker seeds a local cache from them so already-settled tones
-    restore instead of re-simulating, and returns whatever *new* settled
-    states it discovered as the second element of the result, for the
-    parent to merge back.
+    ``warm_entries`` optionally carries the parent cache's
+    :func:`~repro.core.warm.warm_shipment`; the worker seeds a local
+    cache from it so already-settled tones restore instead of
+    re-simulating, and returns the settled states it discovered plus
+    its lookup counts as the second element of the result, for the
+    parent to fold back.
     """
-    pll, stimulus, config, chunk, settle, shm_name, warm_entries = payload
-    local_cache: Optional[LockStateCache] = None
-    shipped_keys = frozenset()
-    if warm_entries is not None:
-        # Sized so nothing shipped can be evicted while the chunk runs.
-        local_cache = LockStateCache(
-            max_entries=max(256, len(warm_entries) + len(chunk))
-        )
-        local_cache.merge(warm_entries)
-        shipped_keys = frozenset(key for key, __ in warm_entries)
-    sequencer = ToneTestSequencer(pll, stimulus, config, cache=local_cache)
-    shm = None
-    table = None
-    if shm_name is not None and _shared_memory is not None:
-        try:
-            shm = _shared_memory.SharedMemory(name=shm_name)
-            table = np.frombuffer(shm.buf, dtype=np.float64).reshape(-1, _SLOTS)
-        except (OSError, ValueError):
-            # Segment unavailable in this worker: degrade to the pickle
-            # channel rather than killing the whole chunk.
-            if shm is not None:
-                _close_shm(shm)
-            shm = None
-            table = None
-    results: List[Tuple[int, Optional[ToneOutcome], Optional[str]]] = []
-    seed: Optional[float] = None
-    try:
+    pll, stimulus, config, chunk, settle, warm_entries = payload
+
+    def run(cache: Optional[LockStateCache]) -> List[Tuple[int, ToneOutcome]]:
+        sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
+        results: List[Tuple[int, ToneOutcome]] = []
+        seed: Optional[float] = None
         for index, f_mod in chunk:
             try:
                 measurement = sequencer.run(
@@ -341,30 +166,15 @@ def _run_tone_chunk(payload: ChunkPayload) -> ChunkResult:
                     settle=settle,
                     seed_voltage=seed if settle == "adaptive" else None,
                 )
-                seed = sequencer.last_release_voltage
             except MeasurementError as exc:
-                results.append((index, None, str(exc)))
-                continue
-            if table is not None:
-                _slots_from_measurement(table[index], measurement)
-                results.append((index, None, None))
+                outcome = ToneOutcome(f_mod=f_mod, error=str(exc))
             else:
-                results.append(
-                    (index, ToneOutcome(f_mod=f_mod, measurement=measurement), None)
-                )
-    finally:
-        if shm is not None:
-            # Release the worker's buffer view before closing the mapping.
-            table = None
-            _close_shm(shm)
-    new_entries: Tuple = ()
-    if local_cache is not None:
-        new_entries = tuple(
-            (key, snap)
-            for key, snap in local_cache.export()
-            if key not in shipped_keys
-        )
-    return results, new_entries
+                outcome = ToneOutcome(f_mod=f_mod, measurement=measurement)
+                seed = sequencer.last_release_voltage
+            results.append((index, outcome))
+        return results
+
+    return run_with_shipment(warm_entries, len(chunk), run)
 
 
 def _measurement_cache_key(
@@ -395,42 +205,6 @@ def _measurement_cache_key(
         )
     except Exception:  # noqa: BLE001 - unhashable config / odd stimulus
         return None
-
-
-def _relevant_warm_entries(
-    cache: LockStateCache, pll_or_signatures
-) -> Tuple:
-    """Exported settled states worth shipping for a sweep or a chunk.
-
-    A lot-shared cache holds entries for *every* physics family the lot
-    has touched; a sweep of one device can only ever restore entries
-    whose snapshot carries that device's physics signature.  Filtering
-    here keeps the per-chunk pickle payload proportional to the chunk's
-    own tones instead of the whole lot's history.  Entries with no
-    recorded signature (pre-PR-3 snapshots) ship conservatively — the
-    worker-side restore still validates compatibility.
-
-    ``pll_or_signatures`` is either one device (its signature is taken)
-    or an iterable of already-computed physics signatures — a population
-    chunk with N distinct physics families ships each worker exactly its
-    families' warm entries rather than one family's or everyone's.  A
-    device whose signature cannot be computed degrades to shipping
-    everything, as before.
-    """
-    entries = cache.export()
-    if hasattr(pll_or_signatures, "physics_signature"):
-        try:
-            signatures = {pll_or_signatures.physics_signature()}
-        except Exception:  # noqa: BLE001 - exotic device: ship everything
-            return entries
-    else:
-        signatures = set(pll_or_signatures)
-    return tuple(
-        (key, snap)
-        for key, snap in entries
-        if getattr(snap, "pll_signature", None) is None
-        or snap.pll_signature in signatures
-    )
 
 
 class SweepExecutor:
@@ -480,9 +254,6 @@ class SerialSweepExecutor(SweepExecutor):
     released control voltage.
     """
 
-    def __init__(self, cache: Optional[LockStateCache] = None) -> None:
-        self.cache = cache
-
     def run_tones(
         self,
         pll: ChargePumpPLL,
@@ -505,7 +276,6 @@ class SerialSweepExecutor(SweepExecutor):
         re-stamped warm, byte-identical everywhere that matters because
         ``timing`` is excluded from measurement equality and reports.
         """
-        cache = cache if cache is not None else self.cache
         sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
         dedup = measurement_cache if settle == "fixed" else None
         outcomes: List[ToneOutcome] = []
@@ -557,16 +327,17 @@ class ProcessPoolSweepExecutor(SweepExecutor):
     Chunks are strided over the tones sorted by ascending ``f_mod``
     (descending simulation cost), so every worker gets an even share of
     the expensive low-frequency tones.  Each worker receives exactly one
-    pickled payload and returns successes through a shared-memory scalar
-    table; results are re-assembled **in plan order**, bit-identical to
+    pickled payload and returns its chunk's outcomes in one pickled
+    reply; results are re-assembled **in plan order**, bit-identical to
     the serial run.
 
-    When a warm-start cache is provided, its exported settled states
-    ride along in each chunk payload: workers restore known tones
-    instead of re-settling them (bit-identical by the snapshot
-    guarantee) and return the settled states they discovered, which are
-    merged back into the parent cache — so a pool-run sweep leaves the
-    cache as warm as a serial one would have.
+    When a warm-start cache is provided, the settled states of this
+    device's physics family ride along in each chunk payload: workers
+    restore known tones instead of re-settling them (bit-identical by
+    the snapshot guarantee) and return the settled states they
+    discovered and their cache hits and misses, which are folded back
+    into the parent cache — so a pool-run sweep leaves the cache as
+    warm, and its counters as honest, as a serial one would have.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -600,8 +371,7 @@ class ProcessPoolSweepExecutor(SweepExecutor):
         its worker finishes — not after the whole pool drains.  A
         callback raising :class:`SweepAborted` cancels every not-yet-
         started chunk (chunks already running in workers finish but are
-        discarded) and propagates after the pool and the shared-memory
-        segment are torn down.
+        discarded) and propagates after the pool is torn down.
         """
         freqs = list(frequencies_hz)
         workers = min(self.n_workers, len(freqs))
@@ -614,109 +384,49 @@ class ProcessPoolSweepExecutor(SweepExecutor):
         # chunk samples every cost class.
         order = sorted(range(len(freqs)), key=lambda i: freqs[i])
         chunks = [order[w::workers] for w in range(workers)]
-        shm = None
-        shm_name = None
-        try:
-            if _shared_memory is not None:
-                try:
-                    shm = _shared_memory.SharedMemory(
-                        create=True, size=len(freqs) * _SLOTS * 8
-                    )
-                    np.frombuffer(shm.buf, dtype=np.float64)[:] = _STATUS_EMPTY
-                    shm_name = shm.name
-                except OSError:
-                    if shm is not None:
-                        _destroy_shm(shm)
-                    shm = None  # e.g. /dev/shm unavailable; pickle fallback
-            warm_entries = (
-                _relevant_warm_entries(cache, pll)
-                if cache is not None else None
+        warm_entries = warm_shipment(cache, [pll])
+        payloads: List[ChunkPayload] = [
+            (
+                pll,
+                stimulus,
+                config,
+                tuple((i, freqs[i]) for i in chunk),
+                settle,
+                warm_entries,
             )
-            payloads: List[ChunkPayload] = [
-                (
-                    pll,
-                    stimulus,
-                    config,
-                    tuple((i, freqs[i]) for i in chunk),
-                    settle,
-                    shm_name,
-                    warm_entries,
-                )
-                for chunk in chunks
-            ]
-            outcomes: List[Optional[ToneOutcome]] = [None] * len(freqs)
-
-            def _harvest_chunk(chunk_result: ChunkResult) -> List[int]:
-                """Fold one chunk's results into ``outcomes``; return the
-                plan indices it filled, ascending."""
-                results, new_entries = chunk_result
-                if cache is not None and new_entries:
-                    cache.merge(new_entries)
-                filled: List[int] = []
-                for index, outcome, error in results:
-                    if error is not None:
-                        outcomes[index] = ToneOutcome(
-                            f_mod=freqs[index], error=error
-                        )
-                    elif outcome is not None:
-                        outcomes[index] = outcome
-                    else:
-                        # Copy the row out of the mapping immediately so
-                        # no buffer view survives past the harvest.
-                        row = (
-                            np.frombuffer(shm.buf, dtype=np.float64)
-                            .reshape(-1, _SLOTS)[index]
-                            .copy()
-                        )
-                        if row[0] != _STATUS_OK:
-                            raise MeasurementError(
-                                f"worker reported success for tone "
-                                f"{freqs[index]:g} Hz but its shared-memory "
-                                "row is empty"
-                            )
-                        outcomes[index] = ToneOutcome(
-                            f_mod=freqs[index],
-                            measurement=_measurement_from_slots(row),
-                        )
-                    filled.append(index)
-                return sorted(filled)
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pending = set()
-                try:
-                    pending = {
-                        pool.submit(_run_tone_chunk, payload)
-                        for payload in payloads
-                    }
-                    while pending:
-                        done, pending = wait(
-                            pending, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            # A worker exception (not a per-tone failure
-                            # — those travel as data) aborts the sweep,
-                            # exactly as pool.map used to.
-                            filled = _harvest_chunk(future.result())
+            for chunk in chunks
+        ]
+        outcomes: List[Optional[ToneOutcome]] = [None] * len(freqs)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = set()
+            try:
+                pending = {
+                    pool.submit(_run_tone_chunk, payload)
+                    for payload in payloads
+                }
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        # A worker exception (not a per-tone failure —
+                        # those travel as data) aborts the sweep.
+                        results, returned = future.result()
+                        adopt_worker_return(cache, returned)
+                        results.sort(key=lambda result: result[0])
+                        for index, outcome in results:
+                            outcomes[index] = outcome
                             if on_outcome is not None:
-                                for index in filled:
-                                    on_outcome(index, outcomes[index])
-                except BaseException:
-                    for future in pending:
-                        future.cancel()
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-            missing = [freqs[i] for i, o in enumerate(outcomes) if o is None]
-            if missing:
-                raise MeasurementError(
-                    f"pool returned no outcome for tones {missing!r}"
-                )
-            return outcomes  # type: ignore[return-value]
-        finally:
-            # Runs on success, on a worker failure, on SweepAborted and
-            # on early pool teardown alike: the segment is closed and
-            # unlinked whatever happened above.
-            if shm is not None:
-                _destroy_shm(shm)
+                                on_outcome(index, outcome)
+            except BaseException:
+                for future in pending:
+                    future.cancel()
+                pool.shutdown(wait=True, cancel_futures=True)
+                raise
+        missing = [freqs[i] for i, o in enumerate(outcomes) if o is None]
+        if missing:
+            raise MeasurementError(
+                f"pool returned no outcome for tones {missing!r}"
+            )
+        return outcomes  # type: ignore[return-value]
 
 
 def _visible_cpu_count() -> int:

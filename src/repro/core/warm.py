@@ -26,7 +26,12 @@ the same injected fault in a fault-library screen, restores the first
 die's settled state.  :meth:`export` and :meth:`merge` move entries
 across process boundaries: a batch screen ships the parent cache's
 entries to pool workers inside the chunk payload and merges whatever
-the workers settled back into the parent on return.
+the workers settled back into the parent on return.  Both process
+pools — the tone pool and the lot pool — ship through one pair of
+helpers: :func:`warm_shipment` on the sending side and
+:func:`run_with_shipment` in the worker, with
+:func:`adopt_worker_return` folding the worker's discoveries and lookup
+counts back into the parent cache.
 
 The cache is a bounded LRU so long screening campaigns cannot grow
 memory without limit; snapshots are a few hundred bytes each.
@@ -47,7 +52,7 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from typing import Hashable, Iterable, Optional, Tuple, Union
+from typing import Callable, Hashable, Iterable, Optional, Tuple, Union
 
 from repro.errors import CachePersistenceError, ConfigurationError
 from repro.pll.simulator import SimulatorSnapshot
@@ -56,6 +61,10 @@ __all__ = [
     "LockStateCache",
     "ToneMeasurementCache",
     "CacheEntries",
+    "WorkerReturn",
+    "warm_shipment",
+    "run_with_shipment",
+    "adopt_worker_return",
     "CACHE_FORMAT_MAGIC",
     "CACHE_FORMAT_VERSION",
 ]
@@ -126,7 +135,7 @@ class LockStateCache:
         #: Stale entries dropped by the most recent :meth:`load` that
         #: built this cache (0 for caches never loaded from disk).
         self.stale_entries_skipped = 0
-        #: Digest left behind by :func:`repro.pll.lot.presettle_lot`
+        #: Digest left behind by :func:`repro.pll.lot.premeasure_lot`
         #: (a :class:`~repro.pll.lot.LotPresettleStats`) so callers that
         #: only hold the cache can report what the settle farm did.
         self.presettle_stats = None
@@ -493,3 +502,93 @@ class ToneMeasurementCache:
             f"/{self.max_entries}, hits={self._hits}, "
             f"misses={self._misses})"
         )
+
+
+# ----------------------------------------------------------------------
+# shipping warm entries to pool workers
+# ----------------------------------------------------------------------
+#: What a pool worker hands back about its local lock-state cache: the
+#: settled states it discovered beyond the shipment, and its
+#: ``(hits, misses)`` lookup counts.
+WorkerReturn = Tuple[CacheEntries, Tuple[int, int]]
+
+
+def warm_shipment(
+    cache: Union[LockStateCache, ToneMeasurementCache, None],
+    plls: Iterable,
+) -> Optional[Tuple]:
+    """The entries of ``cache`` worth shipping to a worker running ``plls``.
+
+    ``cache`` is a :class:`LockStateCache` or a
+    :class:`ToneMeasurementCache` (``None`` ships nothing and returns
+    ``None``).  A shared cache holds every physics family a lot or a
+    service has touched, but a worker can only use entries of its own
+    devices' families, so the export is filtered to their physics
+    signatures — the pickled payload stays proportional to the worker's
+    share, not to the cache's history.  A settled snapshot records its
+    signature (unsigned legacy snapshots ship; the worker-side restore
+    still validates them); a finished measurement's key leads with it.
+    A device whose signature cannot be computed ships everything.
+    """
+    if cache is None:
+        return None
+    entries = cache.export()
+    try:
+        signatures = {pll.physics_signature() for pll in plls}
+    except Exception:  # noqa: BLE001 - exotic device: ship everything
+        return entries
+    if isinstance(cache, LockStateCache):
+        signatures.add(None)
+        return tuple(
+            (key, snap)
+            for key, snap in entries
+            if getattr(snap, "pll_signature", None) in signatures
+        )
+    return tuple(
+        (key, value) for key, value in entries if key and key[0] in signatures
+    )
+
+
+def run_with_shipment(
+    entries: Optional[CacheEntries],
+    headroom: int,
+    work: Callable[[Optional[LockStateCache]], object],
+) -> Tuple[object, Optional[WorkerReturn]]:
+    """Worker side of :func:`warm_shipment`: run ``work`` on a seeded cache.
+
+    ``work`` receives a local :class:`LockStateCache` holding the
+    shipped ``entries``, sized so none of them can be evicted while
+    ``headroom`` new settled states arrive.  Returns ``work``'s result
+    and the :data:`WorkerReturn` for :func:`adopt_worker_return`: only
+    the entries beyond the shipment travel back.  With nothing shipped
+    (``entries`` is ``None``) ``work`` runs without a cache and the
+    return is ``None``.
+    """
+    if entries is None:
+        return work(None), None
+    local = LockStateCache(max_entries=max(256, len(entries) + headroom))
+    local.merge(entries)
+    result = work(local)
+    shipped = frozenset(key for key, __ in entries)
+    discovered = tuple(
+        (key, snap) for key, snap in local.export() if key not in shipped
+    )
+    return result, (discovered, local.stats)
+
+
+def adopt_worker_return(
+    cache: Optional[LockStateCache], returned: Optional[WorkerReturn]
+) -> None:
+    """Fold a worker's discoveries and lookup counts into ``cache``.
+
+    The worker's hits and misses are lookups made on the parent cache's
+    behalf, so they count in its :attr:`~LockStateCache.stats` exactly
+    as a serial run's would.
+    """
+    if cache is None or returned is None:
+        return
+    discovered, (hits, misses) = returned
+    if discovered:
+        cache.merge(discovered)
+    cache._hits += hits
+    cache._misses += misses

@@ -1,6 +1,6 @@
 """Lot-level settle planning for the vectorized engine.
 
-:func:`presettle_lot` is the bridge between the batch-screening /
+:func:`premeasure_lot` is the bridge between the batch-screening /
 sweep layers and the lockstep settle farm
 (:class:`~repro.sim.vectorized.VectorizedLotSimulator`).  Given the
 (device, stimulus, config, tones) jobs of a lot, it:
@@ -23,8 +23,8 @@ bit-identical to a cold run.  A lane whose settle *fails* is simply
 left cold — the sweep reproduces the identical error itself, so
 failure semantics do not change either.
 
-:func:`premeasure_lot` extends the same plan past the settle barrier:
-given a :class:`~repro.core.warm.ToneMeasurementCache` it attaches a
+Given a :class:`~repro.core.warm.ToneMeasurementCache` as well, it
+extends the same plan past the settle barrier: it attaches a
 :class:`~repro.sim.vectorized.MeasureSpec` to every lane whose
 finished measurement is dedupable, so the farm carries same-topology
 lanes through stages 1–4 (arm, peak watch, hold-and-count) in lockstep
@@ -52,7 +52,7 @@ from repro.sim.vectorized import (
     VectorizedLotSimulator,
 )
 
-__all__ = ["LotPresettleStats", "premeasure_lot", "presettle_lot"]
+__all__ = ["LotPresettleStats", "premeasure_lot"]
 
 #: One lot job: (pll, stimulus, config, modulation frequencies).
 LotJob = Tuple[object, object, object, Sequence[float]]
@@ -133,7 +133,7 @@ def premeasure_lot(
     in-farm :class:`~repro.errors.MeasurementError` — are left out of
     the measurement cache, so the orchestrating sweep measures (or
     reproduces the identical error) from the settled snapshot.  Without
-    ``measurement_cache`` this is exactly :func:`presettle_lot`.
+    ``measurement_cache`` only the settle runs.
     ``measure_width`` gates the phase on farm width — the batched
     stages need enough concurrent lanes to beat the scalar sequencer;
     ``None`` takes the farm's default (three drain widths), ``0``
@@ -254,22 +254,3 @@ def premeasure_lot(
     cache.presettle_stats = stats
     return stats
 
-
-def presettle_lot(
-    jobs: Iterable[LotJob],
-    cache: LockStateCache,
-    *,
-    record: Union[RecordLevel, str] = RecordLevel.COUNTERS,
-    drain_width: int = 8,
-    engine: str = "vectorized",
-) -> LotPresettleStats:
-    """Warm ``cache`` with every unique settled state a lot will need.
-
-    Settle-only entry point kept for callers that measure scalar (or
-    dedup measurements elsewhere): exactly :func:`premeasure_lot`
-    without a measurement cache.
-    """
-    return premeasure_lot(
-        jobs, cache, None,
-        record=record, drain_width=drain_width, engine=engine,
-    )

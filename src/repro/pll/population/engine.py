@@ -144,7 +144,6 @@ def screen_population(
     cache: Optional[LockStateCache] = None,
     jsonl: Optional[Union[str, IO[str]]] = None,
     progress: Optional[Callable[[ChunkProgress], None]] = None,
-    memo_limit: Optional[int] = None,
 ) -> Tuple[PopulationAggregate, PopulationScreenStats]:
     """Screen a whole sampled population in bounded-memory chunks.
 
@@ -170,11 +169,6 @@ def screen_population(
         as it is screened (streaming export, nothing retained).
     progress:
         Callback invoked with a :class:`ChunkProgress` after each chunk.
-    memo_limit:
-        Explicit cap for the process-global nominal-frequency memo; by
-        default the cap is raised (never lowered) to cover two chunks'
-        worth of unique physics so a mostly-unique population doesn't
-        thrash it.
 
     Returns the ``(aggregate, stats)`` pair: the deterministic summary
     state and the wall-clock observability record.
@@ -193,12 +187,12 @@ def screen_population(
         raise ConfigurationError(f"chunk_size must be >= 1, got {size!r}")
 
     memo_before = nominal_frequency_memo_stats()
-    if memo_limit is not None:
-        set_nominal_frequency_memo_limit(memo_limit)
-    else:
-        wanted = max(1024, 2 * size)
-        if memo_before.limit < wanted:
-            set_nominal_frequency_memo_limit(wanted)
+    # Raise (never lower) the process-global nominal-frequency memo cap
+    # to cover two chunks' worth of unique physics, so a mostly-unique
+    # population doesn't thrash it.
+    wanted = max(1024, 2 * size)
+    if memo_before.limit < wanted:
+        set_nominal_frequency_memo_limit(wanted)
 
     stimulus = corner.stimulus()
     config = corner.config()

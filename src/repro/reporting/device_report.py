@@ -20,9 +20,10 @@ the whole screen: the lot settles each (stimulus, tone, device-physics)
 family once and every behaviourally identical device thereafter restores
 the settled state instead of re-simulating it — bit-identical by the
 snapshot guarantee, so warm lot reports equal cold ones byte for byte.
-Under ``n_workers > 1`` the cache's exported entries ride to each
-worker inside its one chunk payload, and the settled states workers
-discover are merged back into the parent cache on return.
+Under ``n_workers > 1`` the entries of each chunk's physics families
+ride to its worker inside its one chunk payload, and the settled states
+and cache lookups workers make are folded back into the parent cache on
+return (:mod:`repro.core.warm` owns both halves of that shipping).
 """
 
 from __future__ import annotations
@@ -33,10 +34,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sensitivity import DiagnosisCandidate
 from repro.core.architecture import BISTConfig
-from repro.core.executor import _relevant_warm_entries
 from repro.core.limits import LimitReport, TestLimits
 from repro.core.monitor import SweepPlan, SweepResult, TransferFunctionMonitor
-from repro.core.warm import LockStateCache, ToneMeasurementCache
+from repro.core.warm import (
+    LockStateCache,
+    ToneMeasurementCache,
+    WorkerReturn,
+    adopt_worker_return,
+    run_with_shipment,
+    warm_shipment,
+)
 from repro.engines import FARM_ENGINES, validate_engine
 from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
@@ -217,6 +224,23 @@ def _failure_stub(pll: ChargePumpPLL, reason: str) -> str:
     ])
 
 
+def _measure_one(
+    request: DeviceReportRequest,
+    cache: Optional[LockStateCache],
+    measurement_cache: Optional[ToneMeasurementCache],
+) -> Tuple[SweepResult, Optional[LimitReport]]:
+    """Run one device's sweep and, when it has limits, its verdict."""
+    monitor = TransferFunctionMonitor(
+        request.pll, request.stimulus, request.config, cache=cache
+    )
+    if request.limits is not None:
+        return monitor.run_and_check(
+            request.plan, request.limits, measurement_cache=measurement_cache
+        )
+    sweep = monitor.run(request.plan, measurement_cache=measurement_cache)
+    return sweep, None
+
+
 def _render_one(
     request: DeviceReportRequest,
     cache: Optional[LockStateCache] = None,
@@ -237,18 +261,7 @@ def _render_one(
     stay byte-identical because timing never reaches the artefact.
     """
     try:
-        monitor = TransferFunctionMonitor(
-            request.pll, request.stimulus, request.config, cache=cache
-        )
-        run_kwargs = {}
-        if measurement_cache is not None:
-            run_kwargs["measurement_cache"] = measurement_cache
-        if request.limits is not None:
-            sweep, verdict = monitor.run_and_check(
-                request.plan, request.limits, **run_kwargs
-            )
-        else:
-            sweep, verdict = monitor.run(request.plan, **run_kwargs), None
+        sweep, verdict = _measure_one(request, cache, measurement_cache)
         return device_report(request.pll, sweep, limits=verdict)
     except MeasurementError as exc:
         # The reference tone died: no transfer function exists, but the
@@ -293,18 +306,7 @@ def _screen_one(
     per-device error becomes an outcome with ``error`` set, never an
     exception that could abort the lot."""
     try:
-        monitor = TransferFunctionMonitor(
-            request.pll, request.stimulus, request.config, cache=cache
-        )
-        run_kwargs = {}
-        if measurement_cache is not None:
-            run_kwargs["measurement_cache"] = measurement_cache
-        if request.limits is not None:
-            sweep, verdict = monitor.run_and_check(
-                request.plan, request.limits, **run_kwargs
-            )
-        else:
-            sweep, verdict = monitor.run(request.plan, **run_kwargs), None
+        sweep, verdict = _measure_one(request, cache, measurement_cache)
     except MeasurementError as exc:
         return DeviceScreenOutcome(
             name=request.pll.name, passed=False, error=str(exc)
@@ -349,13 +351,13 @@ def _run_chunk(payload: _BatchChunkPayload, one: Callable):
     """Measure one chunk of the lot through ``one`` (module-level
     helper shared by the render and screen chunk workers).
 
-    The chunk shares one local :class:`~repro.core.warm.LockStateCache`,
-    seeded from the parent cache's exported entries when warm screening
-    is on — so the worker's first device of each physics family settles
+    The chunk shares one local :class:`~repro.core.warm.LockStateCache`
+    seeded from the parent's shipment
+    (:func:`~repro.core.warm.run_with_shipment`) when warm screening is
+    on — so the worker's first device of each physics family settles
     cold (unless the parent already knew it) and every later one
     restores.  Returns the ``(lot_index, result)`` pairs plus the
-    settled states this worker *discovered* (entries not in the shipped
-    export), for the parent to merge back.
+    worker's discoveries and lookup counts, for the parent to fold back.
 
     Finished stage 1-4 measurements ship the same way into a local
     :class:`~repro.core.warm.ToneMeasurementCache` — the farm's
@@ -366,14 +368,6 @@ def _run_chunk(payload: _BatchChunkPayload, one: Callable):
     is nothing for them to warm.
     """
     chunk, warm_entries, measurement_entries = payload
-    local_cache: Optional[LockStateCache] = None
-    shipped_keys = frozenset()
-    if warm_entries is not None:
-        local_cache = LockStateCache(
-            max_entries=max(256, len(warm_entries) + 16 * len(chunk))
-        )
-        local_cache.merge(warm_entries)
-        shipped_keys = frozenset(key for key, __ in warm_entries)
     local_measurements: Optional[ToneMeasurementCache] = None
     if measurement_entries is not None:
         local_measurements = ToneMeasurementCache(
@@ -382,82 +376,31 @@ def _run_chunk(payload: _BatchChunkPayload, one: Callable):
             )
         )
         local_measurements.merge(measurement_entries)
-    results = [
-        (index, one(request, cache=local_cache,
-                    measurement_cache=local_measurements))
-        for index, request in chunk
-    ]
-    new_entries: Tuple = ()
-    if local_cache is not None:
-        new_entries = tuple(
-            (key, snap)
-            for key, snap in local_cache.export()
-            if key not in shipped_keys
-        )
-    return results, new_entries
+    return run_with_shipment(
+        warm_entries,
+        16 * len(chunk),
+        lambda cache: [
+            (index, one(request, cache=cache,
+                        measurement_cache=local_measurements))
+            for index, request in chunk
+        ],
+    )
 
 
 def _render_chunk(
     payload: _BatchChunkPayload,
-) -> Tuple[List[Tuple[int, str]], Tuple]:
+) -> Tuple[List[Tuple[int, str]], Optional[WorkerReturn]]:
     """Worker: measure and render one chunk of the lot (picklable)."""
     return _run_chunk(payload, _render_one)
 
 
 def _screen_chunk(
     payload: _BatchChunkPayload,
-) -> Tuple[List[Tuple[int, DeviceScreenOutcome]], Tuple]:
+) -> Tuple[
+    List[Tuple[int, DeviceScreenOutcome]], Optional[WorkerReturn]
+]:
     """Worker: measure one chunk into numeric outcomes (picklable)."""
     return _run_chunk(payload, _screen_one)
-
-
-def _chunk_warm_entries(
-    cache: Optional[LockStateCache],
-    chunk: Tuple[Tuple[int, DeviceReportRequest], ...],
-) -> Optional[Tuple]:
-    """The warm entries worth shipping to one chunk's worker.
-
-    Filters the parent cache's export down to the chunk's own physics
-    families (:func:`~repro.core.executor._relevant_warm_entries` with
-    the chunk's signature set) — a population chunk holding N distinct
-    families receives exactly those N families' settled states, not the
-    whole population's history.  A device whose signature cannot be
-    computed keeps the conservative ship-everything behaviour.
-    """
-    if cache is None:
-        return None
-    signatures = []
-    for __, request in chunk:
-        try:
-            signatures.append(request.pll.physics_signature())
-        except Exception:  # noqa: BLE001 - exotic device: ship everything
-            return cache.export()
-    return _relevant_warm_entries(cache, signatures)
-
-
-def _chunk_measurement_entries(
-    measurement_cache: Optional[ToneMeasurementCache],
-    chunk: Tuple[Tuple[int, DeviceReportRequest], ...],
-) -> Optional[Tuple]:
-    """The finished measurements worth shipping to one chunk's worker.
-
-    A measurement key leads with the device physics signature, so the
-    same family filter as :func:`_chunk_warm_entries` applies — each
-    worker receives exactly its chunk's families' finished tones.
-    """
-    if measurement_cache is None:
-        return None
-    signatures = set()
-    for __, request in chunk:
-        try:
-            signatures.add(request.pll.physics_signature())
-        except Exception:  # noqa: BLE001 - exotic device: ship everything
-            return measurement_cache.export()
-    return tuple(
-        (key, measurement)
-        for key, measurement in measurement_cache.export()
-        if key and key[0] in signatures
-    )
 
 
 def batch_device_reports(
@@ -587,17 +530,19 @@ def _batch_measure(
     # Each chunk ships only its own physics families' warm entries —
     # for a heterogeneous population lot the payload stays proportional
     # to the chunk, not to everything the shared cache has ever seen.
-    payloads: List[_BatchChunkPayload] = [
-        (chunk, _chunk_warm_entries(cache, chunk),
-         _chunk_measurement_entries(measurement_cache, chunk))
-        for chunk in chunks
-    ]
+    payloads: List[_BatchChunkPayload] = []
+    for chunk in chunks:
+        plls = [request.pll for __, request in chunk]
+        payloads.append((
+            chunk,
+            warm_shipment(cache, plls),
+            warm_shipment(measurement_cache, plls),
+        ))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk_results = list(pool.map(chunk_worker, payloads))
     results: List[Optional[object]] = [None] * len(jobs)
-    for produced, new_entries in chunk_results:
-        if cache is not None and new_entries:
-            cache.merge(new_entries)
+    for produced, returned in chunk_results:
+        adopt_worker_return(cache, returned)
         for index, value in produced:
             results[index] = value
     missing = [i for i, value in enumerate(results) if value is None]

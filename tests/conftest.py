@@ -7,8 +7,6 @@ objects.
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.core import BISTConfig, ToneTestSequencer, TransferFunctionMonitor
@@ -32,27 +30,6 @@ def rearm_parallel_fallback_warning():
 
     _reset_fallback_warning()
     yield
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_stray_shared_memory():
-    """Fail the session if any test leaks a POSIX shared-memory segment.
-
-    The pool executors transport results through
-    ``multiprocessing.shared_memory``; every segment must be closed and
-    unlinked on success *and* on every error path, so the set of
-    ``/dev/shm/psm_*`` names after the session equals the set before it.
-    """
-    shm_dir = pathlib.Path("/dev/shm")
-    before = (
-        {p.name for p in shm_dir.glob("psm_*")} if shm_dir.is_dir() else set()
-    )
-    yield
-    if shm_dir.is_dir():
-        stray = {p.name for p in shm_dir.glob("psm_*")} - before
-        assert not stray, (
-            f"test session leaked shared-memory segments: {sorted(stray)}"
-        )
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError
 from repro.pll import ChargePumpPLL, CurrentChargePump, VCO
 from repro.pll.faults import FAULT_LIBRARY, apply_fault
 from repro.pll.loop_filter import PassiveLagLeadFilter
-from repro.pll.lot import presettle_lot
+from repro.pll.lot import premeasure_lot
 from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import DeviceReportRequest, batch_device_reports
@@ -324,14 +324,14 @@ class TestEngineSelection:
             PAPER_TONES,
         )]
         with pytest.raises(ConfigurationError) as excinfo:
-            presettle_lot(jobs, LockStateCache(), engine="quantum")
+            premeasure_lot(jobs, LockStateCache(), engine="quantum")
         message = str(excinfo.value)
         assert "'closed_form'" in message
         assert "'auto'" in message
         # The presettle farm vocabulary excludes "scalar": a scalar
         # presettle is a no-op, so asking for one is a caller bug.
         with pytest.raises(ConfigurationError):
-            presettle_lot(jobs, LockStateCache(), engine="scalar")
+            premeasure_lot(jobs, LockStateCache(), engine="scalar")
 
     def test_batch_rejects_unknown_engine_with_choices(
         self, fast_bist_config
@@ -397,7 +397,7 @@ class TestPresettleStats:
     def test_closed_form_counters_and_summary(self):
         jobs = [(_cdr_pll(), _cdr_stimulus(), _cdr_config(), CDR_TONES)]
         cache = LockStateCache()
-        stats = presettle_lot(
+        stats = premeasure_lot(
             jobs, cache, engine="closed_form", drain_width=0
         )
         assert stats.closed_form_lanes == len(CDR_TONES)
@@ -406,13 +406,13 @@ class TestPresettleStats:
         assert "closed-form" in stats.summary()
         assert len(cache) == len(CDR_TONES)
         # At farm level "auto" and "closed_form" are the same cascade.
-        auto = presettle_lot(
+        auto = premeasure_lot(
             jobs, LockStateCache(), engine="auto", drain_width=0
         )
         assert auto.closed_form_lanes == stats.closed_form_lanes
 
     def test_vectorized_engine_reports_no_closed_form_lanes(self):
-        stats = presettle_lot(
+        stats = premeasure_lot(
             [(_cdr_pll(), _cdr_stimulus(), _cdr_config(), CDR_TONES)],
             LockStateCache(),
             engine="vectorized",

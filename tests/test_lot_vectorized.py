@@ -35,11 +35,11 @@ from repro.core import (
     ToneTestSequencer,
     TransferFunctionMonitor,
 )
-from repro.core.executor import _relevant_warm_entries
 from repro.core.sequencer import _NOMINAL_FREQUENCY_MEMO
+from repro.core.warm import warm_shipment
 from repro.errors import ConfigurationError
 from repro.pll.faults import FAULT_LIBRARY, apply_fault
-from repro.pll.lot import presettle_lot
+from repro.pll.lot import premeasure_lot
 from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import DeviceReportRequest, batch_device_reports
@@ -225,7 +225,7 @@ class TestPresettleLot:
             replace(paper_pll(), name=f"die-{i}") for i in range(4)
         ]
         cache = LockStateCache()
-        stats = presettle_lot(
+        stats = premeasure_lot(
             [(die, stimulus, fast_bist_config, TONES) for die in dies],
             cache,
         )
@@ -235,7 +235,7 @@ class TestPresettleLot:
         assert stats.failed == 0
         assert len(cache) == len(TONES)
         # A second pass finds everything warm.
-        again = presettle_lot(
+        again = premeasure_lot(
             [(die, stimulus, fast_bist_config, TONES) for die in dies],
             cache,
         )
@@ -246,7 +246,7 @@ class TestPresettleLot:
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         cache = LockStateCache()
-        presettle_lot([(pll, stimulus, fast_bist_config, TONES)], cache)
+        premeasure_lot([(pll, stimulus, fast_bist_config, TONES)], cache)
         sequencer = ToneTestSequencer(
             pll, stimulus, fast_bist_config, cache=cache
         )
@@ -264,7 +264,7 @@ class TestPresettleLot:
         and the stats digest is left on the cache for the CLI/benches."""
         stimulus = paper_stimulus("multitone")
         cache = LockStateCache()
-        stats = presettle_lot(
+        stats = premeasure_lot(
             [(paper_pll(nonlinear=True), stimulus, fast_bist_config,
               TONES)],
             cache,
@@ -275,7 +275,7 @@ class TestPresettleLot:
         assert cache.presettle_stats is stats
         assert "tones vectorized" in stats.summary()
         assert "nonlinear lanes" in stats.summary()
-        linear = presettle_lot(
+        linear = premeasure_lot(
             [(paper_pll(), stimulus, fast_bist_config, TONES)],
             LockStateCache(),
             drain_width=0,
@@ -290,7 +290,7 @@ class TestPresettleLot:
         # 8·f_mod > f_ref: the sequencer would never cache these, so the
         # presettle pass must leave them alone too.
         high = pll.f_ref / 4.0
-        stats = presettle_lot(
+        stats = premeasure_lot(
             [(pll, stimulus, fast_bist_config, (high,))], cache
         )
         assert stats.skipped == 1
@@ -489,7 +489,7 @@ class TestWarmEntryShippingFilter:
         cache.put(("a",), SimpleNamespace(pll_signature=signature))
         cache.put(("b",), SimpleNamespace(pll_signature=("other",)))
         cache.put(("c",), SimpleNamespace(pll_signature=None))
-        shipped = _relevant_warm_entries(cache, pll)
+        shipped = warm_shipment(cache, [pll])
         keys = sorted(key for key, __ in shipped)
         # Matching and unsigned entries ship; foreign physics does not.
         assert keys == [("a",), ("c",)]

@@ -35,7 +35,7 @@ from repro.core.executor import _measurement_cache_key
 from repro.core.warm import ToneMeasurementCache
 from repro.errors import MeasurementError
 from repro.pll.faults import FAULT_LIBRARY, apply_fault
-from repro.pll.lot import premeasure_lot, presettle_lot
+from repro.pll.lot import premeasure_lot
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import DeviceReportRequest, batch_device_reports
 
@@ -89,7 +89,7 @@ class TestPremeasureParity:
         duts = _fault_lot()
         jobs = [(d, stimulus, fast_bist_config, TONES) for d in duts]
         cache = LockStateCache()
-        presettle_lot(jobs, cache, drain_width=0)
+        premeasure_lot(jobs, cache, drain_width=0)
         settled = dict(cache.export())
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(jobs, cache, dedup, drain_width=0)

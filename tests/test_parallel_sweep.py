@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 from repro.core import (
+    LockStateCache,
     ParallelFallbackWarning,
     ProcessPoolSweepExecutor,
     SerialSweepExecutor,
@@ -249,8 +250,6 @@ class TestStreamingCallbacks:
             monitor.run(mixed_plan, on_outcome=bail)
 
     def test_callback_abort_propagates_pool(self, monitor, mixed_plan):
-        # The pool path must also tear down its shared-memory segment —
-        # the session-scoped /dev/shm leak guard enforces that part.
         def bail(index, outcome):
             raise SweepAborted("stop right there")
 
@@ -260,6 +259,42 @@ class TestStreamingCallbacks:
                 executor=ProcessPoolSweepExecutor(4),
                 on_outcome=bail,
             )
+
+
+class TestPooledWarmCache:
+    """Pickled pool returns carry everything a serial run produces —
+    measurements, timing, warm flags — and the workers' cache lookups
+    count on the parent cache."""
+
+    @pytest.fixture(scope="class")
+    def pooled_pair(self, fast_bist_config):
+        args = (paper_pll(), paper_stimulus("multitone"), fast_bist_config,
+                PASSING_TONES)
+        serial = SerialSweepExecutor().run_tones(*args)
+        cache = LockStateCache()
+        pool = ProcessPoolSweepExecutor(2)
+        cold = pool.run_tones(*args, cache=cache)
+        after_cold = cache.stats_detail
+        warm = pool.run_tones(*args, cache=cache)
+        return serial, cold, warm, after_cold, cache.stats_detail
+
+    def test_worker_lookups_fold_into_parent_counters(self, pooled_pair):
+        __, __, __, after_cold, after_warm = pooled_pair
+        # Both tones are cacheable: the cold pass misses each once, the
+        # pooled repeat restores each from the shipped entries.
+        assert after_cold["hits"] == 0
+        assert after_cold["misses"] == len(PASSING_TONES)
+        assert after_warm["hits"] == len(PASSING_TONES)
+        assert after_warm["misses"] == len(PASSING_TONES)
+
+    def test_pickled_outcomes_match_serial_with_timing(self, pooled_pair):
+        serial, cold, warm, __, __ = pooled_pair
+        expected = [o.measurement for o in serial]
+        for pooled, warm_flag in ((cold, False), (warm, True)):
+            assert [o.measurement for o in pooled] == expected
+            for outcome in pooled:
+                assert outcome.measurement.timing is not None
+                assert outcome.measurement.timing.warm is warm_flag
 
 
 class TestBatchDeviceReports:

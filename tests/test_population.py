@@ -10,6 +10,7 @@ sampling is index-addressed and aggregation state is order-independent
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from repro.core.sequencer import (
     reset_nominal_frequency_memo,
     set_nominal_frequency_memo_limit,
 )
-from repro.core.warm import LockStateCache
+from repro.core.warm import LockStateCache, warm_shipment
 from repro.errors import ConfigurationError
 from repro.pll.population import (
     COMPONENT_NAMES,
@@ -361,24 +362,22 @@ class TestRelevantWarmEntriesIterable:
 
     def test_signature_iterable_filters_per_family(self):
         cache, dies = self._cache_with_families()
-        from repro.core.executor import _relevant_warm_entries
-
         sig0 = dies[0].pll.physics_signature()
-        sig1 = dies[1].pll.physics_signature()
-        only0 = _relevant_warm_entries(cache, [sig0])
-        both = _relevant_warm_entries(cache, [sig0, sig1])
+        only0 = warm_shipment(cache, [dies[0].pll])
+        both = warm_shipment(cache, [dies[0].pll, dies[1].pll])
         everything = cache.export()
         assert 0 < len(only0) < len(both) <= len(everything)
         assert all(
             snap.pll_signature in (None, sig0) for __, snap in only0
         )
-        # Back-compat: passing the device itself still works.
-        via_pll = _relevant_warm_entries(cache, dies[0].pll)
-        assert via_pll == only0
-        # An empty signature set ships only unsigned legacy entries.
+        # The filter keys on physics, not names: a renamed twin of the
+        # first die receives exactly the same shipment.
+        twin = replace(dies[0].pll, name="twin")
+        assert warm_shipment(cache, [twin]) == only0
+        # An empty device set ships only unsigned legacy entries.
         assert all(
             getattr(snap, "pll_signature", None) is None
-            for __, snap in _relevant_warm_entries(cache, [])
+            for __, snap in warm_shipment(cache, [])
         )
 
 
