@@ -519,6 +519,9 @@ def test_perf_vec_measure_fault_screen(report):
     # sweep losslessly (byte identity above covers them too).
     assert stats.measured > lot_size * N_TONES // 2
     assert stats.settle_s > 0.0 and stats.monitor_s > 0.0
+    # Every library fault, the pump dead zone included, settles on a
+    # fast path: no lane falls back to a full scalar settle.
+    assert stats.scalar == 0
 
     speedup = t_cold / t_vec
     table = format_table(

@@ -225,8 +225,9 @@ class ClosedFormLotSimulator(VectorizedLotSimulator):
 
     Construction is the parent's; on top of it every lane's physics
     table is classified once: a lane is *closed-form eligible* when its
-    VCO tuning law is linear and every reachable (filter, drive) law is
-    constant or ramp — i.e. no exponential segment can ever occur.
+    VCO tuning law is linear, its pump switches on without delay, and
+    every reachable (filter, drive) law is constant or ramp — i.e. no
+    exponential segment can ever occur.
     Eligible lanes settle in :meth:`_cf_settle`; everything else (and
     any runtime ejection) flows through the inherited vectorized /
     scalar tiers unchanged.
@@ -239,7 +240,8 @@ class ClosedFormLotSimulator(VectorizedLotSimulator):
                          measure_width=measure_width)
         self.stats["closed_form"] = 0
         self._cf_ok = [
-            (not t.nonlinear) and all(r.kind != _EXP for r in t.laws)
+            not (t.nonlinear or t.turn_on_delay)
+            and all(r.kind != _EXP for r in t.laws)
             for t in self._tables
         ]
 

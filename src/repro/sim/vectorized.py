@@ -27,11 +27,16 @@ because:
   few percent of arguments);
 * reference edges come from the *real* stimulus source, generated once
   per (stimulus, tone) group and shared by every lane in the group;
+* a charge pump with a turn-on delay (the dead-zone fault) settles on
+  the per-lane kernel only, which carries the scalar engine's
+  pending-activation event; the lockstep arrays never see such lanes,
+  and their measurement stays on the scalar sequencer;
 * any lane the arrays cannot represent faithfully — VCO clamp
-  excursion, tuning-curve nonlinearity, pump turn-on delay, an exotic
-  filter, a PFD anomaly — is *ejected*: its array state (a valid
-  event-boundary snapshot) is materialised and a scalar simulator
-  finishes the settle, so correctness never depends on the fast path.
+  excursion, an unrecognised tuning curve, an exotic filter, a PFD
+  anomaly — is *ejected*: its array state (a valid event-boundary
+  snapshot, a pending activation included) is materialised and a
+  scalar simulator finishes the settle, so correctness never depends
+  on the fast path.
 
 The farm also drains itself: when fewer than ``drain_width`` lanes
 remain live, lockstep NumPy overhead loses to the scalar loop, so the
@@ -86,8 +91,9 @@ class _Unsupported(Exception):
 # Segment-law kinds, per (physics, drive) row.
 _CONST, _RAMP, _EXP = 0, 1, 2
 
-# Event kinds, per lane per iteration.
-_END, _REF, _FB, _RESET = 0, 1, 2, 3
+# Event kinds, per lane per iteration.  ``_ACT`` (the pump's delayed
+# switch-on) occurs only in the per-lane settle kernel.
+_END, _REF, _FB, _RESET, _ACT = 0, 1, 2, 3, 4
 
 
 def _tuning_law_for(curve) -> Optional[ClampedCubicLaw]:
@@ -531,8 +537,12 @@ class _PhysicsTable:
                     raise _Unsupported("nonlinear tuning law mismatch")
             self.nonlinear = True
             self.law = law
-        if float(getattr(pump, "turn_on_delay", 0.0)) != 0.0:
-            raise _Unsupported("charge pump with turn-on delay")
+        #: Pump switch-on delay; non-zero lanes settle on the kernel
+        #: only (the one transcription of the pending-activation event).
+        self.turn_on_delay = float(getattr(pump, "turn_on_delay", 0.0))
+        if math.isnan(self.turn_on_delay):
+            # NaN is the lane arrays' "no activation pending" sentinel.
+            raise _Unsupported("NaN pump turn-on delay")
         try:
             self.base_hz = vco._base_hz
             self.v_lo = vco._v_lo
@@ -556,9 +566,22 @@ class _PhysicsTable:
                            (False, True), (True, True))
         ]
         self.idle_idx = self._intern(pump.idle_drive())
+        # The scalar engine's ``a is b or a == b`` drive comparison,
+        # tabulated over the interned drives.
+        self.same = [[a is b or a == b for b in self.drives]
+                     for a in self.drives]
         self.laws = [_build_law(filt, d) for d in self.drives]
         for drive, row in zip(self.drives, self.laws):
             _verify_law(filt, drive, row, probe_vc)
+
+    @property
+    def measurable(self) -> bool:
+        """Whether the lockstep measurement phase can carry this device.
+
+        Nonlinear VCOs and turn-on-delay pumps measure on the scalar
+        sequencer from their settled snapshot.
+        """
+        return not self.nonlinear and self.turn_on_delay == 0.0
 
     def _intern(self, drive: Drive) -> int:
         for i, d in enumerate(self.drives):
@@ -665,7 +688,7 @@ class VectorizedLotSimulator:
             candidates.append((pos, table, key))
             end = lane.settle_end
             if (self._meas_enabled and lane.measure is not None
-                    and not table.nonlinear):
+                    and table.measurable):
                 end = max(end, self._measure_horizon(lane))
             group_end[key] = max(group_end.get(key, 0.0), end)
             group_lanes.setdefault(key, []).append(pos)
@@ -831,6 +854,9 @@ class VectorizedLotSimulator:
         self._drive = np.array(
             [t.idle_idx for t in self._tables], dtype=np.int64
         ) if n else np.zeros(0, dtype=np.int64)
+        # Pending pump activation: its time (NaN = none) and drive index.
+        self._tact = np.full(n, nan)
+        self._act = np.zeros(n, dtype=np.int64)
         self._events = np.zeros(n, dtype=np.int64)
         self._active = np.ones(n, dtype=bool)
 
@@ -886,13 +912,16 @@ class VectorizedLotSimulator:
             for i in idx.tolist():
                 self._kernel_settle(i, mode="drained")
             return
+        # Turn-on-delay lanes always take the per-lane kernel, the only
+        # fast path carrying the pump's pending-activation event.
+        # Nonlinear lanes do too unless lockstep is forced: their
+        # Simpson quadrature vectorises across the 33 quadrature
+        # nodes, not across lanes, so lockstep buys them nothing.
+        for i in idx.tolist():
+            if self._tables[i].turn_on_delay or (
+                    self.lockstep_width and self._nonlin[i]):
+                self._kernel_settle(i)
         if self.lockstep_width:
-            # Nonlinear lanes always take the per-lane kernel: their
-            # Simpson quadrature vectorises across the 33 quadrature
-            # nodes, not across lanes, so lockstep buys them nothing.
-            for i in idx.tolist():
-                if self._nonlin[i]:
-                    self._kernel_settle(i)
             linear = np.flatnonzero(self._active)
             if linear.size < self.lockstep_width:
                 # Narrow farm: the kernel beats the lockstep arrays.
@@ -1202,7 +1231,7 @@ class VectorizedLotSimulator:
         loaded = 0
         for i in range(n):
             lane = self.lanes[self._vec[i]]
-            if lane.measure is None or self._tables[i].nonlinear:
+            if lane.measure is None or not self._tables[i].measurable:
                 continue
             result = self._results[self._vec[i]]
             if result is None or result.snapshot is None:
@@ -1656,6 +1685,14 @@ class VectorizedLotSimulator:
         scalar settle.  Nonlinear (4046-style) lanes integrate phase via
         :func:`_simpson_phase`, bit-identical to ``VCO._numeric_phase``.
 
+        A pump with a turn-on delay adds the scalar engine's activation
+        event, and only here: the activation time bounds the feedback
+        solver's horizon and wins ties, fires as an event that leaves
+        the PFD untouched, and is armed, re-armed or cleared by the
+        transcribed ``_drive_update`` with its ``is``/``==`` drive
+        comparisons (a target equal to the applied drive returns early
+        and leaves a pending activation armed, as in scalar).
+
         Any state the kernel cannot advance faithfully — a clamp-window
         excursion, a solver failure, any condition the scalar engine
         treats as an error — ejects the lane *from its pre-event state*,
@@ -1669,6 +1706,9 @@ class VectorizedLotSimulator:
         laws = [(r.kind, r.asym, r.tau, r.slope, r.half_slope,
                  r.o_a, r.o_b, r.o_asym, r.o_off) for r in table.laws]
         s_to_drive = table.s_to_drive
+        same = table.same
+        idle_idx = table.idle_idx
+        delay = table.turn_on_delay
         base_hz = table.base_hz
         gain = table.gain
         f_center = table.f_center
@@ -1703,6 +1743,8 @@ class VectorizedLotSimulator:
         upr = _opt(self._upr)
         dnr = _opt(self._dnr)
         drive_idx = int(self._drive[lane])
+        tact = _opt(self._tact)
+        act_idx = int(self._act[lane])
         events = int(self._events[lane])
 
         (l_kind, l_asym, l_tau, l_slope, l_half,
@@ -1719,6 +1761,8 @@ class VectorizedLotSimulator:
             horizon = best_t
             if pres is not None and pres < horizon:
                 horizon = pres
+            if tact is not None and tact < horizon:
+                horizon = tact
             dt_h = horizon - t
             if dt_h < 0.0:
                 eject = True  # scalar raises "horizon precedes time"
@@ -1862,9 +1906,12 @@ class VectorizedLotSimulator:
             if pres is not None and pres <= best_t:
                 best_t = pres
                 ekind = _RESET
+            if tact is not None and tact <= best_t:
+                best_t = tact
+                ekind = _ACT
 
             # --- dispatch validity (checks only, pre-commit) ----------
-            if ekind != _END:
+            if ekind != _END and ekind != _ACT:
                 if levt is not None and best_t < levt:
                     eject = True  # PFD monotonicity violation
                     break
@@ -1934,6 +1981,15 @@ class VectorizedLotSimulator:
             if ekind == _END:
                 break
             events += 1
+            if ekind == _ACT:
+                # The pump switches on: no PFD activity, no drive
+                # update — only the delayed drive is applied.
+                tact = None
+                if not same[act_idx][drive_idx]:
+                    drive_idx = act_idx
+                    (l_kind, l_asym, l_tau, l_slope, l_half,
+                     l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
+                continue
             levt = best_t
             if ekind == _REF:
                 if not up:
@@ -1955,11 +2011,18 @@ class VectorizedLotSimulator:
                 up = False
                 dn = False
                 pres = None
+            # Transcribes _drive_update.  A target equal to the applied
+            # drive returns early and leaves a pending activation armed.
             new_idx = s_to_drive[(1 if up else 0) + (2 if dn else 0)]
-            if new_idx != drive_idx:
-                drive_idx = new_idx
-                (l_kind, l_asym, l_tau, l_slope, l_half,
-                 l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
+            if new_idx != drive_idx and not same[new_idx][drive_idx]:
+                if delay == 0.0 or same[new_idx][idle_idx]:
+                    tact = None
+                    drive_idx = new_idx
+                    (l_kind, l_asym, l_tau, l_slope, l_half,
+                     l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
+                else:
+                    tact = best_t + delay
+                    act_idx = new_idx
 
         # Write the locals back so _materialize sees this state (the
         # pre-event state on ejection; the finished state otherwise).
@@ -1977,6 +2040,8 @@ class VectorizedLotSimulator:
         self._upr[lane] = nan if upr is None else upr
         self._dnr[lane] = nan if dnr is None else dnr
         self._drive[lane] = drive_idx
+        self._tact[lane] = nan if tact is None else tact
+        self._act[lane] = act_idx
         self._events[lane] = events
         if eject:
             # A drained lane stays "drained" through its scalar finish —
@@ -2003,6 +2068,7 @@ class VectorizedLotSimulator:
             v = float(arr[lane])
             return None if math.isnan(v) else v
 
+        t_act = opt(self._tact)
         return SimulatorSnapshot(
             pll_name=table.pll.name,
             time=float(self._t[lane]),
@@ -2010,7 +2076,8 @@ class VectorizedLotSimulator:
             vco_phase=float(self._phase[lane]),
             fb_target=float(self._fbt[lane]),
             applied_drive=table.drives[int(self._drive[lane])],
-            pending_activation=None,
+            pending_activation=None if t_act is None
+            else (t_act, table.drives[int(self._act[lane])]),
             loop_open=False,
             t_ref_next=edge,
             next_sample=None,

@@ -10,7 +10,7 @@ and that the BIST measurement sees it.
 import numpy as np
 import pytest
 
-from repro.pll.faults import Fault, FaultKind, apply_fault
+from repro.pll.faults import FAULT_LIBRARY, Fault, FaultKind, apply_fault
 from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll
 from repro.stimulus.waveforms import ConstantFrequencySource
@@ -64,6 +64,45 @@ class TestDeadZoneBehaviour:
         assert sim.output_frequency_smoothed == pytest.approx(
             5000.0, abs=pll_dead_band_hz(faulty)
         )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="stale activation: _drive_update returns early when the PFD "
+           "target equals the applied drive and leaves the pending "
+           "activation armed, so a pulse narrower than the delay still "
+           "switches the pump on after it has ended",
+)
+def test_activations_apply_the_demanded_drive():
+    """Every activation should apply the drive the PFD still demands.
+
+    Known defect, pinned by the scalar and farm engines alike: on the
+    paper dead-zone die every activation over 0.5 s is stale.  Fixing
+    it changes dead-zone report bytes, so the fix waits for a
+    benchmark change that re-pins them.
+    """
+    pll = apply_fault(paper_pll(), FAULT_LIBRARY["pump dead zone 100us"])
+    sim = PLLTransientSimulator(
+        pll, ConstantFrequencySource(1000.0), record="off"
+    )
+    fired = []
+    dispatch = sim._dispatch
+
+    def spy(kind):
+        if kind == "activate":
+            drive = sim._pending_activation[1]
+            dispatch(kind)
+            demanded = pll.pump.drive_for_state(sim._pfd.state)
+            fired.append((drive, demanded))
+        else:
+            dispatch(kind)
+
+    sim._dispatch = spy
+    sim.run_until(0.5)
+    if not fired:  # not an AssertionError: fails the xfail outright
+        raise RuntimeError("no pump activation fired")
+    assert all(drive == demanded for drive, demanded in fired)
 
 
 def pll_dead_band_hz(pll) -> float:

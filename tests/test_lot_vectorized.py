@@ -35,13 +35,15 @@ from repro.core import (
     ToneTestSequencer,
     TransferFunctionMonitor,
 )
+from repro.core.executor import _measurement_cache_key
 from repro.core.sequencer import _NOMINAL_FREQUENCY_MEMO
-from repro.core.warm import warm_shipment
+from repro.core.warm import ToneMeasurementCache, warm_shipment
 from repro.errors import ConfigurationError
-from repro.pll.faults import FAULT_LIBRARY, apply_fault
+from repro.pll.faults import FAULT_LIBRARY, FaultKind, apply_fault
 from repro.pll.lot import premeasure_lot
+from repro.pll.population.samplers import get_corner
 from repro.pll.simulator import PLLTransientSimulator
-from repro.presets import paper_pll, paper_stimulus
+from repro.presets import paper_pll, paper_stimulus, paper_sweep
 from repro.reporting import DeviceReportRequest, batch_device_reports
 from repro.sim.vectorized import SettleLane, VectorizedLotSimulator
 
@@ -282,6 +284,27 @@ class TestPresettleLot:
         )
         assert linear.hct4046_lanes == 0
         assert linear.tones_vectorized == len(TONES)
+
+    def test_fault_library_lot_settles_without_scalar_lanes(
+        self, fast_bist_config
+    ):
+        """Every library fault, the dead zone included, settles on a
+        fast path: the auto farm hands no lane to a full scalar settle."""
+        stimulus = paper_stimulus("multitone")
+        tones = paper_sweep(points=5).frequencies_hz
+        duts = [paper_pll()] + [
+            apply_fault(paper_pll(), FAULT_LIBRARY[label])
+            for label in sorted(FAULT_LIBRARY)
+        ]
+        assert len(duts) == 8
+        stats = premeasure_lot(
+            [(dut, stimulus, fast_bist_config, tones) for dut in duts],
+            LockStateCache(),
+            engine="auto",
+        )
+        assert stats.unique > 0
+        assert stats.scalar == 0
+        assert stats.failed == 0
 
     def test_uncacheable_tones_skipped(self, fast_bist_config):
         pll = paper_pll()
@@ -536,3 +559,226 @@ class TestNominalFrequencyMemo:
         sequencer.measure_nominal_frequency(gate_cycles=32)
         sequencer.measure_nominal_frequency(gate_cycles=64)
         assert len(_NOMINAL_FREQUENCY_MEMO) == 2
+
+
+@pytest.fixture(params=["paper", "cdr180"])
+def delay_die(request, fast_bist_config):
+    """A dead-zone die of each pump kind, with its healthy twin.
+
+    ``paper`` is the rail-driver Table 3 die with the library's 100 us
+    dead zone; ``cdr180`` the current-pump corner with its scaled one.
+    """
+    if request.param == "paper":
+        healthy = paper_pll()
+        fault = FAULT_LIBRARY["pump dead zone 100us"]
+        stimulus = paper_stimulus("multitone")
+        config = fast_bist_config
+        tones = TONES
+    else:
+        corner = get_corner("cdr180")
+        healthy = corner.nominal()
+        fault = next(f for f in corner.faults()
+                     if f.kind is FaultKind.CP_DEAD_ZONE)
+        stimulus = corner.stimulus()
+        config = corner.config()
+        tones = corner.plan(5).frequencies_hz[2:4]
+    pll = apply_fault(healthy, fault)
+    assert pll.pump.turn_on_delay > 0.0
+    return SimpleNamespace(pll=pll, healthy=healthy, stimulus=stimulus,
+                           config=config, tones=tuple(tones))
+
+
+class TestTurnOnDelayLanes:
+    """Dead-zone pumps settle on the per-lane kernel, which carries the
+    scalar engine's pending-activation event; snapshots stay
+    bit-identical to a cold scalar settle on every route."""
+
+    @pytest.mark.parametrize("widths, mode", [
+        ({"drain_width": 8}, "drained"),
+        ({"drain_width": 0}, "vector"),
+        ({"drain_width": 0, "lockstep_width": 0}, "vector"),
+    ], ids=["narrow-drained", "wide", "lockstep-forced"])
+    def test_kernel_snapshots_equal_scalar(self, delay_die, widths, mode,
+                                           monkeypatch):
+        d = delay_die
+        lanes = (_lanes(d.pll, d.stimulus, d.config, d.tones)
+                 + _lanes(d.healthy, d.stimulus, d.config, d.tones))
+        stepped = []
+        step = VectorizedLotSimulator._step
+
+        def spy(farm, idx):
+            stepped.extend(farm._tables[i].turn_on_delay
+                           for i in idx.tolist())
+            return step(farm, idx)
+
+        monkeypatch.setattr(VectorizedLotSimulator, "_step", spy)
+        results = VectorizedLotSimulator(lanes, **widths).run()
+        # Lockstep never sees a delay lane, even when it is forced.
+        assert not any(stepped)
+        if widths.get("lockstep_width") == 0:
+            assert stepped
+        for lane, result in zip(lanes, results):
+            expected = _scalar_snapshot(
+                lane.pll, d.stimulus, lane.f_mod, lane.settle_end
+            )
+            assert result.snapshot == expected
+            if lane.pll is d.pll:
+                assert result.mode == mode, result.error
+
+    @pytest.mark.parametrize("engine", ["vectorized", "closed_form", "auto"])
+    def test_engines_presettle_scalar_snapshots(self, delay_die, engine):
+        d = delay_die
+        cache = LockStateCache()
+        stats = premeasure_lot(
+            [(d.pll, d.stimulus, d.config, d.tones)], cache, engine=engine
+        )
+        assert stats.unique == len(d.tones)
+        assert stats.scalar == stats.ejected == stats.failed == 0
+        assert stats.closed_form_lanes == 0
+        sequencer = ToneTestSequencer(d.pll, d.stimulus, d.config,
+                                      record="counters")
+        for f_mod in d.tones:
+            assert cache.peek(sequencer._settle_cache_key(f_mod)) == \
+                _scalar_snapshot(d.pll, d.stimulus, f_mod,
+                                 d.config.settle_cycles / f_mod)
+
+    def test_ejection_with_activation_in_flight(self, delay_die,
+                                                monkeypatch):
+        """A kernel ejection hands the pending activation to the scalar
+        finish, which stays bit-identical to an uninterrupted settle."""
+        d = delay_die
+        f_mod = d.tones[0]
+        settle_end = d.config.settle_cycles / f_mod
+        # Find a reference edge that arrives while an activation is
+        # pending (the feedback edge led by less than the delay).
+        sim = PLLTransientSimulator(
+            d.pll, d.stimulus.make_source(f_mod, start_time=0.0),
+            record="counters",
+        )
+        in_flight = []
+        dispatch = sim._dispatch
+
+        def spy(kind):
+            if kind == "ref":
+                in_flight.append(sim._pending_activation is not None)
+            dispatch(kind)
+
+        sim._dispatch = spy
+        sim.run_until(settle_end)
+        m = in_flight.index(True, 8)
+
+        lane = _lanes(d.pll, d.stimulus, d.config, (f_mod,))[0]
+        farm = VectorizedLotSimulator([lane], drain_width=0)
+        # Truncate the pregenerated train: the kernel ejects at edge m,
+        # from its pre-event state, with the activation still armed.
+        farm._edges[0] = farm._edges[0][:m + 1]
+        handed = []
+        finish = farm._finish_from_snapshot
+
+        def capture(spec, snap, mode, nonlinear):
+            handed.append(snap)
+            return finish(spec, snap, mode, nonlinear)
+
+        monkeypatch.setattr(farm, "_finish_from_snapshot", capture)
+        (result,) = farm.run()
+        assert result.mode == "ejected"
+        (snap,) = handed
+        assert snap.pending_activation is not None
+        assert snap.pending_activation[0] > snap.time
+        assert result.snapshot == _scalar_snapshot(
+            d.pll, d.stimulus, f_mod, settle_end
+        )
+
+    def test_finished_lane_keeps_activation_in_flight(self, delay_die):
+        """A settle that ends inside the delay window snapshots the
+        pending activation exactly as the scalar engine does."""
+        d = delay_die
+        f_mod = d.tones[0]
+        sim = PLLTransientSimulator(
+            d.pll, d.stimulus.make_source(f_mod, start_time=0.0),
+            record="counters",
+        )
+        dispatch = sim._dispatch
+        armed = []
+
+        def spy(kind):
+            dispatch(kind)
+            if sim._pending_activation is not None and not armed:
+                armed.append(sim._pending_activation[0])
+
+        sim._dispatch = spy
+        sim.run_until(d.config.settle_cycles / f_mod)
+        t_end = armed[0] - 0.5 * d.pll.pump.turn_on_delay
+        lane = SettleLane(pll=d.pll, stimulus=d.stimulus, f_mod=f_mod,
+                          settle_end=t_end, record="counters")
+        (result,) = VectorizedLotSimulator([lane], drain_width=0).run()
+        expected = _scalar_snapshot(d.pll, d.stimulus, f_mod, t_end)
+        assert expected.pending_activation is not None
+        assert result.mode == "vector"
+        assert result.snapshot == expected
+
+    def test_activation_wins_a_tie_with_the_reference_edge(
+        self, fast_bist_config
+    ):
+        """Ties resolve as in the scalar ``_next_event``: a pending
+        activation due at a reference edge fires first."""
+        pll = apply_fault(paper_pll(), FAULT_LIBRARY["pump dead zone 100us"])
+        stimulus = paper_stimulus("multitone")
+        lane = _lanes(pll, stimulus, fast_bist_config, (10.0,))[0]
+        farm = VectorizedLotSimulator([lane], drain_width=0)
+        table = farm._tables[0]
+        up = table.s_to_drive[1]  # PFD state (up=True, dn=False)
+        t_tie = float(farm._tref[0])
+        farm._tact[0] = t_tie
+        farm._act[0] = up
+        (result,) = farm.run()
+        sim = PLLTransientSimulator(
+            pll, stimulus.make_source(10.0, start_time=0.0),
+            record="counters",
+        )
+        sim._pending_activation = (t_tie, table.drives[up])
+        sim.run_until(lane.settle_end)
+        assert result.mode == "vector"
+        assert result.snapshot == sim.snapshot()
+
+    def test_measurement_phase_skips_delay_lanes(self, delay_die,
+                                                 monkeypatch):
+        """Delay lanes never load into the lockstep measurement phase;
+        the sweep measures them scalar from the farm's snapshot, equal
+        to a cold scalar sweep on every engine."""
+        d = delay_die
+        loaded = []
+        load = VectorizedLotSimulator._load_measure_state
+
+        def spy(farm, i, lane, snap):
+            loaded.append(farm._tables[i].turn_on_delay)
+            return load(farm, i, lane, snap)
+
+        monkeypatch.setattr(VectorizedLotSimulator, "_load_measure_state",
+                            spy)
+        cache = LockStateCache()
+        dedup = ToneMeasurementCache()
+        stats = premeasure_lot(
+            [(d.healthy, d.stimulus, d.config, d.tones),
+             (d.pll, d.stimulus, d.config, d.tones)],
+            cache, dedup, drain_width=0, measure_width=0, engine="auto",
+        )
+        assert loaded and not any(loaded)
+        assert stats.scalar == 0
+        warm = ToneTestSequencer(d.pll, d.stimulus, d.config, cache=cache)
+        for f_mod in d.tones:
+            assert dedup.get(_measurement_cache_key(
+                d.pll, d.stimulus, d.config, f_mod)) is None
+            measured = warm.run(f_mod)
+            assert measured.timing.warm
+            assert measured == ToneTestSequencer(
+                d.pll, d.stimulus, d.config
+            ).run(f_mod, settle="fixed", cache=LockStateCache())
+        plan = SweepPlan(d.tones)
+        scalar = TransferFunctionMonitor(
+            d.pll, d.stimulus, d.config).run(plan)
+        for engine in ("vectorized", "closed_form", "auto"):
+            result = TransferFunctionMonitor(
+                d.pll, d.stimulus, d.config).run(plan, engine=engine)
+            assert result.measurements == scalar.measurements, engine
+            assert result.failed_tones == scalar.failed_tones, engine
