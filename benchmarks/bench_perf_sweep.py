@@ -514,10 +514,11 @@ def test_perf_vec_measure_fault_screen(report):
     assert stats is not None
     # No dedup on this lot: every (die, tone) pair is its own lane.
     assert stats.unique == lot_size * N_TONES
-    # The measurement phase actually carried the bulk of the lot
-    # through stages 1-4; ejected/failed lanes degrade to the scalar
-    # sweep losslessly (byte identity above covers them too).
+    # The farm carried the bulk of the lot through stages 1-4, and no
+    # lane was handed back to the scalar sequencer: in-farm failures
+    # are published (byte identity above covers them too).
     assert stats.measured > lot_size * N_TONES // 2
+    assert stats.measure_ejected == 0
     assert stats.settle_s > 0.0 and stats.monitor_s > 0.0
     # Every library fault, the pump dead zone included, settles on a
     # fast path: no lane falls back to a full scalar settle.

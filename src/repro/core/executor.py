@@ -229,11 +229,13 @@ class SweepExecutor:
         optionally provides a lock-state cache for warm starts.
 
         ``measurement_cache`` optionally deduplicates *finished*
-        measurements across behaviourally identical sweeps (same
-        physics, stimulus, tone and config): a hit skips stages 0–4
-        entirely and returns the cached measurement re-stamped with a
-        warm :class:`~repro.core.sequencer.ToneTiming`.  Only honoured
-        on the reproducible ``settle="fixed"`` path.
+        outcomes across behaviourally identical sweeps (same physics,
+        stimulus, tone and config): a hit skips stages 0–4 entirely and
+        returns the cached measurement re-stamped with a warm
+        :class:`~repro.core.sequencer.ToneTiming`, or the cached
+        :class:`~repro.errors.MeasurementError` text as a failed
+        outcome.  Only honoured on the reproducible ``settle="fixed"``
+        path.
 
         ``on_outcome`` streams completions: it is invoked with
         ``(plan_index, outcome)`` as tones finish — per tone for the
@@ -271,10 +273,15 @@ class SerialSweepExecutor(SweepExecutor):
         With ``on_outcome`` set, every tone's outcome is delivered the
         moment it exists — the true streaming path the sweep-job
         service's watchers ride on.  With ``measurement_cache`` set (and
-        fixed settling), tones whose finished measurement is already
-        known are answered from the cache without building a simulator —
-        re-stamped warm, byte-identical everywhere that matters because
-        ``timing`` is excluded from measurement equality and reports.
+        fixed settling), tones whose outcome is already known are
+        answered from the cache without building a simulator: a
+        finished measurement re-stamped warm (byte-identical everywhere
+        that matters because ``timing`` is excluded from measurement
+        equality and reports), or a cached
+        :class:`~repro.errors.MeasurementError` text as the same failed
+        outcome.  Tones the sequencer runs publish their outcome back,
+        failures included, so a same-physics sibling never replays
+        either.
         """
         sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
         dedup = measurement_cache if settle == "fixed" else None
@@ -288,13 +295,16 @@ class SerialSweepExecutor(SweepExecutor):
             if key is not None:
                 hit = dedup.get(key)
                 if hit is not None:
-                    outcome = ToneOutcome(
-                        f_mod=f_mod,
-                        measurement=replace(
-                            hit,
-                            timing=ToneTiming(0.0, 0.0, 0.0, warm=True),
-                        ),
-                    )
+                    if isinstance(hit, str):
+                        outcome = ToneOutcome(f_mod=f_mod, error=hit)
+                    else:
+                        outcome = ToneOutcome(
+                            f_mod=f_mod,
+                            measurement=replace(
+                                hit,
+                                timing=ToneTiming(0.0, 0.0, 0.0, warm=True),
+                            ),
+                        )
                     outcomes.append(outcome)
                     if on_outcome is not None:
                         on_outcome(index, outcome)
@@ -311,6 +321,8 @@ class SerialSweepExecutor(SweepExecutor):
                     dedup.put(key, measurement)
             except MeasurementError as exc:
                 outcome = ToneOutcome(f_mod=f_mod, error=str(exc))
+                if key is not None:
+                    dedup.put(key, outcome.error)
             outcomes.append(outcome)
             if on_outcome is not None:
                 # A SweepAborted raised here (cancellation, timeout)

@@ -228,10 +228,10 @@ class TransferFunctionMonitor:
         event loop as before; ``"vectorized"`` first advances every
         cacheable tone of the plan in lockstep on the NumPy settle farm
         (:func:`repro.pll.lot.premeasure_lot`), warming
-        :attr:`lock_cache` — and, on the serial in-process path, keeps
-        lanes in lockstep through stages 1–4 so the sweep's tones are
-        answered from finished measurements — then runs the same
-        sweep, warm;
+        :attr:`lock_cache` — and, on the serial in-process path, carries
+        the lanes on through stages 1–4 so the sweep's tones are
+        answered from finished measurements (or published failures) —
+        then runs the same sweep, warm;
         ``"closed_form"`` presettles through the analytic per-edge tier
         (:class:`~repro.sim.closed_form.ClosedFormLotSimulator`), which
         itself cascades ineligible lanes to the vectorized and scalar

@@ -672,8 +672,8 @@ class ToneTestSequencer:
 
         # ---- stages 1-4: the shared boundary-driven script -------------
         # The same MeasurementScript drives the vectorized farm's
-        # batched measurement phase; here its targets feed the scalar
-        # event loop directly.
+        # per-lane kernel; here its targets feed the scalar event loop
+        # directly.
         script = MeasurementScript(
             self.pll,
             self.stimulus,

@@ -384,7 +384,7 @@ class LockStateCache:
 
 
 class ToneMeasurementCache:
-    """Bounded LRU cache of finished stage 1–4 tone measurements.
+    """Bounded LRU cache of finished stage 1–4 tone outcomes.
 
     The settle cache above removes the *stage 0* replay inside one lot;
     this cache removes the stage 1–4 replay.  Measurement is as
@@ -397,6 +397,12 @@ class ToneMeasurementCache:
     contains behaviourally identical dies, the first die measures each
     tone and the other seven reuse the finished
     :class:`~repro.core.sequencer.ToneMeasurement` verbatim.
+
+    A value is either that measurement or, for a tone whose stages 1–4
+    raise :class:`~repro.errors.MeasurementError` (a starved peak
+    detector, say), the error text: failure is just as deterministic,
+    so a sibling answers it as the same failed outcome instead of
+    replaying the sequence.
 
     Reuse is only offered on the reproducible fixed-settle path (the
     same gate the settle cache uses) and a hit is re-stamped with a
@@ -427,7 +433,7 @@ class ToneMeasurementCache:
         return key in self._store
 
     def get(self, key: Hashable) -> Optional[object]:
-        """Return the cached measurement for ``key``, or ``None`` on a miss.
+        """Return the cached outcome for ``key``, or ``None`` on a miss.
 
         A hit refreshes the entry's recency.
         """

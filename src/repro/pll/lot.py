@@ -26,14 +26,14 @@ failure semantics do not change either.
 Given a :class:`~repro.core.warm.ToneMeasurementCache` as well, it
 extends the same plan past the settle barrier: it attaches a
 :class:`~repro.sim.vectorized.MeasureSpec` to every lane whose
-finished measurement is dedupable, so the farm carries same-topology
-lanes through stages 1–4 (arm, peak watch, hold-and-count) in lockstep
-and parks the finished measurements in the cache the orchestrating
-sweep's executor already consults.  Lanes the measurement phase ejects
-or that raise :class:`~repro.errors.MeasurementError` are simply left
-out of the cache — the sweep measures (or reproduces the identical
-error) from the settled snapshot, so correctness never depends on the
-fast path here either.
+finished measurement is dedupable, so the farm carries each lane
+through stages 1–4 (arm, peak watch, hold-and-count) on its per-lane
+kernel and publishes the outcome in the cache the orchestrating
+sweep's executor already consults: the finished measurement, or the
+:class:`~repro.errors.MeasurementError` text the scalar sequencer
+raises for that tone.  Lanes the kernel ejects are left out of the
+cache — the sweep measures them from the settled snapshot, so
+correctness never depends on the fast path here either.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class LotPresettleStats:
     hct4046_lanes: int = 0     # lanes with a recognised nonlinear VCO law
     measured: int = 0          # stage 1-4 measurements finished in-farm
     measure_ejected: int = 0   # measurement lanes handed back to scalar
-    measure_failed: int = 0    # MeasurementError raised inside the farm
+    measure_failed: int = 0    # MeasurementError raised (and published)
     settle_s: float = 0.0      # farm wall time in stage 0
     monitor_s: float = 0.0     # farm wall time in stages 1-2 (arm/watch)
     measure_s: float = 0.0     # farm wall time in stages 3-4 (hold/count)
@@ -109,7 +109,6 @@ def premeasure_lot(
     *,
     record: Union[RecordLevel, str] = RecordLevel.COUNTERS,
     drain_width: int = 8,
-    measure_width: Optional[int] = None,
     engine: str = "vectorized",
 ) -> LotPresettleStats:
     """Warm ``cache`` (and optionally ``measurement_cache``) for a lot.
@@ -125,19 +124,16 @@ def premeasure_lot(
     With ``measurement_cache`` given, every lane whose finished
     measurement is dedupable (the executor's measurement-cache rule)
     also carries a :class:`~repro.sim.vectorized.MeasureSpec`, so the
-    farm continues through stages 1–4 in lockstep and parks finished
-    :class:`~repro.core.sequencer.ToneMeasurement` objects in the
-    cache; already-settled lanes re-enter the farm from their cached
-    snapshot (mode ``"warm"``) for the measurement phase alone.  Lanes
-    the measurement phase cannot finish — ejected stragglers and
-    in-farm :class:`~repro.errors.MeasurementError` — are left out of
-    the measurement cache, so the orchestrating sweep measures (or
-    reproduces the identical error) from the settled snapshot.  Without
-    ``measurement_cache`` only the settle runs.
-    ``measure_width`` gates the phase on farm width — the batched
-    stages need enough concurrent lanes to beat the scalar sequencer;
-    ``None`` takes the farm's default (three drain widths), ``0``
-    always measures.
+    farm continues through stages 1–4 and publishes each outcome in
+    the cache: the finished
+    :class:`~repro.core.sequencer.ToneMeasurement`, or the in-farm
+    :class:`~repro.errors.MeasurementError` text, which the executor
+    answers as a failed tone.  Already-settled lanes re-enter the farm
+    from their cached snapshot (mode ``"warm"``) for stages 1–4 alone.
+    Lanes the kernel ejects mid-measurement are left out of the
+    measurement cache, so the orchestrating sweep measures them from
+    the settled snapshot.  Without ``measurement_cache`` only the
+    settle runs.
 
     ``engine`` picks the farm the unique lanes run through:
     ``"vectorized"`` (default) is the lockstep farm as before;
@@ -206,15 +202,13 @@ def premeasure_lot(
         cache.presettle_stats = stats
         return stats
     if engine == "vectorized":
-        farm = VectorizedLotSimulator(lanes, drain_width=drain_width,
-                                      measure_width=measure_width)
+        farm = VectorizedLotSimulator(lanes, drain_width=drain_width)
     else:
         # Imported lazily for symmetry with the monitor: scalar-only
         # and vectorized-only callers never pay for the extra tier.
         from repro.sim.closed_form import ClosedFormLotSimulator
 
-        farm = ClosedFormLotSimulator(lanes, drain_width=drain_width,
-                                      measure_width=measure_width)
+        farm = ClosedFormLotSimulator(lanes, drain_width=drain_width)
     for key, mkey, result in zip(keys, mkeys, farm.run()):
         if result.mode == "warm":
             # Re-entered from the settle cache for measurement only;

@@ -499,12 +499,13 @@ def _batch_measure(
 
         # The lot also shares *finished* measurements: behaviourally
         # identical dies measure each tone once.  The farm fills this
-        # cache up front — same-topology lanes ride lockstep through
-        # stages 1-4, not just the settle — and every die's sweep then
+        # cache up front — every lane runs stages 1-4 on the farm's
+        # kernel, not just the settle — and every die's sweep then
         # answers its tones from the cache.  Reports stay byte-equal:
-        # a hit differs only in the comparison-excluded timing, and a
-        # lane the farm could not finish is simply absent, so the
-        # sweep measures (or reproduces the identical error) itself.
+        # a hit differs only in the comparison-excluded timing, an
+        # in-farm MeasurementError is published as its exact text, and
+        # a lane the farm ejected is simply absent, so the sweep
+        # measures it itself.
         measurement_cache = ToneMeasurementCache(
             max_entries=max(1024, 16 * len(jobs))
         )

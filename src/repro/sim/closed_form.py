@@ -234,10 +234,9 @@ class ClosedFormLotSimulator(VectorizedLotSimulator):
     """
 
     def __init__(self, lanes, drain_width: int = 8,
-                 lockstep_width: int = 64, measure_width=None):
+                 lockstep_width: int = 64):
         super().__init__(lanes, drain_width=drain_width,
-                         lockstep_width=lockstep_width,
-                         measure_width=measure_width)
+                         lockstep_width=lockstep_width)
         self.stats["closed_form"] = 0
         self._cf_ok = [
             not (t.nonlinear or t.turn_on_delay)
@@ -294,7 +293,7 @@ class ClosedFormLotSimulator(VectorizedLotSimulator):
     def _cf_settle(self, lane: int) -> None:
         """Settle one eligible lane with analytic per-edge updates.
 
-        A specialisation of the parent's :meth:`_kernel_settle` with
+        A specialisation of the parent's :meth:`_kernel_run` with
         the exponential and nonlinear branches *removed at compile
         time* rather than skipped at runtime: between PFD events the
         control voltage is ``vc + slope*dt`` (ramp) or ``vc``

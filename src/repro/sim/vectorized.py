@@ -1,22 +1,35 @@
-"""Lockstep settle farm: N devices' closed-form event loops as array ops.
+"""Lot farm: N devices' closed-form event loops, settled and measured.
 
 The scalar :class:`~repro.pll.simulator.PLLTransientSimulator` advances
 one device edge-to-edge with closed-form analogue segments.  Stage 0 of
 the Table 2 tone sequence — the fixed settling wait — dominates a cold
 sweep's cost and touches no measurement hardware, so its event loop is
 a pure function of (device physics, stimulus, tone).  This module runs
-*many* such settles in lockstep: every live lane holds its scalar loop
-state in NumPy arrays (capacitor voltage, VCO phase accumulator, PFD
-flip-flops, pending reset, reference-edge cursor) and each iteration
-dispatches exactly one event per lane, with the segment algebra applied
-as array arithmetic across lanes.
+*many* such settles.  Wide farms step in lockstep: every live lane
+holds its scalar loop state in NumPy arrays (capacitor voltage, VCO
+phase accumulator, PFD flip-flops, pending reset, reference-edge
+cursor) and each iteration dispatches exactly one event per lane, with
+the segment algebra applied as array arithmetic across lanes.  Narrow
+farms, lockstep stragglers and turn-on-delay lanes run on the per-lane
+kernel instead — a specialised scalar transcription of the same event
+loop.
+
+The kernel also carries Table 2 stages 1–4.  A lane with a
+:class:`MeasureSpec` re-enters it from its settled snapshot; the stage
+control flow is the shared
+:class:`~repro.core.sequencer.MeasurementScript`, fired at its
+run-to-target boundaries, and the measurement hardware adds a few event
+hooks: the hold mux on open lanes, the Figure 7 latch at every PFD
+reset, the feedback-edge record for the reciprocal count.
 
 Bit-identity contract
 ---------------------
 A lane that completes in the farm yields a
 :class:`~repro.pll.simulator.SimulatorSnapshot` **bit-identical** to
-what the scalar engine produces for the same settle.  That holds
-because:
+what the scalar engine produces for the same settle, and a lane it
+measures a :class:`~repro.core.sequencer.ToneMeasurement` (or a
+:class:`~repro.errors.MeasurementError` text) equal to the scalar
+sequencer's.  That holds because:
 
 * every floating-point expression replicates the scalar engine's
   operation sequence exactly (same association, same operand order) —
@@ -27,20 +40,20 @@ because:
   few percent of arguments);
 * reference edges come from the *real* stimulus source, generated once
   per (stimulus, tone) group and shared by every lane in the group;
-* a charge pump with a turn-on delay (the dead-zone fault) settles on
-  the per-lane kernel only, which carries the scalar engine's
-  pending-activation event; the lockstep arrays never see such lanes,
-  and their measurement stays on the scalar sequencer;
-* any lane the arrays cannot represent faithfully — VCO clamp
+* a charge pump with a turn-on delay (the dead-zone fault) runs on the
+  per-lane kernel only, which carries the scalar engine's
+  pending-activation event; the lockstep arrays never see such lanes;
+* any lane the farm cannot represent faithfully — VCO clamp
   excursion, an unrecognised tuning curve, an exotic filter, a PFD
   anomaly — is *ejected*: its array state (a valid event-boundary
   snapshot, a pending activation included) is materialised and a
   scalar simulator finishes the settle, so correctness never depends
-  on the fast path.
+  on the fast path.  A lane ejected mid-measurement keeps its settled
+  snapshot and the orchestrating sweep measures it scalar.
 
 The farm also drains itself: when fewer than ``drain_width`` lanes
-remain live, lockstep NumPy overhead loses to the scalar loop, so the
-stragglers are handed off the same way ejected lanes are.
+remain live, lockstep NumPy overhead loses to the per-lane kernel, so
+the stragglers finish there.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -373,7 +386,7 @@ class SettleLane:
 
     ``measure`` asks the farm to carry the lane through Table 2 stages
     1–4 after the settle; ``presettled`` skips stage 0 entirely and
-    enters the measurement phase from a previously-settled snapshot
+    enters the measurement stages from a previously-settled snapshot
     (the warm-cache hit of a lane whose *measurement* is still cold).
     """
 
@@ -398,18 +411,19 @@ class LaneResult:
     scalar path raised — the caller should leave that lane cold so the
     orchestrating sweep reproduces the identical error itself.
     ``nonlinear`` marks lanes whose device carries a recognised
-    nonlinear (4046-style) VCO tuning curve.  ``measurement`` is the
-    farm-completed stage 1–4 :class:`~repro.core.sequencer.
-    ToneMeasurement` when the lane carried a :class:`MeasureSpec` and
-    the measurement phase finished it in-array; ``None`` means the
-    orchestrating sweep measures scalar from ``snapshot``.
+    nonlinear (4046-style) VCO tuning curve.  ``measurement`` is set
+    when the lane carried a :class:`MeasureSpec` and the farm ran its
+    stages 1–4 to an end: the finished :class:`~repro.core.sequencer.
+    ToneMeasurement`, or the :class:`~repro.errors.MeasurementError`
+    text the scalar sequencer raises for the same tone.  ``None``
+    means the orchestrating sweep measures scalar from ``snapshot``.
     """
 
     snapshot: Optional[SimulatorSnapshot]
     mode: str
     error: Optional[str] = None
     nonlinear: bool = False
-    measurement: Optional[ToneMeasurement] = None
+    measurement: Union[ToneMeasurement, str, None] = None
 
 
 @dataclass
@@ -574,21 +588,23 @@ class _PhysicsTable:
         for drive, row in zip(self.drives, self.laws):
             _verify_law(filt, drive, row, probe_vc)
 
-    @property
-    def measurable(self) -> bool:
-        """Whether the lockstep measurement phase can carry this device.
-
-        Nonlinear VCOs and turn-on-delay pumps measure on the scalar
-        sequencer from their settled snapshot.
-        """
-        return not self.nonlinear and self.turn_on_delay == 0.0
-
     def _intern(self, drive: Drive) -> int:
         for i, d in enumerate(self.drives):
             if d is drive:
                 return i
         self.drives.append(drive)
         return len(self.drives) - 1
+
+    def drive_index(self, drive: Drive) -> Optional[int]:
+        """Index of ``drive`` among the interned drives (``is`` first,
+        then ``==``); ``None`` for a drive this table never produces."""
+        for i, d in enumerate(self.drives):
+            if d is drive:
+                return i
+        for i, d in enumerate(self.drives):
+            if d == drive:
+                return i
+        return None
 
 
 @dataclass
@@ -599,7 +615,7 @@ class _EdgeGroup:
 
 
 class VectorizedLotSimulator:
-    """Advance N settle lanes in lockstep; see the module docstring.
+    """Settle N lanes (and measure those that ask); see the module docstring.
 
     Parameters
     ----------
@@ -608,22 +624,11 @@ class VectorizedLotSimulator:
         share one generated reference-edge stream.
     drain_width:
         When at most this many lanes remain live in *lockstep*, they
-        leave it for per-lane settle kernels; measurement lanes
-        thinning past it hand their tails to the scalar sequencer.
-    measure_width:
-        Minimum number of measuring lanes before the measurement
-        phase (batched stages 1–4) switches on.  Below it the farm
-        settles on the per-lane kernels and leaves measurement to the
-        scalar sequencer — the lockstep measurement loop's array
-        overhead needs width to amortise, and keeping narrow farms in
-        lockstep just to measure costs more than the batch saves
-        (a 13-tone single-device sweep is ~1.5x *slower* measured
-        in-farm).  ``None`` derives ``3 * drain_width``; ``0`` always
-        measures.
+        leave it for the per-lane kernel.
     lockstep_width:
         The lockstep/kernel crossover, applied symmetrically.  Farms
-        narrower than this run each lane through the per-lane settle
-        kernel (:meth:`_kernel_settle`) — a specialised scalar
+        narrower than this settle each lane on the per-lane kernel
+        (:meth:`_kernel_run`) — a specialised scalar
         transcription of the event loop that beats both the lockstep
         arrays (whose per-iteration overhead needs many lanes to
         amortise) and the general simulator (whose per-event object
@@ -631,32 +636,26 @@ class VectorizedLotSimulator:
         lockstep arrays — and once retirements thin the live set back
         below the crossover, the stragglers finish on the kernel too
         (mode ``"drained"``).  ``0`` forces lockstep for any width.
+
+    Stages 1–4 always run on the kernel, one lane at a time: every
+    settled lane with a :class:`MeasureSpec` measures in-farm whatever
+    the farm's width.
     """
 
     def __init__(self, lanes: Sequence[SettleLane], drain_width: int = 8,
-                 lockstep_width: int = 64,
-                 measure_width: Optional[int] = None):
+                 lockstep_width: int = 64):
         self.lanes = list(lanes)
         self.drain_width = max(0, int(drain_width))
         self.lockstep_width = max(0, int(lockstep_width))
-        self.measure_width = (
-            3 * self.drain_width if measure_width is None
-            else max(0, int(measure_width))
-        )
         self.stats = {"vector": 0, "drained": 0, "ejected": 0, "scalar": 0,
                       "failed": 0, "nonlinear": 0, "warm": 0,
                       "measured": 0, "measure_ejected": 0,
                       "measure_failed": 0}
         #: Wall-clock split of the farm run: stage 0 (settle) vs the
-        #: measurement phase's stages 1–3 (monitor) and 4 (measure).
+        #: measurement's stages 1–3 (monitor) and 4 (measure).
         self.wall_settle_s = 0.0
         self.wall_monitor_s = 0.0
         self.wall_measure_s = 0.0
-        # Stage 1–4 batching pays only when enough measuring lanes run
-        # concurrently; below the measure width the scalar sequencer
-        # wins (and the settle phase keeps its kernel crossover).
-        n_meas = sum(1 for lane in self.lanes if lane.measure is not None)
-        self._meas_enabled = n_meas > self.measure_width
         self._results: List[Optional[LaneResult]] = [None] * len(self.lanes)
         self._vec: List[int] = []          # lane positions in the farm
         self._fallback: List[int] = []     # lane positions settled scalar
@@ -687,8 +686,7 @@ class VectorizedLotSimulator:
                 continue
             candidates.append((pos, table, key))
             end = lane.settle_end
-            if (self._meas_enabled and lane.measure is not None
-                    and table.measurable):
+            if lane.measure is not None:
                 end = max(end, self._measure_horizon(lane))
             group_end[key] = max(group_end.get(key, 0.0), end)
             group_lanes.setdefault(key, []).append(pos)
@@ -715,7 +713,7 @@ class VectorizedLotSimulator:
         An estimate, not a bound: the peak-watch deadline, the two
         reference-period flush, and a generous multiple of the
         reciprocal-count window.  A lane that outruns it hits the
-        edge-exhaustion eject in :meth:`_step_measure` and finishes on
+        edge-exhaustion eject in :meth:`_kernel_run` and measures on
         the scalar path — lossless, merely slower.
         """
         spec = lane.measure
@@ -859,18 +857,24 @@ class VectorizedLotSimulator:
         self._act = np.zeros(n, dtype=np.int64)
         self._events = np.zeros(n, dtype=np.int64)
         self._active = np.ones(n, dtype=bool)
+        # Stage 1–4 state the script's probe reads and writes: the hold
+        # mux, the script itself and the post-capture feedback record.
+        self._open = np.zeros(n, dtype=bool)
+        self._mscript: List[Optional[MeasurementScript]] = [None] * n
+        self._fb_rec: List[Optional[PulseTrain]] = [None] * n
 
     # ------------------------------------------------------------------
     # run
     # ------------------------------------------------------------------
     def run(self) -> List[LaneResult]:
-        """Settle every lane; returns one :class:`LaneResult` per lane."""
+        """Settle every lane, then run stages 1–4 for lanes carrying a
+        :class:`MeasureSpec`; returns one :class:`LaneResult` per lane."""
         wall0 = perf_counter()
         for pos in self._fallback:
             self._results[pos] = self._scalar_settle(self.lanes[pos])
         # Presettled lanes skip stage 0: their stored snapshot becomes
-        # the settle result directly, and the measurement phase below
-        # reloads it exactly as it reloads farm-settled lanes.
+        # the settle result directly, and _run_measure below reloads it
+        # exactly as it reloads farm-settled lanes.
         for i, pos in enumerate(self._vec):
             snap = self.lanes[pos].presettled
             if snap is not None:
@@ -900,7 +904,7 @@ class VectorizedLotSimulator:
         Split out of :meth:`run` so tiered subclasses can settle their
         own lanes first and let this method sweep up whatever remains
         active — the base behaviour (kernel for narrow/nonlinear farms,
-        lockstep arrays for wide ones, scalar drain for stragglers) is
+        lockstep arrays for wide ones, kernel drain for stragglers) is
         unchanged.
         """
         idx = np.flatnonzero(self._active)
@@ -910,7 +914,7 @@ class VectorizedLotSimulator:
         if n <= self.drain_width:
             # Too narrow for the lockstep arrays: per-lane kernels.
             for i in idx.tolist():
-                self._kernel_settle(i, mode="drained")
+                self._kernel_run(i, mode="drained")
             return
         # Turn-on-delay lanes always take the per-lane kernel, the only
         # fast path carrying the pump's pending-activation event.
@@ -920,13 +924,13 @@ class VectorizedLotSimulator:
         for i in idx.tolist():
             if self._tables[i].turn_on_delay or (
                     self.lockstep_width and self._nonlin[i]):
-                self._kernel_settle(i)
+                self._kernel_run(i)
         if self.lockstep_width:
             linear = np.flatnonzero(self._active)
             if linear.size < self.lockstep_width:
                 # Narrow farm: the kernel beats the lockstep arrays.
                 for i in linear.tolist():
-                    self._kernel_settle(i)
+                    self._kernel_run(i)
         while True:
             idx = np.flatnonzero(self._active)
             if idx.size == 0:
@@ -941,7 +945,7 @@ class VectorizedLotSimulator:
                 # bit-identical, without the per-iteration array
                 # overhead or the scalar engine's per-event machinery.
                 for i in idx.tolist():
-                    self._kernel_settle(i, mode="drained")
+                    self._kernel_run(i, mode="drained")
                 break
             self._step(idx)
 
@@ -1184,113 +1188,66 @@ class VectorizedLotSimulator:
             )
 
     # ------------------------------------------------------------------
-    # measurement phase: Table 2 stages 1-4 in lockstep
+    # measurement: Table 2 stages 1-4 on the per-lane kernel
     # ------------------------------------------------------------------
     def _run_measure(self) -> None:
-        """Batch stages 1–4 across settled lanes carrying a MeasureSpec.
+        """Carry every settled lane with a MeasureSpec through stages 1–4.
 
-        Every eligible lane (linear physics, usable settle snapshot, a
-        :class:`MeasureSpec` on its :class:`SettleLane`) is reloaded
-        from its settle result and driven through the arm / peak-watch /
-        hold-and-count stages by the same lockstep event engine that
-        settled it: the stage control flow is delegated to the shared
-        :class:`~repro.core.sequencer.MeasurementScript` at run-to-
-        target boundaries (the END events) and the Figure 7 latch is
-        evaluated as masked array ops at every PFD reset.  A lane whose
-        events the arrays cannot advance faithfully — or whose script
-        raises — keeps its settle-only result: the orchestrating sweep
-        measures (or reproduces the identical error) from the cached
-        settle snapshot, so correctness never depends on this phase.
+        Each such lane is reloaded from its settle result (a farm,
+        scalar-finished or presettled snapshot) and driven through the
+        arm / peak-watch / hold-and-count stages by :meth:`_kernel_run`,
+        the same kernel that settles lanes.  A lane whose script
+        finishes publishes its :class:`~repro.core.sequencer.
+        ToneMeasurement`; one whose script raises
+        :class:`~repro.errors.MeasurementError` publishes the error
+        text, which the scalar sequencer raises identically from the
+        same snapshot.  A lane the kernel cannot load or advance
+        faithfully keeps its settle-only result and the orchestrating
+        sweep measures it scalar, so correctness never depends on this
+        phase.
 
-        The loop runs in two passes for the wall-clock split: first
-        only lanes still in stages 1–3 (monitor), then everything that
-        remains (the hold-and-count tails) — lockstep lanes are
-        independent, so pausing a held lane while siblings monitor
-        changes no measured value.
+        The wall split reads the clock when a lane's script leaves
+        stages 1–3: time before goes to monitor, time after to measure.
         """
-        if not self._meas_enabled or not self._vec:
-            return
-        n = len(self._vec)
-        self._tend = np.zeros(n)
-        self._open = np.zeros(n, dtype=bool)
-        self._watch = np.zeros(n, dtype=bool)
-        self._monph = np.zeros(n, dtype=bool)
-        self._rec = np.zeros(n, dtype=bool)
-        self._lq = np.zeros(n, dtype=bool)
-        self._lvalid = np.zeros(n, dtype=bool)
-        self._inv_d = np.zeros(n)
-        self._and_d = np.zeros(n)
-        self._t_arm_arr = np.zeros(n)
-        self._n_edges_arr = np.array(
-            [len(e) for e in self._edges], dtype=np.int64
-        )
-        self._mscript: List[Optional[MeasurementScript]] = [None] * n
-        self._fb_rec: List[Optional[PulseTrain]] = [None] * n
-        self._active[:] = False
-
-        loaded = 0
-        for i in range(n):
-            lane = self.lanes[self._vec[i]]
-            if lane.measure is None or not self._tables[i].measurable:
+        for i, pos in enumerate(self._vec):
+            lane = self.lanes[pos]
+            result = self._results[pos]
+            if lane.measure is None or result.snapshot is None:
                 continue
-            result = self._results[self._vec[i]]
-            if result is None or result.snapshot is None:
+            if not self._load_measure_state(i, lane, result.snapshot):
+                self.stats["measure_ejected"] += 1
                 continue
-            if self._load_measure_state(i, lane, result.snapshot):
-                loaded += 1
-        if loaded == 0:
-            return
-        if loaded <= self.drain_width:
-            for i in np.flatnonzero(self._active).tolist():
-                self._meas_eject(i)
-            return
-        t0 = perf_counter()
-        while True:
-            mon = np.flatnonzero(self._active & self._monph)
-            if mon.size <= self.drain_width:
-                # The few monitoring stragglers just join the second
-                # pass; only total farm width decides scalar hand-off.
-                break
-            self._step_measure(mon)
-        t1 = perf_counter()
-        while True:
-            idx = np.flatnonzero(self._active)
-            if idx.size == 0:
-                break
-            if idx.size <= self.drain_width:
-                for i in idx.tolist():
-                    self._meas_eject(i)
-                break
-            self._step_measure(idx)
-        self.wall_monitor_s += t1 - t0
-        self.wall_measure_s += perf_counter() - t1
+            t0 = perf_counter()
+            flip = self._kernel_run(i)
+            t2 = perf_counter()
+            t1 = t2 if flip is None else flip
+            self.wall_monitor_s += t1 - t0
+            self.wall_measure_s += t2 - t1
 
     def _load_measure_state(self, i: int, lane: SettleLane,
                             snap: SimulatorSnapshot) -> bool:
         """Restore one settled snapshot into the lane arrays; arm stage 1.
 
         Mirrors :meth:`~repro.pll.simulator.PLLTransientSimulator.
-        restore` for the state the arrays carry; anything they cannot
-        represent (an unknown drive, a foreign edge cursor) leaves the
+        restore` for the state the arrays carry, a pending pump
+        activation included; anything they cannot represent (an
+        unknown drive, a foreign edge cursor, an open loop) leaves the
         lane settle-only for the scalar sequencer.
         """
         table = self._tables[i]
         spec = lane.measure
-        if (snap.loop_open or snap.pending_activation is not None
-                or snap.next_sample is not None):
+        if snap.loop_open or snap.next_sample is not None:
             return False
-        drive_idx = None
-        for k, d in enumerate(table.drives):
-            if d is snap.applied_drive:
-                drive_idx = k
-                break
-        if drive_idx is None:
-            for k, d in enumerate(table.drives):
-                if d == snap.applied_drive:
-                    drive_idx = k
-                    break
+        drive_idx = table.drive_index(snap.applied_drive)
         if drive_idx is None:
             return False
+        nan = float("nan")
+        t_act, act_idx = nan, 0
+        if snap.pending_activation is not None:
+            t_act, act_drive = snap.pending_activation
+            act_idx = table.drive_index(act_drive)
+            if act_idx is None:
+                return False
         state = snap.source_state
         try:
             j = int(state[0]) - 1
@@ -1312,7 +1269,6 @@ class VectorizedLotSimulator:
         target = script.next_target()
         if target is None or target < snap.time:
             return False
-        nan = float("nan")
         pfd = snap.pfd
         self._t[i] = snap.time
         self._vc[i] = snap.vc
@@ -1329,348 +1285,17 @@ class VectorizedLotSimulator:
         self._upr[i] = nan if pfd.last_up_rise is None else pfd.last_up_rise
         self._dnr[i] = nan if pfd.last_dn_rise is None else pfd.last_dn_rise
         self._drive[i] = drive_idx
+        self._tact[i] = t_act
+        self._act[i] = act_idx
         self._events[i] = snap.events
-        cfg = spec.config
-        self._inv_d[i] = cfg.detector_inverter_delay
-        self._and_d[i] = cfg.detector_and_delay
-        self._t_arm_arr[i] = script.t_arm
-        self._tend[i] = target
-        self._watch[i] = True
-        self._monph[i] = True
         self._mscript[i] = script
-        self._fb_rec[i] = PulseTrain(f"{table.pll.name}.fb")
-        self._active[i] = True
         return True
 
-    def _meas_eject(self, lane: int) -> None:
-        """Leave this lane settle-only; the sweep measures it scalar."""
-        self._active[lane] = False
-        self._monph[lane] = False
-        self._mscript[lane] = None
-        self._fb_rec[lane] = None
-        self.stats["measure_ejected"] += 1
-
-    def _capture(self, lane: int, t_event: float) -> None:
-        """The batched latch fired its first post-arm maximum: stage 3.
-
-        Mirrors the scalar capture callback plus ``open_loop()``: stop
-        the phase counter at the MFREQ instant, clear the PFD and idle
-        the pump (the hold mux flips within the same PFD cycle), and
-        start recording feedback edges for the stage 4 count.
-        """
-        try:
-            self._mscript[lane].capture(t_event)
-        except Exception:  # noqa: BLE001 - scalar reproduces the error
-            self._meas_eject(lane)
-            return
-        self._watch[lane] = False
-        self._open[lane] = True
-        self._rec[lane] = True
-        self._up[lane] = False
-        self._dn[lane] = False
-        self._pres[lane] = np.nan
-        self._drive[lane] = self._tables[lane].idle_idx
-
-    def _meas_boundary(self, lane: int) -> None:
-        """Fire the stage script at a run-to-target boundary (END)."""
-        script = self._mscript[lane]
-        probe = _LaneProbe(self, lane)
-        try:
-            script.advance(float(self._t[lane]), probe)
-        except MeasurementError:
-            # A legitimate test outcome (no-MFREQ starvation, a count
-            # that never gated) — but the farm publishes no errors: the
-            # lane keeps its settle-only result and the orchestrating
-            # sweep reproduces the identical error from that snapshot.
-            self._active[lane] = False
-            self._monph[lane] = False
-            self._mscript[lane] = None
-            self._fb_rec[lane] = None
-            self.stats["measure_failed"] += 1
-            return
-        except Exception:  # noqa: BLE001 - scalar reproduces the error
-            self._meas_eject(lane)
-            return
-        target = script.next_target()
-        if target is None:
-            table = self._tables[lane]
-            self._results[self._vec[lane]].measurement = ToneMeasurement(
-                f_mod=script.f_mod,
-                modulation_period=script.t_mod,
-                held=script.held,
-                phase_count=script.phase_count,
-                f_out_nominal=table.pll.f_out_nominal,
-                arm_time=script.t_arm,
-                peak_event=script.event,
-                stage_log=script.stage_log,
-                timing=ToneTiming(0.0, 0.0, 0.0, warm=True),
-            )
-            self._active[lane] = False
-            self._monph[lane] = False
-            self._mscript[lane] = None
-            self._fb_rec[lane] = None
-            self.stats["measured"] += 1
-            return
-        self._tend[lane] = target
-        self._monph[lane] = script.monitoring
-
-    def _step_measure(self, idx: np.ndarray) -> None:
-        """One lockstep measurement event per live lane.
-
-        The settle engine's event selection/advance with the stage 1–4
-        hardware grafted onto the commits: reference edges feed *both*
-        PFD inputs on open (held) lanes, feedback edges are recorded
-        for the reciprocal counter once a lane's hold engages, the
-        Figure 7 latch is sampled as array ops at every PFD reset (after
-        the drive update, matching the scalar reset dispatch order), and
-        the END event is each lane's next run-to-target boundary rather
-        than the settle end.  All measurement lanes are linear —
-        nonlinear devices measure scalar — so the Simpson branches of
-        :meth:`_step` are gone.
-        """
-        t = self._t[idx]
-        vc = self._vc[idx]
-        rows = self._row_base[idx] + self._drive[idx]
-        kindlaw = self._law_kind[rows]
-        pres = self._pres[idx]
-        has_res = ~np.isnan(pres)
-
-        # --- event selection (mirrors _next_event) -------------------
-        best_t = self._tend[idx].copy()
-        kind = np.full(idx.size, _END, dtype=np.int64)
-
-        tref = self._tref[idx]
-        m = tref <= best_t
-        best_t[m] = tref[m]
-        kind[m] = _REF
-
-        horizon = best_t.copy()
-        m = has_res & (pres < horizon)
-        horizon[m] = pres[m]
-        dt_h = horizon - t
-
-        eject = dt_h < 0.0
-
-        need = self._fbt[idx] - self._phase[idx]
-        due = need <= 1e-9
-        eject |= due & (need < -1e-6)
-        m = due & (t <= best_t)
-        best_t[m] = t[m]
-        kind[m] = _FB
-
-        out_v = np.where(
-            kindlaw == _EXP,
-            self._law_oa[rows] * vc + self._law_ob[rows],
-            np.where(kindlaw == _RAMP, vc + self._law_ooff[rows], vc),
-        )
-        solving = ~due & (dt_h > 0.0)
-        m = solving & (kindlaw == _CONST)
-        if m.any():
-            f = self._f_center[idx] + self._gain[idx] * (
-                out_v - self._v_center[idx]
-            )
-            f = np.minimum(np.maximum(f, self._f_min[idx]),
-                           self._f_max[idx])
-            dt_fb = need / f
-            cand = t + dt_fb
-            hit = m & (dt_fb <= dt_h) & (cand <= best_t)
-            best_t[hit] = cand[hit]
-            kind[hit] = _FB
-        for i in np.flatnonzero(solving & (kindlaw != _CONST)).tolist():
-            row = rows[i]
-            table = self._tables[idx[i]]
-            dt_fb, ej = _solve_fb_crossing(
-                int(kindlaw[i]), float(out_v[i]),
-                float(self._law_oasym[row]), float(self._law_tau[row]),
-                float(self._law_slope[row]), float(self._law_half[row]),
-                table.base_hz, table.gain, table.f_center,
-                table.v_center, table.f_min, table.f_max,
-                table.v_lo, table.v_hi,
-                float(need[i]), float(dt_h[i]),
-            )
-            if ej:
-                eject[i] = True
-                continue
-            if dt_fb is not None and t[i] + dt_fb <= best_t[i]:
-                best_t[i] = t[i] + dt_fb
-                kind[i] = _FB
-
-        m = has_res & (pres <= best_t)
-        best_t[m] = pres[m]
-        kind[m] = _RESET
-
-        # --- advance (mirrors _advance_to + phase_advance) -----------
-        dt = best_t - t
-        adv = dt > 0.0
-        is_exp = kindlaw == _EXP
-        is_ramp = kindlaw == _RAMP
-        tau = self._law_tau[rows]
-        x = -dt / tau
-        decay = np.ones(idx.size)
-        neg_expm1 = np.zeros(idx.size)
-        for i in np.flatnonzero(adv & is_exp).tolist():
-            decay[i] = math.exp(x[i])
-            neg_expm1[i] = -math.expm1(x[i])
-        o_asym = self._law_oasym[rows]
-        gap = out_v - o_asym
-        slope = self._law_slope[rows]
-        val = np.where(
-            is_exp, o_asym + gap * decay,
-            np.where(is_ramp, out_v + slope * dt, out_v),
-        )
-        v_int = np.where(
-            is_exp, o_asym * dt + (gap * tau) * neg_expm1,
-            np.where(is_ramp,
-                     out_v * dt + (self._law_half[rows] * dt) * dt,
-                     out_v * dt),
-        )
-        v0 = np.minimum(out_v, val)
-        v1 = np.maximum(out_v, val)
-        eject |= adv & ~(
-            (self._v_lo[idx] <= v0) & (v1 <= self._v_hi[idx])
-        )
-        asym = self._law_asym[rows]
-        vc_new = np.where(
-            is_exp, asym + (vc - asym) * decay,
-            np.where(is_ramp, vc + slope * dt, vc),
-        )
-        phase_new = np.where(
-            adv,
-            self._phase[idx] + (self._base_hz[idx] * dt
-                                + self._gain[idx] * v_int),
-            self._phase[idx],
-        )
-        vc_new = np.where(adv, vc_new, vc)
-
-        # --- PFD edge checks (mirrors _check_monotonic / _on_edge) ----
-        is_event = kind != _END
-        levt = self._levt[idx]
-        eject |= is_event & ~np.isnan(levt) & (best_t < levt)
-        is_edge = (kind == _REF) | (kind == _FB)
-        eject |= is_edge & has_res & (best_t >= pres)
-        eject |= (kind == _RESET) & (np.isnan(self._upr[idx])
-                                     | np.isnan(self._dnr[idx]))
-        # The measurement horizon is an estimate: a lane that outruns
-        # its pregenerated edge train leaves the farm instead of
-        # reading past the end.
-        eject |= (kind == _REF) & (self._j[idx] + 1
-                                   >= self._n_edges_arr[idx])
-
-        # --- ejects: back to the settle-only result -------------------
-        if eject.any():
-            for i in np.flatnonzero(eject).tolist():
-                self._meas_eject(int(idx[i]))
-        ok = ~eject
-        li = idx[ok]
-        if li.size == 0:
-            return
-
-        # --- commit --------------------------------------------------
-        self._t[li] = best_t[ok]
-        self._vc[li] = vc_new[ok]
-        self._phase[li] = phase_new[ok]
-        kind_ok = kind[ok]
-        ev = kind_ok != _END
-        self._events[li[ev]] += 1
-        self._levt[li[ev]] = best_t[ok][ev]
-
-        ref = kind_ok == _REF
-        if ref.any():
-            lr = li[ref]
-            tr = best_t[ok][ref]
-            newly = ~self._up[lr]
-            self._up[lr] = True
-            set_lanes = lr[newly]
-            self._upr[set_lanes] = tr[newly]
-            both = newly & self._dn[lr]
-            self._pres[lr[both]] = tr[both] + self._rdelay[lr[both]]
-            # Open (held) lanes: the hold mux feeds the reference to
-            # both PFD inputs, so the same edge also clocks DN.
-            opn = self._open[lr]
-            newly_dn = opn & ~self._dn[lr]
-            self._dn[lr[newly_dn]] = True
-            self._dnr[lr[newly_dn]] = tr[newly_dn]
-            both2 = newly_dn & self._up[lr]
-            self._pres[lr[both2]] = tr[both2] + self._rdelay[lr[both2]]
-            for i, lane in enumerate(lr.tolist()):
-                j = int(self._j[lane]) + 1
-                self._j[lane] = j
-                self._tref[lane] = self._edges[lane][j]
-
-        fb = kind_ok == _FB
-        if fb.any():
-            lf = li[fb]
-            tf = best_t[ok][fb]
-            self._phase[lf] = self._fbt[lf]
-            self._fbt[lf] = self._fbt[lf] + self._nf[lf]
-            # An open lane's feedback edge is recorded but never
-            # reaches the PFD (the mux holds its input at the ref).
-            cl = ~self._open[lf]
-            lc = lf[cl]
-            tc = tf[cl]
-            newly = ~self._dn[lc]
-            self._dn[lc] = True
-            set_lanes = lc[newly]
-            self._dnr[set_lanes] = tc[newly]
-            both = newly & self._up[lc]
-            self._pres[lc[both]] = tc[both] + self._rdelay[lc[both]]
-            for i, lane in enumerate(lf.tolist()):
-                if self._rec[lane]:
-                    self._fb_rec[lane].record(float(tf[i]))
-
-        res = kind_ok == _RESET
-        if res.any():
-            lz = li[res]
-            ts = best_t[ok][res]
-            upr_z = self._upr[lz]
-            dnr_z = self._dnr[lz]
-            self._up[lz] = False
-            self._dn[lz] = False
-            self._pres[lz] = np.nan
-
-        # The scalar reset dispatch updates the drive *before* the
-        # cycle observers fire, so the drive loop runs ahead of the
-        # latch sampling below.  Open-lane feedback edges skip the
-        # update (their dispatch never calls _drive_update).
-        upd = ref | res | (fb & ~self._open[li])
-        if upd.any():
-            changed = li[upd]
-            s = (self._up[changed].astype(np.int64)
-                 + 2 * self._dn[changed].astype(np.int64))
-            for i, lane in enumerate(changed.tolist()):
-                self._drive[lane] = \
-                    self._tables[lane].s_to_drive[int(s[i])]
-
-        if res.any():
-            # Figure 7 latch, batched: D = NOT(DN still high one
-            # inverter delay before the AND-gated clock); an edge on Q
-            # is a peak event, a falling edge the maximum (MFREQ).
-            smp = ~self._open[lz]
-            ls = lz[smp]
-            if ls.size:
-                t_both = np.maximum(upr_z[smp], dnr_z[smp])
-                t_clk = t_both + self._and_d[ls]
-                t_look = t_clk - self._inv_d[ls]
-                dn_high = (dnr_z[smp] <= t_look) & (t_look < ts[smp])
-                d = ~dn_high
-                emit = self._lvalid[ls] & (self._lq[ls] != d)
-                is_max = emit & self._lq[ls] & ~d
-                cap = is_max & self._watch[ls] \
-                    & (t_clk > self._t_arm_arr[ls])
-                self._lq[ls] = d
-                self._lvalid[ls] = True
-                for k in np.flatnonzero(cap).tolist():
-                    self._capture(int(ls[k]), float(t_clk[k]))
-
-        done = kind_ok == _END
-        for lane in li[done].tolist():
-            self._meas_boundary(int(lane))
-
     # ------------------------------------------------------------------
-    # per-lane settle kernel
+    # the per-lane kernel: stage 0 settle and stages 1-4
     # ------------------------------------------------------------------
-    def _kernel_settle(self, lane: int, mode: str = "vector") -> None:
-        """Settle one lane in a specialised scalar kernel.
+    def _kernel_run(self, lane: int, mode: str = "vector") -> Optional[float]:
+        """Run one lane to its END in a specialised scalar kernel.
 
         A straight-line transcription of the scalar event loop
         (``run_until`` → ``_next_event`` → ``_advance_to`` →
@@ -1682,25 +1307,58 @@ class VectorizedLotSimulator:
         ``solve_increasing`` for ramp/exponential laws).  Every
         floating-point expression replicates the scalar engine's operand
         order exactly, so a kernel-completed lane is bit-identical to a
-        scalar settle.  Nonlinear (4046-style) lanes integrate phase via
+        scalar run.  Nonlinear (4046-style) lanes integrate phase via
         :func:`_simpson_phase`, bit-identical to ``VCO._numeric_phase``.
 
         A pump with a turn-on delay adds the scalar engine's activation
-        event, and only here: the activation time bounds the feedback
-        solver's horizon and wins ties, fires as an event that leaves
-        the PFD untouched, and is armed, re-armed or cleared by the
-        transcribed ``_drive_update`` with its ``is``/``==`` drive
-        comparisons (a target equal to the applied drive returns early
-        and leaves a pending activation armed, as in scalar).
+        event: the activation time bounds the feedback solver's horizon
+        and wins ties, fires as an event that leaves the PFD untouched,
+        and is armed, re-armed or cleared by the transcribed
+        ``_drive_update`` with its ``is``/``==`` drive comparisons (a
+        target equal to the applied drive returns early and leaves a
+        pending activation armed, as in scalar).
+
+        Without a :class:`~repro.core.sequencer.MeasurementScript` on
+        the lane, END is ``settle_end`` and the lane's result is its
+        settled snapshot.  With one (loaded by
+        :meth:`_load_measure_state`), END is the script's next target,
+        and the scalar sequencer's measurement hardware rides on the
+        same events:
+
+        * on an open (held) lane a REF edge also clocks DN — the hold
+          mux feeds the reference to both PFD inputs;
+        * on an open lane an FB edge is recorded for the reciprocal
+          count and reaches neither the PFD nor the drive;
+        * on a closed lane the Figure 7 latch is sampled at every
+          RESET, after the drive update (the scalar dispatch order);
+          its first post-arm maximum is the capture, which opens the
+          loop as ``open_loop()`` does — UP, DN, the pending reset and
+          the pending activation cleared, the pump idled;
+        * at END the locals are written back, the script advances over
+          a :class:`_LaneProbe`, and the locals the probe may have
+          changed are read back.
+
+        The script's end publishes the finished measurement, or the
+        :class:`~repro.errors.MeasurementError` text, on the lane's
+        result.  Returns the wall-clock instant the script left stages
+        1–3 (``None`` if it never did, or when settling).
 
         Any state the kernel cannot advance faithfully — a clamp-window
         excursion, a solver failure, any condition the scalar engine
-        treats as an error — ejects the lane *from its pre-event state*,
-        and a scalar simulator finishes (or reproduces the error) from
-        that snapshot, exactly like a lockstep ejection.
+        treats as an error — ejects the lane *from its pre-event state*.
+        A settling lane is finished (or its error reproduced) by a
+        scalar simulator from that snapshot, exactly like a lockstep
+        ejection; a measuring lane keeps its settle-only result.
         """
         table = self._tables[lane]
-        settle_end = float(self._settle_end[lane])
+        script = self._mscript[lane]
+        if script is None:
+            t_end = float(self._settle_end[lane])
+        else:
+            t_end = script.next_target()
+            inv_d = script.config.detector_inverter_delay
+            and_d = script.config.detector_and_delay
+            t_arm = script.t_arm
         edges = self._edges[lane].tolist()
         n_edges = len(edges)
         laws = [(r.kind, r.asym, r.tau, r.slope, r.half_slope,
@@ -1746,6 +1404,13 @@ class VectorizedLotSimulator:
         tact = _opt(self._tact)
         act_idx = int(self._act[lane])
         events = int(self._events[lane])
+        # Stage 1–4 state: the hold mux, the post-capture feedback
+        # record, and the Figure 7 latch output (None = never clocked).
+        open_ = False
+        fb_rec = None
+        latch_q = None
+        outcome = None  # the script's end: a measurement or error text
+        flip = None
 
         (l_kind, l_asym, l_tau, l_slope, l_half,
          l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
@@ -1753,7 +1418,7 @@ class VectorizedLotSimulator:
         eject = False
         while True:
             # --- event selection (transcribes _next_event) ------------
-            best_t = settle_end
+            best_t = t_end
             ekind = _END
             if tref <= best_t:
                 best_t = tref
@@ -1924,7 +1589,7 @@ class VectorizedLotSimulator:
                         eject = True  # edge after pending reset was due
                         break
                     if ekind == _REF and j + 1 >= n_edges:
-                        eject = True  # edge train exhausted (bug guard)
+                        eject = True  # edge train exhausted
                         break
 
             # --- advance (transcribes _advance_to + phase_advance) ----
@@ -1977,9 +1642,54 @@ class VectorizedLotSimulator:
                 phase = phase + pa
             t = best_t
 
-            # --- commit the dispatch ----------------------------------
             if ekind == _END:
-                break
+                if script is None:
+                    break
+                # --- run-to-target boundary: fire the stage script ----
+                self._store_lane(lane, t, vc, phase, fbt, j, tref, up, dn,
+                                 levt, pres, upr, dnr, drive_idx, tact,
+                                 act_idx, events)
+                self._open[lane] = open_
+                monitoring = script.monitoring
+                try:
+                    script.advance(t, _LaneProbe(self, lane))
+                except MeasurementError as exc:
+                    # A legitimate test outcome (no-MFREQ starvation, a
+                    # count that never gated), raised with the scalar
+                    # sequencer's own text: published, not replayed.
+                    outcome = str(exc)
+                    break
+                except Exception:  # noqa: BLE001 - scalar reproduces it
+                    eject = True
+                    break
+                if monitoring and not script.monitoring:
+                    flip = perf_counter()
+                t_end = script.next_target()
+                if t_end is None:
+                    outcome = ToneMeasurement(
+                        f_mod=script.f_mod,
+                        modulation_period=script.t_mod,
+                        held=script.held,
+                        phase_count=script.phase_count,
+                        f_out_nominal=table.pll.f_out_nominal,
+                        arm_time=script.t_arm,
+                        peak_event=script.event,
+                        stage_log=script.stage_log,
+                        timing=ToneTiming(0.0, 0.0, 0.0, warm=True),
+                    )
+                    break
+                # The probe's close_loop() may have touched the loop.
+                open_ = bool(self._open[lane])
+                up = bool(self._up[lane])
+                dn = bool(self._dn[lane])
+                pres = _opt(self._pres)
+                tact = _opt(self._tact)
+                drive_idx = int(self._drive[lane])
+                (l_kind, l_asym, l_tau, l_slope, l_half,
+                 l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
+                continue
+
+            # --- commit the dispatch ----------------------------------
             events += 1
             if ekind == _ACT:
                 # The pump switches on: no PFD activity, no drive
@@ -1990,24 +1700,38 @@ class VectorizedLotSimulator:
                     (l_kind, l_asym, l_tau, l_slope, l_half,
                      l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
                 continue
-            levt = best_t
-            if ekind == _REF:
-                if not up:
-                    up = True
-                    upr = best_t
-                    if dn:
-                        pres = best_t + rdelay
-                j += 1
-                tref = edges[j]
-            elif ekind == _FB:
+            if ekind == _FB:
                 phase = fbt
                 fbt = fbt + nf
+                if fb_rec is not None:
+                    fb_rec.record(best_t)
+                if open_:
+                    # The hold mux keeps the PFD's FB input on the
+                    # reference: the edge is counted, nothing else.
+                    continue
+                levt = best_t
                 if not dn:
                     dn = True
                     dnr = best_t
                     if up:
                         pres = best_t + rdelay
+            elif ekind == _REF:
+                levt = best_t
+                if not up:
+                    up = True
+                    upr = best_t
+                    if dn:
+                        pres = best_t + rdelay
+                if open_ and not dn:
+                    # Hold mux: the same edge also clocks DN.
+                    dn = True
+                    dnr = best_t
+                    if up:
+                        pres = best_t + rdelay
+                j += 1
+                tref = edges[j]
             else:  # _RESET
+                levt = best_t
                 up = False
                 dn = False
                 pres = None
@@ -2023,9 +1747,68 @@ class VectorizedLotSimulator:
                 else:
                     tact = best_t + delay
                     act_idx = new_idx
+            if ekind == _RESET and script is not None and not open_:
+                # Figure 7 latch: D = NOT(DN still high one inverter
+                # delay before the AND-gated clock); a falling Q is the
+                # output-frequency maximum (MFREQ).
+                t_clk = max(upr, dnr) + and_d
+                t_look = t_clk - inv_d
+                d = not (dnr <= t_look < best_t)
+                if latch_q and not d and t_clk > t_arm:
+                    # Stage 3: the first post-arm MFREQ stops the phase
+                    # counter and flips the hold mux.  open_loop() also
+                    # clears the flip-flops and the pending reset, which
+                    # this reset just did.
+                    try:
+                        script.capture(t_clk)
+                    except Exception:  # noqa: BLE001 - scalar repro
+                        eject = True
+                        break
+                    open_ = True
+                    fb_rec = PulseTrain(f"{table.pll.name}.fb")
+                    self._fb_rec[lane] = fb_rec
+                    tact = None
+                    if not same[idle_idx][drive_idx]:
+                        drive_idx = idle_idx
+                        (l_kind, l_asym, l_tau, l_slope, l_half,
+                         l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
+                latch_q = d
 
+        if script is not None:
+            # A measuring lane's settle result stands either way; the
+            # script's end is published on it, an ejection leaves the
+            # sweep to measure scalar from the settled snapshot.
+            self._mscript[lane] = None
+            self._fb_rec[lane] = None
+            if eject:
+                self.stats["measure_ejected"] += 1
+            else:
+                self._results[self._vec[lane]].measurement = outcome
+                self.stats["measured" if isinstance(outcome, ToneMeasurement)
+                           else "measure_failed"] += 1
+            return flip
         # Write the locals back so _materialize sees this state (the
         # pre-event state on ejection; the finished state otherwise).
+        self._store_lane(lane, t, vc, phase, fbt, j, tref, up, dn, levt,
+                         pres, upr, dnr, drive_idx, tact, act_idx, events)
+        if eject:
+            # A drained lane stays "drained" through its scalar finish —
+            # the mode records where it left lockstep, not which engine
+            # completed it.
+            self._hand_off(lane, mode if mode == "drained" else "ejected")
+            return None
+        self._active[lane] = False
+        self._results[self._vec[lane]] = LaneResult(
+            snapshot=self._materialize(lane), mode=mode,
+            nonlinear=nonlinear,
+        )
+        return None
+
+    def _store_lane(self, lane: int, t, vc, phase, fbt, j, tref, up, dn,
+                    levt, pres, upr, dnr, drive_idx, tact, act_idx,
+                    events) -> None:
+        """Write one lane's kernel locals back to the lane arrays."""
+        nan = float("nan")
         self._t[lane] = t
         self._vc[lane] = vc
         self._phase[lane] = phase
@@ -2034,7 +1817,6 @@ class VectorizedLotSimulator:
         self._tref[lane] = tref
         self._up[lane] = up
         self._dn[lane] = dn
-        nan = float("nan")
         self._levt[lane] = nan if levt is None else levt
         self._pres[lane] = nan if pres is None else pres
         self._upr[lane] = nan if upr is None else upr
@@ -2043,17 +1825,6 @@ class VectorizedLotSimulator:
         self._tact[lane] = nan if tact is None else tact
         self._act[lane] = act_idx
         self._events[lane] = events
-        if eject:
-            # A drained lane stays "drained" through its scalar finish —
-            # the mode records where it left lockstep, not which engine
-            # completed it.
-            self._hand_off(lane, mode if mode == "drained" else "ejected")
-            return
-        self._active[lane] = False
-        self._results[self._vec[lane]] = LaneResult(
-            snapshot=self._materialize(lane), mode=mode,
-            nonlinear=nonlinear,
-        )
 
     # ------------------------------------------------------------------
     # scalar hand-off
@@ -2146,7 +1917,8 @@ class _LaneProbe:
     (``output_segment(...).value(0.0)``, exactly as the scalar
     property) so the boundary reads are bit-identical by construction,
     not by transcription; ``close_loop`` mirrors the scalar
-    ``close_loop()`` (PFD cleared, pump idled, rise times retained).
+    ``close_loop()`` (PFD cleared, pending activation dropped, pump
+    idled, rise times retained).
     """
 
     __slots__ = ("farm", "lane")
@@ -2177,4 +1949,5 @@ class _LaneProbe:
         farm._up[lane] = False
         farm._dn[lane] = False
         farm._pres[lane] = np.nan
+        farm._tact[lane] = np.nan
         farm._drive[lane] = farm._tables[lane].idle_idx

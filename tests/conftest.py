@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import pytest
 
+from types import SimpleNamespace
+
 from repro.core import BISTConfig, ToneTestSequencer, TransferFunctionMonitor
+from repro.pll.faults import FAULT_LIBRARY, FaultKind, apply_fault
+from repro.pll.population.samplers import get_corner
 from repro.presets import (
     paper_bist_config,
     paper_pll,
@@ -89,3 +93,30 @@ def multitone_sweep_result(pll_linear, bist_config):
         pll_linear, paper_stimulus("multitone"), bist_config
     )
     return monitor.run(paper_sweep())
+
+
+@pytest.fixture(params=["paper", "cdr180"])
+def delay_die(request, fast_bist_config):
+    """A dead-zone die of each pump kind, with its healthy twin.
+
+    ``paper`` is the rail-driver Table 3 die with the library's 100 us
+    dead zone; ``cdr180`` the current-pump corner with its scaled one.
+    """
+    if request.param == "paper":
+        healthy = paper_pll()
+        fault = FAULT_LIBRARY["pump dead zone 100us"]
+        stimulus = paper_stimulus("multitone")
+        config = fast_bist_config
+        tones = (10.0, 55.0)
+    else:
+        corner = get_corner("cdr180")
+        healthy = corner.nominal()
+        fault = next(f for f in corner.faults()
+                     if f.kind is FaultKind.CP_DEAD_ZONE)
+        stimulus = corner.stimulus()
+        config = corner.config()
+        tones = corner.plan(5).frequencies_hz[2:4]
+    pll = apply_fault(healthy, fault)
+    assert pll.pump.turn_on_delay > 0.0
+    return SimpleNamespace(pll=pll, healthy=healthy, stimulus=stimulus,
+                           config=config, tones=tuple(tones))

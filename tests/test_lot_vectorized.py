@@ -39,9 +39,8 @@ from repro.core.executor import _measurement_cache_key
 from repro.core.sequencer import _NOMINAL_FREQUENCY_MEMO
 from repro.core.warm import ToneMeasurementCache, warm_shipment
 from repro.errors import ConfigurationError
-from repro.pll.faults import FAULT_LIBRARY, FaultKind, apply_fault
+from repro.pll.faults import FAULT_LIBRARY, apply_fault
 from repro.pll.lot import premeasure_lot
-from repro.pll.population.samplers import get_corner
 from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll, paper_stimulus, paper_sweep
 from repro.reporting import DeviceReportRequest, batch_device_reports
@@ -470,6 +469,38 @@ class TestMeasurementDedup:
             assert b.measurement.timing.warm
             assert b.measurement.timing.settle_s == 0.0
 
+    def test_serial_executor_publishes_failures(self, fast_bist_config,
+                                                monkeypatch):
+        """A tone that raises MeasurementError publishes its text: a
+        same-physics rerun answers it without replaying the sequence."""
+        from repro.core.executor import SerialSweepExecutor
+        from repro.core.warm import ToneMeasurementCache
+
+        pll = paper_pll()
+        stimulus = paper_stimulus("multitone")
+        # A one-second inverter delay swallows every reset pulse: the
+        # latch never clocks and every tone starves.
+        starved = replace(fast_bist_config, detector_inverter_delay=1.0)
+        dedup = ToneMeasurementCache()
+        first = SerialSweepExecutor().run_tones(
+            pll, stimulus, starved, TONES, measurement_cache=dedup,
+        )
+        assert all(outcome.failed for outcome in first)
+        runs = []
+        run = ToneTestSequencer.run
+
+        def spy(self, *args, **kwargs):
+            runs.append(args)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ToneTestSequencer, "run", spy)
+        second = SerialSweepExecutor().run_tones(
+            replace(pll, name="same-physics-die"), stimulus, starved,
+            TONES, measurement_cache=dedup,
+        )
+        assert second == first
+        assert runs == []
+
     def test_adaptive_settle_bypasses_dedup(self, fast_bist_config):
         from repro.core.executor import SerialSweepExecutor
         from repro.core.warm import ToneMeasurementCache
@@ -497,7 +528,9 @@ class TestMeasurementDedup:
         warm = TransferFunctionMonitor(
             replace(pll, name="twin"), stimulus, fast_bist_config
         ).run(plan, engine="vectorized", measurement_cache=dedup)
-        assert dedup.stats == (len(TONES), len(TONES))
+        # The first sweep's farm measures and publishes every tone, so
+        # both sweeps answer every tone from the cache.
+        assert dedup.stats == (2 * len(TONES), 0)
         assert warm.measurements == cold.measurements
         assert list(warm.response.magnitude_db) == list(
             cold.response.magnitude_db
@@ -559,33 +592,6 @@ class TestNominalFrequencyMemo:
         sequencer.measure_nominal_frequency(gate_cycles=32)
         sequencer.measure_nominal_frequency(gate_cycles=64)
         assert len(_NOMINAL_FREQUENCY_MEMO) == 2
-
-
-@pytest.fixture(params=["paper", "cdr180"])
-def delay_die(request, fast_bist_config):
-    """A dead-zone die of each pump kind, with its healthy twin.
-
-    ``paper`` is the rail-driver Table 3 die with the library's 100 us
-    dead zone; ``cdr180`` the current-pump corner with its scaled one.
-    """
-    if request.param == "paper":
-        healthy = paper_pll()
-        fault = FAULT_LIBRARY["pump dead zone 100us"]
-        stimulus = paper_stimulus("multitone")
-        config = fast_bist_config
-        tones = TONES
-    else:
-        corner = get_corner("cdr180")
-        healthy = corner.nominal()
-        fault = next(f for f in corner.faults()
-                     if f.kind is FaultKind.CP_DEAD_ZONE)
-        stimulus = corner.stimulus()
-        config = corner.config()
-        tones = corner.plan(5).frequencies_hz[2:4]
-    pll = apply_fault(healthy, fault)
-    assert pll.pump.turn_on_delay > 0.0
-    return SimpleNamespace(pll=pll, healthy=healthy, stimulus=stimulus,
-                           config=config, tones=tuple(tones))
 
 
 class TestTurnOnDelayLanes:
@@ -741,11 +747,10 @@ class TestTurnOnDelayLanes:
         assert result.mode == "vector"
         assert result.snapshot == sim.snapshot()
 
-    def test_measurement_phase_skips_delay_lanes(self, delay_die,
-                                                 monkeypatch):
-        """Delay lanes never load into the lockstep measurement phase;
-        the sweep measures them scalar from the farm's snapshot, equal
-        to a cold scalar sweep on every engine."""
+    def test_measurement_phase_measures_delay_lanes(self, delay_die,
+                                                    monkeypatch):
+        """Delay lanes load into the measurement stages and measure on
+        the kernel, equal to a cold scalar sweep on every engine."""
         d = delay_die
         loaded = []
         load = VectorizedLotSimulator._load_measure_state
@@ -761,19 +766,15 @@ class TestTurnOnDelayLanes:
         stats = premeasure_lot(
             [(d.healthy, d.stimulus, d.config, d.tones),
              (d.pll, d.stimulus, d.config, d.tones)],
-            cache, dedup, drain_width=0, measure_width=0, engine="auto",
+            cache, dedup, drain_width=0, engine="auto",
         )
-        assert loaded and not any(loaded)
-        assert stats.scalar == 0
-        warm = ToneTestSequencer(d.pll, d.stimulus, d.config, cache=cache)
+        assert loaded.count(d.pll.pump.turn_on_delay) == len(d.tones)
+        assert stats.scalar == stats.measure_ejected == 0
+        cold = ToneTestSequencer(d.pll, d.stimulus, d.config)
         for f_mod in d.tones:
             assert dedup.get(_measurement_cache_key(
-                d.pll, d.stimulus, d.config, f_mod)) is None
-            measured = warm.run(f_mod)
-            assert measured.timing.warm
-            assert measured == ToneTestSequencer(
-                d.pll, d.stimulus, d.config
-            ).run(f_mod, settle="fixed", cache=LockStateCache())
+                d.pll, d.stimulus, d.config, f_mod)) == cold.run(
+                    f_mod, settle="fixed", cache=LockStateCache())
         plan = SweepPlan(d.tones)
         scalar = TransferFunctionMonitor(
             d.pll, d.stimulus, d.config).run(plan)
