@@ -1,7 +1,7 @@
 """Performance — sharded sweep-job service under saturation load.
 
 Not a paper figure: this guards the service front-end.  A fleet of
-physics-distinct corner dies (the closed-form bench's current-mode
+physics-distinct corner dies (the corner-lot bench's current-mode
 lag-lead lot — every job settles for real, no warm-cache flattery) is
 dumped on the queue all at once and drained at increasing scheduler
 widths.  For each width the bench records job throughput, queue-depth

@@ -37,6 +37,7 @@ import time
 import warnings
 from dataclasses import replace
 
+from check_regression import RETIRED_KEYS
 from repro.core.executor import ParallelFallbackWarning, _visible_cpu_count
 from repro.core.monitor import TransferFunctionMonitor
 from repro.core.warm import LockStateCache
@@ -300,7 +301,7 @@ def test_perf_batch_screen(report, paper_dut):
     assert detail["misses"] == N_TONES
     assert detail["hits"] == (LOT_SIZE - 1) * N_TONES
 
-    # The vectorised engine: one lockstep presettle pass over the lot's
+    # The vectorised engine: one farm presettle pass over the lot's
     # unique tones, then every device of the lot screens warm — no die
     # ever pays a scalar cold settle.  Must beat the *cold* screen by
     # the acceptance floor and change no byte of any artefact.
@@ -484,7 +485,7 @@ def fault_library_lot():
 
 
 def test_perf_vec_measure_fault_screen(report):
-    """Stages 1-4 in lockstep: the fault-library cold screen.
+    """Stages 1-4 on the farm kernel: the fault-library cold screen.
 
     A heterogeneous 8-die lot (healthy + all seven library faults)
     where dedup is impossible — the settle farm alone bought ~1.3x
@@ -563,7 +564,6 @@ def test_perf_vec_measure_fault_screen(report):
         "vec_measure_lanes": {
             "unique": stats.unique,
             "vector": stats.vector,
-            "drained": stats.drained,
             "ejected": stats.ejected,
             "scalar": stats.scalar,
             "measured": stats.measured,
@@ -584,23 +584,19 @@ def test_perf_vec_measure_fault_screen(report):
 
 
 CF_LOT_SIZE = 8
-# The analytic tier is judged against the lockstep farm, so this floor
-# is relative to a moving target: it was 2.0 (measured ~4-5x) until the
-# farm's per-lane feedback-edge solver was inlined and the
-# lockstep/kernel crossover landed, which made the *denominator* ~2.5x
-# faster and compressed the measured ratio to ~1.7x.  The tier still
-# has to win outright; 1.3x leaves noise headroom under that.
-CF_BATCH_SPEEDUP_FLOOR = 1.3
+# The farm's absolute floor on the corner lot: the ``auto`` screen must
+# beat the scalar cold screen >= 5x (measured 8.9-11x on a 2-vCPU host;
+# the margin absorbs shared-host timing noise).
+CORNER_SCREEN_SPEEDUP_FLOOR = 5.0
 
 
 def cdr_corner_pll(index=0, lot_size=CF_LOT_SIZE):
     """One die of the corner-varied current-mode lag-lead lot.
 
     Every law of this loop is polynomial (the current pump ramps the
-    lag-lead linearly), so each lane is closed-form eligible; the ±1.6%
-    process spread keeps all ``lot_size`` dies physics-distinct, which
-    is exactly the lot shape where the lockstep farm pays its width
-    overhead and the analytic tier does not.
+    lag-lead linearly), so the farm kernel's inter-event update is a
+    ramp or a hold; the ±1.6% process spread keeps all ``lot_size``
+    dies physics-distinct, so no lane dedups away.
     """
     import math
 
@@ -621,7 +617,7 @@ def cdr_corner_pll(index=0, lot_size=CF_LOT_SIZE):
 
 
 def cdr_corner_lot():
-    """(requests, jobs): the 8-die 13-tone closed-form bench scenario."""
+    """(requests, jobs): the 8-die 13-tone corner-lot bench scenario."""
     from repro.core.architecture import BISTConfig
     from repro.core.monitor import SweepPlan
     from repro.stimulus import MultiToneFSKStimulus
@@ -672,31 +668,31 @@ def _farm_wall(jobs, engine, repeats=2):
     return best, stats, cache
 
 
-def test_perf_closed_form_screen(report):
-    """The analytic tier vs the lockstep farm on a process-corner lot.
+def test_perf_corner_screen(report):
+    """The farm vs the scalar cold screen on a process-corner lot.
 
     An 8-die corner-varied current-mode lot has 104 physics-distinct
     (die, tone) lanes — no dedup to hide behind, every lane settles.
-    The closed-form tier advances each lane edge-to-edge analytically;
-    it must beat the vectorized farm's wall outright on this lot
-    (floor 1.3x — the lockstep denominator got ~2.5x faster when the
-    feedback-edge solver was inlined, compressing the old ~4-5x ratio
-    to ~1.7x) while producing bit-identical settled states, and the
-    four engines must screen the lot to byte-identical artefacts.
+    Every lane must settle on the farm's per-lane kernel (none ejected
+    or scalar), the ``vectorized`` and ``closed_form`` farms must hand
+    the sweep bit-equal settled states, the four engine names must
+    screen the lot to byte-identical reports, and the ``auto`` screen
+    must beat the scalar cold screen by the absolute
+    :data:`CORNER_SCREEN_SPEEDUP_FLOOR`.
     """
     requests, jobs = cdr_corner_lot()
 
     t_vec_farm, vec_stats, vec_cache = _farm_wall(jobs, "vectorized")
     t_cf_farm, cf_stats, cf_cache = _farm_wall(jobs, "closed_form")
 
-    # Every lane is closed-form eligible; none may eject or fall back.
+    # Every lane settles on the kernel; none may eject or fall back.
     n_lanes = CF_LOT_SIZE * N_TONES
     assert cf_stats.unique == n_lanes
-    assert cf_stats.closed_form_lanes == n_lanes
+    assert cf_stats.vector == cf_stats.tones_vectorized == n_lanes
     assert cf_stats.ejected == cf_stats.scalar == cf_stats.failed == 0
     assert vec_stats.unique == n_lanes
 
-    # The settled states the two farms hand the sweep are bit-equal.
+    # The settled states the two farm names hand the sweep are bit-equal.
     vec_entries = dict(vec_cache.export())
     cf_entries = dict(cf_cache.export())
     assert vec_entries.keys() == cf_entries.keys()
@@ -705,10 +701,8 @@ def test_perf_closed_form_screen(report):
     )
     assert farm_bit_identical
 
-    cf_batch_speedup = t_vec_farm / t_cf_farm
-
-    # The four engines, side by side, on the full screen (satellite
-    # view: settle + stages 1-4 + rendering, not just the farm).
+    # The four engines, side by side, on the full screen (settle +
+    # stages 1-4 + rendering, not just the farm).
     t0 = time.perf_counter()
     cold_reports = batch_device_reports(requests)
     t_cold = time.perf_counter() - t0
@@ -723,6 +717,7 @@ def test_perf_closed_form_screen(report):
         walls[engine] = time.perf_counter() - t0
         screens_identical = screens_identical and fast == cold_reports
         assert fast == cold_reports, f"engine={engine} changed a byte"
+    speedup = t_cold / walls["auto"]
 
     table = format_table(
         ["metric", "value"],
@@ -731,41 +726,37 @@ def test_perf_closed_form_screen(report):
             ["tones per device", N_TONES],
             ["unique lanes", n_lanes],
             ["vectorized farm wall", f"{t_vec_farm * 1e3:.0f} ms"],
-            ["closed-form farm wall", f"{t_cf_farm * 1e3:.0f} ms"],
-            ["closed-form farm speedup", f"{cf_batch_speedup:.2f}x"],
-            ["closed-form lanes", f"{cf_stats.closed_form_lanes}"
-                                 f"/{n_lanes}"],
+            ["closed_form farm wall", f"{t_cf_farm * 1e3:.0f} ms"],
+            ["kernel lanes", f"{cf_stats.vector}/{n_lanes}"],
             ["cold screen wall", f"{t_cold:.2f} s"],
             ["vectorized screen wall", f"{walls['vectorized']:.2f} s"],
-            ["closed-form screen wall", f"{walls['closed_form']:.2f} s"],
+            ["closed_form screen wall", f"{walls['closed_form']:.2f} s"],
             ["auto screen wall", f"{walls['auto']:.2f} s"],
+            ["auto vs cold speedup", f"{speedup:.2f}x"],
             ["reports identical", "yes (byte-exact, all engines)"],
         ],
-        title=f"Closed-form tier ({CF_LOT_SIZE} corner-varied dies, "
+        title=f"Corner lot ({CF_LOT_SIZE} corner-varied dies, "
               f"{N_TONES}-tone screen)",
     )
-    report("perf_closed_form_screen", table)
+    report("perf_corner_screen", table)
 
     _merge_results_json({
-        "closed_form_farm_wall_s": round(t_cf_farm, 4),
-        "closed_form_vec_farm_wall_s": round(t_vec_farm, 4),
-        "closed_form_batch_speedup": round(cf_batch_speedup, 3),
-        "closed_form_bit_identical": farm_bit_identical,
-        "closed_form_screen": {
+        "vec_corner_speedup": round(speedup, 3),
+        "vec_corner_screen": {
             "lot_size": CF_LOT_SIZE,
             "tones": N_TONES,
+            "vec_farm_wall_s": round(t_vec_farm, 4),
+            "cf_farm_wall_s": round(t_cf_farm, 4),
+            "farm_bit_identical": farm_bit_identical,
             "cold_wall_s": round(t_cold, 4),
             "vec_wall_s": round(walls["vectorized"], 4),
             "cf_wall_s": round(walls["closed_form"], 4),
             "auto_wall_s": round(walls["auto"], 4),
             "byte_identical": screens_identical,
         },
-    })
+    }, remove=RETIRED_KEYS)
 
-    # The acceptance floor: the analytic tier must win outright against
-    # the (now much faster) lockstep farm on the corner lot (measured
-    # ~1.7x; the margin absorbs single-core timing noise).
-    assert cf_batch_speedup >= CF_BATCH_SPEEDUP_FLOOR
+    assert speedup >= CORNER_SCREEN_SPEEDUP_FLOOR
 
 
 SERVICE_WARM_SPEEDUP_FLOOR = 1.3

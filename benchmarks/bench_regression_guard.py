@@ -19,14 +19,14 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from check_regression import (  # noqa: E402
-    CF_BATCH_SPEEDUP_FLOOR,
+    CORNER_SCREEN_SPEEDUP_FLOOR,
     POPULATION_THROUGHPUT_FLOOR,
     SERVICE_LOAD_SPEEDUP_FLOOR,
     SLOWDOWN_THRESHOLD,
     VEC_BATCH_SPEEDUP_FLOOR,
     VEC_MEASURE_SPEEDUP_FLOOR,
     VEC_SINGLE_SPEEDUP_FLOOR,
-    check_closed_form_floor,
+    check_corner_screen_floor,
     check_namespaces,
     check_population,
     check_service_load,
@@ -143,48 +143,52 @@ def test_vec_batch_speedup_within_floor(report, paper_dut):
     assert not problems, problems
 
 
-def test_closed_form_batch_speedup_within_floor(report):
-    """The closed-form tier must stay faster than the lockstep farm.
+def test_corner_screen_speedup_within_floor(report):
+    """The farm must hold its >=5x floor on the corner-varied lot.
 
-    Re-measures the bench's corner-varied current-mode lot (104
-    physics-distinct lanes) through both presettle farms and applies
-    the absolute :data:`~check_regression.CF_BATCH_SPEEDUP_FLOOR` to
-    the wall ratio — one pair of best-of-2 walls, same machine noise,
-    only the ratio judged.  Skips against baselines that predate the
-    ``closed_form_batch_speedup`` key.
+    Re-screens the bench's corner-varied current-mode lot (104
+    physics-distinct lanes) cold on the scalar engine and with
+    ``engine="auto"``, and applies the absolute
+    :data:`~check_regression.CORNER_SCREEN_SPEEDUP_FLOOR` to the wall
+    ratio — one round each, same machine noise, only the ratio judged.
+    Skips against baselines that predate the ``vec_corner_speedup``
+    key.
     """
-    from bench_perf_sweep import _farm_wall, cdr_corner_lot
+    from bench_perf_sweep import cdr_corner_lot
+    from repro.core.warm import LockStateCache
+    from repro.reporting import batch_device_reports
 
     baseline = load_committed()
     if baseline is None:
         pytest.skip("no committed BENCH_sweep.json baseline at HEAD")
-    if baseline.get("closed_form_batch_speedup") is None:
-        pytest.skip("baseline predates the closed-form tier")
+    if baseline.get("vec_corner_speedup") is None:
+        pytest.skip("baseline predates the corner-lot screen floor")
 
-    __, jobs = cdr_corner_lot()
-    t_vec, __, vec_cache = _farm_wall(jobs, "vectorized")
-    t_cf, cf_stats, cf_cache = _farm_wall(jobs, "closed_form")
-
-    vec_entries = dict(vec_cache.export())
-    cf_entries = dict(cf_cache.export())
-    identical = vec_entries.keys() == cf_entries.keys() and all(
-        cf_entries[key] == snap for key, snap in vec_entries.items()
+    requests, jobs = cdr_corner_lot()
+    t0 = time.perf_counter()
+    cold_reports = batch_device_reports(requests)
+    t_cold = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    auto_reports = batch_device_reports(
+        requests, cache=LockStateCache(), engine="auto"
     )
+    t_auto = time.perf_counter() - t0
+
     fresh = {
-        "closed_form_batch_speedup": round(t_vec / t_cf, 3),
-        "closed_form_bit_identical": identical,
+        "vec_corner_speedup": round(t_cold / t_auto, 3),
+        "vec_corner_screen": {"byte_identical":
+                              auto_reports == cold_reports},
     }
-    problems = check_closed_form_floor(baseline, fresh)
+    problems = check_corner_screen_floor(baseline, fresh)
 
     verdict = "PASS" if not problems else "; ".join(problems)
-    report("perf_closed_form_guard", "\n".join([
-        f"lot             : {len(jobs)} devices, "
-        f"{cf_stats.unique} unique lanes",
-        f"vectorized wall : {t_vec:.4f} s",
-        f"closed-form wall: {t_cf:.4f} s",
-        f"speedup         : {fresh['closed_form_batch_speedup']:.2f}x "
-        f"(floor {CF_BATCH_SPEEDUP_FLOOR:.1f}x)",
-        f"bit-identical   : {fresh['closed_form_bit_identical']}",
+    report("perf_corner_screen_guard", "\n".join([
+        f"lot             : {len(jobs)} devices",
+        f"scalar cold wall: {t_cold:.4f} s",
+        f"auto wall       : {t_auto:.4f} s",
+        f"speedup         : {fresh['vec_corner_speedup']:.2f}x "
+        f"(floor {CORNER_SCREEN_SPEEDUP_FLOOR:.1f}x)",
+        f"byte-identical  : {fresh['vec_corner_screen']['byte_identical']}",
         f"verdict         : {verdict}",
     ]))
     assert not problems, problems

@@ -775,12 +775,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "lock detection (approximate, never slower)")
     p.add_argument("--engine", default="scalar", choices=ENGINES,
                    help="stage-0 settle engine: per-tone scalar event "
-                        "loops, the NumPy settle farm batching the "
-                        "plan's tones as lanes, the closed_form "
-                        "analytic per-edge tier, or auto (closed_form "
-                        "-> vectorized -> scalar per lane); results are "
-                        "bit-identical on every engine, the farm "
-                        "engines require --settle fixed")
+                        "loops, or the settle farm running the plan's "
+                        "tones as lanes on one per-lane kernel "
+                        "(vectorized, closed_form and auto name the "
+                        "same farm; auto also accepts --settle "
+                        "adaptive, running it scalar); results are "
+                        "bit-identical on every engine, vectorized and "
+                        "closed_form require --settle fixed")
     p.add_argument("--profile", default=None, metavar="PATH",
                    help="cProfile the sweep; write the pstats dump to a "
                         "unique per-invocation variant of PATH and print "
@@ -814,10 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write one markdown report per device here")
     p.add_argument("--engine", default="scalar", choices=ENGINES,
                    help="stage-0 settle engine: per-device scalar event "
-                        "loops, the NumPy lockstep settle farm, the "
-                        "closed_form analytic per-edge tier, or auto "
-                        "(tiered per lane); reports are byte-identical "
-                        "on every engine")
+                        "loops, or the settle farm's per-lane kernel "
+                        "(vectorized, closed_form and auto name the "
+                        "same farm); reports are byte-identical on "
+                        "every engine")
     p.add_argument("--profile", default=None, metavar="PATH",
                    help="cProfile the lot screen; write the pstats dump "
                         "to a unique per-invocation variant of PATH and "
@@ -861,8 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="device worker processes per chunk (default 1)")
     p.add_argument("--engine", default="auto", choices=ENGINES,
-                   help="stage-0 settle engine (default auto: closed_form "
-                        "-> vectorized -> scalar per lane)")
+                   help="stage-0 settle engine (default auto: the settle "
+                        "farm's per-lane kernel, scalar for lanes it "
+                        "cannot represent)")
     p.add_argument("--jsonl", default=None, metavar="PATH",
                    help="stream one JSON record per die to this file")
     p.add_argument("--quiet", action="store_true",
@@ -932,10 +934,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stage-0 policy: Table 2 fixed wait, or adaptive "
                         "lock detection (approximate, never slower)")
     p.add_argument("--engine", default="scalar", choices=ENGINES,
-                   help="stage-0 settle engine for this job (vectorized "
-                        "presettles the plan on the NumPy lockstep farm, "
-                        "closed_form/auto on the tiered analytic farm; "
-                        "bit-identical results)")
+                   help="stage-0 settle engine for this job (vectorized, "
+                        "closed_form and auto presettle the plan on the "
+                        "settle farm's per-lane kernel; bit-identical "
+                        "results)")
     p.add_argument("--job-timeout", type=float, default=None,
                    help="abort the job at the next tone boundary after "
                         "this many seconds of running time")

@@ -225,18 +225,15 @@ class TransferFunctionMonitor:
 
         ``engine`` selects how stage 0 (the settle) is simulated:
         ``"scalar"`` (default) runs each tone's settle inside its own
-        event loop as before; ``"vectorized"`` first advances every
-        cacheable tone of the plan in lockstep on the NumPy settle farm
+        event loop as before; ``"vectorized"`` first settles every
+        cacheable tone of the plan on the settle farm's per-lane kernel
         (:func:`repro.pll.lot.premeasure_lot`), warming
         :attr:`lock_cache` — and, on the serial in-process path, carries
         the lanes on through stages 1–4 so the sweep's tones are
         answered from finished measurements (or published failures) —
         then runs the same sweep, warm;
-        ``"closed_form"`` presettles through the analytic per-edge tier
-        (:class:`~repro.sim.closed_form.ClosedFormLotSimulator`), which
-        itself cascades ineligible lanes to the vectorized and scalar
-        tiers; ``"auto"`` is the tiered policy — the same cascade, and
-        where a named farm engine would refuse (an adaptive settle
+        ``"closed_form"`` names the same farm; ``"auto"`` does too,
+        and where a named farm engine would refuse (an adaptive settle
         policy) it degrades to the scalar path instead of raising.
         Counted results are bit-identical on every engine (the farm's
         snapshot guarantee); only wall time changes.  The named farm

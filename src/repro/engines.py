@@ -1,26 +1,19 @@
 """The settle-engine vocabulary, shared by every layer that selects one.
 
-Stage 0 of the Table 2 tone sequence — the fixed settling wait — can be
-simulated by three engines plus an automatic tier:
+Stage 0 of the Table 2 tone sequence — the fixed settling wait — is
+simulated either by the scalar reference or by the settle farm:
 
 * ``"scalar"`` — the reference :class:`~repro.pll.simulator.\
   PLLTransientSimulator` event loop, one tone at a time.  Always
   correct, always available; every other engine is judged against its
   bits.
-* ``"vectorized"`` — the lockstep settle farm
-  (:class:`~repro.sim.vectorized.VectorizedLotSimulator`): NumPy array
-  ops across lanes, per-lane kernels for narrow farms, scalar ejection
-  for anything the arrays cannot represent.
-* ``"closed_form"`` — the analytic per-edge tier
-  (:class:`~repro.sim.closed_form.ClosedFormLotSimulator`): lanes whose
-  physics admit closed-form inter-event state updates (linear VCO,
-  current-mode/tri-state drives into a passive filter, ideal tri-state
-  PFD) advance edge-to-edge with no segment evolution; everything else
-  cascades to the vectorized farm and from there to scalar.
-* ``"auto"`` — resolve the tier per lane automatically
-  (closed_form → vectorized → scalar) and degrade gracefully: where a
-  named farm engine would raise (an adaptive settle policy, an
-  unbatchable plan), ``auto`` simply runs scalar.
+* ``"vectorized"``, ``"closed_form"`` and ``"auto"`` — three names for
+  the same farm (:class:`~repro.sim.vectorized.VectorizedLotSimulator`):
+  every lane settles (and measures) on one per-lane kernel that
+  advances the loop edge-to-edge in closed form, and anything the
+  kernel cannot represent ejects to a scalar finish.  They differ in
+  one policy only: where ``vectorized``/``closed_form`` raise (an
+  adaptive settle policy), ``auto`` simply runs scalar.
 
 The tuple and validator live here — away from the NumPy-importing farm
 modules — so the CLI, the service protocol and the orchestration layers

@@ -1,7 +1,7 @@
 """Lot-level settle planning for the vectorized engine.
 
 :func:`premeasure_lot` is the bridge between the batch-screening /
-sweep layers and the lockstep settle farm
+sweep layers and the settle farm
 (:class:`~repro.sim.vectorized.VectorizedLotSimulator`).  Given the
 (device, stimulus, config, tones) jobs of a lot, it:
 
@@ -12,9 +12,10 @@ sweep layers and the lockstep settle farm
 2. deduplicates: behaviourally identical dies (equal physics
    signatures) collapse to one *lane* per unique key, which is where
    an 8-identical-die lot turns 104 settles into 13;
-3. runs the unique lanes through the farm (unsupported lanes settle
-   on the scalar engine instead — correctness never depends on the
-   fast path) and stores the resulting snapshots in ``cache``.
+3. runs the unique lanes through the farm's per-lane kernel
+   (unsupported lanes settle on the scalar engine instead —
+   correctness never depends on the fast path) and stores the
+   resulting snapshots in ``cache``.
 
 The orchestrating sweep then runs exactly as before: every stage-0
 lookup hits warm, and stages 1–4 (counters, peak detection, eq. 7–8)
@@ -46,6 +47,7 @@ from repro.core.sequencer import ToneTestSequencer
 from repro.core.warm import LockStateCache, ToneMeasurementCache
 from repro.engines import FARM_ENGINES, validate_engine
 from repro.pll.simulator import RecordLevel
+from repro.sim.closed_form import ClosedFormLotSimulator
 from repro.sim.vectorized import (
     MeasureSpec,
     SettleLane,
@@ -66,13 +68,15 @@ class LotPresettleStats:
     unique: int = 0       # lanes actually settled (after dedup)
     cached: int = 0       # keys already present in the cache
     skipped: int = 0      # uncacheable tones left to the scalar sweep
-    closed_form_lanes: int = 0  # lanes completed by the analytic tier
-    vector: int = 0       # lanes completed inside the lockstep farm
-    drained: int = 0      # lockstep start, scalar finish (stragglers)
+    # ``closed_form_lanes`` and ``drained`` name tiers the farm no
+    # longer has and always read 0; perfbench's tracer still reads them.
+    closed_form_lanes: int = 0
+    vector: int = 0       # lanes completed on the farm's kernel
+    drained: int = 0
     ejected: int = 0      # left the fast path mid-flight, scalar finish
     scalar: int = 0       # unsupported lanes, full scalar settle
     failed: int = 0       # settle raised; lane left cold
-    tones_vectorized: int = 0  # lanes that finished on any fast path
+    tones_vectorized: int = 0  # lanes that finished on the kernel
     hct4046_lanes: int = 0     # lanes with a recognised nonlinear VCO law
     measured: int = 0          # stage 1-4 measurements finished in-farm
     measure_ejected: int = 0   # measurement lanes handed back to scalar
@@ -85,8 +89,7 @@ class LotPresettleStats:
         text = (
             f"presettle: {self.tones} tones -> {self.unique} unique lanes "
             f"({self.cached} already warm, {self.skipped} uncacheable); "
-            f"{self.closed_form_lanes} closed-form / {self.vector} vector "
-            f"/ {self.drained} drained / {self.ejected} ejected / "
+            f"{self.vector} vector / {self.ejected} ejected / "
             f"{self.scalar} scalar; "
             f"{self.tones_vectorized} tones vectorized, "
             f"{self.hct4046_lanes} nonlinear lanes"
@@ -108,7 +111,6 @@ def premeasure_lot(
     measurement_cache: Optional[ToneMeasurementCache] = None,
     *,
     record: Union[RecordLevel, str] = RecordLevel.COUNTERS,
-    drain_width: int = 8,
     engine: str = "vectorized",
 ) -> LotPresettleStats:
     """Warm ``cache`` (and optionally ``measurement_cache``) for a lot.
@@ -135,13 +137,9 @@ def premeasure_lot(
     the settled snapshot.  Without ``measurement_cache`` only the
     settle runs.
 
-    ``engine`` picks the farm the unique lanes run through:
-    ``"vectorized"`` (default) is the lockstep farm as before;
-    ``"closed_form"`` and ``"auto"`` run the tiered
-    :class:`~repro.sim.closed_form.ClosedFormLotSimulator`, which
-    settles analytically-eligible lanes per edge and cascades the rest
-    to the vectorized and scalar tiers (both names resolve tiers per
-    lane, so at this level they are the same farm).
+    ``engine`` names the farm: ``"vectorized"`` (default),
+    ``"closed_form"`` and ``"auto"`` all settle every supported lane on
+    the same per-lane kernel, so at this level they are one farm.
     """
     validate_engine(engine, FARM_ENGINES)
     record = RecordLevel.coerce(record)
@@ -202,13 +200,9 @@ def premeasure_lot(
         cache.presettle_stats = stats
         return stats
     if engine == "vectorized":
-        farm = VectorizedLotSimulator(lanes, drain_width=drain_width)
+        farm = VectorizedLotSimulator(lanes)
     else:
-        # Imported lazily for symmetry with the monitor: scalar-only
-        # and vectorized-only callers never pay for the extra tier.
-        from repro.sim.closed_form import ClosedFormLotSimulator
-
-        farm = ClosedFormLotSimulator(lanes, drain_width=drain_width)
+        farm = ClosedFormLotSimulator(lanes)
     for key, mkey, result in zip(keys, mkeys, farm.run()):
         if result.mode == "warm":
             # Re-entered from the settle cache for measurement only;
@@ -219,14 +213,9 @@ def premeasure_lot(
                 cache.put(key, result.snapshot)
             else:
                 stats.failed += 1
-            if result.mode == "closed_form":
-                stats.closed_form_lanes += 1
-                stats.tones_vectorized += 1
-            elif result.mode == "vector":
+            if result.mode == "vector":
                 stats.vector += 1
                 stats.tones_vectorized += 1
-            elif result.mode == "drained":
-                stats.drained += 1
             elif result.mode == "ejected":
                 stats.ejected += 1
             else:

@@ -158,8 +158,8 @@ def screen_population(
     n_workers / engine:
         Forwarded to :func:`~repro.reporting.device_report.batch_device_screen`
         per chunk — a pool fans each chunk out with per-chunk-filtered
-        warm entries; ``engine`` selects the settle tier (``"auto"``
-        cascades closed-form → vectorized → scalar per lane).
+        warm entries; ``engine`` selects the settle engine (``"auto"``
+        settles each chunk's lanes on the farm's per-lane kernel).
     cache:
         Warm :class:`~repro.core.warm.LockStateCache` shared across
         chunks (created with a 4096-entry LRU bound when omitted — the

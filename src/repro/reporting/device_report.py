@@ -430,16 +430,12 @@ def batch_device_reports(
     device cold, preserving the historical behaviour.
 
     ``engine`` selects the lot's farm engine.  ``"vectorized"``
-    first advances every unique (physics, stimulus, tone) lane of the
-    whole lot in lockstep on the NumPy farm
+    first runs every unique (physics, stimulus, tone) lane of the
+    whole lot on the settle farm's per-lane kernel
     (:func:`repro.pll.lot.premeasure_lot`) — one pass over the lot's
     deduplicated settle *and* stage 1-4 measurement work — and then
-    screens warm exactly as above.
-    ``"closed_form"`` and ``"auto"`` presettle through the tiered
-    analytic farm instead
-    (:class:`~repro.sim.closed_form.ClosedFormLotSimulator`): eligible
-    lanes advance edge-to-edge in closed form and everything else
-    cascades to the vectorized and scalar tiers per lane.  Reports stay
+    screens warm exactly as above.  ``"closed_form"`` and ``"auto"``
+    name the same farm.  Reports stay
     byte-identical to the scalar engine on every path (the snapshot
     guarantee); only wall time changes.  A private cache is created
     when ``cache`` is ``None`` so the presettled states are actually

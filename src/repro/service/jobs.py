@@ -97,11 +97,12 @@ class SweepJobRequest:
     #: Priority class; the scheduler drains higher classes first
     #: (ties broken round-robin per client, then submission order).
     priority: int = 0
-    #: Stage-0 settle engine: ``"scalar"`` (per-tone event loops),
-    #: ``"vectorized"`` (the plan presettles on the NumPy lockstep farm,
-    #: warming the service's shared cache; bit-identical results),
-    #: ``"closed_form"`` (the tiered analytic per-edge farm) or
-    #: ``"auto"`` (resolve closed_form → vectorized → scalar per lane).
+    #: Stage-0 settle engine: ``"scalar"`` (per-tone event loops) or
+    #: one of the farm names ``"vectorized"``, ``"closed_form"`` and
+    #: ``"auto"``, which all presettle the plan on the settle farm's
+    #: per-lane kernel, warming the service's shared cache
+    #: (bit-identical results; ``"auto"`` also accepts an adaptive
+    #: settle, running it scalar).
     engine: str = "scalar"
 
     def __post_init__(self) -> None:

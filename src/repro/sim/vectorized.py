@@ -5,14 +5,12 @@ one device edge-to-edge with closed-form analogue segments.  Stage 0 of
 the Table 2 tone sequence — the fixed settling wait — dominates a cold
 sweep's cost and touches no measurement hardware, so its event loop is
 a pure function of (device physics, stimulus, tone).  This module runs
-*many* such settles.  Wide farms step in lockstep: every live lane
-holds its scalar loop state in NumPy arrays (capacitor voltage, VCO
-phase accumulator, PFD flip-flops, pending reset, reference-edge
-cursor) and each iteration dispatches exactly one event per lane, with
-the segment algebra applied as array arithmetic across lanes.  Narrow
-farms, lockstep stragglers and turn-on-delay lanes run on the per-lane
-kernel instead — a specialised scalar transcription of the same event
-loop.
+*many* such settles, each lane on one per-lane kernel
+(:meth:`VectorizedLotSimulator._kernel_run`): a specialised scalar
+transcription of the same event loop, with the segment laws unpacked
+into locals and the inter-event update written out in closed form —
+the polynomial (ramp/hold) or exponential update between PFD switching
+instants that Kuznetsov et al. (arXiv:1901.01468) derive.
 
 The kernel also carries Table 2 stages 1–4.  A lane with a
 :class:`MeasureSpec` re-enters it from its settled snapshot; the stage
@@ -32,33 +30,27 @@ measures a :class:`~repro.core.sequencer.ToneMeasurement` (or a
 sequencer's.  That holds because:
 
 * every floating-point expression replicates the scalar engine's
-  operation sequence exactly (same association, same operand order) —
-  basic IEEE arithmetic is elementwise-identical between Python floats
-  and NumPy float64;
+  operation sequence exactly (same association, same operand order);
 * transcendentals go through scalar :func:`math.exp` /
-  :func:`math.expm1` per element (NumPy's differ in the last ulp on a
-  few percent of arguments);
-* reference edges come from the *real* stimulus source, generated once
-  per (stimulus, tone) group and shared by every lane in the group;
-* a charge pump with a turn-on delay (the dead-zone fault) runs on the
-  per-lane kernel only, which carries the scalar engine's
-  pending-activation event; the lockstep arrays never see such lanes;
+  :func:`math.expm1`, as in the scalar engine;
+* reference edges come from the *real* stimulus source's phase law,
+  generated once per (stimulus, tone) group and shared by every lane in
+  the group;
+* a charge pump with a turn-on delay (the dead-zone fault) carries the
+  scalar engine's pending-activation event through the kernel;
 * any lane the farm cannot represent faithfully — VCO clamp
   excursion, an unrecognised tuning curve, an exotic filter, a PFD
-  anomaly — is *ejected*: its array state (a valid event-boundary
-  snapshot, a pending activation included) is materialised and a
-  scalar simulator finishes the settle, so correctness never depends
-  on the fast path.  A lane ejected mid-measurement keeps its settled
+  anomaly — is *ejected*: its state (a valid event-boundary snapshot,
+  a pending activation included) is materialised and a scalar
+  simulator finishes the settle, so correctness never depends on the
+  fast path.  A lane ejected mid-measurement keeps its settled
   snapshot and the orchestrating sweep measures it scalar.
-
-The farm also drains itself: when fewer than ``drain_width`` lanes
-remain live, lockstep NumPy overhead loses to the per-lane kernel, so
-the stragglers finish there.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -98,14 +90,14 @@ __all__ = ["MeasureSpec", "SettleLane", "LaneResult",
 
 
 class _Unsupported(Exception):
-    """Internal: this lane cannot be represented in the array engine."""
+    """Internal: this lane cannot be represented on the farm kernel."""
 
 
 # Segment-law kinds, per (physics, drive) row.
 _CONST, _RAMP, _EXP = 0, 1, 2
 
-# Event kinds, per lane per iteration.  ``_ACT`` (the pump's delayed
-# switch-on) occurs only in the per-lane settle kernel.
+# Event kinds the kernel dispatches; ``_ACT`` is the pump's delayed
+# switch-on.
 _END, _REF, _FB, _RESET, _ACT = 0, 1, 2, 3, 4
 
 
@@ -169,12 +161,20 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
     :meth:`~repro.stimulus.waveforms.EdgeSourceBase.next_edge` with the
     phase/frequency laws of
     :class:`~repro.stimulus.waveforms.PiecewiseConstantFrequencySource`
-    unrolled into locals (same expressions, same operation order, same
-    solver iteration), producing bit-identical edge times several times
-    faster than the generic method-dispatch path.  Returns ``None``
-    whenever the source is not the exact expected type and state, or any
-    condition the generic path would treat as an error arises — the
-    caller then falls back to pulling edges from the real source.
+    flattened into the loop body (same expressions, same operation
+    order, same solver iteration), producing bit-identical edge times
+    several times faster than the generic method-dispatch path.  The
+    source's linear segment scan takes the first ``i`` with
+    ``frac_t <= t1s[i]``; on the sorted segment end times (every dwell
+    is positive) that is exactly ``bisect_left(t1s, frac_t)``, so the
+    selected segment — and every computed value — is unchanged.  Each
+    edge costs ~27 phase/frequency evaluations, and the frequency at an
+    instant whose phase was just evaluated rides along for free.
+
+    Returns ``None`` whenever the source is not the exact expected type
+    and state, or any condition the generic path would treat as an
+    error arises — the caller then falls back to pulling edges from the
+    real source.
     """
     if type(source) is not PiecewiseConstantFrequencySource:
         return None
@@ -192,28 +192,7 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
     t1s = [b[0] for b in bounds[1:]]
     fs = [f for f, _d in sched]
     floor = math.floor
-    seg_range = range(n_seg)
-
-    def phase_at(t):
-        rel = t - start
-        if rel <= 0.0:
-            return rel * f0
-        cycles = floor(rel / cyc)
-        frac_t = rel - cycles * cyc
-        for i in seg_range:
-            if frac_t <= t1s[i]:
-                return (cycles * ppc + p0s[i]) + fs[i] * (frac_t - t0s[i])
-        return (cycles * ppc + ppc) + f0 * 0.0
-
-    def freq_at(t):
-        rel = t - start
-        if rel <= 0.0:
-            return f0
-        frac_t = rel - floor(rel / cyc) * cyc
-        for i in seg_range:
-            if frac_t <= t1s[i]:
-                return fs[i]
-        return f0
+    bisect = bisect_left
 
     edges: List[float] = []
     t_last = start
@@ -222,20 +201,55 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
         k += 1
         target = float(k)
         lo = t_last
-        f_lo = freq_at(lo)
+        # f_lo = freq_at(lo)
+        rel = lo - start
+        if rel <= 0.0:
+            f_lo = f0
+        else:
+            frac_t = rel - floor(rel / cyc) * cyc
+            i = bisect(t1s, frac_t)
+            f_lo = fs[i] if i < n_seg else f0
         if f_lo <= 0.0:
             return None
         hi = lo + 1.5 / f_lo
         for _ in range(64):
-            if phase_at(hi) >= target:
+            # ph = phase_at(hi); the frequency at the same instant
+            # shares rel/frac_t/i, so it rides along for free.
+            rel = hi - start
+            if rel <= 0.0:
+                ph = rel * f0
+                fq = f0
+            else:
+                cycles = floor(rel / cyc)
+                frac_t = rel - cycles * cyc
+                i = bisect(t1s, frac_t)
+                if i < n_seg:
+                    ph = (cycles * ppc + p0s[i]) + fs[i] * (frac_t - t0s[i])
+                    fq = fs[i]
+                else:
+                    ph = (cycles * ppc + ppc) + f0 * 0.0
+                    fq = f0
+            if ph >= target:
                 break
             lo = hi
-            hi = lo + 1.5 / max(freq_at(lo), 1e-12)
+            hi = lo + 1.5 / max(fq, 1e-12)
         else:
             return None
         # solve_increasing(phase_at, target, lo, hi, derivative=freq_at)
-        f_lo_b = phase_at(lo) - target
-        f_hi_b = phase_at(hi) - target
+        f_hi_b = ph - target  # ph is phase_at(hi) from the bracket break
+        # f_lo_b = phase_at(lo) - target
+        rel = lo - start
+        if rel <= 0.0:
+            ph = rel * f0
+        else:
+            cycles = floor(rel / cyc)
+            frac_t = rel - cycles * cyc
+            i = bisect(t1s, frac_t)
+            if i < n_seg:
+                ph = (cycles * ppc + p0s[i]) + fs[i] * (frac_t - t0s[i])
+            else:
+                ph = (cycles * ppc + ppc) + f0 * 0.0
+        f_lo_b = ph - target
         if f_lo_b > 0.0 or f_hi_b < 0.0:
             return None
         if f_lo_b == 0.0:
@@ -249,7 +263,24 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
                 if hi - lo <= 1e-13:
                     t_edge = 0.5 * (lo + hi)
                     break
-                f_x = phase_at(x) - target
+                # f_x = phase_at(x) - target, keeping the segment index
+                # for the derivative below (freq_at(x) shares it).
+                rel = x - start
+                if rel <= 0.0:
+                    ph = rel * f0
+                    d = f0
+                else:
+                    cycles = floor(rel / cyc)
+                    frac_t = rel - cycles * cyc
+                    i = bisect(t1s, frac_t)
+                    if i < n_seg:
+                        ph = (cycles * ppc + p0s[i]) \
+                            + fs[i] * (frac_t - t0s[i])
+                        d = fs[i]
+                    else:
+                        ph = (cycles * ppc + ppc) + f0 * 0.0
+                        d = f0
+                f_x = ph - target
                 if f_x == 0.0:
                     t_edge = x
                     break
@@ -258,7 +289,6 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
                 else:
                     hi = x
                 x_next = None
-                d = freq_at(x)
                 if d > 0.0:
                     candidate = x - f_x / d
                     if lo < candidate < hi:
@@ -276,93 +306,6 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
         edges.append(t_edge)
         if t_edge > t_end:
             return edges
-
-
-def _solve_fb_crossing(kind, out_v, o_asym, tau, slope, half,
-                       base_hz, gain, f_center, v_center,
-                       f_min, f_max, v_lo, v_hi, need, dt_h):
-    """Feedback-edge crossing time for one linear-VCO ramp/exp lane.
-
-    A bit-exact transcription of ``VCO.time_to_phase``'s reachability
-    guard plus ``solve_increasing``'s safeguarded Newton iteration for
-    the unclamped single-piece case — the same inlined solver the
-    per-lane settle kernel carries, shared by the lockstep steppers so
-    their per-lane solving loops skip the generic path's segment
-    objects and closure allocations.  Every floating-point expression
-    replicates the scalar operand order exactly.
-
-    Returns ``(dt_fb, eject)``: ``dt_fb`` is ``None`` when the target
-    phase is not reached inside ``[0, dt_h]``; ``eject`` is ``True``
-    when the window leaves the VCO clamp band mid-solve (the scalar
-    engine subdivides there; the farm hands the lane off instead) or
-    the iteration budget is exhausted (the scalar engine raises).
-    """
-    exp_ = math.exp
-    expm1_ = math.expm1
-    gap0 = out_v - o_asym
-    gk = gap0 * tau
-    # pa(dt_h): time_to_phase's bracketing guard.
-    if kind == _EXP:
-        x = -dt_h / tau
-        v1 = o_asym + gap0 * exp_(x)
-        va, vb = (v1, out_v) if v1 < out_v else (out_v, v1)
-        if not (v_lo <= va and vb <= v_hi):
-            return None, True
-        pa_hi = base_hz * dt_h + gain * (o_asym * dt_h + gk * -expm1_(x))
-    else:  # _RAMP
-        v1 = out_v + slope * dt_h
-        va, vb = (v1, out_v) if v1 < out_v else (out_v, v1)
-        if not (v_lo <= va and vb <= v_hi):
-            return None, True
-        pa_hi = base_hz * dt_h + gain * (out_v * dt_h + (half * dt_h) * dt_h)
-    if pa_hi < need:
-        return None, False
-    # solve_increasing(pa, need, 0.0, dt_h): pa(0) == 0 so the lower
-    # bracket check never trips (f_lo = -need < 0).
-    if pa_hi == need:
-        return dt_h, False
-    lo = 0.0
-    hi = dt_h
-    x_s = 0.5 * (lo + hi)
-    for _ in range(200):
-        if hi - lo <= 1e-13:
-            return 0.5 * (lo + hi), False
-        if kind == _EXP:
-            x = -x_s / tau
-            v1 = o_asym + gap0 * exp_(x)
-            va, vb = (v1, out_v) if v1 < out_v else (out_v, v1)
-            if not (v_lo <= va and vb <= v_hi):
-                return None, True
-            pa_x = base_hz * x_s + gain * (o_asym * x_s + gk * -expm1_(x))
-        else:
-            v1 = out_v + slope * x_s
-            va, vb = (v1, out_v) if v1 < out_v else (out_v, v1)
-            if not (v_lo <= va and vb <= v_hi):
-                return None, True
-            pa_x = base_hz * x_s + gain * (out_v * x_s + (half * x_s) * x_s)
-        f_x = pa_x - need
-        if f_x == 0.0:
-            return x_s, False
-        if f_x < 0.0:
-            lo = x_s
-        else:
-            hi = x_s
-        # Newton candidate off the segment's instantaneous frequency.
-        if kind == _EXP:
-            v_d = o_asym + gap0 * exp_(-x_s / tau)
-        else:
-            v_d = out_v + slope * x_s
-        f_d = f_center + gain * (v_d - v_center)
-        f_d = min(max(f_d, f_min), f_max)
-        x_next = None
-        if f_d > 0.0:
-            candidate = x_s - f_x / f_d
-            if lo < candidate < hi:
-                x_next = candidate
-        if x_next is None:
-            x_next = 0.5 * (lo + hi)
-        x_s = x_next
-    return None, True  # budget exhausted: scalar raises ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -403,13 +346,13 @@ class SettleLane:
 class LaneResult:
     """Outcome of one lane.
 
-    ``mode`` is ``"vector"`` (completed in the farm), ``"drained"``
-    (lockstep start, per-lane kernel finish), ``"ejected"`` (left the
-    supported envelope mid-flight, scalar finish), ``"scalar"`` (never entered
-    the farm; full scalar settle) or ``"warm"`` (stage 0 skipped — the
-    lane entered presettled).  ``snapshot`` is ``None`` when the
-    scalar path raised — the caller should leave that lane cold so the
-    orchestrating sweep reproduces the identical error itself.
+    ``mode`` is ``"vector"`` (completed on the farm's kernel),
+    ``"ejected"`` (left the supported envelope mid-flight, scalar
+    finish), ``"scalar"`` (never entered the farm; full scalar settle)
+    or ``"warm"`` (stage 0 skipped — the lane entered presettled).
+    ``snapshot`` is ``None`` when the scalar path raised — the caller
+    should leave that lane cold so the orchestrating sweep reproduces
+    the identical error itself.
     ``nonlinear`` marks lanes whose device carries a recognised
     nonlinear (4046-style) VCO tuning curve.  ``measurement`` is set
     when the lane carried a :class:`MeasureSpec` and the farm ran its
@@ -551,11 +494,11 @@ class _PhysicsTable:
                     raise _Unsupported("nonlinear tuning law mismatch")
             self.nonlinear = True
             self.law = law
-        #: Pump switch-on delay; non-zero lanes settle on the kernel
-        #: only (the one transcription of the pending-activation event).
+        #: Pump switch-on delay: a non-zero one arms the kernel's
+        #: pending-activation event.
         self.turn_on_delay = float(getattr(pump, "turn_on_delay", 0.0))
         if math.isnan(self.turn_on_delay):
-            # NaN is the lane arrays' "no activation pending" sentinel.
+            # An activation due at NaN never compares due: scalar only.
             raise _Unsupported("NaN pump turn-on delay")
         try:
             self.base_hz = vco._base_hz
@@ -565,6 +508,8 @@ class _PhysicsTable:
             raise _Unsupported("VCO without precomputed clamp window")
         self.pll = pll
         self.vco = vco
+        #: The scalar engine's initial filter state (the nominal lock).
+        self.vc_lock = float(probe_vc)
         self.gain = vco.gain_hz_per_v
         self.f_center = vco.f_center
         self.v_center = vco.v_center
@@ -584,9 +529,13 @@ class _PhysicsTable:
         # tabulated over the interned drives.
         self.same = [[a is b or a == b for b in self.drives]
                      for a in self.drives]
-        self.laws = [_build_law(filt, d) for d in self.drives]
-        for drive, row in zip(self.drives, self.laws):
+        laws = [_build_law(filt, d) for d in self.drives]
+        for drive, row in zip(self.drives, laws):
             _verify_law(filt, drive, row, probe_vc)
+        #: One segment law per interned drive, as a flat tuple the
+        #: kernel unpacks into its locals.
+        self.law_rows = [(r.kind, r.asym, r.tau, r.slope, r.half_slope,
+                          r.o_a, r.o_b, r.o_asym, r.o_off) for r in laws]
 
     def _intern(self, drive: Drive) -> int:
         for i, d in enumerate(self.drives):
@@ -607,13 +556,6 @@ class _PhysicsTable:
         return None
 
 
-@dataclass
-class _EdgeGroup:
-    """Shared reference-edge stream for one (stimulus, tone) family."""
-
-    edges: np.ndarray
-
-
 class VectorizedLotSimulator:
     """Settle N lanes (and measure those that ask); see the module docstring.
 
@@ -622,32 +564,15 @@ class VectorizedLotSimulator:
     lanes:
         The settle jobs; lanes with equal (stimulus cache key, tone)
         share one generated reference-edge stream.
-    drain_width:
-        When at most this many lanes remain live in *lockstep*, they
-        leave it for the per-lane kernel.
-    lockstep_width:
-        The lockstep/kernel crossover, applied symmetrically.  Farms
-        narrower than this settle each lane on the per-lane kernel
-        (:meth:`_kernel_run`) — a specialised scalar
-        transcription of the event loop that beats both the lockstep
-        arrays (whose per-iteration overhead needs many lanes to
-        amortise) and the general simulator (whose per-event object
-        machinery it peels away).  Farms at least this wide use the
-        lockstep arrays — and once retirements thin the live set back
-        below the crossover, the stragglers finish on the kernel too
-        (mode ``"drained"``).  ``0`` forces lockstep for any width.
 
-    Stages 1–4 always run on the kernel, one lane at a time: every
-    settled lane with a :class:`MeasureSpec` measures in-farm whatever
-    the farm's width.
+    Every lane the farm can represent settles on the per-lane kernel
+    (:meth:`_kernel_run`), whatever the farm's width; every settled lane
+    with a :class:`MeasureSpec` then runs stages 1–4 on the same kernel.
     """
 
-    def __init__(self, lanes: Sequence[SettleLane], drain_width: int = 8,
-                 lockstep_width: int = 64):
+    def __init__(self, lanes: Sequence[SettleLane]):
         self.lanes = list(lanes)
-        self.drain_width = max(0, int(drain_width))
-        self.lockstep_width = max(0, int(lockstep_width))
-        self.stats = {"vector": 0, "drained": 0, "ejected": 0, "scalar": 0,
+        self.stats = {"vector": 0, "ejected": 0, "scalar": 0,
                       "failed": 0, "nonlinear": 0, "warm": 0,
                       "measured": 0, "measure_ejected": 0,
                       "measure_failed": 0}
@@ -666,7 +591,7 @@ class VectorizedLotSimulator:
     # ------------------------------------------------------------------
     def _prepare(self) -> None:
         tables: Dict[int, _PhysicsTable] = {}
-        groups: Dict[Tuple, _EdgeGroup] = {}
+        groups: Dict[Tuple, Optional[List[float]]] = {}
         group_end: Dict[Tuple, float] = {}
         group_lanes: Dict[Tuple, List[int]] = {}
 
@@ -691,21 +616,17 @@ class VectorizedLotSimulator:
             group_end[key] = max(group_end.get(key, 0.0), end)
             group_lanes.setdefault(key, []).append(pos)
 
-        supported: List[Tuple[int, _PhysicsTable, _EdgeGroup]] = []
+        supported: List[Tuple[int, _PhysicsTable, List[float]]] = []
         for pos, table, key in candidates:
             if key not in groups:
-                group = self._generate_edges(self.lanes[pos], group_end[key])
-                if group is None:
-                    for p in group_lanes[key]:
-                        self._fallback.append(p)
-                    groups[key] = None  # type: ignore[assignment]
-                else:
-                    groups[key] = group
-            group = groups[key]
-            if group is None:
-                continue
-            supported.append((pos, table, group))
-        self._build_arrays(supported)
+                groups[key] = self._generate_edges(self.lanes[pos],
+                                                   group_end[key])
+                if groups[key] is None:
+                    self._fallback.extend(group_lanes[key])
+            edges = groups[key]
+            if edges is not None:
+                supported.append((pos, table, edges))
+        self._init_lanes(supported)
 
     def _measure_horizon(self, lane: SettleLane) -> float:
         """Edge-train horizon covering stages 1–4 for one lane.
@@ -743,7 +664,7 @@ class VectorizedLotSimulator:
         return (cache_key, float(lane.f_mod))
 
     def _generate_edges(self, lane: SettleLane,
-                        t_end: float) -> Optional[_EdgeGroup]:
+                        t_end: float) -> Optional[List[float]]:
         """Pull the source's edge train out to just past ``t_end``.
 
         Piecewise-constant sources (the multitone FSK stimulus) go
@@ -756,13 +677,9 @@ class VectorizedLotSimulator:
             source = lane.stimulus.make_source(lane.f_mod, 0.0)
             fast = _pcw_edge_train(source, t_end)
             if fast:
-                ok = True
-                for i in range(min(2, len(fast))):
-                    if source.next_edge() != fast[i]:
-                        ok = False
-                        break
-                if ok:
-                    return _EdgeGroup(np.asarray(fast, dtype=np.float64))
+                if all(source.next_edge() == fast[i]
+                       for i in range(min(2, len(fast)))):
+                    return fast
                 source = lane.stimulus.make_source(lane.f_mod, 0.0)
             edges = [source.next_edge()]
             if edges[0] < 0.0:
@@ -774,92 +691,40 @@ class VectorizedLotSimulator:
                 edges.append(nxt)
         except ReproError:
             return None
-        return _EdgeGroup(np.asarray(edges, dtype=np.float64))
+        return edges
 
-    def _build_arrays(
+    def _init_lanes(
         self,
-        supported: List[Tuple[int, _PhysicsTable, _EdgeGroup]],
+        supported: List[Tuple[int, _PhysicsTable, List[float]]],
     ) -> None:
+        """Lane state at t = 0: the scalar simulator's fields, one list
+        entry per farm lane (``None`` wherever the simulator holds
+        ``None``), read into the kernel's locals and written back at
+        its boundaries."""
         n = len(supported)
         self._vec = [pos for pos, __, __ in supported]
         self._tables = [table for __, table, __ in supported]
-        self._edges = [group.edges for __, __, group in supported]
-
-        # Flat law tables: one row per (physics, drive); a lane's
-        # current row is its physics offset plus its applied-drive
-        # index.  Keeping them flat lets mixed-physics lots share the
-        # same gather-based inner loop.
-        self._row_base = np.zeros(n, dtype=np.int64)
-        rows: List[_LawRow] = []
-        offsets: Dict[int, int] = {}
-        for i, table in enumerate(self._tables):
-            off = offsets.get(id(table))
-            if off is None:
-                off = len(rows)
-                offsets[id(table)] = off
-                rows.extend(table.laws)
-            self._row_base[i] = off
-        self._law_kind = np.array([r.kind for r in rows], dtype=np.int64)
-        self._law_asym = np.array([r.asym for r in rows])
-        self._law_tau = np.array([r.tau for r in rows])
-        self._law_slope = np.array([r.slope for r in rows])
-        self._law_half = np.array([r.half_slope for r in rows])
-        self._law_oa = np.array([r.o_a for r in rows])
-        self._law_ob = np.array([r.o_b for r in rows])
-        self._law_oasym = np.array([r.o_asym for r in rows])
-        self._law_ooff = np.array([r.o_off for r in rows])
-
-        def per_lane(getter):
-            return np.array([getter(t) for t in self._tables])
-
-        self._nonlin = np.array(
-            [t.nonlinear for t in self._tables], dtype=bool
-        ) if n else np.zeros(0, dtype=bool)
-        self._base_hz = per_lane(lambda t: t.base_hz)
-        self._gain = per_lane(lambda t: t.gain)
-        self._v_lo = per_lane(lambda t: t.v_lo)
-        self._v_hi = per_lane(lambda t: t.v_hi)
-        self._f_center = per_lane(lambda t: t.f_center)
-        self._v_center = per_lane(lambda t: t.v_center)
-        self._f_min = per_lane(lambda t: t.f_min)
-        self._f_max = per_lane(lambda t: t.f_max)
-        self._nf = per_lane(lambda t: t.nf)
-        self._rdelay = per_lane(lambda t: t.reset_delay)
-        self._settle_end = np.array(
-            [self.lanes[pos].settle_end for pos in self._vec]
-        )
-
-        # Mutable lane state — the scalar simulator's fields, columnar.
-        nan = float("nan")
-        self._t = np.zeros(n)
-        self._vc = np.array([
-            self.lanes[pos].pll.loop_filter.state_for_output(
-                self.lanes[pos].pll.locked_control_voltage()
-            )
-            for pos in self._vec
-        ]) if n else np.zeros(0)
-        self._phase = np.zeros(n)
-        self._fbt = self._nf.copy() if n else np.zeros(0)
-        self._j = np.zeros(n, dtype=np.int64)
-        self._tref = np.array([e[0] for e in self._edges]) if n \
-            else np.zeros(0)
-        self._up = np.zeros(n, dtype=bool)
-        self._dn = np.zeros(n, dtype=bool)
-        self._levt = np.full(n, nan)
-        self._pres = np.full(n, nan)
-        self._upr = np.full(n, nan)
-        self._dnr = np.full(n, nan)
-        self._drive = np.array(
-            [t.idle_idx for t in self._tables], dtype=np.int64
-        ) if n else np.zeros(0, dtype=np.int64)
-        # Pending pump activation: its time (NaN = none) and drive index.
-        self._tact = np.full(n, nan)
-        self._act = np.zeros(n, dtype=np.int64)
-        self._events = np.zeros(n, dtype=np.int64)
-        self._active = np.ones(n, dtype=bool)
+        self._edges = [edges for __, __, edges in supported]
+        self._t = [0.0] * n
+        self._vc = [table.vc_lock for table in self._tables]
+        self._phase = [0.0] * n
+        self._fbt = [table.nf for table in self._tables]
+        self._j = [0] * n
+        self._tref = [edges[0] for edges in self._edges]
+        self._up = [False] * n
+        self._dn = [False] * n
+        self._levt: List[Optional[float]] = [None] * n
+        self._pres: List[Optional[float]] = [None] * n
+        self._upr: List[Optional[float]] = [None] * n
+        self._dnr: List[Optional[float]] = [None] * n
+        self._drive = [table.idle_idx for table in self._tables]
+        # Pending pump activation: its time (None = none) and drive index.
+        self._tact: List[Optional[float]] = [None] * n
+        self._act = [0] * n
+        self._events = [0] * n
         # Stage 1–4 state the script's probe reads and writes: the hold
         # mux, the script itself and the post-capture feedback record.
-        self._open = np.zeros(n, dtype=bool)
+        self._open = [False] * n
         self._mscript: List[Optional[MeasurementScript]] = [None] * n
         self._fb_rec: List[Optional[PulseTrain]] = [None] * n
 
@@ -872,19 +737,18 @@ class VectorizedLotSimulator:
         wall0 = perf_counter()
         for pos in self._fallback:
             self._results[pos] = self._scalar_settle(self.lanes[pos])
-        # Presettled lanes skip stage 0: their stored snapshot becomes
-        # the settle result directly, and _run_measure below reloads it
-        # exactly as it reloads farm-settled lanes.
         for i, pos in enumerate(self._vec):
             snap = self.lanes[pos].presettled
-            if snap is not None:
-                self._active[i] = False
+            if snap is None:
+                self._kernel_run(i)
+            else:
+                # Presettled lanes skip stage 0: their stored snapshot
+                # becomes the settle result directly, and _run_measure
+                # reloads it exactly as it reloads farm-settled lanes.
                 self._results[pos] = LaneResult(
                     snapshot=snap, mode="warm",
                     nonlinear=self._tables[i].nonlinear,
                 )
-        if self._vec:
-            self._run_farm()
         self.wall_settle_s += perf_counter() - wall0
         self._run_measure()
         out = []
@@ -897,295 +761,6 @@ class VectorizedLotSimulator:
                 self.stats["nonlinear"] += 1
             out.append(result)
         return out
-
-    def _run_farm(self) -> None:
-        """Drive every still-active farm lane to a result.
-
-        Split out of :meth:`run` so tiered subclasses can settle their
-        own lanes first and let this method sweep up whatever remains
-        active — the base behaviour (kernel for narrow/nonlinear farms,
-        lockstep arrays for wide ones, kernel drain for stragglers) is
-        unchanged.
-        """
-        idx = np.flatnonzero(self._active)
-        n = idx.size
-        if n == 0:
-            return
-        if n <= self.drain_width:
-            # Too narrow for the lockstep arrays: per-lane kernels.
-            for i in idx.tolist():
-                self._kernel_run(i, mode="drained")
-            return
-        # Turn-on-delay lanes always take the per-lane kernel, the only
-        # fast path carrying the pump's pending-activation event.
-        # Nonlinear lanes do too unless lockstep is forced: their
-        # Simpson quadrature vectorises across the 33 quadrature
-        # nodes, not across lanes, so lockstep buys them nothing.
-        for i in idx.tolist():
-            if self._tables[i].turn_on_delay or (
-                    self.lockstep_width and self._nonlin[i]):
-                self._kernel_run(i)
-        if self.lockstep_width:
-            linear = np.flatnonzero(self._active)
-            if linear.size < self.lockstep_width:
-                # Narrow farm: the kernel beats the lockstep arrays.
-                for i in linear.tolist():
-                    self._kernel_run(i)
-        while True:
-            idx = np.flatnonzero(self._active)
-            if idx.size == 0:
-                break
-            if idx.size <= self.drain_width or (
-                    self.lockstep_width
-                    and idx.size < self.lockstep_width):
-                # The crossover is symmetric: lockstep pays only while
-                # at least lockstep_width lanes step together, so once
-                # retirements thin the farm below it the stragglers
-                # leave lockstep and finish on the per-lane kernel —
-                # bit-identical, without the per-iteration array
-                # overhead or the scalar engine's per-event machinery.
-                for i in idx.tolist():
-                    self._kernel_run(i, mode="drained")
-                break
-            self._step(idx)
-
-    # ------------------------------------------------------------------
-    # one lockstep iteration: one event per live lane
-    # ------------------------------------------------------------------
-    def _step(self, idx: np.ndarray) -> None:
-        t = self._t[idx]
-        vc = self._vc[idx]
-        rows = self._row_base[idx] + self._drive[idx]
-        kindlaw = self._law_kind[rows]
-        nl = self._nonlin[idx]
-        pres = self._pres[idx]
-        has_res = ~np.isnan(pres)
-
-        # --- event selection (mirrors _next_event) -------------------
-        best_t = self._settle_end[idx].copy()
-        kind = np.full(idx.size, _END, dtype=np.int64)
-
-        tref = self._tref[idx]
-        m = tref <= best_t
-        best_t[m] = tref[m]
-        kind[m] = _REF
-
-        horizon = best_t.copy()
-        m = has_res & (pres < horizon)
-        horizon[m] = pres[m]
-        dt_h = horizon - t
-
-        eject = dt_h < 0.0
-
-        need = self._fbt[idx] - self._phase[idx]
-        due = need <= 1e-9
-        eject |= due & (need < -1e-6)
-        m = due & (t <= best_t)
-        best_t[m] = t[m]
-        kind[m] = _FB
-
-        out_v = np.where(
-            kindlaw == _EXP,
-            self._law_oa[rows] * vc + self._law_ob[rows],
-            np.where(kindlaw == _RAMP, vc + self._law_ooff[rows], vc),
-        )
-        solving = ~due & (dt_h > 0.0)
-        # The one-division constant-law fast path mirrors the linear
-        # VCO's; a nonlinear VCO has no such inverse, so its lanes go
-        # through the generic per-lane solve even under constant drive.
-        m = solving & (kindlaw == _CONST) & ~nl
-        if m.any():
-            f = self._f_center[idx] + self._gain[idx] * (
-                out_v - self._v_center[idx]
-            )
-            f = np.minimum(np.maximum(f, self._f_min[idx]),
-                           self._f_max[idx])
-            dt_fb = need / f
-            cand = t + dt_fb
-            hit = m & (dt_fb <= dt_h) & (cand <= best_t)
-            best_t[hit] = cand[hit]
-            kind[hit] = _FB
-        for i in np.flatnonzero(solving & ((kindlaw != _CONST) | nl)).tolist():
-            row = rows[i]
-            table = self._tables[idx[i]]
-            if nl[i]:
-                # Nonlinear VCO: the generic Simpson-backed solver.
-                if kindlaw[i] == _RAMP:
-                    seg = RampSegment(float(out_v[i]),
-                                      float(self._law_slope[row]))
-                elif kindlaw[i] == _EXP:
-                    seg = ExponentialSegment(float(out_v[i]),
-                                             float(self._law_oasym[row]),
-                                             float(self._law_tau[row]))
-                else:
-                    seg = ConstantSegment(float(out_v[i]))
-                dt_fb = table.vco.time_to_phase(seg, float(need[i]),
-                                                float(dt_h[i]))
-            else:
-                dt_fb, ej = _solve_fb_crossing(
-                    int(kindlaw[i]), float(out_v[i]),
-                    float(self._law_oasym[row]),
-                    float(self._law_tau[row]),
-                    float(self._law_slope[row]),
-                    float(self._law_half[row]),
-                    table.base_hz, table.gain, table.f_center,
-                    table.v_center, table.f_min, table.f_max,
-                    table.v_lo, table.v_hi,
-                    float(need[i]), float(dt_h[i]),
-                )
-                if ej:
-                    eject[i] = True
-                    continue
-            if dt_fb is not None and t[i] + dt_fb <= best_t[i]:
-                best_t[i] = t[i] + dt_fb
-                kind[i] = _FB
-
-        m = has_res & (pres <= best_t)
-        best_t[m] = pres[m]
-        kind[m] = _RESET
-
-        # --- advance (mirrors _advance_to + phase_advance fast path) --
-        dt = best_t - t
-        adv = dt > 0.0
-        is_exp = kindlaw == _EXP
-        is_ramp = kindlaw == _RAMP
-        tau = self._law_tau[rows]
-        x = -dt / tau
-        decay = np.ones(idx.size)
-        neg_expm1 = np.zeros(idx.size)
-        for i in np.flatnonzero(adv & is_exp).tolist():
-            decay[i] = math.exp(x[i])
-            neg_expm1[i] = -math.expm1(x[i])
-        o_asym = self._law_oasym[rows]
-        gap = out_v - o_asym
-        slope = self._law_slope[rows]
-        val = np.where(
-            is_exp, o_asym + gap * decay,
-            np.where(is_ramp, out_v + slope * dt, out_v),
-        )
-        v_int = np.where(
-            is_exp, o_asym * dt + (gap * tau) * neg_expm1,
-            np.where(is_ramp,
-                     out_v * dt + (self._law_half[rows] * dt) * dt,
-                     out_v * dt),
-        )
-        v0 = np.minimum(out_v, val)
-        v1 = np.maximum(out_v, val)
-        # Clamp-window excursions eject only linear-VCO lanes; the
-        # nonlinear phase path integrates the clamped curve numerically
-        # and needs no window (mirroring scalar phase_advance).
-        eject |= adv & ~nl & ~(
-            (self._v_lo[idx] <= v0) & (v1 <= self._v_hi[idx])
-        )
-        asym = self._law_asym[rows]
-        vc_new = np.where(
-            is_exp, asym + (vc - asym) * decay,
-            np.where(is_ramp, vc + slope * dt, vc),
-        )
-        phase_new = np.where(
-            adv,
-            self._phase[idx] + (self._base_hz[idx] * dt
-                                + self._gain[idx] * v_int),
-            self._phase[idx],
-        )
-        if nl.any():
-            # Nonlinear lanes: replace the linear phase advance with the
-            # composite-Simpson integral of the real tuning curve,
-            # bit-identical to scalar VCO._numeric_phase.
-            for i in np.flatnonzero(adv & nl & ~eject).tolist():
-                row = rows[i]
-                if kindlaw[i] == _RAMP:
-                    seg = RampSegment(float(out_v[i]),
-                                      float(self._law_slope[row]))
-                elif kindlaw[i] == _EXP:
-                    seg = ExponentialSegment(float(out_v[i]),
-                                             float(self._law_oasym[row]),
-                                             float(self._law_tau[row]))
-                else:
-                    seg = ConstantSegment(float(out_v[i]))
-                table = self._tables[idx[i]]
-                pa = _simpson_phase(table.law, seg, float(dt[i]),
-                                    table.f_min, table.f_max)
-                phase_new[i] = float(self._phase[idx[i]]) + pa
-        vc_new = np.where(adv, vc_new, vc)
-
-        # --- PFD edge checks (mirrors _check_monotonic / _on_edge) ----
-        is_event = kind != _END
-        levt = self._levt[idx]
-        eject |= is_event & ~np.isnan(levt) & (best_t < levt)
-        is_edge = (kind == _REF) | (kind == _FB)
-        eject |= is_edge & has_res & (best_t >= pres)
-        eject |= (kind == _RESET) & (np.isnan(self._upr[idx])
-                                     | np.isnan(self._dnr[idx]))
-
-        # --- hand off ejected lanes from their pre-event state --------
-        if eject.any():
-            for i in np.flatnonzero(eject).tolist():
-                self._hand_off(int(idx[i]), "ejected")
-        ok = ~eject
-        li = idx[ok]
-        if li.size == 0:
-            return
-
-        # --- commit -------------------------------------------------
-        self._t[li] = best_t[ok]
-        self._vc[li] = vc_new[ok]
-        self._phase[li] = phase_new[ok]
-        kind_ok = kind[ok]
-        ev = kind_ok != _END
-        self._events[li[ev]] += 1
-        self._levt[li[ev]] = best_t[ok][ev]
-
-        ref = kind_ok == _REF
-        if ref.any():
-            lr = li[ref]
-            tr = best_t[ok][ref]
-            newly = ~self._up[lr]
-            self._up[lr] = True
-            set_lanes = lr[newly]
-            self._upr[set_lanes] = tr[newly]
-            both = newly & self._dn[lr]
-            self._pres[lr[both]] = tr[both] + self._rdelay[lr[both]]
-            for i, lane in enumerate(lr.tolist()):
-                j = int(self._j[lane]) + 1
-                self._j[lane] = j
-                self._tref[lane] = self._edges[lane][j]
-
-        fb = kind_ok == _FB
-        if fb.any():
-            lf = li[fb]
-            tf = best_t[ok][fb]
-            self._phase[lf] = self._fbt[lf]
-            self._fbt[lf] = self._fbt[lf] + self._nf[lf]
-            newly = ~self._dn[lf]
-            self._dn[lf] = True
-            set_lanes = lf[newly]
-            self._dnr[set_lanes] = tf[newly]
-            both = newly & self._up[lf]
-            self._pres[lf[both]] = tf[both] + self._rdelay[lf[both]]
-
-        res = kind_ok == _RESET
-        if res.any():
-            lz = li[res]
-            self._up[lz] = False
-            self._dn[lz] = False
-            self._pres[lz] = np.nan
-
-        if (ref | fb | res).any():
-            changed = li[ref | fb | res]
-            s = (self._up[changed].astype(np.int64)
-                 + 2 * self._dn[changed].astype(np.int64))
-            for i, lane in enumerate(changed.tolist()):
-                self._drive[lane] = \
-                    self._tables[lane].s_to_drive[int(s[i])]
-
-        done = kind_ok == _END
-        for lane in li[done].tolist():
-            self._active[lane] = False
-            self._results[self._vec[lane]] = LaneResult(
-                snapshot=self._materialize(lane), mode="vector",
-                nonlinear=self._tables[lane].nonlinear,
-            )
 
     # ------------------------------------------------------------------
     # measurement: Table 2 stages 1-4 on the per-lane kernel
@@ -1226,11 +801,11 @@ class VectorizedLotSimulator:
 
     def _load_measure_state(self, i: int, lane: SettleLane,
                             snap: SimulatorSnapshot) -> bool:
-        """Restore one settled snapshot into the lane arrays; arm stage 1.
+        """Restore one settled snapshot into the lane state; arm stage 1.
 
         Mirrors :meth:`~repro.pll.simulator.PLLTransientSimulator.
-        restore` for the state the arrays carry, a pending pump
-        activation included; anything they cannot represent (an
+        restore` for the state the kernel carries, a pending pump
+        activation included; anything it cannot represent (an
         unknown drive, a foreign edge cursor, an open loop) leaves the
         lane settle-only for the scalar sequencer.
         """
@@ -1241,8 +816,7 @@ class VectorizedLotSimulator:
         drive_idx = table.drive_index(snap.applied_drive)
         if drive_idx is None:
             return False
-        nan = float("nan")
-        t_act, act_idx = nan, 0
+        t_act, act_idx = None, 0
         if snap.pending_activation is not None:
             t_act, act_drive = snap.pending_activation
             act_idx = table.drive_index(act_drive)
@@ -1257,7 +831,7 @@ class VectorizedLotSimulator:
         edges = self._edges[i]
         if not (0 <= j < len(edges)):
             return False
-        if float(edges[j]) != snap.t_ref_next or t_last != snap.t_ref_next:
+        if edges[j] != snap.t_ref_next or t_last != snap.t_ref_next:
             return False
         try:
             script = MeasurementScript(
@@ -1275,15 +849,13 @@ class VectorizedLotSimulator:
         self._phase[i] = snap.vco_phase
         self._fbt[i] = snap.fb_target
         self._j[i] = j
-        self._tref[i] = float(edges[j])
+        self._tref[i] = edges[j]
         self._up[i] = pfd.up
         self._dn[i] = pfd.dn
-        self._levt[i] = nan if pfd.last_event_time is None \
-            else pfd.last_event_time
-        self._pres[i] = nan if pfd.pending_reset is None \
-            else pfd.pending_reset
-        self._upr[i] = nan if pfd.last_up_rise is None else pfd.last_up_rise
-        self._dnr[i] = nan if pfd.last_dn_rise is None else pfd.last_dn_rise
+        self._levt[i] = pfd.last_event_time
+        self._pres[i] = pfd.pending_reset
+        self._upr[i] = pfd.last_up_rise
+        self._dnr[i] = pfd.last_dn_rise
         self._drive[i] = drive_idx
         self._tact[i] = t_act
         self._act[i] = act_idx
@@ -1294,7 +866,7 @@ class VectorizedLotSimulator:
     # ------------------------------------------------------------------
     # the per-lane kernel: stage 0 settle and stages 1-4
     # ------------------------------------------------------------------
-    def _kernel_run(self, lane: int, mode: str = "vector") -> Optional[float]:
+    def _kernel_run(self, lane: int) -> Optional[float]:
         """Run one lane to its END in a specialised scalar kernel.
 
         A straight-line transcription of the scalar event loop
@@ -1304,11 +876,15 @@ class VectorizedLotSimulator:
         from the pregenerated shared train, transcendentals are bound
         locals, and the feedback-edge solver is inlined (the constant-law
         one-division fast path, and the safeguarded Newton iteration of
-        ``solve_increasing`` for ramp/exponential laws).  Every
-        floating-point expression replicates the scalar engine's operand
-        order exactly, so a kernel-completed lane is bit-identical to a
-        scalar run.  Nonlinear (4046-style) lanes integrate phase via
-        :func:`_simpson_phase`, bit-identical to ``VCO._numeric_phase``.
+        ``solve_increasing`` for ramp/exponential laws).  Between PFD
+        switching instants the state update is closed form: the control
+        voltage ramps, holds or relaxes exponentially, and the linear
+        VCO's phase is the matching polynomial/exponential integral.
+        Every floating-point expression replicates the scalar engine's
+        operand order exactly, so a kernel-completed lane is
+        bit-identical to a scalar run.  Nonlinear (4046-style) lanes
+        integrate phase via :func:`_simpson_phase`, bit-identical to
+        ``VCO._numeric_phase``.
 
         A pump with a turn-on delay adds the scalar engine's activation
         event: the activation time bounds the feedback solver's horizon
@@ -1347,22 +923,21 @@ class VectorizedLotSimulator:
         excursion, a solver failure, any condition the scalar engine
         treats as an error — ejects the lane *from its pre-event state*.
         A settling lane is finished (or its error reproduced) by a
-        scalar simulator from that snapshot, exactly like a lockstep
-        ejection; a measuring lane keeps its settle-only result.
+        scalar simulator from that snapshot; a measuring lane keeps its
+        settle-only result.
         """
         table = self._tables[lane]
         script = self._mscript[lane]
         if script is None:
-            t_end = float(self._settle_end[lane])
+            t_end = float(self.lanes[self._vec[lane]].settle_end)
         else:
             t_end = script.next_target()
             inv_d = script.config.detector_inverter_delay
             and_d = script.config.detector_and_delay
             t_arm = script.t_arm
-        edges = self._edges[lane].tolist()
+        edges = self._edges[lane]
         n_edges = len(edges)
-        laws = [(r.kind, r.asym, r.tau, r.slope, r.half_slope,
-                 r.o_a, r.o_b, r.o_asym, r.o_off) for r in table.laws]
+        laws = table.law_rows
         s_to_drive = table.s_to_drive
         same = table.same
         idle_idx = table.idle_idx
@@ -1382,28 +957,23 @@ class VectorizedLotSimulator:
         exp_ = math.exp
         expm1_ = math.expm1
 
-        # Mutable loop state, unpacked from the arrays.
-        t = float(self._t[lane])
-        vc = float(self._vc[lane])
-        phase = float(self._phase[lane])
-        fbt = float(self._fbt[lane])
-        j = int(self._j[lane])
-        tref = float(self._tref[lane])
-        up = bool(self._up[lane])
-        dn = bool(self._dn[lane])
-
-        def _opt(arr: np.ndarray) -> Optional[float]:
-            v = float(arr[lane])
-            return None if math.isnan(v) else v
-
-        levt = _opt(self._levt)
-        pres = _opt(self._pres)
-        upr = _opt(self._upr)
-        dnr = _opt(self._dnr)
-        drive_idx = int(self._drive[lane])
-        tact = _opt(self._tact)
-        act_idx = int(self._act[lane])
-        events = int(self._events[lane])
+        # Mutable loop state, unpacked from the lane lists.
+        t = self._t[lane]
+        vc = self._vc[lane]
+        phase = self._phase[lane]
+        fbt = self._fbt[lane]
+        j = self._j[lane]
+        tref = self._tref[lane]
+        up = self._up[lane]
+        dn = self._dn[lane]
+        levt = self._levt[lane]
+        pres = self._pres[lane]
+        upr = self._upr[lane]
+        dnr = self._dnr[lane]
+        drive_idx = self._drive[lane]
+        tact = self._tact[lane]
+        act_idx = self._act[lane]
+        events = self._events[lane]
         # Stage 1–4 state: the hold mux, the post-capture feedback
         # record, and the Figure 7 latch output (None = never clocked).
         open_ = False
@@ -1415,6 +985,10 @@ class VectorizedLotSimulator:
         (l_kind, l_asym, l_tau, l_slope, l_half,
          l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
 
+        # Clamps below are written ``if f_min > f: f = f_min`` /
+        # ``if f_max < f: f = f_max``: exactly the builtin
+        # ``min(max(f, f_min), f_max)`` the scalar engine evaluates, NaN
+        # and signed zeros included, without the two calls.
         eject = False
         while True:
             # --- event selection (transcribes _next_event) ------------
@@ -1451,7 +1025,10 @@ class VectorizedLotSimulator:
                 if l_kind == _CONST and not nonlinear:
                     # Tri-stated filter, linear VCO: one division.
                     f = f_center + gain * (out_v - v_center)
-                    f = min(max(f, f_min), f_max)
+                    if f_min > f:
+                        f = f_min
+                    if f_max < f:
+                        f = f_max
                     cand = need / f
                     if cand <= dt_h:
                         dt_fb = cand
@@ -1469,25 +1046,26 @@ class VectorizedLotSimulator:
                             seg = ConstantSegment(out_v)
                     gap0 = out_v - l_oasym
                     gk = gap0 * l_tau
-                    # pa(dt_h): bracketing guard
+                    # pa(dt_h): bracketing guard.  A linear lane's
+                    # window must hold both ends of the segment; once
+                    # it does, out_v is known in range and the solver
+                    # below only re-checks the moving end.
                     if nonlinear:
                         pa_hi = _simpson_phase(nl_law, seg, dt_h,
                                                f_min, f_max)
                     elif l_kind == _EXP:
                         x = -dt_h / l_tau
                         v1 = l_oasym + gap0 * exp_(x)
-                        va, vb = (v1, out_v) if v1 < out_v \
-                            else (out_v, v1)
-                        if not (v_lo <= va and vb <= v_hi):
+                        if not (v_lo <= v1 <= v_hi
+                                and v_lo <= out_v <= v_hi):
                             eject = True  # clamp excursion mid-solve
                             break
                         pa_hi = base_hz * dt_h + gain * (
                             l_oasym * dt_h + gk * -expm1_(x))
                     else:  # _RAMP
                         v1 = out_v + l_slope * dt_h
-                        va, vb = (v1, out_v) if v1 < out_v \
-                            else (out_v, v1)
-                        if not (v_lo <= va and vb <= v_hi):
+                        if not (v_lo <= v1 <= v_hi
+                                and v_lo <= out_v <= v_hi):
                             eject = True
                             break
                         pa_hi = base_hz * dt_h + gain * (
@@ -1511,9 +1089,7 @@ class VectorizedLotSimulator:
                                 elif l_kind == _EXP:
                                     x = -x_s / l_tau
                                     v1 = l_oasym + gap0 * exp_(x)
-                                    va, vb = (v1, out_v) \
-                                        if v1 < out_v else (out_v, v1)
-                                    if not (v_lo <= va and vb <= v_hi):
+                                    if not v_lo <= v1 <= v_hi:
                                         eject = True
                                         break
                                     pa_x = base_hz * x_s + gain * (
@@ -1521,9 +1097,7 @@ class VectorizedLotSimulator:
                                         + gk * -expm1_(x))
                                 else:
                                     v1 = out_v + l_slope * x_s
-                                    va, vb = (v1, out_v) \
-                                        if v1 < out_v else (out_v, v1)
-                                    if not (v_lo <= va and vb <= v_hi):
+                                    if not v_lo <= v1 <= v_hi:
                                         eject = True
                                         break
                                     pa_x = base_hz * x_s + gain * (
@@ -1538,21 +1112,24 @@ class VectorizedLotSimulator:
                                 else:
                                     hi = x_s
                                 # Newton candidate off the segment's
-                                # instantaneous frequency.
-                                if l_kind == _EXP:
-                                    v_d = l_oasym \
-                                        + gap0 * exp_(-x_s / l_tau)
-                                elif l_kind == _RAMP:
-                                    v_d = out_v + l_slope * x_s
-                                else:
-                                    v_d = out_v
+                                # instantaneous frequency.  On a linear
+                                # lane the output voltage at x_s is v1,
+                                # the same expression evaluated above.
                                 if nonlinear:
-                                    f_d = min(max(nl_law.evolve(v_d),
-                                                  f_min), f_max)
+                                    if l_kind == _EXP:
+                                        v_d = l_oasym \
+                                            + gap0 * exp_(-x_s / l_tau)
+                                    elif l_kind == _RAMP:
+                                        v_d = out_v + l_slope * x_s
+                                    else:
+                                        v_d = out_v
+                                    f_d = nl_law.evolve(v_d)
                                 else:
-                                    f_d = f_center + gain * (
-                                        v_d - v_center)
-                                    f_d = min(max(f_d, f_min), f_max)
+                                    f_d = f_center + gain * (v1 - v_center)
+                                if f_min > f_d:
+                                    f_d = f_min
+                                if f_max < f_d:
+                                    f_d = f_max
                                 x_next = None
                                 if f_d > 0.0:
                                     candidate = x_s - f_x / f_d
@@ -1607,8 +1184,7 @@ class VectorizedLotSimulator:
                             dt, f_min, f_max)
                     else:
                         v1 = l_oasym + gap0 * e
-                        va, vb = (v1, ov) if v1 < ov else (ov, v1)
-                        if not (v_lo <= va and vb <= v_hi):
+                        if not (v_lo <= v1 <= v_hi and v_lo <= ov <= v_hi):
                             eject = True
                             break
                         pa = base_hz * dt + gain * (
@@ -1622,8 +1198,7 @@ class VectorizedLotSimulator:
                             dt, f_min, f_max)
                     else:
                         v1 = ov + l_slope * dt
-                        va, vb = (v1, ov) if v1 < ov else (ov, v1)
-                        if not (v_lo <= va and vb <= v_hi):
+                        if not (v_lo <= v1 <= v_hi and v_lo <= ov <= v_hi):
                             eject = True
                             break
                         pa = base_hz * dt + gain * (
@@ -1635,7 +1210,7 @@ class VectorizedLotSimulator:
                             nl_law, ConstantSegment(vc),
                             dt, f_min, f_max)
                     else:
-                        if not (v_lo <= vc and vc <= v_hi):
+                        if not v_lo <= vc <= v_hi:
                             eject = True
                             break
                         pa = base_hz * dt + gain * (vc * dt)
@@ -1679,12 +1254,12 @@ class VectorizedLotSimulator:
                     )
                     break
                 # The probe's close_loop() may have touched the loop.
-                open_ = bool(self._open[lane])
-                up = bool(self._up[lane])
-                dn = bool(self._dn[lane])
-                pres = _opt(self._pres)
-                tact = _opt(self._tact)
-                drive_idx = int(self._drive[lane])
+                open_ = self._open[lane]
+                up = self._up[lane]
+                dn = self._dn[lane]
+                pres = self._pres[lane]
+                tact = self._tact[lane]
+                drive_idx = self._drive[lane]
                 (l_kind, l_asym, l_tau, l_slope, l_half,
                  l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
                 continue
@@ -1792,23 +1367,18 @@ class VectorizedLotSimulator:
         self._store_lane(lane, t, vc, phase, fbt, j, tref, up, dn, levt,
                          pres, upr, dnr, drive_idx, tact, act_idx, events)
         if eject:
-            # A drained lane stays "drained" through its scalar finish —
-            # the mode records where it left lockstep, not which engine
-            # completed it.
-            self._hand_off(lane, mode if mode == "drained" else "ejected")
-            return None
-        self._active[lane] = False
-        self._results[self._vec[lane]] = LaneResult(
-            snapshot=self._materialize(lane), mode=mode,
-            nonlinear=nonlinear,
-        )
+            self._hand_off(lane)
+        else:
+            self._results[self._vec[lane]] = LaneResult(
+                snapshot=self._materialize(lane), mode="vector",
+                nonlinear=nonlinear,
+            )
         return None
 
     def _store_lane(self, lane: int, t, vc, phase, fbt, j, tref, up, dn,
                     levt, pres, upr, dnr, drive_idx, tact, act_idx,
                     events) -> None:
-        """Write one lane's kernel locals back to the lane arrays."""
-        nan = float("nan")
+        """Write one lane's kernel locals back to the lane lists."""
         self._t[lane] = t
         self._vc[lane] = vc
         self._phase[lane] = phase
@@ -1817,12 +1387,12 @@ class VectorizedLotSimulator:
         self._tref[lane] = tref
         self._up[lane] = up
         self._dn[lane] = dn
-        self._levt[lane] = nan if levt is None else levt
-        self._pres[lane] = nan if pres is None else pres
-        self._upr[lane] = nan if upr is None else upr
-        self._dnr[lane] = nan if dnr is None else dnr
+        self._levt[lane] = levt
+        self._pres[lane] = pres
+        self._upr[lane] = upr
+        self._dnr[lane] = dnr
         self._drive[lane] = drive_idx
-        self._tact[lane] = nan if tact is None else tact
+        self._tact[lane] = tact
         self._act[lane] = act_idx
         self._events[lane] = events
 
@@ -1830,25 +1400,20 @@ class VectorizedLotSimulator:
     # scalar hand-off
     # ------------------------------------------------------------------
     def _materialize(self, lane: int) -> SimulatorSnapshot:
-        """The lane's array state as a real simulator snapshot."""
+        """The lane's state as a real simulator snapshot."""
         table = self._tables[lane]
-        j = int(self._j[lane])
+        j = self._j[lane]
         edge = float(self._edges[lane][j])
-
-        def opt(arr: np.ndarray) -> Optional[float]:
-            v = float(arr[lane])
-            return None if math.isnan(v) else v
-
-        t_act = opt(self._tact)
+        t_act = self._tact[lane]
         return SimulatorSnapshot(
             pll_name=table.pll.name,
             time=float(self._t[lane]),
             vc=float(self._vc[lane]),
             vco_phase=float(self._phase[lane]),
             fb_target=float(self._fbt[lane]),
-            applied_drive=table.drives[int(self._drive[lane])],
+            applied_drive=table.drives[self._drive[lane]],
             pending_activation=None if t_act is None
-            else (t_act, table.drives[int(self._act[lane])]),
+            else (float(t_act), table.drives[self._act[lane]]),
             loop_open=False,
             t_ref_next=edge,
             next_sample=None,
@@ -1856,10 +1421,10 @@ class VectorizedLotSimulator:
             pfd=PFDSnapshot(
                 up=bool(self._up[lane]),
                 dn=bool(self._dn[lane]),
-                last_event_time=opt(self._levt),
-                pending_reset=opt(self._pres),
-                last_up_rise=opt(self._upr),
-                last_dn_rise=opt(self._dnr),
+                last_event_time=self._levt[lane],
+                pending_reset=self._pres[lane],
+                last_up_rise=self._upr[lane],
+                last_dn_rise=self._dnr[lane],
             ),
             source_state=(float(j + 1), edge),
             pll_signature=table.pll.physics_signature(),
@@ -1881,21 +1446,20 @@ class VectorizedLotSimulator:
             return LaneResult(snapshot=None, mode=mode, error=str(exc),
                               nonlinear=nonlinear)
 
-    def _hand_off(self, lane: int, mode: str) -> None:
-        """Finish one lane in a scalar simulator from its array state."""
-        self._active[lane] = False
+    def _hand_off(self, lane: int) -> None:
+        """Finish one ejected lane in a scalar simulator from its state."""
         spec = self.lanes[self._vec[lane]]
         nonlinear = self._tables[lane].nonlinear
         try:
             snap = self._materialize(lane)
         except Exception as exc:  # noqa: BLE001 - leave the lane cold
             self._results[self._vec[lane]] = LaneResult(
-                snapshot=None, mode=mode, error=str(exc),
+                snapshot=None, mode="ejected", error=str(exc),
                 nonlinear=nonlinear,
             )
             return
         self._results[self._vec[lane]] = self._finish_from_snapshot(
-            spec, snap, mode, nonlinear
+            spec, snap, "ejected", nonlinear
         )
 
     def _scalar_settle(self, spec: SettleLane) -> LaneResult:
@@ -1932,9 +1496,9 @@ class _LaneProbe:
         farm = self.farm
         lane = self.lane
         table = farm._tables[lane]
-        drive = table.drives[int(farm._drive[lane])]
+        drive = table.drives[farm._drive[lane]]
         v_out = table.pll.loop_filter.output_segment(
-            float(farm._vc[lane]), drive
+            farm._vc[lane], drive
         ).value(0.0)
         return table.vco.frequency_of_voltage(v_out)
 
@@ -1948,6 +1512,6 @@ class _LaneProbe:
         farm._open[lane] = False
         farm._up[lane] = False
         farm._dn[lane] = False
-        farm._pres[lane] = np.nan
-        farm._tact[lane] = np.nan
+        farm._pres[lane] = None
+        farm._tact[lane] = None
         farm._drive[lane] = farm._tables[lane].idle_idx

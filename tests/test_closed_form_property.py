@@ -1,21 +1,22 @@
-"""Property suite for the closed-form analytic settle tier.
+"""Property suite for the farm kernel's closed-form inter-event update.
 
-:class:`~repro.sim.closed_form.ClosedFormLotSimulator` advances
-eligible lanes edge-to-edge with analytic state updates instead of the
-lockstep arrays.  Its contracts, probed here property-style:
+The per-lane kernel behind ``engine="closed_form"``/``"auto"``
+(:class:`~repro.sim.closed_form.ClosedFormLotSimulator`, the same farm
+as ``"vectorized"``) advances lanes edge-to-edge with analytic state
+updates: ramp/hold polynomials for current-mode drives, exponentials
+for voltage drives and leaky filters.  Its contracts, probed here
+property-style:
 
 * **analytic parity** — across physics and tone draws, a lane settled
-  on the closed-form tier materialises a snapshot *exactly equal* to a
-  cold scalar settle (full dataclass equality, PFD state and counters
-  included), which is what lets the tier sit invisibly in front of the
-  other engines;
+  on the kernel materialises a snapshot *exactly equal* to a cold
+  scalar settle (full dataclass equality, PFD state and counters
+  included);
 * **boundary behaviour** — lanes that graze the VCO clamp (lock/unlock
-  boundary) either stay on the analytic tier or eject mid-flight to a
-  scalar finish, and both paths still satisfy the identity above;
-* **tier cascade** — nonlinear (74HCT4046A) and exponential-law lanes
-  are rejected *at eligibility* and ride the vectorized tier instead;
-  ``engine="auto"`` resolves closed_form → vectorized → scalar per
-  lane with zero report diffs on a mixed lot;
+  boundary) either stay on the kernel or eject mid-flight to a scalar
+  finish, and both paths still satisfy the identity above;
+* **one farm for every law** — nonlinear (74HCT4046A), exponential-law
+  and polynomial-law lanes all settle on the kernel, and
+  ``engine="auto"`` screens a mixed lot with zero report diffs;
 * **selection plumbing** — every orchestration surface (monitor, batch
   reports, presettle, service jobs, CLI) validates the engine name
   against one shared vocabulary that includes ``closed_form`` and
@@ -65,9 +66,9 @@ def _cdr_pll(
     f_max=1200e3,
     name="cdr-ll",
 ):
-    """Current-mode lag-lead DUT: every law is RAMP/CONST, so the lane
-    is closed-form eligible (the paper's rail-driver pump, by contrast,
-    charges the filter exponentially and rides the vectorized tier)."""
+    """Current-mode lag-lead DUT: every law is RAMP/CONST, so the
+    kernel's inter-event update is polynomial (the paper's rail-driver
+    pump, by contrast, charges the filter exponentially)."""
     return ChargePumpPLL(
         pump=CurrentChargePump(i_up=i_up),
         loop_filter=PassiveLagLeadFilter(r1=r1, r2=r2, c=c),
@@ -141,14 +142,14 @@ class TestAnalyticParity:
         )
         stimulus = _cdr_stimulus(deviation)
         lanes = _lanes(pll, stimulus, (f_mod,))
-        farm = ClosedFormLotSimulator(lanes, drain_width=0)
+        farm = ClosedFormLotSimulator(lanes)
         result = farm.run()[0]
-        assert result.mode == "closed_form", result.error
+        assert result.mode == "vector", result.error
         expected = _scalar_snapshot(
             pll, stimulus, f_mod, lanes[0].settle_end
         )
         assert result.snapshot == expected
-        assert farm.stats["closed_form"] == 1
+        assert farm.stats["vector"] == 1
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -160,15 +161,16 @@ class TestAnalyticParity:
         self, window_hz, deviation, f_mod
     ):
         """Lock/unlock boundary draws: a VCO clamp window shrunk around
-        the operating point either keeps the lane analytic or ejects it
-        to a scalar finish — the snapshot is bit-identical either way."""
+        the operating point either keeps the lane on the kernel or ejects
+        it to a scalar finish — the snapshot is bit-identical either
+        way."""
         pll = _cdr_pll(
             f_min=800e3 - window_hz, f_max=800e3 + window_hz
         )
         stimulus = _cdr_stimulus(deviation)
         lanes = _lanes(pll, stimulus, (f_mod,))
-        result = ClosedFormLotSimulator(lanes, drain_width=0).run()[0]
-        assert result.mode in ("closed_form", "ejected")
+        result = ClosedFormLotSimulator(lanes).run()[0]
+        assert result.mode in ("vector", "ejected")
         expected = _scalar_snapshot(
             pll, stimulus, f_mod, lanes[0].settle_end
         )
@@ -181,11 +183,11 @@ class TestAnalyticParity:
         pll = _cdr_pll(f_min=799.9e3, f_max=800.1e3)
         stimulus = _cdr_stimulus()
         lanes = _lanes(pll, stimulus, (20e3,))
-        farm = ClosedFormLotSimulator(lanes, drain_width=0)
+        farm = ClosedFormLotSimulator(lanes)
         result = farm.run()[0]
         assert result.mode == "ejected"
         assert farm.stats["ejected"] == 1
-        assert farm.stats["closed_form"] == 0
+        assert farm.stats["vector"] == 0
         expected = _scalar_snapshot(
             pll, stimulus, 20e3, lanes[0].settle_end
         )
@@ -194,18 +196,17 @@ class TestAnalyticParity:
 
 class TestTierCascade:
     def test_hct4046_lanes_ride_the_vectorized_tier(self, fast_bist_config):
-        """Nonlinear 74HCT4046A lanes are rejected at closed-form
-        eligibility and fall through to the lockstep tier — still
-        bit-identical, still flagged nonlinear."""
+        """Nonlinear 74HCT4046A lanes settle on the kernel's Simpson
+        phase path — still bit-identical, still flagged nonlinear."""
         pll = paper_pll(nonlinear=True)
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(
             pll, stimulus, PAPER_TONES,
             settle_cycles=fast_bist_config.settle_cycles,
         )
-        farm = ClosedFormLotSimulator(lanes, drain_width=0)
+        farm = ClosedFormLotSimulator(lanes)
         results = farm.run()
-        assert farm.stats["closed_form"] == 0
+        assert farm.stats["nonlinear"] == len(lanes)
         for lane, result in zip(lanes, results):
             assert result.mode == "vector", result.error
             assert result.nonlinear
@@ -218,17 +219,17 @@ class TestTierCascade:
         self, fast_bist_config
     ):
         """The paper's rail-driver pump charges the filter through an
-        exponential law — linear physics, but not representable by the
-        per-edge polynomial update, so the tier cascades."""
+        exponential law — linear physics, advanced by the kernel's
+        exponential update rather than the polynomial one."""
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(
             pll, stimulus, PAPER_TONES,
             settle_cycles=fast_bist_config.settle_cycles,
         )
-        farm = ClosedFormLotSimulator(lanes, drain_width=0)
+        farm = ClosedFormLotSimulator(lanes)
         results = farm.run()
-        assert farm.stats["closed_form"] == 0
+        assert farm.stats["vector"] == len(lanes)
         for lane, result in zip(lanes, results):
             assert result.mode == "vector", result.error
             expected = _scalar_snapshot(
@@ -239,7 +240,8 @@ class TestTierCascade:
     def test_mixed_lot_auto_reports_byte_identical(self, fast_bist_config):
         """The acceptance lot: closed-form-eligible + linear-EXP +
         HCT4046 + fault-library dies through ``engine="auto"`` — every
-        tier exercised, zero report diffs against the scalar engine."""
+        law on the one kernel, zero report diffs against the scalar
+        engine."""
         label = sorted(FAULT_LIBRARY)[0]
         paper_stim = paper_stimulus("multitone")
         paper_plan = SweepPlan(PAPER_TONES)
@@ -277,14 +279,9 @@ class TestTierCascade:
         auto = batch_device_reports(lot, cache=cache, engine="auto")
         assert auto == cold
         stats = cache.presettle_stats
-        # Tier-by-tier resolution: the current-mode die settled on the
-        # analytic tier, everything else on the lockstep farm (narrow
-        # remainders may drain to the scalar loop — still a clean pass).
-        assert stats.closed_form_lanes == len(CDR_TONES)
-        assert (
-            stats.vector + stats.drained
-            == stats.unique - stats.closed_form_lanes
-        )
+        # Every lane, whatever its laws, finished on the kernel.
+        assert stats.vector == stats.tones_vectorized == stats.unique
+        assert stats.closed_form_lanes == stats.drained == 0
         assert stats.hct4046_lanes == len(PAPER_TONES)
         assert stats.ejected == stats.scalar == stats.failed == 0
 
@@ -397,26 +394,23 @@ class TestPresettleStats:
     def test_closed_form_counters_and_summary(self):
         jobs = [(_cdr_pll(), _cdr_stimulus(), _cdr_config(), CDR_TONES)]
         cache = LockStateCache()
-        stats = premeasure_lot(
-            jobs, cache, engine="closed_form", drain_width=0
-        )
-        assert stats.closed_form_lanes == len(CDR_TONES)
-        assert stats.vector == 0
+        stats = premeasure_lot(jobs, cache, engine="closed_form")
+        assert stats.vector == len(CDR_TONES)
+        assert stats.closed_form_lanes == stats.drained == 0
         assert stats.tones_vectorized == len(CDR_TONES)
-        assert "closed-form" in stats.summary()
+        assert f"{len(CDR_TONES)} vector" in stats.summary()
         assert len(cache) == len(CDR_TONES)
-        # At farm level "auto" and "closed_form" are the same cascade.
-        auto = premeasure_lot(
-            jobs, LockStateCache(), engine="auto", drain_width=0
-        )
-        assert auto.closed_form_lanes == stats.closed_form_lanes
+        # At farm level "auto" and "closed_form" are the same farm.
+        auto_cache = LockStateCache()
+        auto = premeasure_lot(jobs, auto_cache, engine="auto")
+        assert auto.vector == stats.vector
+        assert dict(auto_cache.export()) == dict(cache.export())
 
     def test_vectorized_engine_reports_no_closed_form_lanes(self):
         stats = premeasure_lot(
             [(_cdr_pll(), _cdr_stimulus(), _cdr_config(), CDR_TONES)],
             LockStateCache(),
             engine="vectorized",
-            drain_width=0,
         )
         assert stats.closed_form_lanes == 0
-        assert stats.tones_vectorized == len(CDR_TONES)
+        assert stats.tones_vectorized == stats.vector == len(CDR_TONES)

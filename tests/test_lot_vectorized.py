@@ -1,8 +1,8 @@
-"""The vectorised lot engine: lockstep settle farm + engine wiring.
+"""The vectorised lot engine: the per-lane kernel farm + engine wiring.
 
 Four contracts under test:
 
-* **bit identity** — a lane settled on the lockstep farm materialises a
+* **bit identity** — a lane settled on the farm's kernel materialises a
   :class:`~repro.pll.simulator.SimulatorSnapshot` *exactly equal* (full
   dataclass equality, PFD state and event counters included) to the
   snapshot a cold scalar :class:`~repro.pll.simulator.PLLTransientSimulator`
@@ -10,9 +10,9 @@ Four contracts under test:
   ``engine="vectorized"`` sweeps and batch reports byte-identical to the
   scalar engine;
 * **graceful divergence** — unsupported physics falls back to a full
-  scalar settle, stragglers drain to the scalar loop mid-flight, and
-  both still satisfy the identity above; correctness never depends on
-  the fast path;
+  scalar settle, a lane leaving the kernel's envelope ejects to a
+  scalar finish mid-flight, and both still satisfy the identity above;
+  correctness never depends on the fast path;
 * **wiring** — ``TransferFunctionMonitor.run(engine=...)``,
   ``batch_device_reports(engine=...)`` (serial and pooled), the service
   job spec/request, and the CLI all accept and validate the engine
@@ -91,7 +91,7 @@ class TestFarmBitIdentity:
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, fast_bist_config)
-        farm = VectorizedLotSimulator(lanes, drain_width=0)
+        farm = VectorizedLotSimulator(lanes)
         results = farm.run()
         assert len(results) == len(lanes)
         for lane, result in zip(lanes, results):
@@ -113,7 +113,7 @@ class TestFarmBitIdentity:
         lanes = []
         for dut in duts:
             lanes.extend(_lanes(dut, stimulus, fast_bist_config))
-        results = VectorizedLotSimulator(lanes, drain_width=0).run()
+        results = VectorizedLotSimulator(lanes).run()
         for lane, result in zip(lanes, results):
             expected = _scalar_snapshot(
                 lane.pll, stimulus, lane.f_mod, lane.settle_end
@@ -122,18 +122,22 @@ class TestFarmBitIdentity:
                 f"{lane.pll.name} @ {lane.f_mod} Hz via {result.mode}"
             )
 
-    def test_drained_lanes_equal_vector_lanes(self, fast_bist_config):
+    def test_lane_snapshots_independent_of_farm_width(
+        self, fast_bist_config
+    ):
+        """A lane settles to the same snapshot alone as inside a wider
+        farm, whose longer-settling lanes share and lengthen its
+        group's reference-edge train."""
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, fast_bist_config)
-        vector = VectorizedLotSimulator(lanes, drain_width=0).run()
-        drained = VectorizedLotSimulator(
-            lanes, drain_width=len(lanes)
-        ).run()
-        assert all(r.mode == "vector" for r in vector)
-        assert all(r.mode == "drained" for r in drained)
-        for a, b in zip(vector, drained):
-            assert a.snapshot == b.snapshot
+        longer = [replace(lane, settle_end=2.0 * lane.settle_end)
+                  for lane in lanes]
+        together = VectorizedLotSimulator(lanes + longer).run()
+        for lane, result in zip(lanes, together):
+            (alone,) = VectorizedLotSimulator([lane]).run()
+            assert result.mode == alone.mode == "vector"
+            assert result.snapshot == alone.snapshot
 
     def test_nonlinear_hct4046_rides_the_farm(self, fast_bist_config):
         """The nonlinear 74HCT4046A VCO no longer ejects: the farm
@@ -142,7 +146,7 @@ class TestFarmBitIdentity:
         pll = paper_pll(nonlinear=True)
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, fast_bist_config)
-        farm = VectorizedLotSimulator(lanes, drain_width=0)
+        farm = VectorizedLotSimulator(lanes)
         results = farm.run()
         for lane, result in zip(lanes, results):
             assert result.mode == "vector", result.error
@@ -152,34 +156,6 @@ class TestFarmBitIdentity:
             )
             assert result.snapshot == expected
         assert farm.stats["nonlinear"] == len(lanes)
-
-    def test_nonlinear_lockstep_equals_kernel(self, fast_bist_config):
-        """Forced-lockstep nonlinear lanes match the per-lane kernel."""
-        pll = paper_pll(nonlinear=True)
-        stimulus = paper_stimulus("multitone")
-        lanes = _lanes(pll, stimulus, fast_bist_config)
-        kernel = VectorizedLotSimulator(lanes, drain_width=0).run()
-        lockstep = VectorizedLotSimulator(
-            lanes, drain_width=0, lockstep_width=0
-        ).run()
-        for a, b in zip(kernel, lockstep):
-            assert a.snapshot is not None
-            assert a.snapshot == b.snapshot
-
-    def test_kernel_equals_lockstep_linear(self, fast_bist_config):
-        """The per-lane kernel (narrow farms) and the lockstep arrays
-        (wide farms) produce identical snapshots for linear physics."""
-        pll = paper_pll()
-        stimulus = paper_stimulus("multitone")
-        lanes = _lanes(pll, stimulus, fast_bist_config)
-        kernel = VectorizedLotSimulator(lanes, drain_width=0).run()
-        lockstep = VectorizedLotSimulator(
-            lanes, drain_width=0, lockstep_width=0
-        ).run()
-        assert all(r.mode == "vector" for r in kernel)
-        assert all(r.mode == "vector" for r in lockstep)
-        for a, b in zip(kernel, lockstep):
-            assert a.snapshot == b.snapshot
 
     def test_unrecognised_tuning_curve_falls_back_scalar(
         self, fast_bist_config
@@ -210,7 +186,7 @@ class TestFarmBitIdentity:
         pll = dc_replace(base, vco=custom)
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, fast_bist_config)
-        results = VectorizedLotSimulator(lanes, drain_width=0).run()
+        results = VectorizedLotSimulator(lanes).run()
         for lane, result in zip(lanes, results):
             assert result.mode == "scalar"
             expected = _scalar_snapshot(
@@ -269,7 +245,6 @@ class TestPresettleLot:
             [(paper_pll(nonlinear=True), stimulus, fast_bist_config,
               TONES)],
             cache,
-            drain_width=0,
         )
         assert stats.tones_vectorized == stats.vector == len(TONES)
         assert stats.hct4046_lanes == len(TONES)
@@ -279,7 +254,6 @@ class TestPresettleLot:
         linear = premeasure_lot(
             [(paper_pll(), stimulus, fast_bist_config, TONES)],
             LockStateCache(),
-            drain_width=0,
         )
         assert linear.hct4046_lanes == 0
         assert linear.tones_vectorized == len(TONES)
@@ -304,6 +278,36 @@ class TestPresettleLot:
         assert stats.unique > 0
         assert stats.scalar == 0
         assert stats.failed == 0
+
+    def test_fault_lot_counts_every_kernel_lane_in_farm(
+        self, fast_bist_config
+    ):
+        """The fault-lot shape — healthy + every library fault x 13
+        tones, 104 lanes, wider than the old 64-lane lockstep crossover
+        — finishes every lane on the kernel, counts each one in-farm,
+        and screens to the scalar engine's bytes."""
+        stimulus = paper_stimulus("multitone")
+        plan = paper_sweep(points=13)
+        duts = [paper_pll()] + [
+            apply_fault(paper_pll(), FAULT_LIBRARY[label])
+            for label in sorted(FAULT_LIBRARY)
+        ]
+        stats = premeasure_lot(
+            [(dut, stimulus, fast_bist_config, plan.frequencies_hz)
+             for dut in duts],
+            LockStateCache(),
+            engine="auto",
+        )
+        assert stats.unique == len(duts) * 13 > 64
+        assert stats.tones_vectorized == stats.vector == stats.unique
+        assert stats.drained == stats.closed_form_lanes == 0
+        requests = [
+            DeviceReportRequest(pll=dut, stimulus=stimulus, plan=plan,
+                                config=fast_bist_config)
+            for dut in duts
+        ]
+        assert batch_device_reports(requests, engine="auto") == \
+            batch_device_reports(requests)
 
     def test_uncacheable_tones_skipped(self, fast_bist_config):
         pll = paper_pll()
@@ -599,37 +603,17 @@ class TestTurnOnDelayLanes:
     scalar engine's pending-activation event; snapshots stay
     bit-identical to a cold scalar settle on every route."""
 
-    @pytest.mark.parametrize("widths, mode", [
-        ({"drain_width": 8}, "drained"),
-        ({"drain_width": 0}, "vector"),
-        ({"drain_width": 0, "lockstep_width": 0}, "vector"),
-    ], ids=["narrow-drained", "wide", "lockstep-forced"])
-    def test_kernel_snapshots_equal_scalar(self, delay_die, widths, mode,
-                                           monkeypatch):
+    def test_kernel_snapshots_equal_scalar(self, delay_die):
         d = delay_die
         lanes = (_lanes(d.pll, d.stimulus, d.config, d.tones)
                  + _lanes(d.healthy, d.stimulus, d.config, d.tones))
-        stepped = []
-        step = VectorizedLotSimulator._step
-
-        def spy(farm, idx):
-            stepped.extend(farm._tables[i].turn_on_delay
-                           for i in idx.tolist())
-            return step(farm, idx)
-
-        monkeypatch.setattr(VectorizedLotSimulator, "_step", spy)
-        results = VectorizedLotSimulator(lanes, **widths).run()
-        # Lockstep never sees a delay lane, even when it is forced.
-        assert not any(stepped)
-        if widths.get("lockstep_width") == 0:
-            assert stepped
+        results = VectorizedLotSimulator(lanes).run()
         for lane, result in zip(lanes, results):
             expected = _scalar_snapshot(
                 lane.pll, d.stimulus, lane.f_mod, lane.settle_end
             )
+            assert result.mode == "vector", result.error
             assert result.snapshot == expected
-            if lane.pll is d.pll:
-                assert result.mode == mode, result.error
 
     @pytest.mark.parametrize("engine", ["vectorized", "closed_form", "auto"])
     def test_engines_presettle_scalar_snapshots(self, delay_die, engine):
@@ -640,7 +624,7 @@ class TestTurnOnDelayLanes:
         )
         assert stats.unique == len(d.tones)
         assert stats.scalar == stats.ejected == stats.failed == 0
-        assert stats.closed_form_lanes == 0
+        assert stats.vector == stats.tones_vectorized == len(d.tones)
         sequencer = ToneTestSequencer(d.pll, d.stimulus, d.config,
                                       record="counters")
         for f_mod in d.tones:
@@ -674,7 +658,7 @@ class TestTurnOnDelayLanes:
         m = in_flight.index(True, 8)
 
         lane = _lanes(d.pll, d.stimulus, d.config, (f_mod,))[0]
-        farm = VectorizedLotSimulator([lane], drain_width=0)
+        farm = VectorizedLotSimulator([lane])
         # Truncate the pregenerated train: the kernel ejects at edge m,
         # from its pre-event state, with the activation still armed.
         farm._edges[0] = farm._edges[0][:m + 1]
@@ -717,7 +701,7 @@ class TestTurnOnDelayLanes:
         t_end = armed[0] - 0.5 * d.pll.pump.turn_on_delay
         lane = SettleLane(pll=d.pll, stimulus=d.stimulus, f_mod=f_mod,
                           settle_end=t_end, record="counters")
-        (result,) = VectorizedLotSimulator([lane], drain_width=0).run()
+        (result,) = VectorizedLotSimulator([lane]).run()
         expected = _scalar_snapshot(d.pll, d.stimulus, f_mod, t_end)
         assert expected.pending_activation is not None
         assert result.mode == "vector"
@@ -731,7 +715,7 @@ class TestTurnOnDelayLanes:
         pll = apply_fault(paper_pll(), FAULT_LIBRARY["pump dead zone 100us"])
         stimulus = paper_stimulus("multitone")
         lane = _lanes(pll, stimulus, fast_bist_config, (10.0,))[0]
-        farm = VectorizedLotSimulator([lane], drain_width=0)
+        farm = VectorizedLotSimulator([lane])
         table = farm._tables[0]
         up = table.s_to_drive[1]  # PFD state (up=True, dn=False)
         t_tie = float(farm._tref[0])
@@ -766,7 +750,7 @@ class TestTurnOnDelayLanes:
         stats = premeasure_lot(
             [(d.healthy, d.stimulus, d.config, d.tones),
              (d.pll, d.stimulus, d.config, d.tones)],
-            cache, dedup, drain_width=0, engine="auto",
+            cache, dedup, engine="auto",
         )
         assert loaded.count(d.pll.pump.turn_on_delay) == len(d.tones)
         assert stats.scalar == stats.measure_ejected == 0

@@ -117,7 +117,7 @@ class TestPremeasureParity:
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(d, stimulus, fast_bist_config, TONES) for d in duts],
-            cache, dedup, drain_width=0,
+            cache, dedup,
         )
         assert stats.measured == len(duts) * len(TONES)
         assert stats.measure_ejected == stats.measure_failed == 0
@@ -140,10 +140,10 @@ class TestPremeasureParity:
         duts = _fault_lot()
         jobs = [(d, stimulus, fast_bist_config, TONES) for d in duts]
         cache = LockStateCache()
-        premeasure_lot(jobs, cache, drain_width=0)
+        premeasure_lot(jobs, cache)
         settled = dict(cache.export())
         dedup = ToneMeasurementCache()
-        stats = premeasure_lot(jobs, cache, dedup, drain_width=0)
+        stats = premeasure_lot(jobs, cache, dedup)
         assert stats.cached == len(duts) * len(TONES)
         assert stats.measured == len(duts) * len(TONES)
         # The warm re-entry never rewrites the settle cache.
@@ -166,7 +166,7 @@ class TestPremeasureParity:
         dedup = ToneMeasurementCache()
         premeasure_lot(
             [(d, stimulus, fast_bist_config, TONES) for d in duts],
-            cache, dedup, drain_width=0, engine="auto",
+            cache, dedup, engine="auto",
         )
         for dut in duts:
             for f_mod in TONES:
@@ -200,7 +200,7 @@ class TestPremeasureParity:
         ]
         cache = LockStateCache()
         dedup = ToneMeasurementCache()
-        stats = premeasure_lot(jobs, cache, dedup, drain_width=0)
+        stats = premeasure_lot(jobs, cache, dedup)
         assert stats.measure_failed == len(TONES)
         assert stats.measured == 2 * len(TONES)
         for f_mod in TONES:
@@ -237,7 +237,7 @@ class TestPremeasureParity:
         stats = premeasure_lot(
             [(linear, stimulus, fast_bist_config, TONES),
              (nonlinear, stimulus, fast_bist_config, TONES)],
-            cache, dedup, drain_width=0,
+            cache, dedup,
         )
         assert stats.hct4046_lanes == len(TONES)
         assert stats.measured == 2 * len(TONES)
@@ -250,8 +250,8 @@ class TestPremeasureParity:
                 ), (dut.name, f_mod)
 
     def test_narrow_farm_measures_every_lane(self, fast_bist_config):
-        """Three lanes, fewer than the drain width: every one measures
-        on the kernel, none is handed to the scalar sequencer."""
+        """A three-lane farm: every lane measures on the kernel, none
+        is handed to the scalar sequencer."""
         stimulus = paper_stimulus("multitone")
         duts = _fault_lot(2)
         dedup = ToneMeasurementCache()
@@ -277,7 +277,7 @@ class TestPremeasureParity:
         stimulus = paper_stimulus("multitone")
         f_mod = TONES[0]
         lane = _measure_lane(pll, stimulus, fast_bist_config, f_mod)
-        farm = VectorizedLotSimulator([lane], drain_width=0)
+        farm = VectorizedLotSimulator([lane])
         edges = farm._edges[0]
         # Keep the settle's edges and a few more: stage 1 runs out.
         farm._edges[0] = edges[:np.searchsorted(edges, lane.settle_end) + 4]
@@ -305,7 +305,7 @@ class TestDeadZoneMeasurement:
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(d.pll, d.stimulus, d.config, d.tones)],
-            LockStateCache(), dedup, drain_width=0,
+            LockStateCache(), dedup,
         )
         assert stats.measure_ejected == 0
         assert stats.measured + stats.measure_failed == len(d.tones)
@@ -336,7 +336,7 @@ class TestDeadZoneMeasurement:
         sim.run_until(d.config.settle_cycles / f_mod)
         t_end = armed[0] - 0.5 * d.pll.pump.turn_on_delay
         lane = _measure_lane(d.pll, d.stimulus, d.config, f_mod, t_end)
-        farm = VectorizedLotSimulator([lane], drain_width=0)
+        farm = VectorizedLotSimulator([lane])
         (result,) = farm.run()
         assert result.snapshot.pending_activation is not None
         assert farm.stats["measure_ejected"] == 0
@@ -368,7 +368,7 @@ class TestDeadZoneMeasurement:
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(pll, stimulus, fast_bist_config, (f_mod,))],
-            LockStateCache(), dedup, drain_width=0,
+            LockStateCache(), dedup,
         )
         assert stats.measured == 1
         assert dedup.get(_measurement_cache_key(
@@ -426,8 +426,7 @@ class TestBatchAndPopulationParity:
         assert pooled == scalar
 
     def test_monitor_sweep_engines_identical(self, fast_bist_config):
-        """A 26-tone plan (wide enough for the lockstep settle arrays)
-        sweeps bit-identically on every engine."""
+        """A 26-tone plan sweeps bit-identically on every engine."""
         plan = SweepPlan(tuple(10.0 + 4.5 * i for i in range(26)))
         stimulus = paper_stimulus("multitone")
         results = {}
