@@ -58,6 +58,7 @@ def _drain_fleet(shards, n_workers, requests):
                     config=r.config,
                     n_workers=n_workers,
                     label=f"load-{i:02d}",
+                    engine="scalar",
                 )
             )
             for i, r in enumerate(requests)

@@ -116,12 +116,12 @@ def test_perf_sweep(report, paper_dut):
     cores = _visible_cpu_count()
 
     t0 = time.perf_counter()
-    cold = monitor.run(plan)
+    cold = monitor.run(plan, engine="scalar")
     t_cold = time.perf_counter() - t0
 
     # Same monitor, same plan: every tone restores its cached snapshot.
     t0 = time.perf_counter()
-    warm = monitor.run(plan)
+    warm = monitor.run(plan, engine="scalar")
     t_warm = time.perf_counter() - t0
 
     # The parallel scenario only means something when a pool can
@@ -141,7 +141,8 @@ def test_perf_sweep(report, paper_dut):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParallelFallbackWarning)
             t0 = time.perf_counter()
-            parallel = parallel_monitor.run(plan, n_workers=N_WORKERS)
+            parallel = parallel_monitor.run(plan, n_workers=N_WORKERS,
+                                            engine="scalar")
             t_parallel = time.perf_counter() - t0
 
     # Tone-level vectorization: a fresh monitor, empty cache, and the
@@ -151,7 +152,7 @@ def test_perf_sweep(report, paper_dut):
         paper_dut, paper_stimulus("multitone"), paper_bist_config()
     )
     t0 = time.perf_counter()
-    vec_single = vec_monitor.run(plan, engine="vectorized")
+    vec_single = vec_monitor.run(plan, engine="auto")
     t_vec_single = time.perf_counter() - t0
 
     # The warm-start guarantee: snapshot restore is bit-identical.
@@ -281,12 +282,13 @@ def test_perf_batch_screen(report, paper_dut):
     ]
 
     t0 = time.perf_counter()
-    cold_reports = batch_device_reports(lot)
+    cold_reports = batch_device_reports(lot, engine="scalar")
     t_cold = time.perf_counter() - t0
 
     warm_cache = LockStateCache()
     t0 = time.perf_counter()
-    warm_reports = batch_device_reports(lot, cache=warm_cache)
+    warm_reports = batch_device_reports(lot, cache=warm_cache,
+                                        engine="scalar")
     t_warm = time.perf_counter() - t0
 
     # Warm screening must not change a single byte of any artefact.
@@ -301,15 +303,13 @@ def test_perf_batch_screen(report, paper_dut):
     assert detail["misses"] == N_TONES
     assert detail["hits"] == (LOT_SIZE - 1) * N_TONES
 
-    # The vectorised engine: one farm presettle pass over the lot's
+    # The auto engine: one farm presettle pass over the lot's
     # unique tones, then every device of the lot screens warm — no die
     # ever pays a scalar cold settle.  Must beat the *cold* screen by
     # the acceptance floor and change no byte of any artefact.
     vec_cache = LockStateCache()
     t0 = time.perf_counter()
-    vec_reports = batch_device_reports(
-        lot, cache=vec_cache, engine="vectorized"
-    )
+    vec_reports = batch_device_reports(lot, cache=vec_cache, engine="auto")
     t_vec = time.perf_counter() - t0
     vec_byte_identical = vec_reports == cold_reports
     assert vec_byte_identical
@@ -371,9 +371,9 @@ def test_perf_hct4046_lot(report):
     """The paper's actual DUT — the nonlinear 74HCT4046A — on the farm.
 
     Before the masked nonlinear lanes landed, every hct4046 device
-    ejected to the scalar engine and the vectorised lot bought nothing.
+    ejected to the scalar engine and the farm bought nothing.
     This scenario pins the fix: a lot of nonlinear dies screens on the
-    vectorised engine with *zero* ejections, byte-identical artefacts,
+    auto engine with *zero* ejections, byte-identical artefacts,
     and a wall-time win recorded in the trajectory.
     """
     from repro.presets import paper_pll
@@ -393,14 +393,12 @@ def test_perf_hct4046_lot(report):
     ]
 
     t0 = time.perf_counter()
-    cold_reports = batch_device_reports(lot)
+    cold_reports = batch_device_reports(lot, engine="scalar")
     t_cold = time.perf_counter() - t0
 
     vec_cache = LockStateCache()
     t0 = time.perf_counter()
-    vec_reports = batch_device_reports(
-        lot, cache=vec_cache, engine="vectorized"
-    )
+    vec_reports = batch_device_reports(lot, cache=vec_cache, engine="auto")
     t_vec = time.perf_counter() - t0
 
     byte_identical = vec_reports == cold_reports
@@ -490,7 +488,7 @@ def test_perf_vec_measure_fault_screen(report):
     A heterogeneous 8-die lot (healthy + all seven library faults)
     where dedup is impossible — the settle farm alone bought ~1.3x
     here because the scalar stage 1-4 replay dominated.  With the
-    measurement phase batched the vectorized screen must clear 2x
+    measurement phase batched the auto screen must clear 2x
     against the scalar engine while every report stays byte-identical,
     including the die whose sweep legitimately fails mid-plan.
     """
@@ -505,7 +503,7 @@ def test_perf_vec_measure_fault_screen(report):
     vec_cache = LockStateCache()
     t0 = time.perf_counter()
     vec_reports = batch_device_reports(
-        requests, cache=vec_cache, engine="vectorized"
+        requests, cache=vec_cache, engine="auto"
     )
     t_vec = time.perf_counter() - t0
 
@@ -652,20 +650,19 @@ def cdr_corner_lot():
     return requests, jobs
 
 
-def _farm_wall(jobs, engine, repeats=2):
-    """Best-of-N presettle farm wall for one engine (fresh cache each)."""
+def _farm_wall(jobs, repeats=2):
+    """Best-of-N presettle farm wall (fresh cache each)."""
     from repro.pll.lot import premeasure_lot
 
     best = float("inf")
-    stats = cache = None
+    stats = None
     for __ in range(repeats):
-        fresh = LockStateCache()
         t0 = time.perf_counter()
-        run_stats = premeasure_lot(jobs, fresh, engine=engine)
+        run_stats = premeasure_lot(jobs, LockStateCache())
         wall = time.perf_counter() - t0
         if wall < best:
-            best, stats, cache = wall, run_stats, fresh
-    return best, stats, cache
+            best, stats = wall, run_stats
+    return best, stats
 
 
 def test_perf_corner_screen(report):
@@ -674,50 +671,33 @@ def test_perf_corner_screen(report):
     An 8-die corner-varied current-mode lot has 104 physics-distinct
     (die, tone) lanes — no dedup to hide behind, every lane settles.
     Every lane must settle on the farm's per-lane kernel (none ejected
-    or scalar), the ``vectorized`` and ``closed_form`` farms must hand
-    the sweep bit-equal settled states, the four engine names must
-    screen the lot to byte-identical reports, and the ``auto`` screen
-    must beat the scalar cold screen by the absolute
+    or scalar), the ``auto`` screen must match the scalar cold screen
+    byte for byte, and it must beat that screen by the absolute
     :data:`CORNER_SCREEN_SPEEDUP_FLOOR`.
     """
     requests, jobs = cdr_corner_lot()
 
-    t_vec_farm, vec_stats, vec_cache = _farm_wall(jobs, "vectorized")
-    t_cf_farm, cf_stats, cf_cache = _farm_wall(jobs, "closed_form")
+    t_farm, farm_stats = _farm_wall(jobs)
 
     # Every lane settles on the kernel; none may eject or fall back.
     n_lanes = CF_LOT_SIZE * N_TONES
-    assert cf_stats.unique == n_lanes
-    assert cf_stats.vector == cf_stats.tones_vectorized == n_lanes
-    assert cf_stats.ejected == cf_stats.scalar == cf_stats.failed == 0
-    assert vec_stats.unique == n_lanes
+    assert farm_stats.unique == n_lanes
+    assert farm_stats.vector == farm_stats.tones_vectorized == n_lanes
+    assert farm_stats.ejected == farm_stats.scalar == farm_stats.failed == 0
 
-    # The settled states the two farm names hand the sweep are bit-equal.
-    vec_entries = dict(vec_cache.export())
-    cf_entries = dict(cf_cache.export())
-    assert vec_entries.keys() == cf_entries.keys()
-    farm_bit_identical = all(
-        cf_entries[key] == snap for key, snap in vec_entries.items()
-    )
-    assert farm_bit_identical
-
-    # The four engines, side by side, on the full screen (settle +
-    # stages 1-4 + rendering, not just the farm).
+    # The full screen (settle + stages 1-4 + rendering, not just the
+    # farm) against the scalar cold screen.
     t0 = time.perf_counter()
-    cold_reports = batch_device_reports(requests)
+    cold_reports = batch_device_reports(requests, engine="scalar")
     t_cold = time.perf_counter() - t0
 
-    walls = {}
-    screens_identical = True
-    for engine in ("vectorized", "closed_form", "auto"):
-        t0 = time.perf_counter()
-        fast = batch_device_reports(
-            requests, cache=LockStateCache(), engine=engine
-        )
-        walls[engine] = time.perf_counter() - t0
-        screens_identical = screens_identical and fast == cold_reports
-        assert fast == cold_reports, f"engine={engine} changed a byte"
-    speedup = t_cold / walls["auto"]
+    t0 = time.perf_counter()
+    fast = batch_device_reports(requests, cache=LockStateCache(),
+                                engine="auto")
+    t_auto = time.perf_counter() - t0
+    screens_identical = fast == cold_reports
+    assert screens_identical
+    speedup = t_cold / t_auto
 
     table = format_table(
         ["metric", "value"],
@@ -725,15 +705,12 @@ def test_perf_corner_screen(report):
             ["lot size", CF_LOT_SIZE],
             ["tones per device", N_TONES],
             ["unique lanes", n_lanes],
-            ["vectorized farm wall", f"{t_vec_farm * 1e3:.0f} ms"],
-            ["closed_form farm wall", f"{t_cf_farm * 1e3:.0f} ms"],
-            ["kernel lanes", f"{cf_stats.vector}/{n_lanes}"],
+            ["farm wall", f"{t_farm * 1e3:.0f} ms"],
+            ["kernel lanes", f"{farm_stats.vector}/{n_lanes}"],
             ["cold screen wall", f"{t_cold:.2f} s"],
-            ["vectorized screen wall", f"{walls['vectorized']:.2f} s"],
-            ["closed_form screen wall", f"{walls['closed_form']:.2f} s"],
-            ["auto screen wall", f"{walls['auto']:.2f} s"],
+            ["auto screen wall", f"{t_auto:.2f} s"],
             ["auto vs cold speedup", f"{speedup:.2f}x"],
-            ["reports identical", "yes (byte-exact, all engines)"],
+            ["reports identical", "yes (byte-exact)"],
         ],
         title=f"Corner lot ({CF_LOT_SIZE} corner-varied dies, "
               f"{N_TONES}-tone screen)",
@@ -745,13 +722,9 @@ def test_perf_corner_screen(report):
         "vec_corner_screen": {
             "lot_size": CF_LOT_SIZE,
             "tones": N_TONES,
-            "vec_farm_wall_s": round(t_vec_farm, 4),
-            "cf_farm_wall_s": round(t_cf_farm, 4),
-            "farm_bit_identical": farm_bit_identical,
+            "vec_farm_wall_s": round(t_farm, 4),
             "cold_wall_s": round(t_cold, 4),
-            "vec_wall_s": round(walls["vectorized"], 4),
-            "cf_wall_s": round(walls["closed_form"], 4),
-            "auto_wall_s": round(walls["auto"], 4),
+            "auto_wall_s": round(t_auto, 4),
             "byte_identical": screens_identical,
         },
     }, remove=RETIRED_KEYS)
@@ -775,6 +748,7 @@ def _service_lot(cache_path, pll, plan, label):
             plan=plan,
             config=paper_bist_config(),
             label=label,
+            engine="scalar",
         )
         t0 = time.perf_counter()
         job = service.submit(request)

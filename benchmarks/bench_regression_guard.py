@@ -56,7 +56,7 @@ def _measure_cold_serial(paper_dut, tones: int) -> float:
             paper_dut, paper_stimulus("multitone"), paper_bist_config()
         )
         t0 = time.perf_counter()
-        monitor.run(plan)
+        monitor.run(plan, engine="scalar")
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -89,7 +89,7 @@ def test_vec_batch_speedup_within_floor(report, paper_dut):
     """The vectorised lot engine must hold its >=5x acceptance floor.
 
     Measures a fresh 8-die, 13-tone screen cold (scalar) and with
-    ``engine="vectorized"`` and applies the absolute
+    ``engine="auto"`` and applies the absolute
     :data:`~check_regression.VEC_BATCH_SPEEDUP_FLOOR` — one round each,
     because the two walls ride the same machine noise and only their
     ratio is judged.  Skips against baselines that predate the key.
@@ -118,10 +118,10 @@ def test_vec_batch_speedup_within_floor(report, paper_dut):
     ]
 
     t0 = time.perf_counter()
-    cold_reports = batch_device_reports(lot)
+    cold_reports = batch_device_reports(lot, engine="scalar")
     t_cold = time.perf_counter() - t0
     t0 = time.perf_counter()
-    vec_reports = batch_device_reports(lot, engine="vectorized")
+    vec_reports = batch_device_reports(lot, engine="auto")
     t_vec = time.perf_counter() - t0
 
     fresh = {
@@ -166,7 +166,7 @@ def test_corner_screen_speedup_within_floor(report):
 
     requests, jobs = cdr_corner_lot()
     t0 = time.perf_counter()
-    cold_reports = batch_device_reports(requests)
+    cold_reports = batch_device_reports(requests, engine="scalar")
     t_cold = time.perf_counter() - t0
     t0 = time.perf_counter()
     auto_reports = batch_device_reports(
@@ -259,7 +259,7 @@ def test_service_load_within_floor(report):
 def test_vec_single_speedup_within_floor(report, paper_dut):
     """Tone-level vectorization must hold its single-device floor.
 
-    A *single* 13-tone device screened with ``engine="vectorized"``
+    A *single* 13-tone device screened with ``engine="auto"``
     rides the settle farm across tones (no lot to amortise over), and
     must stay >= :data:`~check_regression.VEC_SINGLE_SPEEDUP_FLOOR`
     faster than the scalar cold sweep.  One round each — the two walls
@@ -279,14 +279,14 @@ def test_vec_single_speedup_within_floor(report, paper_dut):
         paper_dut, paper_stimulus("multitone"), paper_bist_config()
     )
     t0 = time.perf_counter()
-    cold = scalar_monitor.run(plan)
+    cold = scalar_monitor.run(plan, engine="scalar")
     t_cold = time.perf_counter() - t0
 
     vec_monitor = TransferFunctionMonitor(
         paper_dut, paper_stimulus("multitone"), paper_bist_config()
     )
     t0 = time.perf_counter()
-    vec = vec_monitor.run(plan, engine="vectorized")
+    vec = vec_monitor.run(plan, engine="auto")
     t_vec = time.perf_counter() - t0
 
     identical = len(cold.measurements) == len(vec.measurements) and all(
@@ -317,7 +317,7 @@ def test_vec_measure_speedup_within_floor(report):
 
     Re-screens the bench's heterogeneous fault-library lot (healthy +
     all seven faults — no dedup anywhere, so the win has to come from
-    batching stages 1-4) cold and with ``engine="vectorized"`` and
+    batching stages 1-4) cold and with ``engine="auto"`` and
     applies :func:`~check_regression.check_vec_measure`: byte identity
     unconditionally, the floor on gated hosts.  Skips against
     baselines that predate the ``vec_measure_*`` keys.
@@ -341,7 +341,7 @@ def test_vec_measure_speedup_within_floor(report):
     t_cold = time.perf_counter() - t0
     t0 = time.perf_counter()
     vec_reports = batch_device_reports(
-        requests, cache=LockStateCache(), engine="vectorized"
+        requests, cache=LockStateCache(), engine="auto"
     )
     t_vec = time.perf_counter() - t0
 

@@ -137,7 +137,7 @@ def _profiled(path: Optional[str], engine: Optional[str] = None):
     ``python -m pstats`` or snakeviz) and prints the top-20 functions by
     cumulative time, so perf work starts from a measurement instead of a
     guess.  ``engine`` annotates the table header with which settle
-    engine produced the numbers — a scalar and a vectorized profile of
+    engine produced the numbers — a scalar and a farm profile of
     the same workload look nothing alike, and an unlabelled dump is a
     trap.  With ``path`` falsy the block runs unprofiled at zero cost.
     """
@@ -323,7 +323,7 @@ def cmd_lot(args) -> int:
         )
         for i in range(args.size)
     ]
-    # Farm engines allocate a private cache internally anyway (the
+    # The auto engine allocates a private cache internally anyway (the
     # presettled states must be served from somewhere), so allocating
     # it here keeps --cold semantics identical while making the farm's
     # per-tier digest visible below.
@@ -759,6 +759,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stimulus", default="multitone",
                            choices=("sine", "multitone", "twotone"))
 
+    def engine_opt(p, note=""):
+        p.add_argument("--engine", default="auto", choices=ENGINES,
+                       help="auto (default): settle and measure on the "
+                            "settle farm's per-lane kernel, scalar for "
+                            "what it cannot represent and for an "
+                            "adaptive settle; scalar: the per-tone "
+                            "reference event loop.  Results are "
+                            "bit-identical on both" + note)
+
     p = sub.add_parser("theory", help="print the linear design point")
     common(p, stimulus=False)
     p.set_defaults(handler=cmd_theory)
@@ -773,15 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("fixed", "adaptive"),
                    help="stage-0 policy: Table 2 fixed wait, or adaptive "
                         "lock detection (approximate, never slower)")
-    p.add_argument("--engine", default="scalar", choices=ENGINES,
-                   help="stage-0 settle engine: per-tone scalar event "
-                        "loops, or the settle farm running the plan's "
-                        "tones as lanes on one per-lane kernel "
-                        "(vectorized, closed_form and auto name the "
-                        "same farm; auto also accepts --settle "
-                        "adaptive, running it scalar); results are "
-                        "bit-identical on every engine, vectorized and "
-                        "closed_form require --settle fixed")
+    engine_opt(p)
     p.add_argument("--profile", default=None, metavar="PATH",
                    help="cProfile the sweep; write the pstats dump to a "
                         "unique per-invocation variant of PATH and print "
@@ -813,12 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "warm state across the lot")
     p.add_argument("--out-dir", default=None,
                    help="also write one markdown report per device here")
-    p.add_argument("--engine", default="scalar", choices=ENGINES,
-                   help="stage-0 settle engine: per-device scalar event "
-                        "loops, or the settle farm's per-lane kernel "
-                        "(vectorized, closed_form and auto name the "
-                        "same farm); reports are byte-identical on "
-                        "every engine")
+    engine_opt(p, "; the cold baseline is --cold --engine scalar")
     p.add_argument("--profile", default=None, metavar="PATH",
                    help="cProfile the lot screen; write the pstats dump "
                         "to a unique per-invocation variant of PATH and "
@@ -861,10 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "chunk's settle lanes fit the warm cache)")
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="device worker processes per chunk (default 1)")
-    p.add_argument("--engine", default="auto", choices=ENGINES,
-                   help="stage-0 settle engine (default auto: the settle "
-                        "farm's per-lane kernel, scalar for lanes it "
-                        "cannot represent)")
+    engine_opt(p)
     p.add_argument("--jsonl", default=None, metavar="PATH",
                    help="stream one JSON record per die to this file")
     p.add_argument("--quiet", action="store_true",
@@ -933,11 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("fixed", "adaptive"),
                    help="stage-0 policy: Table 2 fixed wait, or adaptive "
                         "lock detection (approximate, never slower)")
-    p.add_argument("--engine", default="scalar", choices=ENGINES,
-                   help="stage-0 settle engine for this job (vectorized, "
-                        "closed_form and auto presettle the plan on the "
-                        "settle farm's per-lane kernel; bit-identical "
-                        "results)")
+    engine_opt(p, "; under auto, a cancel or --job-timeout takes "
+                  "effect only after the job's farm pass")
     p.add_argument("--job-timeout", type=float, default=None,
                    help="abort the job at the next tone boundary after "
                         "this many seconds of running time")

@@ -31,7 +31,7 @@ from repro.core.executor import (
 from repro.core.limits import LimitReport, TestLimits
 from repro.core.sequencer import ToneMeasurement, ToneTestSequencer
 from repro.core.warm import LockStateCache, ToneMeasurementCache
-from repro.engines import FARM_ENGINES, validate_engine
+from repro.engines import validate_engine
 from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
 from repro.stimulus.modulation import ModulatedStimulus
@@ -202,7 +202,7 @@ class TransferFunctionMonitor:
         executor: Optional[SweepExecutor] = None,
         settle: str = "fixed",
         on_outcome: Optional[ToneCallback] = None,
-        engine: str = "scalar",
+        engine: str = "auto",
         measurement_cache=None,
     ) -> SweepResult:
         """Sweep every planned tone and evaluate eqs. (7)–(8).
@@ -223,22 +223,19 @@ class TransferFunctionMonitor:
         monitor's :attr:`lock_cache` serves repeated fixed-settle tones
         warm.
 
-        ``engine`` selects how stage 0 (the settle) is simulated:
-        ``"scalar"`` (default) runs each tone's settle inside its own
-        event loop as before; ``"vectorized"`` first settles every
-        cacheable tone of the plan on the settle farm's per-lane kernel
+        ``engine`` selects how the tones are simulated: ``"auto"``
+        (default) first settles every cacheable tone of the plan on the
+        settle farm's per-lane kernel
         (:func:`repro.pll.lot.premeasure_lot`), warming
         :attr:`lock_cache` — and, on the serial in-process path, carries
         the lanes on through stages 1–4 so the sweep's tones are
         answered from finished measurements (or published failures) —
-        then runs the same sweep, warm;
-        ``"closed_form"`` names the same farm; ``"auto"`` does too,
-        and where a named farm engine would refuse (an adaptive settle
-        policy) it degrades to the scalar path instead of raising.
-        Counted results are bit-identical on every engine (the farm's
-        snapshot guarantee); only wall time changes.  The named farm
-        engines require ``settle="fixed"`` — the adaptive policy's lock
-        detection is inherently per-device scalar.
+        then runs the same sweep, warm.  ``"scalar"`` runs each tone's
+        settle inside its own event loop: the reference.  An adaptive
+        settle runs scalar under either name — its lock detection is
+        inherently per-device.  Counted results are bit-identical on
+        both engines (the farm's snapshot guarantee); only wall time
+        changes.
 
         ``measurement_cache`` optionally shares *finished* stage 1–4
         measurements across behaviourally identical sweeps (a
@@ -266,16 +263,7 @@ class TransferFunctionMonitor:
             Only if the *reference* tone fails — without the in-band
             reference no magnitude can be computed at all.
         """
-        validate_engine(engine)
-        if engine in ("vectorized", "closed_form") and settle != "fixed":
-            # A named farm engine is an explicit ask; refusing beats
-            # silently running something else.  ``auto`` is a policy,
-            # not an ask — it degrades to scalar below instead.
-            raise ConfigurationError(
-                f"engine={engine!r} requires settle='fixed' "
-                f"(got settle={settle!r})"
-            )
-        if engine in FARM_ENGINES and settle == "fixed":
+        if validate_engine(engine) == "auto" and settle == "fixed":
             # Imported lazily: repro.pll.lot pulls in the NumPy settle
             # farm, which scalar-only callers never need.
             from repro.pll.lot import premeasure_lot
@@ -293,7 +281,6 @@ class TransferFunctionMonitor:
                   plan.frequencies_hz)],
                 self.lock_cache,
                 measurement_cache if serial_dedup_ok else None,
-                engine=engine,
             )
         custom_executor = executor is not None
         if executor is None:
@@ -411,7 +398,7 @@ class TransferFunctionMonitor:
         executor: Optional[SweepExecutor] = None,
         settle: str = "fixed",
         on_outcome: Optional[ToneCallback] = None,
-        engine: str = "scalar",
+        engine: str = "auto",
         measurement_cache=None,
     ) -> Tuple[SweepResult, LimitReport]:
         """Sweep then compare against on-chip limits (go/no-go).

@@ -1,4 +1,4 @@
-"""Lot-level settle planning for the vectorized engine.
+"""Lot-level settle planning for the ``auto`` engine's settle farm.
 
 :func:`premeasure_lot` is the bridge between the batch-screening /
 sweep layers and the settle farm
@@ -45,9 +45,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 from repro.core.executor import _measurement_cache_key
 from repro.core.sequencer import ToneTestSequencer
 from repro.core.warm import LockStateCache, ToneMeasurementCache
-from repro.engines import FARM_ENGINES, validate_engine
 from repro.pll.simulator import RecordLevel
-from repro.sim.closed_form import ClosedFormLotSimulator
 from repro.sim.vectorized import (
     MeasureSpec,
     SettleLane,
@@ -111,7 +109,6 @@ def premeasure_lot(
     measurement_cache: Optional[ToneMeasurementCache] = None,
     *,
     record: Union[RecordLevel, str] = RecordLevel.COUNTERS,
-    engine: str = "vectorized",
 ) -> LotPresettleStats:
     """Warm ``cache`` (and optionally ``measurement_cache``) for a lot.
 
@@ -137,11 +134,10 @@ def premeasure_lot(
     the settled snapshot.  Without ``measurement_cache`` only the
     settle runs.
 
-    ``engine`` names the farm: ``"vectorized"`` (default),
-    ``"closed_form"`` and ``"auto"`` all settle every supported lane on
-    the same per-lane kernel, so at this level they are one farm.
+    A tone whose stimulus cannot even build its edge source is skipped:
+    the device's own sweep raises (and a batch screen stubs) exactly
+    that error, so one bad device never aborts the lot's farm.
     """
-    validate_engine(engine, FARM_ENGINES)
     record = RecordLevel.coerce(record)
     stats = LotPresettleStats()
     lanes = []
@@ -170,6 +166,11 @@ def premeasure_lot(
             if key in seen:
                 continue
             seen.add(key)
+            try:
+                stimulus.make_source(f_mod, 0.0)
+            except Exception:  # noqa: BLE001 - the sweep raises this itself
+                stats.skipped += 1
+                continue
             spec = None
             mkey = None
             if measurement_cache is not None:
@@ -199,10 +200,7 @@ def premeasure_lot(
     if not lanes:
         cache.presettle_stats = stats
         return stats
-    if engine == "vectorized":
-        farm = VectorizedLotSimulator(lanes)
-    else:
-        farm = ClosedFormLotSimulator(lanes)
+    farm = VectorizedLotSimulator(lanes)
     for key, mkey, result in zip(keys, mkeys, farm.run()):
         if result.mode == "warm":
             # Re-entered from the settle cache for measurement only;

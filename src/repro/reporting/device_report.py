@@ -44,7 +44,7 @@ from repro.core.warm import (
     run_with_shipment,
     warm_shipment,
 )
-from repro.engines import FARM_ENGINES, validate_engine
+from repro.engines import validate_engine
 from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
 from repro.stimulus.modulation import ModulatedStimulus
@@ -229,15 +229,22 @@ def _measure_one(
     cache: Optional[LockStateCache],
     measurement_cache: Optional[ToneMeasurementCache],
 ) -> Tuple[SweepResult, Optional[LimitReport]]:
-    """Run one device's sweep and, when it has limits, its verdict."""
+    """Run one device's sweep and, when it has limits, its verdict.
+
+    Always the scalar sweep: under ``engine="auto"`` the lot's one farm
+    pass has already filled ``cache``/``measurement_cache``, and a
+    per-device farm would only re-presettle what it left behind.
+    """
     monitor = TransferFunctionMonitor(
         request.pll, request.stimulus, request.config, cache=cache
     )
     if request.limits is not None:
         return monitor.run_and_check(
-            request.plan, request.limits, measurement_cache=measurement_cache
+            request.plan, request.limits, engine="scalar",
+            measurement_cache=measurement_cache,
         )
-    sweep = monitor.run(request.plan, measurement_cache=measurement_cache)
+    sweep = monitor.run(request.plan, engine="scalar",
+                        measurement_cache=measurement_cache)
     return sweep, None
 
 
@@ -256,9 +263,10 @@ def _render_one(
     must never abort the remaining devices (least of all by killing a
     pool map mid-lot).
 
-    ``measurement_cache`` (vectorized serial screens) shares finished
-    stage 1–4 measurements across behaviourally identical dies; reports
-    stay byte-identical because timing never reaches the artefact.
+    ``measurement_cache`` (serial ``engine="auto"`` screens) shares
+    finished stage 1–4 measurements across behaviourally identical
+    dies; reports stay byte-identical because timing never reaches the
+    artefact.
     """
     try:
         sweep, verdict = _measure_one(request, cache, measurement_cache)
@@ -407,7 +415,7 @@ def batch_device_reports(
     requests: Sequence[DeviceReportRequest],
     n_workers: int = 1,
     cache: Optional[LockStateCache] = None,
-    engine: str = "scalar",
+    engine: str = "auto",
 ) -> List[str]:
     """Measure and render a lot of devices, one report per request.
 
@@ -426,20 +434,18 @@ def batch_device_reports(
     run (the snapshot guarantee).  Under ``n_workers > 1`` the cache's
     entries ship to each worker in its chunk payload and the workers'
     discoveries are merged back afterwards, leaving ``cache`` as warm
-    as a serial screen would have.  ``None`` (default) screens every
-    device cold, preserving the historical behaviour.
+    as a serial screen would have.  With ``None`` (default) the scalar
+    engine screens every device cold.
 
-    ``engine`` selects the lot's farm engine.  ``"vectorized"``
-    first runs every unique (physics, stimulus, tone) lane of the
-    whole lot on the settle farm's per-lane kernel
-    (:func:`repro.pll.lot.premeasure_lot`) — one pass over the lot's
-    deduplicated settle *and* stage 1-4 measurement work — and then
-    screens warm exactly as above.  ``"closed_form"`` and ``"auto"``
-    name the same farm.  Reports stay
-    byte-identical to the scalar engine on every path (the snapshot
-    guarantee); only wall time changes.  A private cache is created
-    when ``cache`` is ``None`` so the presettled states are actually
-    served.
+    ``engine="auto"`` (default) first runs every unique (physics,
+    stimulus, tone) lane of the whole lot on the settle farm's per-lane
+    kernel (:func:`repro.pll.lot.premeasure_lot`) — one pass over the
+    lot's deduplicated settle *and* stage 1-4 measurement work — and
+    then screens warm exactly as above; a private cache is created when
+    ``cache`` is ``None`` so the presettled states are actually served.
+    ``"scalar"`` runs no farm: the reference.  Reports are
+    byte-identical on both engines and every path (the snapshot
+    guarantee); only wall time changes.
     """
     return _batch_measure(
         requests, n_workers, cache, engine, _render_one, _render_chunk,
@@ -451,7 +457,7 @@ def batch_device_screen(
     requests: Sequence[DeviceReportRequest],
     n_workers: int = 1,
     cache: Optional[LockStateCache] = None,
-    engine: str = "scalar",
+    engine: str = "auto",
 ) -> List[DeviceScreenOutcome]:
     """Measure a lot of devices into numeric outcomes, one per request.
 
@@ -483,10 +489,9 @@ def _batch_measure(
     """Shared measure-a-lot machinery behind reports and screens."""
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers!r}")
-    validate_engine(engine)
     jobs = list(requests)
     measurement_cache: Optional[ToneMeasurementCache] = None
-    if engine in FARM_ENGINES and jobs:
+    if validate_engine(engine) == "auto" and jobs:
         if cache is None:
             cache = LockStateCache(max_entries=max(256, 16 * len(jobs)))
         # Lazy import: the farm (and NumPy array machinery) only loads
@@ -510,7 +515,6 @@ def _batch_measure(
              for job in jobs],
             cache,
             measurement_cache,
-            engine=engine,
         )
     workers = min(n_workers, len(jobs))
     if workers <= 1:

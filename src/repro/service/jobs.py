@@ -71,7 +71,8 @@ class SweepJobRequest:
     job's report is byte-identical to the equivalent one-shot run.
 
     ``timeout_s`` bounds the job's *running* wall time; on expiry the
-    sweep stops at the next tone boundary and the job fails with a
+    sweep stops at the next tone boundary (under ``engine="auto"``,
+    the first one after the farm pass) and the job fails with a
     timeout diagnosis.  ``n_workers`` is passed to the monitor's
     executor selection per job (the ``REPRO_NUM_WORKERS`` environment
     override still wins).
@@ -97,13 +98,11 @@ class SweepJobRequest:
     #: Priority class; the scheduler drains higher classes first
     #: (ties broken round-robin per client, then submission order).
     priority: int = 0
-    #: Stage-0 settle engine: ``"scalar"`` (per-tone event loops) or
-    #: one of the farm names ``"vectorized"``, ``"closed_form"`` and
-    #: ``"auto"``, which all presettle the plan on the settle farm's
-    #: per-lane kernel, warming the service's shared cache
-    #: (bit-identical results; ``"auto"`` also accepts an adaptive
-    #: settle, running it scalar).
-    engine: str = "scalar"
+    #: Settle engine: ``"auto"`` (default) presettles the plan on the
+    #: settle farm's per-lane kernel, warming the service's shared
+    #: cache (an adaptive settle runs scalar); ``"scalar"`` runs
+    #: per-tone event loops.  Results are bit-identical.
+    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -132,14 +131,6 @@ class SweepJobRequest:
                 f"priority must be an int, got {self.priority!r}"
             )
         validate_engine(self.engine)
-        if (self.engine in ("vectorized", "closed_form")
-                and self.settle != "fixed"):
-            # "auto" is allowed with any settle policy: it degrades to
-            # the scalar path instead of refusing (monitor semantics).
-            raise ConfigurationError(
-                f"engine={self.engine!r} requires settle='fixed' "
-                f"(got settle={self.settle!r})"
-            )
 
 
 @dataclass(frozen=True)
@@ -160,9 +151,14 @@ class SweepJobSpec:
     n_workers: int = 1
     timeout_s: Optional[float] = None
     label: Optional[str] = None
-    engine: str = "scalar"
+    engine: str = "auto"
     client_id: Optional[str] = None
     priority: int = 0
+
+    def __post_init__(self) -> None:
+        # The engine is the one field checked on the wire itself: a bad
+        # name fails with the choices menu before any preset resolves.
+        validate_engine(self.engine)
 
     def to_dict(self) -> dict:
         """JSON-able payload for the submit request."""

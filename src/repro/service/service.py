@@ -16,7 +16,8 @@ Design points
   asyncio loop via ``call_soon_threadsafe``.  The per-tone callback the
   worker installs is also where cancellation and timeouts bite: both
   simply raise :class:`~repro.core.executor.SweepAborted` at the next
-  tone boundary.
+  tone boundary.  Under ``engine="auto"`` the first boundary comes
+  after the job's farm pass, which is not interruptible.
 * **One job per shard at a time.**  The scheduler is ``shards`` wide
   (width 1 by default); each shard drains the same fair queue and runs
   its job in its own worker thread, so N jobs progress concurrently.
@@ -382,7 +383,8 @@ class SweepJobService:
         frees its queue slot (its id stays in the dispatch queue but the
         scheduler skips non-pending ids).  A **running** job gets its
         abort flag set and transitions at the next tone boundary — tones
-        already streamed stay valid.  Terminal jobs return ``False``.
+        already streamed stay valid; under ``engine="auto"`` that is
+        after the job's farm pass.  Terminal jobs return ``False``.
         """
         job = self._require_job(job_id)
         if job.state is JobState.PENDING:

@@ -76,9 +76,9 @@ def _lot_requests(config, size: int = LOT_SIZE) -> List[DeviceReportRequest]:
 class TestWarmBatchByteIdentity:
     def test_serial_warm_byte_identical_and_stats(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
-        cold = batch_device_reports(lot)
+        cold = batch_device_reports(lot, engine="scalar")
         cache = LockStateCache()
-        warm = batch_device_reports(lot, cache=cache)
+        warm = batch_device_reports(lot, cache=cache, engine="scalar")
         assert warm == cold
         detail = cache.stats_detail
         # The first device settles each tone; every later device restores.
@@ -90,9 +90,10 @@ class TestWarmBatchByteIdentity:
         self, fast_bist_config
     ):
         lot = _lot_requests(fast_bist_config)
-        cold = batch_device_reports(lot)
+        cold = batch_device_reports(lot, engine="scalar")
         cache = LockStateCache()
-        warm = batch_device_reports(lot, n_workers=2, cache=cache)
+        warm = batch_device_reports(lot, n_workers=2, cache=cache,
+                                    engine="scalar")
         assert warm == cold
         # Worker-discovered settled states were merged back: the parent
         # cache is as warm as a serial screen would have left it.
@@ -103,9 +104,9 @@ class TestWarmBatchByteIdentity:
     def test_cache_persists_across_batches(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
         cache = LockStateCache()
-        first = batch_device_reports(lot, cache=cache)
+        first = batch_device_reports(lot, cache=cache, engine="scalar")
         hits_after_first = cache.stats_detail["hits"]
-        second = batch_device_reports(lot, cache=cache)
+        second = batch_device_reports(lot, cache=cache, engine="scalar")
         assert second == first
         # A re-screen of the same lot settles nothing: every tone of
         # every device restores from the first screen's entries.
@@ -173,7 +174,8 @@ class TestPhysicsSignatureKeying:
             for req in healthy
         ]
         cache = LockStateCache()
-        reports = batch_device_reports(healthy + faulty, cache=cache)
+        reports = batch_device_reports(healthy + faulty, cache=cache,
+                                       engine="scalar")
         assert len(reports) == 4
         detail = cache.stats_detail
         # Two physics families (healthy, faulted) x two tones settle;
@@ -193,25 +195,28 @@ class TestAnyDeviceErrorStubs:
         return [good[0], bad, good[1]]
 
     def test_serial_stub_keeps_lot_going(self, fast_bist_config):
+        # Under auto the bad device must not abort the lot's farm pass.
         lot = self._mixed_lot(fast_bist_config)
-        reports = batch_device_reports(lot)
-        assert len(reports) == 3
-        assert "FAIL (sweep aborted)" in reports[1]
-        assert "RuntimeError" in reports[1]
-        assert "stimulus generator died" in reports[1]
-        for i in (0, 2):
-            assert reports[i].startswith(
-                f"# BIST report — {lot[i].pll.name}"
-            )
-            assert "sweep aborted" not in reports[i]
+        for engine in ("scalar", "auto"):
+            reports = batch_device_reports(lot, engine=engine)
+            assert len(reports) == 3, engine
+            assert "FAIL (sweep aborted)" in reports[1]
+            assert "RuntimeError" in reports[1]
+            assert "stimulus generator died" in reports[1]
+            for i in (0, 2):
+                assert reports[i].startswith(
+                    f"# BIST report — {lot[i].pll.name}"
+                )
+                assert "sweep aborted" not in reports[i]
 
     def test_pool_stub_keeps_lot_going(self, fast_bist_config):
         # The same foreign exception inside a pool worker must stub the
         # one device, not kill the worker's whole chunk (or the map).
         lot = self._mixed_lot(fast_bist_config)
-        serial = batch_device_reports(lot)
-        pooled = batch_device_reports(lot, n_workers=2)
-        assert pooled == serial
+        serial = batch_device_reports(lot, engine="scalar")
+        for engine in ("scalar", "auto"):
+            pooled = batch_device_reports(lot, n_workers=2, engine=engine)
+            assert pooled == serial, engine
 
 
 class _TruncatingExecutor(SweepExecutor):

@@ -1,8 +1,8 @@
 """Property suite for the farm kernel's closed-form inter-event update.
 
-The per-lane kernel behind ``engine="closed_form"``/``"auto"``
-(:class:`~repro.sim.closed_form.ClosedFormLotSimulator`, the same farm
-as ``"vectorized"``) advances lanes edge-to-edge with analytic state
+The settle farm's per-lane kernel behind ``engine="auto"``
+(:class:`~repro.sim.vectorized.VectorizedLotSimulator`) advances lanes
+edge-to-edge with analytic state
 updates: ramp/hold polynomials for current-mode drives, exponentials
 for voltage drives and leaky filters.  Its contracts, probed here
 property-style:
@@ -18,9 +18,8 @@ property-style:
   and polynomial-law lanes all settle on the kernel, and
   ``engine="auto"`` screens a mixed lot with zero report diffs;
 * **selection plumbing** — every orchestration surface (monitor, batch
-  reports, presettle, service jobs, CLI) validates the engine name
-  against one shared vocabulary that includes ``closed_form`` and
-  ``auto``.
+  reports, service jobs, CLI) validates the engine name against one
+  shared vocabulary: ``auto`` and ``scalar``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.pll.lot import premeasure_lot
 from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import DeviceReportRequest, batch_device_reports
-from repro.sim.closed_form import ClosedFormLotSimulator
+from repro.sim.vectorized import VectorizedLotSimulator
 from repro.stimulus import MultiToneFSKStimulus
 
 # Cacheable tones for the current-mode DUT below (8·f_mod ≤ f_ref),
@@ -142,7 +141,7 @@ class TestAnalyticParity:
         )
         stimulus = _cdr_stimulus(deviation)
         lanes = _lanes(pll, stimulus, (f_mod,))
-        farm = ClosedFormLotSimulator(lanes)
+        farm = VectorizedLotSimulator(lanes)
         result = farm.run()[0]
         assert result.mode == "vector", result.error
         expected = _scalar_snapshot(
@@ -169,7 +168,7 @@ class TestAnalyticParity:
         )
         stimulus = _cdr_stimulus(deviation)
         lanes = _lanes(pll, stimulus, (f_mod,))
-        result = ClosedFormLotSimulator(lanes).run()[0]
+        result = VectorizedLotSimulator(lanes).run()[0]
         assert result.mode in ("vector", "ejected")
         expected = _scalar_snapshot(
             pll, stimulus, f_mod, lanes[0].settle_end
@@ -183,7 +182,7 @@ class TestAnalyticParity:
         pll = _cdr_pll(f_min=799.9e3, f_max=800.1e3)
         stimulus = _cdr_stimulus()
         lanes = _lanes(pll, stimulus, (20e3,))
-        farm = ClosedFormLotSimulator(lanes)
+        farm = VectorizedLotSimulator(lanes)
         result = farm.run()[0]
         assert result.mode == "ejected"
         assert farm.stats["ejected"] == 1
@@ -204,7 +203,7 @@ class TestTierCascade:
             pll, stimulus, PAPER_TONES,
             settle_cycles=fast_bist_config.settle_cycles,
         )
-        farm = ClosedFormLotSimulator(lanes)
+        farm = VectorizedLotSimulator(lanes)
         results = farm.run()
         assert farm.stats["nonlinear"] == len(lanes)
         for lane, result in zip(lanes, results):
@@ -227,7 +226,7 @@ class TestTierCascade:
             pll, stimulus, PAPER_TONES,
             settle_cycles=fast_bist_config.settle_cycles,
         )
-        farm = ClosedFormLotSimulator(lanes)
+        farm = VectorizedLotSimulator(lanes)
         results = farm.run()
         assert farm.stats["vector"] == len(lanes)
         for lane, result in zip(lanes, results):
@@ -274,7 +273,7 @@ class TestTierCascade:
                 config=_cdr_config(),
             ),
         ]
-        cold = batch_device_reports(lot)
+        cold = batch_device_reports(lot, engine="scalar")
         cache = LockStateCache()
         auto = batch_device_reports(lot, cache=cache, engine="auto")
         assert auto == cold
@@ -287,48 +286,31 @@ class TestTierCascade:
 
 
 class TestEngineSelection:
-    def test_monitor_closed_form_and_auto_bit_identical(self):
+    def test_monitor_auto_bit_identical(self):
         pll = _cdr_pll()
         stimulus = _cdr_stimulus()
         config = _cdr_config()
         plan = SweepPlan(CDR_TONES)
-        cold = TransferFunctionMonitor(pll, stimulus, config).run(plan)
-        for engine in ("closed_form", "auto"):
-            fast = TransferFunctionMonitor(pll, stimulus, config).run(
-                plan, engine=engine
-            )
-            assert fast.measurements == cold.measurements
-            assert list(fast.response.magnitude_db) == list(
-                cold.response.magnitude_db
-            )
+        cold = TransferFunctionMonitor(pll, stimulus, config).run(
+            plan, engine="scalar"
+        )
+        fast = TransferFunctionMonitor(pll, stimulus, config).run(
+            plan, engine="auto"
+        )
+        assert fast.measurements == cold.measurements
+        assert list(fast.response.magnitude_db) == list(
+            cold.response.magnitude_db
+        )
 
     def test_monitor_engine_settle_policy(self, fast_bist_config):
         monitor = TransferFunctionMonitor(
             paper_pll(), paper_stimulus("multitone"), fast_bist_config
         )
         plan = SweepPlan(PAPER_TONES)
-        with pytest.raises(ConfigurationError):
-            monitor.run(plan, engine="closed_form", settle="adaptive")
-        # "auto" is a policy, not a farm: with an uncacheable settle it
-        # degrades to the scalar path instead of refusing.
-        cold = monitor.run(plan, settle="adaptive")
+        # "auto" with an uncacheable settle runs the scalar path.
+        cold = monitor.run(plan, settle="adaptive", engine="scalar")
         auto = monitor.run(plan, settle="adaptive", engine="auto")
         assert auto.measurements == cold.measurements
-
-    def test_presettle_lot_validates_engine(self, fast_bist_config):
-        jobs = [(
-            paper_pll(), paper_stimulus("multitone"), fast_bist_config,
-            PAPER_TONES,
-        )]
-        with pytest.raises(ConfigurationError) as excinfo:
-            premeasure_lot(jobs, LockStateCache(), engine="quantum")
-        message = str(excinfo.value)
-        assert "'closed_form'" in message
-        assert "'auto'" in message
-        # The presettle farm vocabulary excludes "scalar": a scalar
-        # presettle is a no-op, so asking for one is a caller bug.
-        with pytest.raises(ConfigurationError):
-            premeasure_lot(jobs, LockStateCache(), engine="scalar")
 
     def test_batch_rejects_unknown_engine_with_choices(
         self, fast_bist_config
@@ -351,15 +333,7 @@ class TestEngineSelection:
         spec = SweepJobSpec(points=5, engine="auto")
         assert SweepJobSpec.from_dict(spec.to_dict()) == spec
         assert resolve_spec(spec).engine == "auto"
-        with pytest.raises(ConfigurationError):
-            SweepJobRequest(
-                pll=paper_pll(),
-                stimulus=paper_stimulus("multitone"),
-                plan=SweepPlan(PAPER_TONES),
-                engine="closed_form",
-                settle="adaptive",
-            )
-        # "auto" + adaptive is accepted (monitor degrades it to scalar).
+        # "auto" + adaptive is accepted (the monitor runs it scalar).
         request = SweepJobRequest(
             pll=paper_pll(),
             stimulus=paper_stimulus("multitone"),
@@ -373,8 +347,8 @@ class TestEngineSelection:
         from repro.cli import build_parser
 
         parser = build_parser()
-        for command in ("sweep", "lot", "submit"):
-            for engine in ("closed_form", "auto"):
+        for command in ("sweep", "lot", "submit", "population"):
+            for engine in ("auto", "scalar"):
                 args = parser.parse_args([command, "--engine", engine])
                 assert args.engine == engine
             with pytest.raises(SystemExit):
@@ -394,23 +368,9 @@ class TestPresettleStats:
     def test_closed_form_counters_and_summary(self):
         jobs = [(_cdr_pll(), _cdr_stimulus(), _cdr_config(), CDR_TONES)]
         cache = LockStateCache()
-        stats = premeasure_lot(jobs, cache, engine="closed_form")
+        stats = premeasure_lot(jobs, cache)
         assert stats.vector == len(CDR_TONES)
         assert stats.closed_form_lanes == stats.drained == 0
         assert stats.tones_vectorized == len(CDR_TONES)
         assert f"{len(CDR_TONES)} vector" in stats.summary()
         assert len(cache) == len(CDR_TONES)
-        # At farm level "auto" and "closed_form" are the same farm.
-        auto_cache = LockStateCache()
-        auto = premeasure_lot(jobs, auto_cache, engine="auto")
-        assert auto.vector == stats.vector
-        assert dict(auto_cache.export()) == dict(cache.export())
-
-    def test_vectorized_engine_reports_no_closed_form_lanes(self):
-        stats = premeasure_lot(
-            [(_cdr_pll(), _cdr_stimulus(), _cdr_config(), CDR_TONES)],
-            LockStateCache(),
-            engine="vectorized",
-        )
-        assert stats.closed_form_lanes == 0
-        assert stats.tones_vectorized == stats.vector == len(CDR_TONES)

@@ -7,7 +7,7 @@ Four contracts under test:
   dataclass equality, PFD state and event counters included) to the
   snapshot a cold scalar :class:`~repro.pll.simulator.PLLTransientSimulator`
   produces for the same (device, stimulus, tone) — which is what makes
-  ``engine="vectorized"`` sweeps and batch reports byte-identical to the
+  ``engine="auto"`` sweeps and batch reports byte-identical to the
   scalar engine;
 * **graceful divergence** — unsupported physics falls back to a full
   scalar settle, a lane leaving the kernel's envelope ejects to a
@@ -273,7 +273,6 @@ class TestPresettleLot:
         stats = premeasure_lot(
             [(dut, stimulus, fast_bist_config, tones) for dut in duts],
             LockStateCache(),
-            engine="auto",
         )
         assert stats.unique > 0
         assert stats.scalar == 0
@@ -296,7 +295,6 @@ class TestPresettleLot:
             [(dut, stimulus, fast_bist_config, plan.frequencies_hz)
              for dut in duts],
             LockStateCache(),
-            engine="auto",
         )
         assert stats.unique == len(duts) * 13 > 64
         assert stats.tones_vectorized == stats.vector == stats.unique
@@ -307,7 +305,7 @@ class TestPresettleLot:
             for dut in duts
         ]
         assert batch_device_reports(requests, engine="auto") == \
-            batch_device_reports(requests)
+            batch_device_reports(requests, engine="scalar")
 
     def test_uncacheable_tones_skipped(self, fast_bist_config):
         pll = paper_pll()
@@ -330,10 +328,10 @@ class TestEngineWiring:
         stimulus = paper_stimulus("multitone")
         plan = SweepPlan(TONES)
         cold = TransferFunctionMonitor(pll, stimulus, fast_bist_config).run(
-            plan
+            plan, engine="scalar"
         )
         vec = TransferFunctionMonitor(pll, stimulus, fast_bist_config).run(
-            plan, engine="vectorized"
+            plan, engine="auto"
         )
         assert vec.measurements == cold.measurements
         assert vec.failed_tones == cold.failed_tones
@@ -353,16 +351,16 @@ class TestEngineWiring:
 
     def test_batch_vectorized_byte_identical_serial(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
-        cold = batch_device_reports(lot)
-        vec = batch_device_reports(lot, engine="vectorized")
+        cold = batch_device_reports(lot, engine="scalar")
+        vec = batch_device_reports(lot, engine="auto")
         assert vec == cold
 
     def test_batch_vectorized_byte_identical_pooled(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
-        cold = batch_device_reports(lot)
+        cold = batch_device_reports(lot, engine="scalar")
         cache = LockStateCache()
         vec = batch_device_reports(
-            lot, n_workers=2, cache=cache, engine="vectorized"
+            lot, n_workers=2, cache=cache, engine="auto"
         )
         assert vec == cold
         # The farm presettled every unique tone before the pool split.
@@ -375,8 +373,8 @@ class TestEngineWiring:
             size=2,
             template=apply_fault(paper_pll(), FAULT_LIBRARY[label]),
         )
-        cold = batch_device_reports(lot)
-        vec = batch_device_reports(lot, engine="vectorized")
+        cold = batch_device_reports(lot, engine="scalar")
+        vec = batch_device_reports(lot, engine="auto")
         assert vec == cold
 
     def test_batch_rejects_unknown_engine(self, fast_bist_config):
@@ -390,10 +388,10 @@ class TestEngineWiring:
         from repro.service.jobs import SweepJobRequest
         from repro.service.protocol import resolve_spec
 
-        spec = SweepJobSpec(points=5, engine="vectorized")
+        spec = SweepJobSpec(points=5, engine="scalar")
         assert SweepJobSpec.from_dict(spec.to_dict()) == spec
         request = resolve_spec(spec)
-        assert request.engine == "vectorized"
+        assert request.engine == "scalar"
         with pytest.raises(ConfigurationError):
             SweepJobRequest(
                 pll=paper_pll(),
@@ -401,32 +399,32 @@ class TestEngineWiring:
                 plan=SweepPlan(TONES),
                 engine="quantum",
             )
-        with pytest.raises(ConfigurationError):
-            SweepJobRequest(
-                pll=paper_pll(),
-                stimulus=paper_stimulus("multitone"),
-                plan=SweepPlan(TONES),
-                engine="vectorized",
-                settle="adaptive",
-            )
+        # ``auto`` accepts an adaptive settle (it runs that scalar).
+        assert SweepJobRequest(
+            pll=paper_pll(),
+            stimulus=paper_stimulus("multitone"),
+            plan=SweepPlan(TONES),
+            engine="auto",
+            settle="adaptive",
+        ).engine == "auto"
 
     def test_cli_flags(self):
         from repro.cli import build_parser
 
         parser = build_parser()
         args = parser.parse_args(
-            ["lot", "--engine", "vectorized", "--profile", "p.pstats"]
+            ["lot", "--engine", "scalar", "--profile", "p.pstats"]
         )
-        assert args.engine == "vectorized"
+        assert args.engine == "scalar"
         assert args.profile == "p.pstats"
-        assert parser.parse_args(["lot"]).engine == "scalar"
+        assert parser.parse_args(["lot"]).engine == "auto"
         assert parser.parse_args(["sweep", "--profile", "s.pstats"])\
             .profile == "s.pstats"
-        assert parser.parse_args(["sweep", "--engine", "vectorized"])\
-            .engine == "vectorized"
-        assert parser.parse_args(["sweep"]).engine == "scalar"
-        assert parser.parse_args(["submit", "--engine", "vectorized"])\
-            .engine == "vectorized"
+        assert parser.parse_args(["sweep", "--engine", "scalar"])\
+            .engine == "scalar"
+        assert parser.parse_args(["sweep"]).engine == "auto"
+        assert parser.parse_args(["submit", "--engine", "scalar"])\
+            .engine == "scalar"
         with pytest.raises(SystemExit):
             parser.parse_args(["lot", "--engine", "quantum"])
         with pytest.raises(SystemExit):
@@ -523,15 +521,15 @@ class TestMeasurementDedup:
         stimulus = paper_stimulus("multitone")
         plan = SweepPlan(TONES)
         cold = TransferFunctionMonitor(pll, stimulus, fast_bist_config).run(
-            plan
+            plan, engine="scalar"
         )
         dedup = ToneMeasurementCache()
         TransferFunctionMonitor(pll, stimulus, fast_bist_config).run(
-            plan, engine="vectorized", measurement_cache=dedup
+            plan, engine="auto", measurement_cache=dedup
         )
         warm = TransferFunctionMonitor(
             replace(pll, name="twin"), stimulus, fast_bist_config
-        ).run(plan, engine="vectorized", measurement_cache=dedup)
+        ).run(plan, engine="auto", measurement_cache=dedup)
         # The first sweep's farm measures and publishes every tone, so
         # both sweeps answer every tone from the cache.
         assert dedup.stats == (2 * len(TONES), 0)
@@ -615,16 +613,18 @@ class TestTurnOnDelayLanes:
             assert result.mode == "vector", result.error
             assert result.snapshot == expected
 
-    @pytest.mark.parametrize("engine", ["vectorized", "closed_form", "auto"])
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
     def test_engines_presettle_scalar_snapshots(self, delay_die, engine):
         d = delay_die
         cache = LockStateCache()
-        stats = premeasure_lot(
-            [(d.pll, d.stimulus, d.config, d.tones)], cache, engine=engine
-        )
-        assert stats.unique == len(d.tones)
-        assert stats.scalar == stats.ejected == stats.failed == 0
-        assert stats.vector == stats.tones_vectorized == len(d.tones)
+        TransferFunctionMonitor(d.pll, d.stimulus, d.config,
+                                cache=cache).run(SweepPlan(d.tones),
+                                                 engine=engine)
+        if engine == "auto":
+            stats = cache.presettle_stats
+            assert stats.unique == len(d.tones)
+            assert stats.scalar == stats.ejected == stats.failed == 0
+            assert stats.vector == stats.tones_vectorized == len(d.tones)
         sequencer = ToneTestSequencer(d.pll, d.stimulus, d.config,
                                       record="counters")
         for f_mod in d.tones:
@@ -750,7 +750,7 @@ class TestTurnOnDelayLanes:
         stats = premeasure_lot(
             [(d.healthy, d.stimulus, d.config, d.tones),
              (d.pll, d.stimulus, d.config, d.tones)],
-            cache, dedup, engine="auto",
+            cache, dedup,
         )
         assert loaded.count(d.pll.pump.turn_on_delay) == len(d.tones)
         assert stats.scalar == stats.measure_ejected == 0
@@ -761,9 +761,8 @@ class TestTurnOnDelayLanes:
                     f_mod, settle="fixed", cache=LockStateCache())
         plan = SweepPlan(d.tones)
         scalar = TransferFunctionMonitor(
-            d.pll, d.stimulus, d.config).run(plan)
-        for engine in ("vectorized", "closed_form", "auto"):
-            result = TransferFunctionMonitor(
-                d.pll, d.stimulus, d.config).run(plan, engine=engine)
-            assert result.measurements == scalar.measurements, engine
-            assert result.failed_tones == scalar.failed_tones, engine
+            d.pll, d.stimulus, d.config).run(plan, engine="scalar")
+        result = TransferFunctionMonitor(
+            d.pll, d.stimulus, d.config).run(plan, engine="auto")
+        assert result.measurements == scalar.measurements
+        assert result.failed_tones == scalar.failed_tones

@@ -157,26 +157,6 @@ class TestPremeasureParity:
                     dut, stimulus, fast_bist_config, f_mod
                 )
 
-    def test_closed_form_engine_measures_identically(
-        self, fast_bist_config
-    ):
-        stimulus = paper_stimulus("multitone")
-        duts = _fault_lot()
-        cache = LockStateCache()
-        dedup = ToneMeasurementCache()
-        premeasure_lot(
-            [(d, stimulus, fast_bist_config, TONES) for d in duts],
-            cache, dedup, engine="auto",
-        )
-        for dut in duts:
-            for f_mod in TONES:
-                hit = dedup.get(_measurement_cache_key(
-                    dut, stimulus, fast_bist_config, f_mod
-                ))
-                assert hit == _scalar_measurement(
-                    dut, stimulus, fast_bist_config, f_mod
-                )
-
     def test_measurement_error_lane_degrades_losslessly(
         self, fast_bist_config
     ):
@@ -387,7 +367,7 @@ class TestFaultLibraryInFarm:
         duts = _fault_lot(len(FAULT_LIBRARY))
         stats = premeasure_lot(
             [(d, stimulus, fast_bist_config, TONES) for d in duts],
-            LockStateCache(), ToneMeasurementCache(), engine="auto",
+            LockStateCache(), ToneMeasurementCache(),
         )
         assert stats.unique == len(duts) * len(TONES)
         assert stats.measure_ejected == 0
@@ -410,10 +390,7 @@ class TestBatchAndPopulationParity:
     def test_batch_reports_byte_identical(self, fast_bist_config):
         requests = _requests(fast_bist_config, _fault_lot())
         scalar = batch_device_reports(requests, engine="scalar")
-        for engine in ("vectorized", "auto"):
-            assert batch_device_reports(
-                requests, engine=engine
-            ) == scalar, engine
+        assert batch_device_reports(requests, engine="auto") == scalar
 
     def test_pooled_batch_ships_measurements(self, fast_bist_config):
         """The pool path chunk-filters and ships finished measurements;
@@ -421,28 +398,22 @@ class TestBatchAndPopulationParity:
         requests = _requests(fast_bist_config, _fault_lot())
         scalar = batch_device_reports(requests, engine="scalar")
         pooled = batch_device_reports(
-            requests, n_workers=2, engine="vectorized"
+            requests, n_workers=2, engine="auto"
         )
         assert pooled == scalar
 
     def test_monitor_sweep_engines_identical(self, fast_bist_config):
-        """A 26-tone plan sweeps bit-identically on every engine."""
+        """A 26-tone plan sweeps bit-identically on both engines."""
         plan = SweepPlan(tuple(10.0 + 4.5 * i for i in range(26)))
         stimulus = paper_stimulus("multitone")
         results = {}
-        for engine in ("scalar", "vectorized", "closed_form", "auto"):
+        for engine in ("scalar", "auto"):
             monitor = TransferFunctionMonitor(
                 paper_pll(), stimulus, fast_bist_config
             )
             results[engine] = monitor.run(plan, engine=engine)
-            if engine == "vectorized":
-                stats = monitor.lock_cache.presettle_stats
-                assert stats.measured > 0
-        for engine in ("vectorized", "closed_form", "auto"):
-            assert (
-                results[engine].measurements
-                == results["scalar"].measurements
-            ), engine
+        assert monitor.lock_cache.presettle_stats.measured > 0
+        assert results["auto"].measurements == results["scalar"].measurements
 
     def test_cdr180_population_chunk_byte_identical(self):
         from repro.pll.population import PopulationSpec, screen_population

@@ -90,7 +90,7 @@ class TestStreamingSmoke:
         job = run(scenario())
         one_shot = TransferFunctionMonitor(
             paper_pll(), paper_stimulus("multitone"), fast_bist_config
-        ).run(SweepPlan(SMOKE_TONES))
+        ).run(SweepPlan(SMOKE_TONES), engine="scalar")
         assert job.report == device_report(paper_pll(), one_shot)
 
     def test_pool_executor_still_streams_in_plan_order(
@@ -130,10 +130,10 @@ class TestWarmAcrossJobs:
             await service.start()
             try:
                 first, _ = await run_to_end(
-                    service, request(fast_bist_config)
+                    service, request(fast_bist_config, engine="scalar")
                 )
                 second, events = await run_to_end(
-                    service, request(fast_bist_config)
+                    service, request(fast_bist_config, engine="scalar")
                 )
                 return first, second, events, service.stats()
             finally:
@@ -159,7 +159,7 @@ class TestWarmAcrossJobs:
             await service.start()
             try:
                 job, _ = await run_to_end(
-                    service, request(fast_bist_config)
+                    service, request(fast_bist_config, engine="scalar")
                 )
                 return job, service.stats()["cache"]
             finally:
@@ -183,7 +183,7 @@ class TestWarmAcrossJobs:
             await service.start()
             try:
                 return (await run_to_end(
-                    service, request(fast_bist_config)
+                    service, request(fast_bist_config, engine="scalar")
                 ))[0]
             finally:
                 await service.stop()
@@ -227,7 +227,7 @@ class TestQueueAndCancellation:
         async def scenario():
             service = SweepJobService()
             await service.start()
-            job = service.submit(request(fast_bist_config))
+            job = service.submit(request(fast_bist_config, engine="scalar"))
             events = []
             async for event in service.watch(job.job_id):
                 events.append(event)
@@ -235,7 +235,7 @@ class TestQueueAndCancellation:
                     service.cancel(job.job_id)
             # The loop survives: a fresh job still runs to completion.
             follow_up, _ = await run_to_end(
-                service, request(fast_bist_config)
+                service, request(fast_bist_config, engine="scalar")
             )
             stats = service.stats()
             await service.stop()
@@ -450,10 +450,10 @@ class TestShardedService:
             await service.start()
             try:
                 first, _ = await run_to_end(
-                    service, request(fast_bist_config)
+                    service, request(fast_bist_config, engine="scalar")
                 )
                 second, _ = await run_to_end(
-                    service, request(fast_bist_config)
+                    service, request(fast_bist_config, engine="scalar")
                 )
                 return first, second, service.stats()
             finally:

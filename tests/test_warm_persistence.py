@@ -32,7 +32,7 @@ def populated(fast_bist_config):
         paper_pll(), paper_stimulus("multitone"), fast_bist_config,
         cache=cache,
     )
-    result = monitor.run(PLAN)
+    result = monitor.run(PLAN, engine="scalar")
     return cache, result
 
 
@@ -237,7 +237,7 @@ class TestWarmEquivalence:
             paper_pll(), paper_stimulus("multitone"), fast_bist_config,
             cache=loaded,
         )
-        warm_result = monitor.run(PLAN)
+        warm_result = monitor.run(PLAN, engine="scalar")
         hits, misses = loaded.stats
         assert hits == len(PLAN.frequencies_hz)
         assert misses == 0

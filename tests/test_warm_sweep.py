@@ -94,8 +94,8 @@ class TestCacheWarmRuns:
             pll_linear, sine_stimulus, fast_bist_config
         )
         plan = SweepPlan((4.0, 8.0, 16.0))
-        first = monitor.run(plan)
-        second = monitor.run(plan)
+        first = monitor.run(plan, engine="scalar")
+        second = monitor.run(plan, engine="scalar")
         assert all(not m.timing.warm for m in first.measurements)
         assert all(m.timing.warm for m in second.measurements)
         for a, b in zip(first.measurements, second.measurements):
