@@ -36,6 +36,7 @@ import tracemalloc
 import pytest
 
 from bench_perf_sweep import _merge_results_json
+from check_regression import gate
 from repro.core.executor import _visible_cpu_count
 from repro.core.warm import LockStateCache
 from repro.pll.population import (
@@ -45,8 +46,6 @@ from repro.pll.population import (
 )
 from repro.reporting import format_table
 
-#: Dies/s floor for the main run, gated on >= 4-core hosts only.
-THROUGHPUT_FLOOR_DIES_PER_S = 2.0
 #: Cores needed before the throughput floor is gated.
 GATE_CORES = 4
 #: RSS plateau slack after the first chunk (allocator arenas, cache
@@ -209,9 +208,7 @@ def test_perf_population(report):
         )
         stale = ()
     _merge_results_json(results, remove=stale)
-
-    if gated:
-        assert stats.dies_per_s >= THROUGHPUT_FLOOR_DIES_PER_S
+    assert not gate(results)
 
 
 def test_perf_population_traced_heap(report):
@@ -257,10 +254,12 @@ def test_perf_population_traced_heap(report):
             title="Population traced-heap plateau (LRU-saturated cache)",
         ),
     )
-    _merge_results_json({
+    results = {
         "population_traced_kb_per_chunk": traced,
         "population_traced_flat": traced_flat,
-    })
+    }
+    _merge_results_json(results)
+    assert not gate(results)
 
 
 @pytest.mark.skipif(
@@ -311,7 +310,7 @@ def test_perf_population_smoke_512(report):
             title="Population 512-die CI smoke (table3 corner)",
         ),
     )
-    _merge_results_json({
+    results = {
         "population_smoke_dies": spec.size,
         "population_smoke_wall_s": round(stats.wall_s, 4),
         "population_smoke_throughput_dies_per_s": round(
@@ -320,4 +319,6 @@ def test_perf_population_smoke_512(report):
         "population_smoke_yield": summary["yield"]["yield"],
         "population_smoke_rss_kb_per_chunk": rss,
         "population_smoke_rss_flat": rss_flat,
-    })
+    }
+    _merge_results_json(results)
+    assert not gate(results)

@@ -13,21 +13,21 @@ run, never *what* they produce.
 Scaling expectations are host-honest: shard workers are Python threads,
 so CPU-bound jobs only overlap usefully when each job's tones also fan
 out over the process pool.  On a >= 4-core host the 2-shard service
-(2-worker jobs) must clear 1.6x the width-1 throughput; on smaller
-hosts the numbers are recorded for the trajectory but not gated.
+(2-worker jobs) must clear the ``service_load_speedup_2shard`` floor in
+``check_regression.GATES``; on smaller hosts the numbers are recorded
+for the trajectory but not gated.
 """
 
 import asyncio
 import time
 
 from bench_perf_sweep import _merge_results_json, cdr_corner_lot
+from check_regression import gate
 from repro.core.executor import _visible_cpu_count
 from repro.reporting import format_table
 from repro.service import JobState, SweepJobRequest, SweepJobService
 
-#: Throughput floor for the 2-shard service on a >= 4-core host.
-TWO_SHARD_SPEEDUP_FLOOR = 1.6
-#: Cores needed before the floor is gated (2 shards x 2 workers).
+#: Cores needed before the 2-shard floor is gated (2 shards x 2 workers).
 GATE_CORES = 4
 
 
@@ -183,9 +183,4 @@ def test_perf_service_load(report):
         )
         stale = ()
     _merge_results_json(results, remove=stale)
-
-    # The acceptance floor: with 2 shards each fanning its job over a
-    # 2-worker pool, four busy cores must clear 1.6x the width-1
-    # throughput.  Hosts without the cores record the trajectory only.
-    if cores >= GATE_CORES:
-        assert speedup_2shard >= TWO_SHARD_SPEEDUP_FLOOR
+    assert not gate(results)

@@ -1,14 +1,16 @@
 """Performance — full 13-tone sweep wall time: cold, warm, parallel, lot.
 
-Not a paper figure: this guards the executor and warm-start layers.
-Three runs of the same paper sweep are timed and cross-checked:
+Not a paper figure: this guards the executor, warm-start and farm
+layers.  Three runs of the same paper sweep are timed and cross-checked:
 
 * **cold serial** — fresh monitor, every tone settles from scratch;
+  timed best of :data:`BEST_OF`, because ``serial_wall_s`` is budgeted
+  against the committed baseline and single wall-clock samples on a
+  shared box are noisy;
 * **warm serial** — the same monitor re-runs the plan, every tone is
   served from the :class:`~repro.core.warm.LockStateCache` snapshot and
   skips stage 0 entirely.  The snapshot guarantee makes the warm result
-  *bit-identical* to the cold one, and dropping the settle wait (the
-  dominant stage) must buy at least 1.3x;
+  *bit-identical* to the cold one;
 * **parallel** — a fresh monitor fans the plan out over a process pool.
   On a multi-core host the batched chunks approach linear speedup; on a
   single-core host :func:`~repro.core.executor.executor_for` falls back
@@ -20,13 +22,18 @@ A fourth scenario times the production workload the paper motivates
 through :func:`~repro.reporting.batch_device_reports` cold (every
 device settles every tone) and warm (one shared
 :class:`~repro.core.warm.LockStateCache`, keyed by physics signature,
-so the lot settles each tone family once).  Warm must be ≥3x faster
-and every report byte-identical to its cold counterpart.
+so the lot settles each tone family once), and every report must be
+byte-identical to its cold counterpart.  Further scenarios put the farm
+(``engine="auto"``) against the scalar cold screen on a nonlinear
+hct4046 lot, the no-dedup fault-library lot and the corner-varied lot,
+and time a service whose second session runs warm from a spilled cache.
 
-Besides the human-readable tables, the run emits
-``benchmarks/results/BENCH_sweep.json`` so later changes have a
-machine-readable perf trajectory to regress against
-(``benchmarks/check_regression.py`` consumes it).
+Besides the human-readable tables, each test merges its numbers into
+``benchmarks/results/BENCH_sweep.json``, the machine-readable perf
+trajectory, and ends with ``assert not gate(results)``: every speedup
+floor and identity flag lives once, in ``check_regression.GATES``.
+``python benchmarks/check_regression.py`` judges the whole file against
+the committed baseline, including the ``serial_wall_s`` budget.
 """
 
 import asyncio
@@ -37,7 +44,7 @@ import time
 import warnings
 from dataclasses import replace
 
-from check_regression import RETIRED_KEYS
+from check_regression import RETIRED_KEYS, gate
 from repro.core.executor import ParallelFallbackWarning, _visible_cpu_count
 from repro.core.monitor import TransferFunctionMonitor
 from repro.core.warm import LockStateCache
@@ -50,11 +57,8 @@ from repro.reporting import (
 
 N_TONES = 13
 N_WORKERS = 4
-WARM_SPEEDUP_FLOOR = 1.3
+BEST_OF = 3
 LOT_SIZE = 8
-BATCH_WARM_SPEEDUP_FLOOR = 3.0
-VEC_BATCH_SPEEDUP_FLOOR = 6.0
-VEC_SINGLE_SPEEDUP_FLOOR = 2.0
 HCT_LOT_SIZE = 4
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -109,15 +113,17 @@ def _timing_rows(result):
 
 
 def test_perf_sweep(report, paper_dut):
-    monitor = TransferFunctionMonitor(
-        paper_dut, paper_stimulus("multitone"), paper_bist_config()
-    )
     plan = paper_sweep(points=N_TONES)
     cores = _visible_cpu_count()
 
-    t0 = time.perf_counter()
-    cold = monitor.run(plan, engine="scalar")
-    t_cold = time.perf_counter() - t0
+    t_cold = float("inf")
+    for __ in range(BEST_OF):
+        monitor = TransferFunctionMonitor(
+            paper_dut, paper_stimulus("multitone"), paper_bist_config()
+        )
+        t0 = time.perf_counter()
+        cold = monitor.run(plan, engine="scalar")
+        t_cold = min(t_cold, time.perf_counter() - t0)
 
     # Same monitor, same plan: every tone restores its cached snapshot.
     t0 = time.perf_counter()
@@ -198,7 +204,7 @@ def test_perf_sweep(report, paper_dut):
         [
             ["tones", N_TONES],
             ["visible cores", cores],
-            ["cold serial wall", f"{t_cold:.2f} s"],
+            ["cold serial wall", f"{t_cold:.2f} s (best of {BEST_OF})"],
             ["warm serial wall", f"{t_warm:.2f} s"],
             ["warm speedup", f"{warm_speedup:.2f}x"],
             ["warm-served tones", f"{warm_served}/{N_TONES}"],
@@ -248,20 +254,7 @@ def test_perf_sweep(report, paper_dut):
     # "cold_wall_s" was a duplicate of serial_wall_s; retired when the
     # closed-form trajectory keys landed.
     _merge_results_json(results, remove=stale + ("cold_wall_s",))
-
-    # Skipping stage 0 must pay for the snapshot restore many times
-    # over; 1.3x is a deliberately conservative floor (typically >3x).
-    assert warm_speedup >= WARM_SPEEDUP_FLOOR
-    # Tone-level vectorization: the farm's per-lane kernel must beat the
-    # scalar event loop on a cold single-device sweep, not just on lots.
-    assert vec_single_speedup >= VEC_SINGLE_SPEEDUP_FLOOR
-    if cores >= 4:
-        # Four workers on >= 4 cores must at least halve the wall time.
-        assert speedup >= 2.0
-    elif measure_parallel:
-        # Dual/tri-core host: a pool forms but cannot promise 2x; it
-        # must still never lose to serial by more than timing noise.
-        assert t_parallel < 1.5 * t_cold
+    assert not gate(results)
 
 
 def test_perf_batch_screen(report, paper_dut):
@@ -314,16 +307,19 @@ def test_perf_batch_screen(report, paper_dut):
     vec_byte_identical = vec_reports == cold_reports
     assert vec_byte_identical
     vec_detail = vec_cache.stats_detail
-    # The farm presettled every tone, and measurement dedup means only
-    # the *first* die of the physics family ever reaches the sequencer:
-    # one settle-cache hit per tone, zero misses, and the other seven
-    # dies reuse the finished measurements without touching stage 0-4.
-    assert vec_detail["hits"] == N_TONES
-    assert vec_detail["misses"] == 0
+    # The farm settles *and measures* every tone of the lot's one
+    # physics family in-farm, and the lot's measurement cache serves
+    # the finished tones to all eight dies: no die reaches the
+    # sequencer, so the settle cache holds one state per tone and is
+    # never read.
+    assert vec_detail["hits"] == vec_detail["misses"] == 0
+    assert vec_detail["entries"] == N_TONES
     presettle = vec_cache.presettle_stats
     assert presettle is not None
     assert presettle.ejected == 0
     assert presettle.tones_vectorized == N_TONES
+    assert presettle.measured == N_TONES
+    assert presettle.measure_ejected == 0
 
     batch_speedup = t_cold / t_warm
     vec_speedup = t_cold / t_vec
@@ -345,7 +341,7 @@ def test_perf_batch_screen(report, paper_dut):
     )
     report("perf_batch_screen", table)
 
-    _merge_results_json({
+    results = {
         "batch_lot_size": LOT_SIZE,
         "batch_cold_wall_s": round(t_cold, 4),
         "batch_warm_wall_s": round(t_warm, 4),
@@ -356,15 +352,9 @@ def test_perf_batch_screen(report, paper_dut):
         "vec_batch_wall_s": round(t_vec, 4),
         "vec_batch_speedup": round(vec_speedup, 3),
         "vec_batch_byte_identical": vec_byte_identical,
-    })
-
-    # The first device pays the settles; the other LOT_SIZE-1 restore.
-    # 3x is the acceptance floor (typically ~3.5-4x for an 8-die lot).
-    assert batch_speedup >= BATCH_WARM_SPEEDUP_FLOOR
-    # The settle farm + measurement dedup must clear 6x against cold:
-    # the kernel removes the settle replay and the measurement cache
-    # removes the stage 1-4 replay across the lot's identical dies.
-    assert vec_speedup >= VEC_BATCH_SPEEDUP_FLOOR
+    }
+    _merge_results_json(results)
+    assert not gate(results)
 
 
 def test_perf_hct4046_lot(report):
@@ -431,7 +421,7 @@ def test_perf_hct4046_lot(report):
     )
     report("perf_hct4046_lot", table)
 
-    _merge_results_json({
+    results = {
         "vec_hct4046_lot": {
             "lot_size": HCT_LOT_SIZE,
             "tones": N_TONES,
@@ -442,14 +432,9 @@ def test_perf_hct4046_lot(report):
             "nonlinear_lanes": stats.hct4046_lanes,
             "byte_identical": byte_identical,
         },
-    })
-
-    # No hard 6x here (a 4-die lot amortises less), but the farm must
-    # still clearly beat the cold screen on the paper's own DUT.
-    assert speedup >= 2.0
-
-
-VEC_MEASURE_SPEEDUP_FLOOR = 2.0
+    }
+    _merge_results_json(results)
+    assert not gate(results)
 
 
 def fault_library_lot():
@@ -488,7 +473,7 @@ def test_perf_vec_measure_fault_screen(report):
     A heterogeneous 8-die lot (healthy + all seven library faults)
     where dedup is impossible — the settle farm alone bought ~1.3x
     here because the scalar stage 1-4 replay dominated.  With the
-    measurement phase batched the auto screen must clear 2x
+    measurement phase batched the auto screen must clear its floor
     against the scalar engine while every report stays byte-identical,
     including the die whose sweep legitimately fails mid-plan.
     """
@@ -547,14 +532,13 @@ def test_perf_vec_measure_fault_screen(report):
     )
     report("perf_vec_measure", table)
 
-    # The ratio is engine-vs-engine inside one process, so the bench
-    # gates it everywhere; the tier-2 checker only re-enforces it on
-    # hosts with a second core to keep timer noise off the shared gate.
-    gated = cores >= 2
-    _merge_results_json({
+    # The ratio is engine-vs-engine inside one process, so its floor
+    # binds on every host; ``vec_measure_gated`` only records whether
+    # the host had a second core to keep timer noise off it.
+    results = {
         "vec_measure_lot_size": lot_size,
         "vec_measure_visible_cores": cores,
-        "vec_measure_gated": gated,
+        "vec_measure_gated": cores >= 2,
         "vec_measure_cold_wall_s": round(t_cold, 4),
         "vec_measure_vec_wall_s": round(t_vec, 4),
         "vec_measure_speedup": round(speedup, 3),
@@ -573,19 +557,12 @@ def test_perf_vec_measure_fault_screen(report):
             "monitor": round(stats.monitor_s, 4),
             "measure": round(stats.measure_s, 4),
         },
-    })
-
-    # The acceptance floor: with stages 1-4 batched, the heterogeneous
-    # cold screen must at least halve (measured ~2.5x; the settle farm
-    # alone managed ~1.3x on this lot).
-    assert speedup >= VEC_MEASURE_SPEEDUP_FLOOR
+    }
+    _merge_results_json(results)
+    assert not gate(results)
 
 
 CF_LOT_SIZE = 8
-# The farm's absolute floor on the corner lot: the ``auto`` screen must
-# beat the scalar cold screen >= 5x (measured 8.9-11x on a 2-vCPU host;
-# the margin absorbs shared-host timing noise).
-CORNER_SCREEN_SPEEDUP_FLOOR = 5.0
 
 
 def cdr_corner_pll(index=0, lot_size=CF_LOT_SIZE):
@@ -673,7 +650,7 @@ def test_perf_corner_screen(report):
     Every lane must settle on the farm's per-lane kernel (none ejected
     or scalar), the ``auto`` screen must match the scalar cold screen
     byte for byte, and it must beat that screen by the absolute
-    :data:`CORNER_SCREEN_SPEEDUP_FLOOR`.
+    ``vec_corner_speedup`` floor.
     """
     requests, jobs = cdr_corner_lot()
 
@@ -717,7 +694,7 @@ def test_perf_corner_screen(report):
     )
     report("perf_corner_screen", table)
 
-    _merge_results_json({
+    results = {
         "vec_corner_speedup": round(speedup, 3),
         "vec_corner_screen": {
             "lot_size": CF_LOT_SIZE,
@@ -727,12 +704,9 @@ def test_perf_corner_screen(report):
             "auto_wall_s": round(t_auto, 4),
             "byte_identical": screens_identical,
         },
-    }, remove=RETIRED_KEYS)
-
-    assert speedup >= CORNER_SCREEN_SPEEDUP_FLOOR
-
-
-SERVICE_WARM_SPEEDUP_FLOOR = 1.3
+    }
+    _merge_results_json(results, remove=RETIRED_KEYS)
+    assert not gate(results)
 
 
 def _service_lot(cache_path, pll, plan, label):
@@ -818,7 +792,7 @@ def test_perf_service_warm_across_jobs(report, paper_dut):
     )
     report("perf_service_warm", table)
 
-    _merge_results_json({
+    results = {
         "service_warm_across_jobs": {
             "tones": N_TONES,
             "cold_wall_s": round(t_cold, 4),
@@ -829,7 +803,6 @@ def test_perf_service_warm_across_jobs(report, paper_dut):
             "cache_misses": warm_stats["cache"]["misses"],
             "byte_identical": byte_identical,
         },
-    })
-
-    # Restoring beats re-settling even with service/IPC overhead on top.
-    assert service_speedup >= SERVICE_WARM_SPEEDUP_FLOOR
+    }
+    _merge_results_json(results)
+    assert not gate(results)
