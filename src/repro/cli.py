@@ -196,8 +196,7 @@ def cmd_sweep(args) -> int:
     try:
         with _profiled(args.profile, engine=args.engine):
             result = monitor.run(
-                plan, n_workers=args.workers, settle=args.settle,
-                engine=args.engine,
+                plan, n_workers=args.workers, engine=args.engine
             )
     except MeasurementError as exc:
         print(f"sweep failed: {exc}")
@@ -270,7 +269,7 @@ def cmd_screen(args) -> int:
         )
         try:
             result, verdict = monitor.run_and_check(
-                plan, limits, n_workers=args.workers, settle=args.settle
+                plan, limits, n_workers=args.workers
             )
             est = result.estimated
             rows.append([
@@ -582,8 +581,7 @@ def _format_event(event: dict, tones_planned: Optional[int]) -> str:
     if kind == "started":
         return (
             f"[{event['job_id']}] started "
-            f"(settle={event.get('settle')}, "
-            f"workers={event.get('n_workers')})"
+            f"(workers={event.get('n_workers')})"
         )
     if kind == "tone":
         total = f"/{tones_planned}" if tones_planned else ""
@@ -635,7 +633,6 @@ def cmd_submit(args) -> int:
         stimulus=args.stimulus,
         fault=args.fault,
         nonlinear=args.nonlinear,
-        settle=args.settle,
         n_workers=args.workers,
         timeout_s=args.job_timeout,
         label=args.label,
@@ -763,9 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", default="auto", choices=ENGINES,
                        help="auto (default): settle and measure on the "
                             "settle farm's per-lane kernel, scalar for "
-                            "what it cannot represent and for an "
-                            "adaptive settle; scalar: the per-tone "
-                            "reference event loop.  Results are "
+                            "what it cannot represent; scalar: the "
+                            "per-tone reference event loop.  Results are "
                             "bit-identical on both" + note)
 
     p = sub.add_parser("theory", help="print the linear design point")
@@ -778,10 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a markdown device report to this path")
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="tone worker processes (1 = serial, default)")
-    p.add_argument("--settle", default="fixed",
-                   choices=("fixed", "adaptive"),
-                   help="stage-0 policy: Table 2 fixed wait, or adaptive "
-                        "lock detection (approximate, never slower)")
     engine_opt(p)
     p.add_argument("--profile", default=None, metavar="PATH",
                    help="cProfile the sweep; write the pstats dump to a "
@@ -797,10 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="tone worker processes (1 = serial, default)")
-    p.add_argument("--settle", default="fixed",
-                   choices=("fixed", "adaptive"),
-                   help="stage-0 policy: Table 2 fixed wait, or adaptive "
-                        "lock detection (approximate, never slower)")
     p.set_defaults(handler=cmd_screen)
 
     p = sub.add_parser("lot", help="batch-screen a lot of devices")
@@ -922,10 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     socket_opts(p)
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="tone worker processes for this job (default 1)")
-    p.add_argument("--settle", default="fixed",
-                   choices=("fixed", "adaptive"),
-                   help="stage-0 policy: Table 2 fixed wait, or adaptive "
-                        "lock detection (approximate, never slower)")
     engine_opt(p, "; under auto, a cancel or --job-timeout takes "
                   "effect only after the job's farm pass")
     p.add_argument("--job-timeout", type=float, default=None,

@@ -10,7 +10,7 @@ sequencer can be checked stage-for-stage against the paper.
 
 :class:`BISTConfig` gathers every knob of the on-chip test hardware in
 one place: test clock, counter modes, peak-detector gate delays, settle
-policy.  One config + one PLL + one stimulus = one reproducible test.
+wait.  One config + one PLL + one stimulus = one reproducible test.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class BISTConfig:
         Gate delays of the Figure 7 sampling circuit.  The inverter
         delay must exceed the AND delay plus the dead-zone glitch width
         for correct sampling.
-    lock_tolerance_cycles:
-        Phase tolerance (in reference cycles) for the initial lock check
-        of Table 2 stage 0.
     """
 
     test_clock_hz: float = 10e6
@@ -86,7 +83,6 @@ class BISTConfig:
     frequency_count_periods: int = 64
     detector_inverter_delay: float = 60e-9
     detector_and_delay: float = 5e-9
-    lock_tolerance_cycles: float = 2e-3
 
     def __post_init__(self) -> None:
         if self.test_clock_hz <= 0.0:
@@ -107,11 +103,6 @@ class BISTConfig:
                 "detector_inverter_delay must exceed detector_and_delay "
                 f"({self.detector_inverter_delay!r} <= "
                 f"{self.detector_and_delay!r})"
-            )
-        if self.lock_tolerance_cycles <= 0.0:
-            raise ConfigurationError(
-                "lock_tolerance_cycles must be positive, got "
-                f"{self.lock_tolerance_cycles!r}"
             )
 
     def validate_against_pfd(self, pfd_reset_delay: float) -> None:

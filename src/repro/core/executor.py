@@ -7,8 +7,8 @@ tones can run in any order, in any process, and produce bit-identical
 :class:`~repro.core.sequencer.ToneMeasurement` records.
 
 :class:`SerialSweepExecutor` preserves the historical in-process loop,
-now threading the warm-start machinery (settle policy, lock-state cache,
-seed-voltage chaining) through one shared sequencer.
+now threading the warm-start machinery (lock-state cache, measurement
+dedup) through one shared sequencer.
 :class:`ProcessPoolSweepExecutor` fans the tones out over a
 ``concurrent.futures.ProcessPoolExecutor`` in **batched chunks**: each
 worker receives one pickled payload carrying its whole share of the
@@ -41,7 +41,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.architecture import BISTConfig
-from repro.core.sequencer import ToneMeasurement, ToneTestSequencer, ToneTiming
+from repro.core.sequencer import (
+    ToneMeasurement,
+    ToneTestSequencer,
+    ToneTiming,
+    tone_is_cacheable,
+)
 from repro.core.warm import (
     CacheEntries,
     LockStateCache,
@@ -131,7 +136,6 @@ ChunkPayload = Tuple[
     ModulatedStimulus,
     BISTConfig,
     Tuple[Tuple[int, float], ...],
-    str,
     Optional[CacheEntries],
 ]
 
@@ -142,7 +146,7 @@ def _run_tone_chunk(payload: ChunkPayload) -> ChunkResult:
     """Worker: run one chunk of tones through a shared sequencer.
 
     ``payload`` is ``(pll, stimulus, config, ((plan_index, f_mod), ...),
-    settle, warm_entries)``.  Every tone comes back pickled as
+    warm_entries)``.  Every tone comes back pickled as
     ``(plan_index, outcome)`` — a measurement or a captured
     :class:`~repro.errors.MeasurementError` alike.
 
@@ -153,24 +157,18 @@ def _run_tone_chunk(payload: ChunkPayload) -> ChunkResult:
     its lookup counts as the second element of the result, for the
     parent to fold back.
     """
-    pll, stimulus, config, chunk, settle, warm_entries = payload
+    pll, stimulus, config, chunk, warm_entries = payload
 
     def run(cache: Optional[LockStateCache]) -> List[Tuple[int, ToneOutcome]]:
         sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
         results: List[Tuple[int, ToneOutcome]] = []
-        seed: Optional[float] = None
         for index, f_mod in chunk:
             try:
-                measurement = sequencer.run(
-                    f_mod,
-                    settle=settle,
-                    seed_voltage=seed if settle == "adaptive" else None,
-                )
+                measurement = sequencer.run(f_mod)
             except MeasurementError as exc:
                 outcome = ToneOutcome(f_mod=f_mod, error=str(exc))
             else:
                 outcome = ToneOutcome(f_mod=f_mod, measurement=measurement)
-                seed = sequencer.last_release_voltage
             results.append((index, outcome))
         return results
 
@@ -191,10 +189,10 @@ def _measurement_cache_key(
     does not change what the counters measure) plus the full frozen
     config (every measurement stage reads it).  ``None`` means the tone
     is not reproducible enough to dedup — exotic stimulus without a
-    cache key, or a settle window too short for the nominal-lock
-    restore — and must simply run.
+    cache key, or a tone :func:`~repro.core.sequencer.tone_is_cacheable`
+    refuses — and must simply run.
     """
-    if not (f_mod > 0.0 and 8.0 * f_mod <= pll.f_ref):
+    if not tone_is_cacheable(pll, f_mod):
         return None
     try:
         return (
@@ -217,16 +215,14 @@ class SweepExecutor:
         config: BISTConfig,
         frequencies_hz: Sequence[float],
         *,
-        settle: str = "fixed",
         cache: Optional[LockStateCache] = None,
         on_outcome: Optional[ToneCallback] = None,
         measurement_cache: Optional[ToneMeasurementCache] = None,
     ) -> List[ToneOutcome]:
         """One :class:`ToneOutcome` per frequency, same order as given.
 
-        ``settle`` selects the stage-0 policy (see
-        :meth:`~repro.core.sequencer.ToneTestSequencer.run`); ``cache``
-        optionally provides a lock-state cache for warm starts.
+        ``cache`` optionally provides a lock-state cache for warm starts
+        (see :meth:`~repro.core.sequencer.ToneTestSequencer.run`).
 
         ``measurement_cache`` optionally deduplicates *finished*
         outcomes across behaviourally identical sweeps (same physics,
@@ -234,8 +230,9 @@ class SweepExecutor:
         returns the cached measurement re-stamped with a warm
         :class:`~repro.core.sequencer.ToneTiming`, or the cached
         :class:`~repro.errors.MeasurementError` text as a failed
-        outcome.  Only honoured on the reproducible ``settle="fixed"``
-        path.
+        outcome.  Only tones
+        :func:`~repro.core.sequencer.tone_is_cacheable` admits are
+        deduplicated.
 
         ``on_outcome`` streams completions: it is invoked with
         ``(plan_index, outcome)`` as tones finish — per tone for the
@@ -251,9 +248,7 @@ class SerialSweepExecutor(SweepExecutor):
     """Run the tones one after another in the calling process.
 
     A single sequencer serves the whole sweep, so the lock-state cache
-    and the memoised nominal baseline persist across tones, and — under
-    adaptive settling — each tone seeds from the previous tone's
-    released control voltage.
+    and the memoised nominal baseline persist across tones.
     """
 
     def run_tones(
@@ -263,7 +258,6 @@ class SerialSweepExecutor(SweepExecutor):
         config: BISTConfig,
         frequencies_hz: Sequence[float],
         *,
-        settle: str = "fixed",
         cache: Optional[LockStateCache] = None,
         on_outcome: Optional[ToneCallback] = None,
         measurement_cache: Optional[ToneMeasurementCache] = None,
@@ -272,21 +266,19 @@ class SerialSweepExecutor(SweepExecutor):
 
         With ``on_outcome`` set, every tone's outcome is delivered the
         moment it exists — the true streaming path the sweep-job
-        service's watchers ride on.  With ``measurement_cache`` set (and
-        fixed settling), tones whose outcome is already known are
-        answered from the cache without building a simulator: a
-        finished measurement re-stamped warm (byte-identical everywhere
-        that matters because ``timing`` is excluded from measurement
-        equality and reports), or a cached
+        service's watchers ride on.  With ``measurement_cache`` set,
+        tones whose outcome is already known are answered from the cache
+        without building a simulator: a finished measurement re-stamped
+        warm (byte-identical everywhere that matters because ``timing``
+        is excluded from measurement equality and reports), or a cached
         :class:`~repro.errors.MeasurementError` text as the same failed
         outcome.  Tones the sequencer runs publish their outcome back,
         failures included, so a same-physics sibling never replays
         either.
         """
         sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
-        dedup = measurement_cache if settle == "fixed" else None
+        dedup = measurement_cache
         outcomes: List[ToneOutcome] = []
-        seed: Optional[float] = None
         for index, f_mod in enumerate(frequencies_hz):
             key = (
                 _measurement_cache_key(pll, stimulus, config, f_mod)
@@ -310,13 +302,8 @@ class SerialSweepExecutor(SweepExecutor):
                         on_outcome(index, outcome)
                     continue
             try:
-                measurement = sequencer.run(
-                    f_mod,
-                    settle=settle,
-                    seed_voltage=seed if settle == "adaptive" else None,
-                )
+                measurement = sequencer.run(f_mod)
                 outcome = ToneOutcome(f_mod=f_mod, measurement=measurement)
-                seed = sequencer.last_release_voltage
                 if key is not None:
                     dedup.put(key, measurement)
             except MeasurementError as exc:
@@ -366,7 +353,6 @@ class ProcessPoolSweepExecutor(SweepExecutor):
         config: BISTConfig,
         frequencies_hz: Sequence[float],
         *,
-        settle: str = "fixed",
         cache: Optional[LockStateCache] = None,
         on_outcome: Optional[ToneCallback] = None,
         measurement_cache: Optional[ToneMeasurementCache] = None,
@@ -389,7 +375,7 @@ class ProcessPoolSweepExecutor(SweepExecutor):
         workers = min(self.n_workers, len(freqs))
         if workers <= 1:
             return SerialSweepExecutor().run_tones(
-                pll, stimulus, config, freqs, settle=settle, cache=cache,
+                pll, stimulus, config, freqs, cache=cache,
                 on_outcome=on_outcome, measurement_cache=measurement_cache,
             )
         # Ascending f_mod = descending cost; stride so each worker's
@@ -403,7 +389,6 @@ class ProcessPoolSweepExecutor(SweepExecutor):
                 stimulus,
                 config,
                 tuple((i, freqs[i]) for i in chunk),
-                settle,
                 warm_entries,
             )
             for chunk in chunks

@@ -14,7 +14,6 @@ sweep — a dead tone is diagnostic information for a structural test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -200,7 +199,6 @@ class TransferFunctionMonitor:
         plan: SweepPlan,
         n_workers: int = 1,
         executor: Optional[SweepExecutor] = None,
-        settle: str = "fixed",
         on_outcome: Optional[ToneCallback] = None,
         engine: str = "auto",
         measurement_cache=None,
@@ -216,12 +214,8 @@ class TransferFunctionMonitor:
         both.  Results are identical — bit for bit — whichever executor
         runs the tones; only the wall time changes.
 
-        ``settle`` selects the stage-0 policy per tone: ``"fixed"``
-        (Table 2's fixed wait, the default) or ``"adaptive"`` (lock
-        detection with fixed-wait fallback; approximate — counted
-        results match the fixed policy to counter resolution).  The
-        monitor's :attr:`lock_cache` serves repeated fixed-settle tones
-        warm.
+        Stage 0 of every tone is Table 2's fixed wait; the monitor's
+        :attr:`lock_cache` serves repeated tones warm.
 
         ``engine`` selects how the tones are simulated: ``"auto"``
         (default) first settles every cacheable tone of the plan on the
@@ -231,11 +225,9 @@ class TransferFunctionMonitor:
         the lanes on through stages 1–4 so the sweep's tones are
         answered from finished measurements (or published failures) —
         then runs the same sweep, warm.  ``"scalar"`` runs each tone's
-        settle inside its own event loop: the reference.  An adaptive
-        settle runs scalar under either name — its lock detection is
-        inherently per-device.  Counted results are bit-identical on
-        both engines (the farm's snapshot guarantee); only wall time
-        changes.
+        settle inside its own event loop: the reference.  Counted
+        results are bit-identical on both engines (the farm's snapshot
+        guarantee); only wall time changes.
 
         ``measurement_cache`` optionally shares *finished* stage 1–4
         measurements across behaviourally identical sweeps (a
@@ -244,8 +236,8 @@ class TransferFunctionMonitor:
         first die measures each tone and the rest reuse the result —
         byte-identical reports, because a hit only differs in the
         comparison-excluded ``timing``.  Honoured on the in-process
-        serial path with fixed settling; ignored (with fidelity, not
-        silently wrong) by pool and custom executors.
+        serial path; ignored (with fidelity, not silently wrong) by pool
+        and custom executors.
 
         ``on_outcome`` streams per-tone completions to the caller as the
         executor produces them (see
@@ -263,17 +255,18 @@ class TransferFunctionMonitor:
             Only if the *reference* tone fails — without the in-band
             reference no magnitude can be computed at all.
         """
-        if validate_engine(engine) == "auto" and settle == "fixed":
+        # The farm can also carry stages 1-4, but only the serial
+        # in-process executor consults a measurement cache — so the
+        # measurement phase is worth running exactly when its results
+        # have somewhere to land.
+        serial_dedup_ok = executor is None and n_workers == 1
+        if validate_engine(engine) == "auto":
             # Imported lazily: repro.pll.lot pulls in the NumPy settle
             # farm, which scalar-only callers never need.
             from repro.pll.lot import premeasure_lot
 
-            # The farm can also carry stages 1-4, but only the serial
-            # in-process executor consults a measurement cache — so the
-            # measurement phase is worth running exactly when its
-            # results have somewhere to land.  Callers without their
-            # own cache get a private one scoped to this sweep.
-            serial_dedup_ok = executor is None and n_workers == 1
+            # Callers without their own cache get a private one scoped
+            # to this sweep.
             if serial_dedup_ok and measurement_cache is None:
                 measurement_cache = ToneMeasurementCache()
             premeasure_lot(
@@ -282,32 +275,19 @@ class TransferFunctionMonitor:
                 self.lock_cache,
                 measurement_cache if serial_dedup_ok else None,
             )
-        custom_executor = executor is not None
         if executor is None:
             executor = executor_for(
                 n_workers, n_tones=len(plan.frequencies_hz)
             )
-        kwargs = {"settle": settle, "cache": self.lock_cache}
-        if on_outcome is not None:
-            # Only threaded through when given: third-party executors
-            # predating the streaming seam keep working unchanged.
-            kwargs["on_outcome"] = on_outcome
-        if (
-            measurement_cache is not None
-            and not custom_executor
-            and n_workers == 1
-            and settle == "fixed"
-        ):
-            # Same compatibility discipline as on_outcome: the kwarg only
-            # appears on the executors we built ourselves, and only on
-            # the serial path where a live in-process cache can help.
-            kwargs["measurement_cache"] = measurement_cache
         outcomes = executor.run_tones(
             self.pll,
             self.stimulus,
             self.config,
             plan.frequencies_hz,
-            **kwargs,
+            cache=self.lock_cache,
+            on_outcome=on_outcome,
+            # A live in-process cache only helps the serial path.
+            measurement_cache=measurement_cache if serial_dedup_ok else None,
         )
         return self.evaluate_outcomes(plan, outcomes)
 
@@ -396,7 +376,6 @@ class TransferFunctionMonitor:
         limits: TestLimits,
         n_workers: int = 1,
         executor: Optional[SweepExecutor] = None,
-        settle: str = "fixed",
         on_outcome: Optional[ToneCallback] = None,
         engine: str = "auto",
         measurement_cache=None,
@@ -408,7 +387,7 @@ class TransferFunctionMonitor:
         reject, not a pass.
         """
         result = self.run(
-            plan, n_workers=n_workers, executor=executor, settle=settle,
+            plan, n_workers=n_workers, executor=executor,
             on_outcome=on_outcome, engine=engine,
             measurement_cache=measurement_cache,
         )

@@ -38,7 +38,7 @@ from repro.core.counters import FrequencyCounter, PhaseCount, PhaseCounter
 from repro.core.hold import HeldFrequencyResult
 from repro.core.peak_detector import PeakEvent, PeakFrequencyDetector
 from repro.core.warm import LockStateCache
-from repro.errors import ConfigurationError, LockError, MeasurementError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
 from repro.pll.simulator import PLLTransientSimulator, RecordLevel
 from repro.stimulus.modulation import ModulatedStimulus
@@ -54,6 +54,7 @@ __all__ = [
     "predicted_peak_delay",
     "set_nominal_frequency_memo_limit",
     "reset_nominal_frequency_memo",
+    "tone_is_cacheable",
 ]
 
 #: Process-wide memo for :meth:`ToneTestSequencer.measure_nominal_frequency`,
@@ -200,6 +201,18 @@ class ToneMeasurement:
         )
 
 
+def tone_is_cacheable(pll: ChargePumpPLL, f_mod: float) -> bool:
+    """Whether tone ``f_mod``'s settled state and measurement may be reused.
+
+    The one cacheability rule shared by the sequencer's settle cache,
+    the executor's measurement dedup and the farm's presettle: at least
+    one PFD compare cycle must fit between the settle end and the arm
+    instant (``8·f_mod ≤ f_ref``), so the peak detector attached after
+    a restore sees the same history a cold settle would.
+    """
+    return f_mod > 0.0 and 8.0 * f_mod <= pll.f_ref
+
+
 def predicted_peak_delay(pll: ChargePumpPLL, f_mod: float) -> Optional[float]:
     """Predicted lag of the output-modulation peak behind the input peak.
 
@@ -246,6 +259,9 @@ class MeasurementScript:
     any engine that reproduces the simulator's event stream reproduces
     the scalar measurement bit-for-bit, stage log included.
 
+    The arm instant is the ``config.settle_cycles``-th modulation peak:
+    Table 2's fixed stage-0 wait ends there.
+
     States: ``ARM`` (run to the arm instant) → ``MONITOR`` (stages 2–3,
     poll for the capture) → ``FLUSH`` (let the in-flight pump pulse
     finish) → ``HOLD`` (stage 4, grow the count window) → ``DONE``.
@@ -270,7 +286,6 @@ class MeasurementScript:
         stimulus: ModulatedStimulus,
         config: BISTConfig,
         f_mod: float,
-        arm_index: int,
         max_wait_cycles: float = 3.0,
     ) -> None:
         self.pll = pll
@@ -279,7 +294,7 @@ class MeasurementScript:
         self.t_mod = 1.0 / f_mod
         self.max_wait_cycles = max_wait_cycles
         self.t_arm = stimulus.modulation_peak_time(
-            f_mod, start_time=0.0, index=arm_index
+            f_mod, start_time=0.0, index=config.settle_cycles
         )
         self.deadline = self.t_arm + max_wait_cycles * self.t_mod
         # Boundaries skipped straight to the predicted peak window.  The
@@ -469,9 +484,6 @@ class ToneTestSequencer:
                 "the Table 2 sequence reads the rising-edge trains; "
                 "use record='counters' or record='full'"
             )
-        #: Control voltage after the most recent tone released its hold —
-        #: the natural seed for the next tone's adaptive settle.
-        self.last_release_voltage: Optional[float] = None
 
     # ------------------------------------------------------------------
     # stage-0 helpers
@@ -493,89 +505,10 @@ class ToneTestSequencer:
             self.record_level.value,
         )
 
-    def _modulated_lock_tolerance(self, f_mod: float) -> float:
-        """Lock tolerance (reference cycles) that accommodates the tone.
-
-        Under modulation the locked loop's phase error never goes to
-        zero: it oscillates with amplitude
-        ``|E(jω_m)| · deviation / (2π f_mod)`` cycles, where ``E`` is
-        the loop's phase-*error* transfer function
-        ``s² / (s² + 2ζω_n s + ω_n²)``.  The adaptive settle's lock
-        check must tolerate that steady-state excursion or it would
-        never declare lock; the configured
-        :attr:`~repro.core.architecture.BISTConfig.lock_tolerance_cycles`
-        rides on top as the transient-residual budget.
-        """
-        base = self.config.lock_tolerance_cycles
-        try:
-            wn = self.pll.natural_frequency()
-            zeta = self.pll.damping(exact=True)
-        except Exception:
-            return base + 0.05
-        wm = 2.0 * math.pi * f_mod
-        err_mag = wm * wm / math.hypot(wn * wn - wm * wm, 2.0 * zeta * wn * wm)
-        excursion = err_mag * self.stimulus.deviation / (2.0 * math.pi * f_mod)
-        return base + 1.5 * excursion
-
-    def _loop_time_constant(self) -> float:
-        """The loop's dominant transient decay time ``1/(ζ·ωn)`` (s).
-
-        Returns 0.0 when the linearisation is unavailable (exotic
-        device models) so callers degrade to no-floor behaviour.
-        """
-        try:
-            return 1.0 / (
-                self.pll.damping(exact=True) * self.pll.natural_frequency()
-            )
-        except Exception:
-            return 0.0
-
-    def _adaptive_settle(self, sim: PLLTransientSimulator, f_mod: float) -> int:
-        """Stage 0 with lock detection instead of a fixed wait.
-
-        Runs :meth:`~repro.pll.simulator.PLLTransientSimulator.run_until_locked`
-        with a modulation-aware tolerance and a timeout equal to the
-        fixed settle duration, then returns the modulation-peak index at
-        which to arm the phase counter — one full modulation cycle after
-        lock, but never later than the fixed policy would arm.  If lock
-        is not declared within the fixed window the sequencer falls back
-        to the fixed arm index, so the adaptive mode can only save time,
-        never add it.
-
-        Lock detection alone is not sufficient for tones far above the
-        loop bandwidth: their measured deviation sits near counter
-        resolution, and the residual control-voltage transient (a phase
-        error well inside the lock tolerance) can still bias it.  The
-        arm time is therefore floored at a few loop time constants —
-        which only bites high-``f_mod`` tones, whose fixed wait is short
-        anyway; the slow in-band tones keep the full saving.
-        """
-        cfg = self.config
-        fixed_end = cfg.settle_cycles / f_mod
-        try:
-            t_lock = sim.run_until_locked(
-                tolerance_cycles=self._modulated_lock_tolerance(f_mod),
-                timeout=fixed_end,
-            )
-        except LockError:
-            if sim.now < fixed_end:
-                sim.run_until(fixed_end)
-            return cfg.settle_cycles
-        t_floor = 3.0 * self._loop_time_constant()
-        # run_until_locked advances in chunks, so the simulator may sit
-        # past the lock edge; arm after whichever is latest.
-        t_eff = max(t_lock, sim.now, t_floor)
-        k = max(1, math.ceil(t_eff * f_mod + 0.75))
-        return min(k, cfg.settle_cycles)
-
     def run(
         self,
         f_mod: float,
         max_wait_cycles: float = 3.0,
-        *,
-        settle: str = "fixed",
-        seed_voltage: Optional[float] = None,
-        cache: Optional[LockStateCache] = None,
     ) -> ToneMeasurement:
         """Execute the sequence for modulation frequency ``f_mod`` (Hz).
 
@@ -583,43 +516,16 @@ class ToneTestSequencer:
         detector (in modulation periods) before declaring a failure —
         which *is* a legitimate test outcome for some injected faults.
 
-        ``settle`` selects the stage-0 policy: ``"fixed"`` (the paper's
-        Table 2 — wait ``settle_cycles`` modulation periods) or
-        ``"adaptive"`` (declare lock via the loop's own edge streams and
-        arm one modulation cycle later; falls back to the fixed wait on
-        timeout, so it is never slower).  ``seed_voltage`` optionally
-        starts the loop from a previous tone's released control voltage
-        instead of the computed lock point — with adaptive settling,
-        chaining tones this way lets the lock detector finish early.
-        Both are deliberate approximations: counted results under
-        adaptive settling agree with the fixed policy to counter
-        resolution, not bit-for-bit.
-
-        ``cache`` (or the instance-level cache) serves stage 0 from a
-        stored settled snapshot when the same (PLL, stimulus, tone,
-        settle policy) was settled before; warm runs *are* bit-identical
-        to cold runs.  Caching applies only to the reproducible
-        configuration — fixed settle from the nominal lock point — and
-        only when at least one PFD compare cycle fits between the settle
-        end and the arm instant (``8·f_mod ≤ f_ref``) so the deferred
-        peak-detector attach is transparent.
+        Stage 0 is Table 2's fixed wait: ``settle_cycles`` modulation
+        periods from the nominal lock point.  The instance-level
+        ``cache`` serves it from a stored settled snapshot when the same
+        (PLL physics, stimulus, tone) was settled before; warm runs
+        *are* bit-identical to cold runs.  Caching applies only to tones
+        :func:`tone_is_cacheable` admits.
         """
-        if settle not in ("fixed", "adaptive"):
-            raise ConfigurationError(
-                f"settle must be 'fixed' or 'adaptive', got {settle!r}"
-            )
-        cache = cache if cache is not None else self.cache
+        cache = self.cache
         cfg = self.config
         t_mod = 1.0 / f_mod
-        if seed_voltage is not None:
-            # A seed carries the previous tone's modulation ripple.  For
-            # tones whose settle window is shorter than a few loop time
-            # constants the residual cannot decay before the arm instant
-            # and would bias a near-resolution deviation; start those
-            # from the nominal centre instead.
-            window = cfg.settle_cycles / f_mod
-            if window < 3.0 * self._loop_time_constant():
-                seed_voltage = None
         stage_log: List[Tuple[TestStage, float]] = []
         wall_start = perf_counter()
 
@@ -629,21 +535,13 @@ class ToneTestSequencer:
         # instant), so warm-restored and cold-settled runs see identical
         # observer history from the settle end onwards.
         source = self.stimulus.make_source(f_mod, start_time=0.0)
-        sim = PLLTransientSimulator(
-            self.pll,
-            source,
-            record=self.record_level,
-            initial_control_voltage=seed_voltage,
-        )
+        sim = PLLTransientSimulator(self.pll, source, record=self.record_level)
         stage_log.append((TestStage.REF_SET, 0.0))
         settle_end = cfg.settle_cycles / f_mod
-        arm_index = cfg.settle_cycles
         warm = False
         cacheable = (
             cache is not None
-            and settle == "fixed"
-            and seed_voltage is None
-            and 8.0 * f_mod <= self.pll.f_ref
+            and tone_is_cacheable(self.pll, f_mod)
             # Sources outside repro.stimulus may not support snapshots;
             # they simply run cold rather than fail the tone.
             and hasattr(source, "snapshot_state")
@@ -656,10 +554,7 @@ class ToneTestSequencer:
                 sim.restore(snap)
                 warm = True
         if not warm:
-            if settle == "adaptive":
-                arm_index = self._adaptive_settle(sim, f_mod)
-            else:
-                sim.run_until(settle_end)
+            sim.run_until(settle_end)
             if cacheable:
                 cache.put(key, sim.snapshot())
         wall_settled = perf_counter()
@@ -675,11 +570,7 @@ class ToneTestSequencer:
         # per-lane kernel; here its targets feed the scalar event loop
         # directly.
         script = MeasurementScript(
-            self.pll,
-            self.stimulus,
-            cfg,
-            f_mod,
-            arm_index,
+            self.pll, self.stimulus, cfg, f_mod,
             max_wait_cycles=max_wait_cycles,
         )
         script.stage_log = stage_log  # REF_SET@0.0 already logged above
@@ -701,7 +592,6 @@ class ToneTestSequencer:
             if monitoring and not script.monitoring:
                 wall_monitored = perf_counter()
         assert script.held is not None and script.phase_count is not None
-        self.last_release_voltage = sim.control_voltage
         wall_end = perf_counter()
 
         return ToneMeasurement(

@@ -8,8 +8,7 @@ either by the settle farm or by the scalar reference:
   (:class:`~repro.sim.vectorized.VectorizedLotSimulator`): every lane
   settles (and measures) on one per-lane kernel that advances the loop
   edge-to-edge in closed form, and anything the kernel cannot
-  represent ejects to a scalar finish.  An adaptive settle policy,
-  whose lock detection is per-device by design, runs scalar.
+  represent ejects to a scalar finish.
 * ``"scalar"`` — the reference :class:`~repro.pll.simulator.\
   PLLTransientSimulator` event loop, one tone at a time.  Always
   correct, always available; the farm is judged against its bits.

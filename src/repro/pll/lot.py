@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.executor import _measurement_cache_key
-from repro.core.sequencer import ToneTestSequencer
+from repro.core.sequencer import ToneTestSequencer, tone_is_cacheable
 from repro.core.warm import LockStateCache, ToneMeasurementCache
 from repro.pll.simulator import RecordLevel
 from repro.sim.vectorized import (
@@ -115,10 +115,9 @@ def premeasure_lot(
     ``record`` must match the record level the orchestrating sweep's
     sequencers use (the cache key includes it); the monitor default is
     ``"counters"``.  Only the reproducible stage-0 configuration is
-    presettled — fixed settle from the nominal lock point with at least
-    one PFD compare cycle between settle end and arm
-    (``8·f_mod ≤ f_ref``) — mirroring the sequencer's own cacheability
-    rule, so everything else simply runs cold as it does today.
+    presettled — tones :func:`~repro.core.sequencer.tone_is_cacheable`
+    admits, the sequencer's own cacheability rule — so everything else
+    simply runs cold as it does today.
 
     With ``measurement_cache`` given, every lane whose finished
     measurement is dedupable (the executor's measurement-cache rule)
@@ -155,7 +154,7 @@ def premeasure_lot(
             continue
         for f_mod in freqs:
             stats.tones += 1
-            if not (f_mod > 0.0 and 8.0 * f_mod <= pll.f_ref):
+            if not tone_is_cacheable(pll, f_mod):
                 stats.skipped += 1
                 continue
             try:
@@ -179,8 +178,7 @@ def premeasure_lot(
                 if mkey is not None and mkey in measurement_cache:
                     mkey = None
                 if mkey is not None:
-                    spec = MeasureSpec(config=config,
-                                       arm_index=config.settle_cycles)
+                    spec = MeasureSpec(config=config)
             snap = cache.peek(key)
             if snap is not None and spec is None:
                 stats.cached += 1

@@ -88,7 +88,6 @@ class SweepJobRequest:
     stimulus: ModulatedStimulus
     plan: SweepPlan
     config: BISTConfig = BISTConfig()
-    settle: str = "fixed"
     n_workers: int = 1
     timeout_s: Optional[float] = None
     label: Optional[str] = None
@@ -100,8 +99,8 @@ class SweepJobRequest:
     priority: int = 0
     #: Settle engine: ``"auto"`` (default) presettles the plan on the
     #: settle farm's per-lane kernel, warming the service's shared
-    #: cache (an adaptive settle runs scalar); ``"scalar"`` runs
-    #: per-tone event loops.  Results are bit-identical.
+    #: cache; ``"scalar"`` runs per-tone event loops.  Results are
+    #: bit-identical.
     engine: str = "auto"
 
     def __post_init__(self) -> None:
@@ -112,10 +111,6 @@ class SweepJobRequest:
         if self.timeout_s is not None and self.timeout_s <= 0.0:
             raise ConfigurationError(
                 f"timeout_s must be positive, got {self.timeout_s!r}"
-            )
-        if self.settle not in ("fixed", "adaptive"):
-            raise ConfigurationError(
-                f"settle must be 'fixed' or 'adaptive', got {self.settle!r}"
             )
         if self.client_id is not None and (
             not isinstance(self.client_id, str) or not self.client_id
@@ -140,14 +135,13 @@ class SweepJobSpec:
     Resolved into a :class:`SweepJobRequest` against the reconstructed
     Table 3 presets — the same vocabulary the one-shot CLI commands
     speak (``--points``, ``--stimulus``, ``--fault``, ``--nonlinear``,
-    ``--settle``, ``--workers``).
+    ``--workers``, ``--engine``).
     """
 
     points: int = 12
     stimulus: str = "multitone"
     fault: Optional[str] = None
     nonlinear: bool = False
-    settle: str = "fixed"
     n_workers: int = 1
     timeout_s: Optional[float] = None
     label: Optional[str] = None

@@ -146,7 +146,6 @@ def resolve_spec(spec: SweepJobSpec) -> SweepJobRequest:
         stimulus=paper_stimulus(spec.stimulus),
         plan=paper_sweep(points=spec.points),
         config=paper_bist_config(),
-        settle=spec.settle,
         n_workers=spec.n_workers,
         timeout_s=spec.timeout_s,
         label=spec.label,

@@ -600,7 +600,6 @@ class SweepJobService:
         job.started_at = time.monotonic()
         self._emit(job, EVENT_STARTED, {
             "label": request.label,
-            "settle": request.settle,
             "engine": request.engine,
             "n_workers": request.n_workers,
             "timeout_s": request.timeout_s,
@@ -691,7 +690,6 @@ class SweepJobService:
             return monitor.run(
                 request.plan,
                 n_workers=request.n_workers,
-                settle=request.settle,
                 on_outcome=on_outcome,
                 engine=request.engine,
             )

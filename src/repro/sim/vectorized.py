@@ -313,13 +313,12 @@ class MeasureSpec:
     """Stage 1–4 measurement request riding on a :class:`SettleLane`.
 
     ``config`` is the :class:`~repro.core.architecture.BISTConfig` whose
-    counters/detector the scalar sequencer would use; ``arm_index`` the
-    modulation-peak index at which the phase counter arms (the fixed
-    settle policy's ``settle_cycles``).
+    counters/detector the scalar sequencer would use; the phase counter
+    arms at its ``settle_cycles``-th modulation peak, as in the scalar
+    sequencer.
     """
 
     config: object
-    arm_index: int
     max_wait_cycles: float = 3.0
 
 
@@ -642,7 +641,8 @@ class VectorizedLotSimulator:
             pll = lane.pll
             t_mod = 1.0 / lane.f_mod
             t_arm = lane.stimulus.modulation_peak_time(
-                lane.f_mod, start_time=0.0, index=spec.arm_index
+                lane.f_mod, start_time=0.0,
+                index=spec.config.settle_cycles,
             )
             deadline = t_arm + spec.max_wait_cycles * t_mod
             periods = spec.config.frequency_count_periods
@@ -836,7 +836,7 @@ class VectorizedLotSimulator:
         try:
             script = MeasurementScript(
                 table.pll, lane.stimulus, spec.config, lane.f_mod,
-                spec.arm_index, max_wait_cycles=spec.max_wait_cycles,
+                max_wait_cycles=spec.max_wait_cycles,
             )
         except Exception:  # noqa: BLE001 - exotic stimulus: scalar path
             return False

@@ -39,8 +39,6 @@ class TestBISTConfig:
             BISTConfig(settle_cycles=0)
         with pytest.raises(ConfigurationError):
             BISTConfig(frequency_count_periods=0)
-        with pytest.raises(ConfigurationError):
-            BISTConfig(lock_tolerance_cycles=0.0)
 
     def test_inverter_must_outdelay_and_gate(self):
         with pytest.raises(ConfigurationError):

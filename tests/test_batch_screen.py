@@ -223,7 +223,7 @@ class _TruncatingExecutor(SweepExecutor):
     """Misbehaving executor: drops the last outcome of the sweep."""
 
     def run_tones(self, pll, stimulus, config, frequencies_hz, *,
-                  settle="fixed", cache=None):
+                  cache=None, on_outcome=None, measurement_cache=None):
         return [
             ToneOutcome(f_mod=f, error="short-changed")
             for f in list(frequencies_hz)[:-1]
@@ -240,7 +240,7 @@ class _PerturbedReferenceExecutor(SweepExecutor):
     """
 
     def run_tones(self, pll, stimulus, config, frequencies_hz, *,
-                  settle="fixed", cache=None):
+                  cache=None, on_outcome=None, measurement_cache=None):
         freqs = list(frequencies_hz)
         outcomes = [
             ToneOutcome(f_mod=freqs[0] * (1.0 + 1e-12), error="dead tone")

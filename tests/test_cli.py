@@ -32,6 +32,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["sweep", "--stimulus", "square"])
 
+    @pytest.mark.parametrize("verb", ["sweep", "screen", "submit"])
+    def test_settle_flag_is_gone(self, verb, capsys):
+        # Table 2's fixed wait is the only stage-0 policy.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([verb, "--settle", "fixed"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --settle" in capsys.readouterr().err
+
 
 class TestTheory:
     def test_prints_design_point(self, capsys):

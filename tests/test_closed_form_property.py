@@ -302,15 +302,21 @@ class TestEngineSelection:
             cold.response.magnitude_db
         )
 
-    def test_monitor_engine_settle_policy(self, fast_bist_config):
-        monitor = TransferFunctionMonitor(
-            paper_pll(), paper_stimulus("multitone"), fast_bist_config
-        )
-        plan = SweepPlan(PAPER_TONES)
-        # "auto" with an uncacheable settle runs the scalar path.
-        cold = monitor.run(plan, settle="adaptive", engine="scalar")
-        auto = monitor.run(plan, settle="adaptive", engine="auto")
-        assert auto.measurements == cold.measurements
+    def test_monitor_auto_matches_scalar_on_uncacheable_tone(
+        self, fast_bist_config
+    ):
+        # 200 Hz is above f_ref / 8 for the paper PLL (f_ref = 1 kHz):
+        # the farm skips it and "auto" runs it on the scalar path.
+        plan = SweepPlan(PAPER_TONES + (200.0,))
+        runs = {}
+        for engine in ("scalar", "auto"):
+            monitor = TransferFunctionMonitor(
+                paper_pll(), paper_stimulus("multitone"), fast_bist_config
+            )
+            runs[engine] = monitor.run(plan, engine=engine)
+        assert monitor.lock_cache.presettle_stats.skipped == 1
+        assert runs["auto"].measurements == runs["scalar"].measurements
+        assert runs["auto"].failed_tones == runs["scalar"].failed_tones
 
     def test_batch_rejects_unknown_engine_with_choices(
         self, fast_bist_config
@@ -327,21 +333,11 @@ class TestEngineSelection:
 
     def test_job_request_engine_policy(self):
         from repro.service import SweepJobSpec
-        from repro.service.jobs import SweepJobRequest
         from repro.service.protocol import resolve_spec
 
         spec = SweepJobSpec(points=5, engine="auto")
         assert SweepJobSpec.from_dict(spec.to_dict()) == spec
         assert resolve_spec(spec).engine == "auto"
-        # "auto" + adaptive is accepted (the monitor runs it scalar).
-        request = SweepJobRequest(
-            pll=paper_pll(),
-            stimulus=paper_stimulus("multitone"),
-            plan=SweepPlan(PAPER_TONES),
-            engine="auto",
-            settle="adaptive",
-        )
-        assert request.engine == "auto"
 
     def test_cli_accepts_engine_tiers(self):
         from repro.cli import build_parser

@@ -48,6 +48,8 @@ from repro.sim.vectorized import SettleLane, VectorizedLotSimulator
 
 # Cacheable tones (8·f_mod ≤ f_ref) spanning the sweep's cost range.
 TONES = (10.0, 55.0)
+# Above f_ref / 8 for the paper PLL: neither settle-cached nor deduped.
+UNCACHEABLE_TONE = 200.0
 
 
 def _scalar_snapshot(pll, stimulus, f_mod, settle_end):
@@ -339,7 +341,7 @@ class TestEngineWiring:
             cold.response.magnitude_db
         )
 
-    def test_monitor_rejects_bad_engine_and_adaptive(self, fast_bist_config):
+    def test_monitor_rejects_bad_engine(self, fast_bist_config):
         monitor = TransferFunctionMonitor(
             paper_pll(), paper_stimulus("multitone"), fast_bist_config
         )
@@ -347,7 +349,7 @@ class TestEngineWiring:
         with pytest.raises(ConfigurationError):
             monitor.run(plan, engine="quantum")
         with pytest.raises(ConfigurationError):
-            monitor.run(plan, engine="vectorized", settle="adaptive")
+            monitor.run(plan, engine="vectorized")
 
     def test_batch_vectorized_byte_identical_serial(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
@@ -399,14 +401,6 @@ class TestEngineWiring:
                 plan=SweepPlan(TONES),
                 engine="quantum",
             )
-        # ``auto`` accepts an adaptive settle (it runs that scalar).
-        assert SweepJobRequest(
-            pll=paper_pll(),
-            stimulus=paper_stimulus("multitone"),
-            plan=SweepPlan(TONES),
-            engine="auto",
-            settle="adaptive",
-        ).engine == "auto"
 
     def test_cli_flags(self):
         from repro.cli import build_parser
@@ -503,16 +497,19 @@ class TestMeasurementDedup:
         assert second == first
         assert runs == []
 
-    def test_adaptive_settle_bypasses_dedup(self, fast_bist_config):
+    def test_uncacheable_tone_bypasses_dedup(self, fast_bist_config):
         from repro.core.executor import SerialSweepExecutor
+        from repro.core.sequencer import tone_is_cacheable
         from repro.core.warm import ToneMeasurementCache
 
+        pll = paper_pll()
+        assert not tone_is_cacheable(pll, UNCACHEABLE_TONE)
         dedup = ToneMeasurementCache()
         SerialSweepExecutor().run_tones(
-            paper_pll(), paper_stimulus("multitone"), fast_bist_config,
-            TONES, settle="adaptive", measurement_cache=dedup,
+            pll, paper_stimulus("multitone"), fast_bist_config,
+            TONES + (UNCACHEABLE_TONE,), measurement_cache=dedup,
         )
-        assert len(dedup) == 0
+        assert len(dedup) == len(TONES)
 
     def test_monitor_threads_measurement_cache(self, fast_bist_config):
         from repro.core.warm import ToneMeasurementCache
@@ -757,8 +754,7 @@ class TestTurnOnDelayLanes:
         cold = ToneTestSequencer(d.pll, d.stimulus, d.config)
         for f_mod in d.tones:
             assert dedup.get(_measurement_cache_key(
-                d.pll, d.stimulus, d.config, f_mod)) == cold.run(
-                    f_mod, settle="fixed", cache=LockStateCache())
+                d.pll, d.stimulus, d.config, f_mod)) == cold.run(f_mod)
         plan = SweepPlan(d.tones)
         scalar = TransferFunctionMonitor(
             d.pll, d.stimulus, d.config).run(plan, engine="scalar")

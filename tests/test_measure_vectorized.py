@@ -54,9 +54,7 @@ TONES = (10.0, 55.0)
 
 def _scalar_measurement(pll, stimulus, config, f_mod):
     """The reference: one cold scalar Table 2 run."""
-    return ToneTestSequencer(pll, stimulus, config).run(
-        f_mod, settle="fixed", cache=LockStateCache()
-    )
+    return ToneTestSequencer(pll, stimulus, config).run(f_mod)
 
 
 def _scalar_outcome(pll, stimulus, config, f_mod):
@@ -74,7 +72,7 @@ def _measure_lane(pll, stimulus, config, f_mod, settle_end=None):
         settle_end=(config.settle_cycles / f_mod if settle_end is None
                     else settle_end),
         record="counters",
-        measure=MeasureSpec(config=config, arm_index=config.settle_cycles),
+        measure=MeasureSpec(config=config),
     )
 
 

@@ -41,6 +41,7 @@ from repro.service.protocol import (
     MAX_LINE_BYTES,
     decode_line,
     encode_line,
+    parse_spec,
     parse_tcp_endpoint,
     resolve_spec,
 )
@@ -93,6 +94,10 @@ class TestSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError, match="tone_count"):
             SweepJobSpec.from_dict({"tone_count": 9})
+        # A stale client still sending the removed stage-0 policy.
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_spec({"points": 5, "settle": "fixed"})
+        assert str(excinfo.value) == "unknown job-spec field(s): settle"
 
     def test_resolve_builds_the_one_shot_quadruple(self):
         request = resolve_spec(SweepJobSpec(points=6))

@@ -1,13 +1,8 @@
-"""Warm-start sweeps: lock-state cache, adaptive settling, memoisation.
+"""Warm-start sweeps: lock-state cache and memoisation.
 
-Two distinct warm paths with two distinct contracts:
-
-* **Cache-warm** (``LockStateCache``): re-running a tone restores the
-  cached settled snapshot — results are **bit-identical** to the cold
-  run (the snapshot guarantee).
-* **Adaptive settle** (``settle="adaptive"``): lock detection replaces
-  the fixed stage-0 wait — explicitly approximate; counted results must
-  agree with the fixed policy to counter resolution for in-band tones.
+Re-running a tone restores the cached settled snapshot
+(``LockStateCache``) — results are **bit-identical** to the cold run
+(the snapshot guarantee).
 """
 
 from __future__ import annotations
@@ -16,13 +11,11 @@ import pytest
 
 from repro.core import (
     LockStateCache,
-    SerialSweepExecutor,
     SweepPlan,
     ToneTestSequencer,
     TransferFunctionMonitor,
 )
 from repro.errors import ConfigurationError
-from repro.presets import paper_pll, paper_stimulus
 
 
 @pytest.fixture()
@@ -194,52 +187,6 @@ class TestLockStateCacheUnit:
             "entries": 0,
             "capacity": 1,
         }
-
-
-class TestAdaptiveSettle:
-    def test_rejects_unknown_policy(self, sequencer):
-        with pytest.raises(ConfigurationError):
-            sequencer.run(8.0, settle="eventually")
-
-    def test_adaptive_agrees_with_fixed_in_band(
-        self, pll_linear, sine_stimulus, bist_config
-    ):
-        # In-band tones (well below ~3 fn) must agree to counter
-        # resolution; adaptive settling is an approximation, not a
-        # bit-identity path.
-        sequencer = ToneTestSequencer(pll_linear, sine_stimulus, bist_config)
-        for f_mod in (2.0, 8.0):
-            fixed = sequencer.run(f_mod, settle="fixed")
-            adaptive = sequencer.run(f_mod, settle="adaptive")
-            assert adaptive.delta_f_hz == pytest.approx(
-                fixed.delta_f_hz, rel=0.05, abs=0.05
-            )
-            assert adaptive.phase_delay_deg == pytest.approx(
-                fixed.phase_delay_deg, abs=10.0
-            )
-
-    def test_adaptive_never_arms_later_than_fixed(
-        self, pll_linear, sine_stimulus, bist_config
-    ):
-        sequencer = ToneTestSequencer(pll_linear, sine_stimulus, bist_config)
-        for f_mod in (2.0, 8.0, 40.0):
-            fixed = sequencer.run(f_mod, settle="fixed")
-            adaptive = sequencer.run(f_mod, settle="adaptive")
-            assert adaptive.arm_time <= fixed.arm_time
-
-    def test_serial_executor_chains_seeds(
-        self, pll_linear, fast_bist_config
-    ):
-        stimulus = paper_stimulus("multitone")
-        outcomes = SerialSweepExecutor().run_tones(
-            pll_linear,
-            stimulus,
-            fast_bist_config,
-            (4.0, 8.0, 16.0),
-            settle="adaptive",
-        )
-        assert all(not o.failed for o in outcomes)
-        assert [o.f_mod for o in outcomes] == [4.0, 8.0, 16.0]
 
 
 class TestNominalBaselineMemoised:
