@@ -36,7 +36,6 @@ from repro.analysis import (
 )
 from repro.core import (
     PLLSelfTest,
-    SweepPlan,
     TestLimits,
     TransferFunctionMonitor,
 )
@@ -745,13 +744,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, stimulus=True):
+    def common(p, stimulus=True, device=True):
         p.add_argument("--points", type=int, default=12,
                        help="sweep tones (default 12)")
-        p.add_argument("--fault", default=None,
-                       help="inject a library fault by label first")
-        p.add_argument("--nonlinear", action="store_true",
-                       help="use the 74HCT4046A-flavoured device model")
+        if device:
+            p.add_argument("--fault", default=None,
+                           help="inject a library fault by label first")
+            p.add_argument("--nonlinear", action="store_true",
+                           help="use the 74HCT4046A-flavoured device model")
         if stimulus:
             p.add_argument("--stimulus", default="multitone",
                            choices=("sine", "multitone", "twotone"))
@@ -786,7 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_selftest)
 
     p = sub.add_parser("screen", help="screen the fault library")
-    common(p)
+    # The screen's devices are the healthy paper die and the whole
+    # library, so it takes no --fault or --nonlinear.
+    common(p, device=False)
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="tone worker processes (1 = serial, default)")
     p.set_defaults(handler=cmd_screen)

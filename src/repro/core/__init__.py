@@ -6,8 +6,8 @@
   counter (Figure 6, eq. 8).
 * :mod:`repro.core.hold` — the loop-hold (break-and-freeze) mechanism.
 * :mod:`repro.core.sequencer` — the Table 2 five-stage test sequence.
-* :mod:`repro.core.executor` — pluggable serial / batched process-pool
-  tone execution for sweeps (pickled chunk results).
+* :mod:`repro.core.executor` — serial / batched process-pool execution
+  of the tones a sweep's caches cannot answer (pickled chunk results).
 * :mod:`repro.core.warm` — the warm-start lock-state cache serving
   settled stage-0 snapshots.
 * :mod:`repro.core.monitor` — the sweep orchestrator producing the
@@ -33,7 +33,6 @@ from repro.core.architecture import BISTConfig, MuxState, TEST_SEQUENCE_TABLE
 from repro.core.executor import (
     ToneOutcome,
     SweepAborted,
-    SweepExecutor,
     SerialSweepExecutor,
     ProcessPoolSweepExecutor,
     ParallelFallbackWarning,
@@ -64,7 +63,6 @@ __all__ = [
     "TEST_SEQUENCE_TABLE",
     "ToneOutcome",
     "SweepAborted",
-    "SweepExecutor",
     "SerialSweepExecutor",
     "ProcessPoolSweepExecutor",
     "ParallelFallbackWarning",

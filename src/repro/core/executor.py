@@ -1,14 +1,15 @@
-"""Pluggable tone execution for transfer-function sweeps.
+"""Scalar tone execution for the tones a sweep's caches cannot answer.
 
 Table 2 stage 5 — "increase FN and repeat" — makes the tones of a sweep
 independent: every tone builds (or warm-restores) its own closed-loop
 simulator from the same immutable (PLL, stimulus, config) triple, so
 tones can run in any order, in any process, and produce bit-identical
 :class:`~repro.core.sequencer.ToneMeasurement` records.
+:class:`~repro.core.monitor.TransferFunctionMonitor` answers every tone
+its measurement cache holds and hands only the misses to an executor.
 
-:class:`SerialSweepExecutor` preserves the historical in-process loop,
-now threading the warm-start machinery (lock-state cache, measurement
-dedup) through one shared sequencer.
+:class:`SerialSweepExecutor` is the in-process loop, threading the
+lock-state cache through one shared sequencer.
 :class:`ProcessPoolSweepExecutor` fans the tones out over a
 ``concurrent.futures.ProcessPoolExecutor`` in **batched chunks**: each
 worker receives one pickled payload carrying its whole share of the
@@ -19,11 +20,10 @@ over the tones sorted by ascending ``f_mod`` — simulation cost scales
 with ``1 / f_mod``, so striding deals every worker one tone of each
 cost class and the pool drains evenly.
 
-Both executors return :class:`ToneOutcome` records **in plan order**
+Both executors return :class:`ToneOutcome` records in the order given,
 with per-tone :class:`~repro.errors.MeasurementError` failures captured
 as data (a dead tone is a diagnostic outcome, not a crash), so the
-sweep orchestrator behaves identically whichever executor runs the
-tones.
+monitor behaves identically whichever executor runs the tones.
 
 :func:`executor_for` picks the executor honestly: when only one CPU is
 visible to the process (affinity masks, containers) or the tone count
@@ -37,20 +37,14 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.architecture import BISTConfig
-from repro.core.sequencer import (
-    ToneMeasurement,
-    ToneTestSequencer,
-    ToneTiming,
-    tone_is_cacheable,
-)
+from repro.core.sequencer import ToneMeasurement, ToneTestSequencer
 from repro.core.warm import (
     CacheEntries,
     LockStateCache,
-    ToneMeasurementCache,
     WorkerReturn,
     adopt_worker_return,
     run_with_shipment,
@@ -64,7 +58,6 @@ __all__ = [
     "ToneOutcome",
     "ToneCallback",
     "SweepAborted",
-    "SweepExecutor",
     "SerialSweepExecutor",
     "ProcessPoolSweepExecutor",
     "ParallelFallbackWarning",
@@ -72,12 +65,13 @@ __all__ = [
     "REPRO_NUM_WORKERS_ENV",
 ]
 
-#: Per-tone completion hook: ``on_outcome(plan_index, outcome)`` is
-#: invoked as tones finish.  The serial executor calls it after every
-#: tone; the pool executor calls it as each worker's chunk completes
-#: (per-chunk granularity — a chunk's tones arrive together, in plan
-#: order within the chunk).  Raising :class:`SweepAborted` from the
-#: callback stops the sweep at that boundary.
+#: Per-tone completion hook: ``on_outcome(index, outcome)`` is invoked
+#: as tones finish.  The serial executor calls it after every tone; the
+#: pool executor calls it as each worker's chunk completes (per-chunk
+#: granularity, so indices can arrive out of order; the monitor
+#: releases them to its own caller in plan order).  Raising
+#: :class:`SweepAborted` from the callback stops the sweep at that
+#: boundary.
 ToneCallback = Callable[[int, "ToneOutcome"], None]
 
 #: Environment variable that pins the worker count for every
@@ -175,76 +169,7 @@ def _run_tone_chunk(payload: ChunkPayload) -> ChunkResult:
     return run_with_shipment(warm_entries, len(chunk), run)
 
 
-def _measurement_cache_key(
-    pll: ChargePumpPLL,
-    stimulus: ModulatedStimulus,
-    config: BISTConfig,
-    f_mod: float,
-):
-    """Dedup key for a finished tone measurement, or ``None``.
-
-    Stages 1–4 are a pure function of (physics, stimulus, tone, config)
-    once stage 0 runs the reproducible fixed settle, so the key is the
-    settle-cache key minus the record level (what the simulator records
-    does not change what the counters measure) plus the full frozen
-    config (every measurement stage reads it).  ``None`` means the tone
-    is not reproducible enough to dedup — exotic stimulus without a
-    cache key, or a tone :func:`~repro.core.sequencer.tone_is_cacheable`
-    refuses — and must simply run.
-    """
-    if not tone_is_cacheable(pll, f_mod):
-        return None
-    try:
-        return (
-            pll.physics_signature(),
-            stimulus.cache_key(),
-            float(f_mod),
-            config,
-        )
-    except Exception:  # noqa: BLE001 - unhashable config / odd stimulus
-        return None
-
-
-class SweepExecutor:
-    """Strategy interface: run every tone of a sweep, in plan order."""
-
-    def run_tones(
-        self,
-        pll: ChargePumpPLL,
-        stimulus: ModulatedStimulus,
-        config: BISTConfig,
-        frequencies_hz: Sequence[float],
-        *,
-        cache: Optional[LockStateCache] = None,
-        on_outcome: Optional[ToneCallback] = None,
-        measurement_cache: Optional[ToneMeasurementCache] = None,
-    ) -> List[ToneOutcome]:
-        """One :class:`ToneOutcome` per frequency, same order as given.
-
-        ``cache`` optionally provides a lock-state cache for warm starts
-        (see :meth:`~repro.core.sequencer.ToneTestSequencer.run`).
-
-        ``measurement_cache`` optionally deduplicates *finished*
-        outcomes across behaviourally identical sweeps (same physics,
-        stimulus, tone and config): a hit skips stages 0–4 entirely and
-        returns the cached measurement re-stamped with a warm
-        :class:`~repro.core.sequencer.ToneTiming`, or the cached
-        :class:`~repro.errors.MeasurementError` text as a failed
-        outcome.  Only tones
-        :func:`~repro.core.sequencer.tone_is_cacheable` admits are
-        deduplicated.
-
-        ``on_outcome`` streams completions: it is invoked with
-        ``(plan_index, outcome)`` as tones finish — per tone for the
-        serial executor, per completed chunk for the pool — *before*
-        ``run_tones`` returns the assembled plan-order list.  A callback
-        that raises :class:`SweepAborted` stops the sweep at that
-        boundary; the exception propagates after cleanup.
-        """
-        raise NotImplementedError
-
-
-class SerialSweepExecutor(SweepExecutor):
+class SerialSweepExecutor:
     """Run the tones one after another in the calling process.
 
     A single sequencer serves the whole sweep, so the lock-state cache
@@ -260,56 +185,23 @@ class SerialSweepExecutor(SweepExecutor):
         *,
         cache: Optional[LockStateCache] = None,
         on_outcome: Optional[ToneCallback] = None,
-        measurement_cache: Optional[ToneMeasurementCache] = None,
     ) -> List[ToneOutcome]:
-        """Sequential in-process execution (the historical behaviour).
+        """One :class:`ToneOutcome` per frequency, same order as given.
 
-        With ``on_outcome`` set, every tone's outcome is delivered the
-        moment it exists — the true streaming path the sweep-job
-        service's watchers ride on.  With ``measurement_cache`` set,
-        tones whose outcome is already known are answered from the cache
-        without building a simulator: a finished measurement re-stamped
-        warm (byte-identical everywhere that matters because ``timing``
-        is excluded from measurement equality and reports), or a cached
-        :class:`~repro.errors.MeasurementError` text as the same failed
-        outcome.  Tones the sequencer runs publish their outcome back,
-        failures included, so a same-physics sibling never replays
-        either.
+        ``cache`` optionally provides a lock-state cache for warm starts
+        (see :meth:`~repro.core.sequencer.ToneTestSequencer.run`).  With
+        ``on_outcome`` set, every tone's outcome is delivered the moment
+        it exists — the streaming path the sweep-job service's watchers
+        ride on.
         """
         sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
-        dedup = measurement_cache
         outcomes: List[ToneOutcome] = []
         for index, f_mod in enumerate(frequencies_hz):
-            key = (
-                _measurement_cache_key(pll, stimulus, config, f_mod)
-                if dedup is not None else None
-            )
-            if key is not None:
-                hit = dedup.get(key)
-                if hit is not None:
-                    if isinstance(hit, str):
-                        outcome = ToneOutcome(f_mod=f_mod, error=hit)
-                    else:
-                        outcome = ToneOutcome(
-                            f_mod=f_mod,
-                            measurement=replace(
-                                hit,
-                                timing=ToneTiming(0.0, 0.0, 0.0, warm=True),
-                            ),
-                        )
-                    outcomes.append(outcome)
-                    if on_outcome is not None:
-                        on_outcome(index, outcome)
-                    continue
             try:
-                measurement = sequencer.run(f_mod)
-                outcome = ToneOutcome(f_mod=f_mod, measurement=measurement)
-                if key is not None:
-                    dedup.put(key, measurement)
+                outcome = ToneOutcome(f_mod=f_mod,
+                                      measurement=sequencer.run(f_mod))
             except MeasurementError as exc:
                 outcome = ToneOutcome(f_mod=f_mod, error=str(exc))
-                if key is not None:
-                    dedup.put(key, outcome.error)
             outcomes.append(outcome)
             if on_outcome is not None:
                 # A SweepAborted raised here (cancellation, timeout)
@@ -320,14 +212,14 @@ class SerialSweepExecutor(SweepExecutor):
         return outcomes
 
 
-class ProcessPoolSweepExecutor(SweepExecutor):
+class ProcessPoolSweepExecutor:
     """Fan the tones out over a process pool, one batched chunk per worker.
 
     Chunks are strided over the tones sorted by ascending ``f_mod``
     (descending simulation cost), so every worker gets an even share of
     the expensive low-frequency tones.  Each worker receives exactly one
     pickled payload and returns its chunk's outcomes in one pickled
-    reply; results are re-assembled **in plan order**, bit-identical to
+    reply; results are re-assembled in the order given, bit-identical to
     the serial run.
 
     When a warm-start cache is provided, the settled states of this
@@ -355,14 +247,8 @@ class ProcessPoolSweepExecutor(SweepExecutor):
         *,
         cache: Optional[LockStateCache] = None,
         on_outcome: Optional[ToneCallback] = None,
-        measurement_cache: Optional[ToneMeasurementCache] = None,
     ) -> List[ToneOutcome]:
         """Order-preserving batched parallel execution of the tones.
-
-        ``measurement_cache`` is honoured only when the request degrades
-        to the serial executor — a live cache cannot usefully cross the
-        process boundary, and the pool's chunks already amortise their
-        cost across tones.
 
         Chunks are dispatched eagerly and harvested **as they
         complete**, so ``on_outcome`` sees a chunk's tones the moment
@@ -376,7 +262,7 @@ class ProcessPoolSweepExecutor(SweepExecutor):
         if workers <= 1:
             return SerialSweepExecutor().run_tones(
                 pll, stimulus, config, freqs, cache=cache,
-                on_outcome=on_outcome, measurement_cache=measurement_cache,
+                on_outcome=on_outcome,
             )
         # Ascending f_mod = descending cost; stride so each worker's
         # chunk samples every cost class.
@@ -491,7 +377,9 @@ def _env_worker_override() -> Optional[int]:
     return value
 
 
-def executor_for(n_workers: int, n_tones: Optional[int] = None) -> SweepExecutor:
+def executor_for(
+    n_workers: int, n_tones: Optional[int] = None
+) -> Union[SerialSweepExecutor, ProcessPoolSweepExecutor]:
     """Pick the executor a worker request actually benefits from.
 
     ``n_workers == 1`` is the serial executor.  A parallel request

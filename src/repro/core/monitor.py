@@ -14,21 +14,21 @@ sweep — a dead tone is diagnostic information for a structural test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.bode import BodeResponse, log_frequency_grid
 from repro.analysis.fitting import EstimatedParameters, estimate_second_order
 from repro.core.architecture import BISTConfig
 from repro.core.evaluation import evaluate_sweep
-from repro.core.executor import (
-    SweepExecutor,
-    ToneCallback,
-    ToneOutcome,
-    executor_for,
-)
+from repro.core.executor import ToneCallback, ToneOutcome, executor_for
 from repro.core.limits import LimitReport, TestLimits
-from repro.core.sequencer import ToneMeasurement, ToneTestSequencer
+from repro.core.sequencer import (
+    ToneMeasurement,
+    ToneTestSequencer,
+    ToneTiming,
+    measurement_cache_key,
+)
 from repro.core.warm import LockStateCache, ToneMeasurementCache
 from repro.engines import validate_engine
 from repro.errors import ConfigurationError, MeasurementError
@@ -198,36 +198,40 @@ class TransferFunctionMonitor:
         self,
         plan: SweepPlan,
         n_workers: int = 1,
-        executor: Optional[SweepExecutor] = None,
         on_outcome: Optional[ToneCallback] = None,
         engine: str = "auto",
-        measurement_cache=None,
+        measurement_cache: Optional[ToneMeasurementCache] = None,
     ) -> SweepResult:
         """Sweep every planned tone and evaluate eqs. (7)–(8).
 
         Tones are independent (each builds or warm-restores its own
-        simulator), so the sweep accepts an executor: the default
-        ``n_workers=1`` runs the serial loop, ``n_workers > 1`` fans the
-        tones out over a batched process pool (degrading to serial, with
-        a :class:`~repro.core.executor.ParallelFallbackWarning`, when
-        only one CPU is visible), and an explicit ``executor`` overrides
-        both.  Results are identical — bit for bit — whichever executor
-        runs the tones; only the wall time changes.
+        simulator), so the monitor decides per tone where its outcome
+        comes from.  A tone ``measurement_cache`` holds is answered from
+        it: the finished measurement re-stamped with a warm
+        :class:`~repro.core.sequencer.ToneTiming`, or the cached
+        :class:`~repro.errors.MeasurementError` text as a failed tone.
+        Only the misses run, on :func:`~repro.core.executor.executor_for`
+        ``(n_workers)`` — the serial loop, or a batched process pool
+        (degrading to serial, with a
+        :class:`~repro.core.executor.ParallelFallbackWarning`, when only
+        one CPU is visible) — and every outcome they produce is
+        published back to ``measurement_cache``.  Results are identical
+        — bit for bit — whichever way a tone is answered; only the wall
+        time changes.
 
         Stage 0 of every tone is Table 2's fixed wait; the monitor's
         :attr:`lock_cache` serves repeated tones warm.
 
         ``engine`` selects how the tones are simulated: ``"auto"``
-        (default) first settles every cacheable tone of the plan on the
-        settle farm's per-lane kernel
-        (:func:`repro.pll.lot.premeasure_lot`), warming
-        :attr:`lock_cache` — and, on the serial in-process path, carries
-        the lanes on through stages 1–4 so the sweep's tones are
-        answered from finished measurements (or published failures) —
-        then runs the same sweep, warm.  ``"scalar"`` runs each tone's
-        settle inside its own event loop: the reference.  Counted
-        results are bit-identical on both engines (the farm's snapshot
-        guarantee); only wall time changes.
+        (default) first runs every cacheable tone of the plan through
+        the settle farm's per-lane kernel
+        (:func:`repro.pll.lot.premeasure_lot`), which warms
+        :attr:`lock_cache` and publishes finished measurements (or
+        failures) to ``measurement_cache`` — a private one when the
+        caller passes none — whatever ``n_workers`` is.  ``"scalar"``
+        runs each tone's settle inside its own event loop: the
+        reference.  Counted results are bit-identical on both engines
+        (the farm's snapshot guarantee).
 
         ``measurement_cache`` optionally shares *finished* stage 1–4
         measurements across behaviourally identical sweeps (a
@@ -235,13 +239,13 @@ class TransferFunctionMonitor:
         per batch screen): when a lot's dies have equal physics, the
         first die measures each tone and the rest reuse the result —
         byte-identical reports, because a hit only differs in the
-        comparison-excluded ``timing``.  Honoured on the in-process
-        serial path; ignored (with fidelity, not silently wrong) by pool
-        and custom executors.
+        comparison-excluded ``timing``.  Only tones
+        :func:`~repro.core.sequencer.measurement_cache_key` keys are
+        cached.
 
-        ``on_outcome`` streams per-tone completions to the caller as the
-        executor produces them (see
-        :data:`~repro.core.executor.ToneCallback`) — the sweep-job
+        ``on_outcome`` streams per-tone completions to the caller in
+        plan order (see :data:`~repro.core.executor.ToneCallback`), so
+        the in-band reference tone always comes first — the sweep-job
         service forwards them to its subscribers so watchers see tone
         results mid-flight, not after the sweep.  A callback raising
         :class:`~repro.core.executor.SweepAborted` abandons the
@@ -255,40 +259,70 @@ class TransferFunctionMonitor:
             Only if the *reference* tone fails — without the in-band
             reference no magnitude can be computed at all.
         """
-        # The farm can also carry stages 1-4, but only the serial
-        # in-process executor consults a measurement cache — so the
-        # measurement phase is worth running exactly when its results
-        # have somewhere to land.
-        serial_dedup_ok = executor is None and n_workers == 1
+        freqs = plan.frequencies_hz
+        dedup = measurement_cache
         if validate_engine(engine) == "auto":
             # Imported lazily: repro.pll.lot pulls in the NumPy settle
             # farm, which scalar-only callers never need.
             from repro.pll.lot import premeasure_lot
 
-            # Callers without their own cache get a private one scoped
-            # to this sweep.
-            if serial_dedup_ok and measurement_cache is None:
-                measurement_cache = ToneMeasurementCache()
+            if dedup is None:
+                dedup = ToneMeasurementCache()
             premeasure_lot(
-                [(self.pll, self.stimulus, self.config,
-                  plan.frequencies_hz)],
+                [(self.pll, self.stimulus, self.config, freqs)],
                 self.lock_cache,
-                measurement_cache if serial_dedup_ok else None,
+                dedup,
             )
-        if executor is None:
-            executor = executor_for(
-                n_workers, n_tones=len(plan.frequencies_hz)
+        keys = [
+            None if dedup is None
+            else measurement_cache_key(self.pll, self.stimulus,
+                                       self.config, f_mod)
+            for f_mod in freqs
+        ]
+        outcomes: List[Optional[ToneOutcome]] = [None] * len(freqs)
+        for index, key in enumerate(keys):
+            hit = dedup.get(key) if key is not None else None
+            if isinstance(hit, str):
+                outcomes[index] = ToneOutcome(f_mod=freqs[index], error=hit)
+            elif hit is not None:
+                outcomes[index] = ToneOutcome(
+                    f_mod=freqs[index],
+                    measurement=replace(
+                        hit, timing=ToneTiming(0.0, 0.0, 0.0, warm=True)
+                    ),
+                )
+        released = 0
+
+        def release() -> None:
+            # Hand the caller every outcome up to the first tone still
+            # running: executors (a pool's chunks especially) finish
+            # out of order, callers see plan order.
+            nonlocal released
+            while released < len(outcomes) and outcomes[released] is not None:
+                if on_outcome is not None:
+                    on_outcome(released, outcomes[released])
+                released += 1
+
+        misses = [index for index, out in enumerate(outcomes) if out is None]
+
+        def collect(miss: int, outcome: ToneOutcome) -> None:
+            index = misses[miss]
+            outcomes[index] = outcome
+            if keys[index] is not None:
+                dedup.put(keys[index], outcome.error if outcome.failed
+                          else outcome.measurement)
+            release()
+
+        release()
+        if misses:
+            executor_for(n_workers, n_tones=len(misses)).run_tones(
+                self.pll,
+                self.stimulus,
+                self.config,
+                [freqs[index] for index in misses],
+                cache=self.lock_cache,
+                on_outcome=collect,
             )
-        outcomes = executor.run_tones(
-            self.pll,
-            self.stimulus,
-            self.config,
-            plan.frequencies_hz,
-            cache=self.lock_cache,
-            on_outcome=on_outcome,
-            # A live in-process cache only helps the serial path.
-            measurement_cache=measurement_cache if serial_dedup_ok else None,
-        )
         return self.evaluate_outcomes(plan, outcomes)
 
     def evaluate_outcomes(
@@ -303,8 +337,9 @@ class TransferFunctionMonitor:
         assembling tones as they arrive, or a resumed job combining a
         partial run with the re-run remainder — produce a
         :class:`SweepResult` byte-identical to a one-shot ``run`` of
-        the same plan.  ``outcomes`` must be in plan order (the
-        executor contract); the reference tone is ``outcomes[0]``.
+        the same plan.  ``outcomes`` must be in plan order (the order
+        :meth:`run` releases them in); the reference tone is
+        ``outcomes[0]``.
 
         Raises
         ------
@@ -314,13 +349,13 @@ class TransferFunctionMonitor:
         """
         if len(outcomes) != len(plan.frequencies_hz):
             raise MeasurementError(
-                f"executor returned {len(outcomes)} outcomes for "
+                f"got {len(outcomes)} outcomes for "
                 f"{len(plan.frequencies_hz)} planned tones"
             )
         # The reference tone is identified by *position in the plan*
         # (index 0 — the plan sorts ascending and the reference is the
-        # lowest tone), never by comparing f_mod values: executors
-        # contract to return outcomes in plan order, and a tone whose
+        # lowest tone), never by comparing f_mod values: outcomes
+        # arrive in plan order, and a tone whose
         # frequency round-trips through any transport must still be
         # recognised as the reference.
         measurements: List[ToneMeasurement] = []
@@ -375,10 +410,9 @@ class TransferFunctionMonitor:
         plan: SweepPlan,
         limits: TestLimits,
         n_workers: int = 1,
-        executor: Optional[SweepExecutor] = None,
         on_outcome: Optional[ToneCallback] = None,
         engine: str = "auto",
-        measurement_cache=None,
+        measurement_cache: Optional[ToneMeasurementCache] = None,
     ) -> Tuple[SweepResult, LimitReport]:
         """Sweep then compare against on-chip limits (go/no-go).
 
@@ -387,8 +421,7 @@ class TransferFunctionMonitor:
         reject, not a pass.
         """
         result = self.run(
-            plan, n_workers=n_workers, executor=executor,
-            on_outcome=on_outcome, engine=engine,
+            plan, n_workers=n_workers, on_outcome=on_outcome, engine=engine,
             measurement_cache=measurement_cache,
         )
         if result.estimated is None:

@@ -52,6 +52,7 @@ __all__ = [
     "NominalFrequencyMemoStats",
     "nominal_frequency_memo_stats",
     "predicted_peak_delay",
+    "measurement_cache_key",
     "set_nominal_frequency_memo_limit",
     "reset_nominal_frequency_memo",
     "tone_is_cacheable",
@@ -205,12 +206,42 @@ def tone_is_cacheable(pll: ChargePumpPLL, f_mod: float) -> bool:
     """Whether tone ``f_mod``'s settled state and measurement may be reused.
 
     The one cacheability rule shared by the sequencer's settle cache,
-    the executor's measurement dedup and the farm's presettle: at least
+    the monitor's measurement dedup and the farm's presettle: at least
     one PFD compare cycle must fit between the settle end and the arm
     instant (``8·f_mod ≤ f_ref``), so the peak detector attached after
     a restore sees the same history a cold settle would.
     """
     return f_mod > 0.0 and 8.0 * f_mod <= pll.f_ref
+
+
+def measurement_cache_key(
+    pll: ChargePumpPLL,
+    stimulus: ModulatedStimulus,
+    config: BISTConfig,
+    f_mod: float,
+) -> Optional[Hashable]:
+    """Dedup key for a finished tone measurement, or ``None``.
+
+    Stages 1–4 are a pure function of (physics, stimulus, tone, config)
+    once stage 0 runs the reproducible fixed settle, so the key is the
+    settle-cache key (:meth:`ToneTestSequencer._settle_cache_key`) minus
+    the record level (what the simulator records does not change what
+    the counters measure) plus the full frozen config (every measurement
+    stage reads it).  ``None`` means the tone is not reproducible enough
+    to dedup — exotic stimulus without a cache key, or a tone
+    :func:`tone_is_cacheable` refuses — and must simply run.
+    """
+    if not tone_is_cacheable(pll, f_mod):
+        return None
+    try:
+        return (
+            pll.physics_signature(),
+            stimulus.cache_key(),
+            float(f_mod),
+            config,
+        )
+    except Exception:  # noqa: BLE001 - unhashable config / odd stimulus
+        return None
 
 
 def predicted_peak_delay(pll: ChargePumpPLL, f_mod: float) -> Optional[float]:

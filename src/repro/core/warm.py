@@ -411,7 +411,9 @@ class ToneMeasurementCache:
     from reports, so a warm report stays byte-identical to cold.
 
     Values are stored as opaque objects to keep this module free of a
-    sequencer import; the executor owns the semantics.
+    sequencer import; :meth:`~repro.core.monitor.TransferFunctionMonitor.run`
+    owns the semantics (and the farm's
+    :func:`~repro.pll.lot.premeasure_lot` fills it).
     """
 
     def __init__(self, max_entries: int = 1024) -> None:

@@ -30,7 +30,7 @@ extends the same plan past the settle barrier: it attaches a
 finished measurement is dedupable, so the farm carries each lane
 through stages 1–4 (arm, peak watch, hold-and-count) on its per-lane
 kernel and publishes the outcome in the cache the orchestrating
-sweep's executor already consults: the finished measurement, or the
+sweep's monitor already consults: the finished measurement, or the
 :class:`~repro.errors.MeasurementError` text the scalar sequencer
 raises for that tone.  Lanes the kernel ejects are left out of the
 cache — the sweep measures them from the settled snapshot, so
@@ -42,8 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from repro.core.executor import _measurement_cache_key
-from repro.core.sequencer import ToneTestSequencer, tone_is_cacheable
+from repro.core.sequencer import (
+    ToneTestSequencer,
+    measurement_cache_key,
+    tone_is_cacheable,
+)
 from repro.core.warm import LockStateCache, ToneMeasurementCache
 from repro.pll.simulator import RecordLevel
 from repro.sim.vectorized import (
@@ -120,12 +123,12 @@ def premeasure_lot(
     simply runs cold as it does today.
 
     With ``measurement_cache`` given, every lane whose finished
-    measurement is dedupable (the executor's measurement-cache rule)
-    also carries a :class:`~repro.sim.vectorized.MeasureSpec`, so the
+    measurement is dedupable
+    (:func:`~repro.core.sequencer.measurement_cache_key`) also carries a :class:`~repro.sim.vectorized.MeasureSpec`, so the
     farm continues through stages 1–4 and publishes each outcome in
     the cache: the finished
     :class:`~repro.core.sequencer.ToneMeasurement`, or the in-farm
-    :class:`~repro.errors.MeasurementError` text, which the executor
+    :class:`~repro.errors.MeasurementError` text, which the monitor
     answers as a failed tone.  Already-settled lanes re-enter the farm
     from their cached snapshot (mode ``"warm"``) for stages 1–4 alone.
     Lanes the kernel ejects mid-measurement are left out of the
@@ -173,8 +176,7 @@ def premeasure_lot(
             spec = None
             mkey = None
             if measurement_cache is not None:
-                mkey = _measurement_cache_key(pll, stimulus, config,
-                                              f_mod)
+                mkey = measurement_cache_key(pll, stimulus, config, f_mod)
                 if mkey is not None and mkey in measurement_cache:
                     mkey = None
                 if mkey is not None:

@@ -9,7 +9,7 @@ is that front-end:
 * :mod:`repro.service.events` — the per-job event stream (admission,
   start, every finished tone in plan order, terminal verdict).
 * :mod:`repro.service.service` — :class:`SweepJobService`: bounded
-  queue, width-1 scheduler over the existing executor layer, one shared
+  queue, width-1 scheduler over the sweep monitor, one shared
   :class:`~repro.core.warm.LockStateCache` spilled to disk between
   sessions, cancellation / per-job timeouts / stats.
 * :mod:`repro.service.protocol` — the JSON-lines wire protocol and the

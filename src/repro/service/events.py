@@ -7,9 +7,9 @@ late replays the job's full history first, then rides the live stream,
 so the sequence a watcher sees is identical whenever it tunes in.
 
 Tone events are emitted **in plan order** regardless of which executor
-ran the tones (the service reorders pool completions), so a watcher can
-fold the stream incrementally — the in-band reference tone is always
-the first tone event, exactly as eq. (7) needs.
+ran the tones (the monitor releases pool completions in plan order), so
+a watcher can fold the stream incrementally — the in-band reference
+tone is always the first tone event, exactly as eq. (7) needs.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@
 :class:`~repro.core.monitor.TransferFunctionMonitor` into a long-lived
 measurement controller, the shape production synthesizer test flows
 assume: jobs queue up, ``shards`` scheduler workers drain them through
-the existing executor layer, and every finished tone is streamed to
-subscribers *while the sweep is still in flight* — the seam the
-ROADMAP's adaptive sweep planning needs.
+the monitor, and every finished tone is streamed to subscribers *while
+the sweep is still in flight* — the seam the ROADMAP's adaptive sweep
+planning needs.
 
 Design points
 -------------
@@ -21,10 +21,10 @@ Design points
 * **One job per shard at a time.**  The scheduler is ``shards`` wide
   (width 1 by default); each shard drains the same fair queue and runs
   its job in its own worker thread, so N jobs progress concurrently.
-  Per-job parallelism still fans tones over the process pool, whose
-  workers merge their discoveries back through the existing
-  export/merge seam — a 2-shard service running 2-worker jobs keeps
-  four cores busy.
+  Per-job parallelism fans the tones the monitor cannot answer from
+  its measurement cache over the process pool, whose workers merge
+  their discoveries back through the existing export/merge seam — a
+  2-shard service running 2-worker scalar jobs keeps four cores busy.
 * **Fair dispatch.**  Pending jobs are drained round-robin across
   client ids within each priority class (higher
   :attr:`~repro.service.jobs.SweepJobRequest.priority` classes first),
@@ -45,10 +45,11 @@ Design points
   ``cache_path`` it is reloaded at start and spilled back to disk after
   every finished job and at shutdown
   (:meth:`~repro.core.warm.LockStateCache.save`).
-* **Plan-order streaming.**  Pool chunks complete out of order; the
-  service buffers and releases tone events strictly in plan order, so
-  the in-band reference tone always arrives first and watchers can fold
-  eq. (7) incrementally.
+* **Plan-order streaming.**  The monitor releases each job's tones in
+  plan order whichever way they were measured (pool chunks complete
+  out of order), and the service emits each tone event as it arrives,
+  so the in-band reference tone always comes first and watchers can
+  fold eq. (7) incrementally.
 """
 
 from __future__ import annotations
@@ -613,46 +614,35 @@ class SweepJobService:
         abort = threading.Event()
         self._abort_events[job.job_id] = abort
 
-        # Plan-order release buffer: pool chunks finish out of order,
-        # watchers must not.
-        ready: Dict[int, ToneOutcome] = {}
-        next_index = 0
         reference: Optional[ToneMeasurement] = None
 
         def deliver(index: int, outcome: ToneOutcome) -> None:
             # Runs on the loop thread (scheduled by the worker), so all
-            # state below is single-threaded.
-            nonlocal next_index, reference
+            # state below is single-threaded.  The monitor releases
+            # tones in plan order, so the reference arrives first.
+            nonlocal reference
             if job.finished:
-                return  # late chunk of an aborted pool run
-            ready[index] = outcome
-            while next_index in ready:
-                out = ready.pop(next_index)
-                magnitude: Optional[float] = None
-                if not out.failed:
-                    m = out.measurement
-                    if next_index == 0:
-                        reference = m
-                    if reference is not None:
-                        try:
-                            magnitude = magnitude_db_eq7(
-                                m.delta_f_hz, reference.delta_f_hz
-                            )
-                        except MeasurementError:
-                            magnitude = None
-                    job.warm_tones += int(
-                        m.timing is not None and m.timing.warm
-                    )
-                else:
-                    job.failed_tones += 1
-                job.streamed_indices.append(next_index)
-                self._tones_streamed += 1
-                self._emit(
-                    job,
-                    EVENT_TONE,
-                    tone_event_payload(next_index, out, magnitude),
-                )
-                next_index += 1
+                return  # late tone of an aborted run
+            magnitude: Optional[float] = None
+            if not outcome.failed:
+                m = outcome.measurement
+                if index == 0:
+                    reference = m
+                if reference is not None:
+                    try:
+                        magnitude = magnitude_db_eq7(
+                            m.delta_f_hz, reference.delta_f_hz
+                        )
+                    except MeasurementError:
+                        magnitude = None
+                job.warm_tones += int(m.timing is not None and m.timing.warm)
+            else:
+                job.failed_tones += 1
+            job.streamed_indices.append(index)
+            self._tones_streamed += 1
+            self._emit(
+                job, EVENT_TONE, tone_event_payload(index, outcome, magnitude)
+            )
 
         def on_outcome(index: int, outcome: ToneOutcome) -> None:
             # Worker-thread side of the seam: check the abort flag at

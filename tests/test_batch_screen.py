@@ -25,7 +25,6 @@ import pytest
 from repro.core import (
     LockStateCache,
     ProcessPoolSweepExecutor,
-    SweepExecutor,
     SweepPlan,
     ToneOutcome,
     TransferFunctionMonitor,
@@ -219,34 +218,28 @@ class TestAnyDeviceErrorStubs:
             assert pooled == serial, engine
 
 
-class _TruncatingExecutor(SweepExecutor):
-    """Misbehaving executor: drops the last outcome of the sweep."""
-
-    def run_tones(self, pll, stimulus, config, frequencies_hz, *,
-                  cache=None, on_outcome=None, measurement_cache=None):
-        return [
-            ToneOutcome(f_mod=f, error="short-changed")
-            for f in list(frequencies_hz)[:-1]
-        ]
+def _truncated_outcomes(frequencies_hz) -> List[ToneOutcome]:
+    """A misbehaving tone source: drops the last outcome of the sweep."""
+    return [
+        ToneOutcome(f_mod=f, error="short-changed")
+        for f in list(frequencies_hz)[:-1]
+    ]
 
 
-class _PerturbedReferenceExecutor(SweepExecutor):
-    """Executor whose reference outcome's f_mod rounded in transport.
+def _perturbed_reference_outcomes(frequencies_hz) -> List[ToneOutcome]:
+    """Outcomes whose reference f_mod rounded in transport.
 
     The returned frequency differs from ``plan.reference_frequency`` in
     the last bits — exactly what a lossy transport produces — so a
     monitor matching the reference by float equality would mis-file a
     dead reference as an ordinary failed tone.
     """
-
-    def run_tones(self, pll, stimulus, config, frequencies_hz, *,
-                  cache=None, on_outcome=None, measurement_cache=None):
-        freqs = list(frequencies_hz)
-        outcomes = [
-            ToneOutcome(f_mod=freqs[0] * (1.0 + 1e-12), error="dead tone")
-        ]
-        outcomes += [ToneOutcome(f_mod=f, error="dead tone") for f in freqs[1:]]
-        return outcomes
+    freqs = list(frequencies_hz)
+    outcomes = [
+        ToneOutcome(f_mod=freqs[0] * (1.0 + 1e-12), error="dead tone")
+    ]
+    outcomes += [ToneOutcome(f_mod=f, error="dead tone") for f in freqs[1:]]
+    return outcomes
 
 
 class TestMonitorExecutorContract:
@@ -256,9 +249,10 @@ class TestMonitorExecutorContract:
         monitor = TransferFunctionMonitor(
             pll_linear, sine_stimulus, fast_bist_config
         )
+        plan = SweepPlan((4.0, 8.0, 16.0))
         with pytest.raises(MeasurementError, match="2 outcomes for 3"):
-            monitor.run(
-                SweepPlan((4.0, 8.0, 16.0)), executor=_TruncatingExecutor()
+            monitor.evaluate_outcomes(
+                plan, _truncated_outcomes(plan.frequencies_hz)
             )
 
     def test_reference_identified_by_index_not_float_equality(
@@ -267,10 +261,10 @@ class TestMonitorExecutorContract:
         monitor = TransferFunctionMonitor(
             pll_linear, sine_stimulus, fast_bist_config
         )
+        plan = SweepPlan((4.0, 8.0))
         with pytest.raises(MeasurementError, match="in-band reference tone"):
-            monitor.run(
-                SweepPlan((4.0, 8.0)),
-                executor=_PerturbedReferenceExecutor(),
+            monitor.evaluate_outcomes(
+                plan, _perturbed_reference_outcomes(plan.frequencies_hz)
             )
 
 

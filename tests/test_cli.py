@@ -40,6 +40,16 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --settle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--fault", "x"], ["--nonlinear"]])
+    def test_screen_takes_no_device_flags(self, flags, capsys):
+        # The screen's devices are the healthy die plus the whole fault
+        # library; a device flag would be silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["screen", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in \
+            capsys.readouterr().err
+
 
 class TestTheory:
     def test_prints_design_point(self, capsys):

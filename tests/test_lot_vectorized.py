@@ -35,10 +35,10 @@ from repro.core import (
     ToneTestSequencer,
     TransferFunctionMonitor,
 )
-from repro.core.executor import _measurement_cache_key
+from repro.core.sequencer import measurement_cache_key
 from repro.core.sequencer import _NOMINAL_FREQUENCY_MEMO
 from repro.core.warm import ToneMeasurementCache, warm_shipment
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.faults import FAULT_LIBRARY, apply_fault
 from repro.pll.lot import premeasure_lot
 from repro.pll.simulator import PLLTransientSimulator
@@ -442,45 +442,53 @@ class TestEngineWiring:
 
 class TestMeasurementDedup:
     def test_serial_executor_dedups_identical_sweeps(self, fast_bist_config):
-        from repro.core.executor import SerialSweepExecutor
         from repro.core.warm import ToneMeasurementCache
 
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
+        plan = SweepPlan(TONES)
         dedup = ToneMeasurementCache()
-        first = SerialSweepExecutor().run_tones(
-            pll, stimulus, fast_bist_config, TONES,
-            measurement_cache=dedup,
+        first = TransferFunctionMonitor(pll, stimulus, fast_bist_config).run(
+            plan, engine="scalar", measurement_cache=dedup
         )
         assert dedup.stats == (0, len(TONES))
-        second = SerialSweepExecutor().run_tones(
-            replace(pll, name="same-physics-die"), stimulus,
-            fast_bist_config, TONES, measurement_cache=dedup,
-        )
+        second = TransferFunctionMonitor(
+            replace(pll, name="same-physics-die"), stimulus, fast_bist_config
+        ).run(plan, engine="scalar", measurement_cache=dedup)
         assert dedup.stats == (len(TONES), len(TONES))
-        for a, b in zip(first, second):
+        for a, b in zip(first.measurements, second.measurements):
             # Full measurement equality (timing is comparison-excluded),
             # but the hit is honestly stamped as warm and free.
-            assert a.measurement == b.measurement
-            assert b.measurement.timing.warm
-            assert b.measurement.timing.settle_s == 0.0
+            assert a == b
+            assert b.timing.warm
+            assert b.timing.settle_s == 0.0
 
     def test_serial_executor_publishes_failures(self, fast_bist_config,
                                                 monkeypatch):
         """A tone that raises MeasurementError publishes its text: a
         same-physics rerun answers it without replaying the sequence."""
-        from repro.core.executor import SerialSweepExecutor
         from repro.core.warm import ToneMeasurementCache
 
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
+        plan = SweepPlan(TONES)
         # A one-second inverter delay swallows every reset pulse: the
-        # latch never clocks and every tone starves.
+        # latch never clocks and every tone starves — the reference
+        # too, so each sweep raises after streaming its outcomes.
         starved = replace(fast_bist_config, detector_inverter_delay=1.0)
         dedup = ToneMeasurementCache()
-        first = SerialSweepExecutor().run_tones(
-            pll, stimulus, starved, TONES, measurement_cache=dedup,
-        )
+
+        def sweep(device):
+            seen = []
+            with pytest.raises(MeasurementError, match="reference tone"):
+                TransferFunctionMonitor(device, stimulus, starved).run(
+                    plan, engine="scalar", measurement_cache=dedup,
+                    on_outcome=lambda index, outcome: seen.append(outcome),
+                )
+            return seen
+
+        first = sweep(pll)
+        assert len(first) == len(TONES)
         assert all(outcome.failed for outcome in first)
         runs = []
         run = ToneTestSequencer.run
@@ -490,24 +498,22 @@ class TestMeasurementDedup:
             return run(self, *args, **kwargs)
 
         monkeypatch.setattr(ToneTestSequencer, "run", spy)
-        second = SerialSweepExecutor().run_tones(
-            replace(pll, name="same-physics-die"), stimulus, starved,
-            TONES, measurement_cache=dedup,
-        )
+        second = sweep(replace(pll, name="same-physics-die"))
         assert second == first
         assert runs == []
 
     def test_uncacheable_tone_bypasses_dedup(self, fast_bist_config):
-        from repro.core.executor import SerialSweepExecutor
         from repro.core.sequencer import tone_is_cacheable
         from repro.core.warm import ToneMeasurementCache
 
         pll = paper_pll()
         assert not tone_is_cacheable(pll, UNCACHEABLE_TONE)
         dedup = ToneMeasurementCache()
-        SerialSweepExecutor().run_tones(
-            pll, paper_stimulus("multitone"), fast_bist_config,
-            TONES + (UNCACHEABLE_TONE,), measurement_cache=dedup,
+        TransferFunctionMonitor(
+            pll, paper_stimulus("multitone"), fast_bist_config
+        ).run(
+            SweepPlan(TONES + (UNCACHEABLE_TONE,)), engine="scalar",
+            measurement_cache=dedup,
         )
         assert len(dedup) == len(TONES)
 
@@ -753,7 +759,7 @@ class TestTurnOnDelayLanes:
         assert stats.scalar == stats.measure_ejected == 0
         cold = ToneTestSequencer(d.pll, d.stimulus, d.config)
         for f_mod in d.tones:
-            assert dedup.get(_measurement_cache_key(
+            assert dedup.get(measurement_cache_key(
                 d.pll, d.stimulus, d.config, f_mod)) == cold.run(f_mod)
         plan = SweepPlan(d.tones)
         scalar = TransferFunctionMonitor(

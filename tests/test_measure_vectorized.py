@@ -34,7 +34,7 @@ from repro.core import (
     ToneTestSequencer,
     TransferFunctionMonitor,
 )
-from repro.core.executor import _measurement_cache_key
+from repro.core.sequencer import measurement_cache_key
 from repro.core.warm import ToneMeasurementCache
 from repro.errors import MeasurementError
 from repro.pll.faults import FAULT_LIBRARY, Fault, FaultKind, apply_fault
@@ -121,7 +121,7 @@ class TestPremeasureParity:
         assert stats.measure_ejected == stats.measure_failed == 0
         for dut in duts:
             for f_mod in TONES:
-                key = _measurement_cache_key(
+                key = measurement_cache_key(
                     dut, stimulus, fast_bist_config, f_mod
                 )
                 hit = dedup.get(key)
@@ -148,7 +148,7 @@ class TestPremeasureParity:
         assert dict(cache.export()) == settled
         for dut in duts:
             for f_mod in TONES:
-                hit = dedup.get(_measurement_cache_key(
+                hit = dedup.get(measurement_cache_key(
                     dut, stimulus, fast_bist_config, f_mod
                 ))
                 assert hit == _scalar_measurement(
@@ -182,7 +182,7 @@ class TestPremeasureParity:
         assert stats.measure_failed == len(TONES)
         assert stats.measured == 2 * len(TONES)
         for f_mod in TONES:
-            key = _measurement_cache_key(
+            key = measurement_cache_key(
                 faulted, stimulus, starved_cfg, f_mod
             )
             # The settle snapshot landed too, and the scalar replay
@@ -195,7 +195,7 @@ class TestPremeasureParity:
         # The healthy siblings measured normally despite the failure.
         for dut in (healthy, sibling):
             for f_mod in TONES:
-                hit = dedup.get(_measurement_cache_key(
+                hit = dedup.get(measurement_cache_key(
                     dut, stimulus, fast_bist_config, f_mod
                 ))
                 assert hit == _scalar_measurement(
@@ -221,7 +221,7 @@ class TestPremeasureParity:
         assert stats.measured == 2 * len(TONES)
         for dut in (linear, nonlinear):
             for f_mod in TONES:
-                assert dedup.get(_measurement_cache_key(
+                assert dedup.get(measurement_cache_key(
                     dut, stimulus, fast_bist_config, f_mod
                 )) == _scalar_measurement(
                     dut, stimulus, fast_bist_config, f_mod
@@ -241,7 +241,7 @@ class TestPremeasureParity:
         assert stats.measured == 3
         assert stats.measure_ejected == stats.measure_failed == 0
         for dut in duts:
-            assert dedup.get(_measurement_cache_key(
+            assert dedup.get(measurement_cache_key(
                 dut, stimulus, fast_bist_config, TONES[0]
             )) == _scalar_measurement(
                 dut, stimulus, fast_bist_config, TONES[0]
@@ -288,7 +288,7 @@ class TestDeadZoneMeasurement:
         assert stats.measure_ejected == 0
         assert stats.measured + stats.measure_failed == len(d.tones)
         for f_mod in d.tones:
-            assert dedup.get(_measurement_cache_key(
+            assert dedup.get(measurement_cache_key(
                 d.pll, d.stimulus, d.config, f_mod
             )) == _scalar_outcome(d.pll, d.stimulus, d.config, f_mod)
 
@@ -349,7 +349,7 @@ class TestDeadZoneMeasurement:
             LockStateCache(), dedup,
         )
         assert stats.measured == 1
-        assert dedup.get(_measurement_cache_key(
+        assert dedup.get(measurement_cache_key(
             pll, stimulus, fast_bist_config, f_mod
         )) == expected
 

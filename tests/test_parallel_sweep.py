@@ -1,14 +1,17 @@
 """Serial-vs-parallel sweep equivalence and executor plumbing.
 
-The tentpole guarantee of the executor layer is *bit-identical* results:
-a sweep fanned over a process pool must reproduce the serial sweep
+The guarantee of the executor layer is *bit-identical* results: a sweep
+fanned over a process pool must reproduce the serial sweep
 field-for-field — measurements, failure reasons and ordering — because
 every tone builds its own simulator from the same immutable inputs.
+Pool tests patch the visible core count so ``executor_for`` forms a
+real pool even on a 1-core runner.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.core import (
     executor_for,
 )
 from repro.core.executor import REPRO_NUM_WORKERS_ENV
+from repro.core.warm import ToneMeasurementCache
 import repro.core.executor as executor_module
 from repro.errors import ConfigurationError, MeasurementError
 from repro.presets import paper_pll, paper_stimulus
@@ -56,9 +60,11 @@ def serial_result(monitor, mixed_plan):
 
 @pytest.fixture(scope="module")
 def parallel_result(monitor, mixed_plan):
-    # An explicit executor bypasses the visible-CPU fallback, so the
+    # Patching the visible cores lets executor_for form the pool, so the
     # process boundary is genuinely crossed even on a 1-core runner.
-    return monitor.run(mixed_plan, executor=ProcessPoolSweepExecutor(4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor_module, "_visible_cpu_count", lambda: 4)
+        return monitor.run(mixed_plan, n_workers=4, engine="scalar")
 
 
 def _assert_measurements_identical(a, b):
@@ -100,14 +106,15 @@ class TestSerialParallelEquivalence:
 
 
 class TestReferenceToneFailure:
-    def test_same_exception_both_ways(self, monitor):
+    def test_same_exception_both_ways(self, monitor, monkeypatch):
         # Both tones starve, so the *reference* tone fails — which must
         # raise, with the same message, whichever executor ran it.
+        monkeypatch.setattr(executor_module, "_visible_cpu_count", lambda: 2)
         plan = SweepPlan((STARVING_TONE, 2.0 * STARVING_TONE))
         with pytest.raises(MeasurementError) as serial_exc:
             monitor.run(plan)
         with pytest.raises(MeasurementError) as parallel_exc:
-            monitor.run(plan, executor=ProcessPoolSweepExecutor(2))
+            monitor.run(plan, n_workers=2, engine="scalar")
         assert str(serial_exc.value) == str(parallel_exc.value)
         assert "in-band reference tone" in str(serial_exc.value)
 
@@ -146,19 +153,11 @@ class TestExecutorPlumbing:
         with pytest.raises(ConfigurationError):
             ProcessPoolSweepExecutor(-1)
 
-    def test_explicit_executor_overrides_n_workers(
-        self, monitor, mixed_plan, serial_result
-    ):
-        result = monitor.run(
-            mixed_plan, n_workers=4, executor=SerialSweepExecutor()
-        )
-        for a, b in zip(serial_result.measurements, result.measurements):
-            _assert_measurements_identical(a, b)
-
-    def test_pool_wider_than_plan(self, monitor, fast_bist_config):
+    def test_pool_wider_than_plan(self, monitor, monkeypatch):
         # min(n_workers, tones) keeps the pool from spawning idle workers.
+        monkeypatch.setattr(executor_module, "_visible_cpu_count", lambda: 16)
         plan = SweepPlan(PASSING_TONES)
-        result = monitor.run(plan, executor=ProcessPoolSweepExecutor(16))
+        result = monitor.run(plan, n_workers=16, engine="scalar")
         assert len(result.measurements) == len(PASSING_TONES)
 
     def test_outcome_failed_property(self):
@@ -229,18 +228,20 @@ class TestStreamingCallbacks:
         for a, b in zip(serial_result.measurements, result.measurements):
             _assert_measurements_identical(a, b)
 
-    def test_pool_streams_every_tone(self, monitor, mixed_plan):
-        seen = {}
+    def test_pool_streams_every_tone(self, monitor, mixed_plan, monkeypatch):
+        monkeypatch.setattr(executor_module, "_visible_cpu_count", lambda: 4)
+        seen = []
         monitor.run(
             mixed_plan,
-            executor=ProcessPoolSweepExecutor(4),
-            on_outcome=lambda i, out: seen.setdefault(i, out.f_mod),
+            n_workers=4,
+            engine="scalar",
+            on_outcome=lambda i, out: seen.append((i, out.f_mod)),
         )
-        # Chunks complete in any order, but every tone must stream
-        # exactly once with its own plan index.
-        assert seen == {
-            i: f for i, f in enumerate(mixed_plan.frequencies_hz)
-        }
+        # Chunks complete in any order, but the monitor releases every
+        # tone exactly once, with its own plan index, in plan order.
+        freqs = list(mixed_plan.frequencies_hz)
+        assert [i for i, _ in seen] == list(range(len(freqs)))
+        assert [f for _, f in seen] == freqs
 
     def test_callback_abort_propagates_serial(self, monitor, mixed_plan):
         def bail(index, outcome):
@@ -249,16 +250,67 @@ class TestStreamingCallbacks:
         with pytest.raises(SweepAborted, match="stop right there"):
             monitor.run(mixed_plan, on_outcome=bail)
 
-    def test_callback_abort_propagates_pool(self, monitor, mixed_plan):
+    def test_callback_abort_propagates_pool(
+        self, monitor, mixed_plan, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "_visible_cpu_count", lambda: 4)
+
         def bail(index, outcome):
             raise SweepAborted("stop right there")
 
         with pytest.raises(SweepAborted, match="stop right there"):
             monitor.run(
-                mixed_plan,
-                executor=ProcessPoolSweepExecutor(4),
-                on_outcome=bail,
+                mixed_plan, n_workers=4, engine="scalar", on_outcome=bail
             )
+
+
+class TestMonitorMeasurementTier:
+    """The monitor answers every tone its measurement cache holds and
+    hands only the misses to an executor, whatever ``n_workers`` is."""
+
+    def test_auto_farm_answers_without_the_pool(
+        self, fast_bist_config, monkeypatch
+    ):
+        plan = SweepPlan(PASSING_TONES)
+        args = (paper_pll(), paper_stimulus("multitone"), fast_bist_config)
+        scalar = TransferFunctionMonitor(*args).run(plan, engine="scalar")
+        monkeypatch.setattr(executor_module, "_visible_cpu_count", lambda: 2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the farm answers every tone of this plan")
+
+        monkeypatch.setattr(ProcessPoolSweepExecutor, "run_tones", no_pool)
+        auto = TransferFunctionMonitor(*args).run(plan, n_workers=2)
+        assert len(auto.measurements) == len(scalar.measurements)
+        for a, b in zip(scalar.measurements, auto.measurements):
+            _assert_measurements_identical(a, b)
+        assert list(auto.response.magnitude_db) == \
+            list(scalar.response.magnitude_db)
+        assert list(auto.response.phase_deg) == \
+            list(scalar.response.phase_deg)
+
+    def test_pool_outcomes_publish_to_the_measurement_cache(
+        self, fast_bist_config, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "_visible_cpu_count", lambda: 2)
+        pll = paper_pll()
+        stimulus = paper_stimulus("multitone")
+        plan = SweepPlan(PASSING_TONES)
+        dedup = ToneMeasurementCache()
+        first = TransferFunctionMonitor(pll, stimulus, fast_bist_config).run(
+            plan, n_workers=2, engine="scalar", measurement_cache=dedup
+        )
+        assert dedup.stats == (0, len(PASSING_TONES))
+        assert len(dedup) == len(PASSING_TONES)
+        twin = TransferFunctionMonitor(
+            replace(pll, name="same-physics-die"), stimulus, fast_bist_config
+        )
+        second = twin.run(
+            plan, n_workers=2, engine="scalar", measurement_cache=dedup
+        )
+        assert dedup.stats == (len(PASSING_TONES), len(PASSING_TONES))
+        assert second.measurements == first.measurements
+        assert all(m.timing.warm for m in second.measurements)
 
 
 class TestPooledWarmCache:
