@@ -247,38 +247,41 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    from repro.core import LockStateCache
+    from repro.reporting.device_report import (
+        DeviceReportRequest,
+        batch_device_screen,
+    )
 
-    limits = _golden_limits()
-    config = paper_bist_config()
-    plan = paper_sweep(points=args.points)
-    rows = []
     duts = [("healthy", paper_pll())]
     duts += [
         (label, apply_fault(paper_pll(), fault))
         for label, fault in sorted(FAULT_LIBRARY.items())
     ]
-    # One cache across the whole screen: entries are keyed by physics
-    # signature, so distinct faults never collide while any repeated
-    # configuration (re-screens, duplicate faults) is served warm.
-    warm_cache = LockStateCache()
-    for label, dut in duts:
-        monitor = TransferFunctionMonitor(
-            dut, paper_stimulus(args.stimulus), config, cache=warm_cache
-        )
-        try:
-            result, verdict = monitor.run_and_check(
-                plan, limits, n_workers=args.workers
-            )
-            est = result.estimated
-            rows.append([
-                label,
-                f"{est.fn_hz:.2f}" if est else "—",
-                f"{est.zeta:.3f}" if est else "—",
-                "PASS" if verdict.passed else "FAIL",
-            ])
-        except MeasurementError as exc:
-            rows.append([label, "—", "—", f"FAIL ({exc})"])
+    stimulus = paper_stimulus(args.stimulus)
+    limits = _golden_limits()
+    config = paper_bist_config()
+    plan = paper_sweep(points=args.points)
+    # One lot screen: the farm settles and measures every die's tones in
+    # one pass, and --workers splits the dies across lot-chunk workers.
+    outcomes = batch_device_screen(
+        [
+            DeviceReportRequest(pll=dut, stimulus=stimulus, plan=plan,
+                                config=config, limits=limits)
+            for __, dut in duts
+        ],
+        n_workers=args.workers,
+    )
+    rows = []
+    for (label, __), outcome in zip(duts, outcomes):
+        if outcome.error is not None:
+            rows.append([label, "—", "—", f"FAIL ({outcome.error})"])
+            continue
+        rows.append([
+            label,
+            "—" if outcome.fn_hz is None else f"{outcome.fn_hz:.2f}",
+            "—" if outcome.zeta is None else f"{outcome.zeta:.3f}",
+            "PASS" if outcome.passed else "FAIL",
+        ])
     print(format_table(
         ["device", "fn (Hz)", "zeta", "verdict"], rows,
         title="fault-library screening",
@@ -449,9 +452,7 @@ def cmd_population(args) -> int:
             f"screened {stats.dies} dies in {stats.wall_s:.1f} s "
             f"({stats.dies_per_s:.1f} dies/s, chunk={stats.chunk_size}, "
             f"engine={stats.engine}, workers={stats.n_workers}); "
-            f"warm cache {stats.cache_entries} entries, nominal memo "
-            f"{stats.memo_hits} hits / {stats.memo_misses} misses / "
-            f"{stats.memo_evictions} evictions",
+            f"warm cache {stats.cache_entries} entries",
         )
         if stats.settle_s or stats.monitor_s or stats.measure_s:
             print(
@@ -790,7 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     # library, so it takes no --fault or --nonlinear.
     common(p, device=False)
     p.add_argument("--workers", type=_worker_count, default=1,
-                   help="tone worker processes (1 = serial, default)")
+                   help="device worker processes: the dies split into "
+                        "lot chunks (1 = serial, default)")
     p.set_defaults(handler=cmd_screen)
 
     p = sub.add_parser("lot", help="batch-screen a lot of devices")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Hashable, List, Optional, Tuple, Union
@@ -37,7 +36,7 @@ from repro.core.architecture import BISTConfig
 from repro.core.counters import FrequencyCounter, PhaseCount, PhaseCounter
 from repro.core.hold import HeldFrequencyResult
 from repro.core.peak_detector import PeakEvent, PeakFrequencyDetector
-from repro.core.warm import LockStateCache
+from repro.core.warm import BoundedCache, LockStateCache
 from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
 from repro.pll.simulator import PLLTransientSimulator, RecordLevel
@@ -53,7 +52,6 @@ __all__ = [
     "nominal_frequency_memo_stats",
     "predicted_peak_delay",
     "measurement_cache_key",
-    "set_nominal_frequency_memo_limit",
     "reset_nominal_frequency_memo",
     "tone_is_cacheable",
 ]
@@ -62,18 +60,9 @@ __all__ = [
 #: keyed on (physics signature, f_nominal, test clock, record level,
 #: gate_cycles) — never on the device *object*, so renamed same-physics
 #: dies (a vectorised lot, a repeated library fault) share one measured
-#: baseline.  Entries are single floats; the cap is a leak guard for
-#: very long-lived processes, evicting least-recently-used first.  The
-#: cap is configurable (:func:`set_nominal_frequency_memo_limit`) so
-#: population screens with mostly-unique physics can size it to their
-#: chunking instead of silently thrashing the default; hit/miss/eviction
-#: counters are visible via :func:`nominal_frequency_memo_stats`.
-_NOMINAL_FREQUENCY_MEMO: "OrderedDict[Hashable, float]" = OrderedDict()
-_NOMINAL_FREQUENCY_MEMO_DEFAULT_MAX = 4096
-_NOMINAL_FREQUENCY_MEMO_MAX = _NOMINAL_FREQUENCY_MEMO_DEFAULT_MAX
-_NOMINAL_FREQUENCY_MEMO_HITS = 0
-_NOMINAL_FREQUENCY_MEMO_MISSES = 0
-_NOMINAL_FREQUENCY_MEMO_EVICTIONS = 0
+#: baseline.  Entries are single floats; the bound is a leak guard for
+#: very long-lived processes.
+_NOMINAL_FREQUENCY_MEMO = BoundedCache(4096)
 
 
 @dataclass(frozen=True)
@@ -89,47 +78,19 @@ class NominalFrequencyMemoStats:
 
 def nominal_frequency_memo_stats() -> NominalFrequencyMemoStats:
     """Snapshot the process-wide memo's hit/miss/eviction counters."""
+    detail = _NOMINAL_FREQUENCY_MEMO.stats_detail
     return NominalFrequencyMemoStats(
-        hits=_NOMINAL_FREQUENCY_MEMO_HITS,
-        misses=_NOMINAL_FREQUENCY_MEMO_MISSES,
-        evictions=_NOMINAL_FREQUENCY_MEMO_EVICTIONS,
-        size=len(_NOMINAL_FREQUENCY_MEMO),
-        limit=_NOMINAL_FREQUENCY_MEMO_MAX,
+        hits=detail["hits"],
+        misses=detail["misses"],
+        evictions=detail["evictions"],
+        size=detail["entries"],
+        limit=detail["capacity"],
     )
 
 
-def set_nominal_frequency_memo_limit(limit: int) -> int:
-    """Resize the memo cap; returns the previous cap.
-
-    A 10k-die population with mostly-unique physics would thrash the
-    default 4096-entry cap (one insert-evict churn per die with zero
-    reuse); the population engine sizes the cap to its chunk structure
-    instead.  Shrinking below the current fill evicts least-recently-
-    used entries immediately (counted as evictions).
-    """
-    global _NOMINAL_FREQUENCY_MEMO_MAX, _NOMINAL_FREQUENCY_MEMO_EVICTIONS
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-        raise ConfigurationError(
-            f"nominal-frequency memo limit must be an int >= 1, got {limit!r}"
-        )
-    previous = _NOMINAL_FREQUENCY_MEMO_MAX
-    _NOMINAL_FREQUENCY_MEMO_MAX = limit
-    while len(_NOMINAL_FREQUENCY_MEMO) > limit:
-        _NOMINAL_FREQUENCY_MEMO.popitem(last=False)
-        _NOMINAL_FREQUENCY_MEMO_EVICTIONS += 1
-    return previous
-
-
-def reset_nominal_frequency_memo(restore_default_limit: bool = False) -> None:
+def reset_nominal_frequency_memo() -> None:
     """Clear the memo's entries and counters (test/bench isolation)."""
-    global _NOMINAL_FREQUENCY_MEMO_HITS, _NOMINAL_FREQUENCY_MEMO_MISSES
-    global _NOMINAL_FREQUENCY_MEMO_EVICTIONS, _NOMINAL_FREQUENCY_MEMO_MAX
     _NOMINAL_FREQUENCY_MEMO.clear()
-    _NOMINAL_FREQUENCY_MEMO_HITS = 0
-    _NOMINAL_FREQUENCY_MEMO_MISSES = 0
-    _NOMINAL_FREQUENCY_MEMO_EVICTIONS = 0
-    if restore_default_limit:
-        _NOMINAL_FREQUENCY_MEMO_MAX = _NOMINAL_FREQUENCY_MEMO_DEFAULT_MAX
 
 
 class TestStage(enum.Enum):
@@ -665,14 +626,9 @@ class ToneTestSequencer:
             self.record_level.value,
             int(gate_cycles),
         )
-        global _NOMINAL_FREQUENCY_MEMO_HITS, _NOMINAL_FREQUENCY_MEMO_MISSES
-        global _NOMINAL_FREQUENCY_MEMO_EVICTIONS
         cached = _NOMINAL_FREQUENCY_MEMO.get(key)
         if cached is not None:
-            _NOMINAL_FREQUENCY_MEMO_HITS += 1
-            _NOMINAL_FREQUENCY_MEMO.move_to_end(key)
             return cached
-        _NOMINAL_FREQUENCY_MEMO_MISSES += 1
 
         from repro.stimulus.waveforms import ConstantFrequencySource
 
@@ -687,8 +643,5 @@ class ToneTestSequencer:
         value = counter.measure_reciprocal(
             sim.fb_edges, start=t0, periods=gate_cycles
         ).scaled(self.pll.n).frequency_hz
-        while len(_NOMINAL_FREQUENCY_MEMO) >= _NOMINAL_FREQUENCY_MEMO_MAX:
-            _NOMINAL_FREQUENCY_MEMO.popitem(last=False)
-            _NOMINAL_FREQUENCY_MEMO_EVICTIONS += 1
-        _NOMINAL_FREQUENCY_MEMO[key] = value
+        _NOMINAL_FREQUENCY_MEMO.put(key, value)
         return value

@@ -1,4 +1,4 @@
-"""Warm-start support: a cache of settled loop states.
+"""Warm-start support: one bounded LRU behind every warm tier.
 
 Table 2's stage (0) — "allow the loop to settle" — dominates the cost of
 a tone measurement: for the paper's sweep roughly four modulation
@@ -6,41 +6,38 @@ periods of closed-loop simulation (~79 % of the per-tone events) are
 spent reaching steady state before the phase counter is even armed.
 That work is pure replay whenever the same (PLL, stimulus, tone) has
 been settled before: the loop is deterministic, so the settled state is
-a function of the configuration alone.
+a function of the configuration alone.  So are stages 1–4 and the
+nominal-frequency baseline.
 
-:class:`LockStateCache` memoises those settled states as
-:class:`~repro.pll.simulator.SimulatorSnapshot` records keyed by the
-tone parameters.  A hit lets the sequencer *restore* instead of
-re-simulating the settle, which is bit-identical to the cold run by the
-snapshot guarantee — measurements from a warm run equal the cold run's
-tick for tick.  Typical uses: batch screening (the same sweep plan run
-against many devices re-settles the same tones), re-measurement of a
-tone at a different ``max_wait_cycles``, and the cold/warm benchmark.
+Each warm tier memoises one of those pure functions in a
+:class:`BoundedCache` (an LRU with hit/miss/eviction/merge counters)
+keyed by a tuple that leads with the device's *physics signature*
+(:meth:`~repro.pll.config.ChargePumpPLL.physics_signature`):
+:class:`LockStateCache` holds settled
+:class:`~repro.pll.simulator.SimulatorSnapshot` records (restoring one
+is bit-identical to the cold settle by the snapshot guarantee),
+:class:`ToneMeasurementCache` holds finished stage 1–4 outcomes, and
+the sequencer's nominal-frequency memo is a plain :class:`BoundedCache`.
+Keyed by physics rather than name, one cache shared across a lot
+settles each (stimulus, tone, configuration) family exactly once —
+every same-configuration die, and every repeat of the same injected
+fault, restores the first die's state.  The bound keeps long screening
+campaigns from growing memory without limit.
 
-Because entries are keyed by the device's *physics signature* rather
-than its name (see
-:meth:`~repro.pll.config.ChargePumpPLL.physics_signature`), one cache
-shared across a whole lot settles each (stimulus, tone, configuration)
-family exactly once — every same-configuration die, and every repeat of
-the same injected fault in a fault-library screen, restores the first
-die's settled state.  :meth:`export` and :meth:`merge` move entries
-across process boundaries: a batch screen ships the parent cache's
-entries to pool workers inside the chunk payload and merges whatever
-the workers settled back into the parent on return.  Both process
-pools — the tone pool and the lot pool — ship through one pair of
-helpers: :func:`warm_shipment` on the sending side and
+:meth:`BoundedCache.export` and :meth:`BoundedCache.merge` move entries
+across process boundaries: both process pools — the tone pool and the
+lot pool — ship through :func:`warm_shipment` on the sending side and
 :func:`run_with_shipment` in the worker, with
 :func:`adopt_worker_return` folding the worker's discoveries and lookup
 counts back into the parent cache.
 
-The cache is a bounded LRU so long screening campaigns cannot grow
-memory without limit; snapshots are a few hundred bytes each.
-
-:meth:`save` and :meth:`load` extend the export/merge story across
-process *lifetimes*: a long-lived service spills its settled states to
-disk between lots and reloads them on the next start, so the first job
-of a new session runs as warm as the last job of the previous one.  The
-on-disk format is versioned, and loading guards every entry — a stale
+:meth:`LockStateCache.save` and :meth:`LockStateCache.load` extend the
+export/merge story across process *lifetimes*: a long-lived service
+spills its settled states to disk between lots and reloads them on the
+next start, so the first job of a new session runs as warm as the last
+job of the previous one.  The on-disk format is versioned and carries a
+SHA-256 of its entries; a file that fails it or cannot be decoded
+raises :class:`~repro.errors.CachePersistenceError`, while a stale
 entry (wrong shape, or a key whose physics signature no longer matches
 its snapshot) is skipped, never fatal, because losing a warm start
 costs one re-settle while crashing costs the whole session.
@@ -58,6 +55,7 @@ from repro.errors import CachePersistenceError, ConfigurationError
 from repro.pll.simulator import SimulatorSnapshot
 
 __all__ = [
+    "BoundedCache",
     "LockStateCache",
     "ToneMeasurementCache",
     "CacheEntries",
@@ -69,16 +67,18 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
 ]
 
-#: Picklable transport form of a cache's contents: ``(key, snapshot)``
+#: Picklable transport form of a cache's contents: ``(key, value)``
 #: pairs in least-recently-used-first order.
-CacheEntries = Tuple[Tuple[Hashable, SimulatorSnapshot], ...]
+CacheEntries = Tuple[Tuple[Hashable, object], ...]
 
 #: File-format identifier written into every persisted cache.
 CACHE_FORMAT_MAGIC = "repro-lockstate-cache"
 #: Current on-disk format version.  Readers accept any version up to
-#: this one (older payloads carry a subset of today's fields); a file
-#: from a *newer* library raises, because its semantics are unknowable.
-CACHE_FORMAT_VERSION = 1
+#: this one; a file from a *newer* library raises, because its
+#: semantics are unknowable.  Version 1 pickled the entries inline;
+#: version 2 pickles them separately and stores their SHA-256, so a
+#: corrupt spill is refused instead of restoring the wrong physics.
+CACHE_FORMAT_VERSION = 2
 
 #: Pinned pickle protocol so the same cache contents always serialise
 #: to the same bytes — save → load → save is byte-identical, which the
@@ -105,15 +105,8 @@ def _entry_is_stale(key: object, snap: object) -> bool:
     return False
 
 
-class LockStateCache:
-    """Bounded LRU cache of settled-loop snapshots.
-
-    Keys are arbitrary hashable tuples built by the sequencer from
-    everything that determines the settled state: the PLL physics
-    signature, the stimulus parameters (nominal frequency, deviation,
-    tone frequency), the settle duration and the recording level.
-    Values are :class:`~repro.pll.simulator.SimulatorSnapshot` records
-    captured at the end of stage (0).
+class BoundedCache:
+    """Bounded LRU map of values that are pure functions of their keys.
 
     Parameters
     ----------
@@ -121,24 +114,17 @@ class LockStateCache:
         Capacity; least-recently-used entries are evicted beyond it.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
+    def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be >= 1, got {max_entries!r}"
             )
         self.max_entries = max_entries
-        self._store: "OrderedDict[Hashable, SimulatorSnapshot]" = OrderedDict()
+        self._store: "OrderedDict[Hashable, object]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._merged = 0
-        #: Stale entries dropped by the most recent :meth:`load` that
-        #: built this cache (0 for caches never loaded from disk).
-        self.stale_entries_skipped = 0
-        #: Digest left behind by :func:`repro.pll.lot.premeasure_lot`
-        #: (a :class:`~repro.pll.lot.LotPresettleStats`) so callers that
-        #: only hold the cache can report what the settle farm did.
-        self.presettle_stats = None
 
     def __len__(self) -> int:
         return len(self._store)
@@ -147,21 +133,21 @@ class LockStateCache:
         """Membership test; does not touch recency or the counters."""
         return key in self._store
 
-    def get(self, key: Hashable) -> Optional[SimulatorSnapshot]:
-        """Return the cached snapshot for ``key``, or ``None`` on a miss.
+    def get(self, key: Hashable) -> Optional[object]:
+        """Return the cached value for ``key``, or ``None`` on a miss.
 
         A hit refreshes the entry's recency.
         """
-        snap = self._store.get(key)
-        if snap is None:
+        value = self._store.get(key)
+        if value is None:
             self._misses += 1
             return None
         self._store.move_to_end(key)
         self._hits += 1
-        return snap
+        return value
 
-    def peek(self, key: Hashable) -> Optional[SimulatorSnapshot]:
-        """Return the cached snapshot without touching recency or counters.
+    def peek(self, key: Hashable) -> Optional[object]:
+        """Return the cached value without touching recency or counters.
 
         The lot planner uses this to *inspect* settled states while
         deciding what to farm — the orchestrating sweep's own
@@ -171,18 +157,18 @@ class LockStateCache:
         """
         return self._store.get(key)
 
-    def put(self, key: Hashable, snap: SimulatorSnapshot) -> None:
-        """Store ``snap`` under ``key``, evicting the LRU entry if full."""
-        self._store[key] = snap
+    def put(self, key: Hashable, value: object) -> None:
+        """Store ``value`` under ``key``, evicting the LRU entry if full."""
+        self._store[key] = value
         self._store.move_to_end(key)
         while len(self._store) > self.max_entries:
             self._store.popitem(last=False)
             self._evictions += 1
 
     def export(self) -> CacheEntries:
-        """Every ``(key, snapshot)`` pair, LRU-first (picklable).
+        """Every ``(key, value)`` pair, LRU-first (picklable).
 
-        The export is a value copy of the cache's *contents* (snapshots
+        The export is a value copy of the cache's *contents* (values
         are immutable), sized to cross a process boundary inside a chunk
         payload; merging it into an empty cache reproduces this cache's
         entries and recency order.  Counters are not exported — they
@@ -190,48 +176,118 @@ class LockStateCache:
         """
         return tuple(self._store.items())
 
-    def merge(
-        self, entries: Iterable[Tuple[Hashable, SimulatorSnapshot]]
-    ) -> int:
-        """Adopt settled states discovered elsewhere; return the number added.
+    def merge(self, entries: Iterable[Tuple[Hashable, object]]) -> int:
+        """Adopt entries discovered elsewhere; return the number added.
 
         ``entries`` is typically another cache's :meth:`export` — e.g.
         what a pool worker settled while screening its share of a lot.
         Merge semantics: **existing entries win**.  Both sides of a key
-        collision hold the *same* settled state (the settle is a pure
-        function of the key by the snapshot guarantee), so overwriting
-        could only churn recency; keeping the incumbent makes merging
-        idempotent and order-independent.  Newly adopted entries count
-        toward capacity and may evict LRU incumbents, exactly like
-        :meth:`put`.
+        collision hold the *same* value (it is a pure function of the
+        key), so overwriting could only churn recency; keeping the
+        incumbent makes merging idempotent and order-independent.
+        Newly adopted entries count toward capacity and may evict LRU
+        incumbents, exactly like :meth:`put`.
         """
         added = 0
-        for key, snap in entries:
+        for key, value in entries:
             if key in self._store:
                 continue
-            self.put(key, snap)
+            self.put(key, value)
             added += 1
         self._merged += added
         return added
 
+    def clear(self) -> None:
+        """Drop every entry and reset all counters."""
+        self._store.clear()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._merged = 0
+
+    @property
+    def stats(self) -> Tuple[int, int]:
+        """``(hits, misses)`` counters since construction or clear."""
+        return (self._hits, self._misses)
+
+    @property
+    def stats_detail(self) -> dict:
+        """Full counter set plus occupancy, for bench digests.
+
+        ``merged`` counts entries adopted through :meth:`merge` (worker
+        discoveries folded into a parent cache); ``evictions`` counts
+        LRU drops from either :meth:`put` or :meth:`merge`.
+        """
+        return {
+            "hits": self._hits,
+            "misses": self._misses,
+            "evictions": self._evictions,
+            "merged": self._merged,
+            "entries": len(self._store),
+            "capacity": self.max_entries,
+        }
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(entries={len(self._store)}"
+            f"/{self.max_entries}, hits={self._hits}, "
+            f"misses={self._misses}, evictions={self._evictions}, "
+            f"merged={self._merged})"
+        )
+
+
+class LockStateCache(BoundedCache):
+    """Bounded LRU cache of settled-loop snapshots.
+
+    Keys are hashable tuples built by the sequencer from everything
+    that determines the settled state: the PLL physics signature, the
+    stimulus parameters (nominal frequency, deviation, tone frequency),
+    the settle duration and the recording level.  Values are
+    :class:`~repro.pll.simulator.SimulatorSnapshot` records captured at
+    the end of stage (0).
+    """
+
+    def __init__(self, max_entries: int = 256) -> None:
+        super().__init__(max_entries)
+        #: Stale entries dropped by the most recent :meth:`load` that
+        #: built this cache (0 for caches never loaded from disk).
+        self.stale_entries_skipped = 0
+        #: Digest left behind by :func:`repro.pll.lot.premeasure_lot`
+        #: (a :class:`~repro.pll.lot.LotPresettleStats`) so callers that
+        #: only hold the cache can report what the settle farm did.
+        self.presettle_stats = None
+
+    # Bound in this class's own namespace: perfbench's tracer wraps
+    # ``merge`` through ``LockStateCache.__dict__``.
+    merge = BoundedCache.merge
+
     def save(self, path: Union[str, "os.PathLike[str]"]) -> int:
         """Persist the cache contents to ``path``; return the entry count.
 
-        The file carries a format-version header followed by the
-        entries in recency order (the same order :meth:`export` yields),
-        pickled at a pinned protocol, so identical contents always
-        produce identical bytes.  The write goes through a same-directory
-        temporary file and :func:`os.replace`, so a crash mid-spill
-        leaves the previous file intact rather than a truncated one.
+        The file carries a format-version header, the capacity, and the
+        entries in recency order (the same order :meth:`export` yields)
+        pickled on their own together with their SHA-256, all at a
+        pinned protocol, so identical contents always produce identical
+        bytes.  The write goes through a same-directory temporary file
+        and :func:`os.replace`, so a crash mid-spill leaves the previous
+        file intact rather than a truncated one.
 
         Counters (hits/misses/evictions/merged) are *not* persisted —
         they describe this process's history, not the settled states.
         """
+        # Lazy import: hashlib loads OpenSSL, which only a spilling or
+        # reloading process needs.
+        import hashlib
+
+        entries = pickle.dumps(
+            tuple(self._store.items()), protocol=_PICKLE_PROTOCOL
+        )
         payload = {
             "format": CACHE_FORMAT_MAGIC,
             "version": CACHE_FORMAT_VERSION,
             "max_entries": self.max_entries,
-            "entries": tuple(self._store.items()),
+            "sha256": hashlib.sha256(entries).hexdigest(),
+            "entries": entries,
         }
         data = pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
         path = os.fspath(path)
@@ -274,46 +330,35 @@ class LockStateCache:
         Raises
         ------
         CachePersistenceError
-            If the file cannot be read, is not a lock-state cache, or
-            was written by a newer format version.  *Entries* inside a
-            valid file are individually guarded instead: any stale pair
-            (wrong shape, or a physics signature that disagrees with its
-            snapshot) is skipped — recorded in
-            :attr:`stale_entries_skipped` — never raised, because a lost
-            warm start costs one re-settle while a crash costs the
-            session.
+            If the file cannot be read or decoded, is not a lock-state
+            cache, fails its entries' SHA-256, or was written by a newer
+            format version.  *Entries* inside a valid file are
+            individually guarded instead: any stale pair (wrong shape,
+            or a physics signature that disagrees with its snapshot) is
+            skipped — recorded in :attr:`stale_entries_skipped` — never
+            raised, because a lost warm start costs one re-settle while
+            a crash costs the session.
         """
+        path = os.fspath(path)
         try:
-            with open(os.fspath(path), "rb") as fh:
+            with open(path, "rb") as fh:
                 payload = pickle.load(fh)
+            persisted, entries = _decode_payload(payload, path)
+            good = [
+                entry for entry in entries
+                if isinstance(entry, tuple) and len(entry) == 2
+                and not _entry_is_stale(*entry)
+            ]
         except FileNotFoundError as exc:
             raise CachePersistenceError(
-                f"no persisted lock-state cache at {os.fspath(path)!r}"
+                f"no persisted lock-state cache at {path!r}"
             ) from exc
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, OSError) as exc:
+        except CachePersistenceError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - corruption fails any way
             raise CachePersistenceError(
-                f"cannot read {os.fspath(path)!r} as a lock-state cache: "
-                f"{exc}"
+                f"cannot read {path!r} as a lock-state cache: {exc}"
             ) from exc
-        if not isinstance(payload, dict) or (
-            payload.get("format") != CACHE_FORMAT_MAGIC
-        ):
-            raise CachePersistenceError(
-                f"{os.fspath(path)!r} is not a persisted lock-state cache"
-            )
-        version = payload.get("version")
-        if not isinstance(version, int) or version < 1:
-            raise CachePersistenceError(
-                f"{os.fspath(path)!r} carries an unreadable cache format "
-                f"version {version!r}"
-            )
-        if version > CACHE_FORMAT_VERSION:
-            raise CachePersistenceError(
-                f"{os.fspath(path)!r} was written by cache format "
-                f"version {version}; this library reads up to "
-                f"{CACHE_FORMAT_VERSION}"
-            )
         capacity = max_entries
         if capacity is None:
             # The persisted capacity is data from disk, so it gets the
@@ -323,7 +368,6 @@ class LockStateCache:
             # a startup crash for any service adopting the spill.  Fall
             # back to the constructor default instead; a wrong capacity
             # costs early evictions, never availability.
-            persisted = payload.get("max_entries")
             if (isinstance(persisted, int)
                     and not isinstance(persisted, bool)
                     and persisted >= 1):
@@ -331,59 +375,54 @@ class LockStateCache:
             else:
                 capacity = 256
         cache = cls(max_entries=capacity)
-        entries = payload.get("entries", ())
-        skipped = 0
-        for entry in entries:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                skipped += 1
-                continue
-            key, snap = entry
-            if _entry_is_stale(key, snap):
-                skipped += 1
-                continue
+        for key, snap in good:
             cache.put(key, snap)
-        cache.stale_entries_skipped = skipped
+        cache.stale_entries_skipped = len(entries) - len(good)
         return cache
 
-    def clear(self) -> None:
-        """Drop every entry and reset all counters."""
-        self._store.clear()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._merged = 0
 
-    @property
-    def stats(self) -> Tuple[int, int]:
-        """``(hits, misses)`` counters since construction or clear."""
-        return (self._hits, self._misses)
+def _decode_payload(payload: object, path: str) -> Tuple[object, tuple]:
+    """``(persisted capacity, entries)`` of an unpickled spill.
 
-    @property
-    def stats_detail(self) -> dict:
-        """Full counter set: hits, misses, evictions, merged entries.
-
-        ``merged`` counts entries adopted through :meth:`merge` (worker
-        discoveries folded into a parent cache); ``evictions`` counts
-        LRU drops from either :meth:`put` or :meth:`merge`.
-        """
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "merged": self._merged,
-            "entries": len(self._store),
-            "capacity": self.max_entries,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"LockStateCache(entries={len(self._store)}/{self.max_entries}, "
-            f"hits={self._hits}, misses={self._misses}, "
-            f"evictions={self._evictions}, merged={self._merged})"
+    Checks the header and, from format version 2 on, the entries'
+    SHA-256 before unpickling them.
+    """
+    if not isinstance(payload, dict) or (
+        payload.get("format") != CACHE_FORMAT_MAGIC
+    ):
+        raise CachePersistenceError(
+            f"{path!r} is not a persisted lock-state cache"
         )
+    version = payload.get("version")
+    if not isinstance(version, int) or version < 1:
+        raise CachePersistenceError(
+            f"{path!r} carries an unreadable cache format version "
+            f"{version!r}"
+        )
+    if version > CACHE_FORMAT_VERSION:
+        raise CachePersistenceError(
+            f"{path!r} was written by cache format version {version}; "
+            f"this library reads up to {CACHE_FORMAT_VERSION}"
+        )
+    entries = payload.get("entries", ())
+    if version >= 2:
+        import hashlib  # lazy, as in :meth:`LockStateCache.save`
+
+        if not isinstance(entries, bytes) or (
+            hashlib.sha256(entries).hexdigest() != payload.get("sha256")
+        ):
+            raise CachePersistenceError(
+                f"{path!r} fails its SHA-256 check: the spill is corrupt"
+            )
+        entries = pickle.loads(entries)
+    if not isinstance(entries, tuple):
+        raise CachePersistenceError(
+            f"{path!r} holds no entry table: the spill is corrupt"
+        )
+    return payload.get("max_entries"), entries
 
 
-class ToneMeasurementCache:
+class ToneMeasurementCache(BoundedCache):
     """Bounded LRU cache of finished stage 1–4 tone outcomes.
 
     The settle cache above removes the *stage 0* replay inside one lot;
@@ -417,99 +456,7 @@ class ToneMeasurementCache:
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries!r}"
-            )
-        self.max_entries = max_entries
-        self._store: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: Hashable) -> bool:
-        """Membership test; does not touch recency or the counters."""
-        return key in self._store
-
-    def get(self, key: Hashable) -> Optional[object]:
-        """Return the cached outcome for ``key``, or ``None`` on a miss.
-
-        A hit refreshes the entry's recency.
-        """
-        value = self._store.get(key)
-        if value is None:
-            self._misses += 1
-            return None
-        self._store.move_to_end(key)
-        self._hits += 1
-        return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Store ``value`` under ``key``, evicting the LRU entry if full."""
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-            self._evictions += 1
-
-    def export(self) -> Tuple[Tuple[Hashable, object], ...]:
-        """Every ``(key, measurement)`` pair, LRU-first (picklable).
-
-        Mirrors :meth:`LockStateCache.export`: a value copy of the
-        contents, sized to cross a process boundary inside a chunk
-        payload.  Counters are not exported.
-        """
-        return tuple(self._store.items())
-
-    def merge(self, entries: Iterable[Tuple[Hashable, object]]) -> int:
-        """Adopt finished measurements discovered elsewhere.
-
-        Same semantics as :meth:`LockStateCache.merge`: existing
-        entries win (both sides of a collision hold the same
-        deterministic measurement), so merging is idempotent and
-        order-independent; adopted entries count toward capacity.
-        Returns the number added.
-        """
-        added = 0
-        for key, value in entries:
-            if key in self._store:
-                continue
-            self.put(key, value)
-            added += 1
-        return added
-
-    def clear(self) -> None:
-        """Drop every entry and reset all counters."""
-        self._store.clear()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    @property
-    def stats(self) -> Tuple[int, int]:
-        """``(hits, misses)`` counters since construction or clear."""
-        return (self._hits, self._misses)
-
-    @property
-    def stats_detail(self) -> dict:
-        """Full counter set plus occupancy, for bench digests."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "entries": len(self._store),
-            "capacity": self.max_entries,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ToneMeasurementCache(entries={len(self._store)}"
-            f"/{self.max_entries}, hits={self._hits}, "
-            f"misses={self._misses})"
-        )
+        super().__init__(max_entries)
 
 
 # ----------------------------------------------------------------------
@@ -522,9 +469,8 @@ WorkerReturn = Tuple[CacheEntries, Tuple[int, int]]
 
 
 def warm_shipment(
-    cache: Union[LockStateCache, ToneMeasurementCache, None],
-    plls: Iterable,
-) -> Optional[Tuple]:
+    cache: Optional[BoundedCache], plls: Iterable
+) -> Optional[CacheEntries]:
     """The entries of ``cache`` worth shipping to a worker running ``plls``.
 
     ``cache`` is a :class:`LockStateCache` or a
@@ -533,10 +479,10 @@ def warm_shipment(
     service has touched, but a worker can only use entries of its own
     devices' families, so the export is filtered to their physics
     signatures — the pickled payload stays proportional to the worker's
-    share, not to the cache's history.  A settled snapshot records its
-    signature (unsigned legacy snapshots ship; the worker-side restore
-    still validates them); a finished measurement's key leads with it.
-    A device whose signature cannot be computed ships everything.
+    share, not to the cache's history.  Every lookup key leads with the
+    signature of the device doing the lookup, so an entry ships when
+    ``key[0]`` is one of the workers' signatures.  A device whose
+    signature cannot be computed ships everything.
     """
     if cache is None:
         return None
@@ -545,15 +491,8 @@ def warm_shipment(
         signatures = {pll.physics_signature() for pll in plls}
     except Exception:  # noqa: BLE001 - exotic device: ship everything
         return entries
-    if isinstance(cache, LockStateCache):
-        signatures.add(None)
-        return tuple(
-            (key, snap)
-            for key, snap in entries
-            if getattr(snap, "pll_signature", None) in signatures
-        )
     return tuple(
-        (key, value) for key, value in entries if key and key[0] in signatures
+        (key, value) for key, value in entries if key[0] in signatures
     )
 
 

@@ -5,9 +5,9 @@ die stream through :func:`~repro.reporting.device_report.batch_device_screen`
 in chunks, folding every outcome into a
 :class:`~.aggregate.PopulationAggregate` and (optionally) appending one
 JSONL record per die — then discarding the chunk.  Nothing scales with
-the population: the warm :class:`~repro.core.warm.LockStateCache` and
-the nominal-frequency memo are LRU-bounded, outcomes live only for
-their chunk, and the aggregate is O(sketch bins).
+the population: the warm :class:`~repro.core.warm.LockStateCache` is
+LRU-bounded, outcomes live only for their chunk, and the aggregate is
+O(sketch bins).
 
 **Chunk sizing** follows the warm-cache dedup structure: each die's
 sweep settles ``points`` tone lanes plus a nominal-lock baseline, so
@@ -31,10 +31,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, IO, Optional, Tuple, Union
 
-from repro.core.sequencer import (
-    nominal_frequency_memo_stats,
-    set_nominal_frequency_memo_limit,
-)
 from repro.core.warm import LockStateCache
 from repro.engines import validate_engine
 from repro.errors import ConfigurationError
@@ -92,9 +88,6 @@ class PopulationScreenStats:
     engine: str
     n_workers: int
     cache_entries: int
-    memo_hits: int
-    memo_misses: int
-    memo_evictions: int
     # Aggregate farm wall split (stage 0 / stages 1-2 / stages 3-4)
     # summed over every chunk's premeasure pass; all zero on the
     # scalar engine, where no farm runs.
@@ -186,14 +179,6 @@ def screen_population(
     if size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {size!r}")
 
-    memo_before = nominal_frequency_memo_stats()
-    # Raise (never lower) the process-global nominal-frequency memo cap
-    # to cover two chunks' worth of unique physics, so a mostly-unique
-    # population doesn't thrash it.
-    wanted = max(1024, 2 * size)
-    if memo_before.limit < wanted:
-        set_nominal_frequency_memo_limit(wanted)
-
     stimulus = corner.stimulus()
     config = corner.config()
     plan = corner.plan(spec.points)
@@ -271,7 +256,6 @@ def screen_population(
             sink.close()
 
     wall = time.perf_counter() - t0
-    memo_after = nominal_frequency_memo_stats()
     stats = PopulationScreenStats(
         dies=spec.size,
         wall_s=wall,
@@ -281,9 +265,6 @@ def screen_population(
         engine=engine,
         n_workers=n_workers,
         cache_entries=len(cache),
-        memo_hits=memo_after.hits - memo_before.hits,
-        memo_misses=memo_after.misses - memo_before.misses,
-        memo_evictions=memo_after.evictions - memo_before.evictions,
         settle_s=farm_settle_s,
         monitor_s=farm_monitor_s,
         measure_s=farm_measure_s,

@@ -547,13 +547,13 @@ class TestWarmEntryShippingFilter:
         pll = paper_pll()
         signature = pll.physics_signature()
         cache = LockStateCache()
-        cache.put(("a",), SimpleNamespace(pll_signature=signature))
-        cache.put(("b",), SimpleNamespace(pll_signature=("other",)))
-        cache.put(("c",), SimpleNamespace(pll_signature=None))
+        cache.put((signature, 10.0), SimpleNamespace(pll_signature=signature))
+        cache.put((("other",), 10.0),
+                  SimpleNamespace(pll_signature=("other",)))
         shipped = warm_shipment(cache, [pll])
-        keys = sorted(key for key, __ in shipped)
-        # Matching and unsigned entries ship; foreign physics does not.
-        assert keys == [("a",), ("c",)]
+        # Keys lead with the looking-up device's signature: only the
+        # entry of this device's physics ships.
+        assert [key for key, __ in shipped] == [(signature, 10.0)]
 
 
 class TestNominalFrequencyMemo:

@@ -20,7 +20,6 @@ from repro.core.sequencer import (
     ToneTestSequencer,
     nominal_frequency_memo_stats,
     reset_nominal_frequency_memo,
-    set_nominal_frequency_memo_limit,
 )
 from repro.core.warm import LockStateCache, warm_shipment
 from repro.errors import ConfigurationError
@@ -367,18 +366,13 @@ class TestRelevantWarmEntriesIterable:
         both = warm_shipment(cache, [dies[0].pll, dies[1].pll])
         everything = cache.export()
         assert 0 < len(only0) < len(both) <= len(everything)
-        assert all(
-            snap.pll_signature in (None, sig0) for __, snap in only0
-        )
+        assert all(key[0] == sig0 for key, __ in only0)
         # The filter keys on physics, not names: a renamed twin of the
         # first die receives exactly the same shipment.
         twin = replace(dies[0].pll, name="twin")
         assert warm_shipment(cache, [twin]) == only0
-        # An empty device set ships only unsigned legacy entries.
-        assert all(
-            getattr(snap, "pll_signature", None) is None
-            for __, snap in warm_shipment(cache, [])
-        )
+        # An empty device set ships nothing.
+        assert warm_shipment(cache, []) == ()
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +381,9 @@ class TestRelevantWarmEntriesIterable:
 class TestNominalFrequencyMemoControls:
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
-        reset_nominal_frequency_memo(restore_default_limit=True)
+        reset_nominal_frequency_memo()
         yield
-        reset_nominal_frequency_memo(restore_default_limit=True)
+        reset_nominal_frequency_memo()
 
     def test_stats_track_hits_misses(
         self, pll_linear, sine_stimulus, fast_bist_config
@@ -405,46 +399,6 @@ class TestNominalFrequencyMemoControls:
         assert stats.evictions == 0
         assert stats.size == 1
         assert stats.limit == 4096
-
-    def test_configurable_cap_evicts_lru(
-        self, pll_linear, sine_stimulus, fast_bist_config
-    ):
-        sequencer = ToneTestSequencer(
-            pll_linear, sine_stimulus, fast_bist_config
-        )
-        previous = set_nominal_frequency_memo_limit(1)
-        assert previous == 4096
-        first = sequencer.measure_nominal_frequency(64)
-        sequencer.measure_nominal_frequency(32)  # evicts the 64-gate entry
-        stats = nominal_frequency_memo_stats()
-        assert stats.size == 1
-        assert stats.limit == 1
-        assert stats.evictions == 1
-        # The evicted key re-measures (a miss), bit-identically.
-        again = sequencer.measure_nominal_frequency(64)
-        assert again == first
-        assert nominal_frequency_memo_stats().misses == 3
-
-    def test_shrinking_cap_trims_immediately(
-        self, pll_linear, sine_stimulus, fast_bist_config
-    ):
-        sequencer = ToneTestSequencer(
-            pll_linear, sine_stimulus, fast_bist_config
-        )
-        sequencer.measure_nominal_frequency(16)
-        sequencer.measure_nominal_frequency(32)
-        set_nominal_frequency_memo_limit(1)
-        stats = nominal_frequency_memo_stats()
-        assert stats.size == 1 and stats.evictions == 1
-        # The survivor is the most recently used entry.
-        sequencer.measure_nominal_frequency(32)
-        assert nominal_frequency_memo_stats().hits == 1
-
-    def test_limit_validation(self):
-        with pytest.raises(ConfigurationError):
-            set_nominal_frequency_memo_limit(0)
-        with pytest.raises(ConfigurationError):
-            set_nominal_frequency_memo_limit(True)
 
 
 # ----------------------------------------------------------------------

@@ -225,6 +225,60 @@ class TestLoadGuards:
         assert loaded.export() == healthy
 
 
+class TestCorruptSpill:
+    """A spill corrupted on disk loads exactly what was saved or raises
+    :class:`CachePersistenceError`: never another exception, and never
+    entries that differ from the saved ones (a flipped control voltage
+    restored warm would be measured as the die's physics)."""
+
+    @staticmethod
+    def _flipped(data, offset):
+        bad = bytearray(data)
+        bad[offset] ^= 0x01
+        return bytes(bad)
+
+    def test_every_single_byte_flip_is_caught(self, populated, tmp_path):
+        cache, _ = populated
+        path = tmp_path / "spill.cache"
+        cache.save(path)
+        data = path.read_bytes()
+        saved = cache.export()
+        for offset in range(len(data)):
+            path.write_bytes(self._flipped(data, offset))
+            try:
+                loaded = LockStateCache.load(path)
+            except CachePersistenceError:
+                continue
+            assert loaded.export() == saved, f"byte {offset} flipped"
+
+    def test_service_starts_cold_on_corrupt_spill(self, populated, tmp_path):
+        from repro.service import SweepJobService
+
+        cache, _ = populated
+        path = tmp_path / "spill.cache"
+        cache.save(path)
+        data = path.read_bytes()
+        saved = cache.export()
+        for offset in range(len(data)):
+            path.write_bytes(self._flipped(data, offset))
+            service = SweepJobService(cache_path=path)
+            assert service.cache.export() in (saved, ()), \
+                f"byte {offset} flipped"
+
+    def test_version_1_spill_still_loads(self, populated, tmp_path):
+        cache, _ = populated
+        path = tmp_path / "v1.cache"
+        path.write_bytes(pickle.dumps({
+            "format": CACHE_FORMAT_MAGIC,
+            "version": 1,
+            "max_entries": cache.max_entries,
+            "entries": cache.export(),
+        }, protocol=4))
+        loaded = LockStateCache.load(path)
+        assert loaded.export() == cache.export()
+        assert loaded.max_entries == cache.max_entries
+
+
 class TestWarmEquivalence:
     def test_loaded_cache_serves_warm_identical_sweep(
         self, populated, tmp_path, fast_bist_config

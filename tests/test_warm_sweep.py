@@ -15,6 +15,7 @@ from repro.core import (
     ToneTestSequencer,
     TransferFunctionMonitor,
 )
+from repro.core.warm import BoundedCache, ToneMeasurementCache
 from repro.errors import ConfigurationError
 
 
@@ -96,8 +97,17 @@ class TestCacheWarmRuns:
 
 
 class TestLockStateCacheUnit:
+    """The LRU contract every warm tier shares; the subclasses below run
+    it on the measurement cache and on the bare :class:`BoundedCache`
+    behind the nominal-frequency memo."""
+
+    cls = LockStateCache
+
+    def make(self, max_entries=256):
+        return self.cls(max_entries=max_entries)
+
     def test_lru_eviction(self):
-        cache = LockStateCache(max_entries=2)
+        cache = self.make(max_entries=2)
         cache.put("a", "snap-a")  # type: ignore[arg-type]
         cache.put("b", "snap-b")  # type: ignore[arg-type]
         assert cache.get("a") == "snap-a"  # refresh a
@@ -107,8 +117,28 @@ class TestLockStateCacheUnit:
         assert cache.get("c") == "snap-c"
         assert len(cache) == 2
 
+    def test_eviction_order_follows_recency(self):
+        cache = self.make(max_entries=3)
+        for key in "abc":
+            cache.put(key, key.upper())
+        cache.get("a")  # recency is now b, c, a
+        cache.put("d", "D")
+        cache.put("e", "E")
+        assert [key for key, __ in cache.export()] == ["a", "d", "e"]
+        assert cache.stats_detail["evictions"] == 2
+
+    def test_peek_counts_nothing_and_keeps_recency(self):
+        cache = self.make(max_entries=2)
+        cache.put("a", "A")
+        cache.put("b", "B")
+        assert cache.peek("a") == "A"
+        assert cache.peek("missing") is None
+        assert cache.stats == (0, 0)
+        cache.put("c", "C")  # "a" stayed least recent, so it goes
+        assert "a" not in cache
+
     def test_stats_and_clear(self):
-        cache = LockStateCache()
+        cache = self.make()
         assert cache.get("missing") is None
         cache.put("k", "v")  # type: ignore[arg-type]
         assert cache.get("k") == "v"
@@ -119,23 +149,23 @@ class TestLockStateCacheUnit:
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigurationError):
-            LockStateCache(max_entries=0)
+            self.make(max_entries=0)
 
     def test_contains_does_not_touch_counters(self):
-        cache = LockStateCache()
+        cache = self.make()
         cache.put("k", "v")  # type: ignore[arg-type]
         assert "k" in cache
         assert "missing" not in cache
         assert cache.stats == (0, 0)
 
     def test_export_merge_roundtrip(self):
-        cache = LockStateCache()
+        cache = self.make()
         cache.put("a", "snap-a")  # type: ignore[arg-type]
         cache.put("b", "snap-b")  # type: ignore[arg-type]
         cache.get("a")  # refresh: LRU order is now b, a
         exported = cache.export()
         assert [key for key, __ in exported] == ["b", "a"]
-        clone = LockStateCache()
+        clone = self.make()
         assert clone.merge(exported) == 2
         # Merging an export into an empty cache reproduces contents and
         # recency order; counters describe history and do not travel.
@@ -144,7 +174,7 @@ class TestLockStateCacheUnit:
         assert clone.stats_detail["merged"] == 2
 
     def test_merge_existing_entries_win(self):
-        cache = LockStateCache()
+        cache = self.make()
         cache.put("k", "incumbent")  # type: ignore[arg-type]
         added = cache.merge((("k", "challenger"), ("new", "snap")))
         assert added == 1
@@ -152,7 +182,7 @@ class TestLockStateCacheUnit:
         assert cache.get("new") == "snap"
 
     def test_merge_is_idempotent(self):
-        cache = LockStateCache()
+        cache = self.make()
         entries = (("a", "1"), ("b", "2"))
         assert cache.merge(entries) == 2
         assert cache.merge(entries) == 0
@@ -160,7 +190,7 @@ class TestLockStateCacheUnit:
         assert len(cache) == 2
 
     def test_merge_respects_capacity_and_counts_evictions(self):
-        cache = LockStateCache(max_entries=2)
+        cache = self.make(max_entries=2)
         added = cache.merge((("a", "1"), ("b", "2"), ("c", "3")))
         assert added == 3
         assert len(cache) == 2
@@ -172,7 +202,7 @@ class TestLockStateCacheUnit:
         assert detail["capacity"] == 2
 
     def test_clear_resets_all_counters(self):
-        cache = LockStateCache(max_entries=1)
+        cache = self.make(max_entries=1)
         cache.merge((("a", "1"), ("b", "2")))  # one merge eviction
         cache.get("b")
         cache.get("missing")
@@ -188,6 +218,17 @@ class TestLockStateCacheUnit:
             "capacity": 1,
         }
 
+    def test_repr_names_the_class(self):
+        assert repr(self.make()).startswith(f"{self.cls.__name__}(")
+
+
+class TestToneMeasurementCacheUnit(TestLockStateCacheUnit):
+    cls = ToneMeasurementCache
+
+
+class TestBoundedCacheUnit(TestLockStateCacheUnit):
+    cls = BoundedCache
+
 
 class TestNominalBaselineMemoised:
     def test_same_value_and_cached(
@@ -202,7 +243,8 @@ class TestNominalBaselineMemoised:
         first = sequencer.measure_nominal_frequency()
         second = sequencer.measure_nominal_frequency()
         assert first == second
-        assert list(_NOMINAL_FREQUENCY_MEMO.values()) == [first]
+        assert [value for __, value in _NOMINAL_FREQUENCY_MEMO.export()] \
+            == [first]
 
     def test_distinct_gates_distinct_entries(
         self, pll_linear, sine_stimulus, fast_bist_config
