@@ -741,8 +741,8 @@ def test_perf_service_warm_across_jobs(report, paper_dut):
     The production story the service exists for: a lot finishes, the
     service (or the whole host) goes away, and the next session's first
     job — same plan, same-physics devices — reloads the spilled
-    lock-state cache and skips every settle.  Byte-identical artefacts,
-    measurably faster.
+    measurement cache and answers every tone without simulating it.
+    Byte-identical artefacts, measurably faster.
     """
     plan = paper_sweep(points=N_TONES)
     with tempfile.TemporaryDirectory(prefix="repro-bench-svc-") as tmp:

@@ -846,7 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 0.25)")
     p.add_argument("--chunk", type=int, default=None,
                    help="dies per streamed chunk (default: sized so one "
-                        "chunk's settle lanes fit the warm cache)")
+                        "chunk's tone-settle lanes, points per die, fit "
+                        "the warm cache)")
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="device worker processes per chunk (default 1)")
     engine_opt(p)
@@ -899,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "each with its own worker thread and hot cache "
                         "(default 1)")
     p.add_argument("--cache", default=None,
-                   help="persist the warm lock-state cache to this file "
+                   help="persist finished tone measurements to this file "
                         "(reloaded at start, spilled after every job)")
     p.add_argument("--queue-limit", type=int, default=16,
                    help="max live (pending+running) jobs (default 16)")

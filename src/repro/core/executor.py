@@ -9,16 +9,19 @@ tones can run in any order, in any process, and produce bit-identical
 its measurement cache holds and hands only the misses to an executor.
 
 :class:`SerialSweepExecutor` is the in-process loop, threading the
-lock-state cache through one shared sequencer.
+monitor's lock-state cache through one shared sequencer.
 :class:`ProcessPoolSweepExecutor` fans the tones out over a
 ``concurrent.futures.ProcessPoolExecutor`` in **batched chunks**: each
 worker receives one pickled payload carrying its whole share of the
 sweep (instead of one pickle round-trip per tone), runs the tones
-serially in-process, and returns its :class:`ToneOutcome` records
-pickled in one reply (about a kilobyte per tone).  Chunks are strided
-over the tones sorted by ascending ``f_mod`` — simulation cost scales
-with ``1 / f_mod``, so striding deals every worker one tone of each
-cost class and the pool drains evenly.
+through the serial executor in-process, and returns its
+:class:`ToneOutcome` records pickled in one reply (about a kilobyte per
+tone).  Workers start cold: no settled state travels either way, since
+the monitor's finished measurements are the only warm state a later
+sweep reads.  Chunks are strided over the tones sorted by ascending
+``f_mod`` — simulation cost scales with ``1 / f_mod``, so striding
+deals every worker one tone of each cost class and the pool drains
+evenly.
 
 Both executors return :class:`ToneOutcome` records in the order given,
 with per-tone :class:`~repro.errors.MeasurementError` failures captured
@@ -42,14 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.architecture import BISTConfig
 from repro.core.sequencer import ToneMeasurement, ToneTestSequencer
-from repro.core.warm import (
-    CacheEntries,
-    LockStateCache,
-    WorkerReturn,
-    adopt_worker_return,
-    run_with_shipment,
-    warm_shipment,
-)
+from repro.core.warm import LockStateCache
 from repro.errors import ConfigurationError, MeasurementError, ReproError
 from repro.pll.config import ChargePumpPLL
 from repro.stimulus.modulation import ModulatedStimulus
@@ -125,48 +121,20 @@ class ToneOutcome:
         return self.error is not None
 
 
+#: One pool worker's share of a sweep: ``(pll, stimulus, config, freqs)``.
 ChunkPayload = Tuple[
-    ChargePumpPLL,
-    ModulatedStimulus,
-    BISTConfig,
-    Tuple[Tuple[int, float], ...],
-    Optional[CacheEntries],
+    ChargePumpPLL, ModulatedStimulus, BISTConfig, Tuple[float, ...]
 ]
 
-ChunkResult = Tuple[List[Tuple[int, ToneOutcome]], Optional[WorkerReturn]]
 
+def _run_tone_chunk(payload: ChunkPayload) -> List[ToneOutcome]:
+    """Worker: run one chunk of tones through the serial executor.
 
-def _run_tone_chunk(payload: ChunkPayload) -> ChunkResult:
-    """Worker: run one chunk of tones through a shared sequencer.
-
-    ``payload`` is ``(pll, stimulus, config, ((plan_index, f_mod), ...),
-    warm_entries)``.  Every tone comes back pickled as
-    ``(plan_index, outcome)`` — a measurement or a captured
+    Every tone comes back pickled as a :class:`ToneOutcome`, in the
+    chunk's order — a measurement or a captured
     :class:`~repro.errors.MeasurementError` alike.
-
-    ``warm_entries`` optionally carries the parent cache's
-    :func:`~repro.core.warm.warm_shipment`; the worker seeds a local
-    cache from it so already-settled tones restore instead of
-    re-simulating, and returns the settled states it discovered plus
-    its lookup counts as the second element of the result, for the
-    parent to fold back.
     """
-    pll, stimulus, config, chunk, warm_entries = payload
-
-    def run(cache: Optional[LockStateCache]) -> List[Tuple[int, ToneOutcome]]:
-        sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
-        results: List[Tuple[int, ToneOutcome]] = []
-        for index, f_mod in chunk:
-            try:
-                measurement = sequencer.run(f_mod)
-            except MeasurementError as exc:
-                outcome = ToneOutcome(f_mod=f_mod, error=str(exc))
-            else:
-                outcome = ToneOutcome(f_mod=f_mod, measurement=measurement)
-            results.append((index, outcome))
-        return results
-
-    return run_with_shipment(warm_entries, len(chunk), run)
+    return SerialSweepExecutor().run_tones(*payload)
 
 
 class SerialSweepExecutor:
@@ -174,7 +142,16 @@ class SerialSweepExecutor:
 
     A single sequencer serves the whole sweep, so the lock-state cache
     and the memoised nominal baseline persist across tones.
+
+    Parameters
+    ----------
+    cache:
+        Optional lock-state cache for warm starts (see
+        :meth:`~repro.core.sequencer.ToneTestSequencer.run`).
     """
+
+    def __init__(self, cache: Optional[LockStateCache] = None) -> None:
+        self.cache = cache
 
     def run_tones(
         self,
@@ -183,18 +160,16 @@ class SerialSweepExecutor:
         config: BISTConfig,
         frequencies_hz: Sequence[float],
         *,
-        cache: Optional[LockStateCache] = None,
         on_outcome: Optional[ToneCallback] = None,
     ) -> List[ToneOutcome]:
         """One :class:`ToneOutcome` per frequency, same order as given.
 
-        ``cache`` optionally provides a lock-state cache for warm starts
-        (see :meth:`~repro.core.sequencer.ToneTestSequencer.run`).  With
-        ``on_outcome`` set, every tone's outcome is delivered the moment
-        it exists — the streaming path the sweep-job service's watchers
-        ride on.
+        With ``on_outcome`` set, every tone's outcome is delivered the
+        moment it exists — the streaming path the sweep-job service's
+        watchers ride on.
         """
-        sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
+        sequencer = ToneTestSequencer(pll, stimulus, config,
+                                      cache=self.cache)
         outcomes: List[ToneOutcome] = []
         for index, f_mod in enumerate(frequencies_hz):
             try:
@@ -220,15 +195,7 @@ class ProcessPoolSweepExecutor:
     the expensive low-frequency tones.  Each worker receives exactly one
     pickled payload and returns its chunk's outcomes in one pickled
     reply; results are re-assembled in the order given, bit-identical to
-    the serial run.
-
-    When a warm-start cache is provided, the settled states of this
-    device's physics family ride along in each chunk payload: workers
-    restore known tones instead of re-settling them (bit-identical by
-    the snapshot guarantee) and return the settled states they
-    discovered and their cache hits and misses, which are folded back
-    into the parent cache — so a pool-run sweep leaves the cache as
-    warm, and its counters as honest, as a serial one would have.
+    the serial run.  Every worker settles its tones cold.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -245,7 +212,6 @@ class ProcessPoolSweepExecutor:
         config: BISTConfig,
         frequencies_hz: Sequence[float],
         *,
-        cache: Optional[LockStateCache] = None,
         on_outcome: Optional[ToneCallback] = None,
     ) -> List[ToneOutcome]:
         """Order-preserving batched parallel execution of the tones.
@@ -261,40 +227,32 @@ class ProcessPoolSweepExecutor:
         workers = min(self.n_workers, len(freqs))
         if workers <= 1:
             return SerialSweepExecutor().run_tones(
-                pll, stimulus, config, freqs, cache=cache,
-                on_outcome=on_outcome,
+                pll, stimulus, config, freqs, on_outcome=on_outcome,
             )
         # Ascending f_mod = descending cost; stride so each worker's
         # chunk samples every cost class.
         order = sorted(range(len(freqs)), key=lambda i: freqs[i])
         chunks = [order[w::workers] for w in range(workers)]
-        warm_entries = warm_shipment(cache, [pll])
-        payloads: List[ChunkPayload] = [
-            (
-                pll,
-                stimulus,
-                config,
-                tuple((i, freqs[i]) for i in chunk),
-                warm_entries,
-            )
-            for chunk in chunks
-        ]
         outcomes: List[Optional[ToneOutcome]] = [None] * len(freqs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pending = set()
             try:
-                pending = {
-                    pool.submit(_run_tone_chunk, payload)
-                    for payload in payloads
+                chunk_of = {
+                    pool.submit(
+                        _run_tone_chunk,
+                        (pll, stimulus, config,
+                         tuple(freqs[i] for i in chunk)),
+                    ): chunk
+                    for chunk in chunks
                 }
+                pending = set(chunk_of)
                 while pending:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
                         # A worker exception (not a per-tone failure —
                         # those travel as data) aborts the sweep.
-                        results, returned = future.result()
-                        adopt_worker_return(cache, returned)
-                        results.sort(key=lambda result: result[0])
+                        results = sorted(zip(chunk_of[future],
+                                             future.result()))
                         for index, outcome in results:
                             outcomes[index] = outcome
                             if on_outcome is not None:
@@ -378,16 +336,19 @@ def _env_worker_override() -> Optional[int]:
 
 
 def executor_for(
-    n_workers: int, n_tones: Optional[int] = None
+    n_workers: int,
+    n_tones: Optional[int] = None,
+    cache: Optional[LockStateCache] = None,
 ) -> Union[SerialSweepExecutor, ProcessPoolSweepExecutor]:
     """Pick the executor a worker request actually benefits from.
 
-    ``n_workers == 1`` is the serial executor.  A parallel request
-    degrades to serial — with a :class:`ParallelFallbackWarning`, at
-    most once per process — when only one CPU is visible to this
-    process (pool overhead with zero parallelism) or when ``n_tones``
-    (if given) cannot feed two workers.  Otherwise the pool is capped
-    at the visible CPU count.
+    ``n_workers == 1`` is the serial executor, warm-starting from
+    ``cache`` (pool workers settle cold, so the pool ignores it).  A
+    parallel request degrades to serial — with a
+    :class:`ParallelFallbackWarning`, at most once per process — when
+    only one CPU is visible to this process (pool overhead with zero
+    parallelism) or when ``n_tones`` (if given) cannot feed two
+    workers.  Otherwise the pool is capped at the visible CPU count.
 
     Setting the ``REPRO_NUM_WORKERS`` environment variable overrides
     ``n_workers`` for every call in the process: CI runners pin it to
@@ -401,7 +362,7 @@ def executor_for(
     if override is not None:
         n_workers = override
     if n_workers == 1:
-        return SerialSweepExecutor()
+        return SerialSweepExecutor(cache)
     visible = _visible_cpu_count()
     if visible <= 1:
         _warn_fallback(
@@ -409,11 +370,11 @@ def executor_for(
             "1 CPU is visible to this process; running serially instead "
             "(process-pool overhead would make the sweep slower)"
         )
-        return SerialSweepExecutor()
+        return SerialSweepExecutor(cache)
     if n_tones is not None and n_tones < 2:
         _warn_fallback(
             f"parallel sweep requested (n_workers={n_workers}) for "
             f"{n_tones} tone(s); running serially instead"
         )
-        return SerialSweepExecutor()
+        return SerialSweepExecutor(cache)
     return ProcessPoolSweepExecutor(min(n_workers, visible))

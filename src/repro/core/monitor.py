@@ -206,16 +206,19 @@ class TransferFunctionMonitor:
 
         Tones are independent (each builds or warm-restores its own
         simulator), so the monitor decides per tone where its outcome
-        comes from.  A tone ``measurement_cache`` holds is answered from
-        it: the finished measurement re-stamped with a warm
+        comes from.  It first looks every tone up in
+        ``measurement_cache`` once (these lookups are the only ones its
+        hit/miss counters see); a hit is answered from it: the finished
+        measurement re-stamped with a warm
         :class:`~repro.core.sequencer.ToneTiming`, or the cached
         :class:`~repro.errors.MeasurementError` text as a failed tone.
-        Only the misses run, on :func:`~repro.core.executor.executor_for`
-        ``(n_workers)`` — the serial loop, or a batched process pool
-        (degrading to serial, with a
-        :class:`~repro.core.executor.ParallelFallbackWarning`, when only
-        one CPU is visible) — and every outcome they produce is
-        published back to ``measurement_cache``.  Results are identical
+        Only the misses run — under ``"auto"`` the farm first, then
+        whatever it could not answer on
+        :func:`~repro.core.executor.executor_for` ``(n_workers)``: the
+        serial loop, or a batched process pool (degrading to serial,
+        with a :class:`~repro.core.executor.ParallelFallbackWarning`,
+        when only one CPU is visible) — and every outcome they produce
+        is published back to ``measurement_cache``.  Results are identical
         — bit for bit — whichever way a tone is answered; only the wall
         time changes.
 
@@ -223,14 +226,15 @@ class TransferFunctionMonitor:
         :attr:`lock_cache` serves repeated tones warm.
 
         ``engine`` selects how the tones are simulated: ``"auto"``
-        (default) first runs every cacheable tone of the plan through
-        the settle farm's per-lane kernel
+        (default) first runs every cacheable tone the cache did not
+        answer through the settle farm's per-lane kernel
         (:func:`repro.pll.lot.premeasure_lot`), which warms
         :attr:`lock_cache` and publishes finished measurements (or
         failures) to ``measurement_cache`` — a private one when the
-        caller passes none — whatever ``n_workers`` is.  ``"scalar"``
-        runs each tone's settle inside its own event loop: the
-        reference.  Counted results are bit-identical on both engines
+        caller passes none — whatever ``n_workers`` is; the monitor
+        reads those publications back without counting them.
+        ``"scalar"`` runs each tone's settle inside its own event loop:
+        the reference.  Counted results are bit-identical on both engines
         (the farm's snapshot guarantee).
 
         ``measurement_cache`` optionally shares *finished* stage 1–4
@@ -260,19 +264,10 @@ class TransferFunctionMonitor:
             reference no magnitude can be computed at all.
         """
         freqs = plan.frequencies_hz
+        auto = validate_engine(engine) == "auto"
         dedup = measurement_cache
-        if validate_engine(engine) == "auto":
-            # Imported lazily: repro.pll.lot pulls in the NumPy settle
-            # farm, which scalar-only callers never need.
-            from repro.pll.lot import premeasure_lot
-
-            if dedup is None:
-                dedup = ToneMeasurementCache()
-            premeasure_lot(
-                [(self.pll, self.stimulus, self.config, freqs)],
-                self.lock_cache,
-                dedup,
-            )
+        if dedup is None and auto:
+            dedup = ToneMeasurementCache()
         keys = [
             None if dedup is None
             else measurement_cache_key(self.pll, self.stimulus,
@@ -280,8 +275,9 @@ class TransferFunctionMonitor:
             for f_mod in freqs
         ]
         outcomes: List[Optional[ToneOutcome]] = [None] * len(freqs)
-        for index, key in enumerate(keys):
-            hit = dedup.get(key) if key is not None else None
+
+        def answer(index: int, lookup) -> None:
+            hit = lookup(keys[index]) if keys[index] is not None else None
             if isinstance(hit, str):
                 outcomes[index] = ToneOutcome(f_mod=freqs[index], error=hit)
             elif hit is not None:
@@ -291,6 +287,26 @@ class TransferFunctionMonitor:
                         hit, timing=ToneTiming(0.0, 0.0, 0.0, warm=True)
                     ),
                 )
+
+        # One counted lookup per tone: a hit is a tone an earlier sweep
+        # measured, never one this sweep's farm pass publishes below.
+        if dedup is not None:
+            for index in range(len(freqs)):
+                answer(index, dedup.get)
+        if auto:
+            # Imported lazily: repro.pll.lot pulls in the NumPy settle
+            # farm, which scalar-only callers never need.
+            from repro.pll.lot import premeasure_lot
+
+            unanswered = [i for i, out in enumerate(outcomes) if out is None]
+            premeasure_lot(
+                [(self.pll, self.stimulus, self.config,
+                  [freqs[index] for index in unanswered])],
+                self.lock_cache,
+                dedup,
+            )
+            for index in unanswered:
+                answer(index, dedup.peek)
         released = 0
 
         def release() -> None:
@@ -315,12 +331,13 @@ class TransferFunctionMonitor:
 
         release()
         if misses:
-            executor_for(n_workers, n_tones=len(misses)).run_tones(
+            executor_for(
+                n_workers, n_tones=len(misses), cache=self.lock_cache
+            ).run_tones(
                 self.pll,
                 self.stimulus,
                 self.config,
                 [freqs[index] for index in misses],
-                cache=self.lock_cache,
                 on_outcome=collect,
             )
         return self.evaluate_outcomes(plan, outcomes)

@@ -25,22 +25,21 @@ fault, restores the first die's state.  The bound keeps long screening
 campaigns from growing memory without limit.
 
 :meth:`BoundedCache.export` and :meth:`BoundedCache.merge` move entries
-across process boundaries: both process pools — the tone pool and the
-lot pool — ship through :func:`warm_shipment` on the sending side and
-:func:`run_with_shipment` in the worker, with
-:func:`adopt_worker_return` folding the worker's discoveries and lookup
-counts back into the parent cache.
+across process boundaries: the lot pool ships through
+:func:`warm_shipment` on the sending side and :func:`run_with_shipment`
+in the worker, with :func:`adopt_worker_return` folding the worker's
+discoveries and lookup counts back into the parent cache.
 
-:meth:`LockStateCache.save` and :meth:`LockStateCache.load` extend the
+:meth:`BoundedCache.save` and :meth:`BoundedCache.load` extend the
 export/merge story across process *lifetimes*: a long-lived service
-spills its settled states to disk between lots and reloads them on the
-next start, so the first job of a new session runs as warm as the last
-job of the previous one.  The on-disk format is versioned and carries a
-SHA-256 of its entries; a file that fails it or cannot be decoded
-raises :class:`~repro.errors.CachePersistenceError`, while a stale
-entry (wrong shape, or a key whose physics signature no longer matches
-its snapshot) is skipped, never fatal, because losing a warm start
-costs one re-settle while crashing costs the whole session.
+spills its finished measurements to disk between lots and reloads them
+on the next start, so the first job of a new session runs as warm as
+the last job of the previous one.  The on-disk format is versioned and
+carries a SHA-256 of its entries; a file that fails it or cannot be
+decoded raises :class:`~repro.errors.CachePersistenceError`, while an
+entry the loading tier does not admit (:meth:`BoundedCache._admits`) is
+skipped, never fatal, because losing a warm start costs one re-measure
+while crashing costs the whole session.
 """
 
 from __future__ import annotations
@@ -86,25 +85,6 @@ CACHE_FORMAT_VERSION = 2
 _PICKLE_PROTOCOL = 4
 
 
-def _entry_is_stale(key: object, snap: object) -> bool:
-    """Whether a persisted ``(key, snapshot)`` pair should be skipped.
-
-    A healthy entry is a non-empty tuple key whose first element is the
-    PLL physics signature, paired with a :class:`SimulatorSnapshot`
-    carrying the *same* signature.  Anything else — a foreign object
-    smuggled into the file, a key/snapshot pair that drifted apart when
-    the signature scheme changed — is stale: serving it warm could
-    restore the wrong physics, so it is dropped at the door.
-    """
-    if not isinstance(snap, SimulatorSnapshot):
-        return True
-    if not isinstance(key, tuple) or not key:
-        return True
-    if snap.pll_signature is not None and key[0] != snap.pll_signature:
-        return True
-    return False
-
-
 class BoundedCache:
     """Bounded LRU map of values that are pure functions of their keys.
 
@@ -112,9 +92,16 @@ class BoundedCache:
     ----------
     max_entries:
         Capacity; least-recently-used entries are evicted beyond it.
+        ``None`` takes the class's :attr:`DEFAULT_MAX_ENTRIES`.
     """
 
-    def __init__(self, max_entries: int) -> None:
+    #: Capacity of a cache built without one, and of a cache loaded
+    #: from a spill whose persisted capacity is malformed.
+    DEFAULT_MAX_ENTRIES = 256
+
+    def __init__(self, max_entries: Optional[int] = None) -> None:
+        if max_entries is None:
+            max_entries = self.DEFAULT_MAX_ENTRIES
         if max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be >= 1, got {max_entries!r}"
@@ -125,6 +112,8 @@ class BoundedCache:
         self._misses = 0
         self._evictions = 0
         self._merged = 0
+        #: Entries :meth:`load` refused when it built this cache.
+        self.stale_entries_skipped = 0
 
     def __len__(self) -> int:
         return len(self._store)
@@ -227,39 +216,10 @@ class BoundedCache:
             "capacity": self.max_entries,
         }
 
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(entries={len(self._store)}"
-            f"/{self.max_entries}, hits={self._hits}, "
-            f"misses={self._misses}, evictions={self._evictions}, "
-            f"merged={self._merged})"
-        )
-
-
-class LockStateCache(BoundedCache):
-    """Bounded LRU cache of settled-loop snapshots.
-
-    Keys are hashable tuples built by the sequencer from everything
-    that determines the settled state: the PLL physics signature, the
-    stimulus parameters (nominal frequency, deviation, tone frequency),
-    the settle duration and the recording level.  Values are
-    :class:`~repro.pll.simulator.SimulatorSnapshot` records captured at
-    the end of stage (0).
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        super().__init__(max_entries)
-        #: Stale entries dropped by the most recent :meth:`load` that
-        #: built this cache (0 for caches never loaded from disk).
-        self.stale_entries_skipped = 0
-        #: Digest left behind by :func:`repro.pll.lot.premeasure_lot`
-        #: (a :class:`~repro.pll.lot.LotPresettleStats`) so callers that
-        #: only hold the cache can report what the settle farm did.
-        self.presettle_stats = None
-
-    # Bound in this class's own namespace: perfbench's tracer wraps
-    # ``merge`` through ``LockStateCache.__dict__``.
-    merge = BoundedCache.merge
+    @staticmethod
+    def _admits(key: Hashable, value: object) -> bool:
+        """Whether :meth:`load` adopts a persisted pair (a tier narrows it)."""
+        return True
 
     def save(self, path: Union[str, "os.PathLike[str]"]) -> int:
         """Persist the cache contents to ``path``; return the entry count.
@@ -273,7 +233,7 @@ class LockStateCache(BoundedCache):
         file intact rather than a truncated one.
 
         Counters (hits/misses/evictions/merged) are *not* persisted —
-        they describe this process's history, not the settled states.
+        they describe this process's history, not the cached values.
         """
         # Lazy import: hashlib loads OpenSSL, which only a spilling or
         # reloading process needs.
@@ -316,7 +276,7 @@ class LockStateCache(BoundedCache):
         cls,
         path: Union[str, "os.PathLike[str]"],
         max_entries: Optional[int] = None,
-    ) -> "LockStateCache":
+    ) -> "BoundedCache":
         """Rebuild a cache from a file written by :meth:`save`.
 
         ``max_entries`` overrides the persisted capacity (e.g. a service
@@ -324,20 +284,21 @@ class LockStateCache(BoundedCache):
         loaded cache reproduces the saved one — same capacity, same
         entries in the same recency order — so a load/save round trip is
         byte-identical.  A malformed persisted capacity (zero, negative,
-        a bool, or any non-int) falls back to the constructor default
-        rather than raising: only an unreadable *file* is fatal.
+        a bool, or any non-int) falls back to the class's
+        :attr:`DEFAULT_MAX_ENTRIES` rather than raising: only an
+        unreadable *file* is fatal.
 
         Raises
         ------
         CachePersistenceError
-            If the file cannot be read or decoded, is not a lock-state
+            If the file cannot be read or decoded, is not a persisted
             cache, fails its entries' SHA-256, or was written by a newer
             format version.  *Entries* inside a valid file are
-            individually guarded instead: any stale pair (wrong shape,
-            or a physics signature that disagrees with its snapshot) is
-            skipped — recorded in :attr:`stale_entries_skipped` — never
-            raised, because a lost warm start costs one re-settle while
-            a crash costs the session.
+            individually guarded instead: any pair this tier does not
+            :meth:`_admits` is skipped — recorded in
+            :attr:`stale_entries_skipped` — never raised, because a lost
+            warm start costs one re-measure while a crash costs the
+            session.
         """
         path = os.fspath(path)
         try:
@@ -347,17 +308,17 @@ class LockStateCache(BoundedCache):
             good = [
                 entry for entry in entries
                 if isinstance(entry, tuple) and len(entry) == 2
-                and not _entry_is_stale(*entry)
+                and cls._admits(*entry)
             ]
         except FileNotFoundError as exc:
             raise CachePersistenceError(
-                f"no persisted lock-state cache at {path!r}"
+                f"no persisted warm cache at {path!r}"
             ) from exc
         except CachePersistenceError:
             raise
         except Exception as exc:  # noqa: BLE001 - corruption fails any way
             raise CachePersistenceError(
-                f"cannot read {path!r} as a lock-state cache: {exc}"
+                f"cannot read {path!r} as a warm cache: {exc}"
             ) from exc
         capacity = max_entries
         if capacity is None:
@@ -366,19 +327,25 @@ class LockStateCache(BoundedCache):
             # bool (an int subclass!) would blow up the constructor with
             # a ConfigurationError — the wrong exception for a load, and
             # a startup crash for any service adopting the spill.  Fall
-            # back to the constructor default instead; a wrong capacity
-            # costs early evictions, never availability.
+            # back to the class default instead; a wrong capacity costs
+            # early evictions, never availability.
             if (isinstance(persisted, int)
                     and not isinstance(persisted, bool)
                     and persisted >= 1):
                 capacity = persisted
-            else:
-                capacity = 256
         cache = cls(max_entries=capacity)
-        for key, snap in good:
-            cache.put(key, snap)
+        for key, value in good:
+            cache.put(key, value)
         cache.stale_entries_skipped = len(entries) - len(good)
         return cache
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(entries={len(self._store)}"
+            f"/{self.max_entries}, hits={self._hits}, "
+            f"misses={self._misses}, evictions={self._evictions}, "
+            f"merged={self._merged})"
+        )
 
 
 def _decode_payload(payload: object, path: str) -> Tuple[object, tuple]:
@@ -391,7 +358,7 @@ def _decode_payload(payload: object, path: str) -> Tuple[object, tuple]:
         payload.get("format") != CACHE_FORMAT_MAGIC
     ):
         raise CachePersistenceError(
-            f"{path!r} is not a persisted lock-state cache"
+            f"{path!r} is not a persisted warm cache"
         )
     version = payload.get("version")
     if not isinstance(version, int) or version < 1:
@@ -406,7 +373,7 @@ def _decode_payload(payload: object, path: str) -> Tuple[object, tuple]:
         )
     entries = payload.get("entries", ())
     if version >= 2:
-        import hashlib  # lazy, as in :meth:`LockStateCache.save`
+        import hashlib  # lazy, as in :meth:`BoundedCache.save`
 
         if not isinstance(entries, bytes) or (
             hashlib.sha256(entries).hexdigest() != payload.get("sha256")
@@ -422,6 +389,42 @@ def _decode_payload(payload: object, path: str) -> Tuple[object, tuple]:
     return payload.get("max_entries"), entries
 
 
+class LockStateCache(BoundedCache):
+    """Bounded LRU cache of settled-loop snapshots.
+
+    Keys are hashable tuples built by the sequencer from everything
+    that determines the settled state: the PLL physics signature, the
+    stimulus parameters (nominal frequency, deviation, tone frequency),
+    the settle duration and the recording level.  Values are
+    :class:`~repro.pll.simulator.SimulatorSnapshot` records captured at
+    the end of stage (0).
+    """
+
+    def __init__(self, max_entries: Optional[int] = None) -> None:
+        super().__init__(max_entries)
+        #: Digest left behind by :func:`repro.pll.lot.premeasure_lot`
+        #: (a :class:`~repro.pll.lot.LotPresettleStats`) so callers that
+        #: only hold the cache can report what the settle farm did.
+        self.presettle_stats = None
+
+    # Bound in this class's own namespace: perfbench's tracer wraps
+    # ``save`` and ``merge`` through ``LockStateCache.__dict__``.
+    save = BoundedCache.save
+    merge = BoundedCache.merge
+
+    @staticmethod
+    def _admits(key: Hashable, value: object) -> bool:
+        """A snapshot under a tuple key that leads with its signature.
+
+        Anything else could restore the wrong physics.
+        """
+        if not isinstance(value, SimulatorSnapshot):
+            return False
+        if not isinstance(key, tuple) or not key:
+            return False
+        return value.pll_signature is None or key[0] == value.pll_signature
+
+
 class ToneMeasurementCache(BoundedCache):
     """Bounded LRU cache of finished stage 1–4 tone outcomes.
 
@@ -435,7 +438,10 @@ class ToneMeasurementCache(BoundedCache):
     depend on what the simulator records along the way).  So when a lot
     contains behaviourally identical dies, the first die measures each
     tone and the other seven reuse the finished
-    :class:`~repro.core.sequencer.ToneMeasurement` verbatim.
+    :class:`~repro.core.sequencer.ToneMeasurement` verbatim, and a
+    sweep-job service answers a repeated job's tones — in a later
+    session too, through :meth:`save`/:meth:`load` — without
+    re-simulating anything.
 
     A value is either that measurement or, for a tone whose stages 1–4
     raise :class:`~repro.errors.MeasurementError` (a starved peak
@@ -449,18 +455,25 @@ class ToneMeasurementCache(BoundedCache):
     stays honest; ``timing`` is excluded from measurement equality and
     from reports, so a warm report stays byte-identical to cold.
 
-    Values are stored as opaque objects to keep this module free of a
-    sequencer import; :meth:`~repro.core.monitor.TransferFunctionMonitor.run`
-    owns the semantics (and the farm's
-    :func:`~repro.pll.lot.premeasure_lot` fills it).
+    :meth:`~repro.core.monitor.TransferFunctionMonitor.run` owns the
+    semantics (and the farm's :func:`~repro.pll.lot.premeasure_lot`
+    fills it).
     """
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        super().__init__(max_entries)
+    DEFAULT_MAX_ENTRIES = 1024
+
+    @staticmethod
+    def _admits(key: Hashable, value: object) -> bool:
+        """A measurement or an error text under a non-empty tuple key."""
+        # Lazy import: the sequencer imports this module.
+        from repro.core.sequencer import ToneMeasurement
+
+        return (isinstance(key, tuple) and bool(key)
+                and isinstance(value, (ToneMeasurement, str)))
 
 
 # ----------------------------------------------------------------------
-# shipping warm entries to pool workers
+# shipping warm entries to lot-pool workers
 # ----------------------------------------------------------------------
 #: What a pool worker hands back about its local lock-state cache: the
 #: settled states it discovered beyond the shipment, and its
@@ -475,11 +488,11 @@ def warm_shipment(
 
     ``cache`` is a :class:`LockStateCache` or a
     :class:`ToneMeasurementCache` (``None`` ships nothing and returns
-    ``None``).  A shared cache holds every physics family a lot or a
-    service has touched, but a worker can only use entries of its own
-    devices' families, so the export is filtered to their physics
-    signatures — the pickled payload stays proportional to the worker's
-    share, not to the cache's history.  Every lookup key leads with the
+    ``None``).  A shared cache holds every physics family a lot has
+    touched, but a worker can only use entries of its own devices'
+    families, so the export is filtered to their physics signatures —
+    the pickled payload stays proportional to the worker's share, not
+    to the cache's history.  Every lookup key leads with the
     signature of the device doing the lookup, so an entry ships when
     ``key[0]`` is one of the workers' signatures.  A device whose
     signature cannot be computed ships everything.

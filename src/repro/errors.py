@@ -84,13 +84,14 @@ class FaultInjectionError(ReproError, ValueError):
 
 
 class CachePersistenceError(ReproError, RuntimeError):
-    """A persisted lock-state cache file could not be read as a cache.
+    """A persisted warm-cache file could not be read as a cache.
 
-    Raised by :meth:`repro.core.warm.LockStateCache.load` when the file
-    is missing, truncated, not a cache at all, or written by a *newer*
-    format version than this library understands.  Individually stale
-    entries inside an otherwise valid file are *skipped*, not raised —
-    losing a warm start costs a re-settle, never a crash.
+    Raised by :meth:`repro.core.warm.BoundedCache.load` (the lock-state
+    and measurement tiers alike) when the file is missing, truncated,
+    not a cache at all, fails its SHA-256, or was written by a *newer*
+    format version than this library understands.  Individual entries
+    the loading tier does not admit are *skipped*, not raised — losing
+    a warm start costs a re-measure, never a crash.
     """
 
 

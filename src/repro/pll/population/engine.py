@@ -10,12 +10,11 @@ LRU-bounded, outcomes live only for their chunk, and the aggregate is
 O(sketch bins).
 
 **Chunk sizing** follows the warm-cache dedup structure: each die's
-sweep settles ``points`` tone lanes plus a nominal-lock baseline, so
-the default chunk holds as many dies as keep one chunk's settle lanes
-inside the cache capacity (same-physics families — duplicate sampled
-dies, repeated faults on one base die — then land in the same chunk and
-actually share their settled states instead of being evicted between
-chunks).
+sweep settles ``points`` tone lanes, so the default chunk holds as many
+dies as keep one chunk's settle lanes inside the cache capacity
+(same-physics families — duplicate sampled dies, repeated faults on one
+base die — then land in the same chunk and actually share their settled
+states instead of being evicted between chunks).
 
 **Determinism**: sampling is index-addressed, chunks group dies by
 physics signature only for execution (outcomes are re-ordered back to
@@ -106,15 +105,14 @@ def resolve_chunk_size(
 ) -> int:
     """Chunk size from the warm-cache dedup structure.
 
-    One die's sweep creates ``points`` tone-settle lanes plus one
-    nominal-lock entry; the chunk is sized so a whole chunk's lanes fit
-    the cache without evicting each other (bounded at 256 dies so a
-    huge cache cannot make chunks — and their peak outcome memory —
-    unbounded), then rounded up to give every pool worker at least one
-    die.
+    One die's sweep creates ``points`` tone-settle lanes (no screen
+    path settles a nominal-lock baseline); the chunk is sized so a
+    whole chunk's lanes fit the cache without evicting each other
+    (bounded at 256 dies so a huge cache cannot make chunks — and their
+    peak outcome memory — unbounded), then rounded up to give every
+    pool worker at least one die.
     """
-    lanes_per_die = spec.points + 1
-    fit = max(1, cache_capacity // lanes_per_die)
+    fit = max(1, cache_capacity // spec.points)
     size = max(8, min(fit, 256))
     size = max(size, n_workers)
     return min(size, spec.size)

@@ -9,9 +9,10 @@ is that front-end:
 * :mod:`repro.service.events` — the per-job event stream (admission,
   start, every finished tone in plan order, terminal verdict).
 * :mod:`repro.service.service` — :class:`SweepJobService`: bounded
-  queue, width-1 scheduler over the sweep monitor, one shared
-  :class:`~repro.core.warm.LockStateCache` spilled to disk between
-  sessions, cancellation / per-job timeouts / stats.
+  queue, sharded scheduler over the sweep monitor, one shared
+  :class:`~repro.core.warm.ToneMeasurementCache` of finished tones
+  spilled to disk between sessions, cancellation / per-job timeouts /
+  stats.
 * :mod:`repro.service.protocol` — the JSON-lines wire protocol and the
   spec → request resolution against the Table 3 presets.
 * :mod:`repro.service.server` — the unix-socket server

@@ -22,29 +22,35 @@ Design points
   (width 1 by default); each shard drains the same fair queue and runs
   its job in its own worker thread, so N jobs progress concurrently.
   Per-job parallelism fans the tones the monitor cannot answer from
-  its measurement cache over the process pool, whose workers merge
-  their discoveries back through the existing export/merge seam — a
-  2-shard service running 2-worker scalar jobs keeps four cores busy.
+  its measurement cache over the process pool — a 2-shard service
+  running 2-worker scalar jobs keeps four cores busy.
 * **Fair dispatch.**  Pending jobs are drained round-robin across
   client ids within each priority class (higher
   :attr:`~repro.service.jobs.SweepJobRequest.priority` classes first),
   so one client flooding the queue delays only its own jobs — the
   next distinct client's job is at most one round-robin turn away.
-* **Shard-safe warm tier.**  Each shard settles into its *own* hot
-  :class:`~repro.core.warm.LockStateCache` (single writer, exactly the
-  width-1 guarantee, now per shard) and the service anti-entropies at
-  job boundaries: the shared tier's entries are merged into the
-  shard's hot cache before a job starts, and the shard's discoveries
-  are merged back after it finishes.  The PR 3 merge semantics —
-  existing entries win, idempotent — make the order irrelevant: every
-  shard converges on the union of all settled states.
+* **Finished tones are the warm tier.**  A tone's measurement (or its
+  :class:`~repro.errors.MeasurementError` text) is a pure function of
+  (physics, stimulus, tone, config), and it is all a later job needs
+  from an earlier one, so the service keeps
+  :class:`~repro.core.warm.ToneMeasurementCache` entries, never settled
+  snapshots: each job settles into its monitor's private lock-state
+  cache, which dies with the job.
+* **Shard-safe warm tier.**  Each shard measures into its *own* hot
+  measurement cache (single writer, exactly the width-1 guarantee, now
+  per shard) and the service anti-entropies at job boundaries: the
+  shared tier's entries are merged into the shard's hot cache before a
+  job starts, and the shard's new measurements are merged back after it
+  finishes.  Merging keeps existing entries and is idempotent, so the
+  order is irrelevant: every shard converges on the union of all
+  finished tones.
 * **One shared tier across all jobs, persistent across sessions.**
   The shared cache is keyed by
   :meth:`~repro.pll.config.ChargePumpPLL.physics_signature`, so repeated
   lots and fault-library screens warm each other across shards; with a
   ``cache_path`` it is reloaded at start and spilled back to disk after
   every finished job and at shutdown
-  (:meth:`~repro.core.warm.LockStateCache.save`).
+  (:meth:`~repro.core.warm.BoundedCache.save`).
 * **Plan-order streaming.**  The monitor releases each job's tones in
   plan order whichever way they were measured (pool chunks complete
   out of order), and the service emits each tone event as it arrives,
@@ -66,7 +72,7 @@ from repro.core.evaluation import magnitude_db_eq7
 from repro.core.executor import SweepAborted, ToneOutcome
 from repro.core.monitor import TransferFunctionMonitor
 from repro.core.sequencer import ToneMeasurement
-from repro.core.warm import LockStateCache
+from repro.core.warm import ToneMeasurementCache
 from repro.errors import (
     CachePersistenceError,
     JobQueueFullError,
@@ -110,18 +116,14 @@ class SweepJobService:
         beyond it raise :class:`~repro.errors.JobQueueFullError` —
         back-pressure is explicit.  Cancelling a pending job frees its
         slot immediately.
-    cache:
-        Externally owned warm cache to serve jobs from; ``None`` builds
-        a private one (reloaded from ``cache_path`` when that file
-        exists).
     cache_path:
-        Disk spill location.  Loaded at construction (stale entries are
+        Disk spill location of the shared measurement cache.  Loaded at
+        construction (entries that are not finished measurements are
         skipped, an unreadable file starts cold), saved after every
-        finished job and at :meth:`stop`, so warm state survives service
-        restarts between lots.
+        finished job and at :meth:`stop`, so finished tones survive
+        service restarts between lots.
     cache_max_entries:
-        Capacity of the service-built cache (ignored when ``cache`` is
-        given).
+        Capacity of the shared cache and of every shard's hot cache.
     max_finished_jobs:
         How many *terminal* jobs (and their event histories) the service
         retains for late watchers and status listings.  Older finished
@@ -131,7 +133,7 @@ class SweepJobService:
         retained ones.
     shards:
         Scheduler width: how many jobs run concurrently, each in its
-        own worker thread with its own hot lock-state cache
+        own worker thread with its own hot measurement cache
         (anti-entropied into the shared tier at job boundaries).  The
         default keeps the historical width-1 behaviour.
 
@@ -148,7 +150,6 @@ class SweepJobService:
     def __init__(
         self,
         queue_limit: int = 16,
-        cache: Optional[LockStateCache] = None,
         cache_path: Optional[Union[str, os.PathLike]] = None,
         cache_max_entries: int = 1024,
         max_finished_jobs: int = 64,
@@ -168,19 +169,14 @@ class SweepJobService:
         self.max_finished_jobs = max_finished_jobs
         self.shards = shards
         self.cache_path = cache_path
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = self._load_or_new_cache(
-                cache_path, cache_max_entries
-            )
+        self.cache = self._load_or_new_cache(cache_path, cache_max_entries)
         # Per-shard hot caches: each has exactly one writer (its
         # shard's worker thread, while that shard runs a job), and the
         # loop thread only touches them at job boundaries, where the
         # shard is idle.  The shared ``self.cache`` is the persisted
         # tier; only the loop thread ever reads or writes it.
-        self._worker_caches: List[LockStateCache] = [
-            LockStateCache(max_entries=self.cache.max_entries)
+        self._worker_caches: List[ToneMeasurementCache] = [
+            ToneMeasurementCache(max_entries=self.cache.max_entries)
             for _ in range(shards)
         ]
         self._jobs: Dict[str, SweepJob] = {}
@@ -217,18 +213,22 @@ class SweepJobService:
     @staticmethod
     def _load_or_new_cache(
         cache_path, max_entries: int
-    ) -> LockStateCache:
+    ) -> ToneMeasurementCache:
         """Reload the spilled cache, or start cold on any trouble.
 
         An unreadable spill (truncated write on a crashed host, a file
-        from a newer library) costs warm starts, never availability.
+        from a newer library) costs warm starts, never availability; a
+        snapshot spill an older release left behind loads with every
+        entry skipped.
         """
         if cache_path is None:
-            return LockStateCache(max_entries=max_entries)
+            return ToneMeasurementCache(max_entries=max_entries)
         try:
-            return LockStateCache.load(cache_path, max_entries=max_entries)
+            return ToneMeasurementCache.load(
+                cache_path, max_entries=max_entries
+            )
         except CachePersistenceError:
-            return LockStateCache(max_entries=max_entries)
+            return ToneMeasurementCache(max_entries=max_entries)
 
     async def start(self) -> None:
         """Bind to the running loop and start the scheduler shards."""
@@ -270,8 +270,8 @@ class SweepJobService:
         Pending jobs are cancelled (their slots freed, their watchers
         get a terminal event); running jobs are aborted at their next
         tone boundary.  With ``save_cache`` (default) and a configured
-        ``cache_path``, the warm cache spills to disk last, so the next
-        session's first job starts warm.
+        ``cache_path``, the measurement cache spills to disk last, so the
+        next session's first job starts warm.
         """
         if not self._scheduler_tasks:
             return
@@ -460,12 +460,12 @@ class SweepJobService:
     def stats(self) -> dict:
         """``/status``-style snapshot: queue, throughput, cache health.
 
-        The ``cache`` block aggregates the tierset: ``entries`` /
-        ``capacity`` / ``merged`` describe the shared persisted tier,
+        The ``cache`` block aggregates the measurement tier: ``entries``
+        / ``capacity`` / ``merged`` describe the shared persisted cache,
         while ``hits`` / ``misses`` / ``evictions`` also sum the
-        per-shard hot caches — jobs look up through their shard's hot
-        cache, so that is where the traffic lands.  At ``shards=1``
-        the numbers match the historical single-cache service exactly.
+        per-shard hot caches — each job looks every tone up once in its
+        shard's hot cache, so that is where the traffic lands.  A hit is
+        a tone some earlier job (or session) measured.
         """
         detail = self.cache.stats_detail
         for worker_cache in self._worker_caches:
@@ -606,8 +606,8 @@ class SweepJobService:
             "timeout_s": request.timeout_s,
             "shard": shard,
         })
-        # Anti-entropy, pull half: adopt the shared tier's settled
-        # states before the worker thread starts.  The shard is idle
+        # Anti-entropy, pull half: adopt the shared tier's finished
+        # tones before the worker thread starts.  The shard is idle
         # right now, so the loop thread is the hot cache's only toucher.
         worker_cache = self._worker_caches[shard]
         worker_cache.merge(self.cache.export())
@@ -672,16 +672,14 @@ class SweepJobService:
 
         def measure():
             monitor = TransferFunctionMonitor(
-                request.pll,
-                request.stimulus,
-                request.config,
-                cache=worker_cache,
+                request.pll, request.stimulus, request.config
             )
             return monitor.run(
                 request.plan,
                 n_workers=request.n_workers,
                 on_outcome=on_outcome,
                 engine=request.engine,
+                measurement_cache=worker_cache,
             )
 
         try:
@@ -726,19 +724,19 @@ class SweepJobService:
         finally:
             if timeout_handle is not None:
                 timeout_handle.cancel()
-            # Anti-entropy, push half: fold the shard's discoveries into
+            # Anti-entropy, push half: fold the shard's new tones into
             # the shared tier (existing entries win, so concurrent
-            # shards that settled the same lane converge on one state).
+            # shards that measured the same tone converge on one entry).
             # The job's worker thread is done — back to one toucher.
             self.cache.merge(worker_cache.export())
             if self.cache_path is not None:
-                # Spill after every job: a few hundred bytes per settled
-                # state buys the next session a warm first lot even if
+                # Spill after every job: a few hundred bytes per finished
+                # tone buys the next session a warm first lot even if
                 # this process dies before a clean stop().
                 try:
                     self.cache.save(self.cache_path)
                 except Exception:  # noqa: BLE001 - opportunistic spill
-                    # Disk trouble, an unpicklable snapshot — whatever
+                    # Disk trouble, an unpicklable entry — whatever
                     # went wrong, a failed spill costs warm restarts,
                     # never the scheduler loop.  stop()'s final save
                     # still reports persistence errors loudly.

@@ -533,13 +533,31 @@ class TestMeasurementDedup:
         warm = TransferFunctionMonitor(
             replace(pll, name="twin"), stimulus, fast_bist_config
         ).run(plan, engine="auto", measurement_cache=dedup)
-        # The first sweep's farm measures and publishes every tone, so
-        # both sweeps answer every tone from the cache.
-        assert dedup.stats == (2 * len(TONES), 0)
+        # The first sweep misses every tone and its farm measures them;
+        # the twin answers every tone from what the first published.
+        assert dedup.stats == (len(TONES), len(TONES))
         assert warm.measurements == cold.measurements
         assert list(warm.response.magnitude_db) == list(
             cold.response.magnitude_db
         )
+
+    def test_twin_auto_sweep_runs_no_farm_lane(self, fast_bist_config):
+        from repro.core.warm import ToneMeasurementCache
+
+        pll = paper_pll()
+        stimulus = paper_stimulus("multitone")
+        plan = SweepPlan(TONES)
+        dedup = ToneMeasurementCache()
+        first = TransferFunctionMonitor(pll, stimulus, fast_bist_config)
+        first.run(plan, engine="auto", measurement_cache=dedup)
+        assert first.lock_cache.presettle_stats.unique == len(TONES)
+        twin = TransferFunctionMonitor(
+            replace(pll, name="twin"), stimulus, fast_bist_config
+        )
+        twin.run(plan, engine="auto", measurement_cache=dedup)
+        # The cache answers every tone before the farm plans a lane.
+        assert twin.lock_cache.presettle_stats.unique == 0
+        assert len(twin.lock_cache) == 0
 
 
 class TestWarmEntryShippingFilter:

@@ -16,7 +16,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core import (
-    LockStateCache,
     ParallelFallbackWarning,
     ProcessPoolSweepExecutor,
     SerialSweepExecutor,
@@ -315,38 +314,20 @@ class TestMonitorMeasurementTier:
 
 class TestPooledWarmCache:
     """Pickled pool returns carry everything a serial run produces —
-    measurements, timing, warm flags — and the workers' cache lookups
-    count on the parent cache."""
+    measurements, timing, warm flags — and no warm state reaches the
+    pool: its workers settle every tone cold."""
 
-    @pytest.fixture(scope="class")
-    def pooled_pair(self, fast_bist_config):
+    def test_pickled_outcomes_match_serial_with_timing(self, fast_bist_config):
         args = (paper_pll(), paper_stimulus("multitone"), fast_bist_config,
                 PASSING_TONES)
         serial = SerialSweepExecutor().run_tones(*args)
-        cache = LockStateCache()
-        pool = ProcessPoolSweepExecutor(2)
-        cold = pool.run_tones(*args, cache=cache)
-        after_cold = cache.stats_detail
-        warm = pool.run_tones(*args, cache=cache)
-        return serial, cold, warm, after_cold, cache.stats_detail
-
-    def test_worker_lookups_fold_into_parent_counters(self, pooled_pair):
-        __, __, __, after_cold, after_warm = pooled_pair
-        # Both tones are cacheable: the cold pass misses each once, the
-        # pooled repeat restores each from the shipped entries.
-        assert after_cold["hits"] == 0
-        assert after_cold["misses"] == len(PASSING_TONES)
-        assert after_warm["hits"] == len(PASSING_TONES)
-        assert after_warm["misses"] == len(PASSING_TONES)
-
-    def test_pickled_outcomes_match_serial_with_timing(self, pooled_pair):
-        serial, cold, warm, __, __ = pooled_pair
-        expected = [o.measurement for o in serial]
-        for pooled, warm_flag in ((cold, False), (warm, True)):
-            assert [o.measurement for o in pooled] == expected
-            for outcome in pooled:
-                assert outcome.measurement.timing is not None
-                assert outcome.measurement.timing.warm is warm_flag
+        pooled = ProcessPoolSweepExecutor(2).run_tones(*args)
+        assert [o.measurement for o in pooled] == [
+            o.measurement for o in serial
+        ]
+        for outcome in pooled:
+            assert outcome.measurement.timing is not None
+            assert outcome.measurement.timing.warm is False
 
 
 class TestBatchDeviceReports:

@@ -411,11 +411,17 @@ class TestScreenPopulation:
     def test_chunk_size_from_cache_structure(self):
         spec = PopulationSpec(**self.SPEC)
         assert resolve_chunk_size(spec, cache_capacity=4096) == min(
-            max(8, 4096 // 6), 256, spec.size
+            max(8, 4096 // spec.points), 256, spec.size
         )
         assert resolve_chunk_size(spec, cache_capacity=12) == spec.size
         wide = PopulationSpec(**{**self.SPEC, "size": 4096})
         assert resolve_chunk_size(wide, cache_capacity=10 ** 9) == 256
+
+    def test_chunk_size_counts_only_tone_lanes(self):
+        # A die's screen settles one lane per tone and no nominal-lock
+        # baseline, so 90 entries hold 10 nine-tone dies, not 9.
+        spec = PopulationSpec(corner="table3", size=64, seed=1, points=9)
+        assert resolve_chunk_size(spec, cache_capacity=90) == 10
 
     def test_byte_identical_across_runs_and_chunk_sizes(self, tmp_path):
         spec = PopulationSpec(**self.SPEC)

@@ -149,6 +149,25 @@ class TestWarmAcrossJobs:
             e.payload["warm"] for e in events if e.kind == EVENT_TONE
         )
 
+    def test_auto_pair_counts_only_earlier_jobs_as_hits(
+        self, fast_bist_config
+    ):
+        # Under auto the first job's farm measures every tone; only the
+        # second job's lookups find tones an earlier job measured.
+        async def scenario():
+            service = SweepJobService()
+            await service.start()
+            try:
+                rates = []
+                for _ in range(2):
+                    await run_to_end(service, request(fast_bist_config))
+                    rates.append(service.stats()["cache"]["hit_rate"])
+                return rates
+            finally:
+                await service.stop()
+
+        assert run(scenario()) == [0.0, 0.5]
+
     def test_warmth_survives_service_restart(
         self, fast_bist_config, tmp_path
     ):

@@ -1,4 +1,4 @@
-"""Disk persistence of the warm lock-state cache.
+"""Disk persistence of the warm caches (lock states and measurements).
 
 The contract under test: ``save → load`` reproduces the cache exactly
 (entries, recency order, capacity), ``save → load → save`` is
@@ -17,7 +17,11 @@ import threading
 import pytest
 
 from repro.core import LockStateCache, SweepPlan, TransferFunctionMonitor
-from repro.core.warm import CACHE_FORMAT_MAGIC, CACHE_FORMAT_VERSION
+from repro.core.warm import (
+    CACHE_FORMAT_MAGIC,
+    CACHE_FORMAT_VERSION,
+    ToneMeasurementCache,
+)
 from repro.errors import CachePersistenceError
 from repro.presets import paper_pll, paper_stimulus
 
@@ -34,6 +38,17 @@ def populated(fast_bist_config):
     )
     result = monitor.run(PLAN, engine="scalar")
     return cache, result
+
+
+@pytest.fixture(scope="module")
+def measured(fast_bist_config):
+    """A measurement cache filled by a real two-tone sweep."""
+    cache = ToneMeasurementCache(max_entries=64)
+    TransferFunctionMonitor(
+        paper_pll(), paper_stimulus("multitone"), fast_bist_config,
+    ).run(PLAN, engine="scalar", measurement_cache=cache)
+    assert len(cache) == len(PLAN.frequencies_hz)
+    return cache
 
 
 class TestRoundTrip:
@@ -180,11 +195,11 @@ class TestLoadGuards:
         assert loaded.export() == cache.export()  # entries survive
 
     def test_malformed_capacity_does_not_crash_service_start(
-        self, populated, tmp_path
+        self, measured, tmp_path
     ):
         from repro.service import SweepJobService
 
-        cache, _ = populated
+        cache = measured
         path = tmp_path / "badcap.cache"
         cache.save(path)
         payload = pickle.loads(path.read_bytes())
@@ -251,10 +266,10 @@ class TestCorruptSpill:
                 continue
             assert loaded.export() == saved, f"byte {offset} flipped"
 
-    def test_service_starts_cold_on_corrupt_spill(self, populated, tmp_path):
+    def test_service_starts_cold_on_corrupt_spill(self, measured, tmp_path):
         from repro.service import SweepJobService
 
-        cache, _ = populated
+        cache = measured
         path = tmp_path / "spill.cache"
         cache.save(path)
         data = path.read_bytes()
@@ -277,6 +292,67 @@ class TestCorruptSpill:
         loaded = LockStateCache.load(path)
         assert loaded.export() == cache.export()
         assert loaded.max_entries == cache.max_entries
+
+
+class TestMeasurementSpill:
+    """The service's persisted tier: finished tone measurements."""
+
+    def test_round_trip(self, measured, tmp_path):
+        first = tmp_path / "first.cache"
+        second = tmp_path / "second.cache"
+        assert measured.save(first) == len(measured)
+        loaded = ToneMeasurementCache.load(first)
+        assert loaded.export() == measured.export()
+        assert loaded.max_entries == measured.max_entries
+        assert loaded.stale_entries_skipped == 0
+        loaded.save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_malformed_capacity_falls_back_to_the_tier_default(
+        self, measured, tmp_path
+    ):
+        path = tmp_path / "badcap.cache"
+        measured.save(path)
+        payload = pickle.loads(path.read_bytes())
+        payload["max_entries"] = 0
+        path.write_bytes(pickle.dumps(payload))
+        loaded = ToneMeasurementCache.load(path)
+        assert loaded.max_entries == ToneMeasurementCache.DEFAULT_MAX_ENTRIES
+        assert loaded.export() == measured.export()
+
+    def test_every_truncation_loads_or_starts_the_service_cold(
+        self, measured, tmp_path
+    ):
+        from repro.service import SweepJobService
+
+        path = tmp_path / "spill.cache"
+        measured.save(path)
+        data = path.read_bytes()
+        saved = measured.export()
+        for offset in range(len(data)):
+            path.write_bytes(data[:offset])
+            try:
+                loaded = ToneMeasurementCache.load(path)
+            except CachePersistenceError:
+                expected = ()
+            else:
+                assert loaded.export() == saved, f"cut at byte {offset}"
+                expected = saved
+            service = SweepJobService(cache_path=path)
+            assert service.cache.export() == expected, f"cut at byte {offset}"
+
+    def test_snapshot_spill_skips_every_entry(self, populated, tmp_path):
+        # What an earlier release spilled at ``serve --cache``: settled
+        # snapshots, which the measurement tier cannot serve.
+        from repro.service import SweepJobService
+
+        snapshots, _ = populated
+        path = tmp_path / "snapshots.cache"
+        snapshots.save(path)
+        loaded = ToneMeasurementCache.load(path)
+        assert len(loaded) == 0
+        assert loaded.stale_entries_skipped == len(snapshots)
+        assert len(SweepJobService(cache_path=path).cache) == 0
 
 
 class TestWarmEquivalence:
