@@ -297,8 +297,7 @@ def cmd_lot(args) -> int:
     default the lot shares warm state through one
     :class:`~repro.core.LockStateCache` — each (stimulus, tone,
     device-physics) family settles once and every behaviourally
-    identical die restores it, byte-identical to a cold screen
-    (``--cold`` opts out, e.g. for timing comparisons).
+    identical die restores it, byte-identical to a cold screen.
     """
     import pathlib
     import time
@@ -324,13 +323,7 @@ def cmd_lot(args) -> int:
         )
         for i in range(args.size)
     ]
-    # The auto engine allocates a private cache internally anyway (the
-    # presettled states must be served from somewhere), so allocating
-    # it here keeps --cold semantics identical while making the farm's
-    # per-tier digest visible below.
-    cache = (
-        None if args.cold and args.engine == "scalar" else LockStateCache()
-    )
+    cache = LockStateCache()
     t0 = time.perf_counter()
     with _profiled(args.profile, engine=args.engine):
         reports = batch_device_reports(
@@ -358,30 +351,26 @@ def cmd_lot(args) -> int:
         for req, text in zip(requests, reports):
             (out_dir / f"{req.pll.name}.md").write_text(text)
         print(f"wrote {len(reports)} reports to {out_dir}")
-    mode = "cold" if args.cold else "warm-shared"
-    if args.engine != "scalar":
-        mode += f", {args.engine}"
+    mode = "warm-shared" + ("" if args.engine == "scalar"
+                            else f", {args.engine}")
     print(format_table(
         ["device", "verdict"], rows,
         title=f"lot screen — {args.size} devices, {wall:.2f} s ({mode})",
     ))
-    if cache is not None:
-        detail = cache.stats_detail
-        print(
-            f"warm cache: {detail['entries']} settled states, "
-            f"{detail['hits']} hits / {detail['misses']} misses, "
-            f"{detail['merged']} merged from workers"
-        )
-        presettle = getattr(cache, "presettle_stats", None)
-        if presettle is not None:
-            print(presettle.summary())
-            if presettle.settle_s or presettle.monitor_s \
-                    or presettle.measure_s:
-                print(
-                    f"farm wall: settle {presettle.settle_s:.2f}s / "
-                    f"monitor {presettle.monitor_s:.2f}s / "
-                    f"measure {presettle.measure_s:.2f}s"
-                )
+    detail = cache.stats_detail
+    print(
+        f"warm cache: {detail['entries']} settled states, "
+        f"{detail['hits']} hits / {detail['misses']} misses"
+    )
+    presettle = cache.presettle_stats
+    if presettle is not None:
+        print(presettle.summary())
+        if presettle.settle_s or presettle.monitor_s or presettle.measure_s:
+            print(
+                f"farm wall: settle {presettle.settle_s:.2f}s / "
+                f"monitor {presettle.monitor_s:.2f}s / "
+                f"measure {presettle.measure_s:.2f}s"
+            )
     failed = sum(1 for __, v in rows if v != "PASS")
     return 1 if failed else 0
 
@@ -801,12 +790,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of devices in the lot (default 8)")
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="device worker processes (1 = serial, default)")
-    p.add_argument("--cold", action="store_true",
-                   help="screen every device cold instead of sharing "
-                        "warm state across the lot")
     p.add_argument("--out-dir", default=None,
                    help="also write one markdown report per device here")
-    engine_opt(p, "; the cold baseline is --cold --engine scalar")
+    engine_opt(p)
     p.add_argument("--profile", default=None, metavar="PATH",
                    help="cProfile the lot screen; write the pstats dump "
                         "to a unique per-invocation variant of PATH and "

@@ -25,10 +25,12 @@ fault, restores the first die's state.  The bound keeps long screening
 campaigns from growing memory without limit.
 
 :meth:`BoundedCache.export` and :meth:`BoundedCache.merge` move entries
-across process boundaries: the lot pool ships through
-:func:`warm_shipment` on the sending side and :func:`run_with_shipment`
-in the worker, with :func:`adopt_worker_return` folding the worker's
-discoveries and lookup counts back into the parent cache.
+between caches.  Across process boundaries warm state moves one way
+only, and only as finished tones: Table 2 stage 5 makes every tone and
+every die independent, so a finished measurement is the only warm state
+a lot-pool worker can use.  The lot pool ships each chunk's share of
+the lot's :class:`ToneMeasurementCache` through :func:`warm_shipment`;
+no pool ships a settled snapshot, and nothing travels back.
 
 :meth:`BoundedCache.save` and :meth:`BoundedCache.load` extend the
 export/merge story across process *lifetimes*: a long-lived service
@@ -48,7 +50,7 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from typing import Callable, Hashable, Iterable, Optional, Tuple, Union
+from typing import Hashable, Iterable, Optional, Tuple, Union
 
 from repro.errors import CachePersistenceError, ConfigurationError
 from repro.pll.simulator import SimulatorSnapshot
@@ -58,10 +60,7 @@ __all__ = [
     "LockStateCache",
     "ToneMeasurementCache",
     "CacheEntries",
-    "WorkerReturn",
     "warm_shipment",
-    "run_with_shipment",
-    "adopt_worker_return",
     "CACHE_FORMAT_MAGIC",
     "CACHE_FORMAT_VERSION",
 ]
@@ -169,7 +168,8 @@ class BoundedCache:
         """Adopt entries discovered elsewhere; return the number added.
 
         ``entries`` is typically another cache's :meth:`export` — e.g.
-        what a pool worker settled while screening its share of a lot.
+        the finished tones shipped to a lot-pool worker, or a service
+        shard's measurements folded into the shared tier.
         Merge semantics: **existing entries win**.  Both sides of a key
         collision hold the *same* value (it is a pure function of the
         key), so overwriting could only churn recency; keeping the
@@ -203,8 +203,8 @@ class BoundedCache:
     def stats_detail(self) -> dict:
         """Full counter set plus occupancy, for bench digests.
 
-        ``merged`` counts entries adopted through :meth:`merge` (worker
-        discoveries folded into a parent cache); ``evictions`` counts
+        ``merged`` counts entries adopted through :meth:`merge` (a
+        shipment or another cache's export); ``evictions`` counts
         LRU drops from either :meth:`put` or :meth:`merge`.
         """
         return {
@@ -473,29 +473,22 @@ class ToneMeasurementCache(BoundedCache):
 
 
 # ----------------------------------------------------------------------
-# shipping warm entries to lot-pool workers
+# shipping finished tones to lot-pool workers
 # ----------------------------------------------------------------------
-#: What a pool worker hands back about its local lock-state cache: the
-#: settled states it discovered beyond the shipment, and its
-#: ``(hits, misses)`` lookup counts.
-WorkerReturn = Tuple[CacheEntries, Tuple[int, int]]
-
-
 def warm_shipment(
     cache: Optional[BoundedCache], plls: Iterable
 ) -> Optional[CacheEntries]:
     """The entries of ``cache`` worth shipping to a worker running ``plls``.
 
-    ``cache`` is a :class:`LockStateCache` or a
-    :class:`ToneMeasurementCache` (``None`` ships nothing and returns
-    ``None``).  A shared cache holds every physics family a lot has
-    touched, but a worker can only use entries of its own devices'
-    families, so the export is filtered to their physics signatures —
-    the pickled payload stays proportional to the worker's share, not
-    to the cache's history.  Every lookup key leads with the
-    signature of the device doing the lookup, so an entry ships when
-    ``key[0]`` is one of the workers' signatures.  A device whose
-    signature cannot be computed ships everything.
+    The lot pool ships its :class:`ToneMeasurementCache` this way
+    (``None`` ships nothing and returns ``None``).  A shared cache holds
+    every physics family a lot has touched, but a worker can only use
+    entries of its own devices' families, so the export is filtered to
+    their physics signatures — the pickled payload stays proportional to
+    the worker's share, not to the cache's history.  Every lookup key
+    leads with the signature of the device doing the lookup, so an
+    entry ships when ``key[0]`` is one of the workers' signatures.  A
+    device whose signature cannot be computed ships everything.
     """
     if cache is None:
         return None
@@ -507,48 +500,3 @@ def warm_shipment(
     return tuple(
         (key, value) for key, value in entries if key[0] in signatures
     )
-
-
-def run_with_shipment(
-    entries: Optional[CacheEntries],
-    headroom: int,
-    work: Callable[[Optional[LockStateCache]], object],
-) -> Tuple[object, Optional[WorkerReturn]]:
-    """Worker side of :func:`warm_shipment`: run ``work`` on a seeded cache.
-
-    ``work`` receives a local :class:`LockStateCache` holding the
-    shipped ``entries``, sized so none of them can be evicted while
-    ``headroom`` new settled states arrive.  Returns ``work``'s result
-    and the :data:`WorkerReturn` for :func:`adopt_worker_return`: only
-    the entries beyond the shipment travel back.  With nothing shipped
-    (``entries`` is ``None``) ``work`` runs without a cache and the
-    return is ``None``.
-    """
-    if entries is None:
-        return work(None), None
-    local = LockStateCache(max_entries=max(256, len(entries) + headroom))
-    local.merge(entries)
-    result = work(local)
-    shipped = frozenset(key for key, __ in entries)
-    discovered = tuple(
-        (key, snap) for key, snap in local.export() if key not in shipped
-    )
-    return result, (discovered, local.stats)
-
-
-def adopt_worker_return(
-    cache: Optional[LockStateCache], returned: Optional[WorkerReturn]
-) -> None:
-    """Fold a worker's discoveries and lookup counts into ``cache``.
-
-    The worker's hits and misses are lookups made on the parent cache's
-    behalf, so they count in its :attr:`~LockStateCache.stats` exactly
-    as a serial run's would.
-    """
-    if cache is None or returned is None:
-        return
-    discovered, (hits, misses) = returned
-    if discovered:
-        cache.merge(discovered)
-    cache._hits += hits
-    cache._misses += misses

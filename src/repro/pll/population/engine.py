@@ -21,6 +21,12 @@ physics signature only for execution (outcomes are re-ordered back to
 die-index order before aggregation), and warm/cold measurement paths
 are bit-identical by the snapshot guarantee — so the aggregate summary
 is byte-identical across runs *and* across chunk sizes.
+
+**Workers**: under ``n_workers > 1`` the warm cache stays in this
+process.  Each pool worker receives only its share of the chunk's
+finished tones and screens on a fresh local lock-state cache; nothing
+travels back, so :attr:`PopulationScreenStats.cache_entries` counts
+only what the farm pass settled here (0 on the scalar engine).
 """
 
 from __future__ import annotations
@@ -148,9 +154,10 @@ def screen_population(
         byte-identical for any choice.
     n_workers / engine:
         Forwarded to :func:`~repro.reporting.device_report.batch_device_screen`
-        per chunk — a pool fans each chunk out with per-chunk-filtered
-        warm entries; ``engine`` selects the settle engine (``"auto"``
-        settles each chunk's lanes on the farm's per-lane kernel).
+        per chunk — a pool fans each chunk out, shipping every worker
+        the finished tones of its own dies' physics families;
+        ``engine`` selects the settle engine (``"auto"`` settles and
+        measures each chunk's lanes on the farm's per-lane kernel).
     cache:
         Warm :class:`~repro.core.warm.LockStateCache` shared across
         chunks (created with a 4096-entry LRU bound when omitted — the

@@ -20,16 +20,20 @@ the whole screen: the lot settles each (stimulus, tone, device-physics)
 family once and every behaviourally identical device thereafter restores
 the settled state instead of re-simulating it — bit-identical by the
 snapshot guarantee, so warm lot reports equal cold ones byte for byte.
-Under ``n_workers > 1`` the entries of each chunk's physics families
-ride to its worker inside its one chunk payload, and the settled states
-and cache lookups workers make are folded back into the parent cache on
-return (:mod:`repro.core.warm` owns both halves of that shipping).
+Under ``n_workers > 1`` warm state moves one way only, and only as
+finished tones: each chunk's payload carries the lot's finished
+measurements for its own physics families
+(:func:`~repro.core.warm.warm_shipment`), and a warm lot's worker
+screens its chunk on one fresh local cache, so same-physics dies in a
+chunk still share a settle.  Settled states never leave their process
+and only the per-device results travel back.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.sensitivity import DiagnosisCandidate
@@ -39,9 +43,6 @@ from repro.core.monitor import SweepPlan, SweepResult, TransferFunctionMonitor
 from repro.core.warm import (
     LockStateCache,
     ToneMeasurementCache,
-    WorkerReturn,
-    adopt_worker_return,
-    run_with_shipment,
     warm_shipment,
 )
 from repro.engines import validate_engine
@@ -263,7 +264,7 @@ def _render_one(
     must never abort the remaining devices (least of all by killing a
     pool map mid-lot).
 
-    ``measurement_cache`` (serial ``engine="auto"`` screens) shares
+    ``measurement_cache`` (``engine="auto"`` screens) shares
     finished stage 1–4 measurements across behaviourally identical
     dies; reports stay byte-identical because timing never reaches the
     artefact.
@@ -346,69 +347,35 @@ def _screen_one(
     )
 
 
-# (chunk of (lot_index, request), exported warm entries or None,
-#  exported finished-measurement entries or None)
-_BatchChunkPayload = Tuple[
-    Tuple[Tuple[int, DeviceReportRequest], ...],
-    Optional[Tuple],
-    Optional[Tuple],
-]
+def _run_chunk(one: Callable, payload: tuple) -> List[Tuple[int, object]]:
+    """Worker: measure one chunk of the lot through ``one`` (module-level,
+    so ``functools.partial(_run_chunk, one)`` pickles).
 
-
-def _run_chunk(payload: _BatchChunkPayload, one: Callable):
-    """Measure one chunk of the lot through ``one`` (module-level
-    helper shared by the render and screen chunk workers).
-
-    The chunk shares one local :class:`~repro.core.warm.LockStateCache`
-    seeded from the parent's shipment
-    (:func:`~repro.core.warm.run_with_shipment`) when warm screening is
-    on — so the worker's first device of each physics family settles
-    cold (unless the parent already knew it) and every later one
-    restores.  Returns the ``(lot_index, result)`` pairs plus the
-    worker's discoveries and lookup counts, for the parent to fold back.
-
-    Finished stage 1-4 measurements ship the same way into a local
-    :class:`~repro.core.warm.ToneMeasurementCache` — the farm's
-    premeasure pass filled the parent's cache before the pool split the
-    lot, so a chunk's dies answer dedupable tones without replaying the
-    counters.  Worker-discovered measurements are *not* merged back:
-    the parent's measurement cache dies with the batch call, so there
-    is nothing for them to warm.
+    ``payload`` is ``(chunk of (lot_index, request), warm flag, the
+    chunk's finished-tone entries or None)``.  A warm lot's chunk shares
+    one fresh local :class:`~repro.core.warm.LockStateCache` — the
+    serial path's rule, so same-physics dies in the chunk share a
+    settle.  The finished tones, which the farm's premeasure pass
+    published before the pool split the lot, seed a local
+    :class:`~repro.core.warm.ToneMeasurementCache`.  Only the
+    ``(lot_index, result)`` pairs travel back.
     """
-    chunk, warm_entries, measurement_entries = payload
-    local_measurements: Optional[ToneMeasurementCache] = None
-    if measurement_entries is not None:
-        local_measurements = ToneMeasurementCache(
-            max_entries=max(
-                1024, len(measurement_entries) + 16 * len(chunk)
-            )
-        )
-        local_measurements.merge(measurement_entries)
-    return run_with_shipment(
-        warm_entries,
-        16 * len(chunk),
-        lambda cache: [
-            (index, one(request, cache=cache,
-                        measurement_cache=local_measurements))
-            for index, request in chunk
-        ],
+    chunk, warm, measurements = payload
+    cache = (
+        LockStateCache(max_entries=max(256, 16 * len(chunk)))
+        if warm else None
     )
-
-
-def _render_chunk(
-    payload: _BatchChunkPayload,
-) -> Tuple[List[Tuple[int, str]], Optional[WorkerReturn]]:
-    """Worker: measure and render one chunk of the lot (picklable)."""
-    return _run_chunk(payload, _render_one)
-
-
-def _screen_chunk(
-    payload: _BatchChunkPayload,
-) -> Tuple[
-    List[Tuple[int, DeviceScreenOutcome]], Optional[WorkerReturn]
-]:
-    """Worker: measure one chunk into numeric outcomes (picklable)."""
-    return _run_chunk(payload, _screen_one)
+    measurement_cache: Optional[ToneMeasurementCache] = None
+    if measurements is not None:
+        measurement_cache = ToneMeasurementCache(
+            max_entries=max(1024, len(measurements) + 16 * len(chunk))
+        )
+        measurement_cache.merge(measurements)
+    return [
+        (index, one(request, cache=cache,
+                    measurement_cache=measurement_cache))
+        for index, request in chunk
+    ]
 
 
 def batch_device_reports(
@@ -431,11 +398,12 @@ def batch_device_reports(
     same-configuration dies — or repeated injected faults across a
     fault-library screen — settles each (stimulus, tone) family once
     and serves the rest warm, with reports byte-identical to the cold
-    run (the snapshot guarantee).  Under ``n_workers > 1`` the cache's
-    entries ship to each worker in its chunk payload and the workers'
-    discoveries are merged back afterwards, leaving ``cache`` as warm
-    as a serial screen would have.  With ``None`` (default) the scalar
-    engine screens every device cold.
+    run (the snapshot guarantee).  Under ``n_workers > 1`` the cache
+    stays in this process: each worker screens its chunk on a fresh
+    local cache, so same-physics dies within a chunk share a settle,
+    and nothing folds back — ``cache`` keeps only what the farm pass
+    put there (nothing on the scalar engine).  With ``None`` (default)
+    the scalar engine screens every device cold.
 
     ``engine="auto"`` (default) first runs every unique (physics,
     stimulus, tone) lane of the whole lot on the settle farm's per-lane
@@ -448,8 +416,7 @@ def batch_device_reports(
     guarantee); only wall time changes.
     """
     return _batch_measure(
-        requests, n_workers, cache, engine, _render_one, _render_chunk,
-        what="report",
+        requests, n_workers, cache, engine, _render_one, what="report",
     )
 
 
@@ -472,8 +439,7 @@ def batch_device_screen(
     that makes reports byte-identical.
     """
     return _batch_measure(
-        requests, n_workers, cache, engine, _screen_one, _screen_chunk,
-        what="outcome",
+        requests, n_workers, cache, engine, _screen_one, what="outcome",
     )
 
 
@@ -483,7 +449,6 @@ def _batch_measure(
     cache: Optional[LockStateCache],
     engine: str,
     one: Callable,
-    chunk_worker: Callable,
     what: str,
 ) -> List:
     """Shared measure-a-lot machinery behind reports and screens."""
@@ -528,22 +493,19 @@ def _batch_measure(
         tuple((i, jobs[i]) for i in range(w, len(jobs), workers))
         for w in range(workers)
     ]
-    # Each chunk ships only its own physics families' warm entries —
+    # Each chunk ships only its own physics families' finished tones —
     # for a heterogeneous population lot the payload stays proportional
-    # to the chunk, not to everything the shared cache has ever seen.
-    payloads: List[_BatchChunkPayload] = []
-    for chunk in chunks:
-        plls = [request.pll for __, request in chunk]
-        payloads.append((
-            chunk,
-            warm_shipment(cache, plls),
-            warm_shipment(measurement_cache, plls),
+    # to the chunk, not to everything the lot has measured.
+    payloads = [
+        (chunk, cache is not None, warm_shipment(
+            measurement_cache, [request.pll for __, request in chunk]
         ))
+        for chunk in chunks
+    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk_results = list(pool.map(chunk_worker, payloads))
+        chunk_results = list(pool.map(partial(_run_chunk, one), payloads))
     results: List[Optional[object]] = [None] * len(jobs)
-    for produced, returned in chunk_results:
-        adopt_worker_return(cache, returned)
+    for produced in chunk_results:
         for index, value in produced:
             results[index] = value
     missing = [i for i, value in enumerate(results) if value is None]

@@ -103,11 +103,15 @@ def decode_line(line: bytes) -> dict:
 
     Raises :class:`~repro.errors.ConfigurationError` on anything that is
     not a single JSON object — the server turns that into an error
-    response rather than dying.
+    response rather than dying.  That covers bytes that are not UTF-8 or
+    not JSON, an integer literal past the interpreter's digit limit (a
+    plain ``ValueError``) and nesting deep enough to exhaust the
+    decoder's recursion (``RecursionError``).
     """
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError too.
         raise ConfigurationError(f"malformed protocol line: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigurationError(

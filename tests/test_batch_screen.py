@@ -85,7 +85,7 @@ class TestWarmBatchByteIdentity:
         assert detail["hits"] == (LOT_SIZE - 1) * len(TONES)
         assert detail["entries"] == len(TONES)
 
-    def test_parallel_warm_byte_identical_and_merge_back(
+    def test_parallel_warm_byte_identical_and_one_way(
         self, fast_bist_config
     ):
         lot = _lot_requests(fast_bist_config)
@@ -94,11 +94,36 @@ class TestWarmBatchByteIdentity:
         warm = batch_device_reports(lot, n_workers=2, cache=cache,
                                     engine="scalar")
         assert warm == cold
-        # Worker-discovered settled states were merged back: the parent
-        # cache is as warm as a serial screen would have left it.
+        # Workers settle on their own local caches and return only
+        # their reports: nothing folds back into the caller's cache.
         detail = cache.stats_detail
-        assert detail["entries"] == len(TONES)
-        assert detail["merged"] >= len(TONES)
+        assert detail["entries"] == 0
+        assert detail["merged"] == 0
+
+    def test_pooled_auto_lot_with_every_lane_measure_ejected(
+        self, fast_bist_config, monkeypatch
+    ):
+        # Every farm lane settles but none measures, so each worker
+        # re-settles and measures its dies' tones on the scalar loop.
+        from repro.sim.vectorized import VectorizedLotSimulator
+
+        fault = Fault(FaultKind.VCO_GAIN_SHIFT, 0.6)
+        healthy = _lot_requests(fast_bist_config, size=2)
+        lot = healthy + [
+            replace(req, pll=apply_fault(req.pll, fault)) for req in healthy
+        ]
+        scalar = batch_device_reports(lot, engine="scalar")
+        monkeypatch.setattr(
+            VectorizedLotSimulator, "_load_measure_state",
+            lambda self, i, lane, snap: False,
+        )
+        cache = LockStateCache()
+        pooled = batch_device_reports(lot, n_workers=2, cache=cache,
+                                      engine="auto")
+        assert pooled == scalar
+        stats = cache.presettle_stats
+        assert stats.measured == 0
+        assert stats.measure_ejected == 2 * len(TONES)
 
     def test_cache_persists_across_batches(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)

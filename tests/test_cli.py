@@ -50,6 +50,13 @@ class TestParser:
         assert f"unrecognized arguments: {flags[0]}" in \
             capsys.readouterr().err
 
+    def test_lot_cold_flag_is_gone(self, capsys):
+        # A lot always warms a cache; `--engine scalar` is the reference.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["lot", "--cold"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cold" in capsys.readouterr().err
+
 
 class TestTheory:
     def test_prints_design_point(self, capsys):

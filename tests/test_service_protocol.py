@@ -20,6 +20,8 @@ import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SweepPlan, TransferFunctionMonitor
 from repro.errors import ConfigurationError, ServiceError
@@ -66,6 +68,38 @@ class TestLineCodec:
     def test_decode_rejects_non_object(self):
         with pytest.raises(ConfigurationError, match="JSON object"):
             decode_line(b"[1, 2, 3]\n")
+
+    @pytest.mark.parametrize("line", [
+        b"[" * 100000,            # exhausts the decoder's recursion
+        b"1" * 5000,              # past the integer digit limit
+        b'{"a": ' + b"1" * 5000 + b"}",
+        b"\xff\xfe{}",            # not UTF-8
+    ], ids=["deep-nesting", "long-integer", "long-integer-member",
+            "not-utf8"])
+    def test_decode_hostile_lines_are_configuration_errors(self, line):
+        with pytest.raises(ConfigurationError, match="malformed"):
+            decode_line(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=256),
+        st.text(alphabet='[]{}"0123456789:,. -eE\\tnulrfas', max_size=256)
+        .map(str.encode),
+        # Long runs of one token reach the decoder's depth and digit
+        # limits, which short random lines never do.
+        st.builds(
+            lambda token, n, tail: token * n + tail,
+            st.sampled_from([b"[", b'{"a":', b"1", b"-"]),
+            st.integers(0, 6000),
+            st.binary(max_size=16),
+        ),
+    ))
+    def test_decode_fuzz_yields_dict_or_configuration_error(self, line):
+        try:
+            payload = decode_line(line)
+        except ConfigurationError:
+            return
+        assert isinstance(payload, dict)
 
 
 class TestTcpEndpointParsing:
@@ -227,6 +261,29 @@ class TestServiceSmoke:
             sock.close()
         assert reply["ok"] is False
         assert "malformed" in reply["error"]
+
+    @pytest.mark.parametrize("line", [b"[" * 100000 + b"\n",
+                                      b"\xff\xfe{}\n"],
+                             ids=["deep-nesting", "not-utf8"])
+    def test_hostile_line_gets_one_configuration_error(
+        self, smoke_run, service_socket, client, line
+    ):
+        sock = socket_module.socket(
+            socket_module.AF_UNIX, socket_module.SOCK_STREAM
+        )
+        sock.settimeout(10.0)
+        try:
+            sock.connect(service_socket)
+            sock.sendall(line)
+            replies = sock.makefile("rb").readlines()
+        finally:
+            sock.close()
+        assert len(replies) == 1
+        reply = json.loads(replies[0])
+        assert reply["ok"] is False
+        assert reply["kind"] == "ConfigurationError"
+        # The server survives and still answers.
+        assert client.status()["jobs_by_state"]["done"] >= 1
 
     def test_unknown_op_gets_error_reply(self, smoke_run, service_socket):
         sock = socket_module.socket(
