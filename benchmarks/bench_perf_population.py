@@ -12,8 +12,9 @@ streaming memory model twice over:
   plateau (process memory is bounded by the cache caps, not the
   population), and
 * a small dedicated run under ``tracemalloc`` — against a warm cache
-  deliberately capped below one run's lane count, so the LRU bound is
-  actually exercised — asserts the traced Python heap plateaus too.
+  deliberately capped below one run's tone count, so the LRU bound is
+  actually exercised — asserts the traced Python heap plateaus too,
+  and that evicting finished tones changes no byte of the summary.
   (tracemalloc costs ~25x on this allocation-heavy simulator, which is
   why the precise assert rides a small population, not the main run.)
 
@@ -38,7 +39,7 @@ import pytest
 from bench_perf_sweep import _merge_results_json
 from check_regression import gate
 from repro.core.executor import _visible_cpu_count
-from repro.core.warm import LockStateCache
+from repro.core.warm import ToneMeasurementCache
 from repro.pll.population import (
     PopulationSpec,
     ToleranceSpec,
@@ -214,19 +215,21 @@ def test_perf_population(report):
 def test_perf_population_traced_heap(report):
     """Precise flat-memory proof: traced heap under a saturated cache.
 
-    The warm cache is capped below one population's lane count (12 dies
-    x 5 lanes > 20 entries), so the LRU bound is exercised from the
+    The warm cache is capped below one population's tone count (12 dies
+    x 4 tones > 20 entries), so the LRU bound is exercised from the
     second chunk on — any per-die state the engine retained would show
-    as monotone traced-heap growth instead of a plateau.
+    as monotone traced-heap growth instead of a plateau.  Finished tones
+    evicted before their dies read them are simply re-measured, so the
+    summary equals an uncapped screen's.
     """
     spec = PopulationSpec(
         corner="table3", size=12, seed=7, points=4, rel_tol=0.35,
     )
-    cache = LockStateCache(max_entries=20)
+    cache = ToneMeasurementCache(max_entries=20)
     traced = []
     tracemalloc.start()
     try:
-        screen_population(
+        capped, __ = screen_population(
             spec, chunk_size=3, cache=cache,
             progress=lambda p: traced.append(
                 tracemalloc.get_traced_memory()[0] // 1024
@@ -240,6 +243,10 @@ def test_perf_population_traced_heap(report):
     assert traced_flat, (
         f"traced heap grew past the plateau bound: {traced} kB per chunk"
     )
+    assert cache.stats_detail["evictions"] > 0
+    uncapped, __ = screen_population(spec, chunk_size=3)
+    assert capped.to_json(spec.describe()) == \
+        uncapped.to_json(spec.describe())
     report(
         "perf_population_traced",
         format_table(
@@ -282,7 +289,7 @@ def test_perf_population_smoke_512(report):
         points=5,
         rel_tol=0.35,
     )
-    cache = LockStateCache(max_entries=1024)
+    cache = ToneMeasurementCache(max_entries=1024)
     aggregate, stats, rss = _screen_with_rss(
         spec, n_workers=min(4, cores), cache=cache
     )

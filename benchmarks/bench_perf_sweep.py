@@ -3,14 +3,15 @@
 Not a paper figure: this guards the executor, warm-start and farm
 layers.  Three runs of the same paper sweep are timed and cross-checked:
 
-* **cold serial** — fresh monitor, every tone settles from scratch;
-  timed best of :data:`BEST_OF`, because ``serial_wall_s`` is budgeted
-  against the committed baseline and single wall-clock samples on a
-  shared box are noisy;
-* **warm serial** — the same monitor re-runs the plan, every tone is
-  served from the :class:`~repro.core.warm.LockStateCache` snapshot and
-  skips stage 0 entirely.  The snapshot guarantee makes the warm result
-  *bit-identical* to the cold one;
+* **cold serial** — fresh monitor and empty measurement cache, every
+  tone settles and measures from scratch; timed best of
+  :data:`BEST_OF`, because ``serial_wall_s`` is budgeted against the
+  committed baseline and single wall-clock samples on a shared box are
+  noisy;
+* **warm serial** — the same monitor re-runs the plan on the
+  :class:`~repro.core.warm.ToneMeasurementCache` the cold run filled,
+  so every tone is answered with its finished measurement and nothing
+  is simulated.  The warm result is *bit-identical* to the cold one;
 * **parallel** — a fresh monitor fans the plan out over a process pool.
   On a multi-core host the batched chunks approach linear speedup; on a
   single-core host :func:`~repro.core.executor.executor_for` falls back
@@ -20,13 +21,14 @@ layers.  Three runs of the same paper sweep are timed and cross-checked:
 A fourth scenario times the production workload the paper motivates
 (§5, Table 2): **batch screening a lot**.  The same ≥8-device lot runs
 through :func:`~repro.reporting.batch_device_reports` cold (every
-device settles every tone) and warm (one shared
-:class:`~repro.core.warm.LockStateCache`, keyed by physics signature,
-so the lot settles each tone family once), and every report must be
-byte-identical to its cold counterpart.  Further scenarios put the farm
-(``engine="auto"``) against the scalar cold screen on a nonlinear
-hct4046 lot, the no-dedup fault-library lot and the corner-varied lot,
-and time a service whose second session runs warm from a spilled cache.
+device measures every tone) and warm (one shared
+:class:`~repro.core.warm.ToneMeasurementCache`, keyed by physics
+signature, so the lot measures each tone family once), and every
+report must be byte-identical to its cold counterpart.  Further
+scenarios put the farm (``engine="auto"``) against the scalar cold
+screen on a nonlinear hct4046 lot, the no-dedup fault-library lot and
+the corner-varied lot, and time a service whose second session runs
+warm from a spilled cache.
 
 Besides the human-readable tables, each test merges its numbers into
 ``benchmarks/results/BENCH_sweep.json``, the machine-readable perf
@@ -47,7 +49,7 @@ from dataclasses import replace
 from check_regression import RETIRED_KEYS, gate
 from repro.core.executor import ParallelFallbackWarning, _visible_cpu_count
 from repro.core.monitor import TransferFunctionMonitor
-from repro.core.warm import LockStateCache
+from repro.core.warm import ToneMeasurementCache
 from repro.presets import paper_bist_config, paper_stimulus, paper_sweep
 from repro.reporting import (
     DeviceReportRequest,
@@ -121,14 +123,18 @@ def test_perf_sweep(report, paper_dut):
         monitor = TransferFunctionMonitor(
             paper_dut, paper_stimulus("multitone"), paper_bist_config()
         )
+        cache = ToneMeasurementCache()
         t0 = time.perf_counter()
-        cold = monitor.run(plan, engine="scalar")
+        cold = monitor.run(plan, engine="scalar", measurement_cache=cache)
         t_cold = min(t_cold, time.perf_counter() - t0)
+    assert cache.stats == (0, N_TONES)
 
-    # Same monitor, same plan: every tone restores its cached snapshot.
+    # Same monitor, same plan, the cache the last cold run filled:
+    # every tone is answered with its finished measurement.
     t0 = time.perf_counter()
-    warm = monitor.run(plan, engine="scalar")
+    warm = monitor.run(plan, engine="scalar", measurement_cache=cache)
     t_warm = time.perf_counter() - t0
+    assert cache.stats == (N_TONES, N_TONES)
 
     # The parallel scenario only means something when a pool can
     # actually form: on a single visible core executor_for falls back
@@ -161,7 +167,7 @@ def test_perf_sweep(report, paper_dut):
     vec_single = vec_monitor.run(plan, engine="auto")
     t_vec_single = time.perf_counter() - t0
 
-    # The warm-start guarantee: snapshot restore is bit-identical.
+    # The warm-start guarantee: a finished tone answers bit-identically.
     assert len(cold.measurements) == len(warm.measurements) == N_TONES
     assert all(
         _identical(a, b)
@@ -263,7 +269,7 @@ def test_perf_batch_screen(report, paper_dut):
     stimulus = paper_stimulus("multitone")
     config = paper_bist_config()
     # Distinct die names, identical physics: exactly what the signature
-    # keying exists for — the lot shares one settled state per tone.
+    # keying exists for — the lot shares one finished tone per tone.
     lot = [
         DeviceReportRequest(
             pll=replace(paper_dut, name=f"{paper_dut.name}-{i:03d}"),
@@ -278,7 +284,7 @@ def test_perf_batch_screen(report, paper_dut):
     cold_reports = batch_device_reports(lot, engine="scalar")
     t_cold = time.perf_counter() - t0
 
-    warm_cache = LockStateCache()
+    warm_cache = ToneMeasurementCache()
     t0 = time.perf_counter()
     warm_reports = batch_device_reports(lot, cache=warm_cache,
                                         engine="scalar")
@@ -292,15 +298,15 @@ def test_perf_batch_screen(report, paper_dut):
         assert cold_text.startswith(f"# BIST report — {req.pll.name}")
 
     detail = warm_cache.stats_detail
-    # The lot settles each tone once; every other device restores it.
+    # The lot measures each tone once; every other device is answered.
     assert detail["misses"] == N_TONES
     assert detail["hits"] == (LOT_SIZE - 1) * N_TONES
 
-    # The auto engine: one farm presettle pass over the lot's
-    # unique tones, then every device of the lot screens warm — no die
-    # ever pays a scalar cold settle.  Must beat the *cold* screen by
-    # the acceptance floor and change no byte of any artefact.
-    vec_cache = LockStateCache()
+    # The auto engine: one farm pass over the lot's unique tones, then
+    # every device of the lot screens warm — no die ever pays a scalar
+    # cold settle.  Must beat the *cold* screen by the acceptance floor
+    # and change no byte of any artefact.
+    vec_cache = ToneMeasurementCache()
     t0 = time.perf_counter()
     vec_reports = batch_device_reports(lot, cache=vec_cache, engine="auto")
     t_vec = time.perf_counter() - t0
@@ -308,11 +314,10 @@ def test_perf_batch_screen(report, paper_dut):
     assert vec_byte_identical
     vec_detail = vec_cache.stats_detail
     # The farm settles *and measures* every tone of the lot's one
-    # physics family in-farm, and the lot's measurement cache serves
-    # the finished tones to all eight dies: no die reaches the
-    # sequencer, so the settle cache holds one state per tone and is
-    # never read.
-    assert vec_detail["hits"] == vec_detail["misses"] == 0
+    # physics family in-farm, and the lot's measurement cache answers
+    # every tone of all eight dies: no die reaches the sequencer.
+    assert vec_detail["hits"] == LOT_SIZE * N_TONES
+    assert vec_detail["misses"] == 0
     assert vec_detail["entries"] == N_TONES
     presettle = vec_cache.presettle_stats
     assert presettle is not None
@@ -333,7 +338,7 @@ def test_perf_batch_screen(report, paper_dut):
             ["lot speedup", f"{batch_speedup:.2f}x"],
             ["vectorized lot wall", f"{t_vec:.2f} s"],
             ["vectorized speedup vs cold", f"{vec_speedup:.2f}x"],
-            ["settled states", detail["entries"]],
+            ["finished tones", detail["entries"]],
             ["cache hits/misses", f"{detail['hits']}/{detail['misses']}"],
             ["reports identical", "yes (byte-exact, all engines)"],
         ],
@@ -386,7 +391,7 @@ def test_perf_hct4046_lot(report):
     cold_reports = batch_device_reports(lot, engine="scalar")
     t_cold = time.perf_counter() - t0
 
-    vec_cache = LockStateCache()
+    vec_cache = ToneMeasurementCache()
     t0 = time.perf_counter()
     vec_reports = batch_device_reports(lot, cache=vec_cache, engine="auto")
     t_vec = time.perf_counter() - t0
@@ -485,7 +490,7 @@ def test_perf_vec_measure_fault_screen(report):
     cold_reports = batch_device_reports(requests, engine="scalar")
     t_cold = time.perf_counter() - t0
 
-    vec_cache = LockStateCache()
+    vec_cache = ToneMeasurementCache()
     t0 = time.perf_counter()
     vec_reports = batch_device_reports(
         requests, cache=vec_cache, engine="auto"
@@ -628,14 +633,14 @@ def cdr_corner_lot():
 
 
 def _farm_wall(jobs, repeats=2):
-    """Best-of-N presettle farm wall (fresh cache each)."""
+    """Best-of-N farm wall, settle plus measure (fresh cache each)."""
     from repro.pll.lot import premeasure_lot
 
     best = float("inf")
     stats = None
     for __ in range(repeats):
         t0 = time.perf_counter()
-        run_stats = premeasure_lot(jobs, LockStateCache())
+        run_stats = premeasure_lot(jobs, ToneMeasurementCache())
         wall = time.perf_counter() - t0
         if wall < best:
             best, stats = wall, run_stats
@@ -669,7 +674,7 @@ def test_perf_corner_screen(report):
     t_cold = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fast = batch_device_reports(requests, cache=LockStateCache(),
+    fast = batch_device_reports(requests, cache=ToneMeasurementCache(),
                                 engine="auto")
     t_auto = time.perf_counter() - t0
     screens_identical = fast == cold_reports

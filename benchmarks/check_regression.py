@@ -65,7 +65,8 @@ GATES = (
     # paper's test time rests on may not get more than 20 % slower.
     Gate("serial_wall_s", "budget", 0.20),
     Gate("bit_identical", "true"),
-    # Warm restore skips stage 0; typically >3x, 1.3x is conservative.
+    # A repeated sweep answered from the measurement cache simulates
+    # nothing; typically far above 3x, 1.3x is conservative.
     Gate("warm_speedup", "floor", 1.3),
     # Four workers on >= 4 cores must at least halve the wall; on a
     # dual/tri-core host the pool must not lose to serial by > 1.5x.
@@ -74,7 +75,8 @@ GATES = (
     # The farm on a single device (13 tones, no lot to amortise over).
     Gate("vec_single_device_speedup", "floor", 2.0),
     Gate("vec_single_device_bit_identical", "true"),
-    # The 8-die identical lot: warm cache, and farm + measurement dedup.
+    # The 8-die identical lot: a shared measurement cache on the scalar
+    # engine, and the farm plus that cache.
     Gate("batch_warm_speedup", "floor", 3.0),
     Gate("batch_byte_identical", "true"),
     Gate("vec_batch_speedup", "floor", 6.0),

@@ -293,17 +293,18 @@ def cmd_lot(args) -> int:
     """Batch-screen a lot of devices against the paper sweep and limits.
 
     The production workload of §5/Table 2: every die gets the full
-    transfer-function BIST and one archived markdown artefact.  By
-    default the lot shares warm state through one
-    :class:`~repro.core.LockStateCache` — each (stimulus, tone,
-    device-physics) family settles once and every behaviourally
-    identical die restores it, byte-identical to a cold screen.
+    transfer-function BIST and one archived markdown artefact.  The
+    lot shares finished tones through one
+    :class:`~repro.core.warm.ToneMeasurementCache` — each (stimulus,
+    tone, device-physics) family is measured once and every
+    behaviourally identical die is answered with it, byte-identical to
+    a cold screen.
     """
     import pathlib
     import time
     from dataclasses import replace
 
-    from repro.core import LockStateCache
+    from repro.core.warm import ToneMeasurementCache
     from repro.reporting import DeviceReportRequest, batch_device_reports
 
     if args.size < 1:
@@ -323,7 +324,7 @@ def cmd_lot(args) -> int:
         )
         for i in range(args.size)
     ]
-    cache = LockStateCache()
+    cache = ToneMeasurementCache()
     t0 = time.perf_counter()
     with _profiled(args.profile, engine=args.engine):
         reports = batch_device_reports(
@@ -359,7 +360,7 @@ def cmd_lot(args) -> int:
     ))
     detail = cache.stats_detail
     print(
-        f"warm cache: {detail['entries']} settled states, "
+        f"warm cache: {detail['entries']} finished tones, "
         f"{detail['hits']} hits / {detail['misses']} misses"
     )
     presettle = cache.presettle_stats

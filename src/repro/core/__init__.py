@@ -8,8 +8,8 @@
 * :mod:`repro.core.sequencer` — the Table 2 five-stage test sequence.
 * :mod:`repro.core.executor` — serial / batched process-pool execution
   of the tones a sweep's caches cannot answer (pickled chunk results).
-* :mod:`repro.core.warm` — the warm-start lock-state cache serving
-  settled stage-0 snapshots.
+* :mod:`repro.core.warm` — the bounded warm tiers: finished tone
+  measurements and the nominal-frequency memo.
 * :mod:`repro.core.monitor` — the sweep orchestrator producing the
   Figures 11–12 responses.
 * :mod:`repro.core.evaluation` — eqs. (7) and (8): magnitude and phase
@@ -44,7 +44,6 @@ from repro.core.sequencer import (
     ToneTestSequencer,
     ToneTiming,
 )
-from repro.core.warm import LockStateCache
 from repro.core.evaluation import evaluate_sweep, magnitude_db_eq7, phase_deg_eq8
 from repro.core.monitor import SweepPlan, SweepResult, TransferFunctionMonitor
 from repro.core.limits import LimitCheck, LimitReport, TestLimits
@@ -67,7 +66,6 @@ __all__ = [
     "ProcessPoolSweepExecutor",
     "ParallelFallbackWarning",
     "executor_for",
-    "LockStateCache",
     "TestStage",
     "ToneMeasurement",
     "ToneTestSequencer",

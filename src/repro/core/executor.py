@@ -1,27 +1,26 @@
-"""Scalar tone execution for the tones a sweep's caches cannot answer.
+"""Scalar execution of the tones a sweep's measurement cache cannot answer.
 
 Table 2 stage 5 — "increase FN and repeat" — makes the tones of a sweep
-independent: every tone builds (or warm-restores) its own closed-loop
+independent: every tone builds and settles its own closed-loop
 simulator from the same immutable (PLL, stimulus, config) triple, so
 tones can run in any order, in any process, and produce bit-identical
 :class:`~repro.core.sequencer.ToneMeasurement` records.
 :class:`~repro.core.monitor.TransferFunctionMonitor` answers every tone
 its measurement cache holds and hands only the misses to an executor.
 
-:class:`SerialSweepExecutor` is the in-process loop, threading the
-monitor's lock-state cache through one shared sequencer.
+:class:`SerialSweepExecutor` is the in-process loop over one shared
+sequencer.
 :class:`ProcessPoolSweepExecutor` fans the tones out over a
 ``concurrent.futures.ProcessPoolExecutor`` in **batched chunks**: each
 worker receives one pickled payload carrying its whole share of the
 sweep (instead of one pickle round-trip per tone), runs the tones
 through the serial executor in-process, and returns its
 :class:`ToneOutcome` records pickled in one reply (about a kilobyte per
-tone).  Workers start cold: no settled state travels either way, since
-the monitor's finished measurements are the only warm state a later
-sweep reads.  Chunks are strided over the tones sorted by ascending
-``f_mod`` — simulation cost scales with ``1 / f_mod``, so striding
-deals every worker one tone of each cost class and the pool drains
-evenly.
+tone).  Nothing warm travels either way, since the monitor's finished
+measurements are the only warm state a later sweep reads.  Chunks are
+strided over the tones sorted by ascending ``f_mod`` — simulation cost
+scales with ``1 / f_mod``, so striding deals every worker one tone of
+each cost class and the pool drains evenly.
 
 Both executors return :class:`ToneOutcome` records in the order given,
 with per-tone :class:`~repro.errors.MeasurementError` failures captured
@@ -45,7 +44,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.architecture import BISTConfig
 from repro.core.sequencer import ToneMeasurement, ToneTestSequencer
-from repro.core.warm import LockStateCache
 from repro.errors import ConfigurationError, MeasurementError, ReproError
 from repro.pll.config import ChargePumpPLL
 from repro.stimulus.modulation import ModulatedStimulus
@@ -140,18 +138,9 @@ def _run_tone_chunk(payload: ChunkPayload) -> List[ToneOutcome]:
 class SerialSweepExecutor:
     """Run the tones one after another in the calling process.
 
-    A single sequencer serves the whole sweep, so the lock-state cache
-    and the memoised nominal baseline persist across tones.
-
-    Parameters
-    ----------
-    cache:
-        Optional lock-state cache for warm starts (see
-        :meth:`~repro.core.sequencer.ToneTestSequencer.run`).
+    A single sequencer serves the whole sweep; every tone settles from
+    lock.
     """
-
-    def __init__(self, cache: Optional[LockStateCache] = None) -> None:
-        self.cache = cache
 
     def run_tones(
         self,
@@ -168,8 +157,7 @@ class SerialSweepExecutor:
         moment it exists — the streaming path the sweep-job service's
         watchers ride on.
         """
-        sequencer = ToneTestSequencer(pll, stimulus, config,
-                                      cache=self.cache)
+        sequencer = ToneTestSequencer(pll, stimulus, config)
         outcomes: List[ToneOutcome] = []
         for index, f_mod in enumerate(frequencies_hz):
             try:
@@ -195,7 +183,7 @@ class ProcessPoolSweepExecutor:
     the expensive low-frequency tones.  Each worker receives exactly one
     pickled payload and returns its chunk's outcomes in one pickled
     reply; results are re-assembled in the order given, bit-identical to
-    the serial run.  Every worker settles its tones cold.
+    the serial run.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -338,17 +326,15 @@ def _env_worker_override() -> Optional[int]:
 def executor_for(
     n_workers: int,
     n_tones: Optional[int] = None,
-    cache: Optional[LockStateCache] = None,
 ) -> Union[SerialSweepExecutor, ProcessPoolSweepExecutor]:
     """Pick the executor a worker request actually benefits from.
 
-    ``n_workers == 1`` is the serial executor, warm-starting from
-    ``cache`` (pool workers settle cold, so the pool ignores it).  A
-    parallel request degrades to serial — with a
-    :class:`ParallelFallbackWarning`, at most once per process — when
-    only one CPU is visible to this process (pool overhead with zero
-    parallelism) or when ``n_tones`` (if given) cannot feed two
-    workers.  Otherwise the pool is capped at the visible CPU count.
+    ``n_workers == 1`` is the serial executor.  A parallel request
+    degrades to serial — with a :class:`ParallelFallbackWarning`, at
+    most once per process — when only one CPU is visible to this process
+    (pool overhead with zero parallelism) or when ``n_tones`` (if given)
+    cannot feed two workers.  Otherwise the pool is capped at the
+    visible CPU count.
 
     Setting the ``REPRO_NUM_WORKERS`` environment variable overrides
     ``n_workers`` for every call in the process: CI runners pin it to
@@ -362,7 +348,7 @@ def executor_for(
     if override is not None:
         n_workers = override
     if n_workers == 1:
-        return SerialSweepExecutor(cache)
+        return SerialSweepExecutor()
     visible = _visible_cpu_count()
     if visible <= 1:
         _warn_fallback(
@@ -370,11 +356,11 @@ def executor_for(
             "1 CPU is visible to this process; running serially instead "
             "(process-pool overhead would make the sweep slower)"
         )
-        return SerialSweepExecutor(cache)
+        return SerialSweepExecutor()
     if n_tones is not None and n_tones < 2:
         _warn_fallback(
             f"parallel sweep requested (n_workers={n_workers}) for "
             f"{n_tones} tone(s); running serially instead"
         )
-        return SerialSweepExecutor(cache)
+        return SerialSweepExecutor()
     return ProcessPoolSweepExecutor(min(n_workers, visible))

@@ -29,7 +29,7 @@ from repro.core.sequencer import (
     ToneTiming,
     measurement_cache_key,
 )
-from repro.core.warm import LockStateCache, ToneMeasurementCache
+from repro.core.warm import ToneMeasurementCache
 from repro.engines import validate_engine
 from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
@@ -132,13 +132,9 @@ class TransferFunctionMonitor:
         zero time constant, so the reported response is the paper's
         eq. (4) transfer function.  ``False`` reports the raw
         capacitor-referred response.
-    cache:
-        Optional externally owned :class:`~repro.core.warm.LockStateCache`
-        to serve warm starts from.  Passing one cache to many monitors —
-        the batch-screening pattern — lets a whole lot share settled
-        states: each (stimulus, tone, device-physics) family settles
-        once, every behaviourally identical device thereafter restores
-        it.  ``None`` (default) gives the monitor a private cache.
+
+    The monitor holds no warm state of its own: finished tones are
+    shared through the ``measurement_cache`` that :meth:`run` takes.
     """
 
     def __init__(
@@ -147,20 +143,12 @@ class TransferFunctionMonitor:
         stimulus: ModulatedStimulus,
         config: BISTConfig = BISTConfig(),
         correct_filter_zero: bool = True,
-        cache: Optional[LockStateCache] = None,
     ) -> None:
         self.pll = pll
         self.stimulus = stimulus
         self.config = config
         self.correct_filter_zero = correct_filter_zero
-        #: Warm-start cache of settled stage-0 states, shared by every
-        #: sweep and single-tone measurement this monitor runs: once a
-        #: tone has settled, re-measuring it restores the settled loop
-        #: (bit-identically) instead of re-simulating the settle.
-        self.lock_cache = cache if cache is not None else LockStateCache()
-        self._sequencer = ToneTestSequencer(
-            pll, stimulus, config, cache=self.lock_cache
-        )
+        self._sequencer = ToneTestSequencer(pll, stimulus, config)
 
     def _zero_tau(self) -> Optional[float]:
         if not self.correct_filter_zero:
@@ -177,11 +165,7 @@ class TransferFunctionMonitor:
         return float(tau)
 
     def measure_tone(self, f_mod: float) -> ToneMeasurement:
-        """Single-tone measurement (Table 2 stages 0–4).
-
-        Served warm from :attr:`lock_cache` when the tone's settled
-        state is already known — bit-identical to a cold run.
-        """
+        """Single-tone measurement (Table 2 stages 0–4), always simulated."""
         return self._sequencer.run(f_mod)
 
     def measure_nominal_frequency(self, gate_cycles: int = 128) -> float:
@@ -204,7 +188,7 @@ class TransferFunctionMonitor:
     ) -> SweepResult:
         """Sweep every planned tone and evaluate eqs. (7)–(8).
 
-        Tones are independent (each builds or warm-restores its own
+        Tones are independent (each builds and settles its own
         simulator), so the monitor decides per tone where its outcome
         comes from.  It first looks every tone up in
         ``measurement_cache`` once (these lookups are the only ones its
@@ -222,20 +206,20 @@ class TransferFunctionMonitor:
         — bit for bit — whichever way a tone is answered; only the wall
         time changes.
 
-        Stage 0 of every tone is Table 2's fixed wait; the monitor's
-        :attr:`lock_cache` serves repeated tones warm.
+        Stage 0 of every tone the cache cannot answer is Table 2's fixed
+        wait, simulated from lock.
 
         ``engine`` selects how the tones are simulated: ``"auto"``
         (default) first runs every cacheable tone the cache did not
         answer through the settle farm's per-lane kernel
-        (:func:`repro.pll.lot.premeasure_lot`), which warms
-        :attr:`lock_cache` and publishes finished measurements (or
-        failures) to ``measurement_cache`` — a private one when the
-        caller passes none — whatever ``n_workers`` is; the monitor
-        reads those publications back without counting them.
-        ``"scalar"`` runs each tone's settle inside its own event loop:
-        the reference.  Counted results are bit-identical on both engines
-        (the farm's snapshot guarantee).
+        (:func:`repro.pll.lot.premeasure_lot`), which publishes finished
+        measurements (or failures) to ``measurement_cache`` — a private
+        one when the caller passes none — whatever ``n_workers`` is; the
+        monitor reads those publications back without counting them.
+        A tone the farm cannot represent, or ejects mid-measurement, is
+        left to the executor.  ``"scalar"`` runs each tone inside its own
+        event loop: the reference.  Counted results are bit-identical on
+        both engines.
 
         ``measurement_cache`` optionally shares *finished* stage 1–4
         measurements across behaviourally identical sweeps (a
@@ -302,7 +286,6 @@ class TransferFunctionMonitor:
             premeasure_lot(
                 [(self.pll, self.stimulus, self.config,
                   [freqs[index] for index in unanswered])],
-                self.lock_cache,
                 dedup,
             )
             for index in unanswered:
@@ -331,9 +314,7 @@ class TransferFunctionMonitor:
 
         release()
         if misses:
-            executor_for(
-                n_workers, n_tones=len(misses), cache=self.lock_cache
-            ).run_tones(
+            executor_for(n_workers, n_tones=len(misses)).run_tones(
                 self.pll,
                 self.stimulus,
                 self.config,

@@ -36,7 +36,7 @@ from repro.core.architecture import BISTConfig
 from repro.core.counters import FrequencyCounter, PhaseCount, PhaseCounter
 from repro.core.hold import HeldFrequencyResult
 from repro.core.peak_detector import PeakEvent, PeakFrequencyDetector
-from repro.core.warm import BoundedCache, LockStateCache
+from repro.core.warm import BoundedCache
 from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
 from repro.pll.simulator import PLLTransientSimulator, RecordLevel
@@ -110,12 +110,13 @@ class TestStage(enum.Enum):
 class ToneTiming:
     """Wall-clock breakdown of one tone's Table 2 sequence.
 
-    ``settle_s`` covers stage 0 (cache restore *or* closed-loop
-    settling), ``monitor_s`` stages 1–3 (arm, watch for the peak) and
-    ``measure_s`` stage 4 (hold-and-count).  ``warm`` records whether
-    stage 0 was served from a :class:`~repro.core.warm.LockStateCache`
-    hit instead of being simulated.  Timing is observability only — it
-    never participates in measurement-equality comparisons.
+    ``settle_s`` covers stage 0 (closed-loop settling), ``monitor_s``
+    stages 1–3 (arm, watch for the peak) and ``measure_s`` stage 4
+    (hold-and-count).  ``warm`` records whether the whole tone was
+    answered from a :class:`~repro.core.warm.ToneMeasurementCache` (the
+    three times then read zero) instead of being simulated.  Timing is
+    observability only — it never participates in measurement-equality
+    comparisons.
     """
 
     settle_s: float
@@ -164,13 +165,13 @@ class ToneMeasurement:
 
 
 def tone_is_cacheable(pll: ChargePumpPLL, f_mod: float) -> bool:
-    """Whether tone ``f_mod``'s settled state and measurement may be reused.
+    """Whether tone ``f_mod``'s finished measurement may be reused.
 
-    The one cacheability rule shared by the sequencer's settle cache,
-    the monitor's measurement dedup and the farm's presettle: at least
-    one PFD compare cycle must fit between the settle end and the arm
-    instant (``8·f_mod ≤ f_ref``), so the peak detector attached after
-    a restore sees the same history a cold settle would.
+    The one cacheability rule shared by the monitor's measurement dedup
+    and the farm's premeasure: at least one PFD compare cycle must fit
+    between the settle end and the arm instant (``8·f_mod ≤ f_ref``),
+    so the peak detector the farm attaches to a settled lane sees the
+    same history the scalar sequence's does.
     """
     return f_mod > 0.0 and 8.0 * f_mod <= pll.f_ref
 
@@ -183,14 +184,14 @@ def measurement_cache_key(
 ) -> Optional[Hashable]:
     """Dedup key for a finished tone measurement, or ``None``.
 
-    Stages 1–4 are a pure function of (physics, stimulus, tone, config)
-    once stage 0 runs the reproducible fixed settle, so the key is the
-    settle-cache key (:meth:`ToneTestSequencer._settle_cache_key`) minus
-    the record level (what the simulator records does not change what
-    the counters measure) plus the full frozen config (every measurement
-    stage reads it).  ``None`` means the tone is not reproducible enough
-    to dedup — exotic stimulus without a cache key, or a tone
-    :func:`tone_is_cacheable` refuses — and must simply run.
+    Stages 0–4 are a pure function of (physics, stimulus, tone, config),
+    so the key is the device's physics signature (never its name), the
+    stimulus's cache key, the tone and the full frozen config (every
+    stage reads it; what the simulator records does not change what the
+    counters measure, so the record level is not part of it).  ``None``
+    means the tone is not reproducible enough to dedup — exotic stimulus
+    without a cache key, or a tone :func:`tone_is_cacheable` refuses —
+    and must simply run.
     """
     if not tone_is_cacheable(pll, f_mod):
         return None
@@ -449,12 +450,6 @@ class ToneTestSequencer:
         three per-event trace appends without changing any measured
         value.  Pass ``"full"`` to keep the traces (e.g. for the figure
         benches that plot a tone's waveforms).
-    cache:
-        Optional :class:`~repro.core.warm.LockStateCache` of settled
-        stage-0 states.  With a cache, re-running a tone restores the
-        settled loop instead of re-simulating the settle — warm runs are
-        bit-identical to cold runs (snapshot guarantee) and skip the
-        dominant share of the per-tone work.
     """
 
     def __init__(
@@ -463,39 +458,17 @@ class ToneTestSequencer:
         stimulus: ModulatedStimulus,
         config: BISTConfig = BISTConfig(),
         record: Union[RecordLevel, str] = RecordLevel.COUNTERS,
-        cache: Optional[LockStateCache] = None,
     ) -> None:
         config.validate_against_pfd(pll.pfd_reset_delay)
         self.pll = pll
         self.stimulus = stimulus
         self.config = config
-        self.cache = cache
         self.record_level = RecordLevel.coerce(record)
         if self.record_level is RecordLevel.OFF:
             raise ConfigurationError(
                 "the Table 2 sequence reads the rising-edge trains; "
                 "use record='counters' or record='full'"
             )
-
-    # ------------------------------------------------------------------
-    # stage-0 helpers
-    # ------------------------------------------------------------------
-    def _settle_cache_key(self, f_mod: float) -> Hashable:
-        """Everything that determines the settled stage-0 state.
-
-        Keyed by the device's *physics signature* rather than its name,
-        so behaviourally identical devices — every same-configuration
-        die of a lot, or every repeat of the same injected fault across
-        a fault-library screen — share settled states, while any
-        component shift (i.e. a different fault) keys apart.
-        """
-        return (
-            self.pll.physics_signature(),
-            self.stimulus.cache_key(),
-            float(f_mod),
-            self.config.settle_cycles,
-            self.record_level.value,
-        )
 
     def run(
         self,
@@ -509,13 +482,8 @@ class ToneTestSequencer:
         which *is* a legitimate test outcome for some injected faults.
 
         Stage 0 is Table 2's fixed wait: ``settle_cycles`` modulation
-        periods from the nominal lock point.  The instance-level
-        ``cache`` serves it from a stored settled snapshot when the same
-        (PLL physics, stimulus, tone) was settled before; warm runs
-        *are* bit-identical to cold runs.  Caching applies only to tones
-        :func:`tone_is_cacheable` admits.
+        periods from the nominal lock point, always simulated.
         """
-        cache = self.cache
         cfg = self.config
         t_mod = 1.0 / f_mod
         stage_log: List[Tuple[TestStage, float]] = []
@@ -524,31 +492,13 @@ class ToneTestSequencer:
         # ---- stage 0: apply modulation with the loop locked -----------
         # The peak detector is attached *after* the settle (its latch
         # re-aligns on the first observed PFD cycle, well before the arm
-        # instant), so warm-restored and cold-settled runs see identical
-        # observer history from the settle end onwards.
+        # instant), exactly as the farm attaches its latch to a settled
+        # lane, so both engines see identical observer history from the
+        # settle end onwards.
         source = self.stimulus.make_source(f_mod, start_time=0.0)
         sim = PLLTransientSimulator(self.pll, source, record=self.record_level)
         stage_log.append((TestStage.REF_SET, 0.0))
-        settle_end = cfg.settle_cycles / f_mod
-        warm = False
-        cacheable = (
-            cache is not None
-            and tone_is_cacheable(self.pll, f_mod)
-            # Sources outside repro.stimulus may not support snapshots;
-            # they simply run cold rather than fail the tone.
-            and hasattr(source, "snapshot_state")
-            and hasattr(source, "restore_state")
-        )
-        if cacheable:
-            key = self._settle_cache_key(f_mod)
-            snap = cache.get(key)
-            if snap is not None:
-                sim.restore(snap)
-                warm = True
-        if not warm:
-            sim.run_until(settle_end)
-            if cacheable:
-                cache.put(key, sim.snapshot())
+        sim.run_until(cfg.settle_cycles / f_mod)
         wall_settled = perf_counter()
 
         detector = PeakFrequencyDetector(
@@ -599,7 +549,6 @@ class ToneTestSequencer:
                 settle_s=wall_settled - wall_start,
                 monitor_s=wall_monitored - wall_settled,
                 measure_s=wall_end - wall_monitored,
-                warm=warm,
             ),
         )
 

@@ -1,36 +1,31 @@
 """Warm-start support: one bounded LRU behind every warm tier.
 
-Table 2's stage (0) — "allow the loop to settle" — dominates the cost of
-a tone measurement: for the paper's sweep roughly four modulation
-periods of closed-loop simulation (~79 % of the per-tone events) are
-spent reaching steady state before the phase counter is even armed.
-That work is pure replay whenever the same (PLL, stimulus, tone) has
-been settled before: the loop is deterministic, so the settled state is
-a function of the configuration alone.  So are stages 1–4 and the
-nominal-frequency baseline.
+Table 2 stage 5 makes every tone independent, so a finished tone
+measurement — stages 0–4 run to the held-frequency count, or the
+:class:`~repro.errors.MeasurementError` they raise — is a pure function
+of (physics, stimulus, tone, config).  So is the nominal-frequency
+baseline.  Replaying either is wasted work.
 
 Each warm tier memoises one of those pure functions in a
 :class:`BoundedCache` (an LRU with hit/miss/eviction/merge counters)
 keyed by a tuple that leads with the device's *physics signature*
 (:meth:`~repro.pll.config.ChargePumpPLL.physics_signature`):
-:class:`LockStateCache` holds settled
-:class:`~repro.pll.simulator.SimulatorSnapshot` records (restoring one
-is bit-identical to the cold settle by the snapshot guarantee),
-:class:`ToneMeasurementCache` holds finished stage 1–4 outcomes, and
-the sequencer's nominal-frequency memo is a plain :class:`BoundedCache`.
-Keyed by physics rather than name, one cache shared across a lot
-settles each (stimulus, tone, configuration) family exactly once —
-every same-configuration die, and every repeat of the same injected
-fault, restores the first die's state.  The bound keeps long screening
-campaigns from growing memory without limit.
+:class:`ToneMeasurementCache` holds finished tones — the only warm
+state a sweep, lot, population or service consults — and the
+sequencer's nominal-frequency memo is a plain :class:`BoundedCache`.
+Keyed by physics rather than name, one measurement cache shared across
+a lot measures each (stimulus, tone, configuration) family exactly
+once: every same-configuration die, and every repeat of the same
+injected fault, is answered with the first die's finished tone.  The
+bound keeps long screening campaigns from growing memory without
+limit.  Stage 0 itself is never cached: a tone the measurement cache
+cannot answer settles from lock.
 
 :meth:`BoundedCache.export` and :meth:`BoundedCache.merge` move entries
 between caches.  Across process boundaries warm state moves one way
-only, and only as finished tones: Table 2 stage 5 makes every tone and
-every die independent, so a finished measurement is the only warm state
-a lot-pool worker can use.  The lot pool ships each chunk's share of
-the lot's :class:`ToneMeasurementCache` through :func:`warm_shipment`;
-no pool ships a settled snapshot, and nothing travels back.
+only, and only as finished tones: the lot pool ships each chunk's share
+of the lot's :class:`ToneMeasurementCache` through
+:func:`warm_shipment`, and nothing travels back.
 
 :meth:`BoundedCache.save` and :meth:`BoundedCache.load` extend the
 export/merge story across process *lifetimes*: a long-lived service
@@ -53,7 +48,6 @@ from collections import OrderedDict
 from typing import Hashable, Iterable, Optional, Tuple, Union
 
 from repro.errors import CachePersistenceError, ConfigurationError
-from repro.pll.simulator import SimulatorSnapshot
 
 __all__ = [
     "BoundedCache",
@@ -137,11 +131,11 @@ class BoundedCache:
     def peek(self, key: Hashable) -> Optional[object]:
         """Return the cached value without touching recency or counters.
 
-        The lot planner uses this to *inspect* settled states while
-        deciding what to farm — the orchestrating sweep's own
-        :meth:`get` remains the only place hit/miss telemetry accrues,
-        so planning does not distort the cache statistics the benches
-        and digests report.
+        The monitor uses this to read back what its own farm pass just
+        published — :meth:`get` remains the only place hit/miss
+        telemetry accrues, so a tone measured by this sweep never
+        counts as a hit in the statistics the benches and digests
+        report.
         """
         return self._store.get(key)
 
@@ -390,54 +384,27 @@ def _decode_payload(payload: object, path: str) -> Tuple[object, tuple]:
 
 
 class LockStateCache(BoundedCache):
-    """Bounded LRU cache of settled-loop snapshots.
+    """Retired settled-snapshot tier, kept only as a name.
 
-    Keys are hashable tuples built by the sequencer from everything
-    that determines the settled state: the PLL physics signature, the
-    stimulus parameters (nominal frequency, deviation, tone frequency),
-    the settle duration and the recording level.  Values are
-    :class:`~repro.pll.simulator.SimulatorSnapshot` records captured at
-    the end of stage (0).
+    Nothing in the package builds one: finished tones
+    (:class:`ToneMeasurementCache`) are the only warm state.  The class
+    survives for perfbench's tracer, which wraps ``save`` and ``merge``
+    through ``LockStateCache.__dict__`` — hence the bindings below.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        super().__init__(max_entries)
-        #: Digest left behind by :func:`repro.pll.lot.premeasure_lot`
-        #: (a :class:`~repro.pll.lot.LotPresettleStats`) so callers that
-        #: only hold the cache can report what the settle farm did.
-        self.presettle_stats = None
-
-    # Bound in this class's own namespace: perfbench's tracer wraps
-    # ``save`` and ``merge`` through ``LockStateCache.__dict__``.
     save = BoundedCache.save
     merge = BoundedCache.merge
 
-    @staticmethod
-    def _admits(key: Hashable, value: object) -> bool:
-        """A snapshot under a tuple key that leads with its signature.
-
-        Anything else could restore the wrong physics.
-        """
-        if not isinstance(value, SimulatorSnapshot):
-            return False
-        if not isinstance(key, tuple) or not key:
-            return False
-        return value.pll_signature is None or key[0] == value.pll_signature
-
 
 class ToneMeasurementCache(BoundedCache):
-    """Bounded LRU cache of finished stage 1–4 tone outcomes.
+    """Bounded LRU cache of finished tone outcomes.
 
-    The settle cache above removes the *stage 0* replay inside one lot;
-    this cache removes the stage 1–4 replay.  Measurement is as
-    deterministic as the settle: once the loop is restored to a settled
-    state, the armed counters, the peak detect/hold and the eq. 7–8
-    arithmetic are a pure function of (physics, stimulus, tone,
-    config) — exactly the key the sequencer builds for the settle
-    cache, minus the record level (the measurement result does not
-    depend on what the simulator records along the way).  So when a lot
-    contains behaviourally identical dies, the first die measures each
-    tone and the other seven reuse the finished
+    A tone's Table 2 stages 0–4 — the fixed settle, the armed counters,
+    the peak detect/hold and the eq. 7–8 arithmetic — are a pure
+    function of (physics, stimulus, tone, config), the key
+    :func:`~repro.core.sequencer.measurement_cache_key` builds.  So when
+    a lot contains behaviourally identical dies, the first die measures
+    each tone and the other seven reuse the finished
     :class:`~repro.core.sequencer.ToneMeasurement` verbatim, and a
     sweep-job service answers a repeated job's tones — in a later
     session too, through :meth:`save`/:meth:`load` — without
@@ -449,18 +416,26 @@ class ToneMeasurementCache(BoundedCache):
     so a sibling answers it as the same failed outcome instead of
     replaying the sequence.
 
-    Reuse is only offered on the reproducible fixed-settle path (the
-    same gate the settle cache uses) and a hit is re-stamped with a
-    warm :class:`~repro.core.sequencer.ToneTiming` so timing telemetry
-    stays honest; ``timing`` is excluded from measurement equality and
-    from reports, so a warm report stays byte-identical to cold.
+    Reuse is only offered for tones
+    :func:`~repro.core.sequencer.tone_is_cacheable` admits, and a hit is
+    re-stamped with a warm :class:`~repro.core.sequencer.ToneTiming` so
+    timing telemetry stays honest; ``timing`` is excluded from
+    measurement equality and from reports, so a warm report stays
+    byte-identical to cold.
 
     :meth:`~repro.core.monitor.TransferFunctionMonitor.run` owns the
-    semantics (and the farm's :func:`~repro.pll.lot.premeasure_lot`
-    fills it).
+    semantics, and the farm's :func:`~repro.pll.lot.premeasure_lot`
+    fills it.
     """
 
     DEFAULT_MAX_ENTRIES = 1024
+
+    def __init__(self, max_entries: Optional[int] = None) -> None:
+        super().__init__(max_entries)
+        #: Digest left behind by :func:`repro.pll.lot.premeasure_lot`
+        #: (a :class:`~repro.pll.lot.LotPresettleStats`) so callers that
+        #: only hold the cache can report what the settle farm did.
+        self.presettle_stats = None
 
     @staticmethod
     def _admits(key: Hashable, value: object) -> bool:

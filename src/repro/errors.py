@@ -86,12 +86,12 @@ class FaultInjectionError(ReproError, ValueError):
 class CachePersistenceError(ReproError, RuntimeError):
     """A persisted warm-cache file could not be read as a cache.
 
-    Raised by :meth:`repro.core.warm.BoundedCache.load` (the lock-state
-    and measurement tiers alike) when the file is missing, truncated,
-    not a cache at all, fails its SHA-256, or was written by a *newer*
-    format version than this library understands.  Individual entries
-    the loading tier does not admit are *skipped*, not raised — losing
-    a warm start costs a re-measure, never a crash.
+    Raised by :meth:`repro.core.warm.BoundedCache.load` when the file
+    is missing, truncated, not a cache at all, fails its SHA-256, or
+    was written by a *newer* format version than this library
+    understands.  Individual entries the loading tier does not admit
+    are *skipped*, not raised — losing a warm start costs a re-measure,
+    never a crash.
     """
 
 

@@ -40,7 +40,7 @@ def _bound_method_signature(value: object) -> Optional[Tuple]:
     are all scalars (e.g. ``HCT4046Config.tuning_curve``).  The method's
     behaviour is then fully determined by (class, method name, field
     values), so equal fingerprints imply bit-identical outputs and
-    settled states may be shared exactly as for plain scalar components.
+    finished tones may be shared exactly as for plain scalar components.
     """
     func = getattr(value, "__func__", None)
     owner = getattr(value, "__self__", None)
@@ -162,12 +162,12 @@ class ChargePumpPLL:
 
         Two PLLs with equal signatures are behaviourally identical: they
         produce bit-identical transient trajectories from the same
-        stimulus, so settled-state snapshots (and anything else derived
-        purely from the dynamics) can be shared between them.  This is
-        what lets a lot screen reuse one device's settled state for
-        every same-configuration device in the lot, and — because an
+        stimulus, so finished tone measurements (and anything else
+        derived purely from the dynamics) can be shared between them.
+        This is what lets a lot screen reuse one device's finished tones
+        for every same-configuration device in the lot, and — because an
         injected fault changes component parameters — what keys per-
-        fault settled states apart in a fault-library screen.
+        fault tones apart in a fault-library screen.
 
         The signature covers the charge pump, loop filter and VCO
         parameters plus the divider ratio, reference frequency and PFD

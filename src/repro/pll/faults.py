@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.errors import FaultInjectionError
 from repro.pll.charge_pump import (
@@ -165,6 +165,24 @@ def _fault_pump(pump: ChargePump, fault: Fault) -> ChargePump:
     )
 
 
+@dataclass(frozen=True)
+class _ScaledTuningCurve:
+    """A tuning curve with its gain scaled by ``k`` about ``f0``.
+
+    A module-level class rather than a closure, so a faulted device
+    pickles into pool workers.  Its ``nominal`` field is a callable, so
+    the device's physics signature still degrades to its name, exactly
+    as for any custom curve.
+    """
+
+    nominal: Callable[[float], float]
+    k: float
+    f0: float
+
+    def __call__(self, v: float) -> float:
+        return self.f0 + self.k * (self.nominal(v) - self.f0)
+
+
 def _fault_vco(vco: VCO, fault: Fault) -> VCO:
     if fault.kind is not FaultKind.VCO_GAIN_SHIFT:
         raise FaultInjectionError(
@@ -175,15 +193,7 @@ def _fault_vco(vco: VCO, fault: Fault) -> VCO:
     scaled_gain = vco.gain_hz_per_v * fault.magnitude
     curve = vco.tuning_curve
     if curve is not None:
-        nominal = curve
-        center_f = vco.f_center
-        center_v = vco.v_center
-
-        def scaled_curve(v: float, __nominal=nominal, __k=fault.magnitude,
-                         __f0=center_f) -> float:
-            return __f0 + __k * (__nominal(v) - __f0)
-
-        curve = scaled_curve
+        curve = _ScaledTuningCurve(curve, fault.magnitude, vco.f_center)
     return VCO(
         f_center=vco.f_center,
         gain_hz_per_v=scaled_gain,

@@ -5,28 +5,29 @@ die stream through :func:`~repro.reporting.device_report.batch_device_screen`
 in chunks, folding every outcome into a
 :class:`~.aggregate.PopulationAggregate` and (optionally) appending one
 JSONL record per die — then discarding the chunk.  Nothing scales with
-the population: the warm :class:`~repro.core.warm.LockStateCache` is
-LRU-bounded, outcomes live only for their chunk, and the aggregate is
-O(sketch bins).
+the population: the warm :class:`~repro.core.warm.ToneMeasurementCache`
+is LRU-bounded, outcomes live only for their chunk, and the aggregate
+is O(sketch bins).
 
 **Chunk sizing** follows the warm-cache dedup structure: each die's
-sweep settles ``points`` tone lanes, so the default chunk holds as many
-dies as keep one chunk's settle lanes inside the cache capacity
+sweep measures ``points`` tones, so the default chunk holds as many
+dies as keep one chunk's finished tones inside the cache capacity
 (same-physics families — duplicate sampled dies, repeated faults on one
-base die — then land in the same chunk and actually share their settled
-states instead of being evicted between chunks).
+base die — then land in the same chunk and actually share their
+finished tones instead of being evicted between chunks).
 
 **Determinism**: sampling is index-addressed, chunks group dies by
 physics signature only for execution (outcomes are re-ordered back to
-die-index order before aggregation), and warm/cold measurement paths
-are bit-identical by the snapshot guarantee — so the aggregate summary
-is byte-identical across runs *and* across chunk sizes.
+die-index order before aggregation), and a tone answered from the
+cache equals its cold measurement — so the aggregate summary is
+byte-identical across runs *and* across chunk sizes.
 
 **Workers**: under ``n_workers > 1`` the warm cache stays in this
-process.  Each pool worker receives only its share of the chunk's
-finished tones and screens on a fresh local lock-state cache; nothing
-travels back, so :attr:`PopulationScreenStats.cache_entries` counts
-only what the farm pass settled here (0 on the scalar engine).
+process.  Each pool worker receives a contiguous slice of the grouped
+chunk and only its share of the cache's finished tones, and screens on
+a fresh local cache; nothing travels back, so
+:attr:`PopulationScreenStats.cache_entries` counts only what the farm
+pass published here (0 on the scalar engine).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, IO, Optional, Tuple, Union
 
-from repro.core.warm import LockStateCache
+from repro.core.warm import ToneMeasurementCache
 from repro.engines import validate_engine
 from repro.errors import ConfigurationError
 from repro.reporting.device_report import (
@@ -111,9 +112,9 @@ def resolve_chunk_size(
 ) -> int:
     """Chunk size from the warm-cache dedup structure.
 
-    One die's sweep creates ``points`` tone-settle lanes (no screen
-    path settles a nominal-lock baseline); the chunk is sized so a
-    whole chunk's lanes fit the cache without evicting each other
+    One die's sweep measures ``points`` tones (no screen path measures
+    a nominal-lock baseline); the chunk is sized so a whole chunk's
+    finished tones fit the cache without evicting each other
     (bounded at 256 dies so a huge cache cannot make chunks — and their
     peak outcome memory — unbounded), then rounded up to give every
     pool worker at least one die.
@@ -138,7 +139,7 @@ def screen_population(
     chunk_size: Optional[int] = None,
     n_workers: int = 1,
     engine: str = "auto",
-    cache: Optional[LockStateCache] = None,
+    cache: Optional[ToneMeasurementCache] = None,
     jsonl: Optional[Union[str, IO[str]]] = None,
     progress: Optional[Callable[[ChunkProgress], None]] = None,
 ) -> Tuple[PopulationAggregate, PopulationScreenStats]:
@@ -159,9 +160,10 @@ def screen_population(
         ``engine`` selects the settle engine (``"auto"`` settles and
         measures each chunk's lanes on the farm's per-lane kernel).
     cache:
-        Warm :class:`~repro.core.warm.LockStateCache` shared across
-        chunks (created with a 4096-entry LRU bound when omitted — the
-        memory model relies on the bound, not on the population size).
+        Warm :class:`~repro.core.warm.ToneMeasurementCache` shared
+        across chunks (created with a 4096-entry LRU bound when omitted
+        — the memory model relies on the bound, not on the population
+        size).
     jsonl:
         Path or open text handle; one JSON record per die is appended
         as it is screened (streaming export, nothing retained).
@@ -176,7 +178,7 @@ def screen_population(
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers!r}")
     corner = get_corner(spec.corner)
     if cache is None:
-        cache = LockStateCache(max_entries=4096)
+        cache = ToneMeasurementCache(max_entries=4096)
     size = (
         resolve_chunk_size(spec, cache.max_entries, n_workers)
         if chunk_size is None else chunk_size
@@ -203,9 +205,10 @@ def screen_population(
             stop = min(start + size, spec.size)
             dies = [sample_die(spec, i) for i in range(start, stop)]
             # Group same-physics families adjacently for execution (the
-            # measurement dedup and warm cache then fire within the
-            # chunk), but aggregate strictly in die-index order so the
-            # summary never depends on the grouping.
+            # warm cache then fires within the chunk, and a pooled
+            # chunk keeps each family in one worker), but aggregate
+            # strictly in die-index order so the summary never depends
+            # on the grouping.
             order = sorted(range(len(dies)), key=lambda j: _family_key(dies[j]))
             requests = [
                 DeviceReportRequest(
@@ -217,7 +220,7 @@ def screen_population(
             grouped = batch_device_screen(
                 requests, n_workers=n_workers, cache=cache, engine=engine
             )
-            chunk_presettle = getattr(cache, "presettle_stats", None)
+            chunk_presettle = cache.presettle_stats
             if chunk_presettle is not None:
                 farm_settle_s += chunk_presettle.settle_s
                 farm_monitor_s += chunk_presettle.monitor_s

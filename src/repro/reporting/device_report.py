@@ -15,18 +15,19 @@ mis-configured request, any per-device error — still yields an artefact
 (a failure-stub report) because production archives one document per
 device, pass or fail; one bad device never aborts the lot.
 
-Passing a shared :class:`~repro.core.warm.LockStateCache` warm-starts
-the whole screen: the lot settles each (stimulus, tone, device-physics)
-family once and every behaviourally identical device thereafter restores
-the settled state instead of re-simulating it — bit-identical by the
-snapshot guarantee, so warm lot reports equal cold ones byte for byte.
-Under ``n_workers > 1`` warm state moves one way only, and only as
+Passing a shared :class:`~repro.core.warm.ToneMeasurementCache`
+warm-starts the whole screen: the lot measures each (stimulus, tone,
+device-physics) family once and every behaviourally identical device
+thereafter is answered with the finished tone instead of re-simulating
+it — a hit differs only in the comparison-excluded timing, so warm lot
+reports equal cold ones byte for byte.  Under ``n_workers > 1`` the lot
+is cut into contiguous chunks in lot order, so a same-physics family
+that sits together (the population engine sorts families adjacent)
+lands in one worker.  Warm state moves one way only, and only as
 finished tones: each chunk's payload carries the lot's finished
 measurements for its own physics families
-(:func:`~repro.core.warm.warm_shipment`), and a warm lot's worker
-screens its chunk on one fresh local cache, so same-physics dies in a
-chunk still share a settle.  Settled states never leave their process
-and only the per-device results travel back.
+(:func:`~repro.core.warm.warm_shipment`), seeding one fresh local cache
+the chunk's dies share.  Only the per-device results travel back.
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ from repro.analysis.sensitivity import DiagnosisCandidate
 from repro.core.architecture import BISTConfig
 from repro.core.limits import LimitReport, TestLimits
 from repro.core.monitor import SweepPlan, SweepResult, TransferFunctionMonitor
-from repro.core.warm import (
-    LockStateCache,
-    ToneMeasurementCache,
-    warm_shipment,
-)
+from repro.core.warm import ToneMeasurementCache, warm_shipment
 from repro.engines import validate_engine
 from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.config import ChargePumpPLL
@@ -227,32 +224,30 @@ def _failure_stub(pll: ChargePumpPLL, reason: str) -> str:
 
 def _measure_one(
     request: DeviceReportRequest,
-    cache: Optional[LockStateCache],
-    measurement_cache: Optional[ToneMeasurementCache],
+    cache: Optional[ToneMeasurementCache],
 ) -> Tuple[SweepResult, Optional[LimitReport]]:
     """Run one device's sweep and, when it has limits, its verdict.
 
     Always the scalar sweep: under ``engine="auto"`` the lot's one farm
-    pass has already filled ``cache``/``measurement_cache``, and a
-    per-device farm would only re-presettle what it left behind.
+    pass has already filled ``cache``, and a per-device farm could only
+    retry the lanes it left behind.
     """
     monitor = TransferFunctionMonitor(
-        request.pll, request.stimulus, request.config, cache=cache
+        request.pll, request.stimulus, request.config
     )
     if request.limits is not None:
         return monitor.run_and_check(
             request.plan, request.limits, engine="scalar",
-            measurement_cache=measurement_cache,
+            measurement_cache=cache,
         )
     sweep = monitor.run(request.plan, engine="scalar",
-                        measurement_cache=measurement_cache)
+                        measurement_cache=cache)
     return sweep, None
 
 
 def _render_one(
     request: DeviceReportRequest,
-    cache: Optional[LockStateCache] = None,
-    measurement_cache: Optional[ToneMeasurementCache] = None,
+    cache: Optional[ToneMeasurementCache] = None,
 ) -> str:
     """Worker: measure one device and render its report (module-level,
     picklable).
@@ -264,13 +259,12 @@ def _render_one(
     must never abort the remaining devices (least of all by killing a
     pool map mid-lot).
 
-    ``measurement_cache`` (``engine="auto"`` screens) shares
-    finished stage 1–4 measurements across behaviourally identical
+    ``cache`` shares finished tones across behaviourally identical
     dies; reports stay byte-identical because timing never reaches the
     artefact.
     """
     try:
-        sweep, verdict = _measure_one(request, cache, measurement_cache)
+        sweep, verdict = _measure_one(request, cache)
         return device_report(request.pll, sweep, limits=verdict)
     except MeasurementError as exc:
         # The reference tone died: no transfer function exists, but the
@@ -307,15 +301,14 @@ class DeviceScreenOutcome:
 
 def _screen_one(
     request: DeviceReportRequest,
-    cache: Optional[LockStateCache] = None,
-    measurement_cache: Optional[ToneMeasurementCache] = None,
+    cache: Optional[ToneMeasurementCache] = None,
 ) -> DeviceScreenOutcome:
     """Worker: measure one device into a numeric outcome (module-level,
     picklable).  Mirrors :func:`_render_one`'s failure semantics — any
     per-device error becomes an outcome with ``error`` set, never an
     exception that could abort the lot."""
     try:
-        sweep, verdict = _measure_one(request, cache, measurement_cache)
+        sweep, verdict = _measure_one(request, cache)
     except MeasurementError as exc:
         return DeviceScreenOutcome(
             name=request.pll.name, passed=False, error=str(exc)
@@ -351,37 +344,28 @@ def _run_chunk(one: Callable, payload: tuple) -> List[Tuple[int, object]]:
     """Worker: measure one chunk of the lot through ``one`` (module-level,
     so ``functools.partial(_run_chunk, one)`` pickles).
 
-    ``payload`` is ``(chunk of (lot_index, request), warm flag, the
-    chunk's finished-tone entries or None)``.  A warm lot's chunk shares
-    one fresh local :class:`~repro.core.warm.LockStateCache` — the
-    serial path's rule, so same-physics dies in the chunk share a
-    settle.  The finished tones, which the farm's premeasure pass
-    published before the pool split the lot, seed a local
-    :class:`~repro.core.warm.ToneMeasurementCache`.  Only the
-    ``(lot_index, result)`` pairs travel back.
+    ``payload`` is ``(chunk of (lot_index, request), the chunk's
+    finished-tone entries or None)``.  ``None`` is a cold lot: every
+    die runs cold.  Otherwise the entries — what the farm's premeasure
+    pass published before the pool split the lot — seed one fresh local
+    :class:`~repro.core.warm.ToneMeasurementCache` the chunk's dies
+    share, the serial path's rule.  Only the ``(lot_index, result)``
+    pairs travel back.
     """
-    chunk, warm, measurements = payload
-    cache = (
-        LockStateCache(max_entries=max(256, 16 * len(chunk)))
-        if warm else None
-    )
-    measurement_cache: Optional[ToneMeasurementCache] = None
+    chunk, measurements = payload
+    cache: Optional[ToneMeasurementCache] = None
     if measurements is not None:
-        measurement_cache = ToneMeasurementCache(
+        cache = ToneMeasurementCache(
             max_entries=max(1024, len(measurements) + 16 * len(chunk))
         )
-        measurement_cache.merge(measurements)
-    return [
-        (index, one(request, cache=cache,
-                    measurement_cache=measurement_cache))
-        for index, request in chunk
-    ]
+        cache.merge(measurements)
+    return [(index, one(request, cache=cache)) for index, request in chunk]
 
 
 def batch_device_reports(
     requests: Sequence[DeviceReportRequest],
     n_workers: int = 1,
-    cache: Optional[LockStateCache] = None,
+    cache: Optional[ToneMeasurementCache] = None,
     engine: str = "auto",
 ) -> List[str]:
     """Measure and render a lot of devices, one report per request.
@@ -392,28 +376,28 @@ def batch_device_reports(
     byte-identical whichever way they ran.
 
     ``cache`` opts the lot into **warm screening**: every device's
-    monitor draws settled stage-0 states from (and contributes them to)
-    the one shared :class:`~repro.core.warm.LockStateCache`.  Entries
-    are keyed by device *physics signature*, so a lot of
-    same-configuration dies — or repeated injected faults across a
-    fault-library screen — settles each (stimulus, tone) family once
-    and serves the rest warm, with reports byte-identical to the cold
-    run (the snapshot guarantee).  Under ``n_workers > 1`` the cache
-    stays in this process: each worker screens its chunk on a fresh
-    local cache, so same-physics dies within a chunk share a settle,
-    and nothing folds back — ``cache`` keeps only what the farm pass
-    put there (nothing on the scalar engine).  With ``None`` (default)
-    the scalar engine screens every device cold.
+    monitor answers its tones from (and publishes them to) the one
+    shared :class:`~repro.core.warm.ToneMeasurementCache`.  Entries are
+    keyed by device *physics signature*, so a lot of same-configuration
+    dies — or repeated injected faults across a fault-library screen —
+    measures each (stimulus, tone) family once and answers the rest
+    warm, with reports byte-identical to the cold run.  Under
+    ``n_workers > 1`` the cache stays in this process: each worker
+    screens its contiguous chunk on a fresh local cache seeded with the
+    chunk's share of ``cache``, so same-physics dies within a chunk
+    share a tone, and nothing folds back — ``cache`` keeps only what
+    was there before plus what the farm pass published.  With ``None``
+    (default) the scalar engine screens every device cold.
 
     ``engine="auto"`` (default) first runs every unique (physics,
-    stimulus, tone) lane of the whole lot on the settle farm's per-lane
-    kernel (:func:`repro.pll.lot.premeasure_lot`) — one pass over the
-    lot's deduplicated settle *and* stage 1-4 measurement work — and
-    then screens warm exactly as above; a private cache is created when
-    ``cache`` is ``None`` so the presettled states are actually served.
+    stimulus, tone, config) lane of the whole lot through Table 2
+    stages 0–4 on the settle farm's per-lane kernel
+    (:func:`repro.pll.lot.premeasure_lot`) and then screens warm
+    exactly as above; a private cache is created when ``cache`` is
+    ``None`` so the farm's finished tones are actually served.
     ``"scalar"`` runs no farm: the reference.  Reports are
-    byte-identical on both engines and every path (the snapshot
-    guarantee); only wall time changes.
+    byte-identical on both engines and every path; only wall time
+    changes.
     """
     return _batch_measure(
         requests, n_workers, cache, engine, _render_one, what="report",
@@ -423,20 +407,20 @@ def batch_device_reports(
 def batch_device_screen(
     requests: Sequence[DeviceReportRequest],
     n_workers: int = 1,
-    cache: Optional[LockStateCache] = None,
+    cache: Optional[ToneMeasurementCache] = None,
     engine: str = "auto",
 ) -> List[DeviceScreenOutcome]:
     """Measure a lot of devices into numeric outcomes, one per request.
 
     The structured sibling of :func:`batch_device_reports`: the same
-    measure pipeline (serial or pooled, warm cache, engine presettle,
+    measure pipeline (serial or pooled, warm cache, farm premeasure,
     per-device failure isolation) but returning
     :class:`DeviceScreenOutcome` records instead of markdown — this is
     the endpoint the streaming population engine aggregates, where
     rendering (and then re-parsing) an archival document per die would
     dominate the screen.  Outcomes come back in request order and are
-    identical whichever way they ran, by the same snapshot guarantee
-    that makes reports byte-identical.
+    identical whichever way they ran, just as reports are
+    byte-identical.
     """
     return _batch_measure(
         requests, n_workers, cache, engine, _screen_one, what="outcome",
@@ -446,7 +430,7 @@ def batch_device_screen(
 def _batch_measure(
     requests: Sequence[DeviceReportRequest],
     n_workers: int,
-    cache: Optional[LockStateCache],
+    cache: Optional[ToneMeasurementCache],
     engine: str,
     one: Callable,
     what: str,
@@ -455,51 +439,40 @@ def _batch_measure(
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers!r}")
     jobs = list(requests)
-    measurement_cache: Optional[ToneMeasurementCache] = None
     if validate_engine(engine) == "auto" and jobs:
         if cache is None:
-            cache = LockStateCache(max_entries=max(256, 16 * len(jobs)))
+            cache = ToneMeasurementCache(max_entries=max(1024, 16 * len(jobs)))
         # Lazy import: the farm (and NumPy array machinery) only loads
         # for lots that opt into it.
         from repro.pll.lot import premeasure_lot
 
-        # The lot also shares *finished* measurements: behaviourally
-        # identical dies measure each tone once.  The farm fills this
-        # cache up front — every lane runs stages 1-4 on the farm's
-        # kernel, not just the settle — and every die's sweep then
+        # The farm fills the cache up front — every unique lane runs
+        # stages 0-4 on the farm's kernel — and every die's sweep then
         # answers its tones from the cache.  Reports stay byte-equal:
         # a hit differs only in the comparison-excluded timing, an
         # in-farm MeasurementError is published as its exact text, and
-        # a lane the farm ejected is simply absent, so the sweep
-        # measures it itself.
-        measurement_cache = ToneMeasurementCache(
-            max_entries=max(1024, 16 * len(jobs))
-        )
+        # a lane the farm skipped or ejected is simply absent, so the
+        # first sweep that needs it measures it itself.
         premeasure_lot(
             [(job.pll, job.stimulus, job.config, job.plan.frequencies_hz)
              for job in jobs],
             cache,
-            measurement_cache,
         )
     workers = min(n_workers, len(jobs))
     if workers <= 1:
-        return [
-            one(job, cache=cache, measurement_cache=measurement_cache)
-            for job in jobs
-        ]
-    # Stride the lot so each worker's chunk samples the request order
-    # evenly (mirrors the tone executor's cost-spreading dispatch).
+        return [one(job, cache=cache) for job in jobs]
+    # Contiguous chunks in lot order: a same-physics family that sits
+    # together in the lot lands in one worker and shares its tones.
+    bounds = [len(jobs) * w // workers for w in range(workers + 1)]
     chunks = [
-        tuple((i, jobs[i]) for i in range(w, len(jobs), workers))
+        tuple((i, jobs[i]) for i in range(bounds[w], bounds[w + 1]))
         for w in range(workers)
     ]
     # Each chunk ships only its own physics families' finished tones —
     # for a heterogeneous population lot the payload stays proportional
     # to the chunk, not to everything the lot has measured.
     payloads = [
-        (chunk, cache is not None, warm_shipment(
-            measurement_cache, [request.pll for __, request in chunk]
-        ))
+        (chunk, warm_shipment(cache, [request.pll for __, request in chunk]))
         for chunk in chunks
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:

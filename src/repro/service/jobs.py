@@ -97,7 +97,7 @@ class SweepJobRequest:
     #: Priority class; the scheduler drains higher classes first
     #: (ties broken round-robin per client, then submission order).
     priority: int = 0
-    #: Settle engine: ``"auto"`` (default) presettles the plan on the
+    #: Settle engine: ``"auto"`` (default) measures the plan on the
     #: settle farm's per-lane kernel, warming the service's shared
     #: cache; ``"scalar"`` runs per-tone event loops.  Results are
     #: bit-identical.

@@ -33,9 +33,8 @@ Design points
   :class:`~repro.errors.MeasurementError` text) is a pure function of
   (physics, stimulus, tone, config), and it is all a later job needs
   from an earlier one, so the service keeps
-  :class:`~repro.core.warm.ToneMeasurementCache` entries, never settled
-  snapshots: each job settles into its monitor's private lock-state
-  cache, which dies with the job.
+  :class:`~repro.core.warm.ToneMeasurementCache` entries and nothing
+  else: a tone no tier answers settles from lock inside its job.
 * **Shard-safe warm tier.**  Each shard measures into its *own* hot
   measurement cache (single writer, exactly the width-1 guarantee, now
   per shard) and the service anti-entropies at job boundaries: the

@@ -13,7 +13,7 @@ the polynomial (ramp/hold) or exponential update between PFD switching
 instants that Kuznetsov et al. (arXiv:1901.01468) derive.
 
 The kernel also carries Table 2 stages 1–4.  A lane with a
-:class:`MeasureSpec` re-enters it from its settled snapshot; the stage
+:class:`MeasureSpec` re-enters it from its settled state; the stage
 control flow is the shared
 :class:`~repro.core.sequencer.MeasurementScript`, fired at its
 run-to-target boundaries, and the measurement hardware adds a few event
@@ -38,13 +38,19 @@ sequencer's.  That holds because:
   the group;
 * a charge pump with a turn-on delay (the dead-zone fault) carries the
   scalar engine's pending-activation event through the kernel;
-* any lane the farm cannot represent faithfully — VCO clamp
-  excursion, an unrecognised tuning curve, an exotic filter, a PFD
-  anomaly — is *ejected*: its state (a valid event-boundary snapshot,
-  a pending activation included) is materialised and a scalar
-  simulator finishes the settle, so correctness never depends on the
-  fast path.  A lane ejected mid-measurement keeps its settled
-  snapshot and the orchestrating sweep measures it scalar.
+* a lane the farm cannot represent at all — an unrecognised tuning
+  curve, an exotic filter or source — never enters it and runs
+  nothing here;
+* a lane that leaves the supported envelope mid-settle — VCO clamp
+  excursion, a PFD anomaly — is *ejected*: its state (a valid
+  event-boundary snapshot, a pending activation included) is
+  materialised and a scalar simulator finishes the settle, from which
+  the kernel measures;
+* a lane ejected mid-measurement publishes nothing.
+
+The orchestrating sweep settles and measures every tone the farm left
+unanswered on the scalar engine, so correctness never depends on the
+fast path.
 """
 
 from __future__ import annotations
@@ -327,9 +333,7 @@ class SettleLane:
     """One settle job: device × stimulus × tone, up to ``settle_end``.
 
     ``measure`` asks the farm to carry the lane through Table 2 stages
-    1–4 after the settle; ``presettled`` skips stage 0 entirely and
-    enters the measurement stages from a previously-settled snapshot
-    (the warm-cache hit of a lane whose *measurement* is still cold).
+    1–4 after the settle.
     """
 
     pll: object
@@ -338,27 +342,25 @@ class SettleLane:
     settle_end: float
     record: RecordLevel = RecordLevel.COUNTERS
     measure: Optional[MeasureSpec] = None
-    presettled: Optional[SimulatorSnapshot] = None
 
 
 @dataclass
 class LaneResult:
     """Outcome of one lane.
 
-    ``mode`` is ``"vector"`` (completed on the farm's kernel),
-    ``"ejected"`` (left the supported envelope mid-flight, scalar
-    finish), ``"scalar"`` (never entered the farm; full scalar settle)
-    or ``"warm"`` (stage 0 skipped — the lane entered presettled).
-    ``snapshot`` is ``None`` when the scalar path raised — the caller
-    should leave that lane cold so the orchestrating sweep reproduces
-    the identical error itself.
+    ``mode`` is ``"vector"`` (settled on the farm's kernel),
+    ``"ejected"`` (left the supported envelope mid-settle, scalar
+    finish) or ``"scalar"`` (the farm cannot represent it: nothing ran,
+    and ``snapshot`` is ``None``).  An ejected lane whose scalar finish
+    raised carries the text in ``error`` and no ``snapshot``; the
+    orchestrating sweep reproduces the identical error itself.
     ``nonlinear`` marks lanes whose device carries a recognised
     nonlinear (4046-style) VCO tuning curve.  ``measurement`` is set
     when the lane carried a :class:`MeasureSpec` and the farm ran its
     stages 1–4 to an end: the finished :class:`~repro.core.sequencer.
     ToneMeasurement`, or the :class:`~repro.errors.MeasurementError`
     text the scalar sequencer raises for the same tone.  ``None``
-    means the orchestrating sweep measures scalar from ``snapshot``.
+    means the orchestrating sweep runs the tone on the scalar engine.
     """
 
     snapshot: Optional[SimulatorSnapshot]
@@ -572,7 +574,7 @@ class VectorizedLotSimulator:
     def __init__(self, lanes: Sequence[SettleLane]):
         self.lanes = list(lanes)
         self.stats = {"vector": 0, "ejected": 0, "scalar": 0,
-                      "failed": 0, "nonlinear": 0, "warm": 0,
+                      "failed": 0, "nonlinear": 0,
                       "measured": 0, "measure_ejected": 0,
                       "measure_failed": 0}
         #: Wall-clock split of the farm run: stage 0 (settle) vs the
@@ -582,7 +584,7 @@ class VectorizedLotSimulator:
         self.wall_measure_s = 0.0
         self._results: List[Optional[LaneResult]] = [None] * len(self.lanes)
         self._vec: List[int] = []          # lane positions in the farm
-        self._fallback: List[int] = []     # lane positions settled scalar
+        self._fallback: List[int] = []     # lane positions the farm skips
         self._prepare()
 
     # ------------------------------------------------------------------
@@ -736,26 +738,16 @@ class VectorizedLotSimulator:
         :class:`MeasureSpec`; returns one :class:`LaneResult` per lane."""
         wall0 = perf_counter()
         for pos in self._fallback:
-            self._results[pos] = self._scalar_settle(self.lanes[pos])
-        for i, pos in enumerate(self._vec):
-            snap = self.lanes[pos].presettled
-            if snap is None:
-                self._kernel_run(i)
-            else:
-                # Presettled lanes skip stage 0: their stored snapshot
-                # becomes the settle result directly, and _run_measure
-                # reloads it exactly as it reloads farm-settled lanes.
-                self._results[pos] = LaneResult(
-                    snapshot=snap, mode="warm",
-                    nonlinear=self._tables[i].nonlinear,
-                )
+            self._results[pos] = LaneResult(snapshot=None, mode="scalar")
+        for i in range(len(self._vec)):
+            self._kernel_run(i)
         self.wall_settle_s += perf_counter() - wall0
         self._run_measure()
         out = []
         for pos, result in enumerate(self._results):
             assert result is not None, f"lane {pos} never resolved"
             self.stats[result.mode] += 1
-            if result.snapshot is None:
+            if result.error is not None:
                 self.stats["failed"] += 1
             if result.nonlinear:
                 self.stats["nonlinear"] += 1
@@ -768,8 +760,8 @@ class VectorizedLotSimulator:
     def _run_measure(self) -> None:
         """Carry every settled lane with a MeasureSpec through stages 1–4.
 
-        Each such lane is reloaded from its settle result (a farm,
-        scalar-finished or presettled snapshot) and driven through the
+        Each such lane is reloaded from its settle result (a farm- or
+        scalar-finished snapshot) and driven through the
         arm / peak-watch / hold-and-count stages by :meth:`_kernel_run`,
         the same kernel that settles lanes.  A lane whose script
         finishes publishes its :class:`~repro.core.sequencer.
@@ -777,9 +769,9 @@ class VectorizedLotSimulator:
         :class:`~repro.errors.MeasurementError` publishes the error
         text, which the scalar sequencer raises identically from the
         same snapshot.  A lane the kernel cannot load or advance
-        faithfully keeps its settle-only result and the orchestrating
-        sweep measures it scalar, so correctness never depends on this
-        phase.
+        faithfully publishes nothing and the orchestrating sweep runs
+        the tone on the scalar engine, so correctness never depends on
+        this phase.
 
         The wall split reads the clock when a lane's script leaves
         stages 1–3: time before goes to monitor, time after to measure.
@@ -1352,7 +1344,7 @@ class VectorizedLotSimulator:
         if script is not None:
             # A measuring lane's settle result stands either way; the
             # script's end is published on it, an ejection leaves the
-            # sweep to measure scalar from the settled snapshot.
+            # tone to the sweep's scalar engine.
             self._mscript[lane] = None
             self._fb_rec[lane] = None
             if eject:
@@ -1461,16 +1453,6 @@ class VectorizedLotSimulator:
         self._results[self._vec[lane]] = self._finish_from_snapshot(
             spec, snap, "ejected", nonlinear
         )
-
-    def _scalar_settle(self, spec: SettleLane) -> LaneResult:
-        """Full scalar settle for a lane the farm cannot represent."""
-        try:
-            source = spec.stimulus.make_source(spec.f_mod, 0.0)
-            sim = PLLTransientSimulator(spec.pll, source, record=spec.record)
-            sim.run_until(spec.settle_end)
-            return LaneResult(snapshot=sim.snapshot(), mode="scalar")
-        except Exception as exc:  # noqa: BLE001 - leave the lane cold
-            return LaneResult(snapshot=None, mode="scalar", error=str(exc))
 
 
 class _LaneProbe:

@@ -67,7 +67,7 @@ class ModulatedStimulus:
 
         Two stimuli with equal keys produce bit-identical sources from
         :meth:`make_source` for every ``(f_mod, start_time)``; the
-        warm-start machinery uses this to key cached settled states.
+        warm-start machinery uses this to key finished tones.
         Subclasses with extra shape parameters must extend the tuple.
         """
         return (type(self).__name__, self.f_nominal, self.deviation)

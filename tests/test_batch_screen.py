@@ -2,12 +2,12 @@
 
 The lot-screening contract has three legs:
 
-* **byte identity** — a warm batch (one shared ``LockStateCache``)
+* **byte identity** — a warm batch (one shared ``ToneMeasurementCache``)
   renders every report byte-identical to the cold batch, serial or
-  pooled, because warm starts restore settled snapshots bit-exactly;
+  pooled, because a finished tone answers a twin die bit-exactly;
 * **signature keying** — cache entries are keyed by the device's
   *physics signature*, so renamed same-configuration dies (and repeats
-  of the same injected fault) share settled states while genuinely
+  of the same injected fault) share finished tones while genuinely
   different loops key apart;
 * **hardening** — any per-device error becomes a failure-stub artefact
   instead of killing the lot, the monitor identifies the reference tone
@@ -23,12 +23,12 @@ from typing import List
 import pytest
 
 from repro.core import (
-    LockStateCache,
     ProcessPoolSweepExecutor,
     SweepPlan,
     ToneOutcome,
     TransferFunctionMonitor,
 )
+from repro.core.warm import ToneMeasurementCache
 from repro.errors import MeasurementError
 from repro.pll.faults import Fault, FaultKind, apply_fault
 from repro.presets import paper_pll, paper_stimulus
@@ -76,11 +76,12 @@ class TestWarmBatchByteIdentity:
     def test_serial_warm_byte_identical_and_stats(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
         cold = batch_device_reports(lot, engine="scalar")
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         warm = batch_device_reports(lot, cache=cache, engine="scalar")
         assert warm == cold
         detail = cache.stats_detail
-        # The first device settles each tone; every later device restores.
+        # The first device measures each tone; every later device is
+        # answered with the finished tone.
         assert detail["misses"] == len(TONES)
         assert detail["hits"] == (LOT_SIZE - 1) * len(TONES)
         assert detail["entries"] == len(TONES)
@@ -90,11 +91,11 @@ class TestWarmBatchByteIdentity:
     ):
         lot = _lot_requests(fast_bist_config)
         cold = batch_device_reports(lot, engine="scalar")
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         warm = batch_device_reports(lot, n_workers=2, cache=cache,
                                     engine="scalar")
         assert warm == cold
-        # Workers settle on their own local caches and return only
+        # Workers measure into their own local caches and return only
         # their reports: nothing folds back into the caller's cache.
         detail = cache.stats_detail
         assert detail["entries"] == 0
@@ -104,7 +105,7 @@ class TestWarmBatchByteIdentity:
         self, fast_bist_config, monkeypatch
     ):
         # Every farm lane settles but none measures, so each worker
-        # re-settles and measures its dies' tones on the scalar loop.
+        # settles and measures its dies' tones on the scalar loop.
         from repro.sim.vectorized import VectorizedLotSimulator
 
         fault = Fault(FaultKind.VCO_GAIN_SHIFT, 0.6)
@@ -117,7 +118,7 @@ class TestWarmBatchByteIdentity:
             VectorizedLotSimulator, "_load_measure_state",
             lambda self, i, lane, snap: False,
         )
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         pooled = batch_device_reports(lot, n_workers=2, cache=cache,
                                       engine="auto")
         assert pooled == scalar
@@ -125,15 +126,63 @@ class TestWarmBatchByteIdentity:
         assert stats.measured == 0
         assert stats.measure_ejected == 2 * len(TONES)
 
+    def test_pool_chunks_keep_a_family_in_one_worker(
+        self, fast_bist_config, monkeypatch
+    ):
+        # Lot [A, A, B, B] on two workers: contiguous chunks in lot
+        # order give each worker one physics family, so a family's
+        # tones are measured once, not once per worker.
+        import importlib
+
+        # The package re-exports a function under the module's name.
+        device_report = importlib.import_module(
+            "repro.reporting.device_report"
+        )
+
+        fault = Fault(FaultKind.VCO_GAIN_SHIFT, 0.6)
+        family_a = _lot_requests(fast_bist_config, size=2)
+        family_b = [
+            replace(req, pll=apply_fault(req.pll, fault)) for req in family_a
+        ]
+        lot = family_a + family_b
+        chunks = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                chunks.extend(payload[0] for payload in payloads)
+                return [fn(payload) for payload in payloads]
+
+        monkeypatch.setattr(device_report, "ProcessPoolExecutor",
+                            RecordingPool)
+        pooled = batch_device_reports(lot, n_workers=2,
+                                      cache=ToneMeasurementCache(),
+                                      engine="scalar")
+        assert pooled == batch_device_reports(lot, engine="scalar")
+        assert [[index for index, __ in chunk] for chunk in chunks] == \
+            [[0, 1], [2, 3]]
+        for chunk in chunks:
+            families = {req.pll.physics_signature() for __, req in chunk}
+            assert len(families) == 1
+
     def test_cache_persists_across_batches(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         first = batch_device_reports(lot, cache=cache, engine="scalar")
         hits_after_first = cache.stats_detail["hits"]
         second = batch_device_reports(lot, cache=cache, engine="scalar")
         assert second == first
-        # A re-screen of the same lot settles nothing: every tone of
-        # every device restores from the first screen's entries.
+        # A re-screen of the same lot measures nothing: every tone of
+        # every device is answered from the first screen's entries.
         detail = cache.stats_detail
         assert detail["misses"] == len(TONES)
         assert detail["hits"] == hits_after_first + LOT_SIZE * len(TONES)
@@ -163,7 +212,7 @@ class TestPhysicsSignatureKeying:
     def test_nonlinear_dies_share_signature(self):
         # The nonlinear VCO's tuning curve is a method bound to a frozen
         # all-scalar config, so it fingerprints from parameters: renamed
-        # 4046-style dies share settled states just like linear ones.
+        # 4046-style dies share finished tones just like linear ones.
         a = paper_pll(nonlinear=True)
         b = replace(a, name=f"{a.name}-die2")
         assert a.physics_signature()[0] == "physics"
@@ -197,13 +246,13 @@ class TestPhysicsSignatureKeying:
             replace(req, pll=apply_fault(req.pll, fault))
             for req in healthy
         ]
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         reports = batch_device_reports(healthy + faulty, cache=cache,
                                        engine="scalar")
         assert len(reports) == 4
         detail = cache.stats_detail
-        # Two physics families (healthy, faulted) x two tones settle;
-        # the second die of each family restores both tones.
+        # Two physics families (healthy, faulted) x two tones measure;
+        # the second die of each family is answered for both tones.
         assert detail["misses"] == 2 * len(TONES)
         assert detail["hits"] == 2 * len(TONES)
 

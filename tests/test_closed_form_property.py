@@ -30,12 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    LockStateCache,
-    SweepPlan,
-    TransferFunctionMonitor,
-)
+from repro.core import SweepPlan, TransferFunctionMonitor
 from repro.core.architecture import BISTConfig
+from repro.core.warm import ToneMeasurementCache
 from repro.errors import ConfigurationError
 from repro.pll import ChargePumpPLL, CurrentChargePump, VCO
 from repro.pll.faults import FAULT_LIBRARY, apply_fault
@@ -274,7 +271,7 @@ class TestTierCascade:
             ),
         ]
         cold = batch_device_reports(lot, engine="scalar")
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         auto = batch_device_reports(lot, cache=cache, engine="auto")
         assert auto == cold
         stats = cache.presettle_stats
@@ -310,11 +307,13 @@ class TestEngineSelection:
         plan = SweepPlan(PAPER_TONES + (200.0,))
         runs = {}
         for engine in ("scalar", "auto"):
+            cache = ToneMeasurementCache()
             monitor = TransferFunctionMonitor(
                 paper_pll(), paper_stimulus("multitone"), fast_bist_config
             )
-            runs[engine] = monitor.run(plan, engine=engine)
-        assert monitor.lock_cache.presettle_stats.skipped == 1
+            runs[engine] = monitor.run(plan, engine=engine,
+                                       measurement_cache=cache)
+        assert cache.presettle_stats.skipped == 1
         assert runs["auto"].measurements == runs["scalar"].measurements
         assert runs["auto"].failed_tones == runs["scalar"].failed_tones
 
@@ -363,7 +362,7 @@ class TestEngineSelection:
 class TestPresettleStats:
     def test_closed_form_counters_and_summary(self):
         jobs = [(_cdr_pll(), _cdr_stimulus(), _cdr_config(), CDR_TONES)]
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         stats = premeasure_lot(jobs, cache)
         assert stats.vector == len(CDR_TONES)
         assert stats.closed_form_lanes == stats.drained == 0

@@ -24,7 +24,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core import SweepPlan, TransferFunctionMonitor
-from repro.core.warm import LockStateCache
+from repro.core.warm import ToneMeasurementCache
 from repro.engines import validate_engine
 from repro.errors import ConfigurationError
 from repro.pll.population import screen_population
@@ -121,10 +121,11 @@ class TestOneFarmPerLot:
     def test_auto_runs_one_farm(self, farm_log, fast_bist_config,
                                 n_workers):
         lot = self._lot(fast_bist_config)
-        # A settle cache too small for the lot's states: a device sweep
-        # that ran its own farm would have lanes to re-settle, and show.
+        # A cache too small for the lot's tones: a device sweep that ran
+        # its own farm would have lanes to re-measure, and show.
         reports = batch_device_reports(
-            lot, n_workers=n_workers, cache=LockStateCache(max_entries=1),
+            lot, n_workers=n_workers,
+            cache=ToneMeasurementCache(max_entries=1),
             engine="auto",
         )
         assert farm_log.read_text().splitlines() == [str(len(TONES))]

@@ -9,10 +9,11 @@ Four contracts under test:
   produces for the same (device, stimulus, tone) — which is what makes
   ``engine="auto"`` sweeps and batch reports byte-identical to the
   scalar engine;
-* **graceful divergence** — unsupported physics falls back to a full
-  scalar settle, a lane leaving the kernel's envelope ejects to a
-  scalar finish mid-flight, and both still satisfy the identity above;
-  correctness never depends on the fast path;
+* **graceful divergence** — a lane leaving the kernel's envelope ejects
+  to a scalar finish mid-flight and still satisfies the identity above,
+  and unsupported physics runs nothing on the farm, leaving its tones
+  to the sweep's scalar engine; correctness never depends on the fast
+  path;
 * **wiring** — ``TransferFunctionMonitor.run(engine=...)``,
   ``batch_device_reports(engine=...)`` (serial and pooled), the service
   job spec/request, and the CLI all accept and validate the engine
@@ -30,7 +31,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import (
-    LockStateCache,
     SweepPlan,
     ToneTestSequencer,
     TransferFunctionMonitor,
@@ -163,8 +163,9 @@ class TestFarmBitIdentity:
         self, fast_bist_config
     ):
         """A tuning curve the farm cannot replicate (an arbitrary
-        callable) must settle on the scalar engine, bit-identically,
-        instead of failing or (worse) approximating."""
+        callable) runs nothing on the farm — no snapshot, no measurement,
+        no error — and the auto sweep measures it on the scalar engine,
+        bit-identically, instead of failing or (worse) approximating."""
         from dataclasses import replace as dc_replace
 
         from repro.pll.vco import VCO
@@ -189,12 +190,17 @@ class TestFarmBitIdentity:
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, fast_bist_config)
         results = VectorizedLotSimulator(lanes).run()
-        for lane, result in zip(lanes, results):
+        for result in results:
             assert result.mode == "scalar"
-            expected = _scalar_snapshot(
-                pll, stimulus, lane.f_mod, lane.settle_end
-            )
-            assert result.snapshot == expected
+            assert result.snapshot is None
+            assert result.measurement is None
+            assert result.error is None
+        plan = SweepPlan(TONES)
+        scalar = TransferFunctionMonitor(
+            pll, stimulus, fast_bist_config).run(plan, engine="scalar")
+        auto = TransferFunctionMonitor(
+            pll, stimulus, fast_bist_config).run(plan, engine="auto")
+        assert auto.measurements == scalar.measurements
 
 
 class TestPresettleLot:
@@ -203,7 +209,7 @@ class TestPresettleLot:
         dies = [
             replace(paper_pll(), name=f"die-{i}") for i in range(4)
         ]
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         stats = premeasure_lot(
             [(die, stimulus, fast_bist_config, TONES) for die in dies],
             cache,
@@ -221,28 +227,39 @@ class TestPresettleLot:
         assert again.unique == 0
         assert again.cached == len(TONES)
 
-    def test_presettled_entries_serve_the_sequencer(self, fast_bist_config):
-        pll = paper_pll()
+    def test_fallback_lanes_settle_once_in_the_sweep(
+        self, fast_bist_config, monkeypatch
+    ):
+        """An auto lot whose lanes all fall off the farm builds one
+        simulator per (die, tone): the farm runs nothing for them and
+        the sweep settles and measures each tone once."""
+        pll = apply_fault(paper_pll(nonlinear=True),
+                          FAULT_LIBRARY["Ko half nominal"])
         stimulus = paper_stimulus("multitone")
-        cache = LockStateCache()
-        premeasure_lot([(pll, stimulus, fast_bist_config, TONES)], cache)
-        sequencer = ToneTestSequencer(
-            pll, stimulus, fast_bist_config, cache=cache
-        )
-        cold = ToneTestSequencer(pll, stimulus, fast_bist_config)
-        for f_mod in TONES:
-            warm_m = sequencer.run(f_mod)
-            cold_m = cold.run(f_mod)
-            assert warm_m.timing.warm
-            assert warm_m.held == cold_m.held
-            assert warm_m.phase_count == cold_m.phase_count
-            assert warm_m.peak_event == cold_m.peak_event
+        request = DeviceReportRequest(pll=pll, stimulus=stimulus,
+                                      plan=SweepPlan(TONES),
+                                      config=fast_bist_config)
+        scalar = batch_device_reports([request], engine="scalar")
+        built = []
+        init = PLLTransientSimulator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0].name)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PLLTransientSimulator, "__init__", counting)
+        cache = ToneMeasurementCache()
+        assert batch_device_reports([request], cache=cache,
+                                    engine="auto") == scalar
+        assert cache.presettle_stats.scalar == len(TONES)
+        assert cache.presettle_stats.measured == 0
+        assert built == [pll.name] * len(TONES)
 
     def test_counters_and_cache_seam(self, fast_bist_config):
         """tones_vectorized / hct4046_lanes count what actually happened,
         and the stats digest is left on the cache for the CLI/benches."""
         stimulus = paper_stimulus("multitone")
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         stats = premeasure_lot(
             [(paper_pll(nonlinear=True), stimulus, fast_bist_config,
               TONES)],
@@ -255,7 +272,7 @@ class TestPresettleLot:
         assert "nonlinear lanes" in stats.summary()
         linear = premeasure_lot(
             [(paper_pll(), stimulus, fast_bist_config, TONES)],
-            LockStateCache(),
+            ToneMeasurementCache(),
         )
         assert linear.hct4046_lanes == 0
         assert linear.tones_vectorized == len(TONES)
@@ -274,7 +291,7 @@ class TestPresettleLot:
         assert len(duts) == 8
         stats = premeasure_lot(
             [(dut, stimulus, fast_bist_config, tones) for dut in duts],
-            LockStateCache(),
+            ToneMeasurementCache(),
         )
         assert stats.unique > 0
         assert stats.scalar == 0
@@ -296,7 +313,7 @@ class TestPresettleLot:
         stats = premeasure_lot(
             [(dut, stimulus, fast_bist_config, plan.frequencies_hz)
              for dut in duts],
-            LockStateCache(),
+            ToneMeasurementCache(),
         )
         assert stats.unique == len(duts) * 13 > 64
         assert stats.tones_vectorized == stats.vector == stats.unique
@@ -312,9 +329,9 @@ class TestPresettleLot:
     def test_uncacheable_tones_skipped(self, fast_bist_config):
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
-        cache = LockStateCache()
-        # 8·f_mod > f_ref: the sequencer would never cache these, so the
-        # presettle pass must leave them alone too.
+        cache = ToneMeasurementCache()
+        # 8·f_mod > f_ref: the monitor would never cache these, so the
+        # farm pass must leave them alone too.
         high = pll.f_ref / 4.0
         stats = premeasure_lot(
             [(pll, stimulus, fast_bist_config, (high,))], cache
@@ -360,12 +377,12 @@ class TestEngineWiring:
     def test_batch_vectorized_byte_identical_pooled(self, fast_bist_config):
         lot = _lot_requests(fast_bist_config)
         cold = batch_device_reports(lot, engine="scalar")
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         vec = batch_device_reports(
             lot, n_workers=2, cache=cache, engine="auto"
         )
         assert vec == cold
-        # The farm presettled every unique tone before the pool split.
+        # The farm measured every unique tone before the pool split.
         assert len(cache) == len(TONES)
 
     def test_batch_vectorized_mixed_physics_lot(self, fast_bist_config):
@@ -550,21 +567,21 @@ class TestMeasurementDedup:
         dedup = ToneMeasurementCache()
         first = TransferFunctionMonitor(pll, stimulus, fast_bist_config)
         first.run(plan, engine="auto", measurement_cache=dedup)
-        assert first.lock_cache.presettle_stats.unique == len(TONES)
+        assert dedup.presettle_stats.unique == len(TONES)
         twin = TransferFunctionMonitor(
             replace(pll, name="twin"), stimulus, fast_bist_config
         )
         twin.run(plan, engine="auto", measurement_cache=dedup)
         # The cache answers every tone before the farm plans a lane.
-        assert twin.lock_cache.presettle_stats.unique == 0
-        assert len(twin.lock_cache) == 0
+        assert dedup.presettle_stats.unique == 0
+        assert len(dedup) == len(TONES)
 
 
 class TestWarmEntryShippingFilter:
     def test_only_matching_physics_ships(self):
         pll = paper_pll()
         signature = pll.physics_signature()
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         cache.put((signature, 10.0), SimpleNamespace(pll_signature=signature))
         cache.put((("other",), 10.0),
                   SimpleNamespace(pll_signature=("other",)))
@@ -636,22 +653,21 @@ class TestTurnOnDelayLanes:
 
     @pytest.mark.parametrize("engine", ["auto", "scalar"])
     def test_engines_presettle_scalar_snapshots(self, delay_die, engine):
+        """Both engines publish the cold scalar sequencer's finished
+        tone for every delay-die tone."""
         d = delay_die
-        cache = LockStateCache()
-        TransferFunctionMonitor(d.pll, d.stimulus, d.config,
-                                cache=cache).run(SweepPlan(d.tones),
-                                                 engine=engine)
+        cache = ToneMeasurementCache()
+        TransferFunctionMonitor(d.pll, d.stimulus, d.config).run(
+            SweepPlan(d.tones), engine=engine, measurement_cache=cache)
         if engine == "auto":
             stats = cache.presettle_stats
             assert stats.unique == len(d.tones)
             assert stats.scalar == stats.ejected == stats.failed == 0
             assert stats.vector == stats.tones_vectorized == len(d.tones)
-        sequencer = ToneTestSequencer(d.pll, d.stimulus, d.config,
-                                      record="counters")
+        cold = ToneTestSequencer(d.pll, d.stimulus, d.config)
         for f_mod in d.tones:
-            assert cache.peek(sequencer._settle_cache_key(f_mod)) == \
-                _scalar_snapshot(d.pll, d.stimulus, f_mod,
-                                 d.config.settle_cycles / f_mod)
+            assert cache.peek(measurement_cache_key(
+                d.pll, d.stimulus, d.config, f_mod)) == cold.run(f_mod)
 
     def test_ejection_with_activation_in_flight(self, delay_die,
                                                 monkeypatch):
@@ -766,12 +782,11 @@ class TestTurnOnDelayLanes:
 
         monkeypatch.setattr(VectorizedLotSimulator, "_load_measure_state",
                             spy)
-        cache = LockStateCache()
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(d.healthy, d.stimulus, d.config, d.tones),
              (d.pll, d.stimulus, d.config, d.tones)],
-            cache, dedup,
+            dedup,
         )
         assert loaded.count(d.pll.pump.turn_on_delay) == len(d.tones)
         assert stats.scalar == stats.measure_ejected == 0

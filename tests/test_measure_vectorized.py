@@ -15,7 +15,7 @@ Contracts under test, mirroring the settle farm's parity discipline:
   measurement cache;
 * **lossless degradation** — a lane the kernel ejects mid-measurement
   is left out of the measurement cache, so the orchestrating sweep
-  measures it from the settled snapshot;
+  runs the tone on the scalar engine;
 * **stepping regression** — the scalar monitor stage's predicted-peak
   stepping visits a suffix of the historical quarter-period boundary
   walk, so its measurements are bit-identical to the full poll.
@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    LockStateCache,
     SweepPlan,
     ToneTestSequencer,
     TransferFunctionMonitor,
@@ -76,15 +75,27 @@ def _measure_lane(pll, stimulus, config, f_mod, settle_end=None):
     )
 
 
-def _measured_from(snapshot, pll, stimulus, config, f_mod):
-    """The scalar sequencer's outcome from a given settled snapshot."""
-    cache = LockStateCache()
-    sequencer = ToneTestSequencer(pll, stimulus, config, cache=cache)
-    cache.put(sequencer._settle_cache_key(f_mod), snapshot)
-    try:
-        return sequencer.run(f_mod)
-    except MeasurementError as exc:
-        return str(exc)
+def _measured_from(snapshot, pll, stimulus, config, f_mod, monkeypatch):
+    """The scalar sequencer's outcome with its stage 0 replaced by
+    restoring ``snapshot`` (stages 1-4 run from there unchanged)."""
+    run_until = PLLTransientSimulator.run_until
+    restored = []
+
+    def restore_then_run(sim, t_end):
+        if not restored:
+            restored.append(t_end)
+            sim.restore(snapshot)
+            return
+        run_until(sim, t_end)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PLLTransientSimulator, "run_until", restore_then_run)
+        try:
+            return ToneTestSequencer(pll, stimulus, config).run(f_mod)
+        except MeasurementError as exc:
+            return str(exc)
+        finally:
+            assert restored == [config.settle_cycles / f_mod]
 
 
 def _requests(config, duts):
@@ -111,11 +122,10 @@ class TestPremeasureParity:
     def test_fault_lot_measurements_equal_scalar(self, fast_bist_config):
         stimulus = paper_stimulus("multitone")
         duts = _fault_lot()
-        cache = LockStateCache()
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(d, stimulus, fast_bist_config, TONES) for d in duts],
-            cache, dedup,
+            dedup,
         )
         assert stats.measured == len(duts) * len(TONES)
         assert stats.measure_ejected == stats.measure_failed == 0
@@ -130,44 +140,16 @@ class TestPremeasureParity:
                     dut, stimulus, fast_bist_config, f_mod
                 ), (dut.name, f_mod)
 
-    def test_warm_lanes_reenter_for_measurement(self, fast_bist_config):
-        """Already-settled lanes re-enter the farm from their cached
-        snapshot (mode ``"warm"``) for the measurement phase alone, and
-        still measure bit-identically."""
-        stimulus = paper_stimulus("multitone")
-        duts = _fault_lot()
-        jobs = [(d, stimulus, fast_bist_config, TONES) for d in duts]
-        cache = LockStateCache()
-        premeasure_lot(jobs, cache)
-        settled = dict(cache.export())
-        dedup = ToneMeasurementCache()
-        stats = premeasure_lot(jobs, cache, dedup)
-        assert stats.cached == len(duts) * len(TONES)
-        assert stats.measured == len(duts) * len(TONES)
-        # The warm re-entry never rewrites the settle cache.
-        assert dict(cache.export()) == settled
-        for dut in duts:
-            for f_mod in TONES:
-                hit = dedup.get(measurement_cache_key(
-                    dut, stimulus, fast_bist_config, f_mod
-                ))
-                assert hit == _scalar_measurement(
-                    dut, stimulus, fast_bist_config, f_mod
-                )
-
     def test_measurement_error_lane_degrades_losslessly(
         self, fast_bist_config
     ):
         """A die whose detector never produces MFREQ fails *in-farm*
         without disturbing its siblings, and publishes the exact error
-        the scalar sequencer raises from the settled snapshot."""
+        the scalar sequencer raises."""
         stimulus = paper_stimulus("multitone")
         healthy, faulted, sibling = _fault_lot(2)
         # An inverter delay of a full second swallows every reset pulse:
         # the latch never clocks, stage 2 starves, stage 5 never comes.
-        # It rides on its own physics family — a same-physics die would
-        # share the settle key, and only the first config's measurement
-        # spec attaches per settle lane.
         starved_cfg = replace(
             fast_bist_config, detector_inverter_delay=1.0
         )
@@ -176,21 +158,18 @@ class TestPremeasureParity:
             (faulted, stimulus, starved_cfg, TONES),
             (sibling, stimulus, fast_bist_config, TONES),
         ]
-        cache = LockStateCache()
         dedup = ToneMeasurementCache()
-        stats = premeasure_lot(jobs, cache, dedup)
+        stats = premeasure_lot(jobs, dedup)
         assert stats.measure_failed == len(TONES)
         assert stats.measured == 2 * len(TONES)
         for f_mod in TONES:
             key = measurement_cache_key(
                 faulted, stimulus, starved_cfg, f_mod
             )
-            # The settle snapshot landed too, and the scalar replay
-            # from it raises the bit-same text the farm published.
+            # The scalar sequence raises the bit-same text the farm
+            # published.
             with pytest.raises(MeasurementError) as raised:
-                ToneTestSequencer(
-                    faulted, stimulus, starved_cfg, cache=cache
-                ).run(f_mod)
+                ToneTestSequencer(faulted, stimulus, starved_cfg).run(f_mod)
             assert dedup.get(key) == str(raised.value)
         # The healthy siblings measured normally despite the failure.
         for dut in (healthy, sibling):
@@ -210,12 +189,11 @@ class TestPremeasureParity:
         stimulus = paper_stimulus("multitone")
         linear = paper_pll()
         nonlinear = paper_pll(nonlinear=True)
-        cache = LockStateCache()
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(linear, stimulus, fast_bist_config, TONES),
              (nonlinear, stimulus, fast_bist_config, TONES)],
-            cache, dedup,
+            dedup,
         )
         assert stats.hct4046_lanes == len(TONES)
         assert stats.measured == 2 * len(TONES)
@@ -235,7 +213,7 @@ class TestPremeasureParity:
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(d, stimulus, fast_bist_config, TONES[:1]) for d in duts],
-            LockStateCache(), dedup,
+            dedup,
         )
         assert stats.unique == len(duts) == 3
         assert stats.measured == 3
@@ -247,7 +225,8 @@ class TestPremeasureParity:
                 dut, stimulus, fast_bist_config, TONES[0]
             )
 
-    def test_truncated_edge_train_ejects_losslessly(self, fast_bist_config):
+    def test_truncated_edge_train_ejects_losslessly(self, fast_bist_config,
+                                                    monkeypatch):
         """A lane that runs off its pregenerated edge train mid-
         measurement is ejected: no published outcome, an intact
         settled snapshot, and a scalar measurement from it."""
@@ -270,7 +249,8 @@ class TestPremeasureParity:
         sim.run_until(lane.settle_end)
         assert result.snapshot == sim.snapshot()
         assert _measured_from(
-            result.snapshot, pll, stimulus, fast_bist_config, f_mod
+            result.snapshot, pll, stimulus, fast_bist_config, f_mod,
+            monkeypatch,
         ) == _scalar_measurement(pll, stimulus, fast_bist_config, f_mod)
 
 
@@ -283,7 +263,7 @@ class TestDeadZoneMeasurement:
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(d.pll, d.stimulus, d.config, d.tones)],
-            LockStateCache(), dedup,
+            dedup,
         )
         assert stats.measure_ejected == 0
         assert stats.measured + stats.measure_failed == len(d.tones)
@@ -292,7 +272,8 @@ class TestDeadZoneMeasurement:
                 d.pll, d.stimulus, d.config, f_mod
             )) == _scalar_outcome(d.pll, d.stimulus, d.config, f_mod)
 
-    def test_settled_snapshot_with_pending_activation(self, delay_die):
+    def test_settled_snapshot_with_pending_activation(self, delay_die,
+                                                      monkeypatch):
         """A settle that ends inside the delay window hands its pending
         activation to stages 1-4, which fire it as the scalar
         sequencer restored from the same snapshot does."""
@@ -319,7 +300,8 @@ class TestDeadZoneMeasurement:
         assert result.snapshot.pending_activation is not None
         assert farm.stats["measure_ejected"] == 0
         assert result.measurement == _measured_from(
-            result.snapshot, d.pll, d.stimulus, d.config, f_mod
+            result.snapshot, d.pll, d.stimulus, d.config, f_mod,
+            monkeypatch,
         )
 
     def test_capture_with_activation_pending(self, fast_bist_config,
@@ -346,7 +328,7 @@ class TestDeadZoneMeasurement:
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(pll, stimulus, fast_bist_config, (f_mod,))],
-            LockStateCache(), dedup,
+            dedup,
         )
         assert stats.measured == 1
         assert dedup.get(measurement_cache_key(
@@ -365,7 +347,7 @@ class TestFaultLibraryInFarm:
         duts = _fault_lot(len(FAULT_LIBRARY))
         stats = premeasure_lot(
             [(d, stimulus, fast_bist_config, TONES) for d in duts],
-            LockStateCache(), ToneMeasurementCache(),
+            ToneMeasurementCache(),
         )
         assert stats.unique == len(duts) * len(TONES)
         assert stats.measure_ejected == 0
@@ -406,11 +388,13 @@ class TestBatchAndPopulationParity:
         stimulus = paper_stimulus("multitone")
         results = {}
         for engine in ("scalar", "auto"):
+            cache = ToneMeasurementCache()
             monitor = TransferFunctionMonitor(
                 paper_pll(), stimulus, fast_bist_config
             )
-            results[engine] = monitor.run(plan, engine=engine)
-        assert monitor.lock_cache.presettle_stats.measured > 0
+            results[engine] = monitor.run(plan, engine=engine,
+                                          measurement_cache=cache)
+        assert cache.presettle_stats.measured > 0
         assert results["auto"].measurements == results["scalar"].measurements
 
     def test_cdr180_population_chunk_byte_identical(self):

@@ -21,7 +21,7 @@ from repro.core.sequencer import (
     nominal_frequency_memo_stats,
     reset_nominal_frequency_memo,
 )
-from repro.core.warm import LockStateCache, warm_shipment
+from repro.core.warm import ToneMeasurementCache, warm_shipment
 from repro.errors import ConfigurationError
 from repro.pll.population import (
     COMPONENT_NAMES,
@@ -319,7 +319,7 @@ class TestBatchDeviceScreen:
         return requests
 
     def test_outcomes_match_report_verdicts(self, small_lot):
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         outcomes = batch_device_screen(small_lot, cache=cache, engine="auto")
         reports = batch_device_reports(small_lot, cache=cache, engine="auto")
         assert len(outcomes) == len(reports) == len(small_lot)
@@ -336,9 +336,9 @@ class TestBatchDeviceScreen:
 
     def test_pooled_equals_serial(self, small_lot):
         serial = batch_device_screen(small_lot, engine="auto",
-                                     cache=LockStateCache())
+                                     cache=ToneMeasurementCache())
         pooled = batch_device_screen(small_lot, n_workers=2, engine="auto",
-                                     cache=LockStateCache())
+                                     cache=ToneMeasurementCache())
         assert serial == pooled
 
 
@@ -348,7 +348,7 @@ class TestRelevantWarmEntriesIterable:
         spec = PopulationSpec(corner="table3", size=n_dies, seed=4,
                               points=4)
         dies = list(sample_dies(spec))
-        cache = LockStateCache()
+        cache = ToneMeasurementCache()
         requests = [
             DeviceReportRequest(
                 pll=d.pll, stimulus=corner.stimulus(), plan=corner.plan(4),
@@ -418,8 +418,9 @@ class TestScreenPopulation:
         assert resolve_chunk_size(wide, cache_capacity=10 ** 9) == 256
 
     def test_chunk_size_counts_only_tone_lanes(self):
-        # A die's screen settles one lane per tone and no nominal-lock
-        # baseline, so 90 entries hold 10 nine-tone dies, not 9.
+        # A die's screen caches one finished tone per tone and no
+        # nominal-lock baseline, so 90 entries hold 10 nine-tone dies,
+        # not 9.
         spec = PopulationSpec(corner="table3", size=64, seed=1, points=9)
         assert resolve_chunk_size(spec, cache_capacity=90) == 10
 

@@ -1,9 +1,9 @@
-"""Disk persistence of the warm caches (lock states and measurements).
+"""Disk persistence of the warm tier: finished tone measurements.
 
 The contract under test: ``save → load`` reproduces the cache exactly
 (entries, recency order, capacity), ``save → load → save`` is
-byte-identical (pinned pickle protocol), and a loaded cache serves warm
-restores bit-identical to the cache that was saved.  Unreadable files
+byte-identical (pinned pickle protocol), and a loaded cache answers a
+sweep warm, bit-identical to the sweep that filled it.  Unreadable files
 raise :class:`~repro.errors.CachePersistenceError`; stale *entries*
 inside a readable file are skipped, never fatal.
 """
@@ -16,10 +16,11 @@ import threading
 
 import pytest
 
-from repro.core import LockStateCache, SweepPlan, TransferFunctionMonitor
+from repro.core import SweepPlan, TransferFunctionMonitor
 from repro.core.warm import (
     CACHE_FORMAT_MAGIC,
     CACHE_FORMAT_VERSION,
+    BoundedCache,
     ToneMeasurementCache,
 )
 from repro.errors import CachePersistenceError
@@ -31,12 +32,11 @@ PLAN = SweepPlan((10.0, 55.0))
 @pytest.fixture(scope="module")
 def populated(fast_bist_config):
     """A cache filled by a real two-tone sweep, plus that sweep's result."""
-    cache = LockStateCache(max_entries=64)
+    cache = ToneMeasurementCache(max_entries=64)
     monitor = TransferFunctionMonitor(
         paper_pll(), paper_stimulus("multitone"), fast_bist_config,
-        cache=cache,
     )
-    result = monitor.run(PLAN, engine="scalar")
+    result = monitor.run(PLAN, engine="scalar", measurement_cache=cache)
     return cache, result
 
 
@@ -57,7 +57,7 @@ class TestRoundTrip:
         path = tmp_path / "warm.cache"
         saved = cache.save(path)
         assert saved == len(cache) == len(PLAN.frequencies_hz)
-        loaded = LockStateCache.load(path)
+        loaded = ToneMeasurementCache.load(path)
         assert loaded.max_entries == cache.max_entries
         assert loaded.export() == cache.export()
         assert loaded.stale_entries_skipped == 0
@@ -67,7 +67,7 @@ class TestRoundTrip:
         first = tmp_path / "first.cache"
         second = tmp_path / "second.cache"
         cache.save(first)
-        LockStateCache.load(first).save(second)
+        ToneMeasurementCache.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_no_temporary_file_litter(self, populated, tmp_path):
@@ -79,14 +79,14 @@ class TestRoundTrip:
         cache, _ = populated
         path = tmp_path / "warm.cache"
         cache.save(path)
-        loaded = LockStateCache.load(path)
+        loaded = ToneMeasurementCache.load(path)
         assert loaded.stats == (0, 0)
 
     def test_capacity_override(self, populated, tmp_path):
         cache, _ = populated
         path = tmp_path / "warm.cache"
         cache.save(path)
-        loaded = LockStateCache.load(path, max_entries=512)
+        loaded = ToneMeasurementCache.load(path, max_entries=512)
         assert loaded.max_entries == 512
         assert len(loaded) == len(cache)
 
@@ -108,7 +108,7 @@ class TestConcurrentWriters:
         cache.save(target)
         assert in_flight.read_bytes() == \
             b"another writer's half-spilled cache"
-        assert LockStateCache.load(target).export() == cache.export()
+        assert ToneMeasurementCache.load(target).export() == cache.export()
 
     def test_parallel_saves_to_one_path_stay_loadable(
         self, populated, tmp_path
@@ -135,25 +135,25 @@ class TestConcurrentWriters:
             t.join()
         assert errors == []
         assert [p.name for p in tmp_path.iterdir()] == ["spill.cache"]
-        assert LockStateCache.load(target).export() == cache.export()
+        assert ToneMeasurementCache.load(target).export() == cache.export()
 
 
 class TestLoadGuards:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CachePersistenceError, match="no persisted"):
-            LockStateCache.load(tmp_path / "absent.cache")
+            ToneMeasurementCache.load(tmp_path / "absent.cache")
 
     def test_garbage_file_raises(self, tmp_path):
         path = tmp_path / "garbage.cache"
         path.write_bytes(b"not a pickle at all")
         with pytest.raises(CachePersistenceError, match="cannot read"):
-            LockStateCache.load(path)
+            ToneMeasurementCache.load(path)
 
     def test_foreign_pickle_raises(self, tmp_path):
         path = tmp_path / "foreign.cache"
         path.write_bytes(pickle.dumps({"something": "else"}))
         with pytest.raises(CachePersistenceError, match="not a persisted"):
-            LockStateCache.load(path)
+            ToneMeasurementCache.load(path)
 
     def test_newer_version_raises(self, populated, tmp_path):
         cache, _ = populated
@@ -163,7 +163,7 @@ class TestLoadGuards:
         payload["version"] = CACHE_FORMAT_VERSION + 1
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(CachePersistenceError, match="newer|reads up to"):
-            LockStateCache.load(path)
+            ToneMeasurementCache.load(path)
 
     def test_unreadable_version_raises(self, tmp_path):
         path = tmp_path / "vbad.cache"
@@ -171,7 +171,7 @@ class TestLoadGuards:
             "format": CACHE_FORMAT_MAGIC, "version": "one", "entries": (),
         }))
         with pytest.raises(CachePersistenceError, match="version"):
-            LockStateCache.load(path)
+            ToneMeasurementCache.load(path)
 
     @pytest.mark.parametrize("bad_capacity", [0, -3, True, False, "lots"])
     def test_malformed_persisted_capacity_is_clamped(
@@ -190,8 +190,9 @@ class TestLoadGuards:
         payload = pickle.loads(path.read_bytes())
         payload["max_entries"] = bad_capacity
         path.write_bytes(pickle.dumps(payload))
-        loaded = LockStateCache.load(path)
-        assert loaded.max_entries == 256  # the constructor default
+        loaded = ToneMeasurementCache.load(path)
+        # The tier's constructor default.
+        assert loaded.max_entries == ToneMeasurementCache.DEFAULT_MAX_ENTRIES
         assert loaded.export() == cache.export()  # entries survive
 
     def test_malformed_capacity_does_not_crash_service_start(
@@ -219,23 +220,23 @@ class TestLoadGuards:
         payload = pickle.loads(path.read_bytes())
         payload["max_entries"] = -1
         path.write_bytes(pickle.dumps(payload))
-        loaded = LockStateCache.load(path, max_entries=32)
+        loaded = ToneMeasurementCache.load(path, max_entries=32)
         assert loaded.max_entries == 32
 
     def test_stale_entries_skipped_not_fatal(self, populated, tmp_path):
         cache, _ = populated
         healthy = cache.export()
-        (sig, *rest), snap = healthy[0]
-        tampered = LockStateCache(max_entries=64)
+        key, measurement = healthy[0]
+        tampered = ToneMeasurementCache(max_entries=64)
         tampered.merge(healthy)
-        # A key whose physics signature disagrees with its snapshot
-        # would restore the wrong device's state — must be dropped.
-        tampered.put(("some-other-signature", *rest), snap)
-        # A non-snapshot value smuggled into the store.
-        tampered.put((sig, "junk-entry"), "not a snapshot")
+        # A key that is not a signature-led tuple could never be looked
+        # up — must be dropped.
+        tampered.put("not-a-tuple-key", measurement)
+        # A value that is neither a measurement nor an error text.
+        tampered.put(key[:1] + ("junk-entry",), 42)
         path = tmp_path / "tampered.cache"
         tampered.save(path)
-        loaded = LockStateCache.load(path)
+        loaded = ToneMeasurementCache.load(path)
         assert loaded.stale_entries_skipped == 2
         assert loaded.export() == healthy
 
@@ -244,7 +245,7 @@ class TestCorruptSpill:
     """A spill corrupted on disk loads exactly what was saved or raises
     :class:`CachePersistenceError`: never another exception, and never
     entries that differ from the saved ones (a flipped control voltage
-    restored warm would be measured as the die's physics)."""
+    answered warm would be reported as the die's physics)."""
 
     @staticmethod
     def _flipped(data, offset):
@@ -261,7 +262,7 @@ class TestCorruptSpill:
         for offset in range(len(data)):
             path.write_bytes(self._flipped(data, offset))
             try:
-                loaded = LockStateCache.load(path)
+                loaded = ToneMeasurementCache.load(path)
             except CachePersistenceError:
                 continue
             assert loaded.export() == saved, f"byte {offset} flipped"
@@ -289,7 +290,7 @@ class TestCorruptSpill:
             "max_entries": cache.max_entries,
             "entries": cache.export(),
         }, protocol=4))
-        loaded = LockStateCache.load(path)
+        loaded = ToneMeasurementCache.load(path)
         assert loaded.export() == cache.export()
         assert loaded.max_entries == cache.max_entries
 
@@ -341,12 +342,28 @@ class TestMeasurementSpill:
             service = SweepJobService(cache_path=path)
             assert service.cache.export() == expected, f"cut at byte {offset}"
 
-    def test_snapshot_spill_skips_every_entry(self, populated, tmp_path):
+    def test_snapshot_spill_skips_every_entry(self, fast_bist_config,
+                                              tmp_path):
         # What an earlier release spilled at ``serve --cache``: settled
-        # snapshots, which the measurement tier cannot serve.
+        # snapshots under settle keys, which the measurement tier
+        # cannot serve.
+        from repro.pll.simulator import PLLTransientSimulator
         from repro.service import SweepJobService
 
-        snapshots, _ = populated
+        pll = paper_pll()
+        stimulus = paper_stimulus("multitone")
+        snapshots = BoundedCache(max_entries=64)
+        for f_mod in PLAN.frequencies_hz:
+            sim = PLLTransientSimulator(
+                pll, stimulus.make_source(f_mod, start_time=0.0),
+                record="counters",
+            )
+            sim.run_until(fast_bist_config.settle_cycles / f_mod)
+            snapshots.put(
+                (pll.physics_signature(), stimulus.cache_key(), f_mod,
+                 fast_bist_config.settle_cycles, "counters"),
+                sim.snapshot(),
+            )
         path = tmp_path / "snapshots.cache"
         snapshots.save(path)
         loaded = ToneMeasurementCache.load(path)
@@ -362,12 +379,12 @@ class TestWarmEquivalence:
         cache, cold_result = populated
         path = tmp_path / "warm.cache"
         cache.save(path)
-        loaded = LockStateCache.load(path)
+        loaded = ToneMeasurementCache.load(path)
         monitor = TransferFunctionMonitor(
             paper_pll(), paper_stimulus("multitone"), fast_bist_config,
-            cache=loaded,
         )
-        warm_result = monitor.run(PLAN, engine="scalar")
+        warm_result = monitor.run(PLAN, engine="scalar",
+                                  measurement_cache=loaded)
         hits, misses = loaded.stats
         assert hits == len(PLAN.frequencies_hz)
         assert misses == 0
@@ -375,6 +392,7 @@ class TestWarmEquivalence:
             m.timing is not None and m.timing.warm
             for m in warm_result.measurements
         )
+        assert warm_result.measurements == cold_result.measurements
         for a, b in zip(cold_result.measurements, warm_result.measurements):
             assert a.delta_f_hz == b.delta_f_hz
             assert a.phase_delay_deg == b.phase_delay_deg

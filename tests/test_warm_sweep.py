@@ -1,29 +1,25 @@
-"""Warm-start sweeps: lock-state cache and memoisation.
+"""Warm-start sweeps: the finished-tone cache and memoisation.
 
-Re-running a tone restores the cached settled snapshot
-(``LockStateCache``) — results are **bit-identical** to the cold run
-(the snapshot guarantee).
+A tone answered from a shared ``ToneMeasurementCache`` is the finished
+measurement of an earlier sweep — **bit-identical** to the cold run and
+stamped warm.  Nothing else is warm: a sequencer or monitor on its own
+settles every tone from lock.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
-    LockStateCache,
     SweepPlan,
     ToneTestSequencer,
     TransferFunctionMonitor,
 )
-from repro.core.warm import BoundedCache, ToneMeasurementCache
+from repro.core.sequencer import measurement_cache_key
+from repro.core.warm import BoundedCache, LockStateCache, ToneMeasurementCache
 from repro.errors import ConfigurationError
-
-
-@pytest.fixture()
-def sequencer(pll_linear, sine_stimulus, fast_bist_config):
-    return ToneTestSequencer(
-        pll_linear, sine_stimulus, fast_bist_config, cache=LockStateCache()
-    )
 
 
 def _assert_identical(a, b):
@@ -40,14 +36,26 @@ def _assert_identical(a, b):
 
 
 class TestCacheWarmRuns:
-    def test_warm_rerun_bit_identical(self, sequencer):
-        cold = sequencer.run(8.0)
-        warm = sequencer.run(8.0)
-        assert cold.timing is not None and not cold.timing.warm
-        assert warm.timing is not None and warm.timing.warm
-        _assert_identical(cold, warm)
-        hits, misses = sequencer.cache.stats
-        assert hits == 1 and misses == 1
+    def test_warm_rerun_bit_identical(
+        self, pll_linear, sine_stimulus, fast_bist_config
+    ):
+        # A same-physics twin's sweep is answered with the first die's
+        # finished tones: bit-identical, stamped warm and free.
+        cache = ToneMeasurementCache()
+        plan = SweepPlan((4.0, 8.0))
+        cold = TransferFunctionMonitor(
+            pll_linear, sine_stimulus, fast_bist_config
+        ).run(plan, engine="scalar", measurement_cache=cache)
+        warm = TransferFunctionMonitor(
+            replace(pll_linear, name="twin"), sine_stimulus,
+            fast_bist_config,
+        ).run(plan, engine="scalar", measurement_cache=cache)
+        for a, b in zip(cold.measurements, warm.measurements):
+            assert a.timing is not None and not a.timing.warm
+            assert b.timing is not None and b.timing.warm
+            assert b.timing.total_s == 0.0
+            _assert_identical(a, b)
+        assert cache.stats == (2, 2)
 
     def test_warm_rerun_without_cache_is_cold(
         self, pll_linear, sine_stimulus, fast_bist_config
@@ -60,30 +68,31 @@ class TestCacheWarmRuns:
         assert not first.timing.warm and not second.timing.warm
         _assert_identical(first, second)
 
-    def test_fast_tones_bypass_cache(self, sequencer):
-        # Above f_ref/8 there may be no PFD cycle between settle end and
-        # arm, so such tones are never cached.
-        f_fast = sequencer.pll.f_ref / 4.0
-        sequencer.run(f_fast)
-        sequencer.run(f_fast)
-        hits, _misses = sequencer.cache.stats
-        assert hits == 0
-        assert len(sequencer.cache) == 0
-
-    def test_monitor_measure_tone_warms_up(
+    def test_fast_tones_bypass_cache(
         self, pll_linear, sine_stimulus, fast_bist_config
     ):
+        # Above f_ref/8 there may be no PFD cycle between settle end and
+        # arm, so such tones are never cached.
+        f_fast = pll_linear.f_ref / 4.0
+        assert measurement_cache_key(
+            pll_linear, sine_stimulus, fast_bist_config, f_fast
+        ) is None
+        cache = ToneMeasurementCache()
         monitor = TransferFunctionMonitor(
             pll_linear, sine_stimulus, fast_bist_config
         )
-        cold = monitor.measure_tone(8.0)
-        warm = monitor.measure_tone(8.0)
-        assert warm.timing.warm and not cold.timing.warm
-        _assert_identical(cold, warm)
+        plan = SweepPlan((8.0, f_fast))
+        monitor.run(plan, engine="scalar", measurement_cache=cache)
+        monitor.run(plan, engine="scalar", measurement_cache=cache)
+        hits, misses = cache.stats
+        assert (hits, misses) == (1, 1)
+        assert len(cache) == 1
 
     def test_repeated_sweep_is_served_warm(
         self, pll_linear, sine_stimulus, fast_bist_config
     ):
+        # The monitor keeps no warm state of its own: without a shared
+        # measurement cache a repeated sweep runs cold, identically.
         monitor = TransferFunctionMonitor(
             pll_linear, sine_stimulus, fast_bist_config
         )
@@ -91,15 +100,40 @@ class TestCacheWarmRuns:
         first = monitor.run(plan, engine="scalar")
         second = monitor.run(plan, engine="scalar")
         assert all(not m.timing.warm for m in first.measurements)
-        assert all(m.timing.warm for m in second.measurements)
+        assert all(not m.timing.warm for m in second.measurements)
         for a, b in zip(first.measurements, second.measurements):
             _assert_identical(a, b)
 
+    def test_repeated_scalar_run_with_shared_cache_is_warm(
+        self, pll_linear, sine_stimulus, fast_bist_config
+    ):
+        cache = ToneMeasurementCache()
+        monitor = TransferFunctionMonitor(
+            pll_linear, sine_stimulus, fast_bist_config
+        )
+        plan = SweepPlan((4.0, 8.0, 16.0))
+        first = monitor.run(plan, engine="scalar", measurement_cache=cache)
+        second = monitor.run(plan, engine="scalar", measurement_cache=cache)
+        assert cache.stats == (3, 3)
+        assert all(not m.timing.warm for m in first.measurements)
+        assert all(m.timing.warm for m in second.measurements)
+        assert second.measurements == first.measurements
+        for a, b in zip(first.measurements, second.measurements):
+            _assert_identical(a, b)
+        assert list(second.response.magnitude_db) == list(
+            first.response.magnitude_db
+        )
+        assert list(second.response.phase_deg) == list(
+            first.response.phase_deg
+        )
+
 
 class TestLockStateCacheUnit:
-    """The LRU contract every warm tier shares; the subclasses below run
-    it on the measurement cache and on the bare :class:`BoundedCache`
-    behind the nominal-frequency memo."""
+    """The LRU contract every warm tier shares, here on the retired
+    snapshot tier's stub (still a :class:`BoundedCache`, which
+    perfbench's tracer wraps); the subclasses below run it on the
+    measurement cache and on the bare :class:`BoundedCache` behind the
+    nominal-frequency memo."""
 
     cls = LockStateCache
 
