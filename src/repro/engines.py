@@ -7,8 +7,8 @@ either by the settle farm or by the scalar reference:
 * ``"auto"`` (the default everywhere) — the farm
   (:class:`~repro.sim.vectorized.VectorizedLotSimulator`): every lane
   settles (and measures) on one per-lane kernel that advances the loop
-  edge-to-edge in closed form, and anything the kernel cannot
-  represent ejects to a scalar finish.
+  edge-to-edge in closed form, and any tone the kernel cannot
+  represent or ejects runs from t = 0 on the scalar reference.
 * ``"scalar"`` — the reference :class:`~repro.pll.simulator.\
   PLLTransientSimulator` event loop, one tone at a time.  Always
   correct, always available; the farm is judged against its bits.

@@ -138,14 +138,6 @@ class RingCounterDivider:
             )
         self._next_modulus = modulus
 
-    def snapshot_state(self) -> "tuple":
-        """Scalar counter state (modulus in force, programmed, tick)."""
-        return (self._modulus, self._next_modulus, self._tick)
-
-    def restore_state(self, state: "tuple") -> None:
-        """Adopt a state captured by :meth:`snapshot_state`."""
-        self._modulus, self._next_modulus, self._tick = state
-
     def next_edge(self) -> float:
         """Time of the next output rising edge; advances the counter."""
         self._modulus = self._next_modulus

@@ -21,9 +21,10 @@ sweep layers and the settle farm
    raises for that tone.
 
 Nothing else is published.  A lane the farm cannot represent runs
-nothing here, and a lane the kernel ejects mid-measurement publishes
-nothing: the orchestrating sweep settles and measures that tone itself
-on the scalar engine, so correctness never depends on the fast path.
+nothing here, and a lane the kernel ejects, mid-settle or
+mid-measurement, publishes nothing: the orchestrating sweep settles and
+measures that tone itself on the scalar engine, so correctness never
+depends on the fast path.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ class LotPresettleStats:
     closed_form_lanes: int = 0
     vector: int = 0       # lanes settled on the farm's kernel
     drained: int = 0
-    ejected: int = 0      # left the kernel mid-settle, scalar finish
+    ejected: int = 0      # left the kernel mid-settle, left to the sweep
     scalar: int = 0       # unsupported lanes, left to the sweep
-    failed: int = 0       # settle raised; lane left to the sweep
     tones_vectorized: int = 0  # lanes that settled on the kernel
     hct4046_lanes: int = 0     # lanes with a recognised nonlinear VCO law
     measured: int = 0          # stage 1-4 measurements finished in-farm
@@ -78,7 +78,6 @@ class LotPresettleStats:
             f"{self.scalar} scalar; "
             f"{self.tones_vectorized} tones vectorized, "
             f"{self.hct4046_lanes} nonlinear lanes"
-            + (f"; {self.failed} failed" if self.failed else "")
         )
         if self.measured or self.measure_ejected or self.measure_failed:
             text += (
@@ -103,7 +102,7 @@ def premeasure_lot(
     :class:`~repro.core.sequencer.ToneMeasurement`, or the in-farm
     :class:`~repro.errors.MeasurementError` text, which the monitor
     answers as a failed tone.  Lanes the farm cannot represent or
-    ejects mid-measurement publish nothing.
+    ejects publish nothing.
 
     A tone whose stimulus cannot even build its edge source is skipped:
     the device's own sweep raises (and a batch screen stubs) exactly
@@ -152,8 +151,6 @@ def premeasure_lot(
         return stats
     farm = VectorizedLotSimulator(lanes)
     for key, result in zip(keys, farm.run()):
-        if result.error is not None:
-            stats.failed += 1
         if result.mode == "vector":
             stats.vector += 1
             stats.tones_vectorized += 1

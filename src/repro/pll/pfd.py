@@ -35,9 +35,9 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.events import EdgeKind
-from repro.sim.signals import EdgeStream, LogicLevel
+from repro.sim.signals import EdgeStream
 
-__all__ = ["PFDState", "PFDCycle", "PFDSnapshot", "PhaseFrequencyDetector"]
+__all__ = ["PFDState", "PFDCycle", "PhaseFrequencyDetector"]
 
 
 @dataclass(frozen=True)
@@ -106,25 +106,6 @@ class PFDCycle:
     def dn_width(self) -> float:
         """Width of the DOWN pulse."""
         return self.reset_time - self.dn_rise
-
-
-@dataclass(frozen=True)
-class PFDSnapshot:
-    """Scalar state of a :class:`PhaseFrequencyDetector` at one instant.
-
-    Everything the detector needs to continue bit-identically from the
-    captured moment: the flip-flop levels, the monotonicity watermark,
-    the scheduled reset and the rise times of the cycle in flight.
-    Recorded waveforms are *not* part of the snapshot — restoring starts
-    fresh streams whose initial levels match the captured flip-flops.
-    """
-
-    up: bool
-    dn: bool
-    last_event_time: Optional[float]
-    pending_reset: Optional[float]
-    last_up_rise: Optional[float]
-    last_dn_rise: Optional[float]
 
 
 class PhaseFrequencyDetector:
@@ -199,43 +180,6 @@ class PhaseFrequencyDetector:
         else:
             self._state = _IDLE
         self._pending_reset = None
-
-    def snapshot_state(self) -> PFDSnapshot:
-        """Capture the detector's scalar state (see :class:`PFDSnapshot`)."""
-        return PFDSnapshot(
-            up=self._state.up,
-            dn=self._state.dn,
-            last_event_time=self._last_event_time,
-            pending_reset=self._pending_reset,
-            last_up_rise=self._last_up_rise,
-            last_dn_rise=self._last_dn_rise,
-        )
-
-    def restore_state(self, snap: PFDSnapshot) -> None:
-        """Adopt a captured state; recorded waveforms restart empty.
-
-        Replayed events after the restore are bit-identical to the
-        uninterrupted continuation: the flip-flops, the pending reset and
-        the in-flight rise times all come back exactly.  Fresh UP/DOWN
-        streams are created (when recording) with initial levels matching
-        the restored flip-flops, so the first recorded transition still
-        alternates correctly.
-        """
-        self._state = _STATES[snap.up, snap.dn]
-        self._last_event_time = snap.last_event_time
-        self._pending_reset = snap.pending_reset
-        self._last_up_rise = snap.last_up_rise
-        self._last_dn_rise = snap.last_dn_rise
-        if self.up_stream is not None:
-            self.up_stream = EdgeStream(
-                f"{self.name}.up",
-                initial_level=LogicLevel.HIGH if snap.up else LogicLevel.LOW,
-            )
-        if self.dn_stream is not None:
-            self.dn_stream = EdgeStream(
-                f"{self.name}.dn",
-                initial_level=LogicLevel.HIGH if snap.dn else LogicLevel.LOW,
-            )
 
     # ------------------------------------------------------------------
     # event inputs

@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Protocol, Tuple, Union
 from repro.errors import ConfigurationError, LockError, SimulationError
 from repro.pll.charge_pump import Drive
 from repro.pll.config import ChargePumpPLL
-from repro.pll.pfd import PFDCycle, PFDSnapshot, PhaseFrequencyDetector
+from repro.pll.pfd import PFDCycle, PhaseFrequencyDetector
 from repro.sim.probes import Trace
 from repro.sim.signals import PulseTrain
 
@@ -43,7 +43,6 @@ __all__ = [
     "RecordLevel",
     "ReferenceSource",
     "PLLTransientSimulator",
-    "SimulatorSnapshot",
     "TransientResult",
 ]
 
@@ -111,48 +110,6 @@ class TransientResult:
             f"TransientResult(t_end={self.end_time:.6g}s, events={self.events}, "
             f"ref_edges={len(self.ref_edges)}, fb_edges={len(self.fb_edges)})"
         )
-
-
-@dataclass(frozen=True)
-class SimulatorSnapshot:
-    """Minimal scalar loop state of a :class:`PLLTransientSimulator`.
-
-    Captures exactly what the closed-form event loop needs to continue
-    **bit-identically** from the captured instant: time, the loop-filter
-    capacitor state, the VCO phase accumulator and divider target, the
-    applied charge-pump drive plus any pending activation, the hold-mux
-    setting, the already-pulled next reference edge, the PFD flip-flop
-    state (:class:`~repro.pll.pfd.PFDSnapshot`) and the edge-source
-    generator state.  Recorded histories (edge trains, traces, PFD
-    waveforms) are deliberately *not* part of the snapshot — a restore
-    starts them fresh, so snapshots stay small enough to cache and to
-    ship across process boundaries.
-
-    Restoring into a compatible simulator and running is guaranteed to
-    reproduce the uninterrupted run's trajectory tick for tick; the
-    bit-identity tests in ``tests/test_snapshot.py`` pin this down.
-    """
-
-    pll_name: str
-    time: float
-    vc: float
-    vco_phase: float
-    fb_target: float
-    applied_drive: Drive
-    pending_activation: Optional[Tuple[float, Drive]]
-    loop_open: bool
-    t_ref_next: float
-    next_sample: Optional[float]
-    events: int
-    pfd: PFDSnapshot
-    source_state: Tuple[float, ...]
-    #: Physics fingerprint of the captured loop
-    #: (:meth:`~repro.pll.config.ChargePumpPLL.physics_signature`).
-    #: Restore compatibility is judged on this, not on the name, so a
-    #: snapshot can warm-start any behaviourally identical device —
-    #: e.g. every same-configuration die of a screened lot.  ``None``
-    #: (legacy captures) falls back to name matching.
-    pll_signature: Optional[Tuple] = None
 
 
 class PLLTransientSimulator:
@@ -416,103 +373,6 @@ class PLLTransientSimulator:
             f"(tolerance {tolerance_cycles} cycles, "
             f"streak {consecutive} edges)"
         )
-
-    def snapshot(self) -> SimulatorSnapshot:
-        """Capture the minimal loop state at the current instant.
-
-        The reference source must expose the scalar-state protocol
-        (``snapshot_state``/``restore_state``, provided by every source
-        in :mod:`repro.stimulus`); otherwise the snapshot could not
-        reproduce the remaining edge train and a
-        :class:`~repro.errors.ConfigurationError` is raised instead of
-        silently returning a broken capture.
-        """
-        snap_fn = getattr(self.reference, "snapshot_state", None)
-        if snap_fn is None or not hasattr(self.reference, "restore_state"):
-            raise ConfigurationError(
-                f"{self.pll.name}: reference source "
-                f"{type(self.reference).__name__} does not implement the "
-                "snapshot_state/restore_state protocol required for "
-                "warm-start snapshots"
-            )
-        return SimulatorSnapshot(
-            pll_name=self.pll.name,
-            time=self._t,
-            vc=self._vc,
-            vco_phase=self._vco_phase,
-            fb_target=self._fb_target,
-            applied_drive=self._applied_drive,
-            pending_activation=self._pending_activation,
-            loop_open=self._loop_open,
-            t_ref_next=self._t_ref_next,
-            next_sample=self._next_sample,
-            events=self._events,
-            pfd=self._pfd.snapshot_state(),
-            source_state=tuple(snap_fn()),
-            pll_signature=self.pll.physics_signature(),
-        )
-
-    def restore(self, snap: SimulatorSnapshot) -> None:
-        """Adopt a state captured by :meth:`snapshot`.
-
-        Continuing the run afterwards is bit-identical to the
-        uninterrupted run: the event loop's entire visible state — time,
-        capacitor voltage, VCO phase, drive, PFD flip-flops, pending
-        reset/activation and the reference generator — comes back
-        exactly.  Recorded histories restart empty at the restore point
-        (fresh edge trains and traces), so edge trains recorded after a
-        restore hold only post-restore edges.
-
-        The snapshot must come from a simulator of a *behaviourally
-        identical PLL* — matched by
-        :meth:`~repro.pll.config.ChargePumpPLL.physics_signature`, so
-        same-configuration devices of a lot interchange settled states
-        freely, while restoring across genuinely different loop
-        descriptions (a different fault, a shifted component) would
-        silently mix physics and is refused.  Legacy snapshots without a
-        signature fall back to name matching.
-        """
-        if snap.pll_signature is not None:
-            compatible = snap.pll_signature == self.pll.physics_signature()
-        else:
-            compatible = snap.pll_name == self.pll.name
-        if not compatible:
-            raise ConfigurationError(
-                f"snapshot of PLL {snap.pll_name!r} cannot be restored "
-                f"into simulator of PLL {self.pll.name!r}: the loop "
-                "physics differ"
-            )
-        restore_fn = getattr(self.reference, "restore_state", None)
-        if restore_fn is None:
-            raise ConfigurationError(
-                f"{self.pll.name}: reference source "
-                f"{type(self.reference).__name__} does not implement the "
-                "snapshot_state/restore_state protocol required for "
-                "warm-start snapshots"
-            )
-        self._t = snap.time
-        self._vc = snap.vc
-        self._vco_phase = snap.vco_phase
-        self._fb_target = snap.fb_target
-        self._applied_drive = snap.applied_drive
-        self._pending_activation = snap.pending_activation
-        self._loop_open = snap.loop_open
-        self._t_ref_next = snap.t_ref_next
-        self._next_sample = snap.next_sample
-        self._events = snap.events
-        self._pfd.restore_state(snap.pfd)
-        restore_fn(snap.source_state)
-        self._seg_cache = None
-        # Histories restart at the restore point.
-        name = self.pll.name
-        self.ref_edges = PulseTrain(f"{name}.ref")
-        self.fb_edges = PulseTrain(f"{name}.fb")
-        self.control_trace = Trace(f"{name}.vcontrol")
-        self.cap_trace = Trace(f"{name}.vcap")
-        self.frequency_trace = Trace(f"{name}.fout")
-        if self._record_traces:
-            out_segment, __ = self._segments()
-            self._record(self._t, out_segment.value(0.0))
 
     def result(self) -> TransientResult:
         """Snapshot of everything recorded so far."""

@@ -219,7 +219,7 @@ class SweepJob:
             return None
         return self.finished_at - self.started_at
 
-    def snapshot(self) -> dict:
+    def status_row(self) -> dict:
         """JSON-able status row for ``/status`` listings and events."""
         return {
             "job_id": self.job_id,

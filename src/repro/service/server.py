@@ -210,7 +210,7 @@ class SweepJobServer:
             job = self.service.submit(resolve_spec(spec))
             writer.write(encode_line({
                 "ok": True,
-                **job.snapshot(),
+                **job.status_row(),
             }))
         elif op == "watch":
             await self._watch(request, writer)
@@ -220,14 +220,14 @@ class SweepJobServer:
             writer.write(encode_line({
                 "ok": True,
                 "cancelled": cancelled,
-                **self.service.get(job_id).snapshot(),
+                **self.service.get(job_id).status_row(),
             }))
         elif op == "status":
             writer.write(encode_line({"ok": True, **self.service.stats()}))
         elif op == "jobs":
             writer.write(encode_line({
                 "ok": True,
-                "jobs": [job.snapshot() for job in self.service.jobs()],
+                "jobs": [job.status_row() for job in self.service.jobs()],
             }))
         elif op == "report":
             job = self.service.get(self._job_id(request))

@@ -216,9 +216,9 @@ class SweepJobService:
         """Reload the spilled cache, or start cold on any trouble.
 
         An unreadable spill (truncated write on a crashed host, a file
-        from a newer library) costs warm starts, never availability; a
-        snapshot spill an older release left behind loads with every
-        entry skipped.
+        from a newer library, a settled-snapshot spill an older release
+        left behind, whose entry classes no longer exist) costs warm
+        starts, never availability.
         """
         if cache_path is None:
             return ToneMeasurementCache(max_entries=max_entries)
@@ -547,7 +547,7 @@ class SweepJobService:
         self._live -= 1
         self._abort_events.pop(job.job_id, None)
         self._abort_reasons.pop(job.job_id, None)
-        self._emit(job, kind, {**payload, **job.snapshot()})
+        self._emit(job, kind, {**payload, **job.status_row()})
         self._prune_finished()
 
     def _prune_finished(self) -> None:

@@ -1,4 +1,4 @@
-"""Simulation kernel: event scheduling, edge streams and segment algebra.
+"""Simulation kernel: edge streams, segment algebra and root solving.
 
 This subpackage is the substrate on which the behavioral CP-PLL model
 (:mod:`repro.pll`) and the BIST logic (:mod:`repro.core`) are built.  It
@@ -10,9 +10,8 @@ provides:
   used for VCO phase accumulation.
 * :mod:`repro.sim.solvers` — safeguarded Newton/bisection root finding
   for edge-crossing times on monotone analytic functions.
-* :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a small
-  discrete-event kernel (time-ordered heap with stable tie-breaking)
-  used by the digital test circuitry.
+* :mod:`repro.sim.events` — the timed logic-edge record
+  (:class:`Edge`, :class:`EdgeKind`) of the digital test circuitry.
 * :mod:`repro.sim.signals` — recorded digital edge streams with
   value-at-time queries, gating and frequency estimation.
 * :mod:`repro.sim.probes` — analogue trace recording and peak analysis.
@@ -26,8 +25,7 @@ from repro.sim.segments import (
     crossing_time,
 )
 from repro.sim.solvers import bisect_increasing, solve_increasing
-from repro.sim.events import Event, Edge, EdgeKind
-from repro.sim.engine import EventScheduler
+from repro.sim.events import Edge, EdgeKind
 from repro.sim.signals import EdgeStream, LogicLevel, PulseTrain, edges_to_frequency
 from repro.sim.probes import Trace, TracePeak
 
@@ -39,10 +37,8 @@ __all__ = [
     "crossing_time",
     "bisect_increasing",
     "solve_increasing",
-    "Event",
     "Edge",
     "EdgeKind",
-    "EventScheduler",
     "EdgeStream",
     "LogicLevel",
     "PulseTrain",

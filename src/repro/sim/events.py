@@ -1,19 +1,16 @@
-"""Event primitives for the discrete-event kernel.
+"""Edge primitives of the digital nets.
 
 The digital side of the test architecture (counters, latches, the test
 sequencer) reacts to *edges* — timed logic transitions on named nets.
-:class:`Edge` is the record type used throughout; :class:`Event` is the
-scheduler's internal unit of work (an edge plus a callback).
+:class:`Edge` is the record type used throughout.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
 
-__all__ = ["EdgeKind", "Edge", "Event"]
+__all__ = ["EdgeKind", "Edge"]
 
 
 class EdgeKind(enum.Enum):
@@ -64,26 +61,3 @@ class Edge:
         """A copy with the opposite transition direction (logic inverter)."""
         return Edge(self.time, self.net, self.kind.opposite())
 
-
-_event_counter = itertools.count()
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.
-
-    ``sequence`` breaks ties between events scheduled for the same
-    instant in insertion order, which keeps cause-before-effect ordering
-    for zero-delay logic chains.
-    """
-
-    time: float
-    sequence: int = field(default_factory=lambda: next(_event_counter))
-    callback: Optional[Callable[[float], Any]] = field(default=None, compare=False)
-    label: str = field(default="", compare=False)
-
-    def fire(self) -> Any:
-        """Invoke the callback with the event time."""
-        if self.callback is None:
-            return None
-        return self.callback(self.time)

@@ -12,22 +12,22 @@ into locals and the inter-event update written out in closed form —
 the polynomial (ramp/hold) or exponential update between PFD switching
 instants that Kuznetsov et al. (arXiv:1901.01468) derive.
 
-The kernel also carries Table 2 stages 1–4.  A lane with a
-:class:`MeasureSpec` re-enters it from its settled state; the stage
-control flow is the shared
-:class:`~repro.core.sequencer.MeasurementScript`, fired at its
-run-to-target boundaries, and the measurement hardware adds a few event
-hooks: the hold mux on open lanes, the Figure 7 latch at every PFD
-reset, the feedback-edge record for the reciprocal count.
+Every lane carries Table 2 stages 1–4 as well.  Once the kernel has
+settled a lane, its :class:`~repro.core.sequencer.MeasurementScript` is
+armed on the same lane lists and the kernel runs the lane again; the
+stage control flow is that shared script, fired at its run-to-target
+boundaries, and the measurement hardware adds a few event hooks: the
+hold mux on open lanes, the Figure 7 latch at every PFD reset, the
+feedback-edge record for the reciprocal count.
 
 Bit-identity contract
 ---------------------
-A lane that completes in the farm yields a
-:class:`~repro.pll.simulator.SimulatorSnapshot` **bit-identical** to
-what the scalar engine produces for the same settle, and a lane it
-measures a :class:`~repro.core.sequencer.ToneMeasurement` (or a
+A lane that completes in the farm publishes a
+:class:`~repro.core.sequencer.ToneMeasurement` (or a
 :class:`~repro.errors.MeasurementError` text) equal to the scalar
-sequencer's.  That holds because:
+sequencer's for the same tone, and its settled state between stage 0
+and stage 1 is bit-identical to the scalar simulator's at
+``settle_end``.  That holds because:
 
 * every floating-point expression replicates the scalar engine's
   operation sequence exactly (same association, same operand order);
@@ -41,15 +41,12 @@ sequencer's.  That holds because:
 * a lane the farm cannot represent at all — an unrecognised tuning
   curve, an exotic filter or source — never enters it and runs
   nothing here;
-* a lane that leaves the supported envelope mid-settle — VCO clamp
-  excursion, a PFD anomaly — is *ejected*: its state (a valid
-  event-boundary snapshot, a pending activation included) is
-  materialised and a scalar simulator finishes the settle, from which
-  the kernel measures;
-* a lane ejected mid-measurement publishes nothing.
+* a lane that leaves the supported envelope — a VCO clamp excursion, a
+  PFD anomaly, an exhausted edge train — is *ejected*, mid-settle or
+  mid-measurement, and publishes nothing.
 
-The orchestrating sweep settles and measures every tone the farm left
-unanswered on the scalar engine, so correctness never depends on the
+The orchestrating sweep measures every tone the farm left unanswered
+from t = 0 on the scalar engine, so correctness never depends on the
 fast path.
 """
 
@@ -72,12 +69,7 @@ from repro.errors import MeasurementError, ReproError
 from repro.pll.charge_pump import Drive, DriveKind
 from repro.pll.hct4046 import HCT4046Config
 from repro.pll.loop_filter import PassiveLagLeadFilter, SeriesRCFilter
-from repro.pll.pfd import PFDSnapshot, PFDState
-from repro.pll.simulator import (
-    PLLTransientSimulator,
-    RecordLevel,
-    SimulatorSnapshot,
-)
+from repro.pll.pfd import PFDState
 from repro.pll.vco import VCO
 from repro.sim.signals import PulseTrain
 from repro.sim.segments import (
@@ -330,18 +322,17 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class SettleLane:
-    """One settle job: device × stimulus × tone, up to ``settle_end``.
+    """One tone job: device × stimulus × tone.
 
-    ``measure`` asks the farm to carry the lane through Table 2 stages
-    1–4 after the settle.
+    The farm settles the lane up to ``settle_end`` (Table 2 stage 0),
+    then carries it through stages 1–4 as ``measure`` asks.
     """
 
     pll: object
     stimulus: object
     f_mod: float
     settle_end: float
-    record: RecordLevel = RecordLevel.COUNTERS
-    measure: Optional[MeasureSpec] = None
+    measure: MeasureSpec
 
 
 @dataclass
@@ -349,23 +340,19 @@ class LaneResult:
     """Outcome of one lane.
 
     ``mode`` is ``"vector"`` (settled on the farm's kernel),
-    ``"ejected"`` (left the supported envelope mid-settle, scalar
-    finish) or ``"scalar"`` (the farm cannot represent it: nothing ran,
-    and ``snapshot`` is ``None``).  An ejected lane whose scalar finish
-    raised carries the text in ``error`` and no ``snapshot``; the
-    orchestrating sweep reproduces the identical error itself.
+    ``"ejected"`` (left the supported envelope mid-settle) or
+    ``"scalar"`` (the farm cannot represent it and ran nothing).
     ``nonlinear`` marks lanes whose device carries a recognised
     nonlinear (4046-style) VCO tuning curve.  ``measurement`` is set
-    when the lane carried a :class:`MeasureSpec` and the farm ran its
-    stages 1–4 to an end: the finished :class:`~repro.core.sequencer.
-    ToneMeasurement`, or the :class:`~repro.errors.MeasurementError`
-    text the scalar sequencer raises for the same tone.  ``None``
-    means the orchestrating sweep runs the tone on the scalar engine.
+    when the farm ran the lane's stages 1–4 to an end: the finished
+    :class:`~repro.core.sequencer.ToneMeasurement`, or the
+    :class:`~repro.errors.MeasurementError` text the scalar sequencer
+    raises for the same tone.  ``None`` — always so for ejected and
+    scalar lanes — means the orchestrating sweep measures the tone from
+    t = 0 on the scalar engine.
     """
 
-    snapshot: Optional[SimulatorSnapshot]
     mode: str
-    error: Optional[str] = None
     nonlinear: bool = False
     measurement: Union[ToneMeasurement, str, None] = None
 
@@ -545,20 +532,9 @@ class _PhysicsTable:
         self.drives.append(drive)
         return len(self.drives) - 1
 
-    def drive_index(self, drive: Drive) -> Optional[int]:
-        """Index of ``drive`` among the interned drives (``is`` first,
-        then ``==``); ``None`` for a drive this table never produces."""
-        for i, d in enumerate(self.drives):
-            if d is drive:
-                return i
-        for i, d in enumerate(self.drives):
-            if d == drive:
-                return i
-        return None
-
 
 class VectorizedLotSimulator:
-    """Settle N lanes (and measure those that ask); see the module docstring.
+    """Settle and measure N lanes; see the module docstring.
 
     Parameters
     ----------
@@ -567,14 +543,14 @@ class VectorizedLotSimulator:
         share one generated reference-edge stream.
 
     Every lane the farm can represent settles on the per-lane kernel
-    (:meth:`_kernel_run`), whatever the farm's width; every settled lane
-    with a :class:`MeasureSpec` then runs stages 1–4 on the same kernel.
+    (:meth:`_kernel_run`), whatever the farm's width, and every settled
+    lane then runs stages 1–4 on the same kernel.
     """
 
     def __init__(self, lanes: Sequence[SettleLane]):
         self.lanes = list(lanes)
         self.stats = {"vector": 0, "ejected": 0, "scalar": 0,
-                      "failed": 0, "nonlinear": 0,
+                      "nonlinear": 0,
                       "measured": 0, "measure_ejected": 0,
                       "measure_failed": 0}
         #: Wall-clock split of the farm run: stage 0 (settle) vs the
@@ -611,9 +587,7 @@ class VectorizedLotSimulator:
                 self._fallback.append(pos)
                 continue
             candidates.append((pos, table, key))
-            end = lane.settle_end
-            if lane.measure is not None:
-                end = max(end, self._measure_horizon(lane))
+            end = max(lane.settle_end, self._measure_horizon(lane))
             group_end[key] = max(group_end.get(key, 0.0), end)
             group_lanes.setdefault(key, []).append(pos)
 
@@ -659,10 +633,6 @@ class VectorizedLotSimulator:
         source = stim.make_source(lane.f_mod, 0.0)
         if not isinstance(source, EdgeSourceBase):
             raise _Unsupported("source is not a plain edge source")
-        if (type(source).snapshot_state is not EdgeSourceBase.snapshot_state
-                or type(source).restore_state
-                is not EdgeSourceBase.restore_state):
-            raise _Unsupported("source overrides its snapshot protocol")
         return (cache_key, float(lane.f_mod))
 
     def _generate_edges(self, lane: SettleLane,
@@ -734,124 +704,62 @@ class VectorizedLotSimulator:
     # run
     # ------------------------------------------------------------------
     def run(self) -> List[LaneResult]:
-        """Settle every lane, then run stages 1–4 for lanes carrying a
-        :class:`MeasureSpec`; returns one :class:`LaneResult` per lane."""
-        wall0 = perf_counter()
+        """Settle every lane, then run its stages 1–4 on the same lane
+        state; returns one :class:`LaneResult` per lane.
+
+        A settled lane's :class:`~repro.core.sequencer.MeasurementScript`
+        is armed directly on the lane lists.  A lane whose script cannot
+        be built, or whose first target lies before the lane's time,
+        counts as ``measure_ejected`` and publishes nothing.
+
+        The wall split reads the clock when a lane's script leaves
+        stages 1–3: time before goes to monitor, time after to measure.
+        """
         for pos in self._fallback:
-            self._results[pos] = LaneResult(snapshot=None, mode="scalar")
-        for i in range(len(self._vec)):
+            self._results[pos] = LaneResult(mode="scalar")
+        for i, pos in enumerate(self._vec):
+            t0 = perf_counter()
             self._kernel_run(i)
-        self.wall_settle_s += perf_counter() - wall0
-        self._run_measure()
+            t1 = perf_counter()
+            self.wall_settle_s += t1 - t0
+            if self._results[pos].mode != "vector":
+                continue
+            if not self._arm(i):
+                self.stats["measure_ejected"] += 1
+                continue
+            flip = self._kernel_run(i)
+            t3 = perf_counter()
+            t2 = t3 if flip is None else flip
+            self.wall_monitor_s += t2 - t1
+            self.wall_measure_s += t3 - t2
         out = []
         for pos, result in enumerate(self._results):
             assert result is not None, f"lane {pos} never resolved"
             self.stats[result.mode] += 1
-            if result.error is not None:
-                self.stats["failed"] += 1
             if result.nonlinear:
                 self.stats["nonlinear"] += 1
             out.append(result)
         return out
 
-    # ------------------------------------------------------------------
-    # measurement: Table 2 stages 1-4 on the per-lane kernel
-    # ------------------------------------------------------------------
-    def _run_measure(self) -> None:
-        """Carry every settled lane with a MeasureSpec through stages 1–4.
+    def _arm(self, i: int) -> bool:
+        """Arm stage 1 on settled lane ``i``: its measurement script.
 
-        Each such lane is reloaded from its settle result (a farm- or
-        scalar-finished snapshot) and driven through the
-        arm / peak-watch / hold-and-count stages by :meth:`_kernel_run`,
-        the same kernel that settles lanes.  A lane whose script
-        finishes publishes its :class:`~repro.core.sequencer.
-        ToneMeasurement`; one whose script raises
-        :class:`~repro.errors.MeasurementError` publishes the error
-        text, which the scalar sequencer raises identically from the
-        same snapshot.  A lane the kernel cannot load or advance
-        faithfully publishes nothing and the orchestrating sweep runs
-        the tone on the scalar engine, so correctness never depends on
-        this phase.
-
-        The wall split reads the clock when a lane's script leaves
-        stages 1–3: time before goes to monitor, time after to measure.
+        ``False`` leaves the tone to the scalar sweep: the script cannot
+        be built (an exotic stimulus), or its first target precedes the
+        lane's time.
         """
-        for i, pos in enumerate(self._vec):
-            lane = self.lanes[pos]
-            result = self._results[pos]
-            if lane.measure is None or result.snapshot is None:
-                continue
-            if not self._load_measure_state(i, lane, result.snapshot):
-                self.stats["measure_ejected"] += 1
-                continue
-            t0 = perf_counter()
-            flip = self._kernel_run(i)
-            t2 = perf_counter()
-            t1 = t2 if flip is None else flip
-            self.wall_monitor_s += t1 - t0
-            self.wall_measure_s += t2 - t1
-
-    def _load_measure_state(self, i: int, lane: SettleLane,
-                            snap: SimulatorSnapshot) -> bool:
-        """Restore one settled snapshot into the lane state; arm stage 1.
-
-        Mirrors :meth:`~repro.pll.simulator.PLLTransientSimulator.
-        restore` for the state the kernel carries, a pending pump
-        activation included; anything it cannot represent (an
-        unknown drive, a foreign edge cursor, an open loop) leaves the
-        lane settle-only for the scalar sequencer.
-        """
-        table = self._tables[i]
+        lane = self.lanes[self._vec[i]]
         spec = lane.measure
-        if snap.loop_open or snap.next_sample is not None:
-            return False
-        drive_idx = table.drive_index(snap.applied_drive)
-        if drive_idx is None:
-            return False
-        t_act, act_idx = None, 0
-        if snap.pending_activation is not None:
-            t_act, act_drive = snap.pending_activation
-            act_idx = table.drive_index(act_drive)
-            if act_idx is None:
-                return False
-        state = snap.source_state
-        try:
-            j = int(state[0]) - 1
-            t_last = float(state[1])
-        except (TypeError, ValueError, IndexError):
-            return False
-        edges = self._edges[i]
-        if not (0 <= j < len(edges)):
-            return False
-        if edges[j] != snap.t_ref_next or t_last != snap.t_ref_next:
-            return False
         try:
             script = MeasurementScript(
-                table.pll, lane.stimulus, spec.config, lane.f_mod,
+                self._tables[i].pll, lane.stimulus, spec.config, lane.f_mod,
                 max_wait_cycles=spec.max_wait_cycles,
             )
         except Exception:  # noqa: BLE001 - exotic stimulus: scalar path
             return False
         target = script.next_target()
-        if target is None or target < snap.time:
+        if target is None or target < self._t[i]:
             return False
-        pfd = snap.pfd
-        self._t[i] = snap.time
-        self._vc[i] = snap.vc
-        self._phase[i] = snap.vco_phase
-        self._fbt[i] = snap.fb_target
-        self._j[i] = j
-        self._tref[i] = edges[j]
-        self._up[i] = pfd.up
-        self._dn[i] = pfd.dn
-        self._levt[i] = pfd.last_event_time
-        self._pres[i] = pfd.pending_reset
-        self._upr[i] = pfd.last_up_rise
-        self._dnr[i] = pfd.last_dn_rise
-        self._drive[i] = drive_idx
-        self._tact[i] = t_act
-        self._act[i] = act_idx
-        self._events[i] = snap.events
         self._mscript[i] = script
         return True
 
@@ -887,9 +795,9 @@ class VectorizedLotSimulator:
         pending activation armed, as in scalar).
 
         Without a :class:`~repro.core.sequencer.MeasurementScript` on
-        the lane, END is ``settle_end`` and the lane's result is its
-        settled snapshot.  With one (loaded by
-        :meth:`_load_measure_state`), END is the script's next target,
+        the lane, END is ``settle_end``: the lane settles, its state
+        stays in the lane lists, and its result records the mode.  With
+        one (armed by :meth:`_arm`), END is the script's next target,
         and the scalar sequencer's measurement hardware rides on the
         same events:
 
@@ -914,9 +822,9 @@ class VectorizedLotSimulator:
         Any state the kernel cannot advance faithfully — a clamp-window
         excursion, a solver failure, any condition the scalar engine
         treats as an error — ejects the lane *from its pre-event state*.
-        A settling lane is finished (or its error reproduced) by a
-        scalar simulator from that snapshot; a measuring lane keeps its
-        settle-only result.
+        An ejected lane, settling or measuring, publishes nothing: the
+        orchestrating sweep measures its tone from t = 0 on the scalar
+        engine, which reproduces any error itself.
         """
         table = self._tables[lane]
         script = self._mscript[lane]
@@ -1342,9 +1250,8 @@ class VectorizedLotSimulator:
                 latch_q = d
 
         if script is not None:
-            # A measuring lane's settle result stands either way; the
-            # script's end is published on it, an ejection leaves the
-            # tone to the sweep's scalar engine.
+            # The script's end is published on the lane's result; an
+            # ejection leaves the tone to the sweep's scalar engine.
             self._mscript[lane] = None
             self._fb_rec[lane] = None
             if eject:
@@ -1354,17 +1261,13 @@ class VectorizedLotSimulator:
                 self.stats["measured" if isinstance(outcome, ToneMeasurement)
                            else "measure_failed"] += 1
             return flip
-        # Write the locals back so _materialize sees this state (the
-        # pre-event state on ejection; the finished state otherwise).
+        # Write the locals back: stage 1 arms on this settled state (an
+        # ejected lane keeps its pre-event state, which nothing arms).
         self._store_lane(lane, t, vc, phase, fbt, j, tref, up, dn, levt,
                          pres, upr, dnr, drive_idx, tact, act_idx, events)
-        if eject:
-            self._hand_off(lane)
-        else:
-            self._results[self._vec[lane]] = LaneResult(
-                snapshot=self._materialize(lane), mode="vector",
-                nonlinear=nonlinear,
-            )
+        self._results[self._vec[lane]] = LaneResult(
+            mode="ejected" if eject else "vector", nonlinear=nonlinear,
+        )
         return None
 
     def _store_lane(self, lane: int, t, vc, phase, fbt, j, tref, up, dn,
@@ -1387,72 +1290,6 @@ class VectorizedLotSimulator:
         self._tact[lane] = tact
         self._act[lane] = act_idx
         self._events[lane] = events
-
-    # ------------------------------------------------------------------
-    # scalar hand-off
-    # ------------------------------------------------------------------
-    def _materialize(self, lane: int) -> SimulatorSnapshot:
-        """The lane's state as a real simulator snapshot."""
-        table = self._tables[lane]
-        j = self._j[lane]
-        edge = float(self._edges[lane][j])
-        t_act = self._tact[lane]
-        return SimulatorSnapshot(
-            pll_name=table.pll.name,
-            time=float(self._t[lane]),
-            vc=float(self._vc[lane]),
-            vco_phase=float(self._phase[lane]),
-            fb_target=float(self._fbt[lane]),
-            applied_drive=table.drives[self._drive[lane]],
-            pending_activation=None if t_act is None
-            else (float(t_act), table.drives[self._act[lane]]),
-            loop_open=False,
-            t_ref_next=edge,
-            next_sample=None,
-            events=int(self._events[lane]),
-            pfd=PFDSnapshot(
-                up=bool(self._up[lane]),
-                dn=bool(self._dn[lane]),
-                last_event_time=self._levt[lane],
-                pending_reset=self._pres[lane],
-                last_up_rise=self._upr[lane],
-                last_dn_rise=self._dnr[lane],
-            ),
-            source_state=(float(j + 1), edge),
-            pll_signature=table.pll.physics_signature(),
-        )
-
-    def _finish_from_snapshot(self, spec: SettleLane,
-                              snap: SimulatorSnapshot, mode: str,
-                              nonlinear: bool) -> LaneResult:
-        """Finish one lane in a scalar simulator from a farm snapshot."""
-        try:
-            source = spec.stimulus.make_source(spec.f_mod, 0.0)
-            sim = PLLTransientSimulator(spec.pll, source, record=spec.record)
-            sim.restore(snap)
-            sim.run_until(spec.settle_end)
-            return LaneResult(snapshot=sim.snapshot(), mode=mode,
-                              nonlinear=nonlinear)
-        except Exception as exc:  # noqa: BLE001 - leave the lane cold;
-            # the orchestrating sweep reproduces the identical error
-            return LaneResult(snapshot=None, mode=mode, error=str(exc),
-                              nonlinear=nonlinear)
-
-    def _hand_off(self, lane: int) -> None:
-        """Finish one ejected lane in a scalar simulator from its state."""
-        spec = self.lanes[self._vec[lane]]
-        nonlinear = self._tables[lane].nonlinear
-        try:
-            snap = self._materialize(lane)
-        except Exception as exc:  # noqa: BLE001 - leave the lane cold
-            self._results[self._vec[lane]] = LaneResult(
-                snapshot=None, mode="ejected", error=str(exc),
-                nonlinear=nonlinear,
-            )
-            return
-        self._results[self._vec[lane]] = self._finish_from_snapshot(
-            spec, snap, "ejected", nonlinear
-        )
 
 
 class _LaneProbe:

@@ -197,14 +197,6 @@ class DCOProgrammedSource:
                 return m
         return self.schedule[-1][0]
 
-    def snapshot_state(self) -> "tuple":
-        """Scalar generator state: the embedded ring counter's state."""
-        return self._ring.snapshot_state()
-
-    def restore_state(self, state: "tuple") -> None:
-        """Adopt a state captured by :meth:`snapshot_state`."""
-        self._ring.restore_state(state)
-
     def next_edge(self) -> float:
         """Next output rising edge; the switching control re-programs the
         ring counter for the *following* period based on where that edge

@@ -270,19 +270,6 @@ class DelayLinePMSource:
             delay -= self.line.total_delay
         return t_grid + delay
 
-    def snapshot_state(self) -> Tuple[float, ...]:
-        """Scalar edge-generator state for warm-start snapshots.
-
-        The tapped line is static once locked, so the edge counter is
-        the only evolving state.
-        """
-        return (float(self._k),)
-
-    def restore_state(self, state: Tuple[float, ...]) -> None:
-        """Restore state captured by :meth:`snapshot_state`."""
-        (k,) = state
-        self._k = int(k)
-
     @property
     def equivalent_fm_deviation(self) -> float:
         """Peak frequency deviation this PM produces, in Hz.

@@ -43,21 +43,6 @@ class EdgeSourceBase:
         self._k = 0
         self._t_last = start_time
 
-    def snapshot_state(self) -> Tuple[float, ...]:
-        """Scalar edge-generator state: the edge index and last edge time.
-
-        Together with the (immutable) phase law this fully determines
-        every future edge, so a source restored from this state produces
-        a bit-identical continuation of the edge train.
-        """
-        return (float(self._k), self._t_last)
-
-    def restore_state(self, state: Tuple[float, ...]) -> None:
-        """Adopt a state captured by :meth:`snapshot_state`."""
-        k, t_last = state
-        self._k = int(k)
-        self._t_last = t_last
-
     def phase_at(self, t: float) -> float:
         """Accumulated phase in cycles at absolute time ``t``."""
         raise NotImplementedError

@@ -14,12 +14,14 @@ from types import SimpleNamespace
 from repro.core import BISTConfig, ToneTestSequencer, TransferFunctionMonitor
 from repro.pll.faults import FAULT_LIBRARY, FaultKind, apply_fault
 from repro.pll.population.samplers import get_corner
+from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import (
     paper_bist_config,
     paper_pll,
     paper_stimulus,
     paper_sweep,
 )
+from repro.sim.vectorized import VectorizedLotSimulator
 from repro.stimulus import SineFMStimulus
 
 
@@ -120,3 +122,125 @@ def delay_die(request, fast_bist_config):
     assert pll.pump.turn_on_delay > 0.0
     return SimpleNamespace(pll=pll, healthy=healthy, stimulus=stimulus,
                            config=config, tones=tuple(tones))
+
+
+class _Stopped(Exception):
+    """Raised to stop a scalar run at an event boundary."""
+
+
+class SettledReadout:
+    """Test-only readout of a loop's settled state, on either engine.
+
+    A farm lane's state never leaves the lane lists, so the parity of
+    stage 0 is checked field by field: :meth:`farm` runs each lane's
+    stage 0 alone on the farm kernel and reads the lanes back;
+    :meth:`scalar` runs a cold scalar simulator to the same instant and
+    reads the same fields off it.  Equal dicts mean the two engines
+    hand stages 1–4 the same loop, bit for bit.
+    """
+
+    @staticmethod
+    def of_sim(sim: PLLTransientSimulator) -> dict:
+        """The settled-state fields of a scalar simulator."""
+        pfd = sim._pfd
+        return {
+            "time": sim._t,
+            "vc": sim._vc,
+            "vco_phase": sim._vco_phase,
+            "fb_target": sim._fb_target,
+            "applied_drive": sim._applied_drive,
+            "pending_activation": sim._pending_activation,
+            "loop_open": sim._loop_open,
+            "t_ref_next": sim._t_ref_next,
+            "ref_edges_pulled": sim.reference._k,
+            "events": sim._events,
+            "up": pfd.state.up,
+            "dn": pfd.state.dn,
+            "last_event_time": pfd._last_event_time,
+            "pending_reset": pfd._pending_reset,
+            "last_up_rise": pfd._last_up_rise,
+            "last_dn_rise": pfd._last_dn_rise,
+        }
+
+    @classmethod
+    def scalar(cls, pll, stimulus, f_mod: float, t_end: float,
+               events=None) -> dict:
+        """A cold scalar settle to ``t_end``, as the sequencer runs it.
+
+        With ``events``, the run stops after that many events, before
+        advancing to the next: the state an ejected farm lane holds.
+        """
+        sim = PLLTransientSimulator(
+            pll, stimulus.make_source(f_mod, start_time=0.0),
+            record="counters",
+        )
+        if events is not None:
+            advance = sim._advance_to
+
+            def stop_after_events(t_next):
+                if sim._events == events:
+                    raise _Stopped
+                advance(t_next)
+
+            sim._advance_to = stop_after_events
+        try:
+            sim.run_until(t_end)
+        except _Stopped:
+            pass
+        return cls.of_sim(sim)
+
+    @staticmethod
+    def lane(farm: VectorizedLotSimulator, i: int):
+        """Run farm lane ``i``'s stage 0 alone; ``(mode, fields)``.
+
+        An ejected lane's fields are its state before the event it could
+        not advance.
+        """
+        farm._kernel_run(i)
+        table = farm._tables[i]
+        t_act = farm._tact[i]
+        return farm._results[farm._vec[i]].mode, {
+            "time": farm._t[i],
+            "vc": farm._vc[i],
+            "vco_phase": farm._phase[i],
+            "fb_target": farm._fbt[i],
+            "applied_drive": table.drives[farm._drive[i]],
+            "pending_activation": None if t_act is None
+            else (t_act, table.drives[farm._act[i]]),
+            "loop_open": farm._open[i],
+            "t_ref_next": farm._tref[i],
+            "ref_edges_pulled": farm._j[i] + 1,
+            "events": farm._events[i],
+            "up": farm._up[i],
+            "dn": farm._dn[i],
+            "last_event_time": farm._levt[i],
+            "pending_reset": farm._pres[i],
+            "last_up_rise": farm._upr[i],
+            "last_dn_rise": farm._dnr[i],
+        }
+
+    @classmethod
+    def twin(cls, lane, mode: str, fields: dict) -> dict:
+        """The scalar fields a farm lane's ``fields`` must equal: at
+        ``settle_end`` for a settled lane, after the same number of
+        events for an ejected one."""
+        return cls.scalar(
+            lane.pll, lane.stimulus, lane.f_mod, lane.settle_end,
+            events=fields["events"] if mode == "ejected" else None,
+        )
+
+    @classmethod
+    def farm(cls, lanes):
+        """Stage 0 of every lane on one farm: ``(mode, fields)`` per
+        lane, ``None`` for a lane the farm cannot represent."""
+        farm = VectorizedLotSimulator(lanes)
+        out = [None] * len(lanes)
+        for i, pos in enumerate(farm._vec):
+            out[pos] = cls.lane(farm, i)
+        return out
+
+
+@pytest.fixture(scope="session")
+def settled():
+    """The settled-state readout (:class:`SettledReadout`)."""
+    return SettledReadout

@@ -115,8 +115,7 @@ class TestWarmBatchByteIdentity:
         ]
         scalar = batch_device_reports(lot, engine="scalar")
         monkeypatch.setattr(
-            VectorizedLotSimulator, "_load_measure_state",
-            lambda self, i, lane, snap: False,
+            VectorizedLotSimulator, "_arm", lambda self, i: False,
         )
         cache = ToneMeasurementCache()
         pooled = batch_device_reports(lot, n_workers=2, cache=cache,

@@ -8,12 +8,11 @@ for voltage drives and leaky filters.  Its contracts, probed here
 property-style:
 
 * **analytic parity** — across physics and tone draws, a lane settled
-  on the kernel materialises a snapshot *exactly equal* to a cold
-  scalar settle (full dataclass equality, PFD state and counters
-  included);
+  on the kernel holds a settled state *exactly equal* to a cold scalar
+  settle's, field for field (PFD state and counters included);
 * **boundary behaviour** — lanes that graze the VCO clamp (lock/unlock
-  boundary) either stay on the kernel or eject mid-flight to a scalar
-  finish, and both paths still satisfy the identity above;
+  boundary) either stay on the kernel or eject mid-flight, and an
+  ejected lane's state equals the scalar loop's after the same events;
 * **one farm for every law** — nonlinear (74HCT4046A), exponential-law
   and polynomial-law lanes all settle on the kernel, and
   ``engine="auto"`` screens a mixed lot with zero report diffs;
@@ -33,15 +32,18 @@ from hypothesis import strategies as st
 from repro.core import SweepPlan, TransferFunctionMonitor
 from repro.core.architecture import BISTConfig
 from repro.core.warm import ToneMeasurementCache
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.pll import ChargePumpPLL, CurrentChargePump, VCO
 from repro.pll.faults import FAULT_LIBRARY, apply_fault
 from repro.pll.loop_filter import PassiveLagLeadFilter
 from repro.pll.lot import premeasure_lot
-from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import DeviceReportRequest, batch_device_reports
-from repro.sim.vectorized import VectorizedLotSimulator
+from repro.sim.vectorized import (
+    MeasureSpec,
+    SettleLane,
+    VectorizedLotSimulator,
+)
 from repro.stimulus import MultiToneFSKStimulus
 
 # Cacheable tones for the current-mode DUT below (8·f_mod ≤ f_ref),
@@ -90,25 +92,15 @@ def _cdr_config():
     )
 
 
-def _scalar_snapshot(pll, stimulus, f_mod, settle_end):
-    """The reference: a cold scalar settle, exactly as the sequencer
-    runs it."""
-    source = stimulus.make_source(f_mod, start_time=0.0)
-    sim = PLLTransientSimulator(pll, source, record="counters")
-    sim.run_until(settle_end)
-    return sim.snapshot()
-
-
-def _lanes(pll, stimulus, tones, settle_cycles=2):
-    from repro.sim.vectorized import SettleLane
-
+def _lanes(pll, stimulus, tones, config=None):
+    config = _cdr_config() if config is None else config
     return [
         SettleLane(
             pll=pll,
             stimulus=stimulus,
             f_mod=f_mod,
-            settle_end=settle_cycles / f_mod,
-            record="counters",
+            settle_end=config.settle_cycles / f_mod,
+            measure=MeasureSpec(config=config),
         )
         for f_mod in tones
     ]
@@ -125,7 +117,7 @@ class TestAnalyticParity:
         deviation=st.sampled_from((20.0, 50.0, 500.0)),
     )
     def test_physics_draws_match_scalar(
-        self, scale_i, scale_r, scale_g, scale_c, f_mod, deviation
+        self, settled, scale_i, scale_r, scale_g, scale_c, f_mod, deviation
     ):
         """Analytic inter-event updates equal the scalar event loop
         across process-corner physics and tone draws."""
@@ -139,12 +131,13 @@ class TestAnalyticParity:
         stimulus = _cdr_stimulus(deviation)
         lanes = _lanes(pll, stimulus, (f_mod,))
         farm = VectorizedLotSimulator(lanes)
-        result = farm.run()[0]
-        assert result.mode == "vector", result.error
-        expected = _scalar_snapshot(
+        mode, fields = settled.lane(farm, 0)
+        assert mode == "vector"
+        assert fields == settled.scalar(
             pll, stimulus, f_mod, lanes[0].settle_end
         )
-        assert result.snapshot == expected
+        farm = VectorizedLotSimulator(lanes)
+        farm.run()
         assert farm.stats["vector"] == 1
 
     @settings(max_examples=10, deadline=None)
@@ -154,84 +147,98 @@ class TestAnalyticParity:
         f_mod=st.sampled_from((12.5e3, 20e3)),
     )
     def test_clamp_boundary_stays_bit_identical(
-        self, window_hz, deviation, f_mod
+        self, settled, window_hz, deviation, f_mod
     ):
         """Lock/unlock boundary draws: a VCO clamp window shrunk around
         the operating point either keeps the lane on the kernel or ejects
-        it to a scalar finish — the snapshot is bit-identical either
-        way."""
+        it — the lane's state is bit-identical to the scalar loop's
+        either way, at the settle end or after the same events."""
         pll = _cdr_pll(
             f_min=800e3 - window_hz, f_max=800e3 + window_hz
         )
         stimulus = _cdr_stimulus(deviation)
         lanes = _lanes(pll, stimulus, (f_mod,))
-        result = VectorizedLotSimulator(lanes).run()[0]
-        assert result.mode in ("vector", "ejected")
-        expected = _scalar_snapshot(
-            pll, stimulus, f_mod, lanes[0].settle_end
-        )
-        assert result.snapshot == expected
+        ((mode, fields),) = settled.farm(lanes)
+        assert mode in ("vector", "ejected")
+        assert fields == settled.twin(lanes[0], mode, fields)
 
-    def test_razor_clamp_ejects_to_scalar_finish(self):
+    def test_razor_clamp_ejects_to_scalar_finish(self, settled):
         """A razor-thin clamp window *must* eject mid-flight (the
-        analytic law cannot represent the clamped segment), and the
-        scalar finish keeps the snapshot exact."""
+        analytic law cannot represent the clamped segment): the lane's
+        state up to the ejection is exact, it publishes nothing, and the
+        auto sweep measures the tone on the scalar engine."""
         pll = _cdr_pll(f_min=799.9e3, f_max=800.1e3)
         stimulus = _cdr_stimulus()
         lanes = _lanes(pll, stimulus, (20e3,))
         farm = VectorizedLotSimulator(lanes)
         result = farm.run()[0]
         assert result.mode == "ejected"
+        assert result.measurement is None
         assert farm.stats["ejected"] == 1
         assert farm.stats["vector"] == 0
-        expected = _scalar_snapshot(
-            pll, stimulus, 20e3, lanes[0].settle_end
-        )
-        assert result.snapshot == expected
+        ((mode, fields),) = settled.farm(lanes)
+        assert mode == "ejected"
+        assert fields == settled.twin(lanes[0], mode, fields)
+        tones = (20e3, 25e3)
+        config = _cdr_config()
+        cache = ToneMeasurementCache()
+        assert premeasure_lot([(pll, stimulus, config, tones)],
+                              cache).ejected == len(tones)
+        assert len(cache) == 0
+
+        def outcomes(engine):
+            # The clamped die starves the peak detector: the sweep
+            # streams its failed tones, then raises.
+            seen = []
+            with pytest.raises(MeasurementError, match="reference tone"):
+                TransferFunctionMonitor(pll, stimulus, config).run(
+                    SweepPlan(tones), engine=engine,
+                    on_outcome=lambda index, outcome: seen.append(outcome),
+                )
+            return seen
+
+        assert outcomes("auto") == outcomes("scalar")
 
 
 class TestTierCascade:
-    def test_hct4046_lanes_ride_the_vectorized_tier(self, fast_bist_config):
+    def test_hct4046_lanes_ride_the_vectorized_tier(self, fast_bist_config,
+                                                    settled):
         """Nonlinear 74HCT4046A lanes settle on the kernel's Simpson
         phase path — still bit-identical, still flagged nonlinear."""
         pll = paper_pll(nonlinear=True)
         stimulus = paper_stimulus("multitone")
-        lanes = _lanes(
-            pll, stimulus, PAPER_TONES,
-            settle_cycles=fast_bist_config.settle_cycles,
-        )
+        lanes = _lanes(pll, stimulus, PAPER_TONES, fast_bist_config)
         farm = VectorizedLotSimulator(lanes)
         results = farm.run()
         assert farm.stats["nonlinear"] == len(lanes)
-        for lane, result in zip(lanes, results):
-            assert result.mode == "vector", result.error
+        for result in results:
+            assert result.mode == "vector"
             assert result.nonlinear
-            expected = _scalar_snapshot(
+        for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):
+            assert mode == "vector"
+            assert fields == settled.scalar(
                 pll, stimulus, lane.f_mod, lane.settle_end
             )
-            assert result.snapshot == expected
 
     def test_exponential_laws_ride_the_vectorized_tier(
-        self, fast_bist_config
+        self, fast_bist_config, settled
     ):
         """The paper's rail-driver pump charges the filter through an
         exponential law — linear physics, advanced by the kernel's
         exponential update rather than the polynomial one."""
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
-        lanes = _lanes(
-            pll, stimulus, PAPER_TONES,
-            settle_cycles=fast_bist_config.settle_cycles,
-        )
+        lanes = _lanes(pll, stimulus, PAPER_TONES, fast_bist_config)
         farm = VectorizedLotSimulator(lanes)
         results = farm.run()
         assert farm.stats["vector"] == len(lanes)
-        for lane, result in zip(lanes, results):
-            assert result.mode == "vector", result.error
-            expected = _scalar_snapshot(
+        for result in results:
+            assert result.mode == "vector"
+        for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):
+            assert mode == "vector"
+            assert fields == settled.scalar(
                 pll, stimulus, lane.f_mod, lane.settle_end
             )
-            assert result.snapshot == expected
 
     def test_mixed_lot_auto_reports_byte_identical(self, fast_bist_config):
         """The acceptance lot: closed-form-eligible + linear-EXP +
@@ -279,7 +286,7 @@ class TestTierCascade:
         assert stats.vector == stats.tones_vectorized == stats.unique
         assert stats.closed_form_lanes == stats.drained == 0
         assert stats.hct4046_lanes == len(PAPER_TONES)
-        assert stats.ejected == stats.scalar == stats.failed == 0
+        assert stats.ejected == stats.scalar == 0
 
 
 class TestEngineSelection:

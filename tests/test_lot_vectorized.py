@@ -2,18 +2,16 @@
 
 Four contracts under test:
 
-* **bit identity** — a lane settled on the farm's kernel materialises a
-  :class:`~repro.pll.simulator.SimulatorSnapshot` *exactly equal* (full
-  dataclass equality, PFD state and event counters included) to the
-  snapshot a cold scalar :class:`~repro.pll.simulator.PLLTransientSimulator`
-  produces for the same (device, stimulus, tone) — which is what makes
-  ``engine="auto"`` sweeps and batch reports byte-identical to the
-  scalar engine;
-* **graceful divergence** — a lane leaving the kernel's envelope ejects
-  to a scalar finish mid-flight and still satisfies the identity above,
-  and unsupported physics runs nothing on the farm, leaving its tones
-  to the sweep's scalar engine; correctness never depends on the fast
-  path;
+* **bit identity** — a lane settled on the farm's kernel holds, in its
+  lane lists, a settled state *exactly equal* field for field (PFD
+  state and event counter included) to the state a cold scalar
+  :class:`~repro.pll.simulator.PLLTransientSimulator` reaches for the
+  same (device, stimulus, tone) — which is what makes ``engine="auto"``
+  sweeps and batch reports byte-identical to the scalar engine;
+* **graceful divergence** — a lane leaving the kernel's envelope is
+  ejected and publishes nothing, and unsupported physics runs nothing
+  on the farm; both leave their tones to the sweep's scalar engine, so
+  correctness never depends on the fast path;
 * **wiring** — ``TransferFunctionMonitor.run(engine=...)``,
   ``batch_device_reports(engine=...)`` (serial and pooled), the service
   job spec/request, and the CLI all accept and validate the engine
@@ -43,21 +41,21 @@ from repro.pll.faults import FAULT_LIBRARY, apply_fault
 from repro.pll.lot import premeasure_lot
 from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll, paper_stimulus, paper_sweep
-from repro.reporting import DeviceReportRequest, batch_device_reports
-from repro.sim.vectorized import SettleLane, VectorizedLotSimulator
+from repro.reporting import (
+    DeviceReportRequest,
+    batch_device_reports,
+    device_report,
+)
+from repro.sim.vectorized import (
+    MeasureSpec,
+    SettleLane,
+    VectorizedLotSimulator,
+)
 
 # Cacheable tones (8·f_mod ≤ f_ref) spanning the sweep's cost range.
 TONES = (10.0, 55.0)
 # Above f_ref / 8 for the paper PLL: neither settle-cached nor deduped.
 UNCACHEABLE_TONE = 200.0
-
-
-def _scalar_snapshot(pll, stimulus, f_mod, settle_end):
-    """The reference: a cold scalar settle, exactly as the sequencer runs it."""
-    source = stimulus.make_source(f_mod, start_time=0.0)
-    sim = PLLTransientSimulator(pll, source, record="counters")
-    sim.run_until(settle_end)
-    return sim.snapshot()
 
 
 def _lanes(pll, stimulus, config, tones=TONES):
@@ -67,7 +65,7 @@ def _lanes(pll, stimulus, config, tones=TONES):
             stimulus=stimulus,
             f_mod=f_mod,
             settle_end=config.settle_cycles / f_mod,
-            record="counters",
+            measure=MeasureSpec(config=config),
         )
         for f_mod in tones
     ]
@@ -89,21 +87,21 @@ def _lot_requests(config, size=3, template=None):
 
 
 class TestFarmBitIdentity:
-    def test_lane_snapshots_equal_scalar(self, fast_bist_config):
+    def test_lane_snapshots_equal_scalar(self, fast_bist_config, settled):
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, fast_bist_config)
-        farm = VectorizedLotSimulator(lanes)
-        results = farm.run()
-        assert len(results) == len(lanes)
-        for lane, result in zip(lanes, results):
-            assert result.mode == "vector", result.error
-            expected = _scalar_snapshot(
+        assert len(VectorizedLotSimulator(lanes).run()) == len(lanes)
+        states = settled.farm(lanes)
+        assert len(states) == len(lanes)
+        for lane, (mode, fields) in zip(lanes, states):
+            assert mode == "vector"
+            assert fields == settled.scalar(
                 pll, stimulus, lane.f_mod, lane.settle_end
             )
-            assert result.snapshot == expected
 
-    def test_faulted_physics_lanes_equal_scalar(self, fast_bist_config):
+    def test_faulted_physics_lanes_equal_scalar(self, fast_bist_config,
+                                                settled):
         stimulus = paper_stimulus("multitone")
         # Whatever the library holds, exercise at least two distinct
         # physics families in one farm.
@@ -115,19 +113,15 @@ class TestFarmBitIdentity:
         lanes = []
         for dut in duts:
             lanes.extend(_lanes(dut, stimulus, fast_bist_config))
-        results = VectorizedLotSimulator(lanes).run()
-        for lane, result in zip(lanes, results):
-            expected = _scalar_snapshot(
-                lane.pll, stimulus, lane.f_mod, lane.settle_end
-            )
-            assert result.snapshot == expected, (
-                f"{lane.pll.name} @ {lane.f_mod} Hz via {result.mode}"
+        for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):
+            assert fields == settled.twin(lane, mode, fields), (
+                f"{lane.pll.name} @ {lane.f_mod} Hz via {mode}"
             )
 
     def test_lane_snapshots_independent_of_farm_width(
-        self, fast_bist_config
+        self, fast_bist_config, settled
     ):
-        """A lane settles to the same snapshot alone as inside a wider
+        """A lane settles to the same state alone as inside a wider
         farm, whose longer-settling lanes share and lengthen its
         group's reference-edge train."""
         pll = paper_pll()
@@ -135,13 +129,14 @@ class TestFarmBitIdentity:
         lanes = _lanes(pll, stimulus, fast_bist_config)
         longer = [replace(lane, settle_end=2.0 * lane.settle_end)
                   for lane in lanes]
-        together = VectorizedLotSimulator(lanes + longer).run()
-        for lane, result in zip(lanes, together):
-            (alone,) = VectorizedLotSimulator([lane]).run()
-            assert result.mode == alone.mode == "vector"
-            assert result.snapshot == alone.snapshot
+        together = settled.farm(lanes + longer)
+        for lane, (mode, fields) in zip(lanes, together):
+            ((alone_mode, alone),) = settled.farm([lane])
+            assert mode == alone_mode == "vector"
+            assert fields == alone
 
-    def test_nonlinear_hct4046_rides_the_farm(self, fast_bist_config):
+    def test_nonlinear_hct4046_rides_the_farm(self, fast_bist_config,
+                                              settled):
         """The nonlinear 74HCT4046A VCO no longer ejects: the farm
         recognises its tuning curve, integrates phase through the masked
         Simpson path, and stays bit-identical to the scalar engine."""
@@ -149,23 +144,24 @@ class TestFarmBitIdentity:
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, fast_bist_config)
         farm = VectorizedLotSimulator(lanes)
-        results = farm.run()
-        for lane, result in zip(lanes, results):
-            assert result.mode == "vector", result.error
+        for result in farm.run():
+            assert result.mode == "vector"
             assert result.nonlinear
-            expected = _scalar_snapshot(
+        assert farm.stats["nonlinear"] == len(lanes)
+        for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):
+            assert mode == "vector"
+            assert fields == settled.scalar(
                 pll, stimulus, lane.f_mod, lane.settle_end
             )
-            assert result.snapshot == expected
-        assert farm.stats["nonlinear"] == len(lanes)
 
     def test_unrecognised_tuning_curve_falls_back_scalar(
-        self, fast_bist_config
+        self, fast_bist_config, settled
     ):
         """A tuning curve the farm cannot replicate (an arbitrary
-        callable) runs nothing on the farm — no snapshot, no measurement,
-        no error — and the auto sweep measures it on the scalar engine,
-        bit-identically, instead of failing or (worse) approximating."""
+        callable) runs nothing on the farm — no settled lane, no
+        measurement — and the auto sweep measures it on the scalar
+        engine, bit-identically, instead of failing or (worse)
+        approximating."""
         from dataclasses import replace as dc_replace
 
         from repro.pll.vco import VCO
@@ -192,9 +188,8 @@ class TestFarmBitIdentity:
         results = VectorizedLotSimulator(lanes).run()
         for result in results:
             assert result.mode == "scalar"
-            assert result.snapshot is None
             assert result.measurement is None
-            assert result.error is None
+        assert settled.farm(lanes) == [None] * len(lanes)
         plan = SweepPlan(TONES)
         scalar = TransferFunctionMonitor(
             pll, stimulus, fast_bist_config).run(plan, engine="scalar")
@@ -217,7 +212,7 @@ class TestPresettleLot:
         # Four identical-physics dies collapse to one lane per tone.
         assert stats.tones == 4 * len(TONES)
         assert stats.unique == len(TONES)
-        assert stats.failed == 0
+        assert stats.ejected == stats.scalar == 0
         assert len(cache) == len(TONES)
         # A second pass finds everything warm.
         again = premeasure_lot(
@@ -295,7 +290,7 @@ class TestPresettleLot:
         )
         assert stats.unique > 0
         assert stats.scalar == 0
-        assert stats.failed == 0
+        assert stats.ejected == 0
 
     def test_fault_lot_counts_every_kernel_lane_in_farm(
         self, fast_bist_config
@@ -636,20 +631,18 @@ class TestNominalFrequencyMemo:
 
 class TestTurnOnDelayLanes:
     """Dead-zone pumps settle on the per-lane kernel, which carries the
-    scalar engine's pending-activation event; snapshots stay
+    scalar engine's pending-activation event; settled states stay
     bit-identical to a cold scalar settle on every route."""
 
-    def test_kernel_snapshots_equal_scalar(self, delay_die):
+    def test_kernel_snapshots_equal_scalar(self, delay_die, settled):
         d = delay_die
         lanes = (_lanes(d.pll, d.stimulus, d.config, d.tones)
                  + _lanes(d.healthy, d.stimulus, d.config, d.tones))
-        results = VectorizedLotSimulator(lanes).run()
-        for lane, result in zip(lanes, results):
-            expected = _scalar_snapshot(
+        for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):
+            assert mode == "vector"
+            assert fields == settled.scalar(
                 lane.pll, d.stimulus, lane.f_mod, lane.settle_end
             )
-            assert result.mode == "vector", result.error
-            assert result.snapshot == expected
 
     @pytest.mark.parametrize("engine", ["auto", "scalar"])
     def test_engines_presettle_scalar_snapshots(self, delay_die, engine):
@@ -662,17 +655,18 @@ class TestTurnOnDelayLanes:
         if engine == "auto":
             stats = cache.presettle_stats
             assert stats.unique == len(d.tones)
-            assert stats.scalar == stats.ejected == stats.failed == 0
+            assert stats.scalar == stats.ejected == 0
             assert stats.vector == stats.tones_vectorized == len(d.tones)
         cold = ToneTestSequencer(d.pll, d.stimulus, d.config)
         for f_mod in d.tones:
             assert cache.peek(measurement_cache_key(
                 d.pll, d.stimulus, d.config, f_mod)) == cold.run(f_mod)
 
-    def test_ejection_with_activation_in_flight(self, delay_die,
+    def test_ejection_with_activation_in_flight(self, delay_die, settled,
                                                 monkeypatch):
-        """A kernel ejection hands the pending activation to the scalar
-        finish, which stays bit-identical to an uninterrupted settle."""
+        """A lane ejected mid-settle with its pump activation still armed
+        publishes nothing and builds no scalar simulator: the sweep
+        measures the tone from t = 0, identically on both engines."""
         d = delay_die
         f_mod = d.tones[0]
         settle_end = d.config.settle_cycles / f_mod
@@ -694,31 +688,54 @@ class TestTurnOnDelayLanes:
         sim.run_until(settle_end)
         m = in_flight.index(True, 8)
 
+        # Truncate this tone's pregenerated train: the kernel ejects at
+        # edge m, from its pre-event state, with the activation armed.
+        generate = VectorizedLotSimulator._generate_edges
+
+        def truncated(farm, lane, t_end):
+            edges = generate(farm, lane, t_end)
+            return edges[:m + 1] if lane.f_mod == f_mod else edges
+
+        monkeypatch.setattr(VectorizedLotSimulator, "_generate_edges",
+                            truncated)
         lane = _lanes(d.pll, d.stimulus, d.config, (f_mod,))[0]
-        farm = VectorizedLotSimulator([lane])
-        # Truncate the pregenerated train: the kernel ejects at edge m,
-        # from its pre-event state, with the activation still armed.
-        farm._edges[0] = farm._edges[0][:m + 1]
-        handed = []
-        finish = farm._finish_from_snapshot
+        ((mode, fields),) = settled.farm([lane])
+        assert mode == "ejected"
+        assert fields["pending_activation"] is not None
+        assert fields["pending_activation"][0] > fields["time"]
+        assert fields == settled.twin(lane, mode, fields)
 
-        def capture(spec, snap, mode, nonlinear):
-            handed.append(snap)
-            return finish(spec, snap, mode, nonlinear)
+        built = []
+        init = PLLTransientSimulator.__init__
 
-        monkeypatch.setattr(farm, "_finish_from_snapshot", capture)
-        (result,) = farm.run()
+        def counting(self, *args, **kwargs):
+            built.append(args[0].name)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PLLTransientSimulator, "__init__", counting)
+            (result,) = VectorizedLotSimulator([lane]).run()
         assert result.mode == "ejected"
-        (snap,) = handed
-        assert snap.pending_activation is not None
-        assert snap.pending_activation[0] > snap.time
-        assert result.snapshot == _scalar_snapshot(
-            d.pll, d.stimulus, f_mod, settle_end
-        )
+        assert result.measurement is None
+        assert built == []
 
-    def test_finished_lane_keeps_activation_in_flight(self, delay_die):
-        """A settle that ends inside the delay window snapshots the
-        pending activation exactly as the scalar engine does."""
+        plan = SweepPlan(d.tones)
+        scalar = TransferFunctionMonitor(
+            d.pll, d.stimulus, d.config).run(plan, engine="scalar")
+        cache = ToneMeasurementCache()
+        auto = TransferFunctionMonitor(
+            d.pll, d.stimulus, d.config).run(plan, engine="auto",
+                                             measurement_cache=cache)
+        assert cache.presettle_stats.ejected == 1
+        assert cache.presettle_stats.measured + \
+            cache.presettle_stats.measure_failed == len(d.tones) - 1
+        assert auto.measurements == scalar.measurements
+        assert device_report(d.pll, auto) == device_report(d.pll, scalar)
+
+    def test_finished_lane_keeps_activation_in_flight(self, delay_die,
+                                                      settled):
+        """A settle that ends inside the delay window holds the pending
+        activation exactly as the scalar engine does."""
         d = delay_die
         f_mod = d.tones[0]
         sim = PLLTransientSimulator(
@@ -737,15 +754,16 @@ class TestTurnOnDelayLanes:
         sim.run_until(d.config.settle_cycles / f_mod)
         t_end = armed[0] - 0.5 * d.pll.pump.turn_on_delay
         lane = SettleLane(pll=d.pll, stimulus=d.stimulus, f_mod=f_mod,
-                          settle_end=t_end, record="counters")
-        (result,) = VectorizedLotSimulator([lane]).run()
-        expected = _scalar_snapshot(d.pll, d.stimulus, f_mod, t_end)
-        assert expected.pending_activation is not None
-        assert result.mode == "vector"
-        assert result.snapshot == expected
+                          settle_end=t_end,
+                          measure=MeasureSpec(config=d.config))
+        ((mode, fields),) = settled.farm([lane])
+        expected = settled.scalar(d.pll, d.stimulus, f_mod, t_end)
+        assert expected["pending_activation"] is not None
+        assert mode == "vector"
+        assert fields == expected
 
     def test_activation_wins_a_tie_with_the_reference_edge(
-        self, fast_bist_config
+        self, fast_bist_config, settled
     ):
         """Ties resolve as in the scalar ``_next_event``: a pending
         activation due at a reference edge fires first."""
@@ -758,30 +776,29 @@ class TestTurnOnDelayLanes:
         t_tie = float(farm._tref[0])
         farm._tact[0] = t_tie
         farm._act[0] = up
-        (result,) = farm.run()
+        mode, fields = settled.lane(farm, 0)
         sim = PLLTransientSimulator(
             pll, stimulus.make_source(10.0, start_time=0.0),
             record="counters",
         )
         sim._pending_activation = (t_tie, table.drives[up])
         sim.run_until(lane.settle_end)
-        assert result.mode == "vector"
-        assert result.snapshot == sim.snapshot()
+        assert mode == "vector"
+        assert fields == settled.of_sim(sim)
 
     def test_measurement_phase_measures_delay_lanes(self, delay_die,
                                                     monkeypatch):
-        """Delay lanes load into the measurement stages and measure on
-        the kernel, equal to a cold scalar sweep on every engine."""
+        """Delay lanes arm the measurement stages and measure on the
+        kernel, equal to a cold scalar sweep on every engine."""
         d = delay_die
         loaded = []
-        load = VectorizedLotSimulator._load_measure_state
+        arm = VectorizedLotSimulator._arm
 
-        def spy(farm, i, lane, snap):
+        def spy(farm, i):
             loaded.append(farm._tables[i].turn_on_delay)
-            return load(farm, i, lane, snap)
+            return arm(farm, i)
 
-        monkeypatch.setattr(VectorizedLotSimulator, "_load_measure_state",
-                            spy)
+        monkeypatch.setattr(VectorizedLotSimulator, "_arm", spy)
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
             [(d.healthy, d.stimulus, d.config, d.tones),

@@ -70,32 +70,31 @@ def _measure_lane(pll, stimulus, config, f_mod, settle_end=None):
         pll=pll, stimulus=stimulus, f_mod=f_mod,
         settle_end=(config.settle_cycles / f_mod if settle_end is None
                     else settle_end),
-        record="counters",
         measure=MeasureSpec(config=config),
     )
 
 
-def _measured_from(snapshot, pll, stimulus, config, f_mod, monkeypatch):
-    """The scalar sequencer's outcome with its stage 0 replaced by
-    restoring ``snapshot`` (stages 1-4 run from there unchanged)."""
+def _measured_from(settle_end, pll, stimulus, config, f_mod, monkeypatch):
+    """The cold scalar sequencer's outcome with its stage 0 run to
+    ``settle_end`` instead of Table 2's wait (stages 1-4 run from there
+    unchanged)."""
     run_until = PLLTransientSimulator.run_until
-    restored = []
+    settles = []
 
-    def restore_then_run(sim, t_end):
-        if not restored:
-            restored.append(t_end)
-            sim.restore(snapshot)
-            return
+    def settle_to(sim, t_end):
+        if not settles:
+            settles.append(t_end)
+            t_end = settle_end
         run_until(sim, t_end)
 
     with monkeypatch.context() as patch:
-        patch.setattr(PLLTransientSimulator, "run_until", restore_then_run)
+        patch.setattr(PLLTransientSimulator, "run_until", settle_to)
         try:
             return ToneTestSequencer(pll, stimulus, config).run(f_mod)
         except MeasurementError as exc:
             return str(exc)
         finally:
-            assert restored == [config.settle_cycles / f_mod]
+            assert settles == [config.settle_cycles / f_mod]
 
 
 def _requests(config, duts):
@@ -226,32 +225,46 @@ class TestPremeasureParity:
             )
 
     def test_truncated_edge_train_ejects_losslessly(self, fast_bist_config,
-                                                    monkeypatch):
+                                                    settled, monkeypatch):
         """A lane that runs off its pregenerated edge train mid-
         measurement is ejected: no published outcome, an intact
-        settled snapshot, and a scalar measurement from it."""
+        settled state, and the cold scalar measurement from it."""
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         f_mod = TONES[0]
         lane = _measure_lane(pll, stimulus, fast_bist_config, f_mod)
+        generate = VectorizedLotSimulator._generate_edges
+
+        def truncated(farm, lane, t_end):
+            # Keep the settle's edges and a few more: stage 1 runs out.
+            edges = generate(farm, lane, t_end)
+            if lane.f_mod != f_mod:
+                return edges
+            return edges[:np.searchsorted(edges, lane.settle_end) + 4]
+
+        monkeypatch.setattr(VectorizedLotSimulator, "_generate_edges",
+                            truncated)
         farm = VectorizedLotSimulator([lane])
-        edges = farm._edges[0]
-        # Keep the settle's edges and a few more: stage 1 runs out.
-        farm._edges[0] = edges[:np.searchsorted(edges, lane.settle_end) + 4]
         (result,) = farm.run()
         assert farm.stats["measure_ejected"] == 1
         assert farm.stats["measured"] == farm.stats["measure_failed"] == 0
         assert result.measurement is None
-        sim = PLLTransientSimulator(
-            pll, stimulus.make_source(f_mod, start_time=0.0),
-            record="counters",
+        ((mode, fields),) = settled.farm([lane])
+        assert mode == "vector"
+        assert fields == settled.scalar(
+            pll, stimulus, f_mod, lane.settle_end
         )
-        sim.run_until(lane.settle_end)
-        assert result.snapshot == sim.snapshot()
-        assert _measured_from(
-            result.snapshot, pll, stimulus, fast_bist_config, f_mod,
-            monkeypatch,
-        ) == _scalar_measurement(pll, stimulus, fast_bist_config, f_mod)
+        # The sweep measures the ejected tone itself, on the scalar
+        # engine.
+        plan = SweepPlan(TONES)
+        cache = ToneMeasurementCache()
+        auto = TransferFunctionMonitor(
+            pll, stimulus, fast_bist_config,
+        ).run(plan, engine="auto", measurement_cache=cache)
+        assert cache.presettle_stats.measure_ejected == 1
+        assert auto.measurements == TransferFunctionMonitor(
+            pll, stimulus, fast_bist_config,
+        ).run(plan, engine="scalar").measurements
 
 
 class TestDeadZoneMeasurement:
@@ -273,10 +286,10 @@ class TestDeadZoneMeasurement:
             )) == _scalar_outcome(d.pll, d.stimulus, d.config, f_mod)
 
     def test_settled_snapshot_with_pending_activation(self, delay_die,
-                                                      monkeypatch):
+                                                      settled, monkeypatch):
         """A settle that ends inside the delay window hands its pending
-        activation to stages 1-4, which fire it as the scalar
-        sequencer restored from the same snapshot does."""
+        activation to stages 1-4, which fire it as the cold scalar
+        sequencer settled to the same instant does."""
         d = delay_die
         f_mod = d.tones[0]
         sim = PLLTransientSimulator(
@@ -295,13 +308,15 @@ class TestDeadZoneMeasurement:
         sim.run_until(d.config.settle_cycles / f_mod)
         t_end = armed[0] - 0.5 * d.pll.pump.turn_on_delay
         lane = _measure_lane(d.pll, d.stimulus, d.config, f_mod, t_end)
+        ((mode, fields),) = settled.farm([lane])
+        assert mode == "vector"
+        assert fields["pending_activation"] is not None
+        assert fields == settled.scalar(d.pll, d.stimulus, f_mod, t_end)
         farm = VectorizedLotSimulator([lane])
         (result,) = farm.run()
-        assert result.snapshot.pending_activation is not None
         assert farm.stats["measure_ejected"] == 0
         assert result.measurement == _measured_from(
-            result.snapshot, d.pll, d.stimulus, d.config, f_mod,
-            monkeypatch,
+            t_end, d.pll, d.stimulus, d.config, f_mod, monkeypatch,
         )
 
     def test_capture_with_activation_pending(self, fast_bist_config,

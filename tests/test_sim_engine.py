@@ -1,132 +1,8 @@
-"""Discrete-event scheduler semantics."""
+"""Timed logic-edge records of the digital nets."""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.engine import EventScheduler
-from repro.sim.events import Edge, EdgeKind, Event
-
-
-class TestScheduling:
-    def test_events_fire_in_time_order(self):
-        sched = EventScheduler()
-        log = []
-        sched.schedule(2.0, lambda t: log.append(("b", t)))
-        sched.schedule(1.0, lambda t: log.append(("a", t)))
-        sched.schedule(3.0, lambda t: log.append(("c", t)))
-        sched.run()
-        assert log == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
-
-    def test_same_time_fifo(self):
-        sched = EventScheduler()
-        log = []
-        for name in "abc":
-            sched.schedule(1.0, lambda t, n=name: log.append(n))
-        sched.run()
-        assert log == ["a", "b", "c"]
-
-    def test_schedule_after(self):
-        sched = EventScheduler(start_time=5.0)
-        fired = []
-        sched.schedule_after(1.5, fired.append)
-        sched.run()
-        assert fired == [6.5]
-
-    def test_schedule_in_past_rejected(self):
-        sched = EventScheduler(start_time=10.0)
-        with pytest.raises(SimulationError):
-            sched.schedule(9.0, lambda t: None)
-
-    def test_negative_delay_rejected(self):
-        sched = EventScheduler()
-        with pytest.raises(SimulationError):
-            sched.schedule_after(-1.0, lambda t: None)
-
-    def test_clock_advances_with_events(self):
-        sched = EventScheduler()
-        sched.schedule(4.0, lambda t: None)
-        sched.step()
-        assert sched.now == 4.0
-
-
-class TestRunUntil:
-    def test_run_until_stops_at_boundary(self):
-        sched = EventScheduler()
-        log = []
-        sched.schedule(1.0, log.append)
-        sched.schedule(2.0, log.append)
-        count = sched.run_until(1.5)
-        assert count == 1
-        assert log == [1.0]
-        assert sched.now == 1.5
-        assert sched.pending == 1
-
-    def test_run_until_includes_boundary_event(self):
-        sched = EventScheduler()
-        log = []
-        sched.schedule(2.0, log.append)
-        sched.run_until(2.0)
-        assert log == [2.0]
-
-    def test_run_until_backwards_rejected(self):
-        sched = EventScheduler(start_time=3.0)
-        with pytest.raises(SimulationError):
-            sched.run_until(2.0)
-
-    def test_run_until_advances_clock_with_empty_queue(self):
-        sched = EventScheduler()
-        sched.run_until(7.0)
-        assert sched.now == 7.0
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sched = EventScheduler()
-        log = []
-        ev = sched.schedule(1.0, log.append)
-        sched.schedule(2.0, log.append)
-        sched.cancel(ev)
-        sched.run()
-        assert log == [2.0]
-
-    def test_cancelled_event_still_advances_clock(self):
-        sched = EventScheduler()
-        ev = sched.schedule(5.0, lambda t: None)
-        sched.cancel(ev)
-        assert sched.step() is None
-        assert sched.now == 5.0
-
-
-class TestReentrancy:
-    def test_callback_can_schedule_more(self):
-        sched = EventScheduler()
-        log = []
-
-        def chain(t):
-            log.append(t)
-            if t < 3.0:
-                sched.schedule(t + 1.0, chain)
-
-        sched.schedule(1.0, chain)
-        sched.run()
-        assert log == [1.0, 2.0, 3.0]
-
-    def test_runaway_guard(self):
-        sched = EventScheduler()
-
-        def forever(t):
-            sched.schedule(t + 1e-9, forever)
-
-        sched.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            sched.run(max_events=1000)
-
-    def test_fired_counter(self):
-        sched = EventScheduler()
-        for i in range(5):
-            sched.schedule(float(i), lambda t: None)
-        sched.run()
-        assert sched.fired == 5
+from repro.sim.events import Edge, EdgeKind
 
 
 class TestEventAndEdge:
@@ -153,6 +29,3 @@ class TestEventAndEdge:
         assert EdgeKind.RISING.new_level == 1
         assert EdgeKind.FALLING.new_level == 0
         assert EdgeKind.RISING.opposite() is EdgeKind.FALLING
-
-    def test_event_without_callback_is_noop(self):
-        assert Event(time=0.0).fire() is None

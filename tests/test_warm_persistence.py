@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -20,13 +21,14 @@ from repro.core import SweepPlan, TransferFunctionMonitor
 from repro.core.warm import (
     CACHE_FORMAT_MAGIC,
     CACHE_FORMAT_VERSION,
-    BoundedCache,
     ToneMeasurementCache,
 )
 from repro.errors import CachePersistenceError
 from repro.presets import paper_pll, paper_stimulus
 
 PLAN = SweepPlan((10.0, 55.0))
+#: A two-entry settled-snapshot spill, as an earlier release wrote it.
+SNAPSHOT_SPILL = Path(__file__).parent / "fixtures" / "snapshot_spill.cache"
 
 
 @pytest.fixture(scope="module")
@@ -342,34 +344,22 @@ class TestMeasurementSpill:
             service = SweepJobService(cache_path=path)
             assert service.cache.export() == expected, f"cut at byte {offset}"
 
-    def test_snapshot_spill_skips_every_entry(self, fast_bist_config,
-                                              tmp_path):
+    def test_snapshot_spill_is_refused_and_service_starts_cold(
+        self, tmp_path
+    ):
         # What an earlier release spilled at ``serve --cache``: settled
-        # snapshots under settle keys, which the measurement tier
-        # cannot serve.
-        from repro.pll.simulator import PLLTransientSimulator
+        # simulator snapshots under settle keys.  The snapshot classes
+        # are gone, so the file no longer unpickles: loading it raises,
+        # and a service pointed at it starts cold instead of crashing.
         from repro.service import SweepJobService
 
-        pll = paper_pll()
-        stimulus = paper_stimulus("multitone")
-        snapshots = BoundedCache(max_entries=64)
-        for f_mod in PLAN.frequencies_hz:
-            sim = PLLTransientSimulator(
-                pll, stimulus.make_source(f_mod, start_time=0.0),
-                record="counters",
-            )
-            sim.run_until(fast_bist_config.settle_cycles / f_mod)
-            snapshots.put(
-                (pll.physics_signature(), stimulus.cache_key(), f_mod,
-                 fast_bist_config.settle_cycles, "counters"),
-                sim.snapshot(),
-            )
         path = tmp_path / "snapshots.cache"
-        snapshots.save(path)
-        loaded = ToneMeasurementCache.load(path)
-        assert len(loaded) == 0
-        assert loaded.stale_entries_skipped == len(snapshots)
-        assert len(SweepJobService(cache_path=path).cache) == 0
+        path.write_bytes(SNAPSHOT_SPILL.read_bytes())
+        with pytest.raises(CachePersistenceError, match="cannot read"):
+            ToneMeasurementCache.load(path)
+        service = SweepJobService(cache_path=path)
+        assert len(service.cache) == 0
+        assert service.cache.export() == ()
 
 
 class TestWarmEquivalence:
