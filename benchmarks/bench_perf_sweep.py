@@ -13,7 +13,7 @@ layers.  Three runs of the same paper sweep are timed and cross-checked:
   so every tone is answered with its finished measurement and nothing
   is simulated.  The warm result is *bit-identical* to the cold one;
 * **parallel** — a fresh monitor fans the plan out over a process pool.
-  On a multi-core host the batched chunks approach linear speedup; on a
+  On a multi-core host the per-tone tasks approach linear speedup; on a
   single-core host :func:`~repro.core.executor.executor_for` falls back
   to the serial loop, so the "parallel" path can never lose to serial
   by more than timing noise.

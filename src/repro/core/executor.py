@@ -11,16 +11,18 @@ its measurement cache holds and hands only the misses to an executor.
 :class:`SerialSweepExecutor` is the in-process loop over one shared
 sequencer.
 :class:`ProcessPoolSweepExecutor` fans the tones out over a
-``concurrent.futures.ProcessPoolExecutor`` in **batched chunks**: each
-worker receives one pickled payload carrying its whole share of the
-sweep (instead of one pickle round-trip per tone), runs the tones
-through the serial executor in-process, and returns its
-:class:`ToneOutcome` records pickled in one reply (about a kilobyte per
-tone).  Nothing warm travels either way, since the monitor's finished
-measurements are the only warm state a later sweep reads.  Chunks are
-strided over the tones sorted by ascending ``f_mod`` — simulation cost
-scales with ``1 / f_mod``, so striding deals every worker one tone of
-each cost class and the pool drains evenly.
+``concurrent.futures.ProcessPoolExecutor``, **one task per tone**,
+submitted in the order given and harvested as they complete.  Stage 0
+waits a fixed number of modulation cycles, so a tone's cost scales with
+``1 / f_mod``; a plan runs in ascending ``f_mod``, so an idle worker
+always takes the most expensive tone left.  That is the longest-first
+schedule: it balances the pool without a cost model, and the in-band
+reference tone, the plan's first and most expensive, starts at once
+and streams the moment it finishes.  A task's payload is about a
+kilobyte and its pickle round trip well under a millisecond, against
+tens to hundreds of milliseconds of simulation per tone.  Nothing warm travels
+either way, since the monitor's finished measurements are the only
+warm state a later sweep reads.
 
 Both executors return :class:`ToneOutcome` records in the order given,
 with per-tone :class:`~repro.errors.MeasurementError` failures captured
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -61,11 +63,10 @@ __all__ = [
 
 #: Per-tone completion hook: ``on_outcome(index, outcome)`` is invoked
 #: as tones finish.  The serial executor calls it after every tone; the
-#: pool executor calls it as each worker's chunk completes (per-chunk
-#: granularity, so indices can arrive out of order; the monitor
-#: releases them to its own caller in plan order).  Raising
-#: :class:`SweepAborted` from the callback stops the sweep at that
-#: boundary.
+#: pool executor calls it as each tone's task completes (indices can
+#: arrive out of order; the monitor releases them to its own caller in
+#: plan order).  Raising :class:`SweepAborted` from the callback stops
+#: the sweep at that boundary.
 ToneCallback = Callable[[int, "ToneOutcome"], None]
 
 #: Environment variable that pins the worker count for every
@@ -119,20 +120,23 @@ class ToneOutcome:
         return self.error is not None
 
 
-#: One pool worker's share of a sweep: ``(pll, stimulus, config, freqs)``.
-ChunkPayload = Tuple[
-    ChargePumpPLL, ModulatedStimulus, BISTConfig, Tuple[float, ...]
-]
+#: One pool task: ``(pll, stimulus, config, f_mod)``.
+TonePayload = Tuple[ChargePumpPLL, ModulatedStimulus, BISTConfig, float]
 
 
-def _run_tone_chunk(payload: ChunkPayload) -> List[ToneOutcome]:
-    """Worker: run one chunk of tones through the serial executor.
+def _measure(sequencer: ToneTestSequencer, f_mod: float) -> ToneOutcome:
+    """One tone's outcome: its measurement or its captured
+    :class:`~repro.errors.MeasurementError`."""
+    try:
+        return ToneOutcome(f_mod=f_mod, measurement=sequencer.run(f_mod))
+    except MeasurementError as exc:
+        return ToneOutcome(f_mod=f_mod, error=str(exc))
 
-    Every tone comes back pickled as a :class:`ToneOutcome`, in the
-    chunk's order — a measurement or a captured
-    :class:`~repro.errors.MeasurementError` alike.
-    """
-    return SerialSweepExecutor().run_tones(*payload)
+
+def _run_tone(payload: TonePayload) -> ToneOutcome:
+    """Worker: run one tone; its outcome comes back pickled."""
+    pll, stimulus, config, f_mod = payload
+    return _measure(ToneTestSequencer(pll, stimulus, config), f_mod)
 
 
 class SerialSweepExecutor:
@@ -160,11 +164,7 @@ class SerialSweepExecutor:
         sequencer = ToneTestSequencer(pll, stimulus, config)
         outcomes: List[ToneOutcome] = []
         for index, f_mod in enumerate(frequencies_hz):
-            try:
-                outcome = ToneOutcome(f_mod=f_mod,
-                                      measurement=sequencer.run(f_mod))
-            except MeasurementError as exc:
-                outcome = ToneOutcome(f_mod=f_mod, error=str(exc))
+            outcome = _measure(sequencer, f_mod)
             outcomes.append(outcome)
             if on_outcome is not None:
                 # A SweepAborted raised here (cancellation, timeout)
@@ -176,14 +176,12 @@ class SerialSweepExecutor:
 
 
 class ProcessPoolSweepExecutor:
-    """Fan the tones out over a process pool, one batched chunk per worker.
+    """Fan the tones out over a process pool, one task per tone.
 
-    Chunks are strided over the tones sorted by ascending ``f_mod``
-    (descending simulation cost), so every worker gets an even share of
-    the expensive low-frequency tones.  Each worker receives exactly one
-    pickled payload and returns its chunk's outcomes in one pickled
-    reply; results are re-assembled in the order given, bit-identical to
-    the serial run.
+    Tasks are submitted in the order given (plan order: ascending
+    ``f_mod``, descending simulation cost), so each idle worker takes
+    the most expensive tone left; results are re-assembled in the order
+    given, bit-identical to the serial run.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -202,14 +200,13 @@ class ProcessPoolSweepExecutor:
         *,
         on_outcome: Optional[ToneCallback] = None,
     ) -> List[ToneOutcome]:
-        """Order-preserving batched parallel execution of the tones.
+        """Order-preserving parallel execution of the tones.
 
-        Chunks are dispatched eagerly and harvested **as they
-        complete**, so ``on_outcome`` sees a chunk's tones the moment
-        its worker finishes — not after the whole pool drains.  A
-        callback raising :class:`SweepAborted` cancels every not-yet-
-        started chunk (chunks already running in workers finish but are
-        discarded) and propagates after the pool is torn down.
+        Tones are harvested **as they complete**, so ``on_outcome`` sees
+        each tone the moment its worker finishes it.  A callback raising
+        :class:`SweepAborted` cancels every not-yet-started tone (tones
+        already running in workers finish but are discarded) and
+        propagates after the pool is torn down.
         """
         freqs = list(frequencies_hz)
         workers = min(self.n_workers, len(freqs))
@@ -217,44 +214,23 @@ class ProcessPoolSweepExecutor:
             return SerialSweepExecutor().run_tones(
                 pll, stimulus, config, freqs, on_outcome=on_outcome,
             )
-        # Ascending f_mod = descending cost; stride so each worker's
-        # chunk samples every cost class.
-        order = sorted(range(len(freqs)), key=lambda i: freqs[i])
-        chunks = [order[w::workers] for w in range(workers)]
         outcomes: List[Optional[ToneOutcome]] = [None] * len(freqs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = set()
             try:
-                chunk_of = {
-                    pool.submit(
-                        _run_tone_chunk,
-                        (pll, stimulus, config,
-                         tuple(freqs[i] for i in chunk)),
-                    ): chunk
-                    for chunk in chunks
+                index_of = {
+                    pool.submit(_run_tone, (pll, stimulus, config, f)): i
+                    for i, f in enumerate(freqs)
                 }
-                pending = set(chunk_of)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        # A worker exception (not a per-tone failure —
-                        # those travel as data) aborts the sweep.
-                        results = sorted(zip(chunk_of[future],
-                                             future.result()))
-                        for index, outcome in results:
-                            outcomes[index] = outcome
-                            if on_outcome is not None:
-                                on_outcome(index, outcome)
+                for future in as_completed(index_of):
+                    # A worker exception (not a per-tone failure — those
+                    # travel as data) aborts the sweep.
+                    index = index_of[future]
+                    outcomes[index] = future.result()
+                    if on_outcome is not None:
+                        on_outcome(index, outcomes[index])
             except BaseException:
-                for future in pending:
-                    future.cancel()
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
-        missing = [freqs[i] for i, o in enumerate(outcomes) if o is None]
-        if missing:
-            raise MeasurementError(
-                f"pool returned no outcome for tones {missing!r}"
-            )
         return outcomes  # type: ignore[return-value]
 
 

@@ -199,9 +199,10 @@ class TransferFunctionMonitor:
         Only the misses run — under ``"auto"`` the farm first, then
         whatever it could not answer on
         :func:`~repro.core.executor.executor_for` ``(n_workers)``: the
-        serial loop, or a batched process pool (degrading to serial,
-        with a :class:`~repro.core.executor.ParallelFallbackWarning`,
-        when only one CPU is visible) — and every outcome they produce
+        serial loop, or a process pool with one task per tone
+        (degrading to serial, with a
+        :class:`~repro.core.executor.ParallelFallbackWarning`, when only
+        one CPU is visible) — and every outcome they produce
         is published back to ``measurement_cache``.  Results are identical
         — bit for bit — whichever way a tone is answered; only the wall
         time changes.
@@ -294,8 +295,8 @@ class TransferFunctionMonitor:
 
         def release() -> None:
             # Hand the caller every outcome up to the first tone still
-            # running: executors (a pool's chunks especially) finish
-            # out of order, callers see plan order.
+            # running: a pool's tones finish out of order, callers see
+            # plan order.
             nonlocal released
             while released < len(outcomes) and outcomes[released] is not None:
                 if on_outcome is not None:

@@ -51,7 +51,7 @@ Design points
   every finished job and at shutdown
   (:meth:`~repro.core.warm.BoundedCache.save`).
 * **Plan-order streaming.**  The monitor releases each job's tones in
-  plan order whichever way they were measured (pool chunks complete
+  plan order whichever way they were measured (pooled tones complete
   out of order), and the service emits each tone event as it arrives,
   so the in-band reference tone always comes first and watchers can
   fold eq. (7) incrementally.

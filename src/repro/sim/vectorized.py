@@ -160,14 +160,11 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
     phase/frequency laws of
     :class:`~repro.stimulus.waveforms.PiecewiseConstantFrequencySource`
     flattened into the loop body (same expressions, same operation
-    order, same solver iteration), producing bit-identical edge times
-    several times faster than the generic method-dispatch path.  The
-    source's linear segment scan takes the first ``i`` with
-    ``frac_t <= t1s[i]``; on the sorted segment end times (every dwell
-    is positive) that is exactly ``bisect_left(t1s, frac_t)``, so the
-    selected segment — and every computed value — is unchanged.  Each
-    edge costs ~27 phase/frequency evaluations, and the frequency at an
-    instant whose phase was just evaluated rides along for free.
+    order, same solver iteration, same segment tables and
+    ``bisect_left`` segment selection), producing bit-identical edge
+    times several times faster than the generic method-dispatch path.
+    Each edge costs ~27 phase/frequency evaluations, and the frequency
+    at an instant whose phase was just evaluated rides along for free.
 
     Returns ``None`` whenever the source is not the exact expected type
     and state, or any condition the generic path would treat as an
@@ -183,12 +180,11 @@ def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
     f0 = sched[0][0]
     cyc = source._cycle
     ppc = source._phase_per_cycle
-    bounds = source._bounds
     n_seg = len(sched)
-    t0s = [b[0] for b in bounds[:-1]]
-    p0s = [b[1] for b in bounds[:-1]]
-    t1s = [b[0] for b in bounds[1:]]
-    fs = [f for f, _d in sched]
+    t0s = source._t0s
+    p0s = source._p0s
+    t1s = source._t1s
+    fs = source._fs
     floor = math.floor
     bisect = bisect_left
 

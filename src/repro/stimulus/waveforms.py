@@ -13,6 +13,7 @@ so each edge time is found exactly (Newton with bisection safeguard).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import List, Sequence, Tuple
 
 from repro.errors import StimulusError
@@ -134,13 +135,18 @@ class PiecewiseConstantFrequencySource(EdgeSourceBase):
         super().__init__(start_time)
         self.schedule = list(schedule)
         self._cycle = sum(d for _, d in self.schedule)
-        # Pre-compute cumulative (time, phase) at dwell boundaries.
-        self._bounds: List[Tuple[float, float]] = [(0.0, 0.0)]
+        # Per segment: start time and phase, end time, frequency.
+        self._t0s: List[float] = []
+        self._p0s: List[float] = []
+        self._t1s: List[float] = []
+        self._fs = [f for f, _ in self.schedule]
         t, p = 0.0, 0.0
         for f, dwell in self.schedule:
+            self._t0s.append(t)
+            self._p0s.append(p)
             t += dwell
             p += f * dwell
-            self._bounds.append((t, p))
+            self._t1s.append(t)
         self._phase_per_cycle = p
 
     def _locate(self, rel_t: float) -> Tuple[float, float, float]:
@@ -148,11 +154,12 @@ class PiecewiseConstantFrequencySource(EdgeSourceBase):
         cycles = math.floor(rel_t / self._cycle)
         frac_t = rel_t - cycles * self._cycle
         base_phase = cycles * self._phase_per_cycle
-        for (t0, p0), (t1, __), (f, _dwell) in zip(
-            self._bounds[:-1], self._bounds[1:], self.schedule
-        ):
-            if frac_t <= t1:
-                return base_phase + p0, frac_t - t0, f
+        # The first segment with frac_t <= its end time: every dwell is
+        # positive, so the end times are sorted and bisection finds it.
+        i = bisect_left(self._t1s, frac_t)
+        if i < len(self._fs):
+            return (base_phase + self._p0s[i], frac_t - self._t0s[i],
+                    self._fs[i])
         # Floating-point spill-over into the next cycle.
         return base_phase + self._phase_per_cycle, 0.0, self.schedule[0][0]
 

@@ -11,6 +11,7 @@ real pool even on a 1-core runner.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -236,7 +237,7 @@ class TestStreamingCallbacks:
             engine="scalar",
             on_outcome=lambda i, out: seen.append((i, out.f_mod)),
         )
-        # Chunks complete in any order, but the monitor releases every
+        # Tones complete in any order, but the monitor releases every
         # tone exactly once, with its own plan index, in plan order.
         freqs = list(mixed_plan.frequencies_hz)
         assert [i for i, _ in seen] == list(range(len(freqs)))
@@ -328,6 +329,52 @@ class TestPooledWarmCache:
         for outcome in pooled:
             assert outcome.measurement.timing is not None
             assert outcome.measurement.timing.warm is False
+
+
+class TestPoolDispatch:
+    """The pool gets one single-tone task per tone, submitted in the
+    order given, so an idle worker always takes the most expensive tone
+    left."""
+
+    def test_one_task_per_tone_in_the_order_given(
+        self, fast_bist_config, monkeypatch
+    ):
+        submitted = []
+
+        class RecordingPool:
+            # Runs every task synchronously at submit time, in-process.
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, payload):
+                submitted.append(payload)
+                future = Future()
+                future.set_result(fn(payload))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            RecordingPool)
+        args = (paper_pll(), paper_stimulus("multitone"), fast_bist_config)
+        tones = PASSING_TONES + (STARVING_TONE,)
+        calls = []
+        pooled = ProcessPoolSweepExecutor(2).run_tones(
+            *args, tones,
+            on_outcome=lambda index, outcome: calls.append((index, outcome)),
+        )
+        assert submitted == [args + (f_mod,) for f_mod in tones]
+        assert sorted(index for index, _ in calls) == list(range(len(tones)))
+        assert all(outcome is pooled[index] for index, outcome in calls)
+        assert pooled == SerialSweepExecutor().run_tones(*args, tones)
+        assert pooled[-1].failed
 
 
 class TestBatchDeviceReports:

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.stimulus.waveforms import (
@@ -101,3 +101,75 @@ class TestMeanFrequency:
         expected = n_edges / f0
         # The edge nearest a whole-cycle boundary is within one period.
         assert abs(t_last - expected) < 1.5 / f0
+
+
+def _linear_locate(src, rel_t):
+    """Brute-force segment search: the first dwell whose end time is at
+    or after the instant's position in its cycle, with the boundaries
+    re-accumulated from the schedule on every call."""
+    cycles = math.floor(rel_t / src._cycle)
+    frac_t = rel_t - cycles * src._cycle
+    base_phase = cycles * src._phase_per_cycle
+    t0, p0 = 0.0, 0.0
+    for f, dwell in src.schedule:
+        t1 = t0 + dwell
+        if frac_t <= t1:
+            return base_phase + p0, frac_t - t0, f
+        t0, p0 = t1, p0 + f * dwell
+    # Floating-point spill-over into the next cycle.
+    return base_phase + src._phase_per_cycle, 0.0, src.schedule[0][0]
+
+
+@st.composite
+def _schedule_and_instant(draw):
+    """A random FSK schedule and an instant anchored where segment
+    selection is delicate: exactly on a dwell boundary, on a whole
+    number of schedule cycles, or anywhere inside a cycle — then nudged
+    a few ulps either way, which reaches the spill-over past the
+    cycle's last end time."""
+    schedule = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=100.0, max_value=2000.0),
+            st.floats(min_value=1e-4, max_value=0.05),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    src = PiecewiseConstantFrequencySource(schedule)
+    start = draw(st.integers(min_value=0, max_value=10_000)) * src._cycle
+    anchor = draw(st.sampled_from(["dwell boundary", "whole cycle",
+                                   "inside"]))
+    if anchor == "dwell boundary":
+        rel_t = start + draw(st.sampled_from(src._t1s))
+    elif anchor == "whole cycle":
+        rel_t = start
+    else:
+        rel_t = start + draw(st.floats(min_value=0.0, max_value=1.0)) \
+            * src._cycle
+    ulps = draw(st.integers(min_value=-3, max_value=3))
+    for _ in range(abs(ulps)):
+        rel_t = math.nextafter(rel_t, math.copysign(math.inf, ulps))
+    return schedule, rel_t
+
+
+# 0.294 s is 98 cycles of this 3 ms schedule, but the division rounds
+# down to 97.999...: the instant lands just past the last end time.
+_SPILL_SCHEDULE = [(1000.0, 0.001), (1100.0, 0.002)]
+_SPILL_INSTANT = 0.294
+
+
+class TestLocate:
+    @given(case=_schedule_and_instant())
+    @example(case=(_SPILL_SCHEDULE, _SPILL_INSTANT))
+    @settings(max_examples=300, deadline=None)
+    def test_bisection_matches_linear_scan(self, case):
+        schedule, rel_t = case
+        assume(rel_t > 0.0)
+        src = PiecewiseConstantFrequencySource(schedule)
+        assert src._locate(rel_t) == _linear_locate(src, rel_t)
+
+    def test_spill_example_reaches_the_spill_over(self):
+        src = PiecewiseConstantFrequencySource(_SPILL_SCHEDULE)
+        cycles = math.floor(_SPILL_INSTANT / src._cycle)
+        assert _SPILL_INSTANT - cycles * src._cycle > src._t1s[-1]
+        assert src._locate(_SPILL_INSTANT)[1:] == (0.0, 1000.0)

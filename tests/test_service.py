@@ -117,8 +117,8 @@ class TestStreamingSmoke:
 
         job, events = run(scenario())
         tones = [e.payload["index"] for e in events if e.kind == EVENT_TONE]
-        # Pool chunks complete out of order; the service's reorder
-        # buffer must still release strictly by plan index.
+        # Pooled tones complete out of order; the monitor must still
+        # release them strictly by plan index.
         assert tones == sorted(tones) == list(range(5))
         assert job.state is JobState.DONE
 
@@ -240,13 +240,17 @@ class TestQueueAndCancellation:
         assert events[second.job_id][-1].kind == "cancelled"
         assert second.streamed_indices == []
 
-    def test_cancel_running_job_stops_at_tone_boundary(
-        self, fast_bist_config
-    ):
+    @staticmethod
+    def _cancel_at_first_tone(fast_bist_config, **kwargs):
+        """Cancel a scalar job as its first tone streams; returns the
+        job, its events, a follow-up job and the service stats."""
+
         async def scenario():
             service = SweepJobService()
             await service.start()
-            job = service.submit(request(fast_bist_config, engine="scalar"))
+            job = service.submit(
+                request(fast_bist_config, engine="scalar", **kwargs)
+            )
             events = []
             async for event in service.watch(job.job_id):
                 events.append(event)
@@ -254,19 +258,50 @@ class TestQueueAndCancellation:
                     service.cancel(job.job_id)
             # The loop survives: a fresh job still runs to completion.
             follow_up, _ = await run_to_end(
-                service, request(fast_bist_config, engine="scalar")
+                service, request(fast_bist_config, engine="scalar", **kwargs)
             )
             stats = service.stats()
             await service.stop()
             return job, events, follow_up, stats
 
-        job, events, follow_up, stats = run(scenario())
+        return run(scenario())
+
+    def test_cancel_running_job_stops_at_tone_boundary(
+        self, fast_bist_config
+    ):
+        job, events, follow_up, stats = self._cancel_at_first_tone(
+            fast_bist_config
+        )
         assert job.state is JobState.CANCELLED
         assert events[-1].kind == "cancelled"
         streamed = [e for e in events if e.kind == EVENT_TONE]
         assert 0 < len(streamed) < len(SMOKE_TONES)
         assert follow_up.state is JobState.DONE
         assert stats["live_jobs"] == 0
+
+    def test_cancel_pooled_job_stops_at_tone_boundary(
+        self, fast_bist_config, monkeypatch
+    ):
+        # A pooled job harvests tone by tone, so cancellation bites at
+        # the next tone, not after a worker's whole share of the sweep.
+        import repro.core.executor as executor_module
+
+        monkeypatch.setattr(
+            executor_module, "_visible_cpu_count", lambda: 2
+        )
+        # On SMOKE_TONES the second worker finishes every cheaper tone
+        # while the first still runs the 5 Hz reference, so the whole
+        # plan can stream at once; three more wide tones behind the
+        # reference leave boundaries to stop at.
+        tones = (5.0, 6.0, 7.0, 8.0) + SMOKE_TONES[1:]
+        job, events, follow_up, _ = self._cancel_at_first_tone(
+            fast_bist_config, n_workers=2, tones=tones
+        )
+        assert job.state is JobState.CANCELLED
+        assert events[-1].kind == "cancelled"
+        streamed = [e for e in events if e.kind == EVENT_TONE]
+        assert 0 < len(streamed) < len(tones)
+        assert follow_up.state is JobState.DONE
 
     def test_cancel_terminal_job_is_a_noop(self, fast_bist_config):
         async def scenario():
