@@ -245,17 +245,6 @@ class PulseTrain:
             self._view = view
         return view
 
-    def time_at(self, index: int) -> float:
-        """Edge time at ``index`` (O(1); supports negative indices)."""
-        n = self._n
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(
-                f"edge index {index!r} out of range for {n} edges"
-            )
-        return float(self._t[index])
-
     def count_in_gate(self, start: float, stop: float) -> int:
         """Number of edges with ``start <= t < stop`` — the hardware
         frequency-counter view of a gate."""

@@ -33,17 +33,17 @@ and stage 1 is bit-identical to the scalar simulator's at
   operation sequence exactly (same association, same operand order);
 * transcendentals go through scalar :func:`math.exp` /
   :func:`math.expm1`, as in the scalar engine;
-* reference edges come from the *real* stimulus source's phase law,
-  generated once per (stimulus, tone) group and shared by every lane in
-  the group;
+* reference edges come from the *real* stimulus source, one per
+  (stimulus, tone) group, pulled only as a lane reaches the end of the
+  train the group's lanes share;
 * a charge pump with a turn-on delay (the dead-zone fault) carries the
   scalar engine's pending-activation event through the kernel;
 * a lane the farm cannot represent at all — an unrecognised tuning
   curve, an exotic filter or source — never enters it and runs
   nothing here;
 * a lane that leaves the supported envelope — a VCO clamp excursion, a
-  PFD anomaly, an exhausted edge train — is *ejected*, mid-settle or
-  mid-measurement, and publishes nothing.
+  PFD anomaly, a reference source that fails — is *ejected*, mid-settle
+  or mid-measurement, and publishes nothing.
 
 The orchestrating sweep measures every tone the farm left unanswered
 from t = 0 on the scalar engine, so correctness never depends on the
@@ -53,7 +53,6 @@ fast path.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -78,10 +77,7 @@ from repro.sim.segments import (
     ExponentialSegment,
     RampSegment,
 )
-from repro.stimulus.waveforms import (
-    EdgeSourceBase,
-    PiecewiseConstantFrequencySource,
-)
+from repro.stimulus.waveforms import EdgeSourceBase
 
 __all__ = ["MeasureSpec", "SettleLane", "LaneResult",
            "VectorizedLotSimulator"]
@@ -150,156 +146,6 @@ def _simpson_phase(law: ClampedCubicLaw, segment, dt: float,
     for i in range(1, n):
         total += (4.0 if i % 2 else 2.0) * f[i]
     return float(total * h / 3.0)
-
-
-def _pcw_edge_train(source, t_end: float) -> Optional[List[float]]:
-    """Inline edge generation for a piecewise-constant-frequency source.
-
-    A straight-line transcription of
-    :meth:`~repro.stimulus.waveforms.EdgeSourceBase.next_edge` with the
-    phase/frequency laws of
-    :class:`~repro.stimulus.waveforms.PiecewiseConstantFrequencySource`
-    flattened into the loop body (same expressions, same operation
-    order, same solver iteration, same segment tables and
-    ``bisect_left`` segment selection), producing bit-identical edge
-    times several times faster than the generic method-dispatch path.
-    Each edge costs ~27 phase/frequency evaluations, and the frequency
-    at an instant whose phase was just evaluated rides along for free.
-
-    Returns ``None`` whenever the source is not the exact expected type
-    and state, or any condition the generic path would treat as an
-    error arises — the caller then falls back to pulling edges from the
-    real source.
-    """
-    if type(source) is not PiecewiseConstantFrequencySource:
-        return None
-    if source._k != 0 or source._t_last != source.start_time:
-        return None
-    start = source.start_time
-    sched = source.schedule
-    f0 = sched[0][0]
-    cyc = source._cycle
-    ppc = source._phase_per_cycle
-    n_seg = len(sched)
-    t0s = source._t0s
-    p0s = source._p0s
-    t1s = source._t1s
-    fs = source._fs
-    floor = math.floor
-    bisect = bisect_left
-
-    edges: List[float] = []
-    t_last = start
-    k = 0
-    while True:
-        k += 1
-        target = float(k)
-        lo = t_last
-        # f_lo = freq_at(lo)
-        rel = lo - start
-        if rel <= 0.0:
-            f_lo = f0
-        else:
-            frac_t = rel - floor(rel / cyc) * cyc
-            i = bisect(t1s, frac_t)
-            f_lo = fs[i] if i < n_seg else f0
-        if f_lo <= 0.0:
-            return None
-        hi = lo + 1.5 / f_lo
-        for _ in range(64):
-            # ph = phase_at(hi); the frequency at the same instant
-            # shares rel/frac_t/i, so it rides along for free.
-            rel = hi - start
-            if rel <= 0.0:
-                ph = rel * f0
-                fq = f0
-            else:
-                cycles = floor(rel / cyc)
-                frac_t = rel - cycles * cyc
-                i = bisect(t1s, frac_t)
-                if i < n_seg:
-                    ph = (cycles * ppc + p0s[i]) + fs[i] * (frac_t - t0s[i])
-                    fq = fs[i]
-                else:
-                    ph = (cycles * ppc + ppc) + f0 * 0.0
-                    fq = f0
-            if ph >= target:
-                break
-            lo = hi
-            hi = lo + 1.5 / max(fq, 1e-12)
-        else:
-            return None
-        # solve_increasing(phase_at, target, lo, hi, derivative=freq_at)
-        f_hi_b = ph - target  # ph is phase_at(hi) from the bracket break
-        # f_lo_b = phase_at(lo) - target
-        rel = lo - start
-        if rel <= 0.0:
-            ph = rel * f0
-        else:
-            cycles = floor(rel / cyc)
-            frac_t = rel - cycles * cyc
-            i = bisect(t1s, frac_t)
-            if i < n_seg:
-                ph = (cycles * ppc + p0s[i]) + fs[i] * (frac_t - t0s[i])
-            else:
-                ph = (cycles * ppc + ppc) + f0 * 0.0
-        f_lo_b = ph - target
-        if f_lo_b > 0.0 or f_hi_b < 0.0:
-            return None
-        if f_lo_b == 0.0:
-            t_edge = lo
-        elif f_hi_b == 0.0:
-            t_edge = hi
-        else:
-            x = 0.5 * (lo + hi)
-            t_edge = None
-            for _ in range(200):
-                if hi - lo <= 1e-13:
-                    t_edge = 0.5 * (lo + hi)
-                    break
-                # f_x = phase_at(x) - target, keeping the segment index
-                # for the derivative below (freq_at(x) shares it).
-                rel = x - start
-                if rel <= 0.0:
-                    ph = rel * f0
-                    d = f0
-                else:
-                    cycles = floor(rel / cyc)
-                    frac_t = rel - cycles * cyc
-                    i = bisect(t1s, frac_t)
-                    if i < n_seg:
-                        ph = (cycles * ppc + p0s[i]) \
-                            + fs[i] * (frac_t - t0s[i])
-                        d = fs[i]
-                    else:
-                        ph = (cycles * ppc + ppc) + f0 * 0.0
-                        d = f0
-                f_x = ph - target
-                if f_x == 0.0:
-                    t_edge = x
-                    break
-                if f_x < 0.0:
-                    lo = x
-                else:
-                    hi = x
-                x_next = None
-                if d > 0.0:
-                    candidate = x - f_x / d
-                    if lo < candidate < hi:
-                        x_next = candidate
-                if x_next is None:
-                    x_next = 0.5 * (lo + hi)
-                x = x_next
-            if t_edge is None:
-                return None
-        if t_edge <= t_last and k > 1:
-            return None
-        t_last = t_edge
-        if not edges and t_edge < 0.0:
-            return None
-        edges.append(t_edge)
-        if t_edge > t_end:
-            return edges
 
 
 @dataclass(frozen=True)
@@ -529,6 +375,47 @@ class _PhysicsTable:
         return len(self.drives) - 1
 
 
+class _EdgeSupply:
+    """One (stimulus, tone) group's reference edges: a train shared by
+    the group's lanes, pulled from the group's source only when a lane
+    reaches its end."""
+
+    __slots__ = ("source", "edges")
+
+    def __init__(self, source: EdgeSourceBase, first: float) -> None:
+        self.source: Optional[EdgeSourceBase] = source
+        self.edges = [first]
+
+    @classmethod
+    def start(cls, source: EdgeSourceBase) -> Optional["_EdgeSupply"]:
+        """The supply seeded with the source's first edge, or ``None``
+        if the group cannot start."""
+        try:
+            first = source.next_edge()
+        except ReproError:
+            return None
+        if first < 0.0:
+            return None  # the scalar engine rejects this identically
+        return cls(source, first)
+
+    def pull(self) -> bool:
+        """Append the source's next edge.  ``False`` if it raised or did
+        not increase; that retires the source, so every lane of the
+        group ejects at the same edge."""
+        source = self.source
+        if source is None:
+            return False
+        try:
+            edge = source.next_edge()
+        except ReproError:
+            edge = None
+        if edge is None or edge <= self.edges[-1]:
+            self.source = None
+            return False
+        self.edges.append(edge)
+        return True
+
+
 class VectorizedLotSimulator:
     """Settle and measure N lanes; see the module docstring.
 
@@ -536,7 +423,7 @@ class VectorizedLotSimulator:
     ----------
     lanes:
         The settle jobs; lanes with equal (stimulus cache key, tone)
-        share one generated reference-edge stream.
+        share one reference source and its edge train.
 
     Every lane the farm can represent settles on the per-lane kernel
     (:meth:`_kernel_run`), whatever the farm's width, and every settled
@@ -564,14 +451,11 @@ class VectorizedLotSimulator:
     # ------------------------------------------------------------------
     def _prepare(self) -> None:
         tables: Dict[int, _PhysicsTable] = {}
-        groups: Dict[Tuple, Optional[List[float]]] = {}
-        group_end: Dict[Tuple, float] = {}
-        group_lanes: Dict[Tuple, List[int]] = {}
-
-        candidates: List[Tuple[int, _PhysicsTable, Tuple]] = []
+        groups: Dict[Tuple, Optional[_EdgeSupply]] = {}
+        supported: List[Tuple[int, _PhysicsTable, _EdgeSupply]] = []
         for pos, lane in enumerate(self.lanes):
             try:
-                key = self._group_key(lane)
+                key, source = self._group_source(lane)
                 table = tables.get(id(lane.pll))
                 if table is None:
                     probe = lane.pll.loop_filter.state_for_output(
@@ -582,88 +466,28 @@ class VectorizedLotSimulator:
             except (_Unsupported, ReproError, AttributeError, TypeError):
                 self._fallback.append(pos)
                 continue
-            candidates.append((pos, table, key))
-            end = max(lane.settle_end, self._measure_horizon(lane))
-            group_end[key] = max(group_end.get(key, 0.0), end)
-            group_lanes.setdefault(key, []).append(pos)
-
-        supported: List[Tuple[int, _PhysicsTable, List[float]]] = []
-        for pos, table, key in candidates:
             if key not in groups:
-                groups[key] = self._generate_edges(self.lanes[pos],
-                                                   group_end[key])
-                if groups[key] is None:
-                    self._fallback.extend(group_lanes[key])
-            edges = groups[key]
-            if edges is not None:
-                supported.append((pos, table, edges))
+                groups[key] = _EdgeSupply.start(source)
+            supply = groups[key]
+            if supply is None:
+                self._fallback.append(pos)
+            else:
+                supported.append((pos, table, supply))
         self._init_lanes(supported)
 
-    def _measure_horizon(self, lane: SettleLane) -> float:
-        """Edge-train horizon covering stages 1–4 for one lane.
-
-        An estimate, not a bound: the peak-watch deadline, the two
-        reference-period flush, and a generous multiple of the
-        reciprocal-count window.  A lane that outruns it hits the
-        edge-exhaustion eject in :meth:`_kernel_run` and measures on
-        the scalar path — lossless, merely slower.
-        """
-        spec = lane.measure
-        try:
-            pll = lane.pll
-            t_mod = 1.0 / lane.f_mod
-            t_arm = lane.stimulus.modulation_peak_time(
-                lane.f_mod, start_time=0.0,
-                index=spec.config.settle_cycles,
-            )
-            deadline = t_arm + spec.max_wait_cycles * t_mod
-            periods = spec.config.frequency_count_periods
-            count = 4.0 * (periods + 8) * pll.n / pll.f_out_nominal
-            return deadline + 2.0 / pll.f_ref + count
-        except Exception:  # noqa: BLE001 - estimate only; eject covers
-            return lane.settle_end
-
-    def _group_key(self, lane: SettleLane) -> Tuple:
+    def _group_source(self, lane: SettleLane) -> Tuple[Tuple, EdgeSourceBase]:
+        """The lane's (stimulus cache key, tone) group key and a fresh
+        reference source for it."""
         stim = lane.stimulus
         cache_key = stim.cache_key()  # AttributeError -> unsupported
         source = stim.make_source(lane.f_mod, 0.0)
         if not isinstance(source, EdgeSourceBase):
             raise _Unsupported("source is not a plain edge source")
-        return (cache_key, float(lane.f_mod))
-
-    def _generate_edges(self, lane: SettleLane,
-                        t_end: float) -> Optional[List[float]]:
-        """Pull the source's edge train out to just past ``t_end``.
-
-        Piecewise-constant sources (the multitone FSK stimulus) go
-        through the inlined transcription :func:`_pcw_edge_train`; its
-        first edges are cross-checked against the real generator at
-        runtime before being trusted.  Everything else — and any bail —
-        pulls every edge from the real source.
-        """
-        try:
-            source = lane.stimulus.make_source(lane.f_mod, 0.0)
-            fast = _pcw_edge_train(source, t_end)
-            if fast:
-                if all(source.next_edge() == fast[i]
-                       for i in range(min(2, len(fast)))):
-                    return fast
-                source = lane.stimulus.make_source(lane.f_mod, 0.0)
-            edges = [source.next_edge()]
-            if edges[0] < 0.0:
-                return None  # the scalar engine rejects this identically
-            while edges[-1] <= t_end:
-                nxt = source.next_edge()
-                if nxt <= edges[-1]:
-                    return None
-                edges.append(nxt)
-        except ReproError:
-            return None
-        return edges
+        return (cache_key, float(lane.f_mod)), source
 
     def _init_lanes(
         self,
-        supported: List[Tuple[int, _PhysicsTable, List[float]]],
+        supported: List[Tuple[int, _PhysicsTable, _EdgeSupply]],
     ) -> None:
         """Lane state at t = 0: the scalar simulator's fields, one list
         entry per farm lane (``None`` wherever the simulator holds
@@ -672,13 +496,13 @@ class VectorizedLotSimulator:
         n = len(supported)
         self._vec = [pos for pos, __, __ in supported]
         self._tables = [table for __, table, __ in supported]
-        self._edges = [edges for __, __, edges in supported]
+        self._supply = [supply for __, __, supply in supported]
         self._t = [0.0] * n
         self._vc = [table.vc_lock for table in self._tables]
         self._phase = [0.0] * n
         self._fbt = [table.nf for table in self._tables]
         self._j = [0] * n
-        self._tref = [edges[0] for edges in self._edges]
+        self._tref = [supply.edges[0] for supply in self._supply]
         self._up = [False] * n
         self._dn = [False] * n
         self._levt: List[Optional[float]] = [None] * n
@@ -769,7 +593,8 @@ class VectorizedLotSimulator:
         (``run_until`` → ``_next_event`` → ``_advance_to`` →
         ``_dispatch``) with the per-event machinery peeled away: law
         coefficients live in unpacked locals, the reference edges come
-        from the pregenerated shared train, transcendentals are bound
+        from the group's shared train (a REF event at its end pulls the
+        next edge from the group's source), transcendentals are bound
         locals, and the feedback-edge solver is inlined (the constant-law
         one-division fast path, and the safeguarded Newton iteration of
         ``solve_increasing`` for ramp/exponential laws).  Between PFD
@@ -831,7 +656,8 @@ class VectorizedLotSimulator:
             inv_d = script.config.detector_inverter_delay
             and_d = script.config.detector_and_delay
             t_arm = script.t_arm
-        edges = self._edges[lane]
+        supply = self._supply[lane]
+        edges = supply.edges
         n_edges = len(edges)
         laws = table.law_rows
         s_to_drive = table.s_to_drive
@@ -1062,8 +888,10 @@ class VectorizedLotSimulator:
                         eject = True  # edge after pending reset was due
                         break
                     if ekind == _REF and j + 1 >= n_edges:
-                        eject = True  # edge train exhausted
-                        break
+                        if not supply.pull():
+                            eject = True  # the source failed
+                            break
+                        n_edges += 1
 
             # --- advance (transcribes _advance_to + phase_advance) ----
             dt = best_t - t

@@ -12,6 +12,7 @@ import pytest
 from types import SimpleNamespace
 
 from repro.core import BISTConfig, ToneTestSequencer, TransferFunctionMonitor
+from repro.errors import StimulusError
 from repro.pll.faults import FAULT_LIBRARY, FaultKind, apply_fault
 from repro.pll.population.samplers import get_corner
 from repro.pll.simulator import PLLTransientSimulator
@@ -244,3 +245,33 @@ class SettledReadout:
 def settled():
     """The settled-state readout (:class:`SettledReadout`)."""
     return SettledReadout
+
+
+@pytest.fixture
+def cut_edge_supply(monkeypatch):
+    """``cut(f_mod, n)``: the farm's reference source for tone ``f_mod``
+    raises :class:`~repro.errors.StimulusError` once it has supplied
+    ``n`` edges; every other source, and every scalar run's, is
+    untouched."""
+    group_source = VectorizedLotSimulator._group_source
+
+    def cut(f_mod: float, n: int) -> None:
+        def limited(farm, lane):
+            key, source = group_source(farm, lane)
+            if lane.f_mod == f_mod:
+                pull = source.next_edge
+                left = [n]
+
+                def next_edge():
+                    if not left[0]:
+                        raise StimulusError("edge supply cut")
+                    left[0] -= 1
+                    return pull()
+
+                source.next_edge = next_edge
+            return key, source
+
+        monkeypatch.setattr(VectorizedLotSimulator, "_group_source",
+                            limited)
+
+    return cut

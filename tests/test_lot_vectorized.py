@@ -663,6 +663,7 @@ class TestTurnOnDelayLanes:
                 d.pll, d.stimulus, d.config, f_mod)) == cold.run(f_mod)
 
     def test_ejection_with_activation_in_flight(self, delay_die, settled,
+                                                cut_edge_supply,
                                                 monkeypatch):
         """A lane ejected mid-settle with its pump activation still armed
         publishes nothing and builds no scalar simulator: the sweep
@@ -688,16 +689,9 @@ class TestTurnOnDelayLanes:
         sim.run_until(settle_end)
         m = in_flight.index(True, 8)
 
-        # Truncate this tone's pregenerated train: the kernel ejects at
-        # edge m, from its pre-event state, with the activation armed.
-        generate = VectorizedLotSimulator._generate_edges
-
-        def truncated(farm, lane, t_end):
-            edges = generate(farm, lane, t_end)
-            return edges[:m + 1] if lane.f_mod == f_mod else edges
-
-        monkeypatch.setattr(VectorizedLotSimulator, "_generate_edges",
-                            truncated)
+        # Cut this tone's source after edge m: the kernel ejects at edge
+        # m, from its pre-event state, with the activation armed.
+        cut_edge_supply(f_mod, m + 1)
         lane = _lanes(d.pll, d.stimulus, d.config, (f_mod,))[0]
         ((mode, fields),) = settled.farm([lane])
         assert mode == "ejected"

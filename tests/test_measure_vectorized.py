@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -225,25 +224,20 @@ class TestPremeasureParity:
             )
 
     def test_truncated_edge_train_ejects_losslessly(self, fast_bist_config,
-                                                    settled, monkeypatch):
-        """A lane that runs off its pregenerated edge train mid-
-        measurement is ejected: no published outcome, an intact
-        settled state, and the cold scalar measurement from it."""
+                                                    settled, cut_edge_supply):
+        """A lane whose reference source fails mid-measurement is
+        ejected: no published outcome, an intact settled state, and the
+        cold scalar measurement from it."""
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         f_mod = TONES[0]
         lane = _measure_lane(pll, stimulus, fast_bist_config, f_mod)
-        generate = VectorizedLotSimulator._generate_edges
-
-        def truncated(farm, lane, t_end):
-            # Keep the settle's edges and a few more: stage 1 runs out.
-            edges = generate(farm, lane, t_end)
-            if lane.f_mod != f_mod:
-                return edges
-            return edges[:np.searchsorted(edges, lane.settle_end) + 4]
-
-        monkeypatch.setattr(VectorizedLotSimulator, "_generate_edges",
-                            truncated)
+        # Supply the settle's edges and a few more: stage 1 runs out.
+        source = stimulus.make_source(f_mod, 0.0)
+        n = 4
+        while source.next_edge() < lane.settle_end:
+            n += 1
+        cut_edge_supply(f_mod, n)
         farm = VectorizedLotSimulator([lane])
         (result,) = farm.run()
         assert farm.stats["measure_ejected"] == 1

@@ -2,11 +2,14 @@
 
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConvergenceError
 from repro.stimulus.waveforms import (
     ConstantFrequencySource,
+    EdgeSourceBase,
     PiecewiseConstantFrequencySource,
     SinusoidalFMSource,
     SinusoidalPMSource,
@@ -173,3 +176,56 @@ class TestLocate:
         cycles = math.floor(_SPILL_INSTANT / src._cycle)
         assert _SPILL_INSTANT - cycles * src._cycle > src._t1s[-1]
         assert src._locate(_SPILL_INSTANT)[1:] == (0.0, 1000.0)
+
+
+@st.composite
+def _fsk_schedule(draw):
+    """1-10 dwells at 10 Hz to 1 MHz, each 0.01 to 10 reference cycles
+    long: the dwells span decades too, from hops well inside one
+    reference period to tens of periods, and 400 edges always cross
+    several schedule cycles."""
+    dwells = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=1.0, max_value=6.0),   # log10 frequency
+            st.floats(min_value=-2.0, max_value=1.0),  # log10 cycles
+        ),
+        min_size=1,
+        max_size=10,
+    ))
+    return [(10.0 ** f_exp, 10.0 ** c_exp / 10.0 ** f_exp)
+            for f_exp, c_exp in dwells]
+
+
+class TestSpecialisedSolve:
+    """``PiecewiseConstantFrequencySource.next_edge`` is the base solve
+    with the FSK laws written in; the base solve is its oracle."""
+
+    @given(
+        schedule=_fsk_schedule(),
+        start_time=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-10.0, max_value=10.0),
+        ),
+    )
+    @example(schedule=_SPILL_SCHEDULE, start_time=0.0)
+    @settings(max_examples=150, deadline=None)
+    def test_edges_match_the_base_solve(self, schedule, start_time):
+        src = PiecewiseConstantFrequencySource(schedule, start_time)
+        twin = PiecewiseConstantFrequencySource(schedule, start_time)
+        for _ in range(400):
+            assert src.next_edge() == EdgeSourceBase.next_edge(twin)
+        assert (src._k, src._t_last) == (twin._k, twin._t_last)
+        assert src._t_last - start_time > 3.0 * src._cycle
+
+    def test_failure_is_the_base_solves(self):
+        """Far from t = 0 a time ulp exceeds the solver tolerance, so
+        the base solve fails to converge; the specialised one raises
+        the same error."""
+        src = PiecewiseConstantFrequencySource(_SPILL_SCHEDULE, 1e4)
+        twin = PiecewiseConstantFrequencySource(_SPILL_SCHEDULE, 1e4)
+        with pytest.raises(ConvergenceError) as fast:
+            src.next_edge()
+        with pytest.raises(ConvergenceError) as base:
+            EdgeSourceBase.next_edge(twin)
+        assert str(fast.value) == str(base.value)
+        assert (src._k, src._t_last) == (twin._k, twin._t_last)

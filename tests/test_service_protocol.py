@@ -473,6 +473,60 @@ class TestClientTransportChoice:
             SweepJobServer(SweepJobService())
 
 
+@contextlib.contextmanager
+def _live_service():
+    """A server on a fresh unix socket in a background thread.
+
+    Yields the socket path and ``call(fn)``, which runs ``fn(service)``
+    on the server's event loop and returns its result.  The server is
+    shut down on exit and must drain.
+    """
+    tmp = tempfile.mkdtemp(prefix="repro-svc-")
+    sock_path = os.path.join(tmp, "svc.sock")
+    started = threading.Event()
+    holder = {}
+
+    def serve() -> None:
+        async def main() -> None:
+            service = SweepJobService()
+            server = SweepJobServer(service, sock_path)
+            await server.start()
+            holder["loop"] = asyncio.get_running_loop()
+            holder["service"] = service
+            started.set()
+            try:
+                await server.wait_shutdown()
+            finally:
+                await server.stop()
+
+        asyncio.run(main())
+
+    def call(fn):
+        result: "concurrent.futures.Future" = concurrent.futures.Future()
+
+        def run() -> None:
+            try:
+                result.set_result(fn(holder["service"]))
+            except BaseException as exc:  # noqa: BLE001
+                result.set_exception(exc)
+
+        holder["loop"].call_soon_threadsafe(run)
+        return result.result(timeout=30)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        assert started.wait(30), "service socket never appeared"
+        yield sock_path, call
+    finally:
+        # A server that misses this request fails the drain check below.
+        with contextlib.suppress(ServiceError, OSError):
+            ServiceClient(sock_path, timeout_s=10.0).shutdown()
+        thread.join(timeout=60)
+        shutil.rmtree(tmp, ignore_errors=True)
+    assert not thread.is_alive(), "server thread failed to drain"
+
+
 class TestFailedToneOverTheWire:
     def test_failed_tone_event_streams_instead_of_raising(
         self, fast_bist_config
@@ -484,62 +538,60 @@ class TestFailedToneOverTheWire:
         # The preset vocabulary can't express a failing tone, so the
         # job is injected into the service directly and only *watched*
         # over the wire.
-        tmp = tempfile.mkdtemp(prefix="repro-svc-")
-        sock_path = os.path.join(tmp, "svc.sock")
-        started = threading.Event()
-        holder = {}
-
-        def serve() -> None:
-            async def main() -> None:
-                service = SweepJobService()
-                server = SweepJobServer(service, sock_path)
-                await server.start()
-                holder["loop"] = asyncio.get_running_loop()
-                holder["service"] = service
-                started.set()
-                try:
-                    await server.wait_shutdown()
-                finally:
-                    await server.stop()
-
-            asyncio.run(main())
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        try:
-            assert started.wait(30), "service socket never appeared"
-            request = SweepJobRequest(
-                pll=paper_pll(),
-                stimulus=paper_stimulus("multitone"),
-                plan=SweepPlan((5.0, 10.0, 2000.0)),  # 2 kHz starves
-                config=fast_bist_config,
-            )
-            submitted: "concurrent.futures.Future[str]" = \
-                concurrent.futures.Future()
-
-            def do_submit() -> None:
-                try:
-                    submitted.set_result(
-                        holder["service"].submit(request).job_id
-                    )
-                except BaseException as exc:  # noqa: BLE001
-                    submitted.set_exception(exc)
-
-            holder["loop"].call_soon_threadsafe(do_submit)
-            job_id = submitted.result(timeout=30)
+        request = SweepJobRequest(
+            pll=paper_pll(),
+            stimulus=paper_stimulus("multitone"),
+            plan=SweepPlan((5.0, 10.0, 2000.0)),  # 2 kHz starves
+            config=fast_bist_config,
+        )
+        with _live_service() as (sock_path, call):
+            job_id = call(lambda service: service.submit(request).job_id)
             client = ServiceClient(sock_path, timeout_s=120.0)
             events = list(client.watch(job_id))
-            client.shutdown()
-        finally:
-            thread.join(timeout=60)
-            shutil.rmtree(tmp, ignore_errors=True)
-        assert not thread.is_alive(), "server thread failed to drain"
         tones = [e for e in events if e.get("event") == "tone"]
         dead = [e for e in tones if e.get("ok") is False]
         assert [e["f_mod_hz"] for e in dead] == [2000.0]
         assert dead[0]["error"]
         assert events[-1]["event"] == "done"
         assert events[-1]["failed_tones"] == 1
+
+
+class TestWatcherDisconnect:
+    def test_client_gone_mid_watch_leaves_job_and_server_whole(self):
+        # A watcher that reads one event and hangs up must neither stop
+        # the job nor stay subscribed: once the terminal event has gone
+        # out, the job's subscriber list is empty again, so a finished
+        # job can still age out of the retention bound.
+        one_shot = device_report(paper_pll(), TransferFunctionMonitor(
+            paper_pll(), paper_stimulus("multitone"), paper_bist_config()
+        ).run(paper_sweep(points=SMOKE_POINTS)))
+        with _live_service() as (sock_path, call):
+            client = ServiceClient(sock_path, timeout_s=120.0)
+            job_id = client.submit(SweepJobSpec(
+                points=SMOKE_POINTS, engine="scalar", label="gone",
+            ))["job_id"]
+            sock = socket_module.socket(
+                socket_module.AF_UNIX, socket_module.SOCK_STREAM
+            )
+            sock.settimeout(30.0)
+            try:
+                sock.connect(sock_path)
+                sock.sendall(encode_line({"op": "watch", "job_id": job_id}))
+                first = json.loads(sock.makefile("rb").readline())
+            finally:
+                sock.close()
+            events = list(client.watch(job_id))
+            report = client.report(job_id)
+            stats = client.status()
+            subscribers = call(
+                lambda service: list(service._subscribers[job_id]))
+        assert first["event"] == "accepted"
+        assert first["job_id"] == job_id
+        assert events[-1]["event"] == "done"
+        assert events[-1]["state"] == "done"
+        assert report == one_shot
+        assert stats["jobs_by_state"]["done"] == 1
+        assert subscribers == []
 
 
 class TestClientWithoutServer:
