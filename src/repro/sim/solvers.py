@@ -81,11 +81,15 @@ def solve_increasing(
     bracket width falls below ``tol`` (an *absolute* tolerance on ``x``,
     appropriate because callers solve for times measured in seconds).
 
+    A bracket the Newton budget leaves wider than ``tol`` gets a second
+    budget of plain bisection.
+
     Raises
     ------
     ConvergenceError
-        If the target is not bracketed, or the iteration budget is
-        exhausted before the bracket shrinks below ``tol``.
+        If the target is not bracketed, or both budgets are exhausted
+        before the bracket shrinks below ``tol`` (a bracket whose ends
+        are a float ulp apart, wider than ``tol``, never does).
     """
     f_lo = fn(lo) - target
     f_hi = fn(hi) - target
@@ -121,6 +125,20 @@ def solve_increasing(
         if x_next is None:
             x_next = 0.5 * (lo + hi)
         x = x_next
+    # Newton can creep up on a root from one side by an ulp a step when
+    # the residual there is rounding noise, so the far end never moves
+    # and the bracket never shrinks: finish that bracket by bisection.
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi)
+        f_x = fn(x) - target
+        if f_x == 0.0:
+            return x
+        if f_x < 0.0:
+            lo = x
+        else:
+            hi = x
     raise ConvergenceError(
         f"solve_increasing did not converge within {max_iter} iterations "
         f"(bracket [{lo!r}, {hi!r}], tol={tol!r})"

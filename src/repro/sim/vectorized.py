@@ -7,10 +7,13 @@ sweep's cost and touches no measurement hardware, so its event loop is
 a pure function of (device physics, stimulus, tone).  This module runs
 *many* such settles, each lane on one per-lane kernel
 (:meth:`VectorizedLotSimulator._kernel_run`): a specialised scalar
-transcription of the same event loop, with the segment laws unpacked
-into locals and the inter-event update written out in closed form —
-the polynomial (ramp/hold) or exponential update between PFD switching
-instants that Kuznetsov et al. (arXiv:1901.01468) derive.
+transcription of the same event loop, with the inter-event update
+written out in closed form — the polynomial (ramp/hold) or exponential
+update between PFD switching instants that Kuznetsov et al.
+(arXiv:1901.01468) derive.  The kernel keeps no copy of those laws: it
+unpacks into locals the :class:`~repro.pll.loop_filter.SegmentLaw`
+the loop filter itself derives for each drive, the one the scalar
+engine builds its segments from.
 
 Every lane carries Table 2 stages 1–4 as well.  Once the kernel has
 settled a lane, its :class:`~repro.core.sequencer.MeasurementScript` is
@@ -39,8 +42,9 @@ and stage 1 is bit-identical to the scalar simulator's at
 * a charge pump with a turn-on delay (the dead-zone fault) carries the
   scalar engine's pending-activation event through the kernel;
 * a lane the farm cannot represent at all — an unrecognised tuning
-  curve, an exotic filter or source — never enters it and runs
-  nothing here;
+  curve, a filter class with segment methods of its own (whose
+  segments need not follow its laws) or one whose law cannot be
+  derived, an exotic source — never enters it and runs nothing here;
 * a lane that leaves the supported envelope — a VCO clamp excursion, a
   PFD anomaly, a reference source that fails — is *ejected*, mid-settle
   or mid-measurement, and publishes nothing.
@@ -65,9 +69,9 @@ from repro.core.sequencer import (
     ToneTiming,
 )
 from repro.errors import MeasurementError, ReproError
-from repro.pll.charge_pump import Drive, DriveKind
+from repro.pll.charge_pump import Drive
 from repro.pll.hct4046 import HCT4046Config
-from repro.pll.loop_filter import PassiveLagLeadFilter, SeriesRCFilter
+from repro.pll.loop_filter import LAW_CONST, LAW_EXP, LAW_RAMP, LoopFilter
 from repro.pll.pfd import PFDState
 from repro.pll.vco import VCO
 from repro.sim.signals import PulseTrain
@@ -86,9 +90,6 @@ __all__ = ["MeasureSpec", "SettleLane", "LaneResult",
 class _Unsupported(Exception):
     """Internal: this lane cannot be represented on the farm kernel."""
 
-
-# Segment-law kinds, per (physics, drive) row.
-_CONST, _RAMP, _EXP = 0, 1, 2
 
 # Event kinds the kernel dispatches; ``_ACT`` is the pump's delayed
 # switch-on.
@@ -199,108 +200,13 @@ class LaneResult:
     measurement: Union[ToneMeasurement, str, None] = None
 
 
-@dataclass
-class _LawRow:
-    """Replicated segment laws for one (filter, drive) pair.
-
-    ``kind`` selects the closed form; the coefficients reproduce the
-    filter's ``segment_pair`` output bit-for-bit (verified at build
-    time against the real filter at a probe voltage).
-    """
-
-    kind: int
-    asym: float = 0.0      # state-law asymptote (exp)
-    tau: float = 1.0       # state/output time constant (exp)
-    slope: float = 0.0     # state/output slope (ramp)
-    half_slope: float = 0.0
-    o_a: float = 1.0       # output initial = o_a * vc + o_b  (exp)
-    o_b: float = 0.0
-    o_asym: float = 0.0    # output-law asymptote (exp)
-    o_off: float = 0.0     # output initial = vc + o_off      (ramp)
-
-
-def _build_law(filt, drive: Drive) -> _LawRow:
-    """Replicate the loop filter's segment formulas for one drive."""
-    if type(filt) is PassiveLagLeadFilter:
-        r_total = drive.source_resistance + filt.r1 + filt.r2
-        r_out = filt.r2
-    elif type(filt) is SeriesRCFilter:
-        r_total = drive.source_resistance + filt.r
-        r_out = filt.r
-    else:
-        raise _Unsupported(f"filter {type(filt).__name__}")
-    r_l = filt.leak_resistance
-    leaky = math.isfinite(r_l)
-    if drive.kind is DriveKind.VOLTAGE:
-        if r_total <= 0.0:
-            raise _Unsupported("voltage drive into zero series resistance")
-        if leaky:
-            tau = filt.c * r_total * r_l / (r_total + r_l)
-            asym = drive.value * r_l / (r_total + r_l)
-        else:
-            tau = filt.c * r_total
-            asym = drive.value
-        k = r_out / r_total
-        return _LawRow(
-            kind=_EXP, asym=asym, tau=tau,
-            o_a=1.0 - k, o_b=k * drive.value,
-            o_asym=(1.0 - k) * asym + k * drive.value,
-        )
-    if drive.kind is DriveKind.CURRENT:
-        o_off = drive.value * r_out
-        if leaky:
-            asym = drive.value * r_l
-            return _LawRow(
-                kind=_EXP, asym=asym, tau=r_l * filt.c,
-                o_a=1.0, o_b=o_off, o_asym=asym + o_off,
-            )
-        slope = drive.value / filt.c
-        return _LawRow(
-            kind=_RAMP, slope=slope, half_slope=0.5 * slope, o_off=o_off,
-        )
-    # HIGH_Z
-    if leaky:
-        return _LawRow(kind=_EXP, asym=0.0, tau=r_l * filt.c,
-                       o_a=1.0, o_b=0.0, o_asym=0.0)
-    return _LawRow(kind=_CONST)
-
-
-def _verify_law(filt, drive: Drive, row: _LawRow, probe_vc: float) -> None:
-    """Cross-check a replicated law against the real filter.
-
-    Guards the bit-identity contract against future filter changes: a
-    mismatch demotes the physics to the scalar path instead of
-    producing silently-wrong fast-path results.
-    """
-    out, state = filt.segment_pair(probe_vc, drive)
-    if row.kind == _CONST:
-        ok = (type(state).__name__ == "ConstantSegment"
-              and state.initial == probe_vc and out is state)
-    elif row.kind == _RAMP:
-        ok = (isinstance(state, RampSegment)
-              and isinstance(out, RampSegment)
-              and state.initial == probe_vc
-              and state.slope == row.slope
-              and out.slope == row.slope
-              and out.initial == probe_vc + row.o_off)
-    else:
-        ok = (isinstance(state, ExponentialSegment)
-              and isinstance(out, ExponentialSegment)
-              and state.initial == probe_vc
-              and state.asymptote == row.asym
-              and state.tau == row.tau
-              and out.tau == row.tau
-              and out.asymptote == row.o_asym
-              and out.initial == row.o_a * probe_vc + row.o_b)
-    if not ok:
-        raise _Unsupported(
-            f"filter {type(filt).__name__} law mismatch under "
-            f"{drive.kind.name} drive"
-        )
-
-
 class _PhysicsTable:
-    """Per-device constants: drives, segment laws, VCO line, divider."""
+    """Per-device constants: drives, segment laws, VCO line, divider.
+
+    The segment-law rows are the loop filter's own laws
+    (:meth:`~repro.pll.loop_filter.LoopFilter.segment_law`), one per
+    interned drive, flattened for the kernel.
+    """
 
     def __init__(self, pll, probe_vc: float):
         vco = pll.vco
@@ -359,13 +265,15 @@ class _PhysicsTable:
         # tabulated over the interned drives.
         self.same = [[a is b or a == b for b in self.drives]
                      for a in self.drives]
-        laws = [_build_law(filt, d) for d in self.drives]
-        for drive, row in zip(self.drives, laws):
-            _verify_law(filt, drive, row, probe_vc)
+        if any(getattr(type(filt), name, None) is not getattr(LoopFilter, name)
+               for name in ("state_segment", "output_segment", "segment_pair")):
+            raise _Unsupported(f"filter {type(filt).__name__}")
         #: One segment law per interned drive, as a flat tuple the
-        #: kernel unpacks into its locals.
-        self.law_rows = [(r.kind, r.asym, r.tau, r.slope, r.half_slope,
-                          r.o_a, r.o_b, r.o_asym, r.o_off) for r in laws]
+        #: kernel unpacks into its locals.  A law that cannot be derived
+        #: raises the filter's ConfigurationError: the lane runs scalar.
+        self.law_rows = [(w.kind, w.asymptote, w.tau, w.slope, 0.5 * w.slope,
+                          w.scale, w.offset, w.out_asymptote, w.offset)
+                         for w in map(filt.segment_law, self.drives)]
 
     def _intern(self, drive: Drive) -> int:
         for i, d in enumerate(self.drives):
@@ -737,14 +645,14 @@ class VectorizedLotSimulator:
                     best_t = t
                     ekind = _FB
             elif dt_h > 0.0:
-                if l_kind == _EXP:
+                if l_kind == LAW_EXP:
                     out_v = l_oa * vc + l_ob
-                elif l_kind == _RAMP:
+                elif l_kind == LAW_RAMP:
                     out_v = vc + l_ooff
                 else:
                     out_v = vc
                 dt_fb = None
-                if l_kind == _CONST and not nonlinear:
+                if l_kind == LAW_CONST and not nonlinear:
                     # Tri-stated filter, linear VCO: one division.
                     f = f_center + gain * (out_v - v_center)
                     if f_min > f:
@@ -759,10 +667,10 @@ class VectorizedLotSimulator:
                     # guard plus solve_increasing, inlined.
                     seg = None
                     if nonlinear:
-                        if l_kind == _EXP:
+                        if l_kind == LAW_EXP:
                             seg = ExponentialSegment(out_v, l_oasym,
                                                      l_tau)
-                        elif l_kind == _RAMP:
+                        elif l_kind == LAW_RAMP:
                             seg = RampSegment(out_v, l_slope)
                         else:
                             seg = ConstantSegment(out_v)
@@ -775,7 +683,7 @@ class VectorizedLotSimulator:
                     if nonlinear:
                         pa_hi = _simpson_phase(nl_law, seg, dt_h,
                                                f_min, f_max)
-                    elif l_kind == _EXP:
+                    elif l_kind == LAW_EXP:
                         x = -dt_h / l_tau
                         v1 = l_oasym + gap0 * exp_(x)
                         if not (v_lo <= v1 <= v_hi
@@ -784,7 +692,7 @@ class VectorizedLotSimulator:
                             break
                         pa_hi = base_hz * dt_h + gain * (
                             l_oasym * dt_h + gk * -expm1_(x))
-                    else:  # _RAMP
+                    else:  # LAW_RAMP
                         v1 = out_v + l_slope * dt_h
                         if not (v_lo <= v1 <= v_hi
                                 and v_lo <= out_v <= v_hi):
@@ -808,7 +716,7 @@ class VectorizedLotSimulator:
                                 if nonlinear:
                                     pa_x = _simpson_phase(
                                         nl_law, seg, x_s, f_min, f_max)
-                                elif l_kind == _EXP:
+                                elif l_kind == LAW_EXP:
                                     x = -x_s / l_tau
                                     v1 = l_oasym + gap0 * exp_(x)
                                     if not v_lo <= v1 <= v_hi:
@@ -838,10 +746,10 @@ class VectorizedLotSimulator:
                                 # lane the output voltage at x_s is v1,
                                 # the same expression evaluated above.
                                 if nonlinear:
-                                    if l_kind == _EXP:
+                                    if l_kind == LAW_EXP:
                                         v_d = l_oasym \
                                             + gap0 * exp_(-x_s / l_tau)
-                                    elif l_kind == _RAMP:
+                                    elif l_kind == LAW_RAMP:
                                         v_d = out_v + l_slope * x_s
                                     else:
                                         v_d = out_v
@@ -861,7 +769,7 @@ class VectorizedLotSimulator:
                                     x_next = 0.5 * (lo + hi)
                                 x_s = x_next
                             else:
-                                eject = True  # scalar: ConvergenceError
+                                eject = True  # Newton stalled; the scalar solve bisects
                             if eject:
                                 break
                 if dt_fb is not None and t + dt_fb <= best_t:
@@ -896,7 +804,7 @@ class VectorizedLotSimulator:
             # --- advance (transcribes _advance_to + phase_advance) ----
             dt = best_t - t
             if dt > 0.0:
-                if l_kind == _EXP:
+                if l_kind == LAW_EXP:
                     ov = l_oa * vc + l_ob
                     x = -dt / l_tau
                     e = exp_(x)
@@ -914,7 +822,7 @@ class VectorizedLotSimulator:
                         pa = base_hz * dt + gain * (
                             l_oasym * dt + (gap0 * l_tau) * -expm1_(x))
                     vc = l_asym + (vc - l_asym) * e
-                elif l_kind == _RAMP:
+                elif l_kind == LAW_RAMP:
                     ov = vc + l_ooff
                     if nonlinear:
                         pa = _simpson_phase(

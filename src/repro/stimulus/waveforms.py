@@ -53,9 +53,13 @@ class EdgeSourceBase:
         raise NotImplementedError
 
     def next_edge(self) -> float:
-        """Time of the next rising edge (strictly increasing)."""
-        self._k += 1
-        target = float(self._k)
+        """Time of the next rising edge (strictly increasing).
+
+        ``_k``/``_t_last`` commit together, and only on success: a
+        solve that raises leaves the source at its last edge.
+        """
+        k = self._k + 1
+        target = float(k)
         # Bracket: march forward in steps of the current period until the
         # phase passes the target (the first step almost always does).
         lo = self._t_last
@@ -79,11 +83,12 @@ class EdgeSourceBase:
             hi=hi,
             derivative=self.frequency_at,
         )
-        if t_edge <= self._t_last and self._k > 1:
+        if t_edge <= self._t_last and k > 1:
             raise StimulusError(
                 f"edge times not strictly increasing: {t_edge!r} after "
                 f"{self._t_last!r}"
             )
+        self._k = k
         self._t_last = t_edge
         return t_edge
 

@@ -1,9 +1,12 @@
 """Loop filters: segment laws, transfer functions, leak faults."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.pll.charge_pump import Drive, DriveKind
@@ -212,3 +215,150 @@ class TestConsistencyBetweenStateAndOutput:
         vo_direct = lag_lead.output_segment(1.0, drive).value(dt)
         vo_restart = lag_lead.output_segment(vc1, drive).value(0.0)
         assert vo_direct == pytest.approx(vo_restart, rel=1e-12)
+
+
+# -- the shared segment laws, pinned bit for bit -------------------------
+#
+# A test-only transcription of the per-class segment formulas the two
+# filters each wrote out before their laws moved into the base class:
+# the same expressions in the same operand order.  The base must build
+# the same segments from its per-drive laws, ulp for ulp.
+
+
+def _transcribed_pair(lf, vc, drive):
+    """``(output, state)`` segments by the per-class formulas."""
+    lag_lead = isinstance(lf, PassiveLagLeadFilter)
+    r_out = lf.r2 if lag_lead else lf.r
+    if drive.kind is DriveKind.VOLTAGE:
+        if lag_lead:
+            r_total = drive.source_resistance + lf.r1 + lf.r2
+        else:
+            r_total = drive.source_resistance + lf.r
+            if r_total <= 0.0:
+                raise ConfigurationError(
+                    "voltage drive into a series-RC filter needs non-zero "
+                    "total resistance"
+                )
+        if lf.has_leak:
+            r_l = lf.leak_resistance
+            tau = lf.c * r_total * r_l / (r_total + r_l)
+            asymptote = drive.value * r_l / (r_total + r_l)
+        else:
+            tau = lf.c * r_total
+            asymptote = drive.value
+        state = ExponentialSegment(initial=vc, asymptote=asymptote, tau=tau)
+        k = r_out / r_total
+        return ExponentialSegment(
+            initial=(1.0 - k) * state.initial + k * drive.value,
+            asymptote=(1.0 - k) * state.asymptote + k * drive.value,
+            tau=state.tau,
+        ), state
+    if drive.kind is DriveKind.CURRENT:
+        if lf.has_leak:
+            state = ExponentialSegment(
+                initial=vc,
+                asymptote=drive.value * lf.leak_resistance,
+                tau=lf.leak_resistance * lf.c,
+            )
+        else:
+            state = RampSegment(initial=vc, slope=drive.value / lf.c)
+        offset = drive.value * r_out
+        if isinstance(state, RampSegment):
+            return RampSegment(initial=state.initial + offset,
+                               slope=state.slope), state
+        return ExponentialSegment(
+            initial=state.initial + offset,
+            asymptote=state.asymptote + offset,
+            tau=state.tau,
+        ), state
+    if lf.has_leak:
+        state = ExponentialSegment(
+            initial=vc, asymptote=0.0, tau=lf.leak_resistance * lf.c
+        )
+    else:
+        state = ConstantSegment(initial=vc)
+    return state, state
+
+
+def _bits(segment):
+    """A segment's class and every field, each float as ``float.hex``."""
+    return (type(segment).__name__,) + tuple(
+        (field.name, float(getattr(segment, field.name)).hex())
+        for field in dataclasses.fields(segment)
+    )
+
+
+def _outcome(build):
+    """``build()``'s segments as bits, or its error as (type, text)."""
+    try:
+        result = build()
+    except ConfigurationError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):
+        return tuple(_bits(segment) for segment in result)
+    return _bits(result)
+
+
+_resistance = st.floats(min_value=1.0, max_value=1e7)
+_leak = st.one_of(st.just(math.inf), st.floats(min_value=1e2, max_value=1e9))
+_filters = st.one_of(
+    st.builds(PassiveLagLeadFilter, r1=_resistance,
+              r2=st.one_of(st.just(0.0), _resistance),
+              c=st.floats(min_value=1e-12, max_value=1e-3),
+              leak_resistance=_leak),
+    st.builds(SeriesRCFilter, r=st.one_of(st.just(0.0), _resistance),
+              c=st.floats(min_value=1e-12, max_value=1e-3),
+              leak_resistance=_leak),
+)
+_drives = st.one_of(
+    st.builds(Drive, st.just(DriveKind.VOLTAGE),
+              st.floats(min_value=-10.0, max_value=10.0),
+              st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e5))),
+    st.builds(Drive, st.just(DriveKind.CURRENT),
+              st.floats(min_value=-1e-3, max_value=1e-3)),
+    st.just(HIZ),
+)
+
+
+class TestSharedSegmentLaws:
+    @given(lf=_filters, drive=_drives,
+           vc=st.floats(min_value=-10.0, max_value=10.0))
+    @example(lf=SeriesRCFilter(r=0.0, c=1e-9),
+             drive=Drive(DriveKind.VOLTAGE, 5.0, 0.0), vc=1.0)
+    @settings(max_examples=400, deadline=None)
+    def test_segments_equal_the_per_class_formulas(self, lf, drive, vc):
+        expected = _outcome(lambda: _transcribed_pair(lf, vc, drive))
+        # Twice each: the first call derives the law, the second reads
+        # it back from the filter's per-drive memo.
+        for _ in range(2):
+            assert _outcome(lambda: lf.segment_pair(vc, drive)) == expected
+            if isinstance(expected[0], str):
+                assert _outcome(lambda: lf.state_segment(vc, drive)) \
+                    == expected
+                assert _outcome(lambda: lf.output_segment(vc, drive)) \
+                    == expected
+            else:
+                assert _outcome(lambda: lf.output_segment(vc, drive)) \
+                    == expected[0]
+                assert _outcome(lambda: lf.state_segment(vc, drive)) \
+                    == expected[1]
+
+    def test_zero_ohm_series_rc_raises_the_per_class_text(self):
+        lf = SeriesRCFilter(r=0.0, c=1e-9)
+        drive = Drive(DriveKind.VOLTAGE, 5.0, 0.0)
+        for method in (lf.state_segment, lf.output_segment, lf.segment_pair):
+            with pytest.raises(ConfigurationError,
+                               match="^voltage drive into a series-RC filter "
+                                     "needs non-zero total resistance$"):
+                method(0.0, drive)
+
+    def test_tri_stated_output_is_the_state(self, lag_lead):
+        out, state = lag_lead.segment_pair(1.5, HIZ)
+        assert out is state
+
+    def test_laws_stay_out_of_the_physics_signature(self, lag_lead):
+        from repro.pll.config import _component_signature
+
+        before = _component_signature(lag_lead)
+        lag_lead.segment_pair(1.0, Drive(DriveKind.VOLTAGE, 5.0))
+        assert _component_signature(lag_lead) == before

@@ -197,6 +197,58 @@ class TestFarmBitIdentity:
             pll, stimulus, fast_bist_config).run(plan, engine="auto")
         assert auto.measurements == scalar.measurements
 
+    def test_filter_with_own_segments_falls_back_scalar(self):
+        """The farm reads the filter's segment laws; a filter class that
+        defines its own segment methods may not follow them, so it runs
+        nothing on the farm (its base class, the same physics, does),
+        and its auto sweep equals its scalar sweep."""
+        from repro.core.architecture import BISTConfig
+        from repro.pll import (
+            ChargePumpPLL,
+            CurrentChargePump,
+            SeriesRCFilter,
+            VCO,
+        )
+        from repro.stimulus import MultiToneFSKStimulus
+
+        class OwnSegments(SeriesRCFilter):
+            def state_segment(self, vc, drive):
+                return super().state_segment(vc, drive)
+
+        base = ChargePumpPLL(
+            pump=CurrentChargePump(i_up=50e-6),
+            loop_filter=SeriesRCFilter(r=2e3, c=100e-9),
+            vco=VCO(800e3, 100e3, 1.5, f_min=400e3, f_max=1200e3),
+            n=4,
+            f_ref=200e3,
+            pfd_reset_delay=2e-9,
+            name="cdr",
+        )
+        pll = replace(base, loop_filter=OwnSegments(r=2e3, c=100e-9))
+        stimulus = MultiToneFSKStimulus(200e3, deviation=50.0, steps=10)
+        config = BISTConfig(
+            test_clock_hz=100e6,
+            settle_cycles=3,
+            frequency_count_periods=128,
+            detector_inverter_delay=8e-9,
+            detector_and_delay=1e-9,
+        )
+        fn = base.natural_frequency_hz()
+        tones = (0.5 * fn, fn)
+        for result in VectorizedLotSimulator(
+                _lanes(base, stimulus, config, tones)).run():
+            assert result.mode == "vector"
+        for result in VectorizedLotSimulator(
+                _lanes(pll, stimulus, config, tones)).run():
+            assert result.mode == "scalar"
+            assert result.measurement is None
+        plan = SweepPlan(tones)
+        scalar = TransferFunctionMonitor(
+            pll, stimulus, config).run(plan, engine="scalar")
+        auto = TransferFunctionMonitor(
+            pll, stimulus, config).run(plan, engine="auto")
+        assert auto.measurements == scalar.measurements
+
 
 class TestPresettleLot:
     def test_presettle_dedups_and_warms_cache(self, fast_bist_config):

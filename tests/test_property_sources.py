@@ -159,6 +159,17 @@ def _schedule_and_instant(draw):
 # down to 97.999...: the instant lands just past the last end time.
 _SPILL_SCHEDULE = [(1000.0, 0.001), (1100.0, 0.002)]
 _SPILL_INSTANT = 0.294
+# Edge 263 of this schedule (start -9.625 s) lands where the phase
+# residual is rounding noise: Newton creeps up on it from one side by an
+# ulp a step, and only the solver's bisection budget closes the bracket.
+_CREEP_SCHEDULE = [
+    (100000.0, 1e-05), (10.000000000000005, 0.09999999999999995),
+    (28.77415852175015, 0.09001003214293106),
+    (125.03998037097352, 0.0003372493359143823),
+    (305649.23437824444, 3.2980341305465793e-06), (10.0, 0.1),
+    (305649.23437824444, 4.362914354671918e-06),
+    (10.0, 0.0014835245279546916),
+]
 
 
 class TestLocate:
@@ -208,6 +219,7 @@ class TestSpecialisedSolve:
         ),
     )
     @example(schedule=_SPILL_SCHEDULE, start_time=0.0)
+    @example(schedule=_CREEP_SCHEDULE, start_time=-9.625)
     @settings(max_examples=150, deadline=None)
     def test_edges_match_the_base_solve(self, schedule, start_time):
         src = PiecewiseConstantFrequencySource(schedule, start_time)
@@ -228,4 +240,13 @@ class TestSpecialisedSolve:
         with pytest.raises(ConvergenceError) as base:
             EdgeSourceBase.next_edge(twin)
         assert str(fast.value) == str(base.value)
-        assert (src._k, src._t_last) == (twin._k, twin._t_last)
+        # A failed pull commits nothing: both sources still sit before
+        # their first edge, and pulling again fails the same way.
+        for source in (src, twin):
+            assert (source._k, source._t_last) == (0, 1e4)
+        with pytest.raises(ConvergenceError) as again:
+            src.next_edge()
+        assert str(again.value) == str(fast.value)
+        with pytest.raises(ConvergenceError) as again:
+            EdgeSourceBase.next_edge(twin)
+        assert str(again.value) == str(base.value)

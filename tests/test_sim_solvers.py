@@ -67,6 +67,21 @@ class TestSolveIncreasing:
         x = solve_increasing(fn, 0.333333, 0.0, 1.0, tol=1e-12)
         assert abs(x - 0.333333) < 1e-11
 
+    def test_one_sided_newton_creep_finishes_by_bisection(self):
+        """A residual of rounding noise makes each Newton step an ulp
+        long, so the far end of the bracket never moves; the bisection
+        budget closes it instead of raising."""
+        from repro.stimulus.waveforms import PiecewiseConstantFrequencySource
+
+        from tests.test_property_sources import _CREEP_SCHEDULE
+
+        src = PiecewiseConstantFrequencySource(_CREEP_SCHEDULE, -9.625)
+        lo, hi = -0.0228046751317506, 0.1271953248682494
+        x = solve_increasing(src.phase_at, 263.0, lo, hi,
+                             derivative=src.frequency_at)
+        # The edge lies within the solver's 1e-13 s of x.
+        assert src.phase_at(x - 1e-13) <= 263.0 <= src.phase_at(x + 1e-13)
+
     def test_misleading_derivative_still_converges(self):
         # A wrong derivative must not break bracketing safety.
         fn = lambda t: t ** 2
