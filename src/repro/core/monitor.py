@@ -279,7 +279,7 @@ class TransferFunctionMonitor:
             for index in range(len(freqs)):
                 answer(index, dedup.get)
         if auto:
-            # Imported lazily: repro.pll.lot pulls in the NumPy settle
+            # Imported lazily: repro.pll.lot pulls in the settle
             # farm, which scalar-only callers never need.
             from repro.pll.lot import premeasure_lot
 

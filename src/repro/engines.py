@@ -13,8 +13,7 @@ either by the settle farm or by the scalar reference:
   PLLTransientSimulator` event loop, one tone at a time.  Always
   correct, always available; the farm is judged against its bits.
 
-The tuple and validator live here — away from the NumPy-importing farm
-modules — so the CLI, the service protocol and the orchestration layers
+The tuple and validator live here — away from the farm modules — so the CLI, the service protocol and the orchestration layers
 share one source of truth without paying a farm import.
 """
 

@@ -29,7 +29,6 @@ from repro.pll.charge_pump import RailDriverChargePump
 from repro.pll.config import ChargePumpPLL
 from repro.pll.loop_filter import PassiveLagLeadFilter
 from repro.pll.vco import VCO
-from repro.sim.segments import ClampedCubicLaw
 
 __all__ = ["HCT4046Config", "make_hct4046_pll"]
 
@@ -99,24 +98,6 @@ class HCT4046Config:
         dv_max = 0.5 * self.vdd
         u = dv / dv_max
         return self.f_center + self.gain_hz_per_v * dv * (1.0 - self.curvature * u * u)
-
-    def tuning_law(self) -> ClampedCubicLaw:
-        """The tuning curve as a batchable law object.
-
-        :meth:`ClampedCubicLaw.evolve` is bit-identical to
-        :meth:`tuning_curve` for every input (same expression, same
-        operation order); ``evolve_batch`` extends that elementwise.
-        The vectorised settle farm recognises a bound
-        :meth:`tuning_curve` and substitutes this law so 4046-style
-        lanes no longer eject to the scalar engine.
-        """
-        return ClampedCubicLaw(
-            v_rail=self.vdd,
-            v_center=self.v_center,
-            f_center=self.f_center,
-            gain_hz_per_v=self.gain_hz_per_v,
-            curvature=self.curvature,
-        )
 
     def make_vco(self) -> VCO:
         """VCO using the compressed tuning curve, clamped to the usable

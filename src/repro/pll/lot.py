@@ -62,7 +62,7 @@ class LotPresettleStats:
     ejected: int = 0      # left the kernel mid-settle, left to the sweep
     scalar: int = 0       # unsupported lanes, left to the sweep
     tones_vectorized: int = 0  # lanes that settled on the kernel
-    hct4046_lanes: int = 0     # lanes with a recognised nonlinear VCO law
+    hct4046_lanes: int = 0     # lanes whose VCO has a tuning curve
     measured: int = 0          # stage 1-4 measurements finished in-farm
     measure_ejected: int = 0   # measurement lanes left to the sweep
     measure_failed: int = 0    # MeasurementError raised (and published)

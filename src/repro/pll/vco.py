@@ -31,6 +31,9 @@ from repro.sim.solvers import solve_increasing
 __all__ = ["VCO"]
 
 _SIMPSON_INTERVALS = 32
+#: Interior Simpson weights, nodes 1 .. n-1.
+_SIMPSON_WEIGHTS = tuple(4.0 if i % 2 else 2.0
+                         for i in range(1, _SIMPSON_INTERVALS))
 
 
 class VCO:
@@ -261,13 +264,48 @@ class VCO:
         return pieces
 
     def _numeric_phase(self, segment: AnalogSegment, dt: float) -> float:
-        """Composite-Simpson integral of ``f(v(t))`` over ``[0, dt]``."""
+        """Composite-Simpson integral of ``f(v(t))`` over ``[0, dt]``.
+
+        For a VCO with a tuning curve: every node is
+        :meth:`frequency_at`, written out over locals, and the nodes are
+        summed in its order (both ends, then the interior).  A held
+        (constant) segment evaluates the curve once and adds that one
+        frequency at every node.  Both engines integrate nonlinear phase
+        here.
+        """
+        curve = self.tuning_curve
+        f_min = self.f_min
+        f_max = self.f_max
         n = _SIMPSON_INTERVALS
         h = dt / n
-        total = self.frequency_at(segment, 0.0) + self.frequency_at(segment, dt)
-        for i in range(1, n):
-            weight = 4.0 if i % 2 else 2.0
-            total += weight * self.frequency_at(segment, i * h)
+        # ``if f_min > f`` / ``if f_max < f`` is exactly the builtin
+        # ``min(max(f, f_min), f_max)`` of frequency_of_voltage.
+        if type(segment) is ConstantSegment:
+            f = curve(segment.initial)
+            if f_min > f:
+                f = f_min
+            if f_max < f:
+                f = f_max
+            total = f + f
+            for weight in _SIMPSON_WEIGHTS:
+                total += weight * f
+            return total * h / 3.0
+        value = segment.value
+        total = 0.0
+        for t in (0.0, dt):
+            f = curve(value(t))
+            if f_min > f:
+                f = f_min
+            if f_max < f:
+                f = f_max
+            total += f
+        for i, weight in enumerate(_SIMPSON_WEIGHTS, 1):
+            f = curve(value(i * h))
+            if f_min > f:
+                f = f_min
+            if f_max < f:
+                f = f_max
+            total += weight * f
         return total * h / 3.0
 
     def __repr__(self) -> str:

@@ -442,8 +442,7 @@ def _batch_measure(
     if validate_engine(engine) == "auto" and jobs:
         if cache is None:
             cache = ToneMeasurementCache(max_entries=max(1024, 16 * len(jobs)))
-        # Lazy import: the farm (and NumPy array machinery) only loads
-        # for lots that opt into it.
+        # Lazy import: the farm only loads for lots that opt into it.
         from repro.pll.lot import premeasure_lot
 
         # The farm fills the cache up front — every unique lane runs

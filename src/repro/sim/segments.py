@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "ConstantSegment",
     "RampSegment",
     "ExponentialSegment",
-    "ClampedCubicLaw",
     "crossing_time",
 ]
 
@@ -72,36 +69,9 @@ class AnalogSegment:
         """
         return self.value(dt), self.integral(dt)
 
-    def evolve(self, dt: float) -> float:
-        """Alias of :meth:`value`: the node value after ``dt`` seconds.
-
-        Named for symmetry with :meth:`evolve_batch`, which applies the
-        same closed form to an array of offsets at once.
-        """
-        return self.value(dt)
-
-    def evolve_batch(self, dt: "np.ndarray") -> "np.ndarray":
-        """Vectorised :meth:`evolve`: one node value per offset in ``dt``.
-
-        Element ``i`` of the result is bit-identical to
-        ``self.evolve(dt[i])`` — the vectorised lot engine leans on this
-        equivalence, so subclasses must use the exact same operation
-        sequence (and scalar ``math`` transcendentals where NumPy's
-        differ in the last ulp).
-        """
-        raise NotImplementedError
-
     def _check_dt(self, dt: float) -> None:
         if dt < 0.0:
             raise ValueError(f"segment offset must be non-negative, got {dt!r}")
-
-    def _check_dt_batch(self, dt: "np.ndarray") -> "np.ndarray":
-        out = np.asarray(dt, dtype=np.float64)
-        if out.size and float(out.min()) < 0.0:
-            raise ValueError(
-                f"segment offsets must be non-negative, got {float(out.min())!r}"
-            )
-        return out
 
 
 @dataclass(frozen=True)
@@ -123,10 +93,6 @@ class ConstantSegment(AnalogSegment):
     def value_and_integral(self, dt: float) -> "tuple[float, float]":
         self._check_dt(dt)
         return self.initial, self.initial * dt
-
-    def evolve_batch(self, dt: "np.ndarray") -> "np.ndarray":
-        dt = self._check_dt_batch(dt)
-        return np.full(dt.shape, self.initial, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -156,10 +122,6 @@ class RampSegment(AnalogSegment):
             self.initial + self.slope * dt,
             self.initial * dt + 0.5 * self.slope * dt * dt,
         )
-
-    def evolve_batch(self, dt: "np.ndarray") -> "np.ndarray":
-        dt = self._check_dt_batch(dt)
-        return self.initial + self.slope * dt
 
 
 @dataclass(frozen=True)
@@ -209,79 +171,6 @@ class ExponentialSegment(AnalogSegment):
             self.asymptote + gap * math.exp(x),
             self.asymptote * dt + gap * self.tau * -math.expm1(x),
         )
-
-    def evolve_batch(self, dt: "np.ndarray") -> "np.ndarray":
-        dt = self._check_dt_batch(dt)
-        # NumPy's exp differs from math.exp by one ulp on a few percent
-        # of arguments, which would break the bit-identity contract with
-        # evolve(); the decay factors go through scalar math.exp instead.
-        x = -dt / self.tau
-        decay = np.fromiter(
-            (math.exp(xi) for xi in x.ravel().tolist()),
-            dtype=np.float64,
-            count=x.size,
-        ).reshape(x.shape)
-        return self.asymptote + (self.initial - self.asymptote) * decay
-
-
-@dataclass(frozen=True)
-class ClampedCubicLaw:
-    """Rail-clamped compressed-cubic tuning law, batchable across lanes.
-
-    The 74HCT4046A VCO model
-    (:meth:`repro.pll.hct4046.HCT4046Config.tuning_curve`) maps a control
-    voltage to a frequency::
-
-        v  clamped to [0, v_rail]
-        f(v) = f_center + gain * (v - v_center) * (1 - curvature * u²),
-        u = (v - v_center) / (v_rail / 2)
-
-    Unlike the :class:`AnalogSegment` laws this is a *voltage → frequency*
-    map (its domain may be negative, so it is deliberately not a segment
-    subclass).  :meth:`evolve` replicates the device model's scalar
-    expression token for token; :meth:`evolve_batch` applies the same
-    operation sequence elementwise with the rail clamp as masked branch
-    selection, so element ``i`` is bit-identical to ``evolve(v[i])`` —
-    the contract the vectorised settle farm's nonlinear lanes lean on.
-    """
-
-    v_rail: float
-    v_center: float
-    f_center: float
-    gain_hz_per_v: float
-    curvature: float
-
-    def __post_init__(self) -> None:
-        if not (self.v_rail > 0.0) or not math.isfinite(self.v_rail):
-            raise ConfigurationError(
-                f"clamped cubic law requires a finite positive rail, "
-                f"got {self.v_rail!r}"
-            )
-
-    def evolve(self, v: float) -> float:
-        """Frequency at control voltage ``v`` (scalar reference path)."""
-        v = min(max(v, 0.0), self.v_rail)
-        dv = v - self.v_center
-        dv_max = 0.5 * self.v_rail
-        u = dv / dv_max
-        return self.f_center + self.gain_hz_per_v * dv * (1.0 - self.curvature * u * u)
-
-    def evolve_batch(self, v: "np.ndarray") -> "np.ndarray":
-        """Vectorised :meth:`evolve`: bit-identical element for element.
-
-        The rail clamp is mask-selected: ``np.where(v < lo, lo, ...)``
-        reproduces scalar ``min(max(v, lo), hi)`` exactly, including NaN
-        propagation (a NaN fails both comparisons and passes through, as
-        it does through scalar ``min``/``max``).  The cubic itself is
-        polynomial — no transcendentals — so plain elementwise NumPy
-        arithmetic in the scalar association order is already exact.
-        """
-        v = np.asarray(v, dtype=np.float64)
-        v = np.where(v < 0.0, 0.0, np.where(v > self.v_rail, self.v_rail, v))
-        dv = v - self.v_center
-        dv_max = 0.5 * self.v_rail
-        u = dv / dv_max
-        return self.f_center + self.gain_hz_per_v * dv * (1.0 - self.curvature * u * u)
 
 
 def crossing_time(segment: AnalogSegment, threshold: float) -> Optional[float]:

@@ -13,7 +13,10 @@ update between PFD switching instants that Kuznetsov et al.
 (arXiv:1901.01468) derive.  The kernel keeps no copy of those laws: it
 unpacks into locals the :class:`~repro.pll.loop_filter.SegmentLaw`
 the loop filter itself derives for each drive, the one the scalar
-engine builds its segments from.
+engine builds its segments from.  Nor does it copy a VCO tuning curve:
+a lane whose VCO has one (the 74HCT4046A's bounded cubic, which has no
+closed-form phase integral) calls that VCO's own Simpson rule and
+tuning law, as the scalar engine does.
 
 Every lane carries Table 2 stages 1–4 as well.  Once the kernel has
 settled a lane, its :class:`~repro.core.sequencer.MeasurementScript` is
@@ -41,13 +44,14 @@ and stage 1 is bit-identical to the scalar simulator's at
   train the group's lanes share;
 * a charge pump with a turn-on delay (the dead-zone fault) carries the
   scalar engine's pending-activation event through the kernel;
-* a lane the farm cannot represent at all — an unrecognised tuning
-  curve, a filter class with segment methods of its own (whose
-  segments need not follow its laws) or one whose law cannot be
-  derived, an exotic source — never enters it and runs nothing here;
-* a lane that leaves the supported envelope — a VCO clamp excursion, a
-  PFD anomaly, a reference source that fails — is *ejected*, mid-settle
-  or mid-measurement, and publishes nothing.
+* a lane the farm cannot represent at all — a VCO subclass, a filter
+  class with segment methods of its own (whose segments need not
+  follow its laws) or one whose law cannot be derived, an exotic
+  source — never enters it and runs nothing here;
+* a lane that leaves the supported envelope — a linear VCO's clamp
+  excursion, a PFD anomaly, a reference source that fails, a tuning
+  curve that raises — is *ejected*, mid-settle or mid-measurement, and
+  publishes nothing.
 
 The orchestrating sweep measures every tone the farm left unanswered
 from t = 0 on the scalar engine, so correctness never depends on the
@@ -61,8 +65,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.core.sequencer import (
     MeasurementScript,
     ToneMeasurement,
@@ -70,13 +72,11 @@ from repro.core.sequencer import (
 )
 from repro.errors import MeasurementError, ReproError
 from repro.pll.charge_pump import Drive
-from repro.pll.hct4046 import HCT4046Config
 from repro.pll.loop_filter import LAW_CONST, LAW_EXP, LAW_RAMP, LoopFilter
 from repro.pll.pfd import PFDState
 from repro.pll.vco import VCO
 from repro.sim.signals import PulseTrain
 from repro.sim.segments import (
-    ClampedCubicLaw,
     ConstantSegment,
     ExponentialSegment,
     RampSegment,
@@ -94,59 +94,6 @@ class _Unsupported(Exception):
 # Event kinds the kernel dispatches; ``_ACT`` is the pump's delayed
 # switch-on.
 _END, _REF, _FB, _RESET, _ACT = 0, 1, 2, 3, 4
-
-
-def _tuning_law_for(curve) -> Optional[ClampedCubicLaw]:
-    """A batchable law replicating ``curve``, or ``None`` if unknown.
-
-    Only the 4046 device model's bound :meth:`tuning_curve` is
-    recognised; anything else (a lambda, a subclass override) stays on
-    the scalar path.  The caller still probe-verifies the returned law
-    against the real curve, so recognition is a fast filter, not the
-    correctness guarantee.
-    """
-    fn = getattr(curve, "__func__", None)
-    cfg = getattr(curve, "__self__", None)
-    if fn is HCT4046Config.tuning_curve and type(cfg) is HCT4046Config:
-        return cfg.tuning_law()
-    return None
-
-
-def _simpson_phase(law: ClampedCubicLaw, segment, dt: float,
-                   f_min: float, f_max: float) -> float:
-    """Composite-Simpson phase integral over one segment, batched.
-
-    Bit-identical to :meth:`repro.pll.vco.VCO._numeric_phase` for a VCO
-    whose ``tuning_curve`` the ``law`` replicates: the 33 node voltages
-    come from ``segment.evolve_batch`` (scalar ``math.exp`` per element),
-    the tuning law is applied through ``law.evolve_batch`` (masked rail
-    clamp), the ``[f_min, f_max]`` clamp through ``np.minimum``/
-    ``np.maximum`` (elementwise-identical to scalar ``min``/``max``),
-    and the weighted sum accumulates in the scalar node order.
-    """
-    n = 32
-    h = dt / n
-    if type(segment) is ConstantSegment:
-        # Every node sees the same voltage (the dominant tri-stated
-        # state of a locked loop); evaluate the law once but keep the
-        # node-by-node accumulation order so the sum stays bit-exact.
-        f0 = law.evolve(segment.initial)
-        f0 = min(max(f0, f_min), f_max)
-        total = f0 + f0
-        for i in range(1, n):
-            total += (4.0 if i % 2 else 2.0) * f0
-        return float(total * h / 3.0)
-    offs = np.empty(n + 1, dtype=np.float64)
-    for i in range(1, n):
-        offs[i] = i * h
-    offs[0] = 0.0
-    offs[n] = dt
-    f = law.evolve_batch(segment.evolve_batch(offs))
-    f = np.minimum(np.maximum(f, f_min), f_max)
-    total = f[0] + f[n]
-    for i in range(1, n):
-        total += (4.0 if i % 2 else 2.0) * f[i]
-    return float(total * h / 3.0)
 
 
 @dataclass(frozen=True)
@@ -185,9 +132,11 @@ class LaneResult:
     ``mode`` is ``"vector"`` (settled on the farm's kernel),
     ``"ejected"`` (left the supported envelope mid-settle) or
     ``"scalar"`` (the farm cannot represent it and ran nothing).
-    ``nonlinear`` marks lanes whose device carries a recognised
-    nonlinear (4046-style) VCO tuning curve.  ``measurement`` is set
-    when the farm ran the lane's stages 1–4 to an end: the finished
+    ``nonlinear`` marks lanes whose VCO has a tuning curve, any
+    callable (the 4046's compressed cubic, a Ko fault's scaled copy, a
+    custom law), whose phase the VCO's own Simpson rule integrates.
+    ``measurement`` is set when the farm ran the lane's stages 1–4 to
+    an end: the finished
     :class:`~repro.core.sequencer.ToneMeasurement`, or the
     :class:`~repro.errors.MeasurementError` text the scalar sequencer
     raises for the same tone.  ``None`` — always so for ejected and
@@ -214,22 +163,7 @@ class _PhysicsTable:
         filt = pll.loop_filter
         if type(vco) is not VCO:
             raise _Unsupported("non-standard VCO")
-        self.nonlinear = False
-        self.law: Optional[ClampedCubicLaw] = None
-        if vco.tuning_curve is not None:
-            law = _tuning_law_for(vco.tuning_curve)
-            if law is None:
-                raise _Unsupported("unrecognised nonlinear VCO tuning curve")
-            # Probe-verify the replicated law against the real curve at
-            # the operating point, the rails, beyond the rails and
-            # mid-rail: a mismatch (a future model change) demotes the
-            # lane to the scalar path instead of silently diverging.
-            for v in (probe_vc, 0.0, law.v_rail, law.v_center,
-                      -0.5 * law.v_rail, 1.5 * law.v_rail):
-                if law.evolve(v) != vco.tuning_curve(v):
-                    raise _Unsupported("nonlinear tuning law mismatch")
-            self.nonlinear = True
-            self.law = law
+        self.nonlinear = vco.tuning_curve is not None
         #: Pump switch-on delay: a non-zero one arms the kernel's
         #: pending-activation event.
         self.turn_on_delay = float(getattr(pump, "turn_on_delay", 0.0))
@@ -371,7 +305,9 @@ class VectorizedLotSimulator:
                     )
                     table = _PhysicsTable(lane.pll, probe)
                     tables[id(lane.pll)] = table
-            except (_Unsupported, ReproError, AttributeError, TypeError):
+            except Exception:  # noqa: BLE001 - the scalar sweep reproduces it
+                # _Unsupported physics, or an error building the lane
+                # (say a tuning curve that raises in the lock search).
                 self._fallback.append(pos)
                 continue
             if key not in groups:
@@ -511,9 +447,14 @@ class VectorizedLotSimulator:
         VCO's phase is the matching polynomial/exponential integral.
         Every floating-point expression replicates the scalar engine's
         operand order exactly, so a kernel-completed lane is
-        bit-identical to a scalar run.  Nonlinear (4046-style) lanes
-        integrate phase via :func:`_simpson_phase`, bit-identical to
-        ``VCO._numeric_phase``.
+        bit-identical to a scalar run.  A lane whose VCO has a tuning
+        curve makes the scalar engine's own calls instead:
+        ``vco._numeric_phase`` for the window, Newton and advance
+        integrals and ``vco.frequency_of_voltage`` for the Newton slope.
+        An event on the window's horizon (every window the feedback
+        edge overshoots) advances by the window's own integral, and on
+        a linear lane's exponential law by its decay factor, as the
+        scalar engine would recompute them.
 
         A pump with a turn-on delay adds the scalar engine's activation
         event: the activation time bounds the feedback solver's horizon
@@ -549,8 +490,9 @@ class VectorizedLotSimulator:
         1–3 (``None`` if it never did, or when settling).
 
         Any state the kernel cannot advance faithfully — a clamp-window
-        excursion, a solver failure, any condition the scalar engine
-        treats as an error — ejects the lane *from its pre-event state*.
+        excursion, a solver failure, an exception from the tuning
+        curve, any condition the scalar engine treats as an error —
+        ejects the lane *from its pre-event state*.
         An ejected lane, settling or measuring, publishes nothing: the
         orchestrating sweep measures its tone from t = 0 on the scalar
         engine, which reproduces any error itself.
@@ -583,7 +525,8 @@ class VectorizedLotSimulator:
         nf = table.nf
         rdelay = table.reset_delay
         nonlinear = table.nonlinear
-        nl_law = table.law
+        numeric_phase = table.vco._numeric_phase
+        frequency_of_voltage = table.vco.frequency_of_voltage
         exp_ = math.exp
         expm1_ = math.expm1
 
@@ -636,6 +579,11 @@ class VectorizedLotSimulator:
             if dt_h < 0.0:
                 eject = True  # scalar raises "horizon precedes time"
                 break
+            # The window's phase integral over dt_h, and its decay factor
+            # on a linear lane's exponential law, once computed: an event
+            # on the horizon advances by exactly them.
+            pa_hi = None
+            e_hi = None
             need = fbt - phase
             if need <= 1e-9:
                 if need < -1e-6:
@@ -681,11 +629,15 @@ class VectorizedLotSimulator:
                     # it does, out_v is known in range and the solver
                     # below only re-checks the moving end.
                     if nonlinear:
-                        pa_hi = _simpson_phase(nl_law, seg, dt_h,
-                                               f_min, f_max)
+                        try:
+                            pa_hi = numeric_phase(seg, dt_h)
+                        except Exception:  # noqa: BLE001 - scalar repro
+                            eject = True  # the tuning curve raised
+                            break
                     elif l_kind == LAW_EXP:
                         x = -dt_h / l_tau
-                        v1 = l_oasym + gap0 * exp_(x)
+                        e_hi = exp_(x)
+                        v1 = l_oasym + gap0 * e_hi
                         if not (v_lo <= v1 <= v_hi
                                 and v_lo <= out_v <= v_hi):
                             eject = True  # clamp excursion mid-solve
@@ -714,8 +666,13 @@ class VectorizedLotSimulator:
                                     dt_fb = 0.5 * (lo + hi)
                                     break
                                 if nonlinear:
-                                    pa_x = _simpson_phase(
-                                        nl_law, seg, x_s, f_min, f_max)
+                                    try:
+                                        pa_x = numeric_phase(seg, x_s)
+                                        f_d = frequency_of_voltage(
+                                            seg.value(x_s))
+                                    except Exception:  # noqa: BLE001
+                                        eject = True
+                                        break
                                 elif l_kind == LAW_EXP:
                                     x = -x_s / l_tau
                                     v1 = l_oasym + gap0 * exp_(x)
@@ -742,24 +699,17 @@ class VectorizedLotSimulator:
                                 else:
                                     hi = x_s
                                 # Newton candidate off the segment's
-                                # instantaneous frequency.  On a linear
-                                # lane the output voltage at x_s is v1,
-                                # the same expression evaluated above.
-                                if nonlinear:
-                                    if l_kind == LAW_EXP:
-                                        v_d = l_oasym \
-                                            + gap0 * exp_(-x_s / l_tau)
-                                    elif l_kind == LAW_RAMP:
-                                        v_d = out_v + l_slope * x_s
-                                    else:
-                                        v_d = out_v
-                                    f_d = nl_law.evolve(v_d)
-                                else:
+                                # instantaneous frequency (a nonlinear
+                                # lane's came with its phase above).  On
+                                # a linear lane the output voltage at x_s
+                                # is v1, the same expression evaluated
+                                # above.
+                                if not nonlinear:
                                     f_d = f_center + gain * (v1 - v_center)
-                                if f_min > f_d:
-                                    f_d = f_min
-                                if f_max < f_d:
-                                    f_d = f_max
+                                    if f_min > f_d:
+                                        f_d = f_min
+                                    if f_max < f_d:
+                                        f_d = f_max
                                 x_next = None
                                 if f_d > 0.0:
                                     candidate = x_s - f_x / f_d
@@ -804,17 +754,27 @@ class VectorizedLotSimulator:
             # --- advance (transcribes _advance_to + phase_advance) ----
             dt = best_t - t
             if dt > 0.0:
+                if dt == dt_h:
+                    pa = pa_hi  # None unless the window integrated dt_h
+                else:
+                    pa = None
+                    e_hi = None
+                if pa is None and nonlinear:
+                    # Every advance follows a window over the same
+                    # segment, so the window's ``seg`` is this one.
+                    try:
+                        pa = numeric_phase(seg, dt)
+                    except Exception:  # noqa: BLE001 - scalar repro
+                        eject = True  # the tuning curve raised
+                        break
                 if l_kind == LAW_EXP:
-                    ov = l_oa * vc + l_ob
-                    x = -dt / l_tau
-                    e = exp_(x)
-                    gap0 = ov - l_oasym
-                    if nonlinear:
-                        pa = _simpson_phase(
-                            nl_law, ExponentialSegment(ov, l_oasym,
-                                                       l_tau),
-                            dt, f_min, f_max)
-                    else:
+                    e = e_hi
+                    if e is None:
+                        x = -dt / l_tau
+                        e = exp_(x)
+                    if pa is None:
+                        ov = l_oa * vc + l_ob
+                        gap0 = ov - l_oasym
                         v1 = l_oasym + gap0 * e
                         if not (v_lo <= v1 <= v_hi and v_lo <= ov <= v_hi):
                             eject = True
@@ -823,12 +783,8 @@ class VectorizedLotSimulator:
                             l_oasym * dt + (gap0 * l_tau) * -expm1_(x))
                     vc = l_asym + (vc - l_asym) * e
                 elif l_kind == LAW_RAMP:
-                    ov = vc + l_ooff
-                    if nonlinear:
-                        pa = _simpson_phase(
-                            nl_law, RampSegment(ov, l_slope),
-                            dt, f_min, f_max)
-                    else:
+                    if pa is None:
+                        ov = vc + l_ooff
                         v1 = ov + l_slope * dt
                         if not (v_lo <= v1 <= v_hi and v_lo <= ov <= v_hi):
                             eject = True
@@ -836,16 +792,11 @@ class VectorizedLotSimulator:
                         pa = base_hz * dt + gain * (
                             ov * dt + (l_half * dt) * dt)
                     vc = vc + l_slope * dt
-                else:
-                    if nonlinear:
-                        pa = _simpson_phase(
-                            nl_law, ConstantSegment(vc),
-                            dt, f_min, f_max)
-                    else:
-                        if not v_lo <= vc <= v_hi:
-                            eject = True
-                            break
-                        pa = base_hz * dt + gain * (vc * dt)
+                elif pa is None:
+                    if not v_lo <= vc <= v_hi:
+                        eject = True
+                        break
+                    pa = base_hz * dt + gain * (vc * dt)
                 phase = phase + pa
             t = best_t
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.core import BISTConfig, ToneTestSequencer, TransferFunctionMonitor
@@ -16,6 +17,7 @@ from repro.errors import StimulusError
 from repro.pll.faults import FAULT_LIBRARY, FaultKind, apply_fault
 from repro.pll.population.samplers import get_corner
 from repro.pll.simulator import PLLTransientSimulator
+from repro.pll.vco import VCO
 from repro.presets import (
     paper_bist_config,
     paper_pll,
@@ -49,6 +51,28 @@ def pll_linear():
 def pll_nonlinear():
     """The 74HCT4046A-flavoured PLL."""
     return paper_pll(nonlinear=True)
+
+
+@pytest.fixture(scope="session")
+def curve_dies(pll_nonlinear):
+    """Dies whose VCO has a tuning curve: the 74HCT4046A, its Ko faults'
+    scaled copies of that curve, and a lambda curve."""
+    vco = pll_nonlinear.vco
+    bent = VCO(
+        f_center=vco.f_center,
+        gain_hz_per_v=vco.gain_hz_per_v,
+        v_center=vco.v_center,
+        f_min=vco.f_min,
+        f_max=vco.f_max,
+        tuning_curve=lambda v: vco.f_center
+        + vco.gain_hz_per_v * 0.9 * (v - vco.v_center),
+    )
+    return [
+        pll_nonlinear,
+        apply_fault(pll_nonlinear, FAULT_LIBRARY["Ko half nominal"]),
+        apply_fault(pll_nonlinear, FAULT_LIBRARY["Ko double nominal"]),
+        replace(pll_nonlinear, vco=bent, name="hct4046-lambda"),
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,7 @@ from repro.errors import ConfigurationError, MeasurementError
 from repro.pll.faults import FAULT_LIBRARY, apply_fault
 from repro.pll.lot import premeasure_lot
 from repro.pll.simulator import PLLTransientSimulator
+from repro.pll.vco import VCO
 from repro.presets import paper_pll, paper_stimulus, paper_sweep
 from repro.reporting import (
     DeviceReportRequest,
@@ -136,66 +137,64 @@ class TestFarmBitIdentity:
             assert fields == alone
 
     def test_nonlinear_hct4046_rides_the_farm(self, fast_bist_config,
-                                              settled):
-        """The nonlinear 74HCT4046A VCO no longer ejects: the farm
-        recognises its tuning curve, integrates phase through the masked
-        Simpson path, and stays bit-identical to the scalar engine."""
-        pll = paper_pll(nonlinear=True)
+                                              settled, curve_dies):
+        """Any tuning curve rides the farm: the 74HCT4046A's, its Ko
+        faults' scaled copies and a lambda.  The kernel integrates phase
+        with the lane's own VCO, so the settled state and the
+        measurement are bit-identical to the scalar engine's."""
         stimulus = paper_stimulus("multitone")
-        lanes = _lanes(pll, stimulus, fast_bist_config)
+        lanes = [lane for pll in curve_dies
+                 for lane in _lanes(pll, stimulus, fast_bist_config)]
         farm = VectorizedLotSimulator(lanes)
-        for result in farm.run():
+        for lane, result in zip(lanes, farm.run()):
             assert result.mode == "vector"
             assert result.nonlinear
+            assert result.measurement == ToneTestSequencer(
+                lane.pll, stimulus, fast_bist_config).run(lane.f_mod), (
+                lane.pll.name, lane.f_mod)
         assert farm.stats["nonlinear"] == len(lanes)
         for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):
             assert mode == "vector"
             assert fields == settled.scalar(
-                pll, stimulus, lane.f_mod, lane.settle_end
-            )
+                lane.pll, stimulus, lane.f_mod, lane.settle_end
+            ), (lane.pll.name, lane.f_mod)
 
-    def test_unrecognised_tuning_curve_falls_back_scalar(
-        self, fast_bist_config, settled
+    def test_raising_tuning_curve_ejects_to_the_scalar_sweep(
+        self, fast_bist_config, pll_nonlinear
     ):
-        """A tuning curve the farm cannot replicate (an arbitrary
-        callable) runs nothing on the farm — no settled lane, no
-        measurement — and the auto sweep measures it on the scalar
-        engine, bit-identically, instead of failing or (worse)
-        approximating."""
-        from dataclasses import replace as dc_replace
+        """A tuning curve that raises past a voltage the loop reaches
+        ejects its lanes: no exception escapes ``premeasure_lot``,
+        nothing is published, and the die's auto report equals its
+        scalar report, which carries the curve's error.  (The loop's
+        output swings to about 2.7 V; the lock search stays at or below
+        mid-rail, 2.5 V.)"""
+        vco = pll_nonlinear.vco
 
-        from repro.pll.vco import VCO
+        def brittle(v: float) -> float:
+            if v > 2.6:
+                raise ValueError(f"tuning curve undefined at {v!r} V")
+            return vco.tuning_curve(v)
 
-        base = paper_pll(nonlinear=True)
-        vco = base.vco
-
-        def bent(v: float) -> float:
-            return vco.f_center + vco.gain_hz_per_v * 0.9 * (
-                v - vco.v_center
-            )
-
-        custom = VCO(
+        pll = replace(pll_nonlinear, name="hct4046-brittle", vco=VCO(
             f_center=vco.f_center,
             gain_hz_per_v=vco.gain_hz_per_v,
             v_center=vco.v_center,
             f_min=vco.f_min,
             f_max=vco.f_max,
-            tuning_curve=bent,
-        )
-        pll = dc_replace(base, vco=custom)
+            tuning_curve=brittle,
+        ))
         stimulus = paper_stimulus("multitone")
-        lanes = _lanes(pll, stimulus, fast_bist_config)
-        results = VectorizedLotSimulator(lanes).run()
-        for result in results:
-            assert result.mode == "scalar"
-            assert result.measurement is None
-        assert settled.farm(lanes) == [None] * len(lanes)
-        plan = SweepPlan(TONES)
-        scalar = TransferFunctionMonitor(
-            pll, stimulus, fast_bist_config).run(plan, engine="scalar")
-        auto = TransferFunctionMonitor(
-            pll, stimulus, fast_bist_config).run(plan, engine="auto")
-        assert auto.measurements == scalar.measurements
+        cache = ToneMeasurementCache()
+        stats = premeasure_lot(
+            [(pll, stimulus, fast_bist_config, TONES)], cache)
+        assert stats.ejected == stats.hct4046_lanes == len(TONES)
+        assert len(cache) == 0
+        request = DeviceReportRequest(pll=pll, stimulus=stimulus,
+                                      plan=SweepPlan(TONES),
+                                      config=fast_bist_config)
+        scalar = batch_device_reports([request], engine="scalar")
+        assert "ValueError: tuning curve undefined" in scalar[0]
+        assert batch_device_reports([request], engine="auto") == scalar
 
     def test_filter_with_own_segments_falls_back_scalar(self):
         """The farm reads the filter's segment laws; a filter class that
@@ -277,11 +276,19 @@ class TestPresettleLot:
     def test_fallback_lanes_settle_once_in_the_sweep(
         self, fast_bist_config, monkeypatch
     ):
-        """An auto lot whose lanes all fall off the farm builds one
+        """An auto lot whose lanes all fall off the farm (its VCO is a
+        subclass, whose methods the farm cannot vouch for) builds one
         simulator per (die, tone): the farm runs nothing for them and
         the sweep settles and measures each tone once."""
-        pll = apply_fault(paper_pll(nonlinear=True),
-                          FAULT_LIBRARY["Ko half nominal"])
+
+        class OwnVCO(VCO):
+            pass
+
+        vco = paper_pll().vco
+        pll = replace(paper_pll(), name="own-vco", vco=OwnVCO(
+            vco.f_center, vco.gain_hz_per_v, vco.v_center,
+            f_min=vco.f_min, f_max=vco.f_max,
+        ))
         stimulus = paper_stimulus("multitone")
         request = DeviceReportRequest(pll=pll, stimulus=stimulus,
                                       plan=SweepPlan(TONES),

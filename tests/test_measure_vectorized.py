@@ -180,22 +180,21 @@ class TestPremeasureParity:
                 )
 
     def test_nonlinear_hct4046_lanes_measure_in_farm(
-        self, fast_bist_config
+        self, fast_bist_config, curve_dies
     ):
-        """hct4046 lanes measure on the kernel beside the linear lanes
-        of a mixed lot, each equal to its scalar measurement."""
+        """Tuning-curve lanes (the hct4046, its Ko faults, a lambda
+        curve) measure on the kernel beside the linear lanes of a mixed
+        lot, each equal to its scalar measurement."""
         stimulus = paper_stimulus("multitone")
-        linear = paper_pll()
-        nonlinear = paper_pll(nonlinear=True)
+        duts = [paper_pll()] + curve_dies
         dedup = ToneMeasurementCache()
         stats = premeasure_lot(
-            [(linear, stimulus, fast_bist_config, TONES),
-             (nonlinear, stimulus, fast_bist_config, TONES)],
+            [(dut, stimulus, fast_bist_config, TONES) for dut in duts],
             dedup,
         )
-        assert stats.hct4046_lanes == len(TONES)
-        assert stats.measured == 2 * len(TONES)
-        for dut in (linear, nonlinear):
+        assert stats.vector == stats.measured == len(duts) * len(TONES)
+        assert stats.hct4046_lanes == len(curve_dies) * len(TONES)
+        for dut in duts:
             for f_mod in TONES:
                 assert dedup.get(measurement_cache_key(
                     dut, stimulus, fast_bist_config, f_mod

@@ -1,34 +1,19 @@
-"""Property-based tests: the `evolve`/`evolve_batch` bit-identity contract.
+"""Property-based tests: the segment laws' semigroup and validation.
 
-The vectorised lot engine (:mod:`repro.sim.vectorized`) leans on one
-invariant: for every segment law, ``evolve_batch(dt)[i]`` is
-**bit-identical** to ``evolve(dt[i])`` — not merely close.  That is what
-lets the lockstep settle farm advance N devices with array ops and still
-hand back snapshots indistinguishable from the scalar simulator's.
+The event loop restarts a segment law at every PFD handoff, so these
+tests drive random segment parameters and random split points:
 
-These tests drive the invariant with random segment parameters and
-random split points:
-
-* ``evolve`` is an exact alias of ``value`` (same closed form);
-* ``evolve_batch`` equals the scalar path element-for-element with
-  ``==`` (no tolerance), including at ``dt = 0`` and across many orders
-  of magnitude of ``dt``;
 * splitting an interval and re-composing the law agrees with the
   one-shot closed form to machine precision (the semigroup property the
   event loop exploits at every handoff);
-* negative offsets are rejected by both paths.
+* negative offsets are rejected.
 """
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.pll.hct4046 import HCT4046Config
 from repro.sim.segments import (
-    ClampedCubicLaw,
     ConstantSegment,
     ExponentialSegment,
     RampSegment,
@@ -39,14 +24,6 @@ finite = st.floats(
 )
 tau_values = st.floats(min_value=1e-9, max_value=1e3)
 dt_values = st.floats(min_value=0.0, max_value=1e2)
-dt_lists = st.lists(dt_values, min_size=1, max_size=16)
-
-rail_values = st.floats(min_value=1e-3, max_value=1e3)
-curvature_values = st.floats(min_value=0.0, max_value=0.333)
-voltages = st.floats(
-    min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False
-)
-voltage_lists = st.lists(voltages, min_size=1, max_size=16)
 
 
 def _segments(initial, slope, asymptote, tau):
@@ -57,56 +34,14 @@ def _segments(initial, slope, asymptote, tau):
     ]
 
 
-class TestEvolveAliasesValue:
-    @given(initial=finite, slope=finite, asymptote=finite, tau=tau_values,
-           dt=dt_values)
-    def test_evolve_is_value(self, initial, slope, asymptote, tau, dt):
-        for seg in _segments(initial, slope, asymptote, tau):
-            assert seg.evolve(dt) == seg.value(dt)
-
-
-class TestBatchBitIdentity:
-    @given(initial=finite, slope=finite, asymptote=finite, tau=tau_values,
-           dts=dt_lists)
-    def test_batch_equals_scalar_elementwise(
-        self, initial, slope, asymptote, tau, dts
-    ):
-        """The invariant itself: exact ==, element for element."""
-        for seg in _segments(initial, slope, asymptote, tau):
-            batch = seg.evolve_batch(np.array(dts, dtype=np.float64))
-            assert batch.dtype == np.float64
-            assert batch.shape == (len(dts),)
-            for i, dt in enumerate(dts):
-                scalar = seg.evolve(dt)
-                assert batch[i] == scalar or (
-                    math.isnan(batch[i]) and math.isnan(scalar)
-                )
-
-    @given(initial=finite, slope=finite, asymptote=finite, tau=tau_values,
-           dt1=dt_values, dt2=dt_values)
-    def test_split_point_batch_equals_one_shot(
-        self, initial, slope, asymptote, tau, dt1, dt2
-    ):
-        """evolve(dt1 + dt2) == evolve_batch([dt1 + dt2])[0], exactly."""
-        for seg in _segments(initial, slope, asymptote, tau):
-            total = dt1 + dt2
-            assert seg.evolve_batch(np.array([total]))[0] == seg.evolve(total)
-
-    @given(initial=finite, slope=finite, asymptote=finite, tau=tau_values)
-    def test_empty_and_zero_offsets(self, initial, slope, asymptote, tau):
-        for seg in _segments(initial, slope, asymptote, tau):
-            assert seg.evolve_batch(np.array([], dtype=np.float64)).size == 0
-            assert seg.evolve_batch(np.array([0.0]))[0] == seg.evolve(0.0)
-
-
 class TestSplitCompose:
     @given(initial=finite, slope=finite, dt1=dt_values, dt2=dt_values)
     def test_ramp_semigroup(self, initial, slope, dt1, dt2):
         """Split at dt1, restart the law from there, finish at dt2."""
         seg = RampSegment(initial=initial, slope=slope)
-        mid = seg.evolve(dt1)
-        stepped = RampSegment(initial=mid, slope=slope).evolve(dt2)
-        direct = seg.evolve(dt1 + dt2)
+        mid = seg.value(dt1)
+        stepped = RampSegment(initial=mid, slope=slope).value(dt2)
+        direct = seg.value(dt1 + dt2)
         scale = max(1.0, abs(initial) + abs(slope) * (dt1 + dt2))
         assert abs(direct - stepped) <= 1e-9 * scale
 
@@ -116,109 +51,13 @@ class TestSplitCompose:
         seg = ExponentialSegment(
             initial=initial, asymptote=asymptote, tau=tau
         )
-        mid = seg.evolve(dt1)
+        mid = seg.value(dt1)
         stepped = ExponentialSegment(
             initial=mid, asymptote=asymptote, tau=tau
-        ).evolve(dt2)
-        direct = seg.evolve(dt1 + dt2)
+        ).value(dt2)
+        direct = seg.value(dt1 + dt2)
         scale = max(1.0, abs(initial), abs(asymptote))
         assert abs(direct - stepped) <= 1e-9 * scale
-
-    @given(initial=finite, asymptote=finite, tau=tau_values,
-           dt1=dt_values, dt2=dt_values)
-    def test_batch_split_compose_matches_one_shot(
-        self, initial, asymptote, tau, dt1, dt2
-    ):
-        """Composing through evolve_batch agrees with the one-shot form."""
-        seg = ExponentialSegment(
-            initial=initial, asymptote=asymptote, tau=tau
-        )
-        mid = float(seg.evolve_batch(np.array([dt1]))[0])
-        stepped = float(
-            ExponentialSegment(initial=mid, asymptote=asymptote, tau=tau)
-            .evolve_batch(np.array([dt2]))[0]
-        )
-        direct = float(seg.evolve_batch(np.array([dt1 + dt2]))[0])
-        scale = max(1.0, abs(initial), abs(asymptote))
-        assert abs(direct - stepped) <= 1e-9 * scale
-
-
-def _cubic_law(v_rail, f_center, gain, curvature):
-    return ClampedCubicLaw(
-        v_rail=v_rail,
-        v_center=0.5 * v_rail,
-        f_center=f_center,
-        gain_hz_per_v=gain,
-        curvature=curvature,
-    )
-
-
-class TestClampedCubicBitIdentity:
-    """The nonlinear-VCO lane contract: masked batch == scalar, bit for bit."""
-
-    @given(v_rail=rail_values, f_center=finite, gain=finite,
-           curvature=curvature_values, vs=voltage_lists)
-    def test_batch_equals_scalar_elementwise(
-        self, v_rail, f_center, gain, curvature, vs
-    ):
-        law = _cubic_law(v_rail, f_center, gain, curvature)
-        batch = law.evolve_batch(np.array(vs, dtype=np.float64))
-        assert batch.dtype == np.float64
-        for i, v in enumerate(vs):
-            scalar = law.evolve(v)
-            assert batch[i] == scalar or (
-                math.isnan(batch[i]) and math.isnan(scalar)
-            )
-
-    @given(v_rail=rail_values, f_center=finite, gain=finite,
-           curvature=curvature_values)
-    def test_branch_boundaries(self, v_rail, f_center, gain, curvature):
-        """The clamp edges themselves, plus one-ulp excursions each way.
-
-        ``np.where(v < 0, ...)`` vs scalar ``min(max(v, 0), rail)`` only
-        agree if their branch selection flips at exactly the same bit
-        pattern — probe straddling both rails.
-        """
-        law = _cubic_law(v_rail, f_center, gain, curvature)
-        probes = [
-            0.0, -0.0, v_rail,
-            math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
-            math.nextafter(v_rail, 0.0), math.nextafter(v_rail, math.inf),
-        ]
-        batch = law.evolve_batch(np.array(probes, dtype=np.float64))
-        for i, v in enumerate(probes):
-            assert batch[i] == law.evolve(v)
-
-    @given(v_rail=rail_values, f_center=finite, gain=finite,
-           curvature=curvature_values)
-    def test_nan_passes_through_both_paths(
-        self, v_rail, f_center, gain, curvature
-    ):
-        """NaN fails both clamp comparisons scalar-side and mask-side."""
-        law = _cubic_law(v_rail, f_center, gain, curvature)
-        assert math.isnan(law.evolve(float("nan")))
-        assert math.isnan(
-            float(law.evolve_batch(np.array([float("nan")]))[0])
-        )
-
-    @given(vdd=st.floats(min_value=1.0, max_value=12.0),
-           f_center=st.floats(min_value=100.0, max_value=1e6),
-           gain=st.floats(min_value=1.0, max_value=1e5),
-           curvature=curvature_values,
-           vs=voltage_lists)
-    def test_matches_device_model_tuning_curve(
-        self, vdd, f_center, gain, curvature, vs
-    ):
-        """tuning_law() reproduces HCT4046Config.tuning_curve exactly."""
-        cfg = HCT4046Config(
-            vdd=vdd, f_center=f_center, gain_hz_per_v=gain,
-            curvature=curvature,
-        )
-        law = cfg.tuning_law()
-        batch = law.evolve_batch(np.array(vs, dtype=np.float64))
-        for i, v in enumerate(vs):
-            assert law.evolve(v) == cfg.tuning_curve(v)
-            assert batch[i] == cfg.tuning_curve(v)
 
 
 class TestValidation:
@@ -226,6 +65,4 @@ class TestValidation:
     def test_negative_offsets_rejected(self, initial, slope, asymptote, tau):
         for seg in _segments(initial, slope, asymptote, tau):
             with pytest.raises(ValueError):
-                seg.evolve(-1e-9)
-            with pytest.raises(ValueError):
-                seg.evolve_batch(np.array([0.0, 1.0, -1e-9]))
+                seg.value(-1e-9)

@@ -3,8 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.pll.faults import _ScaledTuningCurve
+from repro.pll.hct4046 import HCT4046Config
 from repro.pll.vco import VCO
 from repro.sim.segments import ConstantSegment, ExponentialSegment, RampSegment
 
@@ -154,3 +158,63 @@ class TestTimeToPhase:
         seg = RampSegment(initial=2.5, slope=1.0)
         assert vco.frequency_at(seg, 0.0) == pytest.approx(5000.0)
         assert vco.frequency_at(seg, 0.5) == pytest.approx(5600.0)
+
+
+def _per_node_phase(vco, segment, dt):
+    """Composite Simpson with one :meth:`VCO.frequency_at` call per node,
+    summed ends first and then the interior in node order."""
+    n = 32
+    h = dt / n
+    total = vco.frequency_at(segment, 0.0) + vco.frequency_at(segment, dt)
+    for i in range(1, n):
+        weight = 4.0 if i % 2 else 2.0
+        total += weight * vco.frequency_at(segment, i * h)
+    return total * h / 3.0
+
+
+_HCT = HCT4046Config()
+# Beyond the 0-5 V rails the 4046 curve pins and the clamp to
+# [f_min, f_max] engages; the lambda's steeper cubic clamps inside them.
+_CURVES = {
+    "hct4046": _HCT.tuning_curve,
+    "Ko half": _ScaledTuningCurve(_HCT.tuning_curve, 0.5, _HCT.f_center),
+    "Ko double": _ScaledTuningCurve(_HCT.tuning_curve, 2.0, _HCT.f_center),
+    "lambda": lambda v: 5000.0 + 900.0 * (v - 2.5) + 40.0 * (v - 2.5) ** 3,
+}
+_rail_voltages = st.one_of(
+    st.sampled_from([0.0, _HCT.vdd]),
+    st.floats(min_value=-2.5, max_value=7.5),
+)
+
+
+def _segment(kind, v0, slope, asymptote, tau):
+    if kind == "constant":
+        return ConstantSegment(initial=v0)
+    if kind == "ramp":
+        return RampSegment(initial=v0, slope=slope)
+    return ExponentialSegment(initial=v0, asymptote=asymptote, tau=tau)
+
+
+class TestNumericPhase:
+    @given(
+        curve=st.sampled_from(sorted(_CURVES)),
+        kind=st.sampled_from(["constant", "ramp", "exponential"]),
+        v0=_rail_voltages,
+        slope=st.floats(min_value=-2e3, max_value=2e3),
+        asymptote=_rail_voltages,
+        tau=st.floats(min_value=1e-6, max_value=1.0),
+        dt=st.floats(min_value=0.0, max_value=10e-3, exclude_min=True),
+    )
+    def test_equals_per_node_frequency_at(self, curve, kind, v0, slope,
+                                          asymptote, tau, dt):
+        """The Simpson rule over locals is the per-node loop, bit for
+        bit, for the 4046 curve, its Ko-scaled copies and a lambda."""
+        base = _HCT.make_vco()
+        vco = VCO(
+            f_center=base.f_center, gain_hz_per_v=base.gain_hz_per_v,
+            v_center=base.v_center, f_min=base.f_min, f_max=base.f_max,
+            tuning_curve=_CURVES[curve],
+        )
+        seg = _segment(kind, v0, slope, asymptote, tau)
+        got = vco._numeric_phase(seg, dt)
+        assert got.hex() == _per_node_phase(vco, seg, dt).hex()
