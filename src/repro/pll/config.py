@@ -65,6 +65,20 @@ def _bound_method_signature(value: object) -> Optional[Tuple]:
     ) + tuple(fields)
 
 
+def callable_signature(value: object) -> Optional[Tuple]:
+    """Hashable fingerprint of a callable component attribute, or ``None``.
+
+    A callable with a ``physics_signature()`` of its own (a Ko fault's
+    scaled tuning curve) fingerprints itself; a bound method on a frozen
+    parameter bag goes through :func:`_bound_method_signature`.  Any
+    other callable cannot be proven equal to another: ``None``.
+    """
+    own = getattr(value, "physics_signature", None)
+    if own is not None:
+        return own()
+    return _bound_method_signature(value)
+
+
 def _component_signature(component: object) -> Optional[Tuple]:
     """Hashable fingerprint of one loop component's physics, or ``None``.
 
@@ -75,10 +89,10 @@ def _component_signature(component: object) -> Optional[Tuple]:
     parameters fingerprint identically.
 
     A non-scalar public attribute is fingerprinted through
-    :func:`_bound_method_signature` when it has that provable shape (the
-    4046 tuning curve does); any other opaque attribute cannot be
-    fingerprinted from parameters alone, and ``None`` tells the caller
-    to fall back to identity-by-name.
+    :func:`callable_signature` when it has a provable shape (the 4046
+    tuning curve and its Ko faults' scaled copies do); any other opaque
+    attribute cannot be fingerprinted from parameters alone, and
+    ``None`` tells the caller to fall back to identity-by-name.
     """
     fields = []
     for key in sorted(vars(component)):
@@ -88,7 +102,7 @@ def _component_signature(component: object) -> Optional[Tuple]:
         if isinstance(value, enum.Enum):
             value = value.value
         if value is not None and not isinstance(value, (bool, int, float, str)):
-            value = _bound_method_signature(value)
+            value = callable_signature(value)
             if value is None:
                 return None
         fields.append((key, value))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.pll.charge_pump import (
@@ -35,7 +35,7 @@ from repro.pll.charge_pump import (
     CurrentChargePump,
     RailDriverChargePump,
 )
-from repro.pll.config import ChargePumpPLL
+from repro.pll.config import ChargePumpPLL, callable_signature
 from repro.pll.loop_filter import LoopFilter, PassiveLagLeadFilter, SeriesRCFilter
 from repro.pll.vco import VCO
 
@@ -170,9 +170,11 @@ class _ScaledTuningCurve:
     """A tuning curve with its gain scaled by ``k`` about ``f0``.
 
     A module-level class rather than a closure, so a faulted device
-    pickles into pool workers.  Its ``nominal`` field is a callable, so
-    the device's physics signature still degrades to its name, exactly
-    as for any custom curve.
+    pickles into pool workers.  Its physics signature is the nominal
+    curve's with ``k`` and ``f0``, so equally faulted 4046 dies share
+    their tones; a nominal curve with no signature (a lambda) leaves
+    the device's signature to degrade to its name, as for any custom
+    curve.
     """
 
     nominal: Callable[[float], float]
@@ -181,6 +183,12 @@ class _ScaledTuningCurve:
 
     def __call__(self, v: float) -> float:
         return self.f0 + self.k * (self.nominal(v) - self.f0)
+
+    def physics_signature(self) -> Optional[Tuple]:
+        nominal = callable_signature(self.nominal)
+        if nominal is None:
+            return None
+        return ("scaled", nominal, self.k, self.f0)
 
 
 def _fault_vco(vco: VCO, fault: Fault) -> VCO:

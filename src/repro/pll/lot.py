@@ -32,13 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-from repro.core.sequencer import measurement_cache_key
+from repro.core.sequencer import ToneMeasurement, measurement_cache_key
 from repro.core.warm import ToneMeasurementCache
-from repro.sim.vectorized import (
-    MeasureSpec,
-    SettleLane,
-    VectorizedLotSimulator,
-)
+from repro.sim.vectorized import SettleLane, VectorizedLotSimulator
 
 __all__ = ["LotPresettleStats", "premeasure_lot"]
 
@@ -142,7 +138,7 @@ def premeasure_lot(
                 stimulus=stimulus,
                 f_mod=f_mod,
                 settle_end=config.settle_cycles / f_mod,
-                measure=MeasureSpec(config=config),
+                config=config,
             ))
             keys.append(key)
     stats.unique = len(lanes)
@@ -154,6 +150,13 @@ def premeasure_lot(
         if result.mode == "vector":
             stats.vector += 1
             stats.tones_vectorized += 1
+            # A settled lane whose measurement ejected publishes nothing.
+            if result.measurement is None:
+                stats.measure_ejected += 1
+            elif isinstance(result.measurement, ToneMeasurement):
+                stats.measured += 1
+            else:
+                stats.measure_failed += 1
         elif result.mode == "ejected":
             stats.ejected += 1
         else:
@@ -162,9 +165,6 @@ def premeasure_lot(
             stats.hct4046_lanes += 1
         if result.measurement is not None:
             measurement_cache.put(key, result.measurement)
-    stats.measured = farm.stats["measured"]
-    stats.measure_ejected = farm.stats["measure_ejected"]
-    stats.measure_failed = farm.stats["measure_failed"]
     stats.settle_s = farm.wall_settle_s
     stats.monitor_s = farm.wall_monitor_s
     stats.measure_s = farm.wall_measure_s

@@ -208,10 +208,13 @@ class VCO:
             # for most events.
             dt = target_cycles / self.frequency_of_voltage(segment.initial)
             return dt if dt <= dt_max else None
-        if self.phase_advance(segment, dt_max) < target_cycles:
+        # The reachability guard's integral is also the solver's fn(hi).
+        pa_max = self.phase_advance(segment, dt_max)
+        if pa_max < target_cycles:
             return None
         return solve_increasing(
-            fn=lambda t: self.phase_advance(segment, t),
+            fn=lambda t: pa_max if t == dt_max
+            else self.phase_advance(segment, t),
             target=target_cycles,
             lo=0.0,
             hi=dt_max,

@@ -1,10 +1,10 @@
-"""The farm class behind the ``closed_form`` and ``auto`` engine names.
+"""A second name for the settle farm, kept for trace attribution.
 
 :class:`ClosedFormLotSimulator` is
-:class:`~repro.sim.vectorized.VectorizedLotSimulator` under the class
-name those engines construct: every lane settles on the same per-lane
-kernel, whose update between PFD switching instants is already closed
-form.  It adds nothing.
+:class:`~repro.sim.vectorized.VectorizedLotSimulator` under an older
+class name; no engine constructs it any more (``auto`` runs the farm
+class itself, whose per-lane kernel update between PFD switching
+instants is already closed form).  It adds nothing.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ __all__ = ["ClosedFormLotSimulator"]
 
 
 class ClosedFormLotSimulator(VectorizedLotSimulator):
-    """The kernel farm, constructed for ``closed_form``/``auto``."""
+    """The kernel farm under its older name."""
 
-    # Defined here rather than inherited: perfbench's tracer times the
-    # farm by wrapping this class's own ``__init__``.
+    # Defined here rather than inherited: perfbench's tracer wraps this
+    # class's own ``__init__`` by name.
     def __init__(self, lanes: Sequence[SettleLane]):
         super().__init__(lanes)

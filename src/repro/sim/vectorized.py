@@ -18,13 +18,18 @@ a lane whose VCO has one (the 74HCT4046A's bounded cubic, which has no
 closed-form phase integral) calls that VCO's own Simpson rule and
 tuning law, as the scalar engine does.
 
+Each lane is one record (:class:`_Lane`): its job, physics table, edge
+supply and result, and the scalar simulator's state fields, which the
+kernel unpacks into its locals and writes back at its boundaries.
+
 Every lane carries Table 2 stages 1–4 as well.  Once the kernel has
 settled a lane, its :class:`~repro.core.sequencer.MeasurementScript` is
-armed on the same lane lists and the kernel runs the lane again; the
-stage control flow is that shared script, fired at its run-to-target
-boundaries, and the measurement hardware adds a few event hooks: the
-hold mux on open lanes, the Figure 7 latch at every PFD reset, the
-feedback-edge record for the reciprocal count.
+armed on the same record and the kernel runs the lane again; the stage
+control flow is that shared script, fired at its run-to-target
+boundaries with the record as its simulator surface, and the
+measurement hardware adds a few event hooks: the hold mux on open
+lanes, the Figure 7 latch at every PFD reset, the feedback-edge record
+for the reciprocal count.
 
 Bit-identity contract
 ---------------------
@@ -83,8 +88,7 @@ from repro.sim.segments import (
 )
 from repro.stimulus.waveforms import EdgeSourceBase
 
-__all__ = ["MeasureSpec", "SettleLane", "LaneResult",
-           "VectorizedLotSimulator"]
+__all__ = ["SettleLane", "LaneResult", "VectorizedLotSimulator"]
 
 
 class _Unsupported(Exception):
@@ -97,32 +101,21 @@ _END, _REF, _FB, _RESET, _ACT = 0, 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
-class MeasureSpec:
-    """Stage 1–4 measurement request riding on a :class:`SettleLane`.
-
-    ``config`` is the :class:`~repro.core.architecture.BISTConfig` whose
-    counters/detector the scalar sequencer would use; the phase counter
-    arms at its ``settle_cycles``-th modulation peak, as in the scalar
-    sequencer.
-    """
-
-    config: object
-    max_wait_cycles: float = 3.0
-
-
-@dataclass(frozen=True)
 class SettleLane:
     """One tone job: device × stimulus × tone.
 
     The farm settles the lane up to ``settle_end`` (Table 2 stage 0),
-    then carries it through stages 1–4 as ``measure`` asks.
+    then carries it through stages 1–4 as the scalar sequencer would
+    with ``config``, the :class:`~repro.core.architecture.BISTConfig`
+    whose counters/detector it uses; the phase counter arms at the
+    config's ``settle_cycles``-th modulation peak.
     """
 
     pll: object
     stimulus: object
     f_mod: float
     settle_end: float
-    measure: MeasureSpec
+    config: object
 
 
 @dataclass
@@ -140,7 +133,8 @@ class LaneResult:
     :class:`~repro.core.sequencer.ToneMeasurement`, or the
     :class:`~repro.errors.MeasurementError` text the scalar sequencer
     raises for the same tone.  ``None`` — always so for ejected and
-    scalar lanes — means the orchestrating sweep measures the tone from
+    scalar lanes, and for a ``"vector"`` lane whose measurement was
+    ejected — means the orchestrating sweep measures the tone from
     t = 0 on the scalar engine.
     """
 
@@ -150,14 +144,15 @@ class LaneResult:
 
 
 class _PhysicsTable:
-    """Per-device constants: drives, segment laws, VCO line, divider.
+    """Per-device constants: drives, segment laws, lock point, divider.
 
     The segment-law rows are the loop filter's own laws
     (:meth:`~repro.pll.loop_filter.LoopFilter.segment_law`), one per
-    interned drive, flattened for the kernel.
+    interned drive, flattened for the kernel.  The VCO's constants are
+    read off ``vco`` itself.
     """
 
-    def __init__(self, pll, probe_vc: float):
+    def __init__(self, pll):
         vco = pll.vco
         pump = pll.pump
         filt = pll.loop_filter
@@ -170,21 +165,11 @@ class _PhysicsTable:
         if math.isnan(self.turn_on_delay):
             # An activation due at NaN never compares due: scalar only.
             raise _Unsupported("NaN pump turn-on delay")
-        try:
-            self.base_hz = vco._base_hz
-            self.v_lo = vco._v_lo
-            self.v_hi = vco._v_hi
-        except AttributeError:
-            raise _Unsupported("VCO without precomputed clamp window")
         self.pll = pll
         self.vco = vco
         #: The scalar engine's initial filter state (the nominal lock).
-        self.vc_lock = float(probe_vc)
-        self.gain = vco.gain_hz_per_v
-        self.f_center = vco.f_center
-        self.v_center = vco.v_center
-        self.f_min = vco.f_min
-        self.f_max = vco.f_max
+        self.vc_lock = float(
+            filt.state_for_output(pll.locked_control_voltage()))
         self.nf = float(pll.n)
         self.reset_delay = float(pll.pfd_reset_delay)
 
@@ -215,7 +200,6 @@ class _PhysicsTable:
                 return i
         self.drives.append(drive)
         return len(self.drives) - 1
-
 
 class _EdgeSupply:
     """One (stimulus, tone) group's reference edges: a train shared by
@@ -258,6 +242,72 @@ class _EdgeSupply:
         return True
 
 
+class _Lane:
+    """One farm lane: its job, physics table, edge supply and result,
+    and the scalar simulator's state, field for field (``None``
+    wherever the simulator holds ``None``).
+
+    The kernel unpacks the state fields into its locals and writes them
+    back at its boundaries.  The record is also the simulator surface a
+    :class:`MeasurementScript` reads: ``output_frequency`` goes through
+    the *real* filter/VCO objects (``output_segment(...).value(0.0)``,
+    exactly as the scalar property) so the boundary reads are
+    bit-identical by construction, not by transcription; ``close_loop``
+    mirrors the scalar ``close_loop()`` (PFD cleared, pending
+    activation dropped, pump idled, rise times retained).
+    """
+
+    __slots__ = ("job", "table", "supply", "result",
+                 "t", "vc", "phase", "fbt", "j", "tref", "up", "dn",
+                 "levt", "pres", "upr", "dnr", "drive", "tact", "act",
+                 "events", "loop_open", "script", "fb_edges")
+
+    def __init__(self, job: SettleLane, table: _PhysicsTable,
+                 supply: _EdgeSupply) -> None:
+        self.job = job
+        self.table = table
+        self.supply = supply
+        self.result: Optional[LaneResult] = None  # set once settled
+        self.t = 0.0
+        self.vc = table.vc_lock
+        self.phase = 0.0
+        self.fbt = table.nf
+        self.j = 0
+        self.tref = supply.edges[0]
+        self.up = False
+        self.dn = False
+        self.levt: Optional[float] = None
+        self.pres: Optional[float] = None
+        self.upr: Optional[float] = None
+        self.dnr: Optional[float] = None
+        self.drive = table.idle_idx
+        # Pending pump activation: its time (None = none) and drive index.
+        self.tact: Optional[float] = None
+        self.act = 0
+        self.events = 0
+        # Stages 1–4: the hold mux, the armed script and the
+        # post-capture feedback-edge record.
+        self.loop_open = False
+        self.script: Optional[MeasurementScript] = None
+        self.fb_edges: Optional[PulseTrain] = None
+
+    @property
+    def output_frequency(self) -> float:
+        table = self.table
+        v_out = table.pll.loop_filter.output_segment(
+            self.vc, table.drives[self.drive]
+        ).value(0.0)
+        return table.vco.frequency_of_voltage(v_out)
+
+    def close_loop(self) -> None:
+        self.loop_open = False
+        self.up = False
+        self.dn = False
+        self.pres = None
+        self.tact = None
+        self.drive = self.table.idle_idx
+
+
 class VectorizedLotSimulator:
     """Settle and measure N lanes; see the module docstring.
 
@@ -267,170 +317,104 @@ class VectorizedLotSimulator:
         The settle jobs; lanes with equal (stimulus cache key, tone)
         share one reference source and its edge train.
 
-    Every lane the farm can represent settles on the per-lane kernel
-    (:meth:`_kernel_run`), whatever the farm's width, and every settled
-    lane then runs stages 1–4 on the same kernel.
+    ``lanes`` holds one :class:`_Lane` record per job, in job order,
+    or ``None`` for a job the farm cannot represent.  Every record
+    settles on the per-lane kernel (:meth:`_kernel_run`), whatever the
+    farm's width, and every settled lane then runs stages 1–4 on the
+    same kernel.
     """
 
     def __init__(self, lanes: Sequence[SettleLane]):
-        self.lanes = list(lanes)
-        self.stats = {"vector": 0, "ejected": 0, "scalar": 0,
-                      "nonlinear": 0,
-                      "measured": 0, "measure_ejected": 0,
-                      "measure_failed": 0}
         #: Wall-clock split of the farm run: stage 0 (settle) vs the
         #: measurement's stages 1–3 (monitor) and 4 (measure).
         self.wall_settle_s = 0.0
         self.wall_monitor_s = 0.0
         self.wall_measure_s = 0.0
-        self._results: List[Optional[LaneResult]] = [None] * len(self.lanes)
-        self._vec: List[int] = []          # lane positions in the farm
-        self._fallback: List[int] = []     # lane positions the farm skips
-        self._prepare()
-
-    # ------------------------------------------------------------------
-    # setup
-    # ------------------------------------------------------------------
-    def _prepare(self) -> None:
         tables: Dict[int, _PhysicsTable] = {}
         groups: Dict[Tuple, Optional[_EdgeSupply]] = {}
-        supported: List[Tuple[int, _PhysicsTable, _EdgeSupply]] = []
-        for pos, lane in enumerate(self.lanes):
+        self.lanes: List[Optional[_Lane]] = []
+        for job in lanes:
             try:
-                key, source = self._group_source(lane)
-                table = tables.get(id(lane.pll))
+                key, source = self._group_source(job)
+                table = tables.get(id(job.pll))
                 if table is None:
-                    probe = lane.pll.loop_filter.state_for_output(
-                        lane.pll.locked_control_voltage()
-                    )
-                    table = _PhysicsTable(lane.pll, probe)
-                    tables[id(lane.pll)] = table
+                    table = tables[id(job.pll)] = _PhysicsTable(job.pll)
             except Exception:  # noqa: BLE001 - the scalar sweep reproduces it
                 # _Unsupported physics, or an error building the lane
                 # (say a tuning curve that raises in the lock search).
-                self._fallback.append(pos)
+                self.lanes.append(None)
                 continue
             if key not in groups:
                 groups[key] = _EdgeSupply.start(source)
             supply = groups[key]
-            if supply is None:
-                self._fallback.append(pos)
-            else:
-                supported.append((pos, table, supply))
-        self._init_lanes(supported)
+            self.lanes.append(
+                None if supply is None else _Lane(job, table, supply))
 
-    def _group_source(self, lane: SettleLane) -> Tuple[Tuple, EdgeSourceBase]:
-        """The lane's (stimulus cache key, tone) group key and a fresh
+    def _group_source(self, job: SettleLane) -> Tuple[Tuple, EdgeSourceBase]:
+        """The job's (stimulus cache key, tone) group key and a fresh
         reference source for it."""
-        stim = lane.stimulus
+        stim = job.stimulus
         cache_key = stim.cache_key()  # AttributeError -> unsupported
-        source = stim.make_source(lane.f_mod, 0.0)
+        source = stim.make_source(job.f_mod, 0.0)
         if not isinstance(source, EdgeSourceBase):
             raise _Unsupported("source is not a plain edge source")
-        return (cache_key, float(lane.f_mod)), source
-
-    def _init_lanes(
-        self,
-        supported: List[Tuple[int, _PhysicsTable, _EdgeSupply]],
-    ) -> None:
-        """Lane state at t = 0: the scalar simulator's fields, one list
-        entry per farm lane (``None`` wherever the simulator holds
-        ``None``), read into the kernel's locals and written back at
-        its boundaries."""
-        n = len(supported)
-        self._vec = [pos for pos, __, __ in supported]
-        self._tables = [table for __, table, __ in supported]
-        self._supply = [supply for __, __, supply in supported]
-        self._t = [0.0] * n
-        self._vc = [table.vc_lock for table in self._tables]
-        self._phase = [0.0] * n
-        self._fbt = [table.nf for table in self._tables]
-        self._j = [0] * n
-        self._tref = [supply.edges[0] for supply in self._supply]
-        self._up = [False] * n
-        self._dn = [False] * n
-        self._levt: List[Optional[float]] = [None] * n
-        self._pres: List[Optional[float]] = [None] * n
-        self._upr: List[Optional[float]] = [None] * n
-        self._dnr: List[Optional[float]] = [None] * n
-        self._drive = [table.idle_idx for table in self._tables]
-        # Pending pump activation: its time (None = none) and drive index.
-        self._tact: List[Optional[float]] = [None] * n
-        self._act = [0] * n
-        self._events = [0] * n
-        # Stage 1–4 state the script's probe reads and writes: the hold
-        # mux, the script itself and the post-capture feedback record.
-        self._open = [False] * n
-        self._mscript: List[Optional[MeasurementScript]] = [None] * n
-        self._fb_rec: List[Optional[PulseTrain]] = [None] * n
+        return (cache_key, float(job.f_mod)), source
 
     # ------------------------------------------------------------------
     # run
     # ------------------------------------------------------------------
     def run(self) -> List[LaneResult]:
         """Settle every lane, then run its stages 1–4 on the same lane
-        state; returns one :class:`LaneResult` per lane.
+        record; returns one :class:`LaneResult` per job.
 
-        A settled lane's :class:`~repro.core.sequencer.MeasurementScript`
-        is armed directly on the lane lists.  A lane whose script cannot
-        be built, or whose first target lies before the lane's time,
-        counts as ``measure_ejected`` and publishes nothing.
+        A lane whose script cannot be built, or whose first target lies
+        before the lane's time, keeps ``measurement`` ``None`` and
+        publishes nothing.
 
         The wall split reads the clock when a lane's script leaves
         stages 1–3: time before goes to monitor, time after to measure.
         """
-        for pos in self._fallback:
-            self._results[pos] = LaneResult(mode="scalar")
-        for i, pos in enumerate(self._vec):
+        out = []
+        for lane in self.lanes:
+            if lane is None:
+                out.append(LaneResult(mode="scalar"))
+                continue
             t0 = perf_counter()
-            self._kernel_run(i)
+            self._kernel_run(lane)
             t1 = perf_counter()
             self.wall_settle_s += t1 - t0
-            if self._results[pos].mode != "vector":
-                continue
-            if not self._arm(i):
-                self.stats["measure_ejected"] += 1
-                continue
-            flip = self._kernel_run(i)
-            t3 = perf_counter()
-            t2 = t3 if flip is None else flip
-            self.wall_monitor_s += t2 - t1
-            self.wall_measure_s += t3 - t2
-        out = []
-        for pos, result in enumerate(self._results):
-            assert result is not None, f"lane {pos} never resolved"
-            self.stats[result.mode] += 1
-            if result.nonlinear:
-                self.stats["nonlinear"] += 1
-            out.append(result)
+            if lane.result.mode == "vector" and self._arm(lane):
+                flip = self._kernel_run(lane)
+                t3 = perf_counter()
+                t2 = t3 if flip is None else flip
+                self.wall_monitor_s += t2 - t1
+                self.wall_measure_s += t3 - t2
+            out.append(lane.result)
         return out
 
-    def _arm(self, i: int) -> bool:
-        """Arm stage 1 on settled lane ``i``: its measurement script.
+    def _arm(self, lane: _Lane) -> bool:
+        """Arm stage 1 on a settled lane: its measurement script.
 
         ``False`` leaves the tone to the scalar sweep: the script cannot
         be built (an exotic stimulus), or its first target precedes the
         lane's time.
         """
-        lane = self.lanes[self._vec[i]]
-        spec = lane.measure
+        job = lane.job
         try:
             script = MeasurementScript(
-                self._tables[i].pll, lane.stimulus, spec.config, lane.f_mod,
-                max_wait_cycles=spec.max_wait_cycles,
-            )
+                lane.table.pll, job.stimulus, job.config, job.f_mod)
         except Exception:  # noqa: BLE001 - exotic stimulus: scalar path
             return False
         target = script.next_target()
-        if target is None or target < self._t[i]:
+        if target is None or target < lane.t:
             return False
-        self._mscript[i] = script
+        lane.script = script
         return True
 
     # ------------------------------------------------------------------
     # the per-lane kernel: stage 0 settle and stages 1-4
     # ------------------------------------------------------------------
-    def _kernel_run(self, lane: int) -> Optional[float]:
+    def _kernel_run(self, lane: _Lane) -> Optional[float]:
         """Run one lane to its END in a specialised scalar kernel.
 
         A straight-line transcription of the scalar event loop
@@ -464,12 +448,13 @@ class VectorizedLotSimulator:
         target equal to the applied drive returns early and leaves a
         pending activation armed, as in scalar).
 
-        Without a :class:`~repro.core.sequencer.MeasurementScript` on
-        the lane, END is ``settle_end``: the lane settles, its state
-        stays in the lane lists, and its result records the mode.  With
-        one (armed by :meth:`_arm`), END is the script's next target,
-        and the scalar sequencer's measurement hardware rides on the
-        same events:
+        The lane record's state fields are unpacked into locals here
+        and written back at every END and when a settle ends.  Without
+        a :class:`~repro.core.sequencer.MeasurementScript` on the lane,
+        END is ``settle_end``: the lane settles, its state stays on the
+        record, and its result records the mode.  With one (armed by
+        :meth:`_arm`), END is the script's next target, and the scalar
+        sequencer's measurement hardware rides on the same events:
 
         * on an open (held) lane a REF edge also clocks DN — the hold
           mux feeds the reference to both PFD inputs;
@@ -481,8 +466,8 @@ class VectorizedLotSimulator:
           loop as ``open_loop()`` does — UP, DN, the pending reset and
           the pending activation cleared, the pump idled;
         * at END the locals are written back, the script advances over
-          a :class:`_LaneProbe`, and the locals the probe may have
-          changed are read back.
+          the record itself, and the locals its ``close_loop()`` may
+          have changed are read back.
 
         The script's end publishes the finished measurement, or the
         :class:`~repro.errors.MeasurementError` text, on the lane's
@@ -497,16 +482,16 @@ class VectorizedLotSimulator:
         orchestrating sweep measures its tone from t = 0 on the scalar
         engine, which reproduces any error itself.
         """
-        table = self._tables[lane]
-        script = self._mscript[lane]
+        table = lane.table
+        script = lane.script
         if script is None:
-            t_end = float(self.lanes[self._vec[lane]].settle_end)
+            t_end = float(lane.job.settle_end)
         else:
             t_end = script.next_target()
             inv_d = script.config.detector_inverter_delay
             and_d = script.config.detector_and_delay
             t_arm = script.t_arm
-        supply = self._supply[lane]
+        supply = lane.supply
         edges = supply.edges
         n_edges = len(edges)
         laws = table.law_rows
@@ -514,43 +499,44 @@ class VectorizedLotSimulator:
         same = table.same
         idle_idx = table.idle_idx
         delay = table.turn_on_delay
-        base_hz = table.base_hz
-        gain = table.gain
-        f_center = table.f_center
-        v_center = table.v_center
-        f_min = table.f_min
-        f_max = table.f_max
-        v_lo = table.v_lo
-        v_hi = table.v_hi
+        vco = table.vco
+        base_hz = vco._base_hz
+        gain = vco.gain_hz_per_v
+        f_center = vco.f_center
+        v_center = vco.v_center
+        f_min = vco.f_min
+        f_max = vco.f_max
+        v_lo = vco._v_lo
+        v_hi = vco._v_hi
         nf = table.nf
         rdelay = table.reset_delay
         nonlinear = table.nonlinear
-        numeric_phase = table.vco._numeric_phase
-        frequency_of_voltage = table.vco.frequency_of_voltage
+        numeric_phase = vco._numeric_phase
+        frequency_of_voltage = vco.frequency_of_voltage
         exp_ = math.exp
         expm1_ = math.expm1
 
-        # Mutable loop state, unpacked from the lane lists.
-        t = self._t[lane]
-        vc = self._vc[lane]
-        phase = self._phase[lane]
-        fbt = self._fbt[lane]
-        j = self._j[lane]
-        tref = self._tref[lane]
-        up = self._up[lane]
-        dn = self._dn[lane]
-        levt = self._levt[lane]
-        pres = self._pres[lane]
-        upr = self._upr[lane]
-        dnr = self._dnr[lane]
-        drive_idx = self._drive[lane]
-        tact = self._tact[lane]
-        act_idx = self._act[lane]
-        events = self._events[lane]
+        # Mutable loop state, unpacked from the lane record.
+        t = lane.t
+        vc = lane.vc
+        phase = lane.phase
+        fbt = lane.fbt
+        j = lane.j
+        tref = lane.tref
+        up = lane.up
+        dn = lane.dn
+        levt = lane.levt
+        pres = lane.pres
+        upr = lane.upr
+        dnr = lane.dnr
+        drive_idx = lane.drive
+        tact = lane.tact
+        act_idx = lane.act
+        events = lane.events
         # Stage 1–4 state: the hold mux, the post-capture feedback
         # record, and the Figure 7 latch output (None = never clocked).
-        open_ = False
-        fb_rec = None
+        open_ = lane.loop_open
+        fb_rec = lane.fb_edges
         latch_q = None
         outcome = None  # the script's end: a measurement or error text
         flip = None
@@ -804,13 +790,15 @@ class VectorizedLotSimulator:
                 if script is None:
                     break
                 # --- run-to-target boundary: fire the stage script ----
-                self._store_lane(lane, t, vc, phase, fbt, j, tref, up, dn,
-                                 levt, pres, upr, dnr, drive_idx, tact,
-                                 act_idx, events)
-                self._open[lane] = open_
+                (lane.t, lane.vc, lane.phase, lane.fbt, lane.j, lane.tref,
+                 lane.up, lane.dn, lane.levt, lane.pres, lane.upr, lane.dnr,
+                 lane.drive, lane.tact, lane.act, lane.events,
+                 lane.loop_open) = (t, vc, phase, fbt, j, tref, up, dn, levt,
+                                    pres, upr, dnr, drive_idx, tact, act_idx,
+                                    events, open_)
                 monitoring = script.monitoring
                 try:
-                    script.advance(t, _LaneProbe(self, lane))
+                    script.advance(t, lane)
                 except MeasurementError as exc:
                     # A legitimate test outcome (no-MFREQ starvation, a
                     # count that never gated), raised with the scalar
@@ -836,13 +824,13 @@ class VectorizedLotSimulator:
                         timing=ToneTiming(0.0, 0.0, 0.0, warm=True),
                     )
                     break
-                # The probe's close_loop() may have touched the loop.
-                open_ = self._open[lane]
-                up = self._up[lane]
-                dn = self._dn[lane]
-                pres = self._pres[lane]
-                tact = self._tact[lane]
-                drive_idx = self._drive[lane]
+                # The script's close_loop() may have touched the loop.
+                open_ = lane.loop_open
+                up = lane.up
+                dn = lane.dn
+                pres = lane.pres
+                tact = lane.tact
+                drive_idx = lane.drive
                 (l_kind, l_asym, l_tau, l_slope, l_half,
                  l_oa, l_ob, l_oasym, l_ooff) = laws[drive_idx]
                 continue
@@ -924,7 +912,7 @@ class VectorizedLotSimulator:
                         break
                     open_ = True
                     fb_rec = PulseTrain(f"{table.pll.name}.fb")
-                    self._fb_rec[lane] = fb_rec
+                    lane.fb_edges = fb_rec
                     tact = None
                     if not same[idle_idx][drive_idx]:
                         drive_idx = idle_idx
@@ -935,85 +923,19 @@ class VectorizedLotSimulator:
         if script is not None:
             # The script's end is published on the lane's result; an
             # ejection leaves the tone to the sweep's scalar engine.
-            self._mscript[lane] = None
-            self._fb_rec[lane] = None
-            if eject:
-                self.stats["measure_ejected"] += 1
-            else:
-                self._results[self._vec[lane]].measurement = outcome
-                self.stats["measured" if isinstance(outcome, ToneMeasurement)
-                           else "measure_failed"] += 1
+            lane.script = None
+            lane.fb_edges = None
+            if not eject:
+                lane.result.measurement = outcome
             return flip
         # Write the locals back: stage 1 arms on this settled state (an
         # ejected lane keeps its pre-event state, which nothing arms).
-        self._store_lane(lane, t, vc, phase, fbt, j, tref, up, dn, levt,
-                         pres, upr, dnr, drive_idx, tact, act_idx, events)
-        self._results[self._vec[lane]] = LaneResult(
+        (lane.t, lane.vc, lane.phase, lane.fbt, lane.j, lane.tref, lane.up,
+         lane.dn, lane.levt, lane.pres, lane.upr, lane.dnr, lane.drive,
+         lane.tact, lane.act, lane.events) = (
+            t, vc, phase, fbt, j, tref, up, dn, levt, pres, upr, dnr,
+            drive_idx, tact, act_idx, events)
+        lane.result = LaneResult(
             mode="ejected" if eject else "vector", nonlinear=nonlinear,
         )
         return None
-
-    def _store_lane(self, lane: int, t, vc, phase, fbt, j, tref, up, dn,
-                    levt, pres, upr, dnr, drive_idx, tact, act_idx,
-                    events) -> None:
-        """Write one lane's kernel locals back to the lane lists."""
-        self._t[lane] = t
-        self._vc[lane] = vc
-        self._phase[lane] = phase
-        self._fbt[lane] = fbt
-        self._j[lane] = j
-        self._tref[lane] = tref
-        self._up[lane] = up
-        self._dn[lane] = dn
-        self._levt[lane] = levt
-        self._pres[lane] = pres
-        self._upr[lane] = upr
-        self._dnr[lane] = dnr
-        self._drive[lane] = drive_idx
-        self._tact[lane] = tact
-        self._act[lane] = act_idx
-        self._events[lane] = events
-
-
-class _LaneProbe:
-    """The simulator surface :class:`MeasurementScript` reads, over one
-    farm lane.
-
-    ``output_frequency`` goes through the *real* filter/VCO objects
-    (``output_segment(...).value(0.0)``, exactly as the scalar
-    property) so the boundary reads are bit-identical by construction,
-    not by transcription; ``close_loop`` mirrors the scalar
-    ``close_loop()`` (PFD cleared, pending activation dropped, pump
-    idled, rise times retained).
-    """
-
-    __slots__ = ("farm", "lane")
-
-    def __init__(self, farm: VectorizedLotSimulator, lane: int) -> None:
-        self.farm = farm
-        self.lane = lane
-
-    @property
-    def output_frequency(self) -> float:
-        farm = self.farm
-        lane = self.lane
-        table = farm._tables[lane]
-        drive = table.drives[farm._drive[lane]]
-        v_out = table.pll.loop_filter.output_segment(
-            farm._vc[lane], drive
-        ).value(0.0)
-        return table.vco.frequency_of_voltage(v_out)
-
-    @property
-    def fb_edges(self) -> PulseTrain:
-        return self.farm._fb_rec[self.lane]
-
-    def close_loop(self) -> None:
-        farm = self.farm
-        lane = self.lane
-        farm._open[lane] = False
-        farm._up[lane] = False
-        farm._dn[lane] = False
-        farm._pres[lane] = None
-        farm._tact[lane] = None
-        farm._drive[lane] = farm._tables[lane].idle_idx

@@ -156,9 +156,9 @@ class _Stopped(Exception):
 class SettledReadout:
     """Test-only readout of a loop's settled state, on either engine.
 
-    A farm lane's state never leaves the lane lists, so the parity of
+    A farm lane's state lives on its lane record, so the parity of
     stage 0 is checked field by field: :meth:`farm` runs each lane's
-    stage 0 alone on the farm kernel and reads the lanes back;
+    stage 0 alone on the farm kernel and reads its record back;
     :meth:`scalar` runs a cold scalar simulator to the same instant and
     reads the same fields off it.  Equal dicts mean the two engines
     hand stages 1–4 the same loop, bit for bit.
@@ -215,33 +215,33 @@ class SettledReadout:
         return cls.of_sim(sim)
 
     @staticmethod
-    def lane(farm: VectorizedLotSimulator, i: int):
-        """Run farm lane ``i``'s stage 0 alone; ``(mode, fields)``.
+    def lane(farm: VectorizedLotSimulator, lane):
+        """Run the farm's lane record ``lane`` through stage 0 alone;
+        ``(mode, fields)``.
 
         An ejected lane's fields are its state before the event it could
         not advance.
         """
-        farm._kernel_run(i)
-        table = farm._tables[i]
-        t_act = farm._tact[i]
-        return farm._results[farm._vec[i]].mode, {
-            "time": farm._t[i],
-            "vc": farm._vc[i],
-            "vco_phase": farm._phase[i],
-            "fb_target": farm._fbt[i],
-            "applied_drive": table.drives[farm._drive[i]],
-            "pending_activation": None if t_act is None
-            else (t_act, table.drives[farm._act[i]]),
-            "loop_open": farm._open[i],
-            "t_ref_next": farm._tref[i],
-            "ref_edges_pulled": farm._j[i] + 1,
-            "events": farm._events[i],
-            "up": farm._up[i],
-            "dn": farm._dn[i],
-            "last_event_time": farm._levt[i],
-            "pending_reset": farm._pres[i],
-            "last_up_rise": farm._upr[i],
-            "last_dn_rise": farm._dnr[i],
+        farm._kernel_run(lane)
+        drives = lane.table.drives
+        return lane.result.mode, {
+            "time": lane.t,
+            "vc": lane.vc,
+            "vco_phase": lane.phase,
+            "fb_target": lane.fbt,
+            "applied_drive": drives[lane.drive],
+            "pending_activation": None if lane.tact is None
+            else (lane.tact, drives[lane.act]),
+            "loop_open": lane.loop_open,
+            "t_ref_next": lane.tref,
+            "ref_edges_pulled": lane.j + 1,
+            "events": lane.events,
+            "up": lane.up,
+            "dn": lane.dn,
+            "last_event_time": lane.levt,
+            "pending_reset": lane.pres,
+            "last_up_rise": lane.upr,
+            "last_dn_rise": lane.dnr,
         }
 
     @classmethod
@@ -259,10 +259,8 @@ class SettledReadout:
         """Stage 0 of every lane on one farm: ``(mode, fields)`` per
         lane, ``None`` for a lane the farm cannot represent."""
         farm = VectorizedLotSimulator(lanes)
-        out = [None] * len(lanes)
-        for i, pos in enumerate(farm._vec):
-            out[pos] = cls.lane(farm, i)
-        return out
+        return [None if lane is None else cls.lane(farm, lane)
+                for lane in farm.lanes]
 
 
 @pytest.fixture(scope="session")

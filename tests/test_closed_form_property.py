@@ -40,7 +40,6 @@ from repro.pll.lot import premeasure_lot
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import DeviceReportRequest, batch_device_reports
 from repro.sim.vectorized import (
-    MeasureSpec,
     SettleLane,
     VectorizedLotSimulator,
 )
@@ -100,7 +99,7 @@ def _lanes(pll, stimulus, tones, config=None):
             stimulus=stimulus,
             f_mod=f_mod,
             settle_end=config.settle_cycles / f_mod,
-            measure=MeasureSpec(config=config),
+            config=config,
         )
         for f_mod in tones
     ]
@@ -131,14 +130,13 @@ class TestAnalyticParity:
         stimulus = _cdr_stimulus(deviation)
         lanes = _lanes(pll, stimulus, (f_mod,))
         farm = VectorizedLotSimulator(lanes)
-        mode, fields = settled.lane(farm, 0)
+        mode, fields = settled.lane(farm, farm.lanes[0])
         assert mode == "vector"
         assert fields == settled.scalar(
             pll, stimulus, f_mod, lanes[0].settle_end
         )
-        farm = VectorizedLotSimulator(lanes)
-        farm.run()
-        assert farm.stats["vector"] == 1
+        (result,) = VectorizedLotSimulator(lanes).run()
+        assert result.mode == "vector"
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -170,12 +168,9 @@ class TestAnalyticParity:
         pll = _cdr_pll(f_min=799.9e3, f_max=800.1e3)
         stimulus = _cdr_stimulus()
         lanes = _lanes(pll, stimulus, (20e3,))
-        farm = VectorizedLotSimulator(lanes)
-        result = farm.run()[0]
+        (result,) = VectorizedLotSimulator(lanes).run()
         assert result.mode == "ejected"
         assert result.measurement is None
-        assert farm.stats["ejected"] == 1
-        assert farm.stats["vector"] == 0
         ((mode, fields),) = settled.farm(lanes)
         assert mode == "ejected"
         assert fields == settled.twin(lanes[0], mode, fields)
@@ -208,9 +203,8 @@ class TestTierCascade:
         pll = paper_pll(nonlinear=True)
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, PAPER_TONES, fast_bist_config)
-        farm = VectorizedLotSimulator(lanes)
-        results = farm.run()
-        assert farm.stats["nonlinear"] == len(lanes)
+        results = VectorizedLotSimulator(lanes).run()
+        assert len(results) == len(lanes)
         for result in results:
             assert result.mode == "vector"
             assert result.nonlinear
@@ -229,9 +223,8 @@ class TestTierCascade:
         pll = paper_pll()
         stimulus = paper_stimulus("multitone")
         lanes = _lanes(pll, stimulus, PAPER_TONES, fast_bist_config)
-        farm = VectorizedLotSimulator(lanes)
-        results = farm.run()
-        assert farm.stats["vector"] == len(lanes)
+        results = VectorizedLotSimulator(lanes).run()
+        assert len(results) == len(lanes)
         for result in results:
             assert result.mode == "vector"
         for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):

@@ -4,10 +4,13 @@ import math
 
 import pytest
 
+from repro.core.sequencer import ToneTestSequencer
 from repro.errors import ConfigurationError
 from repro.pll.hct4046 import HCT4046Config, make_hct4046_pll
 from repro.pll.charge_pump import RailDriverChargePump
-from repro.presets import paper_pll
+from repro.pll.vco import VCO
+from repro.presets import paper_pll, paper_stimulus
+from repro.sim.vectorized import SettleLane, VectorizedLotSimulator
 
 
 class TestConfig:
@@ -89,3 +92,50 @@ class TestAssembly:
     def test_nonlinear_locked_voltage_at_midrail(self):
         non = paper_pll(nonlinear=True)
         assert non.locked_control_voltage() == pytest.approx(2.5, abs=1e-6)
+
+
+class TestScalarPhaseSolve:
+    def test_one_guard_integral_per_crossing_solve(self, fast_bist_config,
+                                                   monkeypatch):
+        """``time_to_phase``'s reachability guard integrates the window
+        once and the solver's ``fn(hi)`` reuses it: over one scalar
+        4046 tone no Simpson call inside a solve repeats the previous
+        one's (segment, dt), and the measurement still equals the
+        farm's, whose kernel never calls ``time_to_phase``."""
+        pll = paper_pll(nonlinear=True)
+        stimulus = paper_stimulus("multitone")
+        f_mod = 10.0
+        solves = []  # the Simpson calls of each time_to_phase call
+        solving = [False]
+        numeric_phase = VCO._numeric_phase
+        time_to_phase = VCO.time_to_phase
+
+        def counted_phase(vco, segment, dt):
+            if solving[0]:
+                solves[-1].append((segment, dt))
+            return numeric_phase(vco, segment, dt)
+
+        def counted_solve(vco, *args, **kwargs):
+            solves.append([])
+            solving[0] = True
+            try:
+                return time_to_phase(vco, *args, **kwargs)
+            finally:
+                solving[0] = False
+
+        with monkeypatch.context() as patch:
+            patch.setattr(VCO, "_numeric_phase", counted_phase)
+            patch.setattr(VCO, "time_to_phase", counted_solve)
+            measured = ToneTestSequencer(
+                pll, stimulus, fast_bist_config).run(f_mod)
+        assert any(len(calls) > 1 for calls in solves)  # solves ran
+        for calls in solves:
+            for (seg_a, dt_a), (seg_b, dt_b) in zip(calls, calls[1:]):
+                assert not (seg_a is seg_b and dt_a == dt_b)
+        (result,) = VectorizedLotSimulator([SettleLane(
+            pll=pll, stimulus=stimulus, f_mod=f_mod,
+            settle_end=fast_bist_config.settle_cycles / f_mod,
+            config=fast_bist_config,
+        )]).run()
+        assert result.mode == "vector"
+        assert result.measurement == measured

@@ -48,7 +48,6 @@ from repro.reporting import (
     device_report,
 )
 from repro.sim.vectorized import (
-    MeasureSpec,
     SettleLane,
     VectorizedLotSimulator,
 )
@@ -66,7 +65,7 @@ def _lanes(pll, stimulus, config, tones=TONES):
             stimulus=stimulus,
             f_mod=f_mod,
             settle_end=config.settle_cycles / f_mod,
-            measure=MeasureSpec(config=config),
+            config=config,
         )
         for f_mod in tones
     ]
@@ -145,14 +144,14 @@ class TestFarmBitIdentity:
         stimulus = paper_stimulus("multitone")
         lanes = [lane for pll in curve_dies
                  for lane in _lanes(pll, stimulus, fast_bist_config)]
-        farm = VectorizedLotSimulator(lanes)
-        for lane, result in zip(lanes, farm.run()):
+        results = VectorizedLotSimulator(lanes).run()
+        assert len(results) == len(lanes)
+        for lane, result in zip(lanes, results):
             assert result.mode == "vector"
             assert result.nonlinear
             assert result.measurement == ToneTestSequencer(
                 lane.pll, stimulus, fast_bist_config).run(lane.f_mod), (
                 lane.pll.name, lane.f_mod)
-        assert farm.stats["nonlinear"] == len(lanes)
         for lane, (mode, fields) in zip(lanes, settled.farm(lanes)):
             assert mode == "vector"
             assert fields == settled.scalar(
@@ -807,8 +806,7 @@ class TestTurnOnDelayLanes:
         sim.run_until(d.config.settle_cycles / f_mod)
         t_end = armed[0] - 0.5 * d.pll.pump.turn_on_delay
         lane = SettleLane(pll=d.pll, stimulus=d.stimulus, f_mod=f_mod,
-                          settle_end=t_end,
-                          measure=MeasureSpec(config=d.config))
+                          settle_end=t_end, config=d.config)
         ((mode, fields),) = settled.farm([lane])
         expected = settled.scalar(d.pll, d.stimulus, f_mod, t_end)
         assert expected["pending_activation"] is not None
@@ -824,12 +822,13 @@ class TestTurnOnDelayLanes:
         stimulus = paper_stimulus("multitone")
         lane = _lanes(pll, stimulus, fast_bist_config, (10.0,))[0]
         farm = VectorizedLotSimulator([lane])
-        table = farm._tables[0]
+        (record,) = farm.lanes
+        table = record.table
         up = table.s_to_drive[1]  # PFD state (up=True, dn=False)
-        t_tie = float(farm._tref[0])
-        farm._tact[0] = t_tie
-        farm._act[0] = up
-        mode, fields = settled.lane(farm, 0)
+        t_tie = float(record.tref)
+        record.tact = t_tie
+        record.act = up
+        mode, fields = settled.lane(farm, record)
         sim = PLLTransientSimulator(
             pll, stimulus.make_source(10.0, start_time=0.0),
             record="counters",
@@ -847,9 +846,9 @@ class TestTurnOnDelayLanes:
         loaded = []
         arm = VectorizedLotSimulator._arm
 
-        def spy(farm, i):
-            loaded.append(farm._tables[i].turn_on_delay)
-            return arm(farm, i)
+        def spy(farm, lane):
+            loaded.append(lane.table.turn_on_delay)
+            return arm(farm, lane)
 
         monkeypatch.setattr(VectorizedLotSimulator, "_arm", spy)
         dedup = ToneMeasurementCache()
@@ -871,3 +870,33 @@ class TestTurnOnDelayLanes:
             d.pll, d.stimulus, d.config).run(plan, engine="auto")
         assert result.measurements == scalar.measurements
         assert result.failed_tones == scalar.failed_tones
+
+
+class TestKoFaultDedup:
+    """A Ko fault's scaled tuning curve fingerprints from the nominal
+    curve's signature, its factor and its centre, so equally faulted
+    4046 dies share their tones like any other equal physics."""
+
+    def test_equally_faulted_dies_share_one_lane_per_tone(
+        self, fast_bist_config, pll_nonlinear
+    ):
+        half = apply_fault(pll_nonlinear, FAULT_LIBRARY["Ko half nominal"])
+        double = apply_fault(pll_nonlinear,
+                             FAULT_LIBRARY["Ko double nominal"])
+        assert half.physics_signature()[0] == "physics"
+        assert half.physics_signature() != double.physics_signature()
+        lot = _lot_requests(fast_bist_config, size=2, template=half)
+        a, b = (request.pll for request in lot)
+        assert a.name != b.name
+        assert a.physics_signature() == b.physics_signature()
+        cache = ToneMeasurementCache()
+        auto = batch_device_reports(lot, cache=cache, engine="auto")
+        stats = cache.presettle_stats
+        assert stats.tones == len(lot) * len(TONES)
+        assert stats.unique == stats.measured == len(TONES)
+        assert auto == batch_device_reports(lot, engine="scalar")
+
+    def test_unsigned_nominal_curve_keys_by_name(self, curve_dies):
+        *__, lambda_die = curve_dies
+        faulted = apply_fault(lambda_die, FAULT_LIBRARY["Ko half nominal"])
+        assert faulted.physics_signature() == ("named", faulted.name)

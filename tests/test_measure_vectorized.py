@@ -41,7 +41,6 @@ from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import DeviceReportRequest, batch_device_reports
 from repro.sim.vectorized import (
-    MeasureSpec,
     SettleLane,
     VectorizedLotSimulator,
 )
@@ -69,7 +68,7 @@ def _measure_lane(pll, stimulus, config, f_mod, settle_end=None):
         pll=pll, stimulus=stimulus, f_mod=f_mod,
         settle_end=(config.settle_cycles / f_mod if settle_end is None
                     else settle_end),
-        measure=MeasureSpec(config=config),
+        config=config,
     )
 
 
@@ -237,11 +236,22 @@ class TestPremeasureParity:
         while source.next_edge() < lane.settle_end:
             n += 1
         cut_edge_supply(f_mod, n)
-        farm = VectorizedLotSimulator([lane])
-        (result,) = farm.run()
-        assert farm.stats["measure_ejected"] == 1
-        assert farm.stats["measured"] == farm.stats["measure_failed"] == 0
+        (result,) = VectorizedLotSimulator([lane]).run()
+        # Settled on the kernel, measurement ejected: nothing published.
+        assert result.mode == "vector"
         assert result.measurement is None
+        # One lot pins all three counts premeasure_lot derives from the
+        # results: the cut tone ejects its measurement, the die's other
+        # tone measures, and the MFREQ-starved cap leak fails in-farm.
+        leaky = apply_fault(pll, FAULT_LIBRARY["cap leak 50k"])
+        stats = premeasure_lot(
+            [(pll, stimulus, fast_bist_config, TONES),
+             (leaky, stimulus, fast_bist_config, TONES[1:])],
+            ToneMeasurementCache(),
+        )
+        assert stats.vector == 3
+        assert stats.measured == stats.measure_failed == 1
+        assert stats.measure_ejected == 1
         ((mode, fields),) = settled.farm([lane])
         assert mode == "vector"
         assert fields == settled.scalar(
@@ -305,9 +315,9 @@ class TestDeadZoneMeasurement:
         assert mode == "vector"
         assert fields["pending_activation"] is not None
         assert fields == settled.scalar(d.pll, d.stimulus, f_mod, t_end)
-        farm = VectorizedLotSimulator([lane])
-        (result,) = farm.run()
-        assert farm.stats["measure_ejected"] == 0
+        (result,) = VectorizedLotSimulator([lane]).run()
+        assert result.mode == "vector"
+        assert result.measurement is not None
         assert result.measurement == _measured_from(
             t_end, d.pll, d.stimulus, d.config, f_mod, monkeypatch,
         )
