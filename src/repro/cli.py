@@ -884,8 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "is printed)")
     p.add_argument("--shards", type=_worker_count, default=1,
                    help="scheduler width: jobs running concurrently, "
-                        "each with its own worker thread and hot cache "
-                        "(default 1)")
+                        "each in its own worker thread; all share the one "
+                        "warm cache (default 1)")
     p.add_argument("--cache", default=None,
                    help="persist finished tone measurements to this file "
                         "(reloaded at start, spilled after every job)")

@@ -22,10 +22,13 @@ limit.  Stage 0 itself is never cached: a tone the measurement cache
 cannot answer settles from lock.
 
 :meth:`BoundedCache.export` and :meth:`BoundedCache.merge` move entries
-between caches.  Across process boundaries warm state moves one way
-only, and only as finished tones: the lot pool ships each chunk's share
-of the lot's :class:`ToneMeasurementCache` through
-:func:`warm_shipment`, and nothing travels back.
+between caches.  Warm state moves one way only, and only as finished
+tones, through :func:`warm_shipment`: the lot pool ships each chunk's
+share of the lot's :class:`ToneMeasurementCache` to its worker process,
+and the sweep-job service seeds each job's own cache with its physics
+family's tones.  Nothing is merged back: the lot pool's workers return
+reports, and the service's loop thread publishes each tone a job
+streams into its one shared cache.
 
 :meth:`BoundedCache.save` and :meth:`BoundedCache.load` extend the
 export/merge story across process *lifetimes*: a long-lived service
@@ -161,9 +164,9 @@ class BoundedCache:
     def merge(self, entries: Iterable[Tuple[Hashable, object]]) -> int:
         """Adopt entries discovered elsewhere; return the number added.
 
-        ``entries`` is typically another cache's :meth:`export` — e.g.
-        the finished tones shipped to a lot-pool worker, or a service
-        shard's measurements folded into the shared tier.
+        ``entries`` is typically a :func:`warm_shipment` — the finished
+        tones shipped to a lot-pool worker or seeded into a service job's
+        own cache.
         Merge semantics: **existing entries win**.  Both sides of a key
         collision hold the *same* value (it is a pure function of the
         key), so overwriting could only churn recency; keeping the
@@ -246,9 +249,9 @@ class BoundedCache:
         data = pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
         path = os.fspath(path)
         # The temporary must be unique per *call*, not per process: two
-        # writers in one process (sharded anti-entropy spills, threaded
-        # test floors) sharing a pid-derived name would truncate each
-        # other's in-flight data and unlink each other's temporaries.
+        # writers in one process (threaded callers, test floors) sharing
+        # a pid-derived name would truncate each other's in-flight data
+        # and unlink each other's temporaries.
         # mkstemp hands every call its own file in the target directory
         # (same filesystem, so os.replace stays atomic), and the
         # ``finally`` below can only ever remove what this call created.
@@ -455,9 +458,10 @@ def warm_shipment(
 ) -> Optional[CacheEntries]:
     """The entries of ``cache`` worth shipping to a worker running ``plls``.
 
-    The lot pool ships its :class:`ToneMeasurementCache` this way
-    (``None`` ships nothing and returns ``None``).  A shared cache holds
-    every physics family a lot has touched, but a worker can only use
+    The lot pool and the sweep-job service ship their
+    :class:`ToneMeasurementCache` this way (``None`` ships nothing and
+    returns ``None``).  A shared cache holds every physics family a lot
+    or a service session has touched, but a worker can only use
     entries of its own devices' families, so the export is filtered to
     their physics signatures — the pickled payload stays proportional to
     the worker's share, not to the cache's history.  Every lookup key

@@ -198,8 +198,25 @@ class VCO:
         The phase advance is strictly increasing (``f >= f_min > 0``), so
         the crossing, when present, is unique.
         """
+        return self._phase_window(segment, target_cycles, dt_max, tol)[0]
+
+    def _phase_window(
+        self,
+        segment: AnalogSegment,
+        target_cycles: float,
+        dt_max: float,
+        tol: float = 1e-13,
+    ) -> Tuple[Optional[float], Optional[Tuple[float, float]]]:
+        """:meth:`time_to_phase` plus the last phase integral it took.
+
+        Returns ``(crossing time or None, (t, phase_advance(segment, t))
+        or None)``.  Without a crossing ``t`` is ``dt_max``, the
+        reachability guard's window; after a solve it is the solver's
+        last iterate.  A simulator that then advances by exactly ``t``
+        reuses the integral instead of recomputing it.
+        """
         if target_cycles <= 0.0:
-            return 0.0
+            return 0.0, None
         if self.tuning_curve is None and type(segment) is ConstantSegment:
             # Tri-stated loop filter: the frequency is constant, so the
             # phase law is linear and inverts in one division.  This is
@@ -207,20 +224,28 @@ class VCO:
             # during the brief PFD pulses), so it skips the Newton solve
             # for most events.
             dt = target_cycles / self.frequency_of_voltage(segment.initial)
-            return dt if dt <= dt_max else None
+            return (dt if dt <= dt_max else None), None
         # The reachability guard's integral is also the solver's fn(hi).
         pa_max = self.phase_advance(segment, dt_max)
+        last = (dt_max, pa_max)
         if pa_max < target_cycles:
-            return None
-        return solve_increasing(
-            fn=lambda t: pa_max if t == dt_max
-            else self.phase_advance(segment, t),
+            return None, last
+
+        def fn(t: float) -> float:
+            nonlocal last
+            last = (t, pa_max if t == dt_max
+                    else self.phase_advance(segment, t))
+            return last[1]
+
+        crossing = solve_increasing(
+            fn=fn,
             target=target_cycles,
             lo=0.0,
             hi=dt_max,
             derivative=lambda t: self.frequency_at(segment, t),
             tol=tol,
         )
+        return crossing, last
 
     # ------------------------------------------------------------------
     # internals

@@ -35,14 +35,11 @@ Design points
   from an earlier one, so the service keeps
   :class:`~repro.core.warm.ToneMeasurementCache` entries and nothing
   else: a tone no tier answers settles from lock inside its job.
-* **Shard-safe warm tier.**  Each shard measures into its *own* hot
-  measurement cache (single writer, exactly the width-1 guarantee, now
-  per shard) and the service anti-entropies at job boundaries: the
-  shared tier's entries are merged into the shard's hot cache before a
-  job starts, and the shard's new measurements are merged back after it
-  finishes.  Merging keeps existing entries and is idempotent, so the
-  order is irrelevant: every shard converges on the union of all
-  finished tones.
+* **One warm tier, one writer.**  The loop thread owns the shared
+  cache.  Each job measures into a fresh cache seeded with
+  :func:`~repro.core.warm.warm_shipment` (its physics family's finished
+  tones, the lot pool's one-way transport); the loop publishes each
+  streamed tone back as it arrives, and an existing entry wins.
 * **One shared tier across all jobs, persistent across sessions.**
   The shared cache is keyed by
   :meth:`~repro.pll.config.ChargePumpPLL.physics_signature`, so repeated
@@ -64,14 +61,14 @@ import logging
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from typing import AsyncIterator, Deque, Dict, List, Optional, Union
 
 from repro.core.evaluation import magnitude_db_eq7
 from repro.core.executor import SweepAborted, ToneOutcome
 from repro.core.monitor import TransferFunctionMonitor
-from repro.core.sequencer import ToneMeasurement
-from repro.core.warm import ToneMeasurementCache
+from repro.core.sequencer import ToneMeasurement, measurement_cache_key
+from repro.core.warm import ToneMeasurementCache, warm_shipment
 from repro.errors import (
     CachePersistenceError,
     JobQueueFullError,
@@ -122,7 +119,7 @@ class SweepJobService:
         finished job and at :meth:`stop`, so finished tones survive
         service restarts between lots.
     cache_max_entries:
-        Capacity of the shared cache and of every shard's hot cache.
+        Capacity of the shared cache (a job's own cache fits its seed).
     max_finished_jobs:
         How many *terminal* jobs (and their event histories) the service
         retains for late watchers and status listings.  Older finished
@@ -132,9 +129,8 @@ class SweepJobService:
         retained ones.
     shards:
         Scheduler width: how many jobs run concurrently, each in its
-        own worker thread with its own hot measurement cache
-        (anti-entropied into the shared tier at job boundaries).  The
-        default keeps the historical width-1 behaviour.
+        own worker thread.  The default keeps the historical width-1
+        behaviour.
 
     Usage::
 
@@ -169,15 +165,10 @@ class SweepJobService:
         self.shards = shards
         self.cache_path = cache_path
         self.cache = self._load_or_new_cache(cache_path, cache_max_entries)
-        # Per-shard hot caches: each has exactly one writer (its
-        # shard's worker thread, while that shard runs a job), and the
-        # loop thread only touches them at job boundaries, where the
-        # shard is idle.  The shared ``self.cache`` is the persisted
-        # tier; only the loop thread ever reads or writes it.
-        self._worker_caches: List[ToneMeasurementCache] = [
-            ToneMeasurementCache(max_entries=self.cache.max_entries)
-            for _ in range(shards)
-        ]
+        # The running jobs' own caches, and the summed counters of the
+        # finished jobs' caches.
+        self._job_caches: Dict[str, ToneMeasurementCache] = {}
+        self._finished_counts: Counter = Counter()
         self._jobs: Dict[str, SweepJob] = {}
         self._order: List[str] = []
         self._history: Dict[str, List[JobEvent]] = {}
@@ -461,16 +452,17 @@ class SweepJobService:
 
         The ``cache`` block aggregates the measurement tier: ``entries``
         / ``capacity`` / ``merged`` describe the shared persisted cache,
-        while ``hits`` / ``misses`` / ``evictions`` also sum the
-        per-shard hot caches — each job looks every tone up once in its
-        shard's hot cache, so that is where the traffic lands.  A hit is
-        a tone some earlier job (or session) measured.
+        while ``hits`` / ``misses`` / ``evictions`` also sum the caches
+        of the running jobs and the totals of the finished ones — each
+        job looks every tone up once in its own cache, so that is where
+        the traffic lands.  A hit is a tone some earlier job (or
+        session) measured.
         """
         detail = self.cache.stats_detail
-        for worker_cache in self._worker_caches:
-            hot = worker_cache.stats_detail
+        job_caches = [c.stats_detail for c in self._job_caches.values()]
+        for counts in (self._finished_counts, *job_caches):
             for counter in ("hits", "misses", "evictions"):
-                detail[counter] += hot[counter]
+                detail[counter] += counts[counter]
         lookups = detail["hits"] + detail["misses"]
         running = [
             job.job_id
@@ -605,11 +597,14 @@ class SweepJobService:
             "timeout_s": request.timeout_s,
             "shard": shard,
         })
-        # Anti-entropy, pull half: adopt the shared tier's finished
-        # tones before the worker thread starts.  The shard is idle
-        # right now, so the loop thread is the hot cache's only toucher.
-        worker_cache = self._worker_caches[shard]
-        worker_cache.merge(self.cache.export())
+        # Seed the job's own cache on the loop thread; from here on only
+        # the job's worker thread writes it.
+        shipment = warm_shipment(self.cache, [request.pll])
+        job_cache = ToneMeasurementCache(
+            max_entries=len(shipment) + len(request.plan.frequencies_hz)
+        )
+        job_cache.merge(shipment)
+        self._job_caches[job.job_id] = job_cache
         abort = threading.Event()
         self._abort_events[job.job_id] = abort
 
@@ -620,6 +615,13 @@ class SweepJobService:
             # state below is single-threaded.  The monitor releases
             # tones in plan order, so the reference arrives first.
             nonlocal reference
+            # Publish the finished tone as the monitor's cache holds it:
+            # a failure as its error text, an existing entry wins.
+            key = measurement_cache_key(request.pll, request.stimulus,
+                                        request.config, outcome.f_mod)
+            if key is not None and key not in self.cache:
+                self.cache.put(key, outcome.error if outcome.failed
+                               else outcome.measurement)
             if job.finished:
                 return  # late tone of an aborted run
             magnitude: Optional[float] = None
@@ -678,7 +680,7 @@ class SweepJobService:
                 n_workers=request.n_workers,
                 on_outcome=on_outcome,
                 engine=request.engine,
-                measurement_cache=worker_cache,
+                measurement_cache=job_cache,
             )
 
         try:
@@ -699,16 +701,13 @@ class SweepJobService:
                 job.error = "cancelled while running"
                 self._transition(job, JobState.CANCELLED)
                 self._finish(job, EVENT_CANCELLED, {"error": job.error})
-        except MeasurementError as exc:
-            # The reference tone died: no transfer function exists, but
-            # the job still archives a failure-stub artefact — the
-            # service loop survives, mirroring _render_one.
-            job.error = str(exc)
-            self._transition(job, JobState.FAILED)
-            job.report = _failure_stub(request.pll, job.error)
-            self._finish(job, EVENT_FAILED, {"error": job.error})
         except Exception as exc:  # noqa: BLE001 - any per-job error stubs
-            job.error = f"{type(exc).__name__}: {exc}"
+            # A dead reference tone (MeasurementError) leaves no transfer
+            # function; like any other error it still archives a
+            # failure-stub artefact — the service loop survives,
+            # mirroring _render_one.
+            job.error = (str(exc) if isinstance(exc, MeasurementError)
+                         else f"{type(exc).__name__}: {exc}")
             self._transition(job, JobState.FAILED)
             job.report = _failure_stub(request.pll, job.error)
             self._finish(job, EVENT_FAILED, {"error": job.error})
@@ -723,11 +722,10 @@ class SweepJobService:
         finally:
             if timeout_handle is not None:
                 timeout_handle.cancel()
-            # Anti-entropy, push half: fold the shard's new tones into
-            # the shared tier (existing entries win, so concurrent
-            # shards that measured the same tone converge on one entry).
-            # The job's worker thread is done — back to one toucher.
-            self.cache.merge(worker_cache.export())
+            # The worker thread is done: fold its cache into the totals.
+            self._finished_counts.update(
+                self._job_caches.pop(job.job_id).stats_detail
+            )
             if self.cache_path is not None:
                 # Spill after every job: a few hundred bytes per finished
                 # tone buys the next session a warm first lot even if

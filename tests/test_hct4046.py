@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.pll.hct4046 import HCT4046Config, make_hct4046_pll
 from repro.pll.charge_pump import RailDriverChargePump
 from repro.pll.vco import VCO
-from repro.presets import paper_pll, paper_stimulus
+from repro.presets import paper_bist_config, paper_pll, paper_stimulus
 from repro.sim.vectorized import SettleLane, VectorizedLotSimulator
 
 
@@ -105,10 +105,10 @@ class TestScalarPhaseSolve:
         pll = paper_pll(nonlinear=True)
         stimulus = paper_stimulus("multitone")
         f_mod = 10.0
-        solves = []  # the Simpson calls of each time_to_phase call
+        solves = []  # the Simpson calls of each crossing solve
         solving = [False]
         numeric_phase = VCO._numeric_phase
-        time_to_phase = VCO.time_to_phase
+        phase_window = VCO._phase_window
 
         def counted_phase(vco, segment, dt):
             if solving[0]:
@@ -119,13 +119,13 @@ class TestScalarPhaseSolve:
             solves.append([])
             solving[0] = True
             try:
-                return time_to_phase(vco, *args, **kwargs)
+                return phase_window(vco, *args, **kwargs)
             finally:
                 solving[0] = False
 
         with monkeypatch.context() as patch:
             patch.setattr(VCO, "_numeric_phase", counted_phase)
-            patch.setattr(VCO, "time_to_phase", counted_solve)
+            patch.setattr(VCO, "_phase_window", counted_solve)
             measured = ToneTestSequencer(
                 pll, stimulus, fast_bist_config).run(f_mod)
         assert any(len(calls) > 1 for calls in solves)  # solves ran
@@ -136,6 +136,42 @@ class TestScalarPhaseSolve:
             pll=pll, stimulus=stimulus, f_mod=f_mod,
             settle_end=fast_bist_config.settle_cycles / f_mod,
             config=fast_bist_config,
+        )]).run()
+        assert result.mode == "vector"
+        assert result.measurement == measured
+
+    def test_advance_to_the_horizon_reuses_the_window_integral(
+        self, monkeypatch
+    ):
+        """When the next event falls on the solver horizon (a REF edge or
+        a reset before the feedback edge), or on the solver's last
+        iterate, the advance reuses the integral the event search took
+        over that same window: over one full-config scalar 4046 tone no
+        Simpson call repeats the previous call's (segment, dt), and the
+        measurement still equals the farm's."""
+        pll = paper_pll(nonlinear=True)
+        stimulus = paper_stimulus("multitone")
+        config = paper_bist_config()
+        f_mod = 8.36
+        calls = []
+        numeric_phase = VCO._numeric_phase
+
+        def counted_phase(vco, segment, dt):
+            calls.append((segment, dt))
+            return numeric_phase(vco, segment, dt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(VCO, "_numeric_phase", counted_phase)
+            measured = ToneTestSequencer(pll, stimulus, config).run(f_mod)
+        assert len(calls) > 1000  # the 4046 curve integrated numerically
+        repeats = [
+            dt_b for (seg_a, dt_a), (seg_b, dt_b) in zip(calls, calls[1:])
+            if seg_a is seg_b and dt_a == dt_b
+        ]
+        assert repeats == []
+        (result,) = VectorizedLotSimulator([SettleLane(
+            pll=pll, stimulus=stimulus, f_mod=f_mod,
+            settle_end=config.settle_cycles / f_mod, config=config,
         )]).run()
         assert result.mode == "vector"
         assert result.measurement == measured

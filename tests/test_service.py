@@ -12,11 +12,15 @@ killing the service loop.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.core import SweepPlan, TransferFunctionMonitor
+from repro.core.sequencer import measurement_cache_key
+from repro.core.warm import ToneMeasurementCache
 from repro.errors import JobQueueFullError, ServiceError
+from repro.pll.faults import FAULT_LIBRARY, apply_fault
 from repro.presets import paper_pll, paper_stimulus
 from repro.reporting import device_report
 from repro.service import (
@@ -497,8 +501,8 @@ class TestShardedService:
 
     def test_anti_entropy_warms_the_other_shard(self, fast_bist_config):
         # Sequential same-physics jobs on a 2-shard service: whichever
-        # shard takes the second job pulls the first job's settled
-        # states from the shared tier, so it runs fully warm.
+        # shard takes the second job is seeded with the first job's
+        # finished tones from the shared tier, so it runs fully warm.
         async def scenario():
             service = SweepJobService(shards=2)
             await service.start()
@@ -516,13 +520,96 @@ class TestShardedService:
         first, second, stats = run(scenario())
         assert first.warm_tones == 0
         assert second.warm_tones == len(SMOKE_TONES)
-        # The aggregated counters fold the per-shard hot caches in.
+        # The aggregated counters fold every job's own cache in.
         assert stats["cache"]["hits"] == len(SMOKE_TONES)
         assert stats["cache"]["hit_rate"] == 0.5
 
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(ServiceError, match="shards"):
             SweepJobService(shards=0)
+
+
+class TestOneCacheOwnedByTheLoop:
+    def test_streamed_tone_is_in_the_shared_tier_mid_job(
+        self, fast_bist_config, monkeypatch
+    ):
+        # Hold every tone after the reference until the test has looked:
+        # the reference's event must already have published its entry.
+        import repro.core.executor as executor_module
+
+        release = threading.Event()
+        measure = executor_module._measure
+
+        def held(sequencer, f_mod):
+            if f_mod != SMOKE_TONES[0]:
+                release.wait(timeout=60.0)
+            return measure(sequencer, f_mod)
+
+        monkeypatch.setattr(executor_module, "_measure", held)
+        req = request(fast_bist_config, engine="scalar")
+        key = measurement_cache_key(
+            req.pll, req.stimulus, req.config, SMOKE_TONES[0]
+        )
+
+        async def scenario():
+            service = SweepJobService()
+            await service.start()
+            try:
+                job = service.submit(req)
+                async for event in service.watch(job.job_id):
+                    if event.kind == EVENT_TONE and not release.is_set():
+                        seen = (job.state, key in service.cache,
+                                len(service.cache))
+                        release.set()
+                return job, seen
+            finally:
+                release.set()
+                await service.stop()
+
+        job, (state, published, entries) = run(scenario())
+        assert state is JobState.RUNNING
+        assert published and entries == 1
+        assert job.state is JobState.DONE
+
+    def test_job_is_seeded_with_its_own_physics_family_only(
+        self, fast_bist_config, monkeypatch
+    ):
+        # A merge spy sees every seeding: the faulted spec starts from
+        # nothing although the healthy tones are in the shared tier, and
+        # the healthy repeat gets exactly its family's tones.
+        seeds = []
+        merge = ToneMeasurementCache.merge
+
+        def spy(cache, entries):
+            entries = tuple(entries)
+            seeds.append(entries)
+            return merge(cache, entries)
+
+        monkeypatch.setattr(ToneMeasurementCache, "merge", spy)
+        healthy = paper_pll()
+        faulted = apply_fault(healthy, FAULT_LIBRARY["C tripled"])
+
+        async def scenario():
+            service = SweepJobService()
+            await service.start()
+            try:
+                jobs = []
+                for pll in (healthy, faulted, healthy):
+                    jobs.append((await run_to_end(service, request(
+                        fast_bist_config, pll=pll, engine="scalar"
+                    )))[0])
+                return jobs, service.cache.export()
+            finally:
+                await service.stop()
+
+        jobs, shared = run(scenario())
+        assert all(job.state is JobState.DONE for job in jobs)
+        assert [len(seed) for seed in seeds] == [0, 0, len(SMOKE_TONES)]
+        family = {key for key, __ in shared
+                  if key[0] == healthy.physics_signature()}
+        assert {key for key, __ in seeds[2]} == family
+        assert len(shared) == 2 * len(SMOKE_TONES)
+        assert [job.warm_tones for job in jobs] == [0, 0, len(SMOKE_TONES)]
 
 
 class TestFairDispatch:

@@ -97,8 +97,8 @@ class TestConcurrentWriters:
     def test_save_leaves_other_writers_tmp_alone(self, populated, tmp_path):
         # Regression: the temporary used to be ``{path}.tmp.{pid}`` —
         # unique per *process*, not per call — so a second writer in
-        # the same process (exactly what sharded anti-entropy spills
-        # create) opened the first writer's in-flight temporary,
+        # the same process (a threaded caller, say) opened the first
+        # writer's in-flight temporary,
         # truncated its bytes, and the loser's cleanup unlinked the
         # winner's file.  Simulate the other writer's in-flight tmp at
         # the old colliding name: save() must neither write through it
