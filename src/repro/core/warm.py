@@ -28,7 +28,7 @@ share of the lot's :class:`ToneMeasurementCache` to its worker process,
 and the sweep-job service seeds each job's own cache with its physics
 family's tones.  Nothing is merged back: the lot pool's workers return
 reports, and the service's loop thread publishes each tone a job
-streams into its one shared cache.
+finishes into its one shared cache.
 
 :meth:`BoundedCache.save` and :meth:`BoundedCache.load` extend the
 export/merge story across process *lifetimes*: a long-lived service

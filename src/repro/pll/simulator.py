@@ -206,9 +206,6 @@ class PLLTransientSimulator:
         # the segments several times (event search, advance, recording),
         # so rebuilding them per call dominated the per-event cost.
         self._seg_cache: Optional[Tuple] = None
-        # (dt, phase advance over dt) of the last integral the event
-        # search's feedback solve took; the next advance consumes it.
-        self._window: Optional[Tuple[float, float]] = None
         initial_segment, __ = self._segments()
         self._record(self._t, initial_segment.value(0.0))
 
@@ -454,11 +451,7 @@ class PLLTransientSimulator:
                 best_t, best_kind = self._t, "fb"
         elif dt_h > 0.0:
             out_segment = self._segments()[0]
-            # The advance below reuses the solve's last integral when it
-            # spans the same window (the horizon, or the crossing).
-            dt_fb, self._window = self.pll.vco._phase_window(
-                out_segment, need, dt_h
-            )
+            dt_fb = self.pll.vco.time_to_phase(out_segment, need, dt_h)
             if dt_fb is not None and self._t + dt_fb <= best_t:
                 best_t, best_kind = self._t + dt_fb, "fb"
         if pending_reset is not None and pending_reset <= best_t:
@@ -470,7 +463,6 @@ class PLLTransientSimulator:
         return best_t, best_kind
 
     def _advance_to(self, t_next: float) -> None:
-        window, self._window = self._window, None
         dt = t_next - self._t
         if dt < 0.0:
             raise SimulationError(
@@ -479,10 +471,7 @@ class PLLTransientSimulator:
         if dt == 0.0:
             return
         out_segment, state_segment = self._segments()
-        if window is not None and window[0] == dt:
-            self._vco_phase += window[1]
-        else:
-            self._vco_phase += self.pll.vco.phase_advance(out_segment, dt)
+        self._vco_phase += self.pll.vco.phase_advance(out_segment, dt)
         self._vc = state_segment.value(dt)
         self._seg_cache = None
         self._t = t_next

@@ -152,6 +152,13 @@ class VCO:
     # ------------------------------------------------------------------
     # phase accumulation over analogue segments
     # ------------------------------------------------------------------
+    #: ``(segment, dt, phase)`` of the last numeric integral.  The
+    #: scalar simulator's event search integrates a window that its
+    #: advance then asks for again when the next event falls on the
+    #: window's end (or on the crossing solver's last iterate).
+    _last_numeric: Tuple[Optional[AnalogSegment], float, float] = (
+        None, 0.0, 0.0)
+
     def phase_advance(self, segment: AnalogSegment, dt: float) -> float:
         """Phase (in cycles) accumulated over ``[0, dt]`` of ``segment``."""
         if dt < 0.0:
@@ -159,7 +166,12 @@ class VCO:
         if dt == 0.0:
             return 0.0
         if self.tuning_curve is not None:
-            return self._numeric_phase(segment, dt)
+            last_segment, last_dt, last_phase = self._last_numeric
+            if last_segment is segment and last_dt == dt:
+                return last_phase
+            phase = self._numeric_phase(segment, dt)
+            self._last_numeric = (segment, dt, phase)
+            return phase
         # Fast path: the segment laws are monotone, so when both
         # endpoints sit inside the clamp window the whole interval does,
         # and the phase integral is a single closed-form piece.  This is
@@ -198,25 +210,8 @@ class VCO:
         The phase advance is strictly increasing (``f >= f_min > 0``), so
         the crossing, when present, is unique.
         """
-        return self._phase_window(segment, target_cycles, dt_max, tol)[0]
-
-    def _phase_window(
-        self,
-        segment: AnalogSegment,
-        target_cycles: float,
-        dt_max: float,
-        tol: float = 1e-13,
-    ) -> Tuple[Optional[float], Optional[Tuple[float, float]]]:
-        """:meth:`time_to_phase` plus the last phase integral it took.
-
-        Returns ``(crossing time or None, (t, phase_advance(segment, t))
-        or None)``.  Without a crossing ``t`` is ``dt_max``, the
-        reachability guard's window; after a solve it is the solver's
-        last iterate.  A simulator that then advances by exactly ``t``
-        reuses the integral instead of recomputing it.
-        """
         if target_cycles <= 0.0:
-            return 0.0, None
+            return 0.0
         if self.tuning_curve is None and type(segment) is ConstantSegment:
             # Tri-stated loop filter: the frequency is constant, so the
             # phase law is linear and inverts in one division.  This is
@@ -224,28 +219,20 @@ class VCO:
             # during the brief PFD pulses), so it skips the Newton solve
             # for most events.
             dt = target_cycles / self.frequency_of_voltage(segment.initial)
-            return (dt if dt <= dt_max else None), None
+            return dt if dt <= dt_max else None
         # The reachability guard's integral is also the solver's fn(hi).
         pa_max = self.phase_advance(segment, dt_max)
-        last = (dt_max, pa_max)
         if pa_max < target_cycles:
-            return None, last
-
-        def fn(t: float) -> float:
-            nonlocal last
-            last = (t, pa_max if t == dt_max
-                    else self.phase_advance(segment, t))
-            return last[1]
-
-        crossing = solve_increasing(
-            fn=fn,
+            return None
+        return solve_increasing(
+            fn=lambda t: pa_max if t == dt_max
+            else self.phase_advance(segment, t),
             target=target_cycles,
             lo=0.0,
             hi=dt_max,
             derivative=lambda t: self.frequency_at(segment, t),
             tol=tol,
         )
-        return crossing, last
 
     # ------------------------------------------------------------------
     # internals

@@ -29,24 +29,19 @@ Design points
   :attr:`~repro.service.jobs.SweepJobRequest.priority` classes first),
   so one client flooding the queue delays only its own jobs — the
   next distinct client's job is at most one round-robin turn away.
-* **Finished tones are the warm tier.**  A tone's measurement (or its
-  :class:`~repro.errors.MeasurementError` text) is a pure function of
-  (physics, stimulus, tone, config), and it is all a later job needs
-  from an earlier one, so the service keeps
-  :class:`~repro.core.warm.ToneMeasurementCache` entries and nothing
-  else: a tone no tier answers settles from lock inside its job.
-* **One warm tier, one writer.**  The loop thread owns the shared
-  cache.  Each job measures into a fresh cache seeded with
-  :func:`~repro.core.warm.warm_shipment` (its physics family's finished
-  tones, the lot pool's one-way transport); the loop publishes each
-  streamed tone back as it arrives, and an existing entry wins.
-* **One shared tier across all jobs, persistent across sessions.**
-  The shared cache is keyed by
-  :meth:`~repro.pll.config.ChargePumpPLL.physics_signature`, so repeated
-  lots and fault-library screens warm each other across shards; with a
-  ``cache_path`` it is reloaded at start and spilled back to disk after
-  every finished job and at shutdown
-  (:meth:`~repro.core.warm.BoundedCache.save`).
+* **Finished tones are the warm tier, with one writer.**  A tone's
+  measurement (or its :class:`~repro.errors.MeasurementError` text) is
+  a pure function of (physics, stimulus, tone, config) and all a later
+  job needs from an earlier one, so the service keeps one
+  :class:`~repro.core.warm.ToneMeasurementCache`, keyed by
+  :meth:`~repro.pll.config.ChargePumpPLL.physics_signature` and owned
+  by the loop thread.  Each job measures into a fresh cache seeded with
+  its physics family's tones (:func:`~repro.core.warm.warm_shipment`,
+  the lot pool's one-way transport), and the loop publishes each
+  finished tone back; an existing entry wins.  A tone no tier answers
+  settles from lock inside its job.  With a ``cache_path`` the tier is
+  reloaded at start and spilled after every finished job and at
+  shutdown (:meth:`~repro.core.warm.BoundedCache.save`).
 * **Plan-order streaming.**  The monitor releases each job's tones in
   plan order whichever way they were measured (pooled tones complete
   out of order), and the service emits each tone event as it arrives,
@@ -129,8 +124,7 @@ class SweepJobService:
         retained ones.
     shards:
         Scheduler width: how many jobs run concurrently, each in its
-        own worker thread.  The default keeps the historical width-1
-        behaviour.
+        own worker thread (default 1).
 
     Usage::
 
@@ -165,8 +159,7 @@ class SweepJobService:
         self.shards = shards
         self.cache_path = cache_path
         self.cache = self._load_or_new_cache(cache_path, cache_max_entries)
-        # The running jobs' own caches, and the summed counters of the
-        # finished jobs' caches.
+        # Running jobs' own caches; finished jobs' summed cache counters.
         self._job_caches: Dict[str, ToneMeasurementCache] = {}
         self._finished_counts: Counter = Counter()
         self._jobs: Dict[str, SweepJob] = {}
@@ -452,11 +445,9 @@ class SweepJobService:
 
         The ``cache`` block aggregates the measurement tier: ``entries``
         / ``capacity`` / ``merged`` describe the shared persisted cache,
-        while ``hits`` / ``misses`` / ``evictions`` also sum the caches
-        of the running jobs and the totals of the finished ones — each
-        job looks every tone up once in its own cache, so that is where
-        the traffic lands.  A hit is a tone some earlier job (or
-        session) measured.
+        while ``hits`` / ``misses`` / ``evictions`` also sum every job's
+        own cache, where the job looks each tone up once.  A hit is a
+        tone some earlier job (or session) measured.
         """
         detail = self.cache.stats_detail
         job_caches = [c.stats_detail for c in self._job_caches.values()]
@@ -601,8 +592,7 @@ class SweepJobService:
         # the job's worker thread writes it.
         shipment = warm_shipment(self.cache, [request.pll])
         job_cache = ToneMeasurementCache(
-            max_entries=len(shipment) + len(request.plan.frequencies_hz)
-        )
+            max_entries=len(shipment) + len(request.plan.frequencies_hz))
         job_cache.merge(shipment)
         self._job_caches[job.job_id] = job_cache
         abort = threading.Event()
@@ -610,18 +600,22 @@ class SweepJobService:
 
         reference: Optional[ToneMeasurement] = None
 
+        def publish(f_mod: float) -> None:
+            # Copy a finished tone into the shared tier as the job's
+            # cache holds it (the monitor stores a tone there before it
+            # streams it); an existing entry wins.
+            key = measurement_cache_key(request.pll, request.stimulus,
+                                        request.config, f_mod)
+            value = None if key is None else job_cache.peek(key)
+            if value is not None and key not in self.cache:
+                self.cache.put(key, value)
+
         def deliver(index: int, outcome: ToneOutcome) -> None:
             # Runs on the loop thread (scheduled by the worker), so all
             # state below is single-threaded.  The monitor releases
             # tones in plan order, so the reference arrives first.
             nonlocal reference
-            # Publish the finished tone as the monitor's cache holds it:
-            # a failure as its error text, an existing entry wins.
-            key = measurement_cache_key(request.pll, request.stimulus,
-                                        request.config, outcome.f_mod)
-            if key is not None and key not in self.cache:
-                self.cache.put(key, outcome.error if outcome.failed
-                               else outcome.measurement)
+            publish(outcome.f_mod)
             if job.finished:
                 return  # late tone of an aborted run
             magnitude: Optional[float] = None
@@ -686,6 +680,10 @@ class SweepJobService:
         try:
             result = await self._loop.run_in_executor(None, measure)
         except SweepAborted:
+            # Finished tones that never streamed (an ``auto`` farm pass
+            # measures them all first) still warm the shared tier.
+            for f_mod in request.plan.frequencies_hz:
+                publish(f_mod)
             reason = self._abort_reasons.get(
                 job.job_id, _REASON_CANCELLED
             )
@@ -701,13 +699,16 @@ class SweepJobService:
                 job.error = "cancelled while running"
                 self._transition(job, JobState.CANCELLED)
                 self._finish(job, EVENT_CANCELLED, {"error": job.error})
+        except MeasurementError as exc:
+            # The reference tone died: no transfer function exists, but
+            # the job still archives a failure-stub artefact — the
+            # service loop survives, mirroring _render_one.
+            job.error = str(exc)
+            self._transition(job, JobState.FAILED)
+            job.report = _failure_stub(request.pll, job.error)
+            self._finish(job, EVENT_FAILED, {"error": job.error})
         except Exception as exc:  # noqa: BLE001 - any per-job error stubs
-            # A dead reference tone (MeasurementError) leaves no transfer
-            # function; like any other error it still archives a
-            # failure-stub artefact — the service loop survives,
-            # mirroring _render_one.
-            job.error = (str(exc) if isinstance(exc, MeasurementError)
-                         else f"{type(exc).__name__}: {exc}")
+            job.error = f"{type(exc).__name__}: {exc}"
             self._transition(job, JobState.FAILED)
             job.report = _failure_stub(request.pll, job.error)
             self._finish(job, EVENT_FAILED, {"error": job.error})
@@ -723,9 +724,8 @@ class SweepJobService:
             if timeout_handle is not None:
                 timeout_handle.cancel()
             # The worker thread is done: fold its cache into the totals.
-            self._finished_counts.update(
-                self._job_caches.pop(job.job_id).stats_detail
-            )
+            done = self._job_caches.pop(job.job_id)
+            self._finished_counts.update(done.stats_detail)
             if self.cache_path is not None:
                 # Spill after every job: a few hundred bytes per finished
                 # tone buys the next session a warm first lot even if

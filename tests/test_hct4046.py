@@ -105,10 +105,10 @@ class TestScalarPhaseSolve:
         pll = paper_pll(nonlinear=True)
         stimulus = paper_stimulus("multitone")
         f_mod = 10.0
-        solves = []  # the Simpson calls of each crossing solve
+        solves = []  # the Simpson calls of each time_to_phase call
         solving = [False]
         numeric_phase = VCO._numeric_phase
-        phase_window = VCO._phase_window
+        time_to_phase = VCO.time_to_phase
 
         def counted_phase(vco, segment, dt):
             if solving[0]:
@@ -119,13 +119,13 @@ class TestScalarPhaseSolve:
             solves.append([])
             solving[0] = True
             try:
-                return phase_window(vco, *args, **kwargs)
+                return time_to_phase(vco, *args, **kwargs)
             finally:
                 solving[0] = False
 
         with monkeypatch.context() as patch:
             patch.setattr(VCO, "_numeric_phase", counted_phase)
-            patch.setattr(VCO, "_phase_window", counted_solve)
+            patch.setattr(VCO, "time_to_phase", counted_solve)
             measured = ToneTestSequencer(
                 pll, stimulus, fast_bist_config).run(f_mod)
         assert any(len(calls) > 1 for calls in solves)  # solves ran
@@ -140,15 +140,14 @@ class TestScalarPhaseSolve:
         assert result.mode == "vector"
         assert result.measurement == measured
 
-    def test_advance_to_the_horizon_reuses_the_window_integral(
-        self, monkeypatch
-    ):
-        """When the next event falls on the solver horizon (a REF edge or
-        a reset before the feedback edge), or on the solver's last
-        iterate, the advance reuses the integral the event search took
-        over that same window: over one full-config scalar 4046 tone no
-        Simpson call repeats the previous call's (segment, dt), and the
-        measurement still equals the farm's."""
+    def test_no_numeric_integral_repeats_back_to_back(self, monkeypatch):
+        """The VCO keeps its last numeric integral, so when the next
+        event falls on the window the event search just integrated (the
+        solver horizon: a REF edge or a reset before the feedback edge)
+        or on the solver's last iterate, the advance reuses it: over one
+        full-config scalar 4046 tone no Simpson call repeats the
+        previous call's (segment, dt), and the measurement still equals
+        the farm's."""
         pll = paper_pll(nonlinear=True)
         stimulus = paper_stimulus("multitone")
         config = paper_bist_config()

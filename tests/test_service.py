@@ -611,6 +611,33 @@ class TestOneCacheOwnedByTheLoop:
         assert len(shared) == 2 * len(SMOKE_TONES)
         assert [job.warm_tones for job in jobs] == [0, 0, len(SMOKE_TONES)]
 
+    def test_timed_out_job_still_publishes_its_farm_pass(
+        self, fast_bist_config
+    ):
+        # The timeout bites at the first tone boundary, after the auto
+        # job's farm pass measured every tone: none streams, yet all of
+        # them reach the shared tier, so a scalar rerun is fully warm.
+        async def scenario():
+            service = SweepJobService()
+            await service.start()
+            try:
+                first, __ = await run_to_end(
+                    service, request(fast_bist_config, timeout_s=0.001)
+                )
+                second, __ = await run_to_end(
+                    service, request(fast_bist_config, engine="scalar")
+                )
+                return first, second, service.stats()["cache"]
+            finally:
+                await service.stop()
+
+        first, second, stats = run(scenario())
+        assert first.state is JobState.FAILED and "timed out" in first.error
+        assert first.streamed_indices == []
+        assert second.state is JobState.DONE
+        assert second.warm_tones == len(SMOKE_TONES)
+        assert stats["hits"] == len(SMOKE_TONES)
+
 
 class TestFairDispatch:
     def test_flooding_client_cannot_starve_another(self, fast_bist_config):
