@@ -261,23 +261,25 @@ class TransferFunctionMonitor:
         ]
         outcomes: List[Optional[ToneOutcome]] = [None] * len(freqs)
 
-        def answer(index: int, lookup) -> None:
-            hit = lookup(keys[index]) if keys[index] is not None else None
+        def answer(index: int, warm: bool) -> None:
+            key = keys[index]
+            hit = None if key is None else (
+                dedup.get(key) if warm else dedup.peek(key))
             if isinstance(hit, str):
                 outcomes[index] = ToneOutcome(f_mod=freqs[index], error=hit)
             elif hit is not None:
-                outcomes[index] = ToneOutcome(
-                    f_mod=freqs[index],
-                    measurement=replace(
-                        hit, timing=ToneTiming(0.0, 0.0, 0.0, warm=True)
-                    ),
-                )
+                if warm:
+                    hit = replace(
+                        hit, timing=ToneTiming(0.0, 0.0, 0.0, warm=True))
+                outcomes[index] = ToneOutcome(f_mod=freqs[index],
+                                              measurement=hit)
 
         # One counted lookup per tone: a hit is a tone an earlier sweep
-        # measured, never one this sweep's farm pass publishes below.
+        # measured and reads warm, never one this sweep's farm pass
+        # publishes below, which keeps the farm's own wall split.
         if dedup is not None:
             for index in range(len(freqs)):
-                answer(index, dedup.get)
+                answer(index, True)
         if auto:
             # Imported lazily: repro.pll.lot pulls in the settle
             # farm, which scalar-only callers never need.
@@ -290,7 +292,7 @@ class TransferFunctionMonitor:
                 dedup,
             )
             for index in unanswered:
-                answer(index, dedup.peek)
+                answer(index, False)
         released = 0
 
         def release() -> None:

@@ -91,7 +91,7 @@ class ChargePump:
     """
 
     def __init__(self, turn_on_delay: float = 0.0, leakage_current: float = 0.0):
-        if turn_on_delay < 0.0:
+        if not turn_on_delay >= 0.0:  # NaN fails too
             raise ConfigurationError(
                 f"turn_on_delay must be >= 0, got {turn_on_delay!r}"
             )

@@ -53,10 +53,10 @@ and stage 1 is bit-identical to the scalar simulator's at
   class with segment methods of its own (whose segments need not
   follow its laws) or one whose law cannot be derived, an exotic
   source — never enters it and runs nothing here;
-* a lane that leaves the supported envelope — a linear VCO's clamp
-  excursion, a PFD anomaly, a reference source that fails, a tuning
-  curve that raises — is *ejected*, mid-settle or mid-measurement, and
-  publishes nothing.
+* a lane that leaves the supported envelope — where the scalar engine
+  raises, or splits a linear VCO's segment at a clamp, or bisects on
+  after Newton stalls; the exits are listed under ``_kernel_run`` — is
+  *ejected*, mid-settle or mid-measurement, and publishes nothing.
 
 The orchestrating sweep measures every tone the farm left unanswered
 from t = 0 on the scalar engine, so correctness never depends on the
@@ -162,9 +162,6 @@ class _PhysicsTable:
         #: Pump switch-on delay: a non-zero one arms the kernel's
         #: pending-activation event.
         self.turn_on_delay = float(getattr(pump, "turn_on_delay", 0.0))
-        if math.isnan(self.turn_on_delay):
-            # An activation due at NaN never compares due: scalar only.
-            raise _Unsupported("NaN pump turn-on delay")
         self.pll = pll
         self.vco = vco
         #: The scalar engine's initial filter state (the nominal lock).
@@ -373,6 +370,7 @@ class VectorizedLotSimulator:
 
         The wall split reads the clock when a lane's script leaves
         stages 1–3: time before goes to monitor, time after to measure.
+        Each finished measurement is stamped with its own lane's split.
         """
         out = []
         for lane in self.lanes:
@@ -389,6 +387,9 @@ class VectorizedLotSimulator:
                 t2 = t3 if flip is None else flip
                 self.wall_monitor_s += t2 - t1
                 self.wall_measure_s += t3 - t2
+                measurement = lane.result.measurement
+                if isinstance(measurement, ToneMeasurement):
+                    measurement.timing = ToneTiming(t1 - t0, t2 - t1, t3 - t2)
             out.append(lane.result)
         return out
 
@@ -474,13 +475,21 @@ class VectorizedLotSimulator:
         result.  Returns the wall-clock instant the script left stages
         1–3 (``None`` if it never did, or when settling).
 
-        Any state the kernel cannot advance faithfully — a clamp-window
-        excursion, a solver failure, an exception from the tuning
-        curve, any condition the scalar engine treats as an error —
-        ejects the lane *from its pre-event state*.
-        An ejected lane, settling or measuring, publishes nothing: the
-        orchestrating sweep measures its tone from t = 0 on the scalar
-        engine, which reproduces any error itself.
+        A state the kernel cannot advance faithfully ejects the lane
+        *from its pre-event state*, at an exit whose comment names it.
+        The scalar engine raises there (the feedback phase overshot its
+        target; the tuning curve raised in a window, a Newton step or an
+        advance; the reference source failed; the stage script raised
+        other than a MeasurementError at a boundary or at the capture),
+        or goes on where the kernel does not: ``phase_advance`` splits a
+        linear VCO's segment at a clamp (a window checks both ends of a
+        monotone exponential or ramp segment, an advance a held one),
+        and ``solve_increasing`` bisects on after Newton stalls.  No
+        other scalar error can arise: every event candidate is at or
+        after ``t``, a reset is pending only once both rise times are
+        set, and a reset wins its ties.  An ejected lane publishes
+        nothing: the orchestrating sweep measures its tone from t = 0
+        on the scalar engine, which reproduces any error itself.
         """
         table = lane.table
         script = lane.script
@@ -562,9 +571,6 @@ class VectorizedLotSimulator:
             if tact is not None and tact < horizon:
                 horizon = tact
             dt_h = horizon - t
-            if dt_h < 0.0:
-                eject = True  # scalar raises "horizon precedes time"
-                break
             # The window's phase integral over dt_h, and its decay factor
             # on a linear lane's exponential law, once computed: an event
             # on the horizon advances by exactly them.
@@ -599,7 +605,6 @@ class VectorizedLotSimulator:
                 else:
                     # Generic crossing: time_to_phase's reachability
                     # guard plus solve_increasing, inlined.
-                    seg = None
                     if nonlinear:
                         if l_kind == LAW_EXP:
                             seg = ExponentialSegment(out_v, l_oasym,
@@ -611,22 +616,27 @@ class VectorizedLotSimulator:
                     gap0 = out_v - l_oasym
                     gk = gap0 * l_tau
                     # pa(dt_h): bracketing guard.  A linear lane's
-                    # window must hold both ends of the segment; once
-                    # it does, out_v is known in range and the solver
-                    # below only re-checks the moving end.
+                    # window must hold both ends of the segment inside
+                    # the clamp voltages, where the closed form holds;
+                    # the segment is monotone, so every shorter dt the
+                    # solver and the advance take stays inside too.
                     if nonlinear:
                         try:
                             pa_hi = numeric_phase(seg, dt_h)
                         except Exception:  # noqa: BLE001 - scalar repro
-                            eject = True  # the tuning curve raised
+                            eject = True  # curve raised (window)
                             break
                     elif l_kind == LAW_EXP:
                         x = -dt_h / l_tau
                         e_hi = exp_(x)
                         v1 = l_oasym + gap0 * e_hi
+                        # The start is checked as the scalar reads it
+                        # (out_v) and as the formula gives it at dt = 0
+                        # (l_oasym + gap0): they may differ by rounding.
                         if not (v_lo <= v1 <= v_hi
-                                and v_lo <= out_v <= v_hi):
-                            eject = True  # clamp excursion mid-solve
+                                and v_lo <= out_v <= v_hi
+                                and v_lo <= l_oasym + gap0 <= v_hi):
+                            eject = True  # exp segment meets a clamp
                             break
                         pa_hi = base_hz * dt_h + gain * (
                             l_oasym * dt_h + gk * -expm1_(x))
@@ -634,7 +644,7 @@ class VectorizedLotSimulator:
                         v1 = out_v + l_slope * dt_h
                         if not (v_lo <= v1 <= v_hi
                                 and v_lo <= out_v <= v_hi):
-                            eject = True
+                            eject = True  # ramp meets a clamp
                             break
                         pa_hi = base_hz * dt_h + gain * (
                             out_v * dt_h + (l_half * dt_h) * dt_h)
@@ -657,22 +667,16 @@ class VectorizedLotSimulator:
                                         f_d = frequency_of_voltage(
                                             seg.value(x_s))
                                     except Exception:  # noqa: BLE001
-                                        eject = True
+                                        eject = True  # curve raised (Newton)
                                         break
                                 elif l_kind == LAW_EXP:
                                     x = -x_s / l_tau
                                     v1 = l_oasym + gap0 * exp_(x)
-                                    if not v_lo <= v1 <= v_hi:
-                                        eject = True
-                                        break
                                     pa_x = base_hz * x_s + gain * (
                                         l_oasym * x_s
                                         + gk * -expm1_(x))
                                 else:
                                     v1 = out_v + l_slope * x_s
-                                    if not v_lo <= v1 <= v_hi:
-                                        eject = True
-                                        break
                                     pa_x = base_hz * x_s + gain * (
                                         out_v * x_s
                                         + (l_half * x_s) * x_s)
@@ -705,7 +709,8 @@ class VectorizedLotSimulator:
                                     x_next = 0.5 * (lo + hi)
                                 x_s = x_next
                             else:
-                                eject = True  # Newton stalled; the scalar solve bisects
+                                # The scalar solve bisects on.
+                                eject = True  # Newton stalled
                             if eject:
                                 break
                 if dt_fb is not None and t + dt_fb <= best_t:
@@ -718,24 +723,12 @@ class VectorizedLotSimulator:
                 best_t = tact
                 ekind = _ACT
 
-            # --- dispatch validity (checks only, pre-commit) ----------
-            if ekind != _END and ekind != _ACT:
-                if levt is not None and best_t < levt:
-                    eject = True  # PFD monotonicity violation
+            # --- the next reference edge, pulled pre-commit -----------
+            if ekind == _REF and j + 1 >= n_edges:
+                if not supply.pull():
+                    eject = True  # the source failed
                     break
-                if ekind == _RESET:
-                    if upr is None or dnr is None:
-                        eject = True  # reset with no cycle in flight
-                        break
-                else:
-                    if pres is not None and best_t >= pres:
-                        eject = True  # edge after pending reset was due
-                        break
-                    if ekind == _REF and j + 1 >= n_edges:
-                        if not supply.pull():
-                            eject = True  # the source failed
-                            break
-                        n_edges += 1
+                n_edges += 1
 
             # --- advance (transcribes _advance_to + phase_advance) ----
             dt = best_t - t
@@ -746,41 +739,31 @@ class VectorizedLotSimulator:
                     pa = None
                     e_hi = None
                 if pa is None and nonlinear:
-                    # Every advance follows a window over the same
-                    # segment, so the window's ``seg`` is this one.
                     try:
                         pa = numeric_phase(seg, dt)
                     except Exception:  # noqa: BLE001 - scalar repro
-                        eject = True  # the tuning curve raised
+                        eject = True  # curve raised (advance)
                         break
+                # An advance over a moving segment follows its window in
+                # the same pass: out_v and gk are this segment's.
                 if l_kind == LAW_EXP:
                     e = e_hi
                     if e is None:
                         x = -dt / l_tau
                         e = exp_(x)
                     if pa is None:
-                        ov = l_oa * vc + l_ob
-                        gap0 = ov - l_oasym
-                        v1 = l_oasym + gap0 * e
-                        if not (v_lo <= v1 <= v_hi and v_lo <= ov <= v_hi):
-                            eject = True
-                            break
                         pa = base_hz * dt + gain * (
-                            l_oasym * dt + (gap0 * l_tau) * -expm1_(x))
+                            l_oasym * dt + gk * -expm1_(x))
                     vc = l_asym + (vc - l_asym) * e
                 elif l_kind == LAW_RAMP:
                     if pa is None:
-                        ov = vc + l_ooff
-                        v1 = ov + l_slope * dt
-                        if not (v_lo <= v1 <= v_hi and v_lo <= ov <= v_hi):
-                            eject = True
-                            break
                         pa = base_hz * dt + gain * (
-                            ov * dt + (l_half * dt) * dt)
+                            out_v * dt + (l_half * dt) * dt)
                     vc = vc + l_slope * dt
                 elif pa is None:
+                    # A held segment has no window check.
                     if not v_lo <= vc <= v_hi:
-                        eject = True
+                        eject = True  # held voltage past a clamp
                         break
                     pa = base_hz * dt + gain * (vc * dt)
                 phase = phase + pa
@@ -806,7 +789,7 @@ class VectorizedLotSimulator:
                     outcome = str(exc)
                     break
                 except Exception:  # noqa: BLE001 - scalar reproduces it
-                    eject = True
+                    eject = True  # script.advance raised
                     break
                 if monitoring and not script.monitoring:
                     flip = perf_counter()
@@ -821,7 +804,6 @@ class VectorizedLotSimulator:
                         arm_time=script.t_arm,
                         peak_event=script.event,
                         stage_log=script.stage_log,
-                        timing=ToneTiming(0.0, 0.0, 0.0, warm=True),
                     )
                     break
                 # The script's close_loop() may have touched the loop.
@@ -908,7 +890,7 @@ class VectorizedLotSimulator:
                     try:
                         script.capture(t_clk)
                     except Exception:  # noqa: BLE001 - scalar repro
-                        eject = True
+                        eject = True  # script.capture raised
                         break
                     open_ = True
                     fb_rec = PulseTrain(f"{table.pll.name}.fb")

@@ -193,21 +193,22 @@ class SettledReadout:
         """A cold scalar settle to ``t_end``, as the sequencer runs it.
 
         With ``events``, the run stops after that many events, before
-        advancing to the next: the state an ejected farm lane holds.
+        looking for the next: the state an ejected farm lane holds.
         """
         sim = PLLTransientSimulator(
             pll, stimulus.make_source(f_mod, start_time=0.0),
             record="counters",
         )
         if events is not None:
-            advance = sim._advance_to
+            # Stop before the next event search, which may itself raise.
+            next_event = sim._next_event
 
-            def stop_after_events(t_next):
+            def stop_after_events(t_end):
                 if sim._events == events:
                     raise _Stopped
-                advance(t_next)
+                return next_event(t_end)
 
-            sim._advance_to = stop_after_events
+            sim._next_event = stop_after_events
         try:
             sim.run_until(t_end)
         except _Stopped:

@@ -69,6 +69,10 @@ class TestCurrentPump:
         with pytest.raises(ConfigurationError):
             CurrentChargePump(i_up=1e-3, turn_on_delay=-1e-9)
 
+    def test_rejects_nan_turn_on(self):
+        with pytest.raises(ConfigurationError, match="turn_on_delay"):
+            CurrentChargePump(i_up=1e-3, turn_on_delay=math.nan)
+
 
 class TestRailDriver:
     def test_up_drives_vdd(self):

@@ -172,6 +172,30 @@ class TestWarmAcrossJobs:
 
         assert run(scenario()) == [0.0, 0.5]
 
+    def test_auto_tones_read_warm_only_from_an_earlier_job(
+        self, fast_bist_config
+    ):
+        # The first job's farm pass measures its tones: they stream
+        # with the farm's own timing, not as warm hits.
+        async def scenario():
+            service = SweepJobService()
+            await service.start()
+            try:
+                jobs = []
+                for _ in range(2):
+                    job, events = await run_to_end(
+                        service, request(fast_bist_config))
+                    jobs.append((job.warm_tones, [
+                        e.payload["warm"] for e in events
+                        if e.kind == EVENT_TONE]))
+                return jobs
+            finally:
+                await service.stop()
+
+        (first, first_flags), (second, second_flags) = run(scenario())
+        assert first == 0 and not any(first_flags)
+        assert second == len(SMOKE_TONES) and all(second_flags)
+
     def test_warmth_survives_service_restart(
         self, fast_bist_config, tmp_path
     ):
