@@ -16,6 +16,7 @@ wait.  One config + one PLL + one stimulus = one reproducible test.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -85,9 +86,11 @@ class BISTConfig:
     detector_and_delay: float = 5e-9
 
     def __post_init__(self) -> None:
-        if self.test_clock_hz <= 0.0:
+        # ``not 0 < x < inf`` also turns away NaN, which compares false.
+        if not 0.0 < self.test_clock_hz < math.inf:
             raise ConfigurationError(
-                f"test_clock_hz must be positive, got {self.test_clock_hz!r}"
+                "test_clock_hz must be positive and finite, got "
+                f"{self.test_clock_hz!r}"
             )
         if self.settle_cycles < 1:
             raise ConfigurationError(
@@ -98,6 +101,10 @@ class BISTConfig:
                 "frequency_count_periods must be >= 1, got "
                 f"{self.frequency_count_periods!r}"
             )
+        for name in ("detector_inverter_delay", "detector_and_delay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.detector_inverter_delay <= self.detector_and_delay:
             raise ConfigurationError(
                 "detector_inverter_delay must exceed detector_and_delay "

@@ -70,9 +70,9 @@ __all__ = [
 ToneCallback = Callable[[int, "ToneOutcome"], None]
 
 #: Environment variable that pins the worker count for every
-#: :func:`executor_for` call in the process — CI runners and the
-#: sweep-job service use it to make parallelism deterministic without
-#: threading a flag through every call site.
+#: :func:`executor_for` call in the process, so an operator can make
+#: parallelism deterministic (say, for a deployed sweep-job service)
+#: without threading a flag through every call site.
 REPRO_NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
 
 
@@ -282,8 +282,8 @@ def _env_worker_override() -> Optional[int]:
     ------
     ConfigurationError
         If the variable is set but not a positive integer — a silent
-        fallback would defeat the variable's whole purpose (deterministic
-        worker counts on CI and under the service).
+        fallback would defeat the variable's whole purpose (a
+        deterministic worker count).
     """
     raw = os.environ.get(REPRO_NUM_WORKERS_ENV)
     if raw is None or raw.strip() == "":
@@ -313,10 +313,10 @@ def executor_for(
     visible CPU count.
 
     Setting the ``REPRO_NUM_WORKERS`` environment variable overrides
-    ``n_workers`` for every call in the process: CI runners pin it to
-    ``1`` for deterministic serial runs, and a deployed sweep-job
-    service pins its parallelism without a config change.  The fallback
-    and CPU-cap logic still apply to the overridden value.
+    ``n_workers`` for every call in the process: ``1`` forces serial
+    runs, and a deployed sweep-job service can pin its parallelism
+    without a config change.  Nothing in this repository sets it.  The
+    fallback and CPU-cap logic still apply to the overridden value.
     """
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers!r}")

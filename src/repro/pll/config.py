@@ -144,14 +144,13 @@ class ChargePumpPLL:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigurationError(f"divider n must be >= 1, got {self.n!r}")
-        if self.f_ref <= 0.0:
-            raise ConfigurationError(
-                f"f_ref must be positive, got {self.f_ref!r}"
-            )
-        if self.pfd_reset_delay <= 0.0:
-            raise ConfigurationError(
-                f"pfd_reset_delay must be positive, got {self.pfd_reset_delay!r}"
-            )
+        # ``not 0 < x < inf`` also turns away NaN, which compares false.
+        for name in ("f_ref", "pfd_reset_delay"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
         f_out = self.n * self.f_ref
         if not (self.vco.f_min <= f_out <= self.vco.f_max):
             raise ConfigurationError(

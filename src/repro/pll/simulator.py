@@ -13,9 +13,9 @@ Observables produced per run (:class:`TransientResult`):
   the BIST frequency/phase counters see;
 * UP/DOWN waveforms of the PFD, with real dead-zone glitches — what the
   peak-detector latch of Figure 7 samples;
-* sampled traces of the VCO control node, capacitor voltage and
-  instantaneous output frequency — the analogue ground truth used by
-  tests and by the Figure 8 bench.
+* traces of the VCO control node, capacitor voltage and instantaneous
+  output frequency, recorded at every event — the analogue ground truth
+  used by tests and by the Figure 8 bench.
 
 The simulator also implements the paper's **loop-hold** mechanism
 (Section 4, PFD property (3)): :meth:`open_loop` re-routes the reference
@@ -124,21 +124,14 @@ class PLLTransientSimulator:
     initial_control_voltage:
         Starting VCO control voltage; defaults to the locked operating
         point (Table 2 assumes the test starts from lock).
-    sample_interval:
-        Optional uniform sampling period for the analogue traces, in
-        addition to samples taken at every event.  ``None`` records at
-        events only.
-    record_pfd:
-        Record UP/DOWN edge streams (needed by the peak detector and the
-        Figure 5/8 benches).  Only honoured at ``record="full"``; the
-        lighter levels always skip the waveforms.
     record:
         Recording policy (:class:`RecordLevel` or its string value).
-        ``"full"`` (default) records everything; ``"counters"`` keeps
-        only the rising-edge trains the BIST counters read; ``"off"``
-        records nothing.  Sweeps run thousands of events per tone and
-        never look at the analogue traces, so the tone sequencer uses
-        ``"counters"``.
+        ``"full"`` (default) records everything: the analogue traces at
+        every event and the PFD's UP/DOWN edge streams (the Figure 5/8
+        benches read them).  ``"counters"`` keeps only the rising-edge
+        trains the BIST counters read; ``"off"`` records nothing.
+        Sweeps run thousands of events per tone and never look at the
+        analogue traces, so the tone sequencer uses ``"counters"``.
     """
 
     def __init__(
@@ -146,18 +139,11 @@ class PLLTransientSimulator:
         pll: ChargePumpPLL,
         reference: ReferenceSource,
         initial_control_voltage: Optional[float] = None,
-        sample_interval: Optional[float] = None,
-        record_pfd: bool = True,
         start_time: float = 0.0,
         record: Union[RecordLevel, str] = RecordLevel.FULL,
     ) -> None:
-        if sample_interval is not None and sample_interval <= 0.0:
-            raise ConfigurationError(
-                f"sample_interval must be positive, got {sample_interval!r}"
-            )
         self.pll = pll
         self.reference = reference
-        self.sample_interval = sample_interval
         self.record_level = RecordLevel.coerce(record)
         self._record_traces = self.record_level is RecordLevel.FULL
         self._record_edges = self.record_level is not RecordLevel.OFF
@@ -165,7 +151,7 @@ class PLLTransientSimulator:
         self._t = start_time
         self._pfd = PhaseFrequencyDetector(
             reset_delay=pll.pfd_reset_delay,
-            record=record_pfd and self._record_traces,
+            record=self._record_traces,
             name=f"{pll.name}.pfd",
         )
         v0 = (
@@ -189,9 +175,6 @@ class PLLTransientSimulator:
                 f"reference source produced an edge at t={self._t_ref_next!r} "
                 f"before the simulation start {start_time!r}"
             )
-        self._next_sample = (
-            start_time + sample_interval if sample_interval is not None else None
-        )
         self._loop_open = False
         self._cycle_observers: List[Callable[[PFDCycle], None]] = []
 
@@ -402,7 +385,7 @@ class PLLTransientSimulator:
         """Earliest upcoming event: its absolute time and kind.
 
         Ties are resolved with a fixed priority (activation, reset,
-        feedback, reference, sample, end) so behaviour is deterministic;
+        feedback, reference, end) so behaviour is deterministic;
         coincident reference/feedback edges are both processed, one
         event at a time.  The winner is tracked inline (ascending
         priority order, strict ``<`` on time) instead of building and
@@ -412,8 +395,6 @@ class PLLTransientSimulator:
         # replaces the winner on ``<=``, which reproduces the
         # (time, priority) lexicographic minimum of the old list scan.
         best_t, best_kind = t_end, "end"
-        if self._next_sample is not None and self._next_sample <= best_t:
-            best_t, best_kind = self._next_sample, "sample"
         if self._t_ref_next <= best_t:
             best_t, best_kind = self._t_ref_next, "ref"
         # The feedback edge (priority 2) is interleaved here so the
@@ -519,9 +500,6 @@ class PLLTransientSimulator:
             __, drive = self._pending_activation
             self._pending_activation = None
             self._apply_drive(drive)
-        elif kind == "sample":
-            assert self._next_sample is not None and self.sample_interval
-            self._next_sample += self.sample_interval
         else:  # pragma: no cover - guarded by _next_event
             raise SimulationError(f"unknown event kind {kind!r}")
 

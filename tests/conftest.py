@@ -7,10 +7,11 @@ objects.
 
 from __future__ import annotations
 
-import pytest
-
 from dataclasses import replace
 from types import SimpleNamespace
+
+import pytest
+from hypothesis import settings
 
 from repro.core import BISTConfig, ToneTestSequencer, TransferFunctionMonitor
 from repro.errors import StimulusError
@@ -26,6 +27,12 @@ from repro.presets import (
 )
 from repro.sim.vectorized import VectorizedLotSimulator
 from repro.stimulus import SineFMStimulus
+
+#: ``pytest --hypothesis-profile=deep``: a longer search for properties
+#: that take their example budget from the active profile (the
+#: engine-parity property).  Not loaded by default: tier-1 runs
+#: hypothesis's default profile.
+settings.register_profile("deep", max_examples=1000)
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,7 @@
 """Figure 6 architecture config and Table 2 mux bookkeeping."""
 
+import math
+
 import pytest
 
 from repro.core.architecture import (
@@ -39,6 +41,17 @@ class TestBISTConfig:
             BISTConfig(settle_cycles=0)
         with pytest.raises(ConfigurationError):
             BISTConfig(frequency_count_periods=0)
+
+    @pytest.mark.parametrize("field", [
+        "test_clock_hz", "detector_inverter_delay", "detector_and_delay",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            BISTConfig(**{field: value})
+
+    def test_huge_finite_clock_constructs(self):
+        assert BISTConfig(test_clock_hz=1.2e308).test_clock_hz == 1.2e308
 
     def test_inverter_must_outdelay_and_gate(self):
         with pytest.raises(ConfigurationError):

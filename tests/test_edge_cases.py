@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.fitting import EstimatedParameters
 from repro.core.counters import FrequencyCounter
 from repro.core.monitor import SweepPlan, SweepResult, TransferFunctionMonitor
-from repro.errors import ConfigurationError, MeasurementError
+from repro.errors import MeasurementError
 from repro.pll import CurrentChargePump, SeriesRCFilter
 from repro.pll.simulator import PLLTransientSimulator
 from repro.presets import paper_pll
@@ -73,19 +73,13 @@ class TestEstimatedParametersEdge:
 
 
 class TestSimulatorEdgeCases:
-    def test_bad_sample_interval(self):
-        with pytest.raises(ConfigurationError):
-            PLLTransientSimulator(
-                paper_pll(), ConstantFrequencySource(1000.0),
-                sample_interval=0.0,
+    def test_pfd_streams_recorded_only_at_full(self):
+        for record, recorded in (("full", True), ("counters", False)):
+            sim = PLLTransientSimulator(
+                paper_pll(), ConstantFrequencySource(1000.0), record=record
             )
-
-    def test_record_pfd_false_disables_streams(self):
-        sim = PLLTransientSimulator(
-            paper_pll(), ConstantFrequencySource(1000.0), record_pfd=False
-        )
-        sim.run_until(0.01)
-        assert sim.result().pfd.up_stream is None
+            sim.run_until(0.01)
+            assert (sim.result().pfd.up_stream is not None) is recorded
 
     def test_repr(self):
         sim = PLLTransientSimulator(

@@ -1,5 +1,6 @@
 """Assembled PLL: operating point and small-signal derivations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,14 @@ class TestValidation:
     def test_reset_delay_positive(self):
         with pytest.raises(ConfigurationError):
             make_pll(pfd_reset_delay=0.0)
+
+    @pytest.mark.parametrize("field", ["f_ref", "pfd_reset_delay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            make_pll(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            dataclasses.replace(paper_pll(), **{field: value})
 
 
 class TestOperatingPoint:

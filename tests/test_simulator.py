@@ -186,14 +186,6 @@ class TestObserversAndResult:
         assert res.events > 100
         assert "TransientResult" in res.summary()
 
-    def test_sample_interval_records_uniformly(self, pll):
-        sim = PLLTransientSimulator(
-            pll, ConstantFrequencySource(1000.0), sample_interval=1e-3
-        )
-        sim.run_until(0.05)
-        t = sim.control_trace.times
-        assert len(t) > 50
-
     def test_run_backwards_rejected(self, pll):
         sim = PLLTransientSimulator(pll, ConstantFrequencySource(1000.0))
         sim.run_until(0.01)
