@@ -57,21 +57,6 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --cold" in capsys.readouterr().err
 
-    def test_profile_dump_paths_unique(self):
-        import os
-
-        from repro.cli import _profile_dump_path
-
-        a = _profile_dump_path("out/sweep.prof")
-        b = _profile_dump_path("out/sweep.prof")
-        assert a != b
-        for path in (a, b):
-            assert path.startswith("out/sweep.")
-            assert path.endswith(".prof")
-            assert f".{os.getpid()}-" in path
-        # A suffix-less request still produces a recognisable dump file.
-        assert _profile_dump_path("lotdump").endswith(".prof")
-
 
 class TestTheory:
     def test_prints_design_point(self, capsys):

@@ -16,9 +16,10 @@ with a stimulus and a tone, and asserts for that tone:
   the equalities never hold because the scalar engine answered both.
 
 The example budget comes from the active hypothesis profile
-(``--hypothesis-profile=deep`` searches longer).  Cases outside this
-space keep explicit tests in ``test_lot_vectorized.py``,
-``test_measure_vectorized.py`` and ``test_kernel_exits.py``.
+(``--hypothesis-profile=deep`` searches longer).  Fixed-die parity
+tests, and the cases outside this space, are in
+``test_lot_vectorized.py``, ``test_measure_vectorized.py``,
+``test_closed_form_property.py`` and ``test_kernel_exits.py``.
 """
 
 from __future__ import annotations

@@ -427,14 +427,12 @@ class TestScreenPopulation:
     def test_byte_identical_across_runs_and_chunk_sizes(self, tmp_path):
         spec = PopulationSpec(**self.SPEC)
         out = []
-        for chunk, engine in ((2, "auto"), (6, "auto"), (2, "auto"),
-                              (6, "scalar")):
-            agg, stats = screen_population(spec, chunk_size=chunk,
-                                           engine=engine)
+        for chunk in (2, 6, 2):
+            agg, stats = screen_population(spec, chunk_size=chunk)
             out.append(agg.to_json(spec.describe()))
             assert stats.dies == 6
             assert stats.n_chunks == (6 + chunk - 1) // chunk
-        assert out[0] == out[1] == out[2] == out[3]
+        assert out[0] == out[1] == out[2]
 
     def test_jsonl_streams_one_record_per_die(self, tmp_path):
         spec = PopulationSpec(**self.SPEC)
@@ -459,9 +457,6 @@ class TestScreenPopulation:
         assert agg.counts.total == 6
         assert stats.chunk_size == 3
         assert stats.dies_per_s > 0
-        # The farm measured the tones, and its wall split surfaced.
-        assert stats.measured > 0
-        assert stats.settle_s > 0.0
 
     def test_invalid_arguments(self):
         spec = PopulationSpec(**self.SPEC)

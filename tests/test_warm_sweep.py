@@ -19,9 +19,7 @@ from repro.core import (
 )
 from repro.core.sequencer import measurement_cache_key
 from repro.core.warm import BoundedCache, LockStateCache, ToneMeasurementCache
-from repro.errors import ConfigurationError, MeasurementError
-from repro.pll.faults import FAULT_LIBRARY, apply_fault
-from repro.presets import paper_stimulus
+from repro.errors import ConfigurationError
 
 
 def _assert_identical(a, b):
@@ -128,65 +126,6 @@ class TestCacheWarmRuns:
         assert list(second.response.phase_deg) == list(
             first.response.phase_deg
         )
-
-    def test_serial_executor_publishes_failures(
-        self, pll_linear, fast_bist_config, monkeypatch
-    ):
-        """A tone that raises MeasurementError publishes its text: a
-        same-physics rerun answers it without replaying the sequence."""
-        stimulus = paper_stimulus("multitone")
-        # A one-second inverter delay swallows every reset pulse: the
-        # latch never clocks and every tone starves — the reference
-        # too, so each sweep raises after streaming its outcomes.
-        starved = replace(fast_bist_config, detector_inverter_delay=1.0)
-        cache = ToneMeasurementCache()
-
-        def sweep(device):
-            seen = []
-            with pytest.raises(MeasurementError, match="reference tone"):
-                TransferFunctionMonitor(device, stimulus, starved).run(
-                    SweepPlan((10.0, 55.0)), engine="scalar",
-                    measurement_cache=cache,
-                    on_outcome=lambda index, outcome: seen.append(outcome),
-                )
-            return seen
-
-        first = sweep(pll_linear)
-        assert len(first) == 2
-        assert all(outcome.failed for outcome in first)
-        runs = []
-        run = ToneTestSequencer.run
-
-        def spy(self, *args, **kwargs):
-            runs.append(args)
-            return run(self, *args, **kwargs)
-
-        monkeypatch.setattr(ToneTestSequencer, "run", spy)
-        assert sweep(replace(pll_linear, name="same-physics-die")) == first
-        assert runs == []
-
-    def test_monitor_threads_measurement_cache(self, pll_linear,
-                                               fast_bist_config):
-        stimulus = paper_stimulus("multitone")
-        plan = SweepPlan((10.0, 55.0))
-        cold = TransferFunctionMonitor(
-            pll_linear, stimulus, fast_bist_config).run(plan, engine="scalar")
-        cache = ToneMeasurementCache()
-        TransferFunctionMonitor(pll_linear, stimulus, fast_bist_config).run(
-            plan, engine="auto", measurement_cache=cache)
-        assert cache.presettle_stats.unique == 2
-        warm = TransferFunctionMonitor(
-            replace(pll_linear, name="twin"), stimulus, fast_bist_config
-        ).run(plan, engine="auto", measurement_cache=cache)
-        # The first sweep misses every tone and its farm measures them;
-        # the twin answers every tone from what the first published,
-        # before its farm plans a lane.
-        assert cache.stats == (2, 2)
-        assert cache.presettle_stats.unique == 0
-        assert len(cache) == 2
-        assert warm.measurements == cold.measurements
-        assert list(warm.response.magnitude_db) == list(
-            cold.response.magnitude_db)
 
 
 class TestLockStateCacheUnit:
@@ -357,31 +296,6 @@ class TestNominalBaselineMemoised:
         # does not add entries of its own.
         assert len(_NOMINAL_FREQUENCY_MEMO) == 2
         assert f128 == pytest.approx(f64, rel=1e-6)
-
-    def test_renamed_dies_share_the_memo(self, pll_linear, sine_stimulus,
-                                         fast_bist_config):
-        from repro.core.sequencer import _NOMINAL_FREQUENCY_MEMO
-
-        _NOMINAL_FREQUENCY_MEMO.clear()
-        a, b = (ToneTestSequencer(replace(pll_linear, name=name),
-                                  sine_stimulus, fast_bist_config)
-                for name in ("die-a", "die-b"))
-        va = a.measure_nominal_frequency(gate_cycles=32)
-        assert len(_NOMINAL_FREQUENCY_MEMO) == 1
-        # Same physics: one measurement, bit-equal result, no new entry.
-        assert b.measure_nominal_frequency(gate_cycles=32) == va
-        assert len(_NOMINAL_FREQUENCY_MEMO) == 1
-
-    def test_different_physics_key_apart(self, pll_linear, sine_stimulus,
-                                         fast_bist_config):
-        from repro.core.sequencer import _NOMINAL_FREQUENCY_MEMO
-
-        _NOMINAL_FREQUENCY_MEMO.clear()
-        faulted = apply_fault(pll_linear, FAULT_LIBRARY["C tripled"])
-        for pll in (pll_linear, faulted):
-            ToneTestSequencer(pll, sine_stimulus, fast_bist_config)\
-                .measure_nominal_frequency(gate_cycles=32)
-        assert len(_NOMINAL_FREQUENCY_MEMO) == 2
 
     def test_monitor_delegates(self, pll_linear, sine_stimulus, fast_bist_config):
         monitor = TransferFunctionMonitor(
